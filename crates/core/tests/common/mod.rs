@@ -1,6 +1,11 @@
 //! Shared wire-frame corpus: one *valid* frame set per protocol layer
-//! (Prime messages, sealed session envelopes, Merkle-batched frames,
-//! Spines overlay messages, SCADA ops, Modbus device frames).
+//! (every Prime message, sealed / Merkle-batched / multi-frame envelopes,
+//! every Spines overlay message, SCADA ops, Modbus device frames, the
+//! cross-shard payloads, KV ops) plus one frame over each decoder count
+//! cap, which must stay rejected.
+//!
+//! New entries go at the *end* of their category: files are addressed by
+//! index, so appending never renames a committed file.
 //!
 //! Two consumers: `fuzz_decoders.rs` mutates these frames to prove the
 //! decoders total, and `corpus_replay.rs` pins their exact bytes as
@@ -15,9 +20,14 @@
 
 use bytes::Bytes;
 use spire_crypto::batch::BatchAttestation;
-use spire_prime::msg::{encode_batched, seal_frame, CheckpointMsg, Matrix, SummaryRow};
-use spire_prime::{ClientId, ClientOp, PrimeMsg, ReplicaId};
+use spire_prime::msg::{
+    encode_batched, encode_multi, seal_frame, CheckpointMsg, Matrix, PreparedClaim, SummaryRow,
+    ViewStateMsg,
+};
+use spire_prime::{ClientId, ClientOp, KvOp, PrimeMsg, ReplicaId, ReplyCert};
 use spire_scada::{CommandAction, ModbusFrame, ScadaOp};
+use spire_shard::msg::{cmd_kind, encode_ack, encode_prepared, encode_rejected, DECISION_COMMIT};
+use spire_shard::{ShardCmd, ShardMsg};
 use spire_spines::msg::DataMsg;
 use spire_spines::{Dissemination, OverlayId, OverlayMsg};
 
@@ -54,7 +64,7 @@ pub fn prime_corpus() -> Vec<Bytes> {
             view: 1,
             seq: 40,
             matrix: Matrix {
-                rows: vec![row.clone(), row],
+                rows: vec![row.clone(), row.clone()],
             },
             sig: [4u8; 64],
         },
@@ -127,6 +137,103 @@ pub fn prime_corpus() -> Vec<Bytes> {
         root_sig: [23u8; 64],
     };
     frames.push(encode_batched(ReplicaId(4), &attestation, &inner));
+
+    // View change, state transfer and the cumulative votes, then a
+    // multi-frame container over two of them.
+    let checkpoint = CheckpointMsg {
+        replica: ReplicaId(2),
+        seq: 50,
+        digest: [11u8; 32],
+        sig: [16u8; 64],
+    };
+    let state = ViewStateMsg {
+        replica: ReplicaId(3),
+        view: 2,
+        last_committed: 40,
+        prepared: vec![
+            PreparedClaim {
+                view: 1,
+                seq: 41,
+                matrix: Matrix {
+                    rows: vec![row.clone()],
+                },
+            },
+            PreparedClaim {
+                view: 1,
+                seq: 42,
+                matrix: Matrix { rows: vec![] },
+            },
+        ],
+        sig: [17u8; 64],
+    };
+    let more = [
+        PrimeMsg::ViewState(state.clone()),
+        PrimeMsg::NewView {
+            view: 2,
+            states: vec![
+                state.clone(),
+                ViewStateMsg {
+                    replica: ReplicaId(4),
+                    prepared: vec![],
+                    ..state
+                },
+            ],
+            sig: [18u8; 64],
+        },
+        PrimeMsg::StateResp {
+            replica: ReplicaId(1),
+            checkpoint_seq: 50,
+            share_index: 1,
+            erasure_k: 2,
+            share: Bytes::from_static(b"erasure share"),
+            proof: vec![checkpoint.clone(), checkpoint.clone()],
+            view: 2,
+            requester_po_high: 17,
+            requester_sseq_high: 5,
+        },
+        PrimeMsg::SuffixVote {
+            replica: ReplicaId(2),
+            seq: 51,
+            matrix: Matrix { rows: vec![row] },
+        },
+        PrimeMsg::PoAckMulti {
+            replica: ReplicaId(2),
+            entries: vec![(ReplicaId(0), 7, [1u8; 32]), (ReplicaId(3), 9, [2u8; 32])],
+            sig: [19u8; 64],
+        },
+        PrimeMsg::CommitMulti {
+            replica: ReplicaId(4),
+            view: 2,
+            entries: vec![(41, [4u8; 32]), (42, [5u8; 32]), (43, [6u8; 32])],
+            sig: [20u8; 64],
+        },
+        PrimeMsg::StateMeta {
+            replica: ReplicaId(1),
+            checkpoint_seq: 50,
+            erasure_k: 2,
+            chunk_size: 1024,
+            total_len: 2500,
+            chunk_digests: vec![[1u8; 32], [2u8; 32], [3u8; 32]],
+            proof: vec![checkpoint],
+            view: 2,
+            requester_po_high: 17,
+            requester_sseq_high: 5,
+        },
+        PrimeMsg::StateChunk {
+            replica: ReplicaId(2),
+            checkpoint_seq: 50,
+            chunk: 1,
+            share_index: 2,
+            share: Bytes::from_static(b"chunk share"),
+        },
+        PrimeMsg::StateChunkReq {
+            replica: ReplicaId(5),
+            checkpoint_seq: 50,
+            chunks: vec![0, 2, 7],
+        },
+    ];
+    frames.extend(more.iter().map(|m| m.encode()));
+    frames.push(encode_multi(&[inner, more[4].encode()]));
     frames
 }
 
@@ -172,6 +279,19 @@ pub fn overlay_corpus() -> Vec<Bytes> {
             src: OverlayId(0),
             src_port: 2,
             payload: Bytes::from_static(b"payload"),
+        },
+        OverlayMsg::HopAckMulti {
+            frame_ids: vec![98, 99, u64::MAX],
+        },
+        OverlayMsg::Batch {
+            frames: vec![
+                OverlayMsg::HopAck { frame_id: 99 }.encode(),
+                OverlayMsg::Hello {
+                    from: OverlayId(3),
+                    seq: 11,
+                }
+                .encode(),
+            ],
         },
     ]
     .iter()
@@ -238,6 +358,102 @@ pub fn modbus_corpus() -> Vec<Bytes> {
     .collect()
 }
 
+fn shard_cmds(n: u32) -> Vec<ShardCmd> {
+    (0..n)
+        .map(|i| ShardCmd {
+            shard: i % 3,
+            rtu: 10 + i,
+            kind: cmd_kind::SET_REGISTER,
+            a: 40,
+            b: 9000,
+        })
+        .collect()
+}
+
+fn reply_cert(frames: usize) -> ReplyCert {
+    ReplyCert {
+        result: Bytes::from(encode_prepared(7, &[8u8; 32])),
+        frames: (0..frames).map(|i| Bytes::from(vec![i as u8; 3])).collect(),
+    }
+}
+
+/// Every cross-shard operation payload, the three reply payloads and a
+/// standalone reply certificate.
+pub fn shard_corpus() -> Vec<Bytes> {
+    vec![
+        ShardMsg::XPrepare {
+            xid: 7,
+            coord_shard: 0,
+            ts_us: 123_456,
+            shards: vec![0, 2],
+            cmds: shard_cmds(2),
+            poison: false,
+        }
+        .encode(),
+        ShardMsg::XCommit {
+            xid: 7,
+            coord_shard: 0,
+            ts_us: 123_456,
+            shards: vec![0, 2],
+            cmds: shard_cmds(2),
+            cert: reply_cert(2),
+        }
+        .encode(),
+        ShardMsg::XAbort {
+            xid: 9,
+            coord_shard: 1,
+            shards: vec![1, 3],
+        }
+        .encode(),
+        Bytes::from(encode_prepared(7, &[8u8; 32])),
+        Bytes::from(encode_rejected(9)),
+        Bytes::from(encode_ack(7, DECISION_COMMIT)),
+        reply_cert(2).encode(),
+    ]
+}
+
+/// One frame over each decoder count cap (65 shards, 257 commands, 65
+/// certificate frames), built by the real encoders. Every decoder must
+/// keep rejecting these.
+pub fn overcap_corpus() -> Vec<Bytes> {
+    vec![
+        ShardMsg::XAbort {
+            xid: 1,
+            coord_shard: 0,
+            shards: (0..65).collect(),
+        }
+        .encode(),
+        ShardMsg::XPrepare {
+            xid: 2,
+            coord_shard: 0,
+            ts_us: 1,
+            shards: vec![0],
+            cmds: shard_cmds(257),
+            poison: false,
+        }
+        .encode(),
+        reply_cert(65).encode(),
+    ]
+}
+
+pub fn kv_corpus() -> Vec<Bytes> {
+    [
+        KvOp::Cas {
+            key: "breaker/7".into(),
+            expected: Some("open".into()),
+            new: "closed".into(),
+        },
+        KvOp::Cas {
+            key: "breaker/7".into(),
+            expected: None,
+            new: "closed".into(),
+        },
+    ]
+    .iter()
+    .map(|op| Bytes::from(op.encode()))
+    .collect()
+}
+
 /// `(category, frames)` for every layer, in the committed-file order.
 pub fn full_corpus() -> Vec<(&'static str, Vec<Bytes>)> {
     vec![
@@ -245,5 +461,8 @@ pub fn full_corpus() -> Vec<(&'static str, Vec<Bytes>)> {
         ("overlay", overlay_corpus()),
         ("scada", scada_corpus()),
         ("modbus", modbus_corpus()),
+        ("shard", shard_corpus()),
+        ("overcap", overcap_corpus()),
+        ("kv", kv_corpus()),
     ]
 }

@@ -11,9 +11,12 @@
 mod common;
 
 use bytes::Bytes;
-use spire_prime::msg::{decode_frame, decode_sealed};
+use spire_prime::msg::{decode_frame, decode_multi, decode_sealed};
+use spire_prime::{KvOp, ReplyCert};
 use spire_rt::{RtConfig, RtHooks, Runtime};
 use spire_scada::{ModbusFrame, ScadaOp};
+use spire_shard::msg::parse_reply;
+use spire_shard::ShardMsg;
 use spire_sim::{Context, LinkConfig, Process, ProcessId, Span, World};
 use spire_spines::OverlayMsg;
 use std::path::PathBuf;
@@ -98,14 +101,47 @@ fn committed_corpus_matches_builders() {
 
 /// Per-frame decode accounting, identical on the host and inside the
 /// substrate sink: each decoder is tried independently.
-fn classify(bytes: &[u8]) -> [(&'static str, bool); 4] {
-    let prime_ok = matches!(decode_sealed(bytes), Ok(Some(_))) || decode_frame(bytes).is_ok();
+fn classify(bytes: &[u8]) -> [(&'static str, bool); 6] {
+    let prime_ok = matches!(decode_sealed(bytes), Ok(Some(_)))
+        || matches!(decode_multi(&Bytes::copy_from_slice(bytes)), Ok(Some(_)))
+        || decode_frame(bytes).is_ok();
+    let shard_ok = ShardMsg::decode(bytes).is_ok()
+        || parse_reply(bytes).is_some()
+        || ReplyCert::decode(bytes).is_ok();
     [
         ("corpus.prime_ok", prime_ok),
         ("corpus.overlay_ok", OverlayMsg::decode(bytes).is_ok()),
         ("corpus.scada_ok", ScadaOp::decode(bytes).is_ok()),
         ("corpus.modbus_ok", ModbusFrame::decode(bytes).is_ok()),
+        ("corpus.shard_ok", shard_ok),
+        ("corpus.kv_ok", KvOp::decode(bytes).is_ok()),
     ]
+}
+
+/// Every committed frame decodes under its own category's decoder, and the
+/// frames over a count cap decode under none.
+#[test]
+fn committed_corpus_is_accepted_by_category_and_overcap_rejected() {
+    let dir = corpus_dir();
+    for (category, built) in common::full_corpus() {
+        for idx in 0..built.len() {
+            let name = file_name(category, idx);
+            let bytes = std::fs::read(dir.join(&name)).expect("corpus file readable");
+            let accepted = classify(&bytes);
+            if category == "overcap" {
+                assert!(
+                    accepted.iter().all(|(_, ok)| !ok),
+                    "{name} is over a count cap and must stay rejected: {accepted:?}"
+                );
+            } else {
+                let counter = format!("corpus.{category}_ok");
+                assert!(
+                    accepted.iter().any(|(c, ok)| *c == counter && *ok),
+                    "{name} is rejected by its own decoder"
+                );
+            }
+        }
+    }
 }
 
 /// Sends every corpus frame to the sink, one per millisecond (the stagger
@@ -169,24 +205,16 @@ fn corpus_world(frames: Vec<Bytes>, seed: u64) -> World {
 
 /// The expected counter values for a full replay of `frames`.
 fn expectations(frames: &[Bytes]) -> Vec<(&'static str, u64)> {
-    let mut prime = 0;
-    let mut overlay = 0;
-    let mut scada = 0;
-    let mut modbus = 0;
+    let mut expected = vec![("corpus.received", frames.len() as u64)];
     for frame in frames {
-        let [(_, p), (_, o), (_, s), (_, m)] = classify(frame);
-        prime += p as u64;
-        overlay += o as u64;
-        scada += s as u64;
-        modbus += m as u64;
+        for (counter, ok) in classify(frame) {
+            match expected.iter_mut().find(|(c, _)| *c == counter) {
+                Some((_, n)) => *n += ok as u64,
+                None => expected.push((counter, ok as u64)),
+            }
+        }
     }
-    vec![
-        ("corpus.received", frames.len() as u64),
-        ("corpus.prime_ok", prime),
-        ("corpus.overlay_ok", overlay),
-        ("corpus.scada_ok", scada),
-        ("corpus.modbus_ok", modbus),
-    ]
+    expected
 }
 
 #[test]

@@ -3,21 +3,22 @@
 //! `Err`/`None`, never panic. The chaos wire-fault injector and a real
 //! network attacker both deliver exactly these inputs.
 //!
-//! The corpus (shared via `common::*_corpus`, committed as bytes under
-//! `tests/corpus/` — see `corpus_replay.rs`) is a set of *valid* frames
-//! from every protocol layer (Prime messages, sealed session envelopes,
-//! Merkle-batched frames, Spines overlay messages, SCADA ops, Modbus
-//! device frames); each is run through a seeded stream of random
-//! mutations and fed to every decoder. Seeded, so a failure reproduces.
+//! The corpus (shared via `common::full_corpus`, committed as bytes under
+//! `tests/corpus/` — see `corpus_replay.rs`) is a set of frames from every
+//! protocol layer (Prime messages and envelopes, Spines overlay messages,
+//! SCADA ops, Modbus device frames, cross-shard payloads, KV ops); each is
+//! run through a seeded stream of random mutations and fed to every
+//! decoder. Seeded, so a failure reproduces.
 
 mod common;
 
 use bytes::Bytes;
-use common::{modbus_corpus, overlay_corpus, prime_corpus, scada_corpus};
+use common::full_corpus;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use spire_prime::{decode_enclosed, PrimeMsg};
+use spire_prime::{decode_enclosed, KvOp, KvReply, PrimeMsg, ReplyCert};
 use spire_scada::{ModbusFrame, ScadaOp};
+use spire_shard::ShardMsg;
 use spire_spines::OverlayMsg;
 
 /// One random mutation of `frame`: bit flip, truncation, extension,
@@ -72,42 +73,23 @@ fn decode_everything(bytes: &[u8]) {
     let _ = OverlayMsg::decode(bytes);
     let _ = ScadaOp::decode(bytes);
     let _ = ModbusFrame::decode(bytes);
-    let _ = spire_spines::SpinesPort::decode_deliver(&Bytes::copy_from_slice(bytes));
+    let _ = ShardMsg::decode(bytes);
+    let _ = spire_shard::msg::parse_reply(bytes);
+    let _ = ReplyCert::decode(bytes);
+    let _ = KvOp::decode(bytes);
+    let _ = KvReply::decode(bytes);
+    let shared = Bytes::copy_from_slice(bytes);
+    let _ = spire_prime::msg::decode_multi(&shared);
+    let _ = spire_spines::SpinesPort::decode_deliver(&shared);
 }
 
-#[test]
-fn corpus_roundtrips_before_mutation() {
-    // Sanity: the corpus really is valid input for its own decoder.
-    for frame in prime_corpus() {
-        let sealed = frame.first() == Some(&spire_prime::msg::SEALED_FRAME_TAG);
-        assert!(
-            if sealed {
-                matches!(spire_prime::msg::decode_sealed(&frame), Ok(Some(_)))
-            } else {
-                decode_enclosed(&frame).is_ok()
-            },
-            "corpus frame failed its own decoder"
-        );
-    }
-    for frame in overlay_corpus() {
-        assert!(OverlayMsg::decode(&frame).is_ok());
-    }
-    for frame in scada_corpus() {
-        assert!(ScadaOp::decode(&frame).is_ok());
-    }
-    for frame in modbus_corpus() {
-        assert!(ModbusFrame::decode(&frame).is_ok());
-    }
+fn whole_corpus() -> impl Iterator<Item = Bytes> {
+    full_corpus().into_iter().flat_map(|(_, frames)| frames)
 }
 
 #[test]
 fn decoders_are_total_under_mutation() {
-    let corpus: Vec<Bytes> = prime_corpus()
-        .into_iter()
-        .chain(overlay_corpus())
-        .chain(scada_corpus())
-        .chain(modbus_corpus())
-        .collect();
+    let corpus: Vec<Bytes> = whole_corpus().collect();
     // Fixed seed: a failing mutation reproduces. 400 mutations per corpus
     // frame, each fed to every decoder.
     let mut rng = StdRng::seed_from_u64(0xDEC0DE);
@@ -124,12 +106,7 @@ fn decoders_are_total_under_mutation() {
 fn truncated_prefixes_never_panic() {
     // Exhaustive prefix truncation of every corpus frame — the most common
     // real-world corruption (partial read) gets full coverage.
-    for frame in prime_corpus()
-        .into_iter()
-        .chain(overlay_corpus())
-        .chain(scada_corpus())
-        .chain(modbus_corpus())
-    {
+    for frame in whole_corpus() {
         for len in 0..frame.len() {
             decode_everything(&frame[..len]);
         }

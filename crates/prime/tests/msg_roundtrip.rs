@@ -20,7 +20,7 @@ use spire_prime::{ClientId, ReplicaId};
 
 const MASTER_SEED: u64 = 0x0005_EED0_FA11;
 const SAMPLES_PER_VARIANT: u64 = 40;
-const VARIANTS: u64 = 21;
+const VARIANTS: u64 = 24;
 
 fn sig64(rng: &mut StdRng) -> [u8; 64] {
     let mut sig = [0u8; 64];
@@ -98,7 +98,7 @@ fn view_state(rng: &mut StdRng) -> ViewStateMsg {
     }
 }
 
-/// A random instance of variant `variant` (0-based over all 19).
+/// A random instance of variant `variant` (0-based over all 24).
 fn gen_msg(rng: &mut StdRng, variant: u64) -> PrimeMsg {
     match variant {
         0 => PrimeMsg::Op(client_op(rng)),
@@ -223,6 +223,39 @@ fn gen_msg(rng: &mut StdRng, variant: u64) -> PrimeMsg {
                 (0..n).map(|_| (rng.gen(), digest32(rng))).collect()
             },
             sig: sig64(rng),
+        },
+        21 => PrimeMsg::StateMeta {
+            replica: ReplicaId(rng.gen_range(0..32)),
+            checkpoint_seq: rng.gen(),
+            erasure_k: rng.gen(),
+            chunk_size: rng.gen(),
+            total_len: rng.gen(),
+            chunk_digests: {
+                let n = rng.gen_range(0..5);
+                (0..n).map(|_| digest32(rng)).collect()
+            },
+            proof: {
+                let n = rng.gen_range(0..3);
+                (0..n).map(|_| checkpoint(rng)).collect()
+            },
+            view: rng.gen(),
+            requester_po_high: rng.gen(),
+            requester_sseq_high: rng.gen(),
+        },
+        22 => PrimeMsg::StateChunk {
+            replica: ReplicaId(rng.gen_range(0..32)),
+            checkpoint_seq: rng.gen(),
+            chunk: rng.gen(),
+            share_index: rng.gen(),
+            share: payload(rng, 96),
+        },
+        23 => PrimeMsg::StateChunkReq {
+            replica: ReplicaId(rng.gen_range(0..32)),
+            checkpoint_seq: rng.gen(),
+            chunks: {
+                let n = rng.gen_range(0..6);
+                (0..n).map(|_| rng.gen()).collect()
+            },
         },
         _ => unreachable!("variant index out of range"),
     }
