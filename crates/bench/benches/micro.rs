@@ -100,24 +100,6 @@ fn bench_batch_auth(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_rsa(c: &mut Criterion) {
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use spire_crypto::rsa::RsaPrivateKey;
-    // 1024-bit keys approximate what the original system deployed.
-    let key = RsaPrivateKey::generate(1024, &mut StdRng::seed_from_u64(1));
-    let public = key.public_key();
-    let msg = b"PO-REQUEST r2 seq 17";
-    let sig = key.sign(msg);
-    let mut group = c.benchmark_group("rsa1024");
-    group.sample_size(20);
-    group.bench_function("sign", |b| b.iter(|| key.sign(std::hint::black_box(msg))));
-    group.bench_function("verify", |b| {
-        b.iter(|| public.verify(std::hint::black_box(msg), &sig))
-    });
-    group.finish();
-}
-
 fn bench_erasure(c: &mut Criterion) {
     let data = vec![0xabu8; 64 * 1024];
     let mut group = c.benchmark_group("erasure_64k");
@@ -244,7 +226,6 @@ criterion_group!(
     benches,
     bench_crypto,
     bench_batch_auth,
-    bench_rsa,
     bench_erasure,
     bench_prime_codec,
     bench_scada_master,

@@ -4,7 +4,7 @@
 //! SPIRE_SHARD_SECS scales the sweep legs; SPIRE_SHARD_JSON overrides the
 //! JSON output path; SPIRE_SHARD_CPU_US overrides the modeled per-message
 //! replica CPU time (the saturation ceiling); SPIRE_SHARD_RTUS the total
-//! offered load; SPIRE_SHARD_BW applies an exploratory WAN bandwidth cap.
+//! offered load.
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let secs = spire_bench::env_u64("SPIRE_SHARD_SECS", if smoke { 20 } else { 30 });

@@ -1122,7 +1122,7 @@ pub fn rt_throughput(point_secs: u64, json_out: Option<&str>) {
 /// hop-by-hop retransmission turns any sustained link overload into a
 /// congestion-collapse spiral — RTOs cap at 2 s, so multi-second queues
 /// multiply traffic without bound and goodput falls off a cliff instead
-/// of flattening. `SPIRE_SHARD_BW` still applies one for exploration.)
+/// of flattening.)
 pub fn shard_scaling(point_secs: u64, smoke: bool, json_out: Option<&str>) -> bool {
     use spire::sharded::{ShardedConfig, ShardedDeployment};
 
@@ -1138,9 +1138,6 @@ pub fn shard_scaling(point_secs: u64, smoke: bool, json_out: Option<&str>) -> bo
     // groups at a lighter load, so it uses a lighter per-message cost
     // that leaves the 2-group point comfortably under capacity.
     let cpu_us = crate::env_u64("SPIRE_SHARD_CPU_US", if smoke { 500 } else { 800 });
-    let wan_bps = std::env::var("SPIRE_SHARD_BW")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok());
     let sweep: &[u32] = if smoke { &[1, 2] } else { &[1, 2, 4] };
 
     #[derive(Clone)]
@@ -1171,13 +1168,6 @@ pub fn shard_scaling(point_secs: u64, smoke: bool, json_out: Option<&str>) -> bo
             ..Default::default()
         };
         cfg.base.replica_service_us = Some(cpu_us);
-        if let Some(bps) = wan_bps {
-            // Exploration-only WAN cap; deep router buffers keep the
-            // saturated configurations from tail-dropping their own
-            // ordering frames into a zero-throughput collapse.
-            cfg.base.wan_bandwidth_bps = Some(bps);
-            cfg.base.wan_max_queue_ms = Some(10_000);
-        }
         cfg
     };
     let mut rates: Vec<(u32, f64)> = Vec::new();

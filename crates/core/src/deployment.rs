@@ -121,17 +121,6 @@ pub struct DeploymentConfig {
     /// Off reverts to strictly timer-paced, one-message-per-frame
     /// operation (the pre-PR8 wire behaviour) for A/B comparisons.
     pub pipelining: bool,
-    /// Override for every WAN link's bandwidth (both overlays). `None`
-    /// keeps [`LinkConfig::wan`]'s default; the shard-scaling experiments
-    /// constrain this so a single group's aggregate traffic saturates
-    /// while a partitioned deployment's per-group share does not.
-    pub wan_bandwidth_bps: Option<u64>,
-    /// Override for every WAN link's router buffer depth in
-    /// milliseconds of queueing delay. `None` keeps the 200 ms default.
-    /// Capped-bandwidth studies deepen this so a saturated group
-    /// degrades into queueing latency instead of tail-dropping the
-    /// ordering frames it needs to make progress at all.
-    pub wan_max_queue_ms: Option<u64>,
     /// Modeled per-message CPU time on each replica, in microseconds
     /// (`None` = infinitely fast hosts, the default). Spire's real-world
     /// throughput ceiling is the replicas' signature/ordering work, not
@@ -164,8 +153,6 @@ impl DeploymentConfig {
             // timer-paced, one-message-per-frame wire behaviour for A/B
             // runs without a code change.
             pipelining: std::env::var("SPIRE_PIPELINING").map_or(true, |v| v != "0"),
-            wan_bandwidth_bps: None,
-            wan_max_queue_ms: None,
             replica_service_us: None,
             seed,
         }
@@ -444,26 +431,13 @@ pub fn build_group(
                 internal_topology.add_edge(OverlayId(i), OverlayId(j), w.max(1));
             }
         }
-        // Optional deployment-wide WAN bandwidth cap and router buffer
-        // depth (scaling studies).
-        let bw = cfg.wan_bandwidth_bps;
-        let queue_ms = cfg.wan_max_queue_ms;
-        let wan_link = move |ms: u64| {
-            let mut link = match bw {
-                Some(bps) => LinkConfig::wan(ms).with_bandwidth(bps),
-                None => LinkConfig::wan(ms),
-            };
-            if let Some(q) = queue_ms {
-                link = link.with_max_queue(Span::millis(q));
-            }
-            link
-        };
         let wan_for = {
             let sites = sites.clone();
             let wan = cfg.wan;
             move |a: OverlayId, b: OverlayId| {
-                let ms = wan.site_latency(sites[a.0 as usize].kind, sites[b.0 as usize].kind);
-                wan_link(ms)
+                LinkConfig::wan(
+                    wan.site_latency(sites[a.0 as usize].kind, sites[b.0 as usize].kind),
+                )
             }
         };
         let internal = OverlayNetwork::build(
@@ -524,7 +498,7 @@ pub fn build_group(
                     (Some(x), Some(y)) => wan.site_latency(x, y),
                     _ => wan.sub_cc_ms,
                 };
-                wan_link(ms)
+                LinkConfig::wan(ms)
             }
         };
         let external = OverlayNetwork::build(

@@ -9,7 +9,8 @@
 //! * [`sha2`] — SHA-256 / SHA-512 (FIPS 180-4), with round constants
 //!   *computed* from their definitions rather than transcribed.
 //! * [`hmac`] — HMAC-SHA256 for overlay link authentication.
-//! * [`ed25519`] — Ed25519 signatures (RFC 8032) replacing RSA.
+//! * [`ed25519`] — Ed25519 signatures (RFC 8032). The reproduction signs
+//!   with Ed25519 wherever Spire signed with RSA; there is no RSA here.
 //! * [`merkle`] — Merkle trees for state-transfer integrity and signature
 //!   amortization over message batches.
 //! * [`batch`] — amortized batch signing: one signature per Merkle root of
@@ -17,8 +18,6 @@
 //!   bounded verification caches.
 //! * [`erasure`] — GF(256) Reed-Solomon erasure codes, as Prime/Spire use
 //!   for bandwidth-efficient reconciliation and state transfer.
-//! * [`rsa`] (with [`bignum`]) — RSA PKCS#1 v1.5 signatures, the primitive
-//!   the original system actually deployed (for fidelity benchmarks).
 //! * [`keys`] — deterministic key provisioning and the public-key directory.
 //!
 //! # Examples
@@ -36,13 +35,11 @@
 //! ```
 
 pub mod batch;
-pub mod bignum;
 pub mod ed25519;
 pub mod erasure;
 pub mod hmac;
 pub mod keys;
 pub mod merkle;
-pub mod rsa;
 pub mod sha2;
 
 pub use batch::{BatchAttestation, BatchSigner, DigestCache, SignedBatch};

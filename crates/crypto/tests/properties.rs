@@ -162,49 +162,3 @@ mod erasure_props {
         }
     }
 }
-
-mod bignum_props {
-    use proptest::prelude::*;
-    use spire_crypto::bignum::{Montgomery, Ubig};
-
-    fn big(v: u128) -> Ubig {
-        Ubig::from_be_bytes(&v.to_be_bytes())
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(128))]
-
-        #[test]
-        fn add_sub_mul_match_u128(a in any::<u64>(), b in any::<u64>()) {
-            let (ba, bb) = (big(a as u128), big(b as u128));
-            prop_assert_eq!(ba.add(&bb), big(a as u128 + b as u128));
-            prop_assert_eq!(ba.mul(&bb), big(a as u128 * b as u128));
-            if a >= b {
-                prop_assert_eq!(ba.sub(&bb), big((a - b) as u128));
-            }
-        }
-
-        #[test]
-        fn div_rem_reconstructs(a in any::<u128>(), m in 1u128..) {
-            let (q, r) = big(a).div_rem(&big(m));
-            prop_assert_eq!(q.mul(&big(m)).add(&r), big(a));
-            prop_assert!(r.cmp_with(&big(m)) == std::cmp::Ordering::Less);
-        }
-
-        #[test]
-        fn montgomery_pow_matches_naive_u64(a in any::<u64>(), e in 0u64..4096, m in any::<u32>()) {
-            let m = (m as u64) | 1; // odd
-            prop_assume!(m > 1);
-            let mont = Montgomery::new(&Ubig::from_u64(m));
-            let mut expected: u128 = 1;
-            let base = (a % m) as u128;
-            for _ in 0..e {
-                expected = expected * base % m as u128;
-            }
-            prop_assert_eq!(
-                mont.pow(&Ubig::from_u64(a), &Ubig::from_u64(e)),
-                big(expected)
-            );
-        }
-    }
-}

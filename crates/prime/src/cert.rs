@@ -19,7 +19,7 @@ use std::collections::BTreeSet;
 
 use bytes::Bytes;
 use spire_crypto::{KeyStore, NodeId};
-use spire_sim::{WireError, WireReader, WireWriter};
+use spire_sim::{impl_wire, Counted, Wire, WireError, WireWriter};
 
 use crate::config::ClientId;
 use crate::msg::{decode_frame, Frame, PrimeMsg};
@@ -38,30 +38,10 @@ pub struct ReplyCert {
     pub frames: Vec<Bytes>,
 }
 
+// `frames` travels with a one-byte count, capped on decode.
+impl_wire!(struct ReplyCert { result, frames as Counted<u8, MAX_CERT_FRAMES> });
+
 impl ReplyCert {
-    /// Appends the certificate to a wire encoding.
-    pub fn write_into(&self, w: &mut WireWriter) {
-        w.bytes(&self.result);
-        w.u8(self.frames.len() as u8);
-        for frame in &self.frames {
-            w.bytes(frame);
-        }
-    }
-
-    /// Reads a certificate from a wire encoding.
-    pub fn read(r: &mut WireReader) -> Result<ReplyCert, WireError> {
-        let result = Bytes::copy_from_slice(r.bytes()?);
-        let n = r.u8()? as usize;
-        if n > MAX_CERT_FRAMES {
-            return Err(WireError::OversizedLength(n as u64));
-        }
-        let mut frames = Vec::with_capacity(n);
-        for _ in 0..n {
-            frames.push(Bytes::copy_from_slice(r.bytes()?));
-        }
-        Ok(ReplyCert { result, frames })
-    }
-
     /// Verifies the certificate: at least `f + 1` *distinct* replicas of
     /// the issuing group (keys at `replica_key_base + id`) produced an
     /// authentic `Reply` to `client` carrying exactly `self.result`.
@@ -136,17 +116,12 @@ impl ReplyCert {
 
     /// Encodes to standalone canonical bytes.
     pub fn encode(&self) -> Bytes {
-        let mut w = WireWriter::with_capacity(256);
-        self.write_into(&mut w);
-        w.finish()
+        self.to_wire(256).finish()
     }
 
     /// Decodes standalone canonical bytes.
     pub fn decode(bytes: &[u8]) -> Result<ReplyCert, WireError> {
-        let mut r = WireReader::new(bytes);
-        let cert = ReplyCert::read(&mut r)?;
-        r.expect_end()?;
-        Ok(cert)
+        ReplyCert::decode_all(bytes)
     }
 }
 

@@ -6,6 +6,8 @@ use spire_sim::Span;
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct ReplicaId(pub u32);
 
+spire_sim::impl_wire!(struct ReplicaId(id));
+
 impl std::fmt::Display for ReplicaId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "r{}", self.0)
@@ -15,6 +17,8 @@ impl std::fmt::Display for ReplicaId {
 /// Identifies a client of the replicated service (proxy or HMI).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct ClientId(pub u32);
+
+spire_sim::impl_wire!(struct ClientId(id));
 
 impl std::fmt::Display for ClientId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

@@ -7,7 +7,7 @@
 
 use crate::application::{Application, ExecResult};
 use spire_crypto::Digest;
-use spire_sim::{WireError, WireReader, WireWriter};
+use spire_sim::{impl_wire, Wire, WireError, WireReader, WireWriter};
 use std::collections::BTreeMap;
 
 /// Operations of the replicated KV store.
@@ -42,63 +42,22 @@ pub enum KvOp {
     },
 }
 
+impl_wire!(enum KvOp {
+    1 => Get { key },
+    2 => Put { key, value },
+    3 => Delete { key },
+    4 => Cas { key, expected, new },
+});
+
 impl KvOp {
     /// Encodes the op for submission as a Prime client payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = WireWriter::new();
-        match self {
-            KvOp::Get { key } => {
-                w.u8(1).string(key);
-            }
-            KvOp::Put { key, value } => {
-                w.u8(2).string(key).string(value);
-            }
-            KvOp::Delete { key } => {
-                w.u8(3).string(key);
-            }
-            KvOp::Cas { key, expected, new } => {
-                w.u8(4).string(key);
-                match expected {
-                    Some(v) => {
-                        w.u8(1).string(v);
-                    }
-                    None => {
-                        w.u8(0);
-                    }
-                }
-                w.string(new);
-            }
-        }
-        w.finish().to_vec()
+        self.to_wire(16).into_vec()
     }
 
     /// Decodes an op.
     pub fn decode(bytes: &[u8]) -> Result<KvOp, WireError> {
-        let mut r = WireReader::new(bytes);
-        let op = match r.u8()? {
-            1 => KvOp::Get { key: r.string()? },
-            2 => KvOp::Put {
-                key: r.string()?,
-                value: r.string()?,
-            },
-            3 => KvOp::Delete { key: r.string()? },
-            4 => {
-                let key = r.string()?;
-                let expected = match r.u8()? {
-                    0 => None,
-                    1 => Some(r.string()?),
-                    other => return Err(WireError::BadTag(other)),
-                };
-                KvOp::Cas {
-                    key,
-                    expected,
-                    new: r.string()?,
-                }
-            }
-            other => return Err(WireError::BadTag(other)),
-        };
-        r.expect_end()?;
-        Ok(op)
+        KvOp::decode_all(bytes)
     }
 }
 
@@ -115,53 +74,22 @@ pub enum KvReply {
     Error,
 }
 
+impl_wire!(enum KvReply {
+    1 => Value(value),
+    2 => Ok {},
+    3 => CasFailed(actual),
+    4 => Error {},
+});
+
 impl KvReply {
     /// Encodes the reply.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = WireWriter::new();
-        match self {
-            KvReply::Value(None) => {
-                w.u8(1).u8(0);
-            }
-            KvReply::Value(Some(v)) => {
-                w.u8(1).u8(1).string(v);
-            }
-            KvReply::Ok => {
-                w.u8(2);
-            }
-            KvReply::CasFailed(None) => {
-                w.u8(3).u8(0);
-            }
-            KvReply::CasFailed(Some(v)) => {
-                w.u8(3).u8(1).string(v);
-            }
-            KvReply::Error => {
-                w.u8(4);
-            }
-        }
-        w.finish().to_vec()
+        self.to_wire(16).into_vec()
     }
 
     /// Decodes a reply.
     pub fn decode(bytes: &[u8]) -> Result<KvReply, WireError> {
-        let mut r = WireReader::new(bytes);
-        let reply = match r.u8()? {
-            1 => match r.u8()? {
-                0 => KvReply::Value(None),
-                1 => KvReply::Value(Some(r.string()?)),
-                other => return Err(WireError::BadTag(other)),
-            },
-            2 => KvReply::Ok,
-            3 => match r.u8()? {
-                0 => KvReply::CasFailed(None),
-                1 => KvReply::CasFailed(Some(r.string()?)),
-                other => return Err(WireError::BadTag(other)),
-            },
-            4 => KvReply::Error,
-            other => return Err(WireError::BadTag(other)),
-        };
-        r.expect_end()?;
-        Ok(reply)
+        KvReply::decode_all(bytes)
     }
 }
 

@@ -10,7 +10,7 @@ use bytes::Bytes;
 use spire_crypto::batch::BatchAttestation;
 use spire_crypto::keys::{verify64, Signer};
 use spire_crypto::{Digest, KeyStore, NodeId};
-use spire_sim::{WireError, WireReader, WireWriter};
+use spire_sim::{impl_wire, Wire, WireError, WireReader, WireWriter};
 
 /// An operation submitted by a client, carried inside PO-Requests.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -63,28 +63,12 @@ impl ClientOp {
         spire_crypto::digest(&self.encode())
     }
 
-    fn write(&self, w: &mut WireWriter) {
-        w.u32(self.client.0)
-            .u64(self.cseq)
-            .bytes(&self.payload)
-            .raw(&self.sig);
-    }
-
-    fn read(r: &mut WireReader<'_>) -> Result<ClientOp, WireError> {
-        Ok(ClientOp {
-            client: ClientId(r.u32()?),
-            cseq: r.u64()?,
-            payload: Bytes::copy_from_slice(r.bytes()?),
-            sig: r.array()?,
-        })
-    }
-
     fn encode(&self) -> Vec<u8> {
-        let mut w = WireWriter::new();
-        self.write(&mut w);
-        w.into_vec()
+        self.to_wire(128).into_vec()
     }
 }
+
+impl_wire!(struct ClientOp { client, cseq, payload, sig });
 
 /// A replica's cumulative pre-order acknowledgement vector: for each
 /// originator, the highest contiguously pre-ordered sequence.
@@ -96,23 +80,9 @@ impl AruVector {
     pub fn zeros(n: usize) -> AruVector {
         AruVector(vec![0; n])
     }
-
-    fn write(&self, w: &mut WireWriter) {
-        w.u16(self.0.len() as u16);
-        for v in &self.0 {
-            w.u64(*v);
-        }
-    }
-
-    fn read(r: &mut WireReader<'_>) -> Result<AruVector, WireError> {
-        let n = r.u16()? as usize;
-        let mut v = Vec::with_capacity(n.min(4096));
-        for _ in 0..n {
-            v.push(r.u64()?);
-        }
-        Ok(AruVector(v))
-    }
 }
+
+impl_wire!(struct AruVector(reports));
 
 /// A signed PO-Summary row (also embedded in pre-prepare matrices).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -152,9 +122,7 @@ impl SummaryRow {
     /// different signature bytes hash differently, so a forged signature
     /// can never alias a cached verified row.
     pub fn cache_key(&self) -> Digest {
-        let mut w = WireWriter::new();
-        self.write(&mut w);
-        spire_crypto::digest(w.as_slice())
+        spire_crypto::digest(self.to_wire(128).as_slice())
     }
 
     /// Verifies the row signature.
@@ -167,22 +135,9 @@ impl SummaryRow {
             mock,
         )
     }
-
-    fn write(&self, w: &mut WireWriter) {
-        w.u32(self.replica.0).u64(self.sseq);
-        self.vector.write(w);
-        w.raw(&self.sig);
-    }
-
-    fn read(r: &mut WireReader<'_>) -> Result<SummaryRow, WireError> {
-        Ok(SummaryRow {
-            replica: ReplicaId(r.u32()?),
-            sseq: r.u64()?,
-            vector: AruVector::read(r)?,
-            sig: r.array()?,
-        })
-    }
 }
+
+impl_wire!(struct SummaryRow { replica, sseq, vector, sig });
 
 /// The ordered unit: a matrix of signed summary rows proposed by the leader.
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
@@ -194,25 +149,7 @@ pub struct Matrix {
 impl Matrix {
     /// Canonical digest of the matrix.
     pub fn digest(&self) -> Digest {
-        let mut w = WireWriter::new();
-        self.write(&mut w);
-        spire_crypto::digest(w.as_slice())
-    }
-
-    fn write(&self, w: &mut WireWriter) {
-        w.u16(self.rows.len() as u16);
-        for row in &self.rows {
-            row.write(w);
-        }
-    }
-
-    fn read(r: &mut WireReader<'_>) -> Result<Matrix, WireError> {
-        let n = r.u16()? as usize;
-        let mut rows = Vec::with_capacity(n.min(4096));
-        for _ in 0..n {
-            rows.push(SummaryRow::read(r)?);
-        }
-        Ok(Matrix { rows })
+        spire_crypto::digest(self.to_wire(128).as_slice())
     }
 
     /// For originator column `i`, the highest value reported by at least
@@ -230,6 +167,8 @@ impl Matrix {
         column[quorum - 1]
     }
 }
+
+impl_wire!(struct Matrix { rows });
 
 /// A checkpoint attestation.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -276,23 +215,9 @@ impl CheckpointMsg {
             mock,
         )
     }
-
-    fn write(&self, w: &mut WireWriter) {
-        w.u32(self.replica.0)
-            .u64(self.seq)
-            .raw(&self.digest)
-            .raw(&self.sig);
-    }
-
-    fn read(r: &mut WireReader<'_>) -> Result<CheckpointMsg, WireError> {
-        Ok(CheckpointMsg {
-            replica: ReplicaId(r.u32()?),
-            seq: r.u64()?,
-            digest: r.array()?,
-            sig: r.array()?,
-        })
-    }
 }
+
+impl_wire!(struct CheckpointMsg { replica, seq, digest, sig });
 
 /// A prepared-certificate claim carried in view changes.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -304,6 +229,8 @@ pub struct PreparedClaim {
     /// The prepared matrix itself (so the new leader can re-propose it).
     pub matrix: Matrix,
 }
+
+impl_wire!(struct PreparedClaim { view, seq, matrix });
 
 /// A replica's signed state report for a view change. The new leader
 /// assembles a quorum of these into its NewView; followers recompute the
@@ -349,41 +276,9 @@ impl ViewStateMsg {
             mock,
         )
     }
-
-    fn write(&self, w: &mut WireWriter) {
-        w.u32(self.replica.0)
-            .u64(self.view)
-            .u64(self.last_committed);
-        w.u16(self.prepared.len() as u16);
-        for claim in &self.prepared {
-            w.u64(claim.view).u64(claim.seq);
-            claim.matrix.write(w);
-        }
-        w.raw(&self.sig);
-    }
-
-    fn read(r: &mut WireReader<'_>) -> Result<ViewStateMsg, WireError> {
-        let replica = ReplicaId(r.u32()?);
-        let view = r.u64()?;
-        let last_committed = r.u64()?;
-        let count = r.u16()? as usize;
-        let mut prepared = Vec::with_capacity(count.min(1024));
-        for _ in 0..count {
-            prepared.push(PreparedClaim {
-                view: r.u64()?,
-                seq: r.u64()?,
-                matrix: Matrix::read(r)?,
-            });
-        }
-        Ok(ViewStateMsg {
-            replica,
-            view,
-            last_committed,
-            prepared,
-            sig: r.array()?,
-        })
-    }
 }
+
+impl_wire!(struct ViewStateMsg { replica, view, last_committed, prepared, sig });
 
 /// All Prime protocol messages.
 #[derive(Clone, Debug, PartialEq)]
@@ -704,7 +599,7 @@ impl PrimeMsg {
     /// paths that reuse one buffer.
     pub fn write_signing_bytes<'a>(&self, scratch: &'a mut WireWriter) -> &'a [u8] {
         scratch.clear();
-        self.write_into(scratch);
+        self.write(scratch);
         if self.carries_sig() {
             scratch.zero_tail(64);
         }
@@ -784,478 +679,12 @@ impl PrimeMsg {
 
     /// Encodes to canonical bytes.
     pub fn encode(&self) -> Bytes {
-        let mut w = WireWriter::with_capacity(128);
-        self.write_into(&mut w);
-        w.finish()
-    }
-
-    /// Writes the canonical encoding into an existing writer.
-    fn write_into(&self, w: &mut WireWriter) {
-        match self {
-            PrimeMsg::Op(op) => {
-                w.u8(1);
-                op.write(w);
-            }
-            PrimeMsg::PoRequest {
-                origin,
-                po_seq,
-                ops,
-                sig,
-            } => {
-                w.u8(2).u32(origin.0).u64(*po_seq).u16(ops.len() as u16);
-                for op in ops {
-                    op.write(w);
-                }
-                w.raw(sig);
-            }
-            PrimeMsg::PoAck {
-                replica,
-                origin,
-                po_seq,
-                digest,
-                sig,
-            } => {
-                w.u8(3)
-                    .u32(replica.0)
-                    .u32(origin.0)
-                    .u64(*po_seq)
-                    .raw(digest)
-                    .raw(sig);
-            }
-            PrimeMsg::PoSummary(row) => {
-                w.u8(4);
-                row.write(w);
-            }
-            PrimeMsg::PrePrepare {
-                view,
-                seq,
-                matrix,
-                sig,
-            } => {
-                w.u8(5).u64(*view).u64(*seq);
-                matrix.write(w);
-                w.raw(sig);
-            }
-            PrimeMsg::Prepare {
-                replica,
-                view,
-                seq,
-                digest,
-                sig,
-            } => {
-                w.u8(6)
-                    .u32(replica.0)
-                    .u64(*view)
-                    .u64(*seq)
-                    .raw(digest)
-                    .raw(sig);
-            }
-            PrimeMsg::Commit {
-                replica,
-                view,
-                seq,
-                digest,
-                sig,
-            } => {
-                w.u8(7)
-                    .u32(replica.0)
-                    .u64(*view)
-                    .u64(*seq)
-                    .raw(digest)
-                    .raw(sig);
-            }
-            PrimeMsg::Ping { replica, nonce } => {
-                w.u8(8).u32(replica.0).u64(*nonce);
-            }
-            PrimeMsg::Pong { replica, nonce } => {
-                w.u8(9).u32(replica.0).u64(*nonce);
-            }
-            PrimeMsg::Suspect { replica, view, sig } => {
-                w.u8(10).u32(replica.0).u64(*view).raw(sig);
-            }
-            PrimeMsg::ViewState(state) => {
-                w.u8(11);
-                state.write(w);
-            }
-            PrimeMsg::NewView { view, states, sig } => {
-                w.u8(12).u64(*view).u16(states.len() as u16);
-                for state in states {
-                    state.write(w);
-                }
-                w.raw(sig);
-            }
-            PrimeMsg::Checkpoint(m) => {
-                w.u8(13);
-                m.write(w);
-            }
-            PrimeMsg::StateReq {
-                replica,
-                have_seq,
-                sig,
-            } => {
-                w.u8(14).u32(replica.0).u64(*have_seq).raw(sig);
-            }
-            PrimeMsg::StateResp {
-                replica,
-                checkpoint_seq,
-                share_index,
-                erasure_k,
-                share,
-                proof,
-                view,
-                requester_po_high,
-                requester_sseq_high,
-            } => {
-                w.u8(15)
-                    .u32(replica.0)
-                    .u64(*checkpoint_seq)
-                    .u8(*share_index)
-                    .u8(*erasure_k)
-                    .bytes(share)
-                    .u16(proof.len() as u16);
-                for p in proof {
-                    p.write(w);
-                }
-                w.u64(*view)
-                    .u64(*requester_po_high)
-                    .u64(*requester_sseq_high);
-            }
-            PrimeMsg::SuffixVote {
-                replica,
-                seq,
-                matrix,
-            } => {
-                w.u8(18).u32(replica.0).u64(*seq);
-                matrix.write(w);
-            }
-            PrimeMsg::ReconReq {
-                replica,
-                origin,
-                po_seq,
-            } => {
-                w.u8(16).u32(replica.0).u32(origin.0).u64(*po_seq);
-            }
-            PrimeMsg::Notify {
-                replica,
-                client,
-                nseq,
-                payload,
-                sig,
-            } => {
-                w.u8(19)
-                    .u32(replica.0)
-                    .u32(client.0)
-                    .u64(*nseq)
-                    .bytes(payload)
-                    .raw(sig);
-            }
-            PrimeMsg::Reply {
-                replica,
-                client,
-                cseq,
-                result,
-                sig,
-            } => {
-                w.u8(17)
-                    .u32(replica.0)
-                    .u32(client.0)
-                    .u64(*cseq)
-                    .bytes(result)
-                    .raw(sig);
-            }
-            PrimeMsg::PoAckMulti {
-                replica,
-                entries,
-                sig,
-            } => {
-                w.u8(20).u32(replica.0).u16(entries.len() as u16);
-                for (origin, po_seq, digest) in entries {
-                    w.u32(origin.0).u64(*po_seq).raw(digest);
-                }
-                w.raw(sig);
-            }
-            PrimeMsg::CommitMulti {
-                replica,
-                view,
-                entries,
-                sig,
-            } => {
-                w.u8(21).u32(replica.0).u64(*view).u16(entries.len() as u16);
-                for (seq, digest) in entries {
-                    w.u64(*seq).raw(digest);
-                }
-                w.raw(sig);
-            }
-            PrimeMsg::StateMeta {
-                replica,
-                checkpoint_seq,
-                erasure_k,
-                chunk_size,
-                total_len,
-                chunk_digests,
-                proof,
-                view,
-                requester_po_high,
-                requester_sseq_high,
-            } => {
-                w.u8(22)
-                    .u32(replica.0)
-                    .u64(*checkpoint_seq)
-                    .u8(*erasure_k)
-                    .u32(*chunk_size)
-                    .u64(*total_len)
-                    .u16(chunk_digests.len() as u16);
-                for d in chunk_digests {
-                    w.raw(d);
-                }
-                w.u16(proof.len() as u16);
-                for p in proof {
-                    p.write(w);
-                }
-                w.u64(*view)
-                    .u64(*requester_po_high)
-                    .u64(*requester_sseq_high);
-            }
-            PrimeMsg::StateChunk {
-                replica,
-                checkpoint_seq,
-                chunk,
-                share_index,
-                share,
-            } => {
-                w.u8(23)
-                    .u32(replica.0)
-                    .u64(*checkpoint_seq)
-                    .u32(*chunk)
-                    .u8(*share_index)
-                    .bytes(share);
-            }
-            PrimeMsg::StateChunkReq {
-                replica,
-                checkpoint_seq,
-                chunks,
-            } => {
-                w.u8(24)
-                    .u32(replica.0)
-                    .u64(*checkpoint_seq)
-                    .u16(chunks.len() as u16);
-                for c in chunks {
-                    w.u32(*c);
-                }
-            }
-        }
+        self.to_wire(128).finish()
     }
 
     /// Decodes from canonical bytes.
     pub fn decode(bytes: &[u8]) -> Result<PrimeMsg, WireError> {
-        let mut r = WireReader::new(bytes);
-        let msg = match r.u8()? {
-            1 => PrimeMsg::Op(ClientOp::read(&mut r)?),
-            2 => {
-                let origin = ReplicaId(r.u32()?);
-                let po_seq = r.u64()?;
-                let n = r.u16()? as usize;
-                let mut ops = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    ops.push(ClientOp::read(&mut r)?);
-                }
-                PrimeMsg::PoRequest {
-                    origin,
-                    po_seq,
-                    ops,
-                    sig: r.array()?,
-                }
-            }
-            3 => PrimeMsg::PoAck {
-                replica: ReplicaId(r.u32()?),
-                origin: ReplicaId(r.u32()?),
-                po_seq: r.u64()?,
-                digest: r.array()?,
-                sig: r.array()?,
-            },
-            4 => PrimeMsg::PoSummary(SummaryRow::read(&mut r)?),
-            5 => PrimeMsg::PrePrepare {
-                view: r.u64()?,
-                seq: r.u64()?,
-                matrix: Matrix::read(&mut r)?,
-                sig: r.array()?,
-            },
-            6 => PrimeMsg::Prepare {
-                replica: ReplicaId(r.u32()?),
-                view: r.u64()?,
-                seq: r.u64()?,
-                digest: r.array()?,
-                sig: r.array()?,
-            },
-            7 => PrimeMsg::Commit {
-                replica: ReplicaId(r.u32()?),
-                view: r.u64()?,
-                seq: r.u64()?,
-                digest: r.array()?,
-                sig: r.array()?,
-            },
-            8 => PrimeMsg::Ping {
-                replica: ReplicaId(r.u32()?),
-                nonce: r.u64()?,
-            },
-            9 => PrimeMsg::Pong {
-                replica: ReplicaId(r.u32()?),
-                nonce: r.u64()?,
-            },
-            10 => PrimeMsg::Suspect {
-                replica: ReplicaId(r.u32()?),
-                view: r.u64()?,
-                sig: r.array()?,
-            },
-            11 => PrimeMsg::ViewState(ViewStateMsg::read(&mut r)?),
-            12 => {
-                let view = r.u64()?;
-                let n = r.u16()? as usize;
-                let mut states = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    states.push(ViewStateMsg::read(&mut r)?);
-                }
-                PrimeMsg::NewView {
-                    view,
-                    states,
-                    sig: r.array()?,
-                }
-            }
-            13 => PrimeMsg::Checkpoint(CheckpointMsg::read(&mut r)?),
-            14 => PrimeMsg::StateReq {
-                replica: ReplicaId(r.u32()?),
-                have_seq: r.u64()?,
-                sig: r.array()?,
-            },
-            15 => {
-                let replica = ReplicaId(r.u32()?);
-                let checkpoint_seq = r.u64()?;
-                let share_index = r.u8()?;
-                let erasure_k = r.u8()?;
-                let share = Bytes::copy_from_slice(r.bytes()?);
-                let n = r.u16()? as usize;
-                let mut proof = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    proof.push(CheckpointMsg::read(&mut r)?);
-                }
-                PrimeMsg::StateResp {
-                    replica,
-                    checkpoint_seq,
-                    share_index,
-                    erasure_k,
-                    share,
-                    proof,
-                    view: r.u64()?,
-                    requester_po_high: r.u64()?,
-                    requester_sseq_high: r.u64()?,
-                }
-            }
-            18 => PrimeMsg::SuffixVote {
-                replica: ReplicaId(r.u32()?),
-                seq: r.u64()?,
-                matrix: Matrix::read(&mut r)?,
-            },
-            16 => PrimeMsg::ReconReq {
-                replica: ReplicaId(r.u32()?),
-                origin: ReplicaId(r.u32()?),
-                po_seq: r.u64()?,
-            },
-            19 => PrimeMsg::Notify {
-                replica: ReplicaId(r.u32()?),
-                client: ClientId(r.u32()?),
-                nseq: r.u64()?,
-                payload: Bytes::copy_from_slice(r.bytes()?),
-                sig: r.array()?,
-            },
-            20 => {
-                let replica = ReplicaId(r.u32()?);
-                let n = r.u16()? as usize;
-                let mut entries = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    entries.push((ReplicaId(r.u32()?), r.u64()?, r.array()?));
-                }
-                PrimeMsg::PoAckMulti {
-                    replica,
-                    entries,
-                    sig: r.array()?,
-                }
-            }
-            21 => {
-                let replica = ReplicaId(r.u32()?);
-                let view = r.u64()?;
-                let n = r.u16()? as usize;
-                let mut entries = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    entries.push((r.u64()?, r.array()?));
-                }
-                PrimeMsg::CommitMulti {
-                    replica,
-                    view,
-                    entries,
-                    sig: r.array()?,
-                }
-            }
-            17 => PrimeMsg::Reply {
-                replica: ReplicaId(r.u32()?),
-                client: ClientId(r.u32()?),
-                cseq: r.u64()?,
-                result: Bytes::copy_from_slice(r.bytes()?),
-                sig: r.array()?,
-            },
-            22 => {
-                let replica = ReplicaId(r.u32()?);
-                let checkpoint_seq = r.u64()?;
-                let erasure_k = r.u8()?;
-                let chunk_size = r.u32()?;
-                let total_len = r.u64()?;
-                let n = r.u16()? as usize;
-                let mut chunk_digests = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    chunk_digests.push(r.array()?);
-                }
-                let n = r.u16()? as usize;
-                let mut proof = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    proof.push(CheckpointMsg::read(&mut r)?);
-                }
-                PrimeMsg::StateMeta {
-                    replica,
-                    checkpoint_seq,
-                    erasure_k,
-                    chunk_size,
-                    total_len,
-                    chunk_digests,
-                    proof,
-                    view: r.u64()?,
-                    requester_po_high: r.u64()?,
-                    requester_sseq_high: r.u64()?,
-                }
-            }
-            23 => PrimeMsg::StateChunk {
-                replica: ReplicaId(r.u32()?),
-                checkpoint_seq: r.u64()?,
-                chunk: r.u32()?,
-                share_index: r.u8()?,
-                share: Bytes::copy_from_slice(r.bytes()?),
-            },
-            24 => {
-                let replica = ReplicaId(r.u32()?);
-                let checkpoint_seq = r.u64()?;
-                let n = r.u16()? as usize;
-                let mut chunks = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    chunks.push(r.u32()?);
-                }
-                PrimeMsg::StateChunkReq {
-                    replica,
-                    checkpoint_seq,
-                    chunks,
-                }
-            }
-            other => return Err(WireError::BadTag(other)),
-        };
-        r.expect_end()?;
-        Ok(msg)
+        PrimeMsg::decode_all(bytes)
     }
 
     /// Digest of the full encoding.
@@ -1263,6 +692,41 @@ impl PrimeMsg {
         spire_crypto::digest(&self.encode())
     }
 }
+
+// Tag => variant and its fields in wire order. A signed variant's `sig` is
+// its last field: `write_signing_bytes` zeroes it in place.
+impl_wire!(enum PrimeMsg {
+    1 => Op(op),
+    2 => PoRequest { origin, po_seq, ops, sig },
+    3 => PoAck { replica, origin, po_seq, digest, sig },
+    4 => PoSummary(row),
+    5 => PrePrepare { view, seq, matrix, sig },
+    6 => Prepare { replica, view, seq, digest, sig },
+    7 => Commit { replica, view, seq, digest, sig },
+    8 => Ping { replica, nonce },
+    9 => Pong { replica, nonce },
+    10 => Suspect { replica, view, sig },
+    11 => ViewState(state),
+    12 => NewView { view, states, sig },
+    13 => Checkpoint(attestation),
+    14 => StateReq { replica, have_seq, sig },
+    15 => StateResp {
+        replica, checkpoint_seq, share_index, erasure_k, share, proof, view,
+        requester_po_high, requester_sseq_high,
+    },
+    16 => ReconReq { replica, origin, po_seq },
+    17 => Reply { replica, client, cseq, result, sig },
+    18 => SuffixVote { replica, seq, matrix },
+    19 => Notify { replica, client, nseq, payload, sig },
+    20 => PoAckMulti { replica, entries, sig },
+    21 => CommitMulti { replica, view, entries, sig },
+    22 => StateMeta {
+        replica, checkpoint_seq, erasure_k, chunk_size, total_len, chunk_digests, proof, view,
+        requester_po_high, requester_sseq_high,
+    },
+    23 => StateChunk { replica, checkpoint_seq, chunk, share_index, share },
+    24 => StateChunkReq { replica, checkpoint_seq, chunks },
+});
 
 /// Frame tag marking a batch-attested message ([`PrimeMsg`] encodings start
 /// with tags 1..=24, so the two framings share one byte stream).

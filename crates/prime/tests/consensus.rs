@@ -470,7 +470,8 @@ fn proactive_recovery_rejoins_via_state_transfer() {
     cfg.checkpoint_interval = 5;
     let mut cluster =
         build_cluster_with_clients(10, cfg.clone(), false, &[(0, Span::millis(25), 0)], honest);
-    // Proactively recover replica 4 at t=4 s: restart with a fresh,
+    // Proactively recover replica 4 at t=1.5 s (checkpoints every 5
+    // matrices exist within the first second): restart with a fresh,
     // recovering state machine.
     let pid = cluster.replica_pids[4];
     let material = cluster.material.clone();
@@ -481,7 +482,7 @@ fn proactive_recovery_rejoins_via_state_transfer() {
     let cfg2 = cfg.clone();
     cluster
         .world
-        .schedule_control(spire_sim::Time(4_000_000), move |w| {
+        .schedule_control(spire_sim::Time(1_500_000), move |w| {
             let signer = Signer::new(
                 material.signing_key(NodeId(cfg2.replica_key_base + 4)),
                 false,
@@ -505,7 +506,7 @@ fn proactive_recovery_rejoins_via_state_transfer() {
             .with_inspection(inspection.clone());
             w.restart(pid, Box::new(replica));
         });
-    cluster.world.run_for(Span::secs(20));
+    cluster.world.run_for(Span::millis(3_500));
     // Recovery completed and the recovered replica is executing again.
     assert_eq!(
         cluster.world.metrics().counter("prime.recovery_completed"),

@@ -1,7 +1,7 @@
 //! Operations of the replicated SCADA master state machine.
 
 use bytes::Bytes;
-use spire_sim::{WireError, WireReader, WireWriter};
+use spire_sim::{impl_wire, Counted, Wire, WireError};
 
 /// A supervisory control action.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -13,6 +13,12 @@ pub enum CommandAction {
     /// Write a setpoint register.
     SetRegister(u16, u16),
 }
+
+impl_wire!(enum CommandAction {
+    1 => OpenBreaker(breaker),
+    2 => CloseBreaker(breaker),
+    3 => SetRegister(addr, value),
+});
 
 /// An operation ordered through Prime and executed by every SCADA master.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -44,87 +50,22 @@ pub enum ScadaOp {
     },
 }
 
+// `breakers` travels with a one-byte count.
+impl_wire!(enum ScadaOp {
+    1 => DeviceUpdate { rtu, ts_us, registers, breakers as Counted<u8> },
+    2 => Command { rtu, ts_us, action },
+    3 => ReadState { rtu },
+});
+
 impl ScadaOp {
     /// Encodes the op for submission as a Prime client payload.
     pub fn encode(&self) -> Bytes {
-        let mut w = WireWriter::with_capacity(32);
-        match self {
-            ScadaOp::DeviceUpdate {
-                rtu,
-                ts_us,
-                registers,
-                breakers,
-            } => {
-                w.u8(1).u32(*rtu).u64(*ts_us).u16(registers.len() as u16);
-                for (a, v) in registers {
-                    w.u16(*a).u16(*v);
-                }
-                w.u8(breakers.len() as u8);
-                for (b, on) in breakers {
-                    w.u8(*b).bool(*on);
-                }
-            }
-            ScadaOp::Command { rtu, ts_us, action } => {
-                w.u8(2).u32(*rtu).u64(*ts_us);
-                match action {
-                    CommandAction::OpenBreaker(b) => {
-                        w.u8(1).u8(*b);
-                    }
-                    CommandAction::CloseBreaker(b) => {
-                        w.u8(2).u8(*b);
-                    }
-                    CommandAction::SetRegister(a, v) => {
-                        w.u8(3).u16(*a).u16(*v);
-                    }
-                }
-            }
-            ScadaOp::ReadState { rtu } => {
-                w.u8(3).u32(*rtu);
-            }
-        }
-        w.finish()
+        self.to_wire(32).finish()
     }
 
     /// Decodes an op.
     pub fn decode(bytes: &[u8]) -> Result<ScadaOp, WireError> {
-        let mut r = WireReader::new(bytes);
-        let op = match r.u8()? {
-            1 => {
-                let rtu = r.u32()?;
-                let ts_us = r.u64()?;
-                let n = r.u16()? as usize;
-                let mut registers = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    registers.push((r.u16()?, r.u16()?));
-                }
-                let m = r.u8()? as usize;
-                let mut breakers = Vec::with_capacity(m);
-                for _ in 0..m {
-                    breakers.push((r.u8()?, r.bool()?));
-                }
-                ScadaOp::DeviceUpdate {
-                    rtu,
-                    ts_us,
-                    registers,
-                    breakers,
-                }
-            }
-            2 => {
-                let rtu = r.u32()?;
-                let ts_us = r.u64()?;
-                let action = match r.u8()? {
-                    1 => CommandAction::OpenBreaker(r.u8()?),
-                    2 => CommandAction::CloseBreaker(r.u8()?),
-                    3 => CommandAction::SetRegister(r.u16()?, r.u16()?),
-                    other => return Err(WireError::BadTag(other)),
-                };
-                ScadaOp::Command { rtu, ts_us, action }
-            }
-            3 => ScadaOp::ReadState { rtu: r.u32()? },
-            other => return Err(WireError::BadTag(other)),
-        };
-        r.expect_end()?;
-        Ok(op)
+        ScadaOp::decode_all(bytes)
     }
 }
 

@@ -10,7 +10,10 @@
 use bytes::Bytes;
 use spire_crypto::Digest;
 use spire_prime::ReplyCert;
-use spire_sim::{WireError, WireReader, WireWriter};
+use spire_sim::{impl_wire, Counted, Wire, WireError, WireWriter};
+
+use self::op_tag::{XABORT, XCOMMIT, XPREPARE};
+use self::reply_tag::{ACK, PREPARED, REJECTED};
 
 /// Operation payload tags (first byte). SCADA ops use 1..=3; keep these
 /// high so the two app namespaces never collide.
@@ -52,6 +55,11 @@ pub mod cmd_kind {
 const MAX_SHARDS: usize = 64;
 const MAX_CMDS: usize = 256;
 
+/// A participant-group list: one-byte count, at most [`MAX_SHARDS`] accepted.
+type ShardList = Counted<u8, MAX_SHARDS>;
+/// A transaction body: at most [`MAX_CMDS`] commands accepted.
+type CmdList = Counted<u16, MAX_CMDS>;
+
 /// One supervisory command inside a cross-shard transaction, tagged with
 /// the shard that must apply it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -69,25 +77,7 @@ pub struct ShardCmd {
     pub b: u16,
 }
 
-impl ShardCmd {
-    fn write_into(&self, w: &mut WireWriter) {
-        w.u32(self.shard)
-            .u32(self.rtu)
-            .u8(self.kind)
-            .u16(self.a)
-            .u16(self.b);
-    }
-
-    fn read(r: &mut WireReader) -> Result<ShardCmd, WireError> {
-        Ok(ShardCmd {
-            shard: r.u32()?,
-            rtu: r.u32()?,
-            kind: r.u8()?,
-            a: r.u16()?,
-            b: r.u16()?,
-        })
-    }
-}
+impl_wire!(struct ShardCmd { shard, rtu, kind, a, b });
 
 /// A cross-shard operation payload, submitted to a group as an ordinary
 /// (signed) Prime client op.
@@ -140,35 +130,15 @@ pub enum ShardMsg {
     },
 }
 
-fn write_u32s(w: &mut WireWriter, v: &[u32]) {
-    w.u8(v.len() as u8);
-    for &x in v {
-        w.u32(x);
-    }
-}
-
-fn read_u32s(r: &mut WireReader) -> Result<Vec<u32>, WireError> {
-    let n = r.u8()? as usize;
-    if n > MAX_SHARDS {
-        return Err(WireError::OversizedLength(n as u64));
-    }
-    (0..n).map(|_| r.u32()).collect()
-}
-
-fn write_cmds(w: &mut WireWriter, v: &[ShardCmd]) {
-    w.u16(v.len() as u16);
-    for cmd in v {
-        cmd.write_into(w);
-    }
-}
-
-fn read_cmds(r: &mut WireReader) -> Result<Vec<ShardCmd>, WireError> {
-    let n = r.u16()? as usize;
-    if n > MAX_CMDS {
-        return Err(WireError::OversizedLength(n as u64));
-    }
-    (0..n).map(|_| ShardCmd::read(r)).collect()
-}
+impl_wire!(enum ShardMsg {
+    XPREPARE => XPrepare {
+        xid, coord_shard, ts_us, shards as ShardList, cmds as CmdList, poison,
+    },
+    XCOMMIT => XCommit {
+        xid, coord_shard, ts_us, shards as ShardList, cmds as CmdList, cert,
+    },
+    XABORT => XAbort { xid, coord_shard, shards as ShardList },
+});
 
 impl ShardMsg {
     /// True when a client-op payload starting with `first` is cross-shard.
@@ -178,81 +148,12 @@ impl ShardMsg {
 
     /// Encodes to canonical bytes.
     pub fn encode(&self) -> Bytes {
-        let mut w = WireWriter::with_capacity(128);
-        match self {
-            ShardMsg::XPrepare {
-                xid,
-                coord_shard,
-                ts_us,
-                shards,
-                cmds,
-                poison,
-            } => {
-                w.u8(op_tag::XPREPARE)
-                    .u64(*xid)
-                    .u32(*coord_shard)
-                    .u64(*ts_us);
-                write_u32s(&mut w, shards);
-                write_cmds(&mut w, cmds);
-                w.bool(*poison);
-            }
-            ShardMsg::XCommit {
-                xid,
-                coord_shard,
-                ts_us,
-                shards,
-                cmds,
-                cert,
-            } => {
-                w.u8(op_tag::XCOMMIT)
-                    .u64(*xid)
-                    .u32(*coord_shard)
-                    .u64(*ts_us);
-                write_u32s(&mut w, shards);
-                write_cmds(&mut w, cmds);
-                cert.write_into(&mut w);
-            }
-            ShardMsg::XAbort {
-                xid,
-                coord_shard,
-                shards,
-            } => {
-                w.u8(op_tag::XABORT).u64(*xid).u32(*coord_shard);
-                write_u32s(&mut w, shards);
-            }
-        }
-        w.finish()
+        self.to_wire(128).finish()
     }
 
     /// Decodes canonical bytes.
     pub fn decode(bytes: &[u8]) -> Result<ShardMsg, WireError> {
-        let mut r = WireReader::new(bytes);
-        let msg = match r.u8()? {
-            op_tag::XPREPARE => ShardMsg::XPrepare {
-                xid: r.u64()?,
-                coord_shard: r.u32()?,
-                ts_us: r.u64()?,
-                shards: read_u32s(&mut r)?,
-                cmds: read_cmds(&mut r)?,
-                poison: r.bool()?,
-            },
-            op_tag::XCOMMIT => ShardMsg::XCommit {
-                xid: r.u64()?,
-                coord_shard: r.u32()?,
-                ts_us: r.u64()?,
-                shards: read_u32s(&mut r)?,
-                cmds: read_cmds(&mut r)?,
-                cert: ReplyCert::read(&mut r)?,
-            },
-            op_tag::XABORT => ShardMsg::XAbort {
-                xid: r.u64()?,
-                coord_shard: r.u32()?,
-                shards: read_u32s(&mut r)?,
-            },
-            other => return Err(WireError::BadTag(other)),
-        };
-        r.expect_end()?;
-        Ok(msg)
+        ShardMsg::decode_all(bytes)
     }
 
     /// The digest every honest replica votes on in its prepare reply:
@@ -261,8 +162,8 @@ impl ShardMsg {
     pub fn prepare_digest(xid: u64, ts_us: u64, shards: &[u32], cmds: &[ShardCmd]) -> Digest {
         let mut w = WireWriter::with_capacity(64);
         w.u64(xid).u64(ts_us);
-        write_u32s(&mut w, shards);
-        write_cmds(&mut w, cmds);
+        ShardList::write(shards, &mut w);
+        CmdList::write(cmds, &mut w);
         spire_crypto::digest(w.as_slice())
     }
 }
@@ -291,45 +192,36 @@ pub enum XReply {
     },
 }
 
+impl_wire!(enum XReply {
+    PREPARED => Prepared { xid, digest },
+    REJECTED => Rejected { xid },
+    ACK => Ack { xid, decision },
+});
+
 /// Encodes a prepare vote.
 pub fn encode_prepared(xid: u64, digest: &Digest) -> Vec<u8> {
-    let mut w = WireWriter::with_capacity(41);
-    w.u8(reply_tag::PREPARED).u64(xid).raw(digest);
-    w.into_vec()
+    XReply::Prepared {
+        xid,
+        digest: *digest,
+    }
+    .to_wire(41)
+    .into_vec()
 }
 
 /// Encodes a prepare rejection.
 pub fn encode_rejected(xid: u64) -> Vec<u8> {
-    let mut w = WireWriter::with_capacity(9);
-    w.u8(reply_tag::REJECTED).u64(xid);
-    w.into_vec()
+    XReply::Rejected { xid }.to_wire(9).into_vec()
 }
 
 /// Encodes a decision acknowledgement.
 pub fn encode_ack(xid: u64, decision: u8) -> Vec<u8> {
-    let mut w = WireWriter::with_capacity(10);
-    w.u8(reply_tag::ACK).u64(xid).u8(decision);
-    w.into_vec()
+    XReply::Ack { xid, decision }.to_wire(10).into_vec()
 }
 
 /// Parses a reply payload; `None` for anything that is not a well-formed
 /// cross-shard reply (e.g. SCADA `"ok"` replies).
 pub fn parse_reply(bytes: &[u8]) -> Option<XReply> {
-    let mut r = WireReader::new(bytes);
-    let reply = match r.u8().ok()? {
-        reply_tag::PREPARED => XReply::Prepared {
-            xid: r.u64().ok()?,
-            digest: r.array().ok()?,
-        },
-        reply_tag::REJECTED => XReply::Rejected { xid: r.u64().ok()? },
-        reply_tag::ACK => XReply::Ack {
-            xid: r.u64().ok()?,
-            decision: r.u8().ok()?,
-        },
-        _ => return None,
-    };
-    r.expect_end().ok()?;
-    Some(reply)
+    XReply::decode_all(bytes).ok()
 }
 
 #[cfg(test)]

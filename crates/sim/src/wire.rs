@@ -1,10 +1,29 @@
-//! Canonical wire encoding helpers.
+//! The canonical wire encoding: one codec for every Prime, Spines, shard
+//! and SCADA message.
 //!
-//! Every signed protocol message needs a canonical byte representation;
-//! these little-endian, length-prefixed readers/writers are shared by the
-//! Spines, Prime and SCADA codecs.
+//! Every message is signed or MAC'd over its canonical bytes, so each
+//! layout is described exactly once: a type lists its fields, in wire
+//! order, in one [`impl_wire!`](crate::impl_wire) line, and the field types
+//! carry the layout through the [`Wire`] trait:
+//!
+//! | type | bytes |
+//! |---|---|
+//! | `u8` `u16` `u32` `u64` `i64` | little-endian |
+//! | `f64` | IEEE-754 bits, little-endian |
+//! | `bool` | one byte, strictly 0 or 1 |
+//! | `[u8; N]` | the `N` bytes, no prefix |
+//! | `Bytes`, `String` | `u32` length + bytes (at most [`MAX_FIELD_LEN`]) |
+//! | `Option<T>` | a 0/1 byte, then `T` if 1 |
+//! | `Vec<T>` | `u16` count + elements; [`Counted`] for a `u8` count or a cap |
+//! | tuples, structs | field by field, no framing |
+//! | enums | one tag byte, then the variant's fields |
+//!
+//! [`WireWriter`] and [`WireReader`] are the byte-level primitives under
+//! the trait; envelopes that hash, MAC or slice their payload while parsing
+//! and domain-tagged signing-byte builders use them directly.
 
 use bytes::Bytes;
+use std::marker::PhantomData;
 
 /// Error decoding a wire message.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -171,7 +190,8 @@ impl<'a> WireReader<'a> {
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.pos + n > self.data.len() {
+        // Compared against what is left: `pos + n` can wrap for a huge `n`.
+        if n > self.data.len() - self.pos {
             return Err(WireError::Truncated);
         }
         let slice = &self.data[self.pos..self.pos + n];
@@ -257,6 +277,273 @@ impl<'a> WireReader<'a> {
     }
 }
 
+/// A value with a canonical wire encoding.
+///
+/// `read` consumes fields in the order `write` produced them, so a
+/// malformed input is rejected at the first field that does not fit.
+pub trait Wire: Sized {
+    /// Appends the canonical encoding.
+    fn write(&self, w: &mut WireWriter);
+
+    /// Reads one value, leaving the reader just past it.
+    fn read(r: &mut WireReader<'_>) -> Result<Self, WireError>;
+
+    /// The canonical encoding in a fresh writer of the given capacity.
+    fn to_wire(&self, capacity: usize) -> WireWriter {
+        let mut w = WireWriter::with_capacity(capacity);
+        self.write(&mut w);
+        w
+    }
+
+    /// Decodes a value that must span `bytes` exactly.
+    fn decode_all(bytes: &[u8]) -> Result<Self, WireError> {
+        let mut r = WireReader::new(bytes);
+        // Handed on whole, not unwrapped and rewrapped: a large message is
+        // written once, into the caller's slot.
+        let value = Self::read(&mut r);
+        match r.expect_end() {
+            Err(trailing) if value.is_ok() => Err(trailing),
+            _ => value,
+        }
+    }
+}
+
+macro_rules! wire_primitives {
+    ($($t:ident),*) => {$(
+        impl Wire for $t {
+    fn write(&self, w: &mut WireWriter) {
+                w.$t(*self);
+            }
+            fn read(r: &mut WireReader<'_>) -> Result<$t, WireError> {
+                r.$t()
+            }
+        }
+    )*};
+}
+wire_primitives!(u8, u16, u32, u64, i64, f64, bool);
+
+impl<const N: usize> Wire for [u8; N] {
+    fn write(&self, w: &mut WireWriter) {
+        w.raw(self);
+    }
+    fn read(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        r.array()
+    }
+}
+
+impl Wire for Bytes {
+    fn write(&self, w: &mut WireWriter) {
+        w.bytes(self);
+    }
+    fn read(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        Ok(Bytes::copy_from_slice(r.bytes()?))
+    }
+}
+
+impl Wire for String {
+    fn write(&self, w: &mut WireWriter) {
+        w.string(self);
+    }
+    fn read(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        r.string()
+    }
+}
+
+impl<T: Wire> Wire for Option<T> {
+    fn write(&self, w: &mut WireWriter) {
+        w.bool(self.is_some());
+        if let Some(value) = self {
+            value.write(w);
+        }
+    }
+    fn read(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        Ok(if r.bool()? { Some(T::read(r)?) } else { None })
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn write(&self, w: &mut WireWriter) {
+        self.0.write(w);
+        self.1.write(w);
+    }
+    fn read(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        Ok((A::read(r)?, B::read(r)?))
+    }
+}
+
+impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
+    fn write(&self, w: &mut WireWriter) {
+        self.0.write(w);
+        self.1.write(w);
+        self.2.write(w);
+    }
+    fn read(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        Ok((A::read(r)?, B::read(r)?, C::read(r)?))
+    }
+}
+
+/// An integer type a vector's element count travels as.
+pub trait Count: Wire {
+    /// The count of a `len`-element vector (wraps past the type's range).
+    fn from_len(len: usize) -> Self;
+    /// The element count to read.
+    fn to_len(self) -> usize;
+}
+
+macro_rules! wire_counts {
+    ($($t:ident),*) => {$(
+        impl Count for $t {
+            fn from_len(len: usize) -> $t {
+                len as $t
+            }
+            fn to_len(self) -> usize {
+                self as usize
+            }
+        }
+    )*};
+}
+wire_counts!(u8, u16);
+
+/// Field codec for a `Vec<T>`: a count of type `C`, then the elements. A
+/// decoded count above `MAX` is rejected as [`WireError::OversizedLength`]
+/// before any element is read. `Vec<T>` itself is `Counted<u16>`; a field
+/// with a `u8` count or a cap names its codec in
+/// [`impl_wire!`](crate::impl_wire) as `field as Counted<u8, CAP>`.
+pub struct Counted<C, const MAX: usize = { usize::MAX }>(PhantomData<C>);
+
+impl<C: Count, const MAX: usize> Counted<C, MAX> {
+    /// Appends the count and the elements. The cap binds decoders only.
+    pub fn write<T: Wire>(items: &[T], w: &mut WireWriter) {
+        C::from_len(items.len()).write(w);
+        for item in items {
+            item.write(w);
+        }
+    }
+
+    /// Reads the count, checks it against `MAX`, reads the elements.
+    pub fn read<T: Wire>(r: &mut WireReader<'_>) -> Result<Vec<T>, WireError> {
+        let count = C::read(r)?.to_len();
+        if count > MAX {
+            return Err(WireError::OversizedLength(count as u64));
+        }
+        // Every element takes at least a byte: never reserve more than the
+        // input could fill.
+        let mut items = Vec::with_capacity(count.min(r.remaining()));
+        for _ in 0..count {
+            items.push(T::read(r)?);
+        }
+        Ok(items)
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    fn write(&self, w: &mut WireWriter) {
+        Counted::<u16>::write(self, w);
+    }
+    fn read(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        Counted::<u16>::read(r)
+    }
+}
+
+/// Derives [`Wire`] for a type from its field names, in wire order; field
+/// types are inferred through the trait.
+///
+/// ```
+/// use spire_sim::{impl_wire, Counted, Wire};
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Id(u16);
+/// #[derive(Debug, PartialEq)]
+/// struct Header { from: Id, hops: Vec<Id> }
+/// #[derive(Debug, PartialEq)]
+/// enum Msg { Hello(Id), Data { header: Header, body: String }, Bye }
+///
+/// impl_wire!(struct Id(id));
+/// // `hops` travels with a one-byte count, at most 8 accepted.
+/// impl_wire!(struct Header { from, hops as Counted<u8, 8> });
+/// impl_wire!(enum Msg {
+///     1 => Hello(from),
+///     2 => Data { header, body },
+///     3 => Bye {},
+/// });
+///
+/// let msg = Msg::Data {
+///     header: Header { from: Id(7), hops: vec![Id(1)] },
+///     body: "x".into(),
+/// };
+/// let mut w = spire_sim::WireWriter::new();
+/// msg.write(&mut w);
+/// assert_eq!(w.as_slice(), [2, 7, 0, 1, 1, 0, 1, 0, 0, 0, b'x']);
+/// assert_eq!(Msg::decode_all(w.as_slice()), Ok(msg));
+/// ```
+///
+/// A tag is a literal or a constant in scope. An unknown tag decodes to
+/// [`WireError::BadTag`].
+#[macro_export]
+macro_rules! impl_wire {
+    (struct $name:ident $body:tt) => {
+        impl $crate::Wire for $name {
+            fn write(&self, w: &mut $crate::WireWriter) {
+                let $crate::impl_wire!(@pattern [$name] $body) = self;
+                $crate::impl_wire!(@write w $body);
+            }
+            fn read(r: &mut $crate::WireReader<'_>) -> Result<Self, $crate::WireError> {
+                Ok($crate::impl_wire!(@read r [$name] $body))
+            }
+        }
+    };
+    (enum $name:ident { $($tag:tt => $variant:ident $body:tt),+ $(,)? }) => {
+        impl $crate::Wire for $name {
+            fn write(&self, w: &mut $crate::WireWriter) {
+                match self {
+                    $($crate::impl_wire!(@pattern [$name::$variant] $body) => {
+                        w.u8($tag);
+                        $crate::impl_wire!(@write w $body);
+                    })+
+                }
+            }
+            fn read(r: &mut $crate::WireReader<'_>) -> Result<Self, $crate::WireError> {
+                match r.u8()? {
+                    $($tag => Ok($crate::impl_wire!(@read r [$name::$variant] $body)),)+
+                    other => Err($crate::WireError::BadTag(other)),
+                }
+            }
+        }
+    };
+
+    // A body is `{ field, field as Codec, .. }` or `(binding, ..)`.
+    (@pattern [$($path:tt)+] { $($field:ident $(as $codec:ty)?),* $(,)? }) => {
+        $($path)+ { $($field),* }
+    };
+    (@pattern [$($path:tt)+] ( $($field:ident),* $(,)? )) => {
+        $($path)+ ( $($field),* )
+    };
+    (@write $w:ident { $($field:ident $(as $codec:ty)?),* $(,)? }) => {
+        $($crate::impl_wire!(@put $w $field $($codec)?);)*
+    };
+    (@write $w:ident ( $($field:ident),* $(,)? )) => {
+        $($crate::Wire::write($field, $w);)*
+    };
+    (@put $w:ident $field:ident) => {
+        $crate::Wire::write($field, $w)
+    };
+    (@put $w:ident $field:ident $codec:ty) => {
+        <$codec>::write($field, $w)
+    };
+    (@read $r:ident [$($path:tt)+] { $($field:ident $(as $codec:ty)?),* $(,)? }) => {
+        $($path)+ { $($field: $crate::impl_wire!(@get $r $($codec)?)),* }
+    };
+    (@read $r:ident [$($path:tt)+] ( $($field:ident),* $(,)? )) => {
+        $($path)+ ( $({ let $field = $crate::Wire::read($r)?; $field }),* )
+    };
+    (@get $r:ident) => {
+        $crate::Wire::read($r)?
+    };
+    (@get $r:ident $codec:ty) => {
+        <$codec>::read($r)?
+    };
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -296,6 +583,10 @@ mod tests {
         let buf = w.finish();
         let mut r = WireReader::new(&buf[..4]);
         assert_eq!(r.u64(), Err(WireError::Truncated));
+        // A length that would wrap `pos + n` is still just truncated.
+        assert_eq!(r.u8(), Ok(1));
+        assert_eq!(r.raw(usize::MAX), Err(WireError::Truncated));
+        assert_eq!(r.remaining(), 3);
     }
 
     #[test]
@@ -336,5 +627,61 @@ mod tests {
         let mut r = WireReader::new(&[9, 8, 7, 6]);
         let a: [u8; 4] = r.array().unwrap();
         assert_eq!(a, [9, 8, 7, 6]);
+    }
+
+    fn encoded<T: Wire>(value: &T) -> Vec<u8> {
+        value.to_wire(0).into_vec()
+    }
+
+    #[test]
+    fn wire_impls_lay_out_as_documented() {
+        assert_eq!(encoded(&0x0102u16), [2, 1]);
+        assert_eq!(encoded(&-2i64), (-2i64).to_le_bytes());
+        assert_eq!(encoded(&1.5f64), 1.5f64.to_bits().to_le_bytes());
+        assert_eq!(encoded(&[9u8, 8, 7]), [9, 8, 7]);
+        assert_eq!(
+            encoded(&Bytes::from_static(b"ab")),
+            [2, 0, 0, 0, b'a', b'b']
+        );
+        assert_eq!(encoded(&String::from("c")), [1, 0, 0, 0, b'c']);
+        assert_eq!(encoded(&Some(true)), [1, 1]);
+        assert_eq!(encoded(&None::<u32>), [0]);
+        assert_eq!(encoded(&(1u8, 2u16, false)), [1, 2, 0, 0]);
+        assert_eq!(encoded(&vec![(1u8, 2u8)]), [1, 0, 1, 2]);
+        for bytes in [vec![0], vec![1, 0, 0], vec![1, 1, 0, 3, 4]] {
+            let value = Option::<Vec<(u8, u8)>>::decode_all(&bytes).unwrap();
+            assert_eq!(encoded(&value), bytes);
+        }
+        assert_eq!(Option::<u8>::decode_all(&[2, 0]), Err(WireError::BadTag(2)));
+        assert_eq!(<(u8, u32)>::decode_all(&[1, 2]), Err(WireError::Truncated));
+        assert_eq!(u8::decode_all(&[1, 2]), Err(WireError::TrailingBytes));
+    }
+
+    #[test]
+    fn counted_width_and_cap() {
+        type Short = Counted<u8, 2>;
+        let mut w = WireWriter::new();
+        Short::write(&[7u16, 8], &mut w);
+        assert_eq!(w.as_slice(), [2, 7, 0, 8, 0]);
+        assert_eq!(
+            Short::read::<u16>(&mut WireReader::new(w.as_slice())),
+            Ok(vec![7, 8])
+        );
+        // The encoder does not apply the cap; the decoder rejects the count
+        // before it looks for the elements.
+        w.clear();
+        Short::write(&[1u16, 2, 3], &mut w);
+        assert_eq!(w.len(), 7);
+        for input in [w.as_slice(), &w.as_slice()[..1]] {
+            assert_eq!(
+                Short::read::<u16>(&mut WireReader::new(input)),
+                Err(WireError::OversizedLength(3))
+            );
+        }
+        // A count the input cannot back is truncation, not an allocation.
+        assert_eq!(
+            Vec::<u64>::decode_all(&[0xff, 0xff, 1]),
+            Err(WireError::Truncated)
+        );
     }
 }

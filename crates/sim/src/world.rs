@@ -137,16 +137,6 @@ impl LinkConfig {
         self
     }
 
-    /// Returns a copy with the given router buffer depth (maximum
-    /// queueing delay before tail drop). Deep buffers turn saturation
-    /// into latency instead of loss — the scaling experiments use this
-    /// so a congested group degrades gracefully rather than dropping
-    /// the very ordering frames it needs to make progress.
-    pub fn with_max_queue(mut self, depth: Span) -> LinkConfig {
-        self.max_queue = depth;
-        self
-    }
-
     /// Returns a copy with the given corruption probability.
     pub fn with_corruption(mut self, corrupt: f64) -> LinkConfig {
         self.corrupt = corrupt;

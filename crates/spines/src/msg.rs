@@ -6,7 +6,7 @@
 
 use crate::topology::OverlayId;
 use bytes::Bytes;
-use spire_sim::{WireError, WireReader, WireWriter};
+use spire_sim::{impl_wire, Counted, Wire, WireError, WireReader, WireWriter};
 
 /// How a data message is disseminated through the overlay.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -20,19 +20,23 @@ pub enum Dissemination {
     Flood,
 }
 
-impl Dissemination {
-    fn encode(self) -> (u8, u8) {
-        match self {
+// Hand-written: always two bytes, `[tag][k]`, with `k` ignored unless the
+// tag is `DisjointPaths` — not the tag-then-fields shape `impl_wire!` derives.
+impl Wire for Dissemination {
+    fn write(&self, w: &mut WireWriter) {
+        let (tag, k) = match *self {
             Dissemination::Shortest => (0, 0),
             Dissemination::DisjointPaths(k) => (1, k),
             Dissemination::Flood => (2, 0),
-        }
+        };
+        w.u8(tag).u8(k);
     }
 
-    fn decode(tag: u8, arg: u8) -> Result<Dissemination, WireError> {
+    fn read(r: &mut WireReader<'_>) -> Result<Dissemination, WireError> {
+        let (tag, k) = (r.u8()?, r.u8()?);
         match tag {
             0 => Ok(Dissemination::Shortest),
-            1 => Ok(Dissemination::DisjointPaths(arg)),
+            1 => Ok(Dissemination::DisjointPaths(k)),
             2 => Ok(Dissemination::Flood),
             other => Err(WireError::BadTag(other)),
         }
@@ -65,6 +69,12 @@ pub struct DataMsg {
     /// Application bytes.
     pub payload: Bytes,
 }
+
+// `route` travels with a one-byte count.
+impl_wire!(struct DataMsg {
+    src, src_port, dst, dst_port, seq, mode, ttl, route as Counted<u8>, route_idx, reliable,
+    payload,
+});
 
 /// A daemon-to-daemon or client-to-daemon protocol message.
 #[derive(Clone, Debug, PartialEq)]
@@ -139,195 +149,27 @@ pub enum OverlayMsg {
     },
 }
 
+impl_wire!(enum OverlayMsg {
+    1 => Hello { from, seq },
+    2 => Lsa { origin, seq, neighbors, sig },
+    3 => Data { frame_id, msg },
+    4 => HopAck { frame_id },
+    5 => ClientAttach { port },
+    6 => ClientSend { dst, dst_port, mode, reliable, payload },
+    7 => ClientDeliver { src, src_port, payload },
+    8 => HopAckMulti { frame_ids },
+    9 => Batch { frames },
+});
+
 impl OverlayMsg {
     /// Canonical byte encoding.
     pub fn encode(&self) -> Bytes {
-        let mut w = WireWriter::with_capacity(64);
-        match self {
-            OverlayMsg::Hello { from, seq } => {
-                w.u8(1).u16(from.0).u64(*seq);
-            }
-            OverlayMsg::Lsa {
-                origin,
-                seq,
-                neighbors,
-                sig,
-            } => {
-                w.u8(2).u16(origin.0).u64(*seq).u16(neighbors.len() as u16);
-                for (n, weight) in neighbors {
-                    w.u16(n.0).u32(*weight);
-                }
-                w.raw(sig);
-            }
-            OverlayMsg::Data { frame_id, msg } => {
-                let (mode_tag, mode_arg) = msg.mode.encode();
-                w.u8(3)
-                    .u64(*frame_id)
-                    .u16(msg.src.0)
-                    .u16(msg.src_port)
-                    .u16(msg.dst.0)
-                    .u16(msg.dst_port)
-                    .u64(msg.seq)
-                    .u8(mode_tag)
-                    .u8(mode_arg)
-                    .u8(msg.ttl)
-                    .u8(msg.route.len() as u8);
-                for hop in &msg.route {
-                    w.u16(hop.0);
-                }
-                w.u8(msg.route_idx).bool(msg.reliable).bytes(&msg.payload);
-            }
-            OverlayMsg::HopAck { frame_id } => {
-                w.u8(4).u64(*frame_id);
-            }
-            OverlayMsg::ClientAttach { port } => {
-                w.u8(5).u16(*port);
-            }
-            OverlayMsg::ClientSend {
-                dst,
-                dst_port,
-                mode,
-                reliable,
-                payload,
-            } => {
-                let (mode_tag, mode_arg) = mode.encode();
-                w.u8(6)
-                    .u16(dst.0)
-                    .u16(*dst_port)
-                    .u8(mode_tag)
-                    .u8(mode_arg)
-                    .bool(*reliable)
-                    .bytes(payload);
-            }
-            OverlayMsg::ClientDeliver {
-                src,
-                src_port,
-                payload,
-            } => {
-                w.u8(7).u16(src.0).u16(*src_port).bytes(payload);
-            }
-            OverlayMsg::HopAckMulti { frame_ids } => {
-                w.u8(8).u16(frame_ids.len() as u16);
-                for id in frame_ids {
-                    w.u64(*id);
-                }
-            }
-            OverlayMsg::Batch { frames } => {
-                w.u8(9).u16(frames.len() as u16);
-                for frame in frames {
-                    w.bytes(frame);
-                }
-            }
-        }
-        w.finish()
+        self.to_wire(64).finish()
     }
 
     /// Decodes a message, verifying the buffer is fully consumed.
     pub fn decode(bytes: &[u8]) -> Result<OverlayMsg, WireError> {
-        let mut r = WireReader::new(bytes);
-        let msg = match r.u8()? {
-            1 => OverlayMsg::Hello {
-                from: OverlayId(r.u16()?),
-                seq: r.u64()?,
-            },
-            2 => {
-                let origin = OverlayId(r.u16()?);
-                let seq = r.u64()?;
-                let n = r.u16()? as usize;
-                let mut neighbors = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    neighbors.push((OverlayId(r.u16()?), r.u32()?));
-                }
-                let sig: [u8; 64] = r.array()?;
-                OverlayMsg::Lsa {
-                    origin,
-                    seq,
-                    neighbors,
-                    sig,
-                }
-            }
-            3 => {
-                let frame_id = r.u64()?;
-                let src = OverlayId(r.u16()?);
-                let src_port = r.u16()?;
-                let dst = OverlayId(r.u16()?);
-                let dst_port = r.u16()?;
-                let seq = r.u64()?;
-                let mode_tag = r.u8()?;
-                let mode_arg = r.u8()?;
-                let ttl = r.u8()?;
-                let route_len = r.u8()? as usize;
-                let mut route = Vec::with_capacity(route_len);
-                for _ in 0..route_len {
-                    route.push(OverlayId(r.u16()?));
-                }
-                let route_idx = r.u8()?;
-                let reliable = r.bool()?;
-                let payload = Bytes::copy_from_slice(r.bytes()?);
-                OverlayMsg::Data {
-                    frame_id,
-                    msg: DataMsg {
-                        src,
-                        src_port,
-                        dst,
-                        dst_port,
-                        seq,
-                        mode: Dissemination::decode(mode_tag, mode_arg)?,
-                        ttl,
-                        route,
-                        route_idx,
-                        reliable,
-                        payload,
-                    },
-                }
-            }
-            4 => OverlayMsg::HopAck { frame_id: r.u64()? },
-            5 => OverlayMsg::ClientAttach { port: r.u16()? },
-            6 => {
-                let dst = OverlayId(r.u16()?);
-                let dst_port = r.u16()?;
-                let mode_tag = r.u8()?;
-                let mode_arg = r.u8()?;
-                let reliable = r.bool()?;
-                let payload = Bytes::copy_from_slice(r.bytes()?);
-                OverlayMsg::ClientSend {
-                    dst,
-                    dst_port,
-                    mode: Dissemination::decode(mode_tag, mode_arg)?,
-                    reliable,
-                    payload,
-                }
-            }
-            7 => {
-                let src = OverlayId(r.u16()?);
-                let src_port = r.u16()?;
-                let payload = Bytes::copy_from_slice(r.bytes()?);
-                OverlayMsg::ClientDeliver {
-                    src,
-                    src_port,
-                    payload,
-                }
-            }
-            8 => {
-                let n = r.u16()? as usize;
-                let mut frame_ids = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    frame_ids.push(r.u64()?);
-                }
-                OverlayMsg::HopAckMulti { frame_ids }
-            }
-            9 => {
-                let n = r.u16()? as usize;
-                let mut frames = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    frames.push(Bytes::copy_from_slice(r.bytes()?));
-                }
-                OverlayMsg::Batch { frames }
-            }
-            other => return Err(WireError::BadTag(other)),
-        };
-        r.expect_end()?;
-        Ok(msg)
+        OverlayMsg::decode_all(bytes)
     }
 }
 

@@ -12,6 +12,8 @@ use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
 pub struct OverlayId(pub u16);
 
+spire_sim::impl_wire!(struct OverlayId(id));
+
 impl std::fmt::Display for OverlayId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "ov{}", self.0)
