@@ -1,7 +1,8 @@
-//! Schedule exploration driver over the Prime model seam
-//! (`spire-explore`): bounded exhaustive interleaving, seeded randomized
-//! adversarial exploration, and deterministic replay of failure
-//! artifacts.
+//! Schedule exploration driver (`spire-explore`) over the Prime model
+//! seam and the cross-shard 2PC machine: bounded exhaustive interleaving,
+//! seeded randomized adversarial exploration, and deterministic replay of
+//! failure artifacts. The scenario name picks the model; everything after
+//! that is shared.
 //!
 //! Usage:
 //!   `exp_x1_explore --exhaustive [--scenario=NAME] [--ops=N]`
@@ -33,8 +34,10 @@
 //! seeded-commit-bug` records that (`"seeded_bug": true`); replay it
 //! against a build with the same feature set.
 
+use spire_explore::xshard::{XHarness, XScenario, SEEDED_XSHARD_BUG_ACTIVE};
 use spire_explore::{
-    exhaustive, random, xshard, Artifact, Bounds, Harness, RandomParams, Scenario,
+    exhaustive, random, shrink, Artifact, Bounds, FoundViolation, Harness, Model, RandomParams,
+    Run, Scenario,
 };
 use spire_prime::model::SEEDED_BUG_ACTIVE;
 use std::time::Duration;
@@ -48,57 +51,78 @@ fn fail(msg: &str) -> ! {
 enum Mode {
     Exhaustive,
     Random,
-    Replay(String),
+    Replay(Artifact),
+}
+
+/// Everything the command line sets besides the mode and the scenario.
+struct Args {
+    depth: usize,
+    max_states: u64,
+    min_states: u64,
+    params: RandomParams,
+    rounds: u64,
+    artifact_path: Option<String>,
+    expect_violation: bool,
+    max_shrunk: usize,
 }
 
 fn main() {
     let mut mode: Option<Mode> = None;
     let mut scenario = "honest".to_string();
     let mut ops: u32 = 2;
-    let mut depth: usize = 14;
-    let mut max_states: u64 = 250_000;
-    let mut min_states: u64 = 0;
-    let mut seed: u64 = 0;
-    let mut secs: Option<u64> = None;
-    let mut episodes: u64 = 64;
-    let mut steps: usize = 600;
-    let mut rounds: u64 = 16;
-    let mut artifact_path: Option<String> = None;
-    let mut expect_violation = false;
-    let mut max_shrunk: usize = usize::MAX;
+    let mut args = Args {
+        depth: 14,
+        max_states: 250_000,
+        min_states: 0,
+        params: RandomParams {
+            seed: 0,
+            episodes: 64,
+            steps_per_episode: 600,
+            wall_limit: None,
+        },
+        rounds: 16,
+        artifact_path: None,
+        expect_violation: false,
+        max_shrunk: usize::MAX,
+    };
     for arg in std::env::args().skip(1) {
         if arg == "--exhaustive" {
             mode = Some(Mode::Exhaustive);
         } else if arg == "--random" {
             mode = Some(Mode::Random);
-        } else if let Some(v) = arg.strip_prefix("--replay=") {
-            mode = Some(Mode::Replay(v.to_string()));
+        } else if let Some(path) = arg.strip_prefix("--replay=") {
+            let text = std::fs::read_to_string(path)
+                .unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
+            mode = Some(Mode::Replay(
+                Artifact::from_json_str(&text).unwrap_or_else(|e| fail(&e)),
+            ));
         } else if let Some(v) = arg.strip_prefix("--scenario=") {
             scenario = v.to_string();
         } else if let Some(v) = arg.strip_prefix("--ops=") {
             ops = v.parse().unwrap_or_else(|_| fail("bad --ops"));
         } else if let Some(v) = arg.strip_prefix("--depth=") {
-            depth = v.parse().unwrap_or_else(|_| fail("bad --depth"));
+            args.depth = v.parse().unwrap_or_else(|_| fail("bad --depth"));
         } else if let Some(v) = arg.strip_prefix("--max-states=") {
-            max_states = v.parse().unwrap_or_else(|_| fail("bad --max-states"));
+            args.max_states = v.parse().unwrap_or_else(|_| fail("bad --max-states"));
         } else if let Some(v) = arg.strip_prefix("--min-states=") {
-            min_states = v.parse().unwrap_or_else(|_| fail("bad --min-states"));
+            args.min_states = v.parse().unwrap_or_else(|_| fail("bad --min-states"));
         } else if let Some(v) = arg.strip_prefix("--seed=") {
-            seed = v.parse().unwrap_or_else(|_| fail("bad --seed"));
+            args.params.seed = v.parse().unwrap_or_else(|_| fail("bad --seed"));
         } else if let Some(v) = arg.strip_prefix("--secs=") {
-            secs = Some(v.parse().unwrap_or_else(|_| fail("bad --secs")));
+            let secs = v.parse().unwrap_or_else(|_| fail("bad --secs"));
+            args.params.wall_limit = Some(Duration::from_secs(secs));
         } else if let Some(v) = arg.strip_prefix("--episodes=") {
-            episodes = v.parse().unwrap_or_else(|_| fail("bad --episodes"));
+            args.params.episodes = v.parse().unwrap_or_else(|_| fail("bad --episodes"));
         } else if let Some(v) = arg.strip_prefix("--steps=") {
-            steps = v.parse().unwrap_or_else(|_| fail("bad --steps"));
+            args.params.steps_per_episode = v.parse().unwrap_or_else(|_| fail("bad --steps"));
         } else if let Some(v) = arg.strip_prefix("--rounds=") {
-            rounds = v.parse().unwrap_or_else(|_| fail("bad --rounds"));
+            args.rounds = v.parse().unwrap_or_else(|_| fail("bad --rounds"));
         } else if let Some(v) = arg.strip_prefix("--artifact=") {
-            artifact_path = Some(v.to_string());
+            args.artifact_path = Some(v.to_string());
         } else if arg == "--expect-violation" {
-            expect_violation = true;
+            args.expect_violation = true;
         } else if let Some(v) = arg.strip_prefix("--max-shrunk=") {
-            max_shrunk = v.parse().unwrap_or_else(|_| fail("bad --max-shrunk"));
+            args.max_shrunk = v.parse().unwrap_or_else(|_| fail("bad --max-shrunk"));
         } else {
             fail(&format!("unknown argument {arg}"));
         }
@@ -109,156 +133,178 @@ fn main() {
 
     println!(
         "exp_x1_explore: seeded_bug_active={SEEDED_BUG_ACTIVE} \
-         seeded_xshard_bug_active={}",
-        xshard::SEEDED_XSHARD_BUG_ACTIVE
+         seeded_xshard_bug_active={SEEDED_XSHARD_BUG_ACTIVE}"
     );
-    if scenario.starts_with("xshard") {
-        run_xshard(
-            mode,
-            &scenario,
-            ops,
-            seed,
-            secs,
-            episodes,
-            steps,
-            rounds,
-            &artifact_path,
-            expect_violation,
-            max_shrunk,
+    // The scenario name picks the model; a replayed artifact pins the
+    // scenario itself. The recovering-replica scenario spends the k
+    // budget; every other Prime scenario explores the tight k = 0 cluster.
+    let (name, f, k, ops) = match &mode {
+        Mode::Replay(artifact) => (
+            artifact.scenario.clone(),
+            artifact.f,
+            artifact.k,
+            artifact.ops,
+        ),
+        _ => {
+            let k = u32::from(scenario == "recovering-replica");
+            (scenario, 1, k, ops)
+        }
+    };
+    if name.starts_with("xshard") {
+        let scenario = XScenario::named(&name, ops).unwrap_or_else(|e| fail(&e));
+        let bug = SEEDED_XSHARD_BUG_ACTIVE;
+        let header = artifact_header(&scenario.name, scenario.f, 0, scenario.ops, bug);
+        drive(&XHarness::new(scenario), header, mode, &args);
+    } else {
+        let scenario = Scenario::named(&name, f, k, ops).unwrap_or_else(|e| fail(&e));
+        let bug = SEEDED_BUG_ACTIVE;
+        let header = artifact_header(&scenario.name, scenario.f, scenario.k, scenario.ops, bug);
+        let harness = Harness::new(scenario);
+        if mode == Mode::Exhaustive {
+            run_exhaustive(&harness, header, &args);
+        } else {
+            drive(&harness, header, mode, &args);
+        }
+    }
+}
+
+/// The artifact fields a scenario fixes (`seeded_bug`: whether the seeded
+/// bug its model answers to is compiled in); seed, violations and events
+/// are filled in when one is written.
+fn artifact_header(scenario: &str, f: u32, k: u32, ops: u32, seeded_bug: bool) -> Artifact {
+    Artifact {
+        scenario: scenario.to_string(),
+        f,
+        k,
+        ops,
+        seed: 0,
+        seeded_bug,
+        violations: Vec::new(),
+        events: Vec::new(),
+    }
+}
+
+/// Bounded exhaustive interleaving — Prime only: the cross-shard model has
+/// no state hash, and its coordinator's timer space makes prefix
+/// enumeration useless.
+fn run_exhaustive(harness: &Harness, header: Artifact, args: &Args) {
+    let mut bounds = if header.scenario == "recovering-replica" {
+        Bounds::recovery()
+    } else {
+        Bounds::tiny()
+    };
+    bounds.max_depth = args.depth;
+    bounds.max_states = args.max_states;
+    let report = exhaustive::explore(harness, &bounds);
+    println!(
+        "exhaustive: scenario={} ops={} depth<={} states_visited={} \
+         states_deduped={} replays={} deepest={} frontier_exhausted={}",
+        header.scenario,
+        header.ops,
+        args.depth,
+        report.states_visited,
+        report.states_deduped,
+        report.replays,
+        report.deepest,
+        report.frontier_exhausted,
+    );
+    if let Some(violation) = &report.violation {
+        println!(
+            "violation: kinds={:?} schedule_len={}",
+            violation.kinds,
+            violation.schedule.len()
         );
+        write_artifact(&args.artifact_path, header, 0, violation);
+        if !args.expect_violation {
+            fail("exhaustive exploration found an invariant violation");
+        }
+        check_shrunk_len(violation.schedule.len(), args.max_shrunk);
+        println!("explore OK (expected violation found)");
         return;
     }
-    // The recovering-replica scenario spends the k budget; everything
-    // else explores the tight k = 0 cluster.
-    let k = if scenario == "recovering-replica" {
-        1
-    } else {
-        0
-    };
+    if args.expect_violation {
+        fail("expected a violation; exhaustive pass was clean");
+    }
+    if report.states_visited < args.min_states {
+        fail(&format!(
+            "visited {} distinct states, below the --min-states floor {}",
+            report.states_visited, args.min_states
+        ));
+    }
+    println!("explore OK (0 violations)");
+}
+
+/// The randomized and replay legs, shared by both models. `header` carries
+/// the scenario's artifact fields, including which seeded-bug feature the
+/// model answers to.
+fn drive<M: Model>(model: &M, header: Artifact, mode: Mode, args: &Args) {
+    let params = &args.params;
+    let seed = params.seed;
     match mode {
-        Mode::Exhaustive => {
-            let scenario = Scenario::named(&scenario, 1, k, ops).unwrap_or_else(|e| fail(&e));
-            let recovery = scenario.name == "recovering-replica";
-            let harness = Harness::new(scenario);
-            let mut bounds = if recovery {
-                Bounds::recovery()
-            } else {
-                Bounds::tiny()
+        // Only the Prime cluster has an exhaustive driver (see
+        // `run_exhaustive`), and `main` sends it there.
+        Mode::Exhaustive => fail("xshard scenarios support --random and --replay only"),
+        Mode::Random if args.expect_violation => {
+            let target = args.max_shrunk.min(1 << 20);
+            let Some(found) = random::hunt(model, params, args.rounds, target) else {
+                fail("expected a violation; randomized exploration found none");
             };
-            bounds.max_depth = depth;
-            bounds.max_states = max_states;
-            let report = exhaustive::explore(&harness, &bounds);
             println!(
-                "exhaustive: scenario={} ops={ops} depth<={depth} states_visited={} \
-                 states_deduped={} replays={} deepest={} frontier_exhausted={}",
-                harness.scenario.name,
-                report.states_visited,
-                report.states_deduped,
-                report.replays,
-                report.deepest,
-                report.frontier_exhausted,
+                "violation: kinds={:?} shrunk_len={}",
+                found.kinds,
+                found.schedule.len()
             );
-            if let Some(violation) = &report.violation {
-                println!(
-                    "violation: kinds={:?} schedule_len={}",
-                    violation.kinds,
-                    violation.schedule.len()
-                );
-                write_artifact(&artifact_path, &harness, 0, violation);
-                if !expect_violation {
-                    fail("exhaustive exploration found an invariant violation");
-                }
-                check_shrunk_len(violation.schedule.len(), max_shrunk);
-                println!("explore OK (expected violation found)");
-                return;
-            }
-            if expect_violation {
-                fail("expected a violation; exhaustive pass was clean");
-            }
-            if report.states_visited < min_states {
+            write_artifact(&args.artifact_path, header, seed, &found);
+            check_shrunk_len(found.schedule.len(), args.max_shrunk);
+            println!("explore OK (expected violation found and shrunk)");
+        }
+        Mode::Random => {
+            let report = random::explore(model, params);
+            println!(
+                "random: scenario={} ops={} seed={seed} episodes={} steps={} {}={}",
+                header.scenario,
+                header.ops,
+                report.episodes,
+                report.steps,
+                M::PROGRESS,
+                report.max_executed
+            );
+            if let Some(found) = &report.violation {
+                let shrunk = shrink::shrink(model, &found.schedule);
+                let kinds =
+                    shrink::reproduces(model, &shrunk).unwrap_or_else(|| found.kinds.clone());
+                let shrunk = FoundViolation {
+                    schedule: shrunk,
+                    kinds,
+                };
+                write_artifact(&args.artifact_path, header, seed, &shrunk);
                 fail(&format!(
-                    "visited {} distinct states, below the --min-states floor {min_states}",
-                    report.states_visited
+                    "randomized exploration found an invariant violation: {:?}",
+                    shrunk.kinds
                 ));
             }
             println!("explore OK (0 violations)");
         }
-        Mode::Random => {
-            let scenario = Scenario::named(&scenario, 1, k, ops).unwrap_or_else(|e| fail(&e));
-            let harness = Harness::new(scenario);
-            let params = RandomParams {
-                seed,
-                episodes,
-                steps_per_episode: steps,
-                wall_limit: secs.map(Duration::from_secs),
-            };
-            if expect_violation {
-                let Some(found) = random::hunt(&harness, &params, rounds, max_shrunk.min(1 << 20))
-                else {
-                    fail("expected a violation; randomized exploration found none");
-                };
-                println!(
-                    "violation: kinds={:?} shrunk_len={}",
-                    found.kinds,
-                    found.schedule.len()
-                );
-                write_artifact(&artifact_path, &harness, seed, &found);
-                check_shrunk_len(found.schedule.len(), max_shrunk);
-                println!("explore OK (expected violation found and shrunk)");
-            } else {
-                let report = random::explore(&harness, &params);
-                println!(
-                    "random: scenario={} ops={ops} seed={seed} episodes={} steps={} max_executed={}",
-                    harness.scenario.name, report.episodes, report.steps, report.max_executed
-                );
-                if let Some(found) = &report.violation {
-                    let shrunk = spire_explore::shrink::shrink(&harness, &found.schedule);
-                    let kinds = spire_explore::shrink::reproduces(&harness, &shrunk)
-                        .unwrap_or_else(|| found.kinds.clone());
-                    let shrunk = exhaustive::FoundViolation {
-                        schedule: shrunk,
-                        kinds,
-                    };
-                    write_artifact(&artifact_path, &harness, seed, &shrunk);
-                    fail(&format!(
-                        "randomized exploration found an invariant violation: {:?}",
-                        shrunk.kinds
-                    ));
-                }
-                println!("explore OK (0 violations)");
-            }
-        }
-        Mode::Replay(path) => {
-            let text = std::fs::read_to_string(&path)
-                .unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
-            let artifact = Artifact::from_json_str(&text).unwrap_or_else(|e| fail(&e));
-            if artifact.scenario.starts_with("xshard") {
-                replay_xshard(&artifact, expect_violation);
-                return;
-            }
-            if artifact.seeded_bug != SEEDED_BUG_ACTIVE {
+        Mode::Replay(artifact) => {
+            if artifact.seeded_bug != header.seeded_bug {
                 fail(&format!(
                     "artifact was produced with seeded_bug={} but this build has {}; \
-                     rebuild with the matching feature set",
-                    artifact.seeded_bug, SEEDED_BUG_ACTIVE
+                     rebuild with the matching seeded-bug feature set",
+                    artifact.seeded_bug, header.seeded_bug
                 ));
             }
-            let scenario =
-                Scenario::named(&artifact.scenario, artifact.f, artifact.k, artifact.ops)
-                    .unwrap_or_else(|e| fail(&e));
-            let harness = Harness::new(scenario);
-            let cluster = harness.replay(&artifact.events);
-            let kinds = cluster.violation_kinds();
+            let run = model.replay(&artifact.events);
+            let kinds = run.violation_kinds();
             println!(
                 "replay: scenario={} events={} applied={} violations={kinds:?}",
                 artifact.scenario,
                 artifact.events.len(),
-                cluster.steps
+                run.schedule().len()
             );
-            if expect_violation && kinds.is_empty() {
+            if args.expect_violation && kinds.is_empty() {
                 fail("artifact did not reproduce a violation");
             }
-            if !expect_violation && !kinds.is_empty() {
+            if !args.expect_violation && !kinds.is_empty() {
                 fail("replay hit an invariant violation");
             }
             println!("replay OK");
@@ -266,24 +312,15 @@ fn main() {
     }
 }
 
-fn write_artifact(
-    path: &Option<String>,
-    harness: &Harness,
-    seed: u64,
-    violation: &exhaustive::FoundViolation,
-) {
+fn write_artifact(path: &Option<String>, header: Artifact, seed: u64, violation: &FoundViolation) {
     let Some(path) = path else {
         return;
     };
     let artifact = Artifact {
-        scenario: harness.scenario.name.clone(),
-        f: harness.scenario.f,
-        k: harness.scenario.k,
-        ops: harness.scenario.ops,
         seed,
-        seeded_bug: SEEDED_BUG_ACTIVE,
         violations: violation.kinds.clone(),
         events: violation.schedule.clone(),
+        ..header
     };
     std::fs::write(path, artifact.to_json_string())
         .unwrap_or_else(|e| fail(&format!("cannot write {path}: {e}")));
@@ -296,129 +333,4 @@ fn check_shrunk_len(len: usize, max_shrunk: usize) {
             "shrunk schedule has {len} events, above the --max-shrunk bound {max_shrunk}"
         ));
     }
-}
-
-/// Cross-shard scenarios: randomized exploration / replay against the
-/// `spire_explore::xshard` cluster (exhaustive mode is not supported —
-/// the coordinator's timer space makes prefix enumeration useless).
-#[allow(clippy::too_many_arguments)]
-fn run_xshard(
-    mode: Mode,
-    scenario: &str,
-    ops: u32,
-    seed: u64,
-    secs: Option<u64>,
-    episodes: u64,
-    steps: usize,
-    rounds: u64,
-    artifact_path: &Option<String>,
-    expect_violation: bool,
-    max_shrunk: usize,
-) {
-    let harness =
-        xshard::XHarness::new(xshard::XScenario::named(scenario, ops).unwrap_or_else(|e| fail(&e)));
-    let params = RandomParams {
-        seed,
-        episodes,
-        steps_per_episode: steps,
-        wall_limit: secs.map(Duration::from_secs),
-    };
-    match mode {
-        Mode::Exhaustive => fail("xshard scenarios support --random and --replay only"),
-        Mode::Replay(path) => {
-            let text = std::fs::read_to_string(&path)
-                .unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
-            let artifact = Artifact::from_json_str(&text).unwrap_or_else(|e| fail(&e));
-            replay_xshard(&artifact, expect_violation);
-        }
-        Mode::Random if expect_violation => {
-            let Some(found) = xshard::hunt(&harness, &params, rounds, max_shrunk.min(1 << 20))
-            else {
-                fail("expected a violation; randomized xshard exploration found none");
-            };
-            println!(
-                "violation: kinds={:?} shrunk_len={}",
-                found.kinds,
-                found.schedule.len()
-            );
-            write_xshard_artifact(artifact_path, &harness, seed, &found);
-            check_shrunk_len(found.schedule.len(), max_shrunk);
-            println!("explore OK (expected violation found and shrunk)");
-        }
-        Mode::Random => {
-            let report = xshard::explore(&harness, &params);
-            println!(
-                "random: scenario={} ops={ops} seed={seed} episodes={} steps={} completed_txs={}",
-                harness.scenario.name, report.episodes, report.steps, report.max_executed
-            );
-            if let Some(found) = &report.violation {
-                let shrunk = xshard::shrink(&harness, &found.schedule);
-                let kinds =
-                    xshard::reproduces(&harness, &shrunk).unwrap_or_else(|| found.kinds.clone());
-                let shrunk = exhaustive::FoundViolation {
-                    schedule: shrunk,
-                    kinds,
-                };
-                write_xshard_artifact(artifact_path, &harness, seed, &shrunk);
-                fail(&format!(
-                    "randomized xshard exploration broke atomicity: {:?}",
-                    shrunk.kinds
-                ));
-            }
-            println!("explore OK (0 violations)");
-        }
-    }
-}
-
-fn replay_xshard(artifact: &Artifact, expect_violation: bool) {
-    if artifact.seeded_bug != xshard::SEEDED_XSHARD_BUG_ACTIVE {
-        fail(&format!(
-            "artifact was produced with seeded_bug={} but this build has {}; \
-             rebuild with the matching `seeded-xshard-bug` feature set",
-            artifact.seeded_bug,
-            xshard::SEEDED_XSHARD_BUG_ACTIVE
-        ));
-    }
-    let harness = xshard::XHarness::new(
-        xshard::XScenario::named(&artifact.scenario, artifact.ops).unwrap_or_else(|e| fail(&e)),
-    );
-    let cluster = harness.replay(&artifact.events);
-    let kinds = cluster.violation_kinds();
-    println!(
-        "replay: scenario={} events={} applied={} violations={kinds:?}",
-        artifact.scenario,
-        artifact.events.len(),
-        cluster.steps
-    );
-    if expect_violation && kinds.is_empty() {
-        fail("artifact did not reproduce a violation");
-    }
-    if !expect_violation && !kinds.is_empty() {
-        fail("replay hit an atomicity violation");
-    }
-    println!("replay OK");
-}
-
-fn write_xshard_artifact(
-    path: &Option<String>,
-    harness: &xshard::XHarness,
-    seed: u64,
-    violation: &exhaustive::FoundViolation,
-) {
-    let Some(path) = path else {
-        return;
-    };
-    let artifact = Artifact {
-        scenario: harness.scenario.name.clone(),
-        f: harness.scenario.f,
-        k: 0,
-        ops: harness.scenario.ops,
-        seed,
-        seeded_bug: xshard::SEEDED_XSHARD_BUG_ACTIVE,
-        violations: violation.kinds.clone(),
-        events: violation.schedule.clone(),
-    };
-    std::fs::write(path, artifact.to_json_string())
-        .unwrap_or_else(|e| fail(&format!("cannot write {path}: {e}")));
-    println!("artifact written: {path}");
 }

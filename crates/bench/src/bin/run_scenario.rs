@@ -36,7 +36,8 @@
 //!   deployment (the RTU fleet partitioned across N independent Prime
 //!   groups plus the cross-shard 2PC coordinator) for `--duration`
 //!   seconds on the chosen substrate; the report gains per-shard and
-//!   `xshard` sections;
+//!   `xshard` sections, and `--json`/`--trace`/`--watch`/`--prom` apply
+//!   as for any other run;
 //! * `--cross-shard-rate=R` — with `--shards`, make a fraction `R`
 //!   (0..1) of supervisory commands span two groups (default 0.1);
 //! * `--recovery-period=SECS` — overlay a rolling proactive-recovery
@@ -60,50 +61,9 @@ use spire::deployment::{
 };
 use spire::health::{prometheus_text, HealthConfig};
 use spire::report::{Provenance, Report};
-use spire::sharded::{ShardedConfig, ShardedDeployment};
+use spire::sharded::ShardedConfig;
 use spire_scada::WorkloadConfig;
 use spire_sim::{Span, Time};
-
-/// Runs an N-group sharded deployment and returns (report, threads used).
-fn run_sharded(
-    shards: u32,
-    cross_rate: f64,
-    seed: u64,
-    duration: Span,
-    substrate: Substrate,
-    quiet: bool,
-) -> (Report, usize) {
-    let mut cfg = ShardedConfig::wide_area(shards, seed);
-    cfg.base.workload = WorkloadConfig {
-        rtus: 6 * shards,
-        update_interval: Span::millis(500),
-        ..Default::default()
-    };
-    cfg.cross_rate = cross_rate;
-    if !quiet {
-        println!(
-            "running sharded deployment: {shards} group(s), {} RTUs, {:.0}% cross-shard, \
-             on {substrate}",
-            cfg.base.workload.rtus,
-            cross_rate * 100.0
-        );
-    }
-    let mut system = ShardedDeployment::build(cfg);
-    system.install_invariant_checker(Span::secs(1), Time::ZERO + duration);
-    match substrate {
-        Substrate::Sim => {
-            system.run_for(duration);
-            (system.report(), 0)
-        }
-        Substrate::Rt { threads } => {
-            if !quiet {
-                println!("(real-clock run: this takes {duration} of wall time)");
-            }
-            let outcome = system.into_rt(threads).run_for(duration);
-            (outcome.report, outcome.run.threads)
-        }
-    }
-}
 
 fn list_suite(suite: &[Scenario]) {
     println!("red-team scenario suite:");
@@ -268,31 +228,28 @@ fn main() {
     let seed = chaos_seed.unwrap_or(9000 + index.unwrap_or(0) as u64);
     // JSON-to-stdout runs must emit nothing but the report object.
     let quiet = matches!(json, Some(None));
-    if let Some(n) = shards {
+    if shards.is_some() {
         if index.is_some() || by_name.is_some() || chaos_seed.is_some() {
             eprintln!("--shards runs its own workload; drop the scenario/chaos selector");
-            std::process::exit(2);
-        }
-        if trace_path.is_some() || watch || prom_path.is_some() {
-            eprintln!("--trace/--watch/--prom are not available with --shards");
             std::process::exit(2);
         }
         if recovery_period.is_some() {
             eprintln!("--recovery-period is not available with --shards");
             std::process::exit(2);
         }
-        let (report, threads_used) = run_sharded(
-            n,
-            cross_rate,
-            seed,
-            Span::secs(duration_s),
-            substrate,
-            quiet,
-        );
-        finish(&report, substrate, threads_used, &json, seed);
     }
-    let scenario = match (chaos_seed, index) {
-        (Some(seed), _) => {
+    let scenario = match (shards, chaos_seed, index) {
+        // A sharded run is an attack-free scenario of `--duration`.
+        (Some(n), _, _) => Scenario {
+            name: format!(
+                "sharded deployment: {n} group(s), {} RTUs, {:.0}% cross-shard",
+                6 * n,
+                cross_rate * 100.0
+            ),
+            attacks: Vec::new(),
+            duration: Span::secs(duration_s),
+        },
+        (None, Some(seed), _) => {
             let cfg = DeploymentConfig::wide_area(seed);
             let plan = ChaosPlan::generate(seed, &cfg.spire, Span::secs(duration_s));
             if !quiet {
@@ -303,14 +260,14 @@ fn main() {
             }
             plan.scenario()
         }
-        (None, Some(i)) => {
+        (None, None, Some(i)) => {
             let Some(scenario) = suite.get(i) else {
                 eprintln!("no scenario {i} (suite has {})", suite.len());
                 std::process::exit(1);
             };
             scenario.clone()
         }
-        (None, None) => {
+        (None, None, None) => {
             list_suite(&suite);
             return;
         }
@@ -320,22 +277,37 @@ fn main() {
     }
     let mut cfg = DeploymentConfig::wide_area(seed);
     cfg.workload = WorkloadConfig {
-        rtus: 6,
+        rtus: 6 * shards.unwrap_or(1),
         update_interval: Span::millis(500),
         ..Default::default()
     };
     if trace_path.is_some() {
         cfg.trace = true;
     }
-    let duration = scenario.duration + Span::secs(5);
+    // A sharded run stops at `--duration`; suite and chaos scenarios get
+    // 5 s to drain after their last attack.
+    let duration = if shards.is_some() {
+        scenario.duration
+    } else {
+        scenario.duration + Span::secs(5)
+    };
     let mut threads_used = 0usize;
+    if matches!(substrate, Substrate::Rt { .. }) && trace_path.is_some() {
+        eprintln!("--trace is not available on the rt substrate");
+        std::process::exit(2);
+    }
+    let mut system = match shards {
+        Some(n) => Deployment::build_sharded(ShardedConfig {
+            base: cfg,
+            cross_rate,
+            ..ShardedConfig::wide_area(n, seed)
+        }),
+        None => Deployment::build(cfg),
+    };
     // Rolling recovery must be announced before `scenario.apply` installs
     // the invariant checker, so the catch-up deadline and the health
     // monitor both see the windows.
-    let schedule_recovery = |system: &mut Deployment, quiet: bool| {
-        let Some(secs) = recovery_period else {
-            return;
-        };
+    if let Some(secs) = recovery_period {
         let rcfg = RollingRecoveryConfig {
             period: Span::secs(secs),
             concurrent: recovery_concurrent,
@@ -351,7 +323,8 @@ fn main() {
                 recovery_concurrent
             );
         }
-    };
+    }
+    scenario.apply(&mut system);
     let report = match substrate {
         Substrate::Sim => {
             if watch && !quiet {
@@ -360,9 +333,6 @@ fn main() {
                      the health monitor still runs (see the health line / report)"
                 );
             }
-            let mut system = Deployment::build(cfg);
-            schedule_recovery(&mut system, quiet);
-            scenario.apply(&mut system);
             system.install_health_monitor(HealthConfig::default(), Time::ZERO + duration);
             system.run_for(duration);
             let report = system.report();
@@ -388,16 +358,9 @@ fn main() {
             report
         }
         Substrate::Rt { threads } => {
-            if trace_path.is_some() {
-                eprintln!("--trace is not available on the rt substrate");
-                std::process::exit(2);
-            }
             if !quiet {
                 println!("(real-clock run: this takes {duration} of wall time)");
             }
-            let mut system = Deployment::build(cfg);
-            schedule_recovery(&mut system, quiet);
-            scenario.apply(&mut system);
             let opts = HealthOptions {
                 config: HealthConfig::default(),
                 watch,

@@ -1124,7 +1124,7 @@ pub fn rt_throughput(point_secs: u64, json_out: Option<&str>) {
 /// multiply traffic without bound and goodput falls off a cliff instead
 /// of flattening.)
 pub fn shard_scaling(point_secs: u64, smoke: bool, json_out: Option<&str>) -> bool {
-    use spire::sharded::{ShardedConfig, ShardedDeployment};
+    use spire::sharded::ShardedConfig;
 
     // Fixed offered load for the scaling sweep; the replica CPU model is
     // tuned so one group saturates well below it but four groups, each
@@ -1172,7 +1172,7 @@ pub fn shard_scaling(point_secs: u64, smoke: bool, json_out: Option<&str>) -> bo
     };
     let mut rates: Vec<(u32, f64)> = Vec::new();
     for &shards in sweep {
-        let mut system = ShardedDeployment::build(scaling_cfg(shards, 900 + shards as u64));
+        let mut system = Deployment::build_sharded(scaling_cfg(shards, 900 + shards as u64));
         system.install_invariant_checker(Span::secs(1), secs(point_secs));
         system.run_for(Span::secs(point_secs));
         let report = system.report();
@@ -1268,7 +1268,7 @@ pub fn shard_scaling(point_secs: u64, smoke: bool, json_out: Option<&str>) -> bo
         ("chaos", 0, true, 0.1),
     ] {
         let mut system =
-            ShardedDeployment::build(xshard_cfg(1200 + poison_every, poison_every, cross_rate));
+            Deployment::build_sharded(xshard_cfg(1200 + poison_every, poison_every, cross_rate));
         if chaos {
             system.schedule_coordinator_chaos(
                 secs(xshard_secs / 4),
@@ -1280,7 +1280,7 @@ pub fn shard_scaling(point_secs: u64, smoke: bool, json_out: Option<&str>) -> bo
         system.install_invariant_checker(Span::secs(1), secs(xshard_secs));
         system.run_for(Span::secs(xshard_secs));
         let report = system.report();
-        let atomic = system.ledger.violation_count() == 0
+        let atomic = system.xshard().ledger.violation_count() == 0
             && report.chaos.invariant_violations == 0
             && report.safety_ok;
         println!(
@@ -1322,7 +1322,7 @@ pub fn shard_scaling(point_secs: u64, smoke: bool, json_out: Option<&str>) -> bo
             ..Default::default()
         };
         cfg.cross_rate = 0.1;
-        ShardedDeployment::build(cfg)
+        Deployment::build_sharded(cfg)
             .into_rt(0)
             .run_for(Span::secs(rt_secs))
     };
@@ -1573,7 +1573,7 @@ pub fn endurance(duration_s: u64, substrate: Substrate, json_out: Option<&str>) 
             // probe to stderr — enough to localize a liveness wedge to the
             // execution, commit, or pre-order layer without a debugger.
             if std::env::var_os("SPIRE_ENDURANCE_DEBUG").is_some() {
-                let insp = system.inspection.clone();
+                let insp = system.groups[0].inspection.clone();
                 for m in 1..=duration_s / 60 {
                     let insp = insp.clone();
                     system

@@ -22,6 +22,7 @@ use spire_prime::{
     ByzBehavior, ClientId, Inspection, PrimeConfig, ProtocolMode, Replica, ReplicaId, SpinesNet,
 };
 use spire_scada::{Hmi, Rtu, RtuProxy, ScadaDirectory, ScadaMaster, WorkloadConfig};
+use spire_shard::{ShardMap, XShardLedger, SHARD_KEY_STRIDE};
 use spire_sim::{ControlOp, LinkConfig, Metrics, ProcessId, Span, SpawnFn, Time, TraceKind, World};
 use spire_spines::{
     DaemonBehavior, DaemonConfig, Dissemination, OverlayAddr, OverlayId, OverlayNetwork,
@@ -165,6 +166,23 @@ impl DeploymentConfig {
             ..DeploymentConfig::wide_area(seed)
         }
     }
+
+    /// One-way latency (ms) of the overlay link `a`–`b` on either
+    /// overlay: ids below the site count are the site daemons, the rest
+    /// are substation hubs.
+    fn link_ms(&self, a: OverlayId, b: OverlayId) -> u64 {
+        let kind = |id: OverlayId| self.spire.sites.get(id.0 as usize).map(|s| s.kind);
+        match (kind(a), kind(b)) {
+            (Some(x), Some(y)) => self.wan.site_latency(x, y),
+            _ => self.wan.sub_cc_ms,
+        }
+    }
+
+    /// The underlay link an overlay edge is built with — and the one an
+    /// attack window restores when it closes.
+    fn link_config(&self, a: OverlayId, b: OverlayId) -> LinkConfig {
+        LinkConfig::wan(self.link_ms(a, b))
+    }
 }
 
 /// Builds the replicated application a group's replicas run. The default
@@ -301,50 +319,113 @@ pub struct GroupParts {
     pub external: OverlayNetwork,
     /// Replica construction context for recovery/compromise injection.
     pub builder: Arc<ReplicaBuilder>,
-    /// The group's online safety-invariant checker.
+    /// The group's online safety-invariant checker. Install the periodic
+    /// tick with [`Deployment::install_invariant_checker`]; on the rt
+    /// substrate it runs from the control thread automatically.
     pub checker: Arc<InvariantChecker>,
-    /// Replicas declared faulty (shared with the checker).
+    /// Replicas that have been (or are scheduled to be) compromised and
+    /// are therefore exempt from safety checks. Shared with the checker.
     pub declared_faulty: Arc<Mutex<BTreeSet<u32>>>,
     /// Site index whose external daemon hosts HMIs and extra clients.
     pub hmi_site: u16,
-    /// External-overlay addresses of the group's replicas.
-    pub replica_addr_external: Vec<OverlayAddr>,
+    /// Overlay addresses of the group's replicas (the same on both
+    /// overlays).
+    pub replica_addrs: Vec<OverlayAddr>,
     /// External-overlay address of every client id.
     pub client_addrs: BTreeMap<u32, OverlayAddr>,
     /// The group's Prime configuration (key bases already offset).
     pub prime: PrimeConfig,
 }
 
-/// A fully built Spire system.
+impl GroupParts {
+    /// Replica ids that are honest under the built configuration and the
+    /// faults scheduled so far (compromised replicas stay excluded even
+    /// after a later recovery — their published history is tainted).
+    pub fn correct_replicas(&self) -> Vec<u32> {
+        let faulty = self.declared_faulty.lock().expect("poisoned");
+        (0..self.prime.n).filter(|r| !faulty.contains(r)).collect()
+    }
+}
+
+/// What a sharded build adds to the groups: the RTU partition, the
+/// cross-shard coordinator and the atomicity ledger.
+pub struct XShard {
+    /// The RTU → shard partition.
+    pub map: ShardMap,
+    /// The cross-shard coordinator client process.
+    pub coordinator_pid: ProcessId,
+    /// Online cross-shard atomicity ledger (all commit XOR all abort).
+    pub ledger: Arc<XShardLedger>,
+}
+
+/// The safety verdict, defined once for both substrates: every group's
+/// correct replicas executed prefix-compatible histories, no online
+/// checker recorded a violation, and the cross-shard ledger (if any) is
+/// clean — including violations not yet drained into a checker.
+fn safety_ok(groups: &[GroupParts], xshard: Option<&XShard>) -> bool {
+    groups
+        .iter()
+        .all(|g| g.inspection.check_safety(&g.correct_replicas()).is_ok() && g.checker.ok())
+        && xshard.is_none_or(|x| x.ledger.ok())
+}
+
+/// The online checker pass both substrates run on their control tick.
+struct OnlineChecks {
+    /// Every group's checker, in group order.
+    checkers: Vec<Arc<InvariantChecker>>,
+    /// Announced recovery windows (group 0, like the schedulers that
+    /// announce them).
+    windows: Vec<(u32, Time, Time)>,
+    /// How to reproduce, appended to every violation line.
+    hint: String,
+}
+
+impl OnlineChecks {
+    /// Checks every group at substrate time `now`, prints each fresh
+    /// violation and returns their count. `accepts` is the cumulative
+    /// `scada.conflicting_accept` counter when the substrate can read it
+    /// (rt merges worker metrics only at shutdown); it is
+    /// deployment-global, so it is attributed to group 0's checker, once.
+    fn pass(&self, now: Time, accepts: Option<u64>) -> usize {
+        let mut total = 0;
+        for (g, checker) in self.checkers.iter().enumerate() {
+            let mut fresh = checker.check();
+            if g == 0 {
+                if let Some(accepts) = accepts {
+                    fresh += checker.note_conflicting_accepts(accepts);
+                }
+                fresh += checker.note_recovery_windows(now, &self.windows);
+            }
+            for v in checker.recent_violations(fresh) {
+                eprintln!(
+                    "INVARIANT VIOLATION [group {g}] [{}] at {now:?}: {} ({})",
+                    v.kind, v.detail, self.hint
+                );
+            }
+            total += fresh;
+        }
+        total
+    }
+}
+
+/// A fully built Spire system: one or more replication groups in one
+/// simulation world, plus — when built sharded — the cross-shard
+/// coordinator.
 pub struct Deployment {
     /// The simulation world (run it, inject into it).
     pub world: World,
-    /// Shared replica inspection registry (safety checks).
-    pub inspection: Inspection,
-    /// Per-replica process ids.
-    pub replica_pids: Vec<ProcessId>,
-    /// Per-RTU proxy process ids.
-    pub proxy_pids: Vec<ProcessId>,
-    /// Per-RTU device process ids.
-    pub device_pids: Vec<ProcessId>,
-    /// HMI process ids.
-    pub hmi_pids: Vec<ProcessId>,
-    /// The internal overlay.
-    pub internal: OverlayNetwork,
-    /// The external overlay.
-    pub external: OverlayNetwork,
-    /// Replica construction context for recovery / compromise injection.
-    pub builder: Arc<ReplicaBuilder>,
-    /// The configuration the deployment was built from.
+    /// The configuration every group was built from. In a sharded build
+    /// `workload.rtus` is the whole fleet and `byz` applies to group 0.
     pub cfg: DeploymentConfig,
-    /// Online safety-invariant checker over the inspection registry.
-    /// Install its periodic tick with
-    /// [`Deployment::install_invariant_checker`]; on the rt substrate it
-    /// runs from the control thread automatically.
-    pub checker: Arc<InvariantChecker>,
-    /// Replicas that have been (or are scheduled to be) compromised and
-    /// are therefore exempt from safety checks. Shared with the checker.
-    declared_faulty: Arc<Mutex<BTreeSet<u32>>>,
+    /// Per-group build products (overlays, pids, inspection, checker,
+    /// replica builder); exactly one for [`Deployment::build`].
+    pub groups: Vec<GroupParts>,
+    /// Every group's RTU device process ids, concatenated.
+    pub device_pids: Vec<ProcessId>,
+    /// Every group's HMI process ids, concatenated.
+    pub hmi_pids: Vec<ProcessId>,
+    /// Present when built by [`Deployment::build_sharded`].
+    pub(crate) xshard: Option<XShard>,
     /// Substrate-agnostic mirror of every scheduled fault: each control
     /// action is applied to the sim world *and* recorded here, so
     /// [`Deployment::into_rt`] can replay the identical plan under
@@ -401,388 +482,371 @@ pub fn build_group(
     material: &KeyMaterial,
     keystore: &Arc<KeyStore>,
 ) -> GroupParts {
-    {
-        let inspection = Inspection::new();
-        let sites = &cfg.spire.sites;
-        let n_sites = sites.len() as u16;
-        let n_replicas = cfg.spire.total_replicas();
-        let n_rtus = spec.rtus.len() as u32;
-        let n_hmis = spec.hmis;
+    let inspection = Inspection::new();
+    let sites = &cfg.spire.sites;
+    let n_sites = sites.len() as u16;
+    let n_replicas = cfg.spire.total_replicas();
+    let n_rtus = spec.rtus.len() as u32;
+    let n_hmis = spec.hmis;
 
-        // Overlay hop-level link batching rides the same A/B switch as the
-        // Prime pipelining knobs: off means every overlay message is framed,
-        // HMAC'd and acked individually (pre-batching wire behaviour).
-        let mut daemon_cfg = DaemonConfig::default();
-        if !cfg.pipelining {
-            daemon_cfg.batch_window = Span::ZERO;
-        }
+    // Overlay hop-level link batching rides the same A/B switch as the
+    // Prime pipelining knobs: off means every overlay message is framed,
+    // HMAC'd and acked individually (pre-batching wire behaviour).
+    let mut daemon_cfg = DaemonConfig::default();
+    if !cfg.pipelining {
+        daemon_cfg.batch_window = Span::ZERO;
+    }
 
-        // ---------- internal overlay: one daemon per site, full mesh ----------
-        let mut internal_topology = Topology::new();
-        for i in 0..n_sites {
-            internal_topology.add_node(OverlayId(i));
+    // ---------- internal overlay: one daemon per site, full mesh ----------
+    let mut internal_topology = Topology::new();
+    for i in 0..n_sites {
+        internal_topology.add_node(OverlayId(i));
+    }
+    for i in 0..n_sites {
+        for j in (i + 1)..n_sites {
+            let w = cfg.link_ms(OverlayId(i), OverlayId(j)) as u32;
+            internal_topology.add_edge(OverlayId(i), OverlayId(j), w.max(1));
         }
-        for i in 0..n_sites {
-            for j in (i + 1)..n_sites {
-                let w = cfg
-                    .wan
-                    .site_latency(sites[i as usize].kind, sites[j as usize].kind)
-                    as u32;
-                internal_topology.add_edge(OverlayId(i), OverlayId(j), w.max(1));
-            }
+    }
+    let internal = OverlayNetwork::build(
+        world,
+        &internal_topology,
+        daemon_cfg,
+        material,
+        keystore,
+        spec.key_offset + key_base::INTERNAL_DAEMON,
+        |a, b| cfg.link_config(a, b),
+        |_| DaemonBehavior::Honest,
+    );
+
+    // ---------- external overlay: site daemons + substation hubs ----------
+    // External overlay ids: 0..n_sites mirror the sites, then one hub
+    // per RTU substation.
+    let mut external_topology = Topology::new();
+    for i in 0..n_sites {
+        external_topology.add_node(OverlayId(i));
+    }
+    let cc_indices: Vec<u16> = sites
+        .iter()
+        .enumerate()
+        .filter(|(_, s)| s.kind == SiteKind::ControlCenter)
+        .map(|(i, _)| i as u16)
+        .collect();
+    for i in 0..n_sites {
+        for j in (i + 1)..n_sites {
+            let w = cfg.link_ms(OverlayId(i), OverlayId(j)) as u32;
+            external_topology.add_edge(OverlayId(i), OverlayId(j), w.max(1));
         }
-        let wan_for = {
-            let sites = sites.clone();
-            let wan = cfg.wan;
-            move |a: OverlayId, b: OverlayId| {
-                LinkConfig::wan(
-                    wan.site_latency(sites[a.0 as usize].kind, sites[b.0 as usize].kind),
-                )
-            }
-        };
-        let internal = OverlayNetwork::build(
-            world,
-            &internal_topology,
-            daemon_cfg,
-            material,
-            keystore,
-            spec.key_offset + key_base::INTERNAL_DAEMON,
-            &wan_for,
-            |_| DaemonBehavior::Honest,
+    }
+    for r in 0..n_rtus {
+        let hub = OverlayId(n_sites + r as u16);
+        external_topology.add_node(hub);
+        // Substations are dual-homed to (up to) two control centers —
+        // the paper's key network-design decision (ablatable).
+        let homes = if cfg.dual_homed_substations { 2 } else { 1 };
+        for cc in cc_indices.iter().take(homes) {
+            let cc = OverlayId(*cc);
+            external_topology.add_edge(hub, cc, cfg.link_ms(hub, cc) as u32);
+        }
+    }
+    let external = OverlayNetwork::build(
+        world,
+        &external_topology,
+        daemon_cfg,
+        material,
+        keystore,
+        spec.key_offset + key_base::EXTERNAL_DAEMON,
+        |a, b| cfg.link_config(a, b),
+        |_| DaemonBehavior::Honest,
+    );
+
+    if cfg.trace {
+        // Overlay daemons are marked so the simulator can attribute
+        // per-hop forwarding latency to the Spines path.
+        for node in internal_topology.nodes() {
+            let pid = internal.daemon_pid(node);
+            world.tracer_mut().mark_overlay(pid.0);
+        }
+        for node in external_topology.nodes() {
+            let pid = external.daemon_pid(node);
+            world.tracer_mut().mark_overlay(pid.0);
+        }
+    }
+
+    // ---------- directory & addressing ----------
+    let mut directory = ScadaDirectory::default();
+    for &r in &spec.rtus {
+        directory.rtu_proxy.insert(r, r); // proxy client id = rtu id
+    }
+    for h in 0..n_hmis {
+        directory.hmis.push(1000 + h);
+    }
+    // A replica attaches to its site's daemon on both overlays under the
+    // same overlay address.
+    let replica_addrs: Vec<OverlayAddr> = (0..n_replicas)
+        .map(|r| OverlayAddr {
+            node: OverlayId(cfg.spire.site_of_replica(r) as u16),
+            port: REPLICA_PORT_BASE + r as u16,
+        })
+        .collect();
+    let mut client_addrs: BTreeMap<u32, OverlayAddr> = BTreeMap::new();
+    for (i, &r) in spec.rtus.iter().enumerate() {
+        client_addrs.insert(
+            r,
+            OverlayAddr {
+                node: OverlayId(n_sites + i as u16),
+                port: PROXY_PORT,
+            },
         );
-
-        // ---------- external overlay: site daemons + substation hubs ----------
-        // External overlay ids: 0..n_sites mirror the sites, then one hub
-        // per RTU substation.
-        let mut external_topology = Topology::new();
-        for i in 0..n_sites {
-            external_topology.add_node(OverlayId(i));
-        }
-        let cc_indices: Vec<u16> = sites
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.kind == SiteKind::ControlCenter)
-            .map(|(i, _)| i as u16)
-            .collect();
-        for i in 0..n_sites {
-            for j in (i + 1)..n_sites {
-                let w = cfg
-                    .wan
-                    .site_latency(sites[i as usize].kind, sites[j as usize].kind)
-                    as u32;
-                external_topology.add_edge(OverlayId(i), OverlayId(j), w.max(1));
-            }
-        }
-        for r in 0..n_rtus {
-            let hub = OverlayId(n_sites + r as u16);
-            external_topology.add_node(hub);
-            // Substations are dual-homed to (up to) two control centers —
-            // the paper's key network-design decision (ablatable).
-            let homes = if cfg.dual_homed_substations { 2 } else { 1 };
-            for cc in cc_indices.iter().take(homes) {
-                external_topology.add_edge(hub, OverlayId(*cc), cfg.wan.sub_cc_ms as u32);
-            }
-        }
-        let external_wan = {
-            let sites = sites.clone();
-            let wan = cfg.wan;
-            move |a: OverlayId, b: OverlayId| {
-                let lat = |id: OverlayId| -> Option<SiteKind> {
-                    if id.0 < n_sites {
-                        Some(sites[id.0 as usize].kind)
-                    } else {
-                        None
-                    }
-                };
-                let ms = match (lat(a), lat(b)) {
-                    (Some(x), Some(y)) => wan.site_latency(x, y),
-                    _ => wan.sub_cc_ms,
-                };
-                LinkConfig::wan(ms)
-            }
-        };
-        let external = OverlayNetwork::build(
-            world,
-            &external_topology,
-            daemon_cfg,
-            material,
-            keystore,
-            spec.key_offset + key_base::EXTERNAL_DAEMON,
-            &external_wan,
-            |_| DaemonBehavior::Honest,
+    }
+    // HMIs attach to the second control center's external daemon (the
+    // first CC is the canonical DoS target in the attack experiments).
+    let hmi_site = *cc_indices.get(1).or_else(|| cc_indices.first()).unwrap();
+    for h in 0..n_hmis {
+        client_addrs.insert(
+            1000 + h,
+            OverlayAddr {
+                node: OverlayId(hmi_site),
+                port: HMI_PORT_BASE + h as u16,
+            },
         );
+    }
+    // Extra clients (the cross-shard coordinator) attach at the HMI
+    // site; registered before replica nets are cloned so replies
+    // route back to them.
+    for &(id, port) in &spec.extra_clients {
+        client_addrs.insert(
+            id,
+            OverlayAddr {
+                node: OverlayId(hmi_site),
+                port,
+            },
+        );
+    }
 
-        if cfg.trace {
-            // Overlay daemons are marked so the simulator can attribute
-            // per-hop forwarding latency to the Spines path.
-            for node in internal_topology.nodes() {
-                let pid = internal.daemon_pid(node);
-                world.tracer_mut().mark_overlay(pid.0);
-            }
-            for node in external_topology.nodes() {
-                let pid = external.daemon_pid(node);
-                world.tracer_mut().mark_overlay(pid.0);
-            }
-        }
+    let mut prime = PrimeConfig::new(cfg.spire.f, cfg.spire.k);
+    prime.n = n_replicas;
+    prime.mode = cfg.mode;
+    // SCADA loads are modest; frequent checkpoints keep proactive
+    // recovery fast (state transfer instead of long replays).
+    prime.checkpoint_interval = 25;
+    // SCADA's 100 ms regime warrants fast crash detection.
+    prime.progress_timeout = Span::secs(2);
+    prime.replica_key_base = spec.key_offset + key_base::REPLICA;
+    prime.client_key_base = spec.key_offset + key_base::CLIENT;
+    prime.batch_sign = cfg.batch_signing;
+    prime.batch_interval = cfg.batch_interval;
+    if !cfg.pipelining {
+        prime.proposal_window = 1;
+        prime.eager_propose = false;
+        prime.link_batch = false;
+    }
 
-        // ---------- directory & addressing ----------
-        let mut directory = ScadaDirectory::default();
-        for &r in &spec.rtus {
-            directory.rtu_proxy.insert(r, r); // proxy client id = rtu id
-        }
-        for h in 0..n_hmis {
-            directory.hmis.push(1000 + h);
-        }
-        let replica_addr_internal: Vec<OverlayAddr> = (0..n_replicas)
-            .map(|r| OverlayAddr {
-                node: OverlayId(cfg.spire.site_of_replica(r) as u16),
-                port: REPLICA_PORT_BASE + r as u16,
-            })
-            .collect();
-        let replica_addr_external: Vec<OverlayAddr> = (0..n_replicas)
-            .map(|r| OverlayAddr {
-                node: OverlayId(cfg.spire.site_of_replica(r) as u16),
-                port: REPLICA_PORT_BASE + r as u16,
-            })
-            .collect();
-        let mut client_addrs: BTreeMap<u32, OverlayAddr> = BTreeMap::new();
-        for (i, &r) in spec.rtus.iter().enumerate() {
-            client_addrs.insert(
-                r,
-                OverlayAddr {
-                    node: OverlayId(n_sites + i as u16),
-                    port: PROXY_PORT,
-                },
-            );
-        }
-        // HMIs attach to the second control center's external daemon (the
-        // first CC is the canonical DoS target in the attack experiments).
-        let hmi_site = *cc_indices.get(1).or_else(|| cc_indices.first()).unwrap();
-        for h in 0..n_hmis {
-            client_addrs.insert(
-                1000 + h,
-                OverlayAddr {
-                    node: OverlayId(hmi_site),
-                    port: HMI_PORT_BASE + h as u16,
-                },
-            );
-        }
-        // Extra clients (the cross-shard coordinator) attach at the HMI
-        // site; registered before replica nets are cloned so replies
-        // route back to them.
-        for &(id, port) in &spec.extra_clients {
-            client_addrs.insert(
-                id,
-                OverlayAddr {
-                    node: OverlayId(hmi_site),
-                    port,
-                },
-            );
-        }
-
-        let mut prime = PrimeConfig::new(cfg.spire.f, cfg.spire.k);
-        prime.n = n_replicas;
-        prime.mode = cfg.mode;
-        // SCADA loads are modest; frequent checkpoints keep proactive
-        // recovery fast (state transfer instead of long replays).
-        prime.checkpoint_interval = 25;
-        // SCADA's 100 ms regime warrants fast crash detection.
-        prime.progress_timeout = Span::secs(2);
-        prime.replica_key_base = spec.key_offset + key_base::REPLICA;
-        prime.client_key_base = spec.key_offset + key_base::CLIENT;
-        prime.batch_sign = cfg.batch_signing;
-        prime.batch_interval = cfg.batch_interval;
-        if !cfg.pipelining {
-            prime.proposal_window = 1;
-            prime.eager_propose = false;
-            prime.link_batch = false;
-        }
-
-        // ---------- replicas ----------
-        let nets: Vec<SpinesNet> = (0..n_replicas)
-            .map(|r| {
-                let site = cfg.spire.site_of_replica(r) as u16;
-                SpinesNet {
-                    internal: SpinesPort::new(
-                        internal.daemon_pid(OverlayId(site)),
-                        replica_addr_internal[r as usize],
-                    ),
-                    replica_addrs: replica_addr_internal.clone(),
-                    external: Some(SpinesPort::new(
-                        external.daemon_pid(OverlayId(site)),
-                        replica_addr_external[r as usize],
-                    )),
-                    client_addrs: client_addrs.clone(),
-                    replica_mode: Dissemination::Flood,
-                    client_mode: Dissemination::Flood,
-                    reliable: true,
-                }
-            })
-            .collect();
-        let app_factory: AppFactory = spec.app_factory.clone().unwrap_or_else(|| {
-            Arc::new(|dir: &ScadaDirectory| {
-                Box::new(ScadaMaster::new(dir.clone())) as Box<dyn spire_prime::Application>
-            })
-        });
-        let builder = Arc::new(ReplicaBuilder {
-            prime: prime.clone(),
-            keystore: Arc::clone(keystore),
-            material: material.clone(),
-            directory: directory.clone(),
-            inspection: inspection.clone(),
-            nets: nets.clone(),
-            mock_sigs: cfg.mock_sigs,
-            session_macs: cfg.session_macs,
-            app_factory,
-        });
-        let label = &spec.label;
-        let mut replica_pids = Vec::new();
-        for r in 0..n_replicas {
-            let behavior = spec.byz.get(&r).copied().unwrap_or(ByzBehavior::Honest);
-            let replica = builder.build(r, behavior, false);
-            let pid = world.add_process(&format!("{label}replica-{r}"), Box::new(replica));
-            if let Some(us) = cfg.replica_service_us {
-                world.set_service_time(pid, Span::micros(us));
-            }
+    // ---------- replicas ----------
+    let nets: Vec<SpinesNet> = (0..n_replicas)
+        .map(|r| {
             let site = cfg.spire.site_of_replica(r) as u16;
-            internal.wire_client(world, OverlayId(site), pid);
-            external.wire_client(world, OverlayId(site), pid);
-            replica_pids.push(pid);
-        }
-
-        // ---------- substations: devices + proxies ----------
-        let mut device_pids = Vec::new();
-        let mut proxy_pids = Vec::new();
-        for (i, &r) in spec.rtus.iter().enumerate() {
-            let hub = OverlayId(n_sites + i as u16);
-            // Device and proxy are co-located at the substation.
-            let first = world.process_count() as u32;
-            let proxy_pid = ProcessId(first + 1);
-            let device = Rtu::new(
-                r,
-                proxy_pid,
-                cfg.workload.update_interval,
-                cfg.workload.process,
-            );
-            let device_pid = world.add_process(&format!("{label}rtu-{r}"), Box::new(device));
-            let signer = Signer::new(
-                material.signing_key(NodeId(prime.client_key_base + r)),
-                cfg.mock_sigs,
-            );
-            let mut proxy = RtuProxy::new(
-                prime.clone(),
-                r,
-                ClientId(r),
-                signer,
-                ClientRouting::Spines {
-                    port: SpinesPort::new(external.daemon_pid(hub), client_addrs[&r]),
-                    addrs: replica_addr_external.clone(),
-                    mode: Dissemination::Flood,
-                },
-                device_pid,
-            );
-            if let Some(scope) = &spec.metric_scope {
-                proxy = proxy.with_metric_scope(scope);
+            SpinesNet {
+                internal: SpinesPort::new(
+                    internal.daemon_pid(OverlayId(site)),
+                    replica_addrs[r as usize],
+                ),
+                replica_addrs: replica_addrs.clone(),
+                external: Some(SpinesPort::new(
+                    external.daemon_pid(OverlayId(site)),
+                    replica_addrs[r as usize],
+                )),
+                client_addrs: client_addrs.clone(),
+                replica_mode: Dissemination::Flood,
+                client_mode: Dissemination::Flood,
+                reliable: true,
             }
-            let got_proxy = world.add_process(&format!("{label}proxy-{r}"), Box::new(proxy));
-            assert_eq!(got_proxy, proxy_pid);
-            world.add_link(device_pid, proxy_pid, LinkConfig::local());
-            external.wire_client(world, hub, proxy_pid);
-            device_pids.push(device_pid);
-            proxy_pids.push(proxy_pid);
+        })
+        .collect();
+    let app_factory: AppFactory = spec.app_factory.clone().unwrap_or_else(|| {
+        Arc::new(|dir: &ScadaDirectory| {
+            Box::new(ScadaMaster::new(dir.clone())) as Box<dyn spire_prime::Application>
+        })
+    });
+    let builder = Arc::new(ReplicaBuilder {
+        prime: prime.clone(),
+        keystore: Arc::clone(keystore),
+        material: material.clone(),
+        directory: directory.clone(),
+        inspection: inspection.clone(),
+        nets: nets.clone(),
+        mock_sigs: cfg.mock_sigs,
+        session_macs: cfg.session_macs,
+        app_factory,
+    });
+    let label = &spec.label;
+    let mut replica_pids = Vec::new();
+    for r in 0..n_replicas {
+        let behavior = spec.byz.get(&r).copied().unwrap_or(ByzBehavior::Honest);
+        let replica = builder.build(r, behavior, false);
+        let pid = world.add_process(&format!("{label}replica-{r}"), Box::new(replica));
+        if let Some(us) = cfg.replica_service_us {
+            world.set_service_time(pid, Span::micros(us));
         }
+        let site = cfg.spire.site_of_replica(r) as u16;
+        internal.wire_client(world, OverlayId(site), pid);
+        external.wire_client(world, OverlayId(site), pid);
+        replica_pids.push(pid);
+    }
 
-        // ---------- HMIs ----------
-        let mut hmi_pids = Vec::new();
-        for h in 0..n_hmis {
-            let client = 1000 + h;
-            let signer = Signer::new(
-                material.signing_key(NodeId(prime.client_key_base + client)),
-                cfg.mock_sigs,
-            );
-            let hmi = Hmi::new(
-                prime.clone(),
-                ClientId(client),
-                signer,
-                ClientRouting::Spines {
-                    port: SpinesPort::new(
-                        external.daemon_pid(OverlayId(hmi_site)),
-                        client_addrs[&client],
-                    ),
-                    addrs: replica_addr_external.clone(),
-                    mode: Dissemination::Flood,
-                },
-                spec.rtus.clone(),
-                cfg.workload.command_interval,
-                0,
-            )
-            .with_polling(cfg.workload.poll_interval);
-            let pid = world.add_process(&format!("{label}hmi-{h}"), Box::new(hmi));
-            external.wire_client(world, OverlayId(hmi_site), pid);
-            hmi_pids.push(pid);
+    // ---------- substations: devices + proxies ----------
+    let mut device_pids = Vec::new();
+    let mut proxy_pids = Vec::new();
+    for (i, &r) in spec.rtus.iter().enumerate() {
+        let hub = OverlayId(n_sites + i as u16);
+        // Device and proxy are co-located at the substation.
+        let first = world.process_count() as u32;
+        let proxy_pid = ProcessId(first + 1);
+        let device = Rtu::new(
+            r,
+            proxy_pid,
+            cfg.workload.update_interval,
+            cfg.workload.process,
+        );
+        let device_pid = world.add_process(&format!("{label}rtu-{r}"), Box::new(device));
+        let signer = Signer::new(
+            material.signing_key(NodeId(prime.client_key_base + r)),
+            cfg.mock_sigs,
+        );
+        let mut proxy = RtuProxy::new(
+            prime.clone(),
+            r,
+            ClientId(r),
+            signer,
+            ClientRouting::Spines {
+                port: SpinesPort::new(external.daemon_pid(hub), client_addrs[&r]),
+                addrs: replica_addrs.clone(),
+                mode: Dissemination::Flood,
+            },
+            device_pid,
+        );
+        if let Some(scope) = &spec.metric_scope {
+            proxy = proxy.with_metric_scope(scope);
         }
+        let got_proxy = world.add_process(&format!("{label}proxy-{r}"), Box::new(proxy));
+        assert_eq!(got_proxy, proxy_pid);
+        world.add_link(device_pid, proxy_pid, LinkConfig::local());
+        external.wire_client(world, hub, proxy_pid);
+        device_pids.push(device_pid);
+        proxy_pids.push(proxy_pid);
+    }
 
-        let declared_faulty: Arc<Mutex<BTreeSet<u32>>> = Arc::new(Mutex::new(
-            spec.byz
-                .iter()
-                .filter(|(_, b)| b.is_byzantine())
-                .map(|(id, _)| *id)
-                .collect(),
-        ));
-        let checker = Arc::new(InvariantChecker::new(
-            inspection.clone(),
-            Arc::clone(&declared_faulty),
-            n_replicas,
-        ));
-        GroupParts {
-            inspection,
-            replica_pids,
-            proxy_pids,
-            device_pids,
-            hmi_pids,
-            internal,
-            external,
-            builder,
-            checker,
-            declared_faulty,
-            hmi_site,
-            replica_addr_external,
-            client_addrs,
-            prime,
-        }
+    // ---------- HMIs ----------
+    let mut hmi_pids = Vec::new();
+    for h in 0..n_hmis {
+        let client = 1000 + h;
+        let signer = Signer::new(
+            material.signing_key(NodeId(prime.client_key_base + client)),
+            cfg.mock_sigs,
+        );
+        let hmi = Hmi::new(
+            prime.clone(),
+            ClientId(client),
+            signer,
+            ClientRouting::Spines {
+                port: SpinesPort::new(
+                    external.daemon_pid(OverlayId(hmi_site)),
+                    client_addrs[&client],
+                ),
+                addrs: replica_addrs.clone(),
+                mode: Dissemination::Flood,
+            },
+            spec.rtus.clone(),
+            cfg.workload.command_interval,
+            0,
+        )
+        .with_polling(cfg.workload.poll_interval);
+        let pid = world.add_process(&format!("{label}hmi-{h}"), Box::new(hmi));
+        external.wire_client(world, OverlayId(hmi_site), pid);
+        hmi_pids.push(pid);
+    }
+
+    let declared_faulty: Arc<Mutex<BTreeSet<u32>>> = Arc::new(Mutex::new(
+        spec.byz
+            .iter()
+            .filter(|(_, b)| b.is_byzantine())
+            .map(|(id, _)| *id)
+            .collect(),
+    ));
+    let checker = Arc::new(InvariantChecker::new(
+        inspection.clone(),
+        Arc::clone(&declared_faulty),
+        n_replicas,
+    ));
+    GroupParts {
+        inspection,
+        replica_pids,
+        proxy_pids,
+        device_pids,
+        hmi_pids,
+        internal,
+        external,
+        builder,
+        checker,
+        declared_faulty,
+        hmi_site,
+        replica_addrs,
+        client_addrs,
+        prime,
     }
 }
 
 impl Deployment {
-    /// Builds the full system.
+    /// Builds the full single-group system.
     ///
     /// # Panics
     ///
     /// Panics if the configuration fails [`SpireConfig::validate`] (non
     /// site-tolerant layouts are allowed; they are part of the evaluation).
     pub fn build(cfg: DeploymentConfig) -> Deployment {
+        let (mut world, material, keystore) = Deployment::foundation(&cfg, 1);
+        let spec = GroupSpec::single(&cfg);
+        let group = build_group(&mut world, &cfg, &spec, &material, &keystore);
+        Deployment::assemble(world, cfg, vec![group], None)
+    }
+
+    /// The empty world, key material and key store a deployment of
+    /// `groups` groups builds into. One key space for the whole
+    /// deployment: group `g` occupies ids `g * SHARD_KEY_STRIDE ..` (a
+    /// single group is the stride × 1 case).
+    pub(crate) fn foundation(
+        cfg: &DeploymentConfig,
+        groups: u32,
+    ) -> (World, KeyMaterial, Arc<KeyStore>) {
         cfg.spire.validate(false).expect("invalid spire config");
         let mut world = World::new(cfg.seed);
         let material = KeyMaterial::new([0x55u8; 32]);
-        let keystore = Arc::new(KeyStore::for_nodes(&material, 4096));
+        let keystore = Arc::new(KeyStore::for_nodes(&material, SHARD_KEY_STRIDE * groups));
         if cfg.trace {
             world.enable_tracing(65_536);
         }
-        let spec = GroupSpec::single(&cfg);
-        let parts = build_group(&mut world, &cfg, &spec, &material, &keystore);
+        (world, material, keystore)
+    }
+
+    /// Wraps built groups (and the cross-shard parts, if any) into the
+    /// deployment handle.
+    pub(crate) fn assemble(
+        world: World,
+        cfg: DeploymentConfig,
+        groups: Vec<GroupParts>,
+        xshard: Option<XShard>,
+    ) -> Deployment {
         Deployment {
             world,
-            inspection: parts.inspection,
-            replica_pids: parts.replica_pids,
-            proxy_pids: parts.proxy_pids,
-            device_pids: parts.device_pids,
-            hmi_pids: parts.hmi_pids,
-            internal: parts.internal,
-            external: parts.external,
-            builder: parts.builder,
             cfg,
-            checker: parts.checker,
-            declared_faulty: parts.declared_faulty,
+            device_pids: groups
+                .iter()
+                .flat_map(|g| &g.device_pids)
+                .copied()
+                .collect(),
+            hmi_pids: groups.iter().flat_map(|g| &g.hmi_pids).copied().collect(),
+            groups,
+            xshard,
             control_plan: Vec::new(),
             recovery_counter: 0,
             recovery_windows: Vec::new(),
@@ -794,9 +858,19 @@ impl Deployment {
         self.world.run_for(span);
     }
 
-    /// Builds the evaluation report from collected metrics.
+    /// Builds the evaluation report from collected metrics (per-shard and
+    /// cross-shard sections come from the `shard{g}.*` / `xshard.*`
+    /// series a sharded build emits) and the safety verdict — the same
+    /// predicate an rt run reports.
     pub fn report(&self) -> Report {
-        Report::from_deployment(self)
+        let safety_ok = safety_ok(&self.groups, self.xshard.as_ref());
+        if !safety_ok && self.world.tracer().enabled() {
+            eprintln!(
+                "safety check FAILED — flight recorder tail:\n{}",
+                self.world.trace_dump_tail(200)
+            );
+        }
+        Report::from_metrics(self.world.metrics(), safety_ok)
     }
 
     /// Writes the run's trace as a Chrome `trace_event` JSON array
@@ -809,16 +883,6 @@ impl Deployment {
     /// line), suitable for `jq`-style post-processing.
     pub fn export_events_jsonl(&self, path: &str) -> std::io::Result<()> {
         std::fs::write(path, self.world.events_jsonl())
-    }
-
-    /// Replica ids that are honest under the built configuration and the
-    /// faults scheduled so far (compromised replicas stay excluded even
-    /// after a later recovery — their published history is tainted).
-    pub fn correct_replicas(&self) -> Vec<u32> {
-        let faulty = self.declared_faulty.lock().expect("poisoned");
-        (0..self.cfg.spire.total_replicas())
-            .filter(|r| !faulty.contains(r))
-            .collect()
     }
 
     /// Schedules a batch of substrate-agnostic control ops at `at`: they
@@ -838,9 +902,11 @@ impl Deployment {
     /// Schedules a proactive recovery of replica `id` at time `at`: the
     /// replica process is restarted with a clean state machine in
     /// recovering mode (it rejoins via proof-carrying state transfer).
+    /// Like every replica-indexed scheduler, `id` addresses group 0 — the
+    /// group [`DeploymentConfig::byz`] applies to in a sharded build.
     pub fn schedule_recovery(&mut self, id: u32, at: Time) {
-        let builder = Arc::clone(&self.builder);
-        let pid = self.replica_pids[id as usize];
+        let builder = Arc::clone(&self.groups[0].builder);
+        let pid = self.groups[0].replica_pids[id as usize];
         let spawn: SpawnFn =
             Arc::new(move || Box::new(builder.build(id, ByzBehavior::Honest, true)));
         self.schedule_ops(
@@ -853,14 +919,14 @@ impl Deployment {
     }
 
     /// Schedules a crash of replica `id` at time `at` (process down until
-    /// a later recovery restarts it).
+    /// a later recovery restarts it). `id` addresses group 0.
     pub fn schedule_kill(&mut self, id: u32, at: Time) {
-        let pid = self.replica_pids[id as usize];
+        let pid = self.groups[0].replica_pids[id as usize];
         self.schedule_ops(at, vec![ControlOp::Crash(pid)]);
     }
 
-    /// Schedules round-robin proactive recoveries: one replica every
-    /// `period`, starting at `start`, until `horizon`.
+    /// Schedules round-robin proactive recoveries of group 0: one replica
+    /// every `period`, starting at `start`, until `horizon`.
     pub fn schedule_proactive_recovery(&mut self, start: Time, period: Span, horizon: Time) {
         self.schedule_rolling_recovery(
             start,
@@ -874,10 +940,11 @@ impl Deployment {
         );
     }
 
-    /// Schedules the rolling proactive-recovery rotation of the paper:
-    /// every `rcfg.period` a round restarts the next `rcfg.concurrent`
-    /// replicas (round-robin, clamped to the layout's `k`), each offset
-    /// by `rcfg.stagger` within the round, until `horizon`. Every restart
+    /// Schedules the rolling proactive-recovery rotation of the paper
+    /// (over group 0's replicas): every `rcfg.period` a round restarts
+    /// the next `rcfg.concurrent` replicas (round-robin, clamped to the
+    /// layout's `k`), each offset by `rcfg.stagger` within the round,
+    /// until `horizon`. Every restart
     /// is *announced* as a `(replica, start, start + window)` recovery
     /// window — returned here and remembered by the deployment, so the
     /// health monitor installed later grades those spans `degraded` and
@@ -920,11 +987,12 @@ impl Deployment {
 
     /// Schedules a compromise: at `at`, replica `id` begins misbehaving.
     /// The replica is declared faulty immediately, so safety checks never
-    /// hold it to honest-replica invariants.
+    /// hold it to honest-replica invariants. `id` addresses group 0.
     pub fn schedule_compromise(&mut self, id: u32, behavior: ByzBehavior, at: Time) {
-        self.declared_faulty.lock().expect("poisoned").insert(id);
-        let builder = Arc::clone(&self.builder);
-        let pid = self.replica_pids[id as usize];
+        let group = &self.groups[0];
+        group.declared_faulty.lock().expect("poisoned").insert(id);
+        let builder = Arc::clone(&group.builder);
+        let pid = group.replica_pids[id as usize];
         // The attacker takes over the running process; it keeps state via
         // state transfer (recovering) but follows the attacker's logic
         // afterwards.
@@ -938,18 +1006,23 @@ impl Deployment {
         );
     }
 
-    /// All inter-site links of a site's daemons (internal and external).
-    fn site_wan_peers(&self, site: usize) -> Vec<(ProcessId, ProcessId)> {
+    /// All inter-site links of a site's daemons (internal and external,
+    /// in every group — a site is one physical location), each with the
+    /// [`LinkConfig`] it was built with.
+    fn site_wan_peers(&self, site: usize) -> Vec<(ProcessId, ProcessId, LinkConfig)> {
         let mut pairs = Vec::new();
         let me = OverlayId(site as u16);
-        for (a, b, _) in self.internal.topology.edges() {
-            if a == me || b == me {
-                pairs.push((self.internal.daemon_pid(a), self.internal.daemon_pid(b)));
-            }
-        }
-        for (a, b, _) in self.external.topology.edges() {
-            if a == me || b == me {
-                pairs.push((self.external.daemon_pid(a), self.external.daemon_pid(b)));
+        for group in &self.groups {
+            for overlay in [&group.internal, &group.external] {
+                for (a, b, _) in overlay.topology.edges() {
+                    if a == me || b == me {
+                        pairs.push((
+                            overlay.daemon_pid(a),
+                            overlay.daemon_pid(b),
+                            self.cfg.link_config(a, b),
+                        ));
+                    }
+                }
             }
         }
         pairs
@@ -961,21 +1034,45 @@ impl Deployment {
         let pairs = self.site_wan_peers(site);
         let mut down: Vec<ControlOp> = pairs
             .iter()
-            .map(|(a, b)| ControlOp::SetLinkUp(*a, *b, false))
+            .map(|&(a, b, _)| ControlOp::SetLinkUp(a, b, false))
             .collect();
         down.push(ControlOp::Count("spire.site_disconnects".into(), 1));
         self.schedule_ops(from, down);
         let up = pairs
             .iter()
-            .map(|(a, b)| ControlOp::SetLinkUp(*a, *b, true))
+            .map(|&(a, b, _)| ControlOp::SetLinkUp(a, b, true))
             .collect();
         self.schedule_ops(until, up);
+    }
+
+    /// Degrades every WAN link of `site` with `attack` between `from` and
+    /// `until`, then restores each link to the configuration it was built
+    /// with.
+    fn schedule_site_link_window(
+        &mut self,
+        site: usize,
+        from: Time,
+        until: Time,
+        counter: &str,
+        attack: impl Fn(LinkConfig) -> LinkConfig,
+    ) {
+        let pairs = self.site_wan_peers(site);
+        let mut ops: Vec<ControlOp> = pairs
+            .iter()
+            .map(|&(a, b, built)| ControlOp::SetLinkConfig(a, b, attack(built)))
+            .collect();
+        ops.push(ControlOp::Count(counter.into(), 1));
+        self.schedule_ops(from, ops);
+        let restore = pairs
+            .iter()
+            .map(|&(a, b, built)| ControlOp::SetLinkConfig(a, b, built))
+            .collect();
+        self.schedule_ops(until, restore);
     }
 
     /// Schedules a DoS attack against a site: its WAN links become lossy
     /// and severely bandwidth-constrained between `from` and `until`.
     pub fn schedule_site_dos(&mut self, site: usize, from: Time, until: Time, loss: f64) {
-        let pairs = self.site_wan_peers(site);
         let degraded = LinkConfig {
             latency: Span::millis(50),
             jitter: Span::millis(30),
@@ -985,18 +1082,7 @@ impl Deployment {
             bandwidth_bps: Some(200_000),
             max_queue: Span::millis(300),
         };
-        let mut ops: Vec<ControlOp> = pairs
-            .iter()
-            .map(|(a, b)| ControlOp::SetLinkConfig(*a, *b, degraded))
-            .collect();
-        ops.push(ControlOp::Count("spire.dos_attacks".into(), 1));
-        self.schedule_ops(from, ops);
-        // Restore a nominal WAN link.
-        let restore = pairs
-            .iter()
-            .map(|(a, b)| ControlOp::SetLinkConfig(*a, *b, LinkConfig::wan(8)))
-            .collect();
-        self.schedule_ops(until, restore);
+        self.schedule_site_link_window(site, from, until, "spire.dos_attacks", |_| degraded);
     }
 
     /// Schedules a wire-fault window against a site's WAN links: frames
@@ -1013,73 +1099,51 @@ impl Deployment {
         dup: f64,
         jitter: Span,
     ) {
-        let pairs = self.site_wan_peers(site);
-        let noisy = LinkConfig::wan(8)
-            .with_corruption(corrupt)
-            .with_dup(dup)
-            .with_jitter(jitter);
-        let mut ops: Vec<ControlOp> = pairs
-            .iter()
-            .map(|(a, b)| ControlOp::SetLinkConfig(*a, *b, noisy))
-            .collect();
-        ops.push(ControlOp::Count("spire.wire_fault_windows".into(), 1));
-        self.schedule_ops(from, ops);
-        let restore = pairs
-            .iter()
-            .map(|(a, b)| ControlOp::SetLinkConfig(*a, *b, LinkConfig::wan(8)))
-            .collect();
-        self.schedule_ops(until, restore);
+        self.schedule_site_link_window(site, from, until, "spire.wire_fault_windows", |built| {
+            built
+                .with_corruption(corrupt)
+                .with_dup(dup)
+                .with_jitter(jitter)
+        });
     }
 
     /// Installs the online invariant checker: every `period` of virtual
-    /// time (until `horizon`) it cross-checks all correct replicas'
-    /// published state — execution-prefix consistency, at-most-one commit
-    /// per `(view, seq)`, view monotonicity, checkpoint agreement — and
-    /// the client-side conflicting-accept counter. Violations are counted
-    /// under `invariant.violations` and reported with the reproducing
-    /// seed; with tracing enabled the flight-recorder tail is dumped.
+    /// time (until `horizon`) it cross-checks, group by group, all correct
+    /// replicas' published state — execution-prefix consistency,
+    /// at-most-one commit per `(view, seq)`, view monotonicity, checkpoint
+    /// agreement, bounded recovery — plus the client-side
+    /// conflicting-accept counter and (through group 0's checker) the
+    /// cross-shard ledger. Violations are counted under
+    /// `invariant.violations` and reported with their group and the
+    /// reproducing seed; with tracing enabled the flight-recorder tail is
+    /// dumped.
     pub fn install_invariant_checker(&mut self, period: Span, horizon: Time) {
-        let checker = Arc::clone(&self.checker);
-        let seed = self.cfg.seed;
-        let windows: Arc<Vec<(u32, Time, Time)>> = Arc::new(self.recovery_windows.clone());
-        self.world.schedule_control(Time(period.0), move |w| {
-            tick(w, checker, windows, period, horizon, seed)
-        });
+        let checks = Arc::new(self.online_checks(format!("reproduce with seed {}", self.cfg.seed)));
+        self.world
+            .schedule_control(Time(period.0), move |w| tick(w, checks, period, horizon));
 
-        fn tick(
-            w: &mut World,
-            checker: Arc<InvariantChecker>,
-            windows: Arc<Vec<(u32, Time, Time)>>,
-            period: Span,
-            horizon: Time,
-            seed: u64,
-        ) {
+        fn tick(w: &mut World, checks: Arc<OnlineChecks>, period: Span, horizon: Time) {
             w.metrics_mut().count("invariant.checks", 1);
-            let mut fresh = checker.check();
             let accepts = w.metrics().counter("scada.conflicting_accept");
-            fresh += checker.note_conflicting_accepts(accepts);
-            fresh += checker.note_recovery_windows(w.now(), &windows);
+            let fresh = checks.pass(w.now(), Some(accepts));
             if fresh > 0 {
                 w.metrics_mut().count("invariant.violations", fresh as u64);
-                for v in checker.recent_violations(fresh) {
-                    eprintln!(
-                        "INVARIANT VIOLATION [{}] at {:?}: {} (reproduce with seed {})",
-                        v.kind,
-                        w.now(),
-                        v.detail,
-                        seed
-                    );
-                }
                 if w.tracer().enabled() {
                     eprintln!("--- flight recorder tail ---\n{}", w.trace_dump_tail(40));
                 }
             }
             let next = w.now() + period;
             if next <= horizon {
-                w.schedule_control(next, move |w| {
-                    tick(w, checker, windows, period, horizon, seed)
-                });
+                w.schedule_control(next, move |w| tick(w, checks, period, horizon));
             }
+        }
+    }
+
+    fn online_checks(&self, hint: String) -> OnlineChecks {
+        OnlineChecks {
+            checkers: self.groups.iter().map(|g| Arc::clone(&g.checker)).collect(),
+            windows: self.recovery_windows.clone(),
+            hint,
         }
     }
 
@@ -1129,7 +1193,8 @@ impl Deployment {
 impl std::fmt::Debug for Deployment {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Deployment")
-            .field("replicas", &self.replica_pids.len())
+            .field("groups", &self.groups.len())
+            .field("replicas_per_group", &self.cfg.spire.total_replicas())
             .field("rtus", &self.device_pids.len())
             .field("sites", &self.cfg.spire.sites.len())
             .finish()
@@ -1221,9 +1286,13 @@ impl Deployment {
     /// threads under wall-clock time. The control plan accumulated by the
     /// `schedule_*` methods travels along and is replayed at the same
     /// offsets from run start, so attack scenarios run unchanged on
-    /// either substrate.
+    /// either substrate; every group's checker (and the ledger of a
+    /// sharded build) ticks from the control thread.
     pub fn into_rt(self, threads: usize) -> RtDeployment {
-        let correct = self.correct_replicas();
+        let checks = self.online_checks(format!(
+            "seed {}; rt runs are not reproducible — replay the seed on the sim substrate",
+            self.cfg.seed
+        ));
         let rt_cfg = if threads == 0 {
             spire_rt::RtConfig::default()
         } else {
@@ -1235,12 +1304,11 @@ impl Deployment {
         let runtime = spire_rt::Runtime::from_fabric_with(self.world.into_fabric(), rt_cfg, hooks);
         RtDeployment {
             runtime,
-            inspection: self.inspection,
             cfg: self.cfg,
-            checker: self.checker,
+            groups: self.groups,
+            xshard: self.xshard,
             plan: self.control_plan,
-            correct,
-            recovery_windows: self.recovery_windows,
+            checks,
         }
     }
 }
@@ -1251,21 +1319,19 @@ impl Deployment {
 pub struct RtDeployment {
     /// The running substrate.
     pub runtime: spire_rt::Runtime,
-    /// Shared replica inspection registry (safety checks work across
-    /// threads; replicas publish under a mutex).
-    pub inspection: Inspection,
     /// The configuration the deployment was built from.
     pub cfg: DeploymentConfig,
-    /// Online invariant checker; ticks from the control thread.
-    pub checker: Arc<InvariantChecker>,
+    /// Per-group build products: the inspection registries and checkers
+    /// work across threads (replicas publish under a mutex).
+    pub groups: Vec<GroupParts>,
+    xshard: Option<XShard>,
     /// The fault plan recorded at schedule time, replayed at wall-clock
     /// offsets from run start.
     plan: Vec<(Time, ControlOp)>,
-    correct: Vec<u32>,
-    /// Announced recovery windows, carried from the scheduler so the
-    /// health monitor and the catch-up invariant see them under
+    /// The checker pass, carrying the announced recovery windows so the
+    /// catch-up invariant (and the health monitor) see them under
     /// wall-clock replay too.
-    recovery_windows: Vec<(u32, Time, Time)>,
+    checks: OnlineChecks,
 }
 
 /// The result of a real-clock run: the standard [`Report`] plus the raw
@@ -1294,9 +1360,10 @@ pub struct HealthOptions {
 
 impl RtDeployment {
     /// Runs for `span` of wall-clock time — executing the recorded fault
-    /// plan at its offsets and ticking the online invariant checker from
+    /// plan at its offsets and ticking the online invariant checkers from
     /// the control thread — then shuts the runtime down and extracts the
-    /// report (safety checked over the correct replicas).
+    /// report (safety judged by the same predicate as
+    /// [`Deployment::report`]).
     pub fn run_for(self, span: Span) -> RtOutcome {
         self.run_inner(span, None)
     }
@@ -1311,29 +1378,17 @@ impl RtDeployment {
     }
 
     fn run_inner(self, span: Span, opts: Option<HealthOptions>) -> RtOutcome {
-        let checker = Arc::clone(&self.checker);
-        let seed = self.cfg.seed;
-        let mut checks: u64 = 0;
+        let checks = &self.checks;
+        let mut ticks: u64 = 0;
         let mut violations: u64 = 0;
-        let mut monitor = opts.as_ref().map(|o| {
-            HealthMonitor::new(o.config).with_recovery_windows(self.recovery_windows.clone())
-        });
-        let recovery_windows = self.recovery_windows.clone();
+        let mut monitor = opts
+            .as_ref()
+            .map(|o| HealthMonitor::new(o.config).with_recovery_windows(checks.windows.clone()));
         let mut health_out = Metrics::new();
         let mut next_snap = opts.as_ref().map(|o| Time(o.config.interval.0));
         let mut run = self.runtime.run_with(span, self.plan, |now, rt| {
-            checks += 1;
-            let fresh = checker.check() + checker.note_recovery_windows(now, &recovery_windows);
-            if fresh > 0 {
-                violations += fresh as u64;
-                for v in checker.recent_violations(fresh) {
-                    eprintln!(
-                        "INVARIANT VIOLATION [{}] at {:?}: {} (seed {}; rt runs are not \
-                         reproducible — replay the seed on the sim substrate)",
-                        v.kind, now, v.detail, seed
-                    );
-                }
-            }
+            ticks += 1;
+            violations += checks.pass(now, None) as u64;
             let (Some(mon), Some(opts), Some(due)) =
                 (monitor.as_mut(), opts.as_ref(), next_snap.as_mut())
             else {
@@ -1362,18 +1417,18 @@ impl RtDeployment {
                 }
             }
         });
-        // Client-side conflicting accepts live in worker metrics, which
-        // merge only at shutdown; fold them in now.
+        // One more pass after shutdown: client-side conflicting accepts
+        // live in worker metrics, which merge only now, and decisions
+        // recorded after the last control tick drain here.
         let accepts = run.metrics.counter("scada.conflicting_accept");
-        violations += checker.note_conflicting_accepts(accepts) as u64;
-        run.metrics.count("invariant.checks", checks);
+        violations += checks.pass(Time(run.elapsed.0), Some(accepts)) as u64;
+        run.metrics.count("invariant.checks", ticks);
         if violations > 0 {
             run.metrics.count("invariant.violations", violations);
         }
         run.metrics.merge(&health_out);
         run.metrics.sort_series();
-        let safety_ok =
-            self.inspection.check_safety(&self.correct).is_ok() && checker.violation_count() == 0;
+        let safety_ok = safety_ok(&self.groups, self.xshard.as_ref());
         let report = Report::from_metrics(&run.metrics, safety_ok);
         // Final snapshot over the complete merged metrics.
         if let Some(path) = opts.as_ref().and_then(|o| o.prom_path.as_ref()) {
@@ -1393,7 +1448,66 @@ impl std::fmt::Debug for RtDeployment {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RtDeployment")
             .field("runtime", &self.runtime)
+            .field("groups", &self.groups.len())
             .field("sites", &self.cfg.spire.sites.len())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn quick_cfg(seed: u64) -> DeploymentConfig {
+        let mut cfg = DeploymentConfig::wide_area(seed);
+        cfg.workload.rtus = 2;
+        cfg
+    }
+
+    /// The `SetLinkConfig` the control plan holds for link `a`–`b` at `at`.
+    fn planned(d: &Deployment, at: Time, a: ProcessId, b: ProcessId) -> LinkConfig {
+        d.control_plan
+            .iter()
+            .find_map(|(t, op)| match op {
+                ControlOp::SetLinkConfig(x, y, link) if *t == at && (*x, *y) == (a, b) => {
+                    Some(*link)
+                }
+                _ => None,
+            })
+            .expect("link is part of the attack window")
+    }
+
+    #[test]
+    fn attack_windows_restore_the_links_they_degraded() {
+        let (from, until) = (Time(1_000_000), Time(2_000_000));
+        let wan = WanModel::default();
+        for dos in [true, false] {
+            let mut d = Deployment::build(quick_cfg(1));
+            if dos {
+                d.schedule_site_dos(0, from, until, 0.3);
+            } else {
+                d.schedule_site_wire_faults(0, from, until, 0.01, 0.02, Span::millis(7));
+            }
+            let group = &d.groups[0];
+            let internal = |i| group.internal.daemon_pid(OverlayId(i));
+            let external = |i| group.external.daemon_pid(OverlayId(i));
+            // Sites 0/1 are control centers, 2 a data center; overlay id 4
+            // is the first substation hub.
+            for (a, b, ms) in [
+                (internal(0), internal(1), wan.cc_cc_ms),
+                (internal(0), internal(2), wan.cc_dc_ms),
+                (external(0), external(4), wan.sub_cc_ms),
+            ] {
+                let built = LinkConfig::wan(ms);
+                assert_eq!(planned(&d, until, a, b), built, "dos={dos}: restore");
+                if !dos {
+                    let noisy = built
+                        .with_corruption(0.01)
+                        .with_dup(0.02)
+                        .with_jitter(Span::millis(7));
+                    assert_eq!(planned(&d, from, a, b), noisy, "window base link");
+                }
+            }
+        }
     }
 }

@@ -18,11 +18,16 @@
 //! This crate ties the pieces into deployable systems:
 //!
 //! * [`config`] — the `3f + 2k + 1` resource analysis and site placement.
-//! * [`deployment`] — builds the full wide-area system in a simulator.
+//! * [`deployment`] — builds the full wide-area system (one replication
+//!   group or several) in a simulator and moves it to the real-clock
+//!   runtime; the one orchestrator every experiment goes through.
+//! * [`sharded`] — the configuration and constructor of a multi-group
+//!   deployment with a cross-shard coordinator.
 //! * [`attack`] — the attack vocabulary and red-team scenario suite.
 //! * [`chaos`] — the seeded chaos adversary with an `f`-budget accountant.
 //! * [`invariant`] — online safety-invariant checking during every run.
 //! * [`baseline`] — the traditional single-master SCADA comparison system.
+//! * [`health`] — live SLO grading and the performance-attack detector.
 //! * [`report`] — latency/availability/safety metrics extraction.
 //!
 //! # Quickstart
@@ -54,7 +59,7 @@ pub use chaos::{ChaosPlan, FaultBudget};
 pub use config::{required_replicas, SiteKind, SpireConfig};
 pub use deployment::{
     build_group, classify_frame, AppFactory, Deployment, DeploymentConfig, GroupParts, GroupSpec,
-    HealthOptions, RollingRecoveryConfig, RtDeployment, RtOutcome, Substrate, WanModel,
+    HealthOptions, RollingRecoveryConfig, RtDeployment, RtOutcome, Substrate, WanModel, XShard,
 };
 pub use health::{
     parse_prometheus, prometheus_text, AlarmKind, AttackDetector, BreachClass, HealthConfig,
@@ -65,4 +70,4 @@ pub use report::{
     ChaosStats, HealthStats, PhaseStat, Provenance, RecoveryStats, Report, ShardStat, XShardStats,
     SLA_MS,
 };
-pub use sharded::{ShardedConfig, ShardedDeployment, ShardedRt};
+pub use sharded::ShardedConfig;

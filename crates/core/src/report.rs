@@ -319,24 +319,10 @@ pub struct Report {
 }
 
 impl Report {
-    /// Extracts the report from a finished deployment.
-    pub fn from_deployment(deployment: &crate::deployment::Deployment) -> Report {
-        let safety_ok = deployment
-            .inspection
-            .check_safety(&deployment.correct_replicas())
-            .is_ok();
-        if !safety_ok && deployment.world.tracer().enabled() {
-            eprintln!(
-                "safety check FAILED — flight recorder tail:\n{}",
-                deployment.world.trace_dump_tail(200)
-            );
-        }
-        Report::from_metrics(deployment.world.metrics(), safety_ok)
-    }
-
     /// Builds the report from raw run metrics plus the safety verdict —
     /// the substrate-independent path shared by the simulator
-    /// ([`Report::from_deployment`]) and the real-clock runtime.
+    /// ([`Deployment::report`](crate::deployment::Deployment::report)) and
+    /// the real-clock runtime.
     pub fn from_metrics(metrics: &spire_sim::Metrics, safety_ok: bool) -> Report {
         let series = metrics.series("scada.update_latency_ms");
         let update_latencies_ms: Vec<f64> = series.iter().map(|(_, v)| *v).collect();

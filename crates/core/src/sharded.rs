@@ -11,19 +11,18 @@
 //! while the (rare) multi-region supervisory command pays the cross-shard
 //! coordination cost explicitly.
 //!
-//! Everything builds into **one** `World`, so the whole sharded system
-//! runs deterministically on the simulator and moves to the real-clock
-//! runtime with [`ShardedDeployment::into_rt`] — the same substrate pair
-//! as the single-group [`Deployment`](crate::deployment::Deployment).
+//! There is no sharded orchestrator: [`Deployment::build_sharded`]
+//! returns the same [`Deployment`] the single-group build does — N
+//! [`GroupParts`] in **one** `World` plus the cross-shard parts
+//! ([`XShard`]) — so a sharded system is scheduled, checked, run on the
+//! simulator, moved to the real-clock runtime with
+//! [`Deployment::into_rt`] and reported by the code a single group uses.
 
 use crate::deployment::{
-    build_group, classify_frame, key_base, AppFactory, DeploymentConfig, GroupParts, GroupSpec,
-    RtOutcome,
+    build_group, key_base, AppFactory, Deployment, DeploymentConfig, GroupParts, GroupSpec, XShard,
 };
-use crate::invariant::InvariantChecker;
-use crate::report::Report;
 use spire_crypto::keys::Signer;
-use spire_crypto::{KeyMaterial, KeyStore, NodeId};
+use spire_crypto::NodeId;
 use spire_prime::ClientId;
 use spire_scada::{ScadaDirectory, ScadaMaster, XShardContext};
 use spire_shard::coordinator::{CoordinatorProcess, GroupLink, XCoordConfig};
@@ -31,7 +30,7 @@ use spire_shard::{
     CertVerifier, ShardMap, XParticipant, XShardLedger, COORD_CLIENT_ID, COORD_CLIENT_PORT,
     SHARD_KEY_STRIDE,
 };
-use spire_sim::{ControlOp, LinkConfig, ProcessId, Span, Time, World};
+use spire_sim::{ControlOp, LinkConfig, Span, Time};
 use spire_spines::{OverlayId, SpinesPort};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -106,28 +105,8 @@ fn cross_interval(cfg: &ShardedConfig, have_pairs: bool) -> Span {
     Span((1.0 / cross_per_us).max(1.0) as u64)
 }
 
-/// A fully built sharded system: N groups plus the cross-shard
-/// coordinator, all inside one simulation world.
-pub struct ShardedDeployment {
-    /// The simulation world hosting every group.
-    pub world: World,
-    /// The configuration the deployment was built from.
-    pub cfg: ShardedConfig,
-    /// The RTU → shard partition.
-    pub map: ShardMap,
-    /// Per-group build products (overlays, pids, checkers, builders).
-    pub groups: Vec<GroupParts>,
-    /// The cross-shard coordinator client process.
-    pub coordinator_pid: ProcessId,
-    /// Online cross-shard atomicity ledger (all commit XOR all abort).
-    pub ledger: Arc<XShardLedger>,
-    /// Substrate-agnostic mirror of scheduled control ops (for
-    /// [`ShardedDeployment::into_rt`]).
-    control_plan: Vec<(Time, ControlOp)>,
-}
-
-impl ShardedDeployment {
-    /// Builds `cfg.shards` groups and the coordinator.
+impl Deployment {
+    /// Builds `cfg.shards` groups and the cross-shard coordinator.
     ///
     /// # Panics
     ///
@@ -135,24 +114,11 @@ impl ShardedDeployment {
     /// (validated exactly as the single-group build does).
     ///
     /// [`SpireConfig`]: crate::config::SpireConfig
-    pub fn build(cfg: ShardedConfig) -> ShardedDeployment {
+    pub fn build_sharded(cfg: ShardedConfig) -> Deployment {
         assert!(cfg.shards >= 1, "at least one shard");
-        cfg.base
-            .spire
-            .validate(false)
-            .expect("invalid spire config");
-        let mut world = World::new(cfg.base.seed);
-        let material = KeyMaterial::new([0x55u8; 32]);
-        // One key space for the whole deployment: group `g` occupies ids
-        // `g * SHARD_KEY_STRIDE ..`, so prepare certificates from any
-        // group verify in any other.
-        let keystore = Arc::new(KeyStore::for_nodes(
-            &material,
-            SHARD_KEY_STRIDE * cfg.shards,
-        ));
-        if cfg.base.trace {
-            world.enable_tracing(65_536);
-        }
+        // One key space, so prepare certificates from any group verify
+        // in any other.
+        let (mut world, material, keystore) = Deployment::foundation(&cfg.base, cfg.shards);
         let map = ShardMap::new(cfg.shards).with_overrides(cfg.overrides.clone());
         let partition = map.partition(0..cfg.base.workload.rtus);
         let ledger = Arc::new(XShardLedger::new());
@@ -211,7 +177,7 @@ impl ShardedDeployment {
                 let daemon = parts.external.daemon_pid(OverlayId(parts.hmi_site));
                 GroupLink {
                     port: SpinesPort::new(daemon, parts.client_addrs[&COORD_CLIENT_ID]),
-                    replica_addrs: parts.replica_addr_external.clone(),
+                    replica_addrs: parts.replica_addrs.clone(),
                     signer: Signer::new(
                         material.signing_key(NodeId(parts.prime.client_key_base + COORD_CLIENT_ID)),
                         cfg.base.mock_sigs,
@@ -242,258 +208,50 @@ impl ShardedDeployment {
                 .wire_client(&mut world, OverlayId(parts.hmi_site), coordinator_pid);
         }
 
-        ShardedDeployment {
-            world,
-            cfg,
+        let xshard = XShard {
             map,
-            groups,
             coordinator_pid,
             ledger,
-            control_plan: Vec::new(),
-        }
+        };
+        Deployment::assemble(world, cfg.base, groups, Some(xshard))
     }
 
-    /// Runs the simulation for `span`.
-    pub fn run_for(&mut self, span: Span) {
-        self.world.run_for(span);
+    /// The cross-shard parts of a sharded build.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a deployment built without a coordinator
+    /// ([`Deployment::build`]) — asking for them there is a caller bug.
+    pub fn xshard(&self) -> &XShard {
+        self.xshard
+            .as_ref()
+            .expect("not a sharded deployment: no cross-shard coordinator")
     }
 
-    /// True when every group's inspection safety check passes, no online
-    /// checker recorded a violation, and the cross-shard ledger is clean
-    /// (including violations not yet drained into a checker).
-    pub fn safety_ok(&self) -> bool {
-        let n = self.cfg.base.spire.total_replicas();
-        self.groups.iter().all(|parts| {
-            let faulty = parts.declared_faulty.lock().expect("poisoned");
-            let correct: Vec<u32> = (0..n).filter(|r| !faulty.contains(r)).collect();
-            parts.inspection.check_safety(&correct).is_ok()
-        }) && self.groups.iter().all(|p| p.checker.ok())
-            && self.ledger.ok()
-    }
-
-    /// Builds the aggregate evaluation report (per-shard and cross-shard
-    /// sections included via the `shard{g}.*` / `xshard.*` metrics).
-    pub fn report(&self) -> Report {
-        Report::from_metrics(self.world.metrics(), self.safety_ok())
-    }
-
-    /// Schedules substrate-agnostic control ops at `at` (mirrors
-    /// [`Deployment::schedule_ops`](crate::deployment::Deployment::schedule_ops)).
-    pub fn schedule_ops(&mut self, at: Time, ops: Vec<ControlOp>) {
-        self.control_plan
-            .extend(ops.iter().map(|op| (at, op.clone())));
-        self.world.schedule_control(at, move |w| {
-            for op in ops {
-                w.apply_control(op);
-            }
-        });
-    }
-
-    /// The coordinator's access links: (HMI-site external daemon,
-    /// coordinator) per group — the chaos target for 2PC message loss.
-    fn coordinator_links(&self) -> Vec<(ProcessId, ProcessId)> {
-        self.groups
-            .iter()
-            .map(|parts| {
-                (
-                    parts.external.daemon_pid(OverlayId(parts.hmi_site)),
-                    self.coordinator_pid,
-                )
-            })
-            .collect()
-    }
-
-    /// Schedules a chaos window against the coordinator's links between
-    /// `from` and `until`: every frame to/from the coordinator is dropped
-    /// with probability `loss` and duplicated with probability `dup`.
+    /// Schedules a chaos window against the coordinator's access links
+    /// (HMI-site external daemon ↔ coordinator, per group) between `from`
+    /// and `until`: every frame to/from the coordinator is dropped with
+    /// probability `loss` and duplicated with probability `dup`.
     /// Prepares, commits, aborts and acks all get lost or re-delivered —
     /// atomicity must hold regardless (blocking commit retries + per-xid
-    /// idempotence).
+    /// idempotence). Panics like [`Deployment::xshard`] without a
+    /// coordinator.
     pub fn schedule_coordinator_chaos(&mut self, from: Time, until: Time, loss: f64, dup: f64) {
-        let noisy = LinkConfig::local().with_loss(loss).with_dup(dup);
-        let pairs = self.coordinator_links();
-        let mut ops: Vec<ControlOp> = pairs
-            .iter()
-            .map(|&(a, b)| ControlOp::SetLinkConfig(a, b, noisy))
-            .collect();
+        let coordinator = self.xshard().coordinator_pid;
+        let window = |link: LinkConfig| -> Vec<ControlOp> {
+            self.groups
+                .iter()
+                .map(|parts| {
+                    let daemon = parts.external.daemon_pid(OverlayId(parts.hmi_site));
+                    ControlOp::SetLinkConfig(daemon, coordinator, link)
+                })
+                .collect()
+        };
+        let mut ops = window(LinkConfig::local().with_loss(loss).with_dup(dup));
+        let restore = window(LinkConfig::local());
         ops.push(ControlOp::Count("xshard.chaos_windows".into(), 1));
         self.schedule_ops(from, ops);
-        let restore = pairs
-            .iter()
-            .map(|&(a, b)| ControlOp::SetLinkConfig(a, b, LinkConfig::local()))
-            .collect();
         self.schedule_ops(until, restore);
-    }
-
-    /// Installs the online invariant checkers of every group (plus the
-    /// cross-shard ledger, which drains through group 0's checker) on a
-    /// shared periodic control tick.
-    pub fn install_invariant_checker(&mut self, period: Span, horizon: Time) {
-        let checkers: Vec<Arc<InvariantChecker>> =
-            self.groups.iter().map(|p| Arc::clone(&p.checker)).collect();
-        let seed = self.cfg.base.seed;
-        self.world.schedule_control(Time(period.0), move |w| {
-            tick(w, checkers, period, horizon, seed)
-        });
-
-        fn tick(
-            w: &mut World,
-            checkers: Vec<Arc<InvariantChecker>>,
-            period: Span,
-            horizon: Time,
-            seed: u64,
-        ) {
-            w.metrics_mut().count("invariant.checks", 1);
-            let mut fresh_total = 0usize;
-            for (g, checker) in checkers.iter().enumerate() {
-                let mut fresh = checker.check();
-                if g == 0 {
-                    // The conflicting-accept counter is deployment-global;
-                    // attribute it to group 0's checker only (once).
-                    let accepts = w.metrics().counter("scada.conflicting_accept");
-                    fresh += checker.note_conflicting_accepts(accepts);
-                }
-                if fresh > 0 {
-                    for v in checker.recent_violations(fresh) {
-                        eprintln!(
-                            "INVARIANT VIOLATION [group {g}] [{}] at {:?}: {} (reproduce with \
-                             seed {seed})",
-                            v.kind,
-                            w.now(),
-                            v.detail,
-                        );
-                    }
-                }
-                fresh_total += fresh;
-            }
-            if fresh_total > 0 {
-                w.metrics_mut()
-                    .count("invariant.violations", fresh_total as u64);
-            }
-            let next = w.now() + period;
-            if next <= horizon {
-                w.schedule_control(next, move |w| tick(w, checkers, period, horizon, seed));
-            }
-        }
-    }
-
-    /// Moves the assembled sharded system onto the real-clock runtime —
-    /// the same actors under wall-clock time, the recorded control plan
-    /// replayed at its offsets, every group's checker (and the ledger)
-    /// ticking from the control thread.
-    pub fn into_rt(self, threads: usize) -> ShardedRt {
-        let rt_cfg = if threads == 0 {
-            spire_rt::RtConfig::default()
-        } else {
-            spire_rt::RtConfig::with_threads(threads)
-        };
-        let hooks = spire_rt::RtHooks {
-            classify: Arc::new(classify_frame),
-        };
-        let n = self.cfg.base.spire.total_replicas();
-        let correct: Vec<Vec<u32>> = self
-            .groups
-            .iter()
-            .map(|p| {
-                let faulty = p.declared_faulty.lock().expect("poisoned");
-                (0..n).filter(|r| !faulty.contains(r)).collect()
-            })
-            .collect();
-        let inspections = self.groups.iter().map(|p| p.inspection.clone()).collect();
-        let checkers = self.groups.iter().map(|p| Arc::clone(&p.checker)).collect();
-        let runtime = spire_rt::Runtime::from_fabric_with(self.world.into_fabric(), rt_cfg, hooks);
-        ShardedRt {
-            runtime,
-            cfg: self.cfg,
-            ledger: self.ledger,
-            inspections,
-            checkers,
-            correct,
-            plan: self.control_plan,
-        }
-    }
-}
-
-impl std::fmt::Debug for ShardedDeployment {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedDeployment")
-            .field("shards", &self.groups.len())
-            .field("rtus", &self.cfg.base.workload.rtus)
-            .finish()
-    }
-}
-
-/// A sharded deployment hosted on the real-clock runtime.
-pub struct ShardedRt {
-    /// The running substrate.
-    pub runtime: spire_rt::Runtime,
-    /// The configuration the deployment was built from.
-    pub cfg: ShardedConfig,
-    /// Online cross-shard atomicity ledger.
-    pub ledger: Arc<XShardLedger>,
-    inspections: Vec<spire_prime::Inspection>,
-    checkers: Vec<Arc<InvariantChecker>>,
-    correct: Vec<Vec<u32>>,
-    plan: Vec<(Time, ControlOp)>,
-}
-
-impl ShardedRt {
-    /// Runs for `span` of wall-clock time, ticking every group's checker
-    /// from the control thread, then shuts down and extracts the report.
-    pub fn run_for(self, span: Span) -> RtOutcome {
-        let checkers = self.checkers.clone();
-        let seed = self.cfg.base.seed;
-        let mut checks: u64 = 0;
-        let mut violations: u64 = 0;
-        let mut run = self.runtime.run_with(span, self.plan, |now, _rt| {
-            checks += 1;
-            for (g, checker) in checkers.iter().enumerate() {
-                let fresh = checker.check();
-                if fresh > 0 {
-                    violations += fresh as u64;
-                    for v in checker.recent_violations(fresh) {
-                        eprintln!(
-                            "INVARIANT VIOLATION [group {g}] [{}] at {:?}: {} (seed {seed}; rt \
-                             runs are not reproducible — replay the seed on the sim substrate)",
-                            v.kind, now, v.detail,
-                        );
-                    }
-                }
-            }
-        });
-        let accepts = run.metrics.counter("scada.conflicting_accept");
-        violations += self.checkers[0].note_conflicting_accepts(accepts) as u64;
-        // Decisions recorded after the last control tick drain here.
-        for checker in &self.checkers {
-            let fresh = checker.check();
-            violations += fresh as u64;
-        }
-        run.metrics.count("invariant.checks", checks);
-        if violations > 0 {
-            run.metrics.count("invariant.violations", violations);
-        }
-        run.metrics.sort_series();
-        let safety_ok = self
-            .inspections
-            .iter()
-            .zip(&self.correct)
-            .all(|(insp, correct)| insp.check_safety(correct).is_ok())
-            && self.checkers.iter().all(|c| c.ok())
-            && self.ledger.ok();
-        let report = Report::from_metrics(&run.metrics, safety_ok);
-        RtOutcome {
-            report,
-            run,
-            health: None,
-        }
-    }
-}
-
-impl std::fmt::Debug for ShardedRt {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedRt")
-            .field("shards", &self.checkers.len())
-            .finish()
     }
 }
 

@@ -98,7 +98,7 @@ fn chaos_control_plane_runs_on_rt() {
 fn equivocation_beyond_budget_is_caught() {
     let mut system = Deployment::build(chaos_config(47));
     system.install_invariant_checker(Span::millis(500), Time(3_000_000));
-    let inspection = system.inspection.clone();
+    let inspection = system.groups[0].inspection.clone();
     system.world.schedule_control(Time(1_000_000), move |_| {
         inspection.update(0, |r| r.push_commit(3, 900_000, [0xAA; 32]));
         inspection.update(1, |r| r.push_commit(3, 900_000, [0xBB; 32]));
@@ -110,13 +110,13 @@ fn equivocation_beyond_budget_is_caught() {
         "planted conflicting commit was not detected"
     );
     assert!(
-        system
+        system.groups[0]
             .checker
             .violations()
             .iter()
             .any(|v| v.kind == "conflicting-commit"),
         "violation detected but misclassified: {:?}",
-        system.checker.violations()
+        system.groups[0].checker.violations()
     );
     assert!(
         report.chaos.invariant_checks > 0,

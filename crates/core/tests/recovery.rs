@@ -28,7 +28,7 @@ fn proactive_rotation_wraps_past_replica_count() {
     system.run_for(Span::secs(15));
     let report = system.report();
     assert_eq!(report.recoveries.0, 8, "expected 8 scheduled recoveries");
-    let records = system.inspection.records();
+    let records = system.groups[0].inspection.records();
     for id in 0u32..6 {
         let expect = if id < 2 { 2 } else { 1 };
         assert_eq!(
@@ -114,7 +114,7 @@ fn recovery_completes_under_loss_and_corrupt_responder() {
         rec.chunks,
         rec.chunk_retries
     );
-    let records = system.inspection.records();
+    let records = system.groups[0].inspection.records();
     assert!(
         !records[&4].recovering,
         "replica 4 still recovering after {} chunks / {} retry rounds",
@@ -148,7 +148,7 @@ fn back_to_back_recovery_of_same_replica() {
     let report = system.report();
     assert_eq!(report.recoveries.0, 2);
     assert_eq!(
-        system.inspection.records()[&3].incarnation,
+        system.groups[0].inspection.records()[&3].incarnation,
         2,
         "second rebuild did not supersede the first"
     );

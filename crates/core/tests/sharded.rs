@@ -3,7 +3,8 @@
 //! supervisory commands — on both substrates, with and without chaos on
 //! the coordinator's links.
 
-use spire::sharded::{ShardedConfig, ShardedDeployment};
+use spire::deployment::Deployment;
+use spire::sharded::ShardedConfig;
 use spire_scada::WorkloadConfig;
 use spire_sim::{Span, Time};
 
@@ -29,7 +30,7 @@ fn secs(s: u64) -> Time {
 
 #[test]
 fn two_shards_partition_the_fleet_and_both_deliver() {
-    let mut system = ShardedDeployment::build(quick_cfg(2, 1));
+    let mut system = Deployment::build_sharded(quick_cfg(2, 1));
     system.install_invariant_checker(Span::secs(1), secs(30));
     system.run_for(Span::secs(30));
     let report = system.report();
@@ -57,7 +58,7 @@ fn two_shards_partition_the_fleet_and_both_deliver() {
 fn cross_shard_commands_commit_atomically() {
     let mut cfg = quick_cfg(2, 2);
     cfg.cross_rate = 0.3;
-    let mut system = ShardedDeployment::build(cfg);
+    let mut system = Deployment::build_sharded(cfg);
     system.install_invariant_checker(Span::secs(1), secs(40));
     system.run_for(Span::secs(40));
     let m = system.world.metrics();
@@ -65,12 +66,16 @@ fn cross_shard_commands_commit_atomically() {
     let commits = m.counter("xshard.commits");
     assert!(commands >= 3, "too few cross-shard commands: {commands}");
     assert!(commits >= 2, "too few commits: {commits} of {commands}");
-    assert_eq!(system.ledger.violation_count(), 0, "atomicity violated");
+    assert_eq!(
+        system.xshard().ledger.violation_count(),
+        0,
+        "atomicity violated"
+    );
     let report = system.report();
     assert!(report.safety_ok);
     // Both participants of each committed transaction actually executed
     // it: the ledger saw a full set of matching decisions.
-    let counts = system.ledger.counts();
+    let counts = system.xshard().ledger.counts();
     assert!(
         counts.committed >= commits,
         "{} < {commits}",
@@ -84,21 +89,21 @@ fn poisoned_transactions_abort_atomically() {
     let mut cfg = quick_cfg(2, 3);
     cfg.cross_rate = 0.4;
     cfg.poison_every = 2; // every other transaction is rejected at prepare
-    let mut system = ShardedDeployment::build(cfg);
+    let mut system = Deployment::build_sharded(cfg);
     system.install_invariant_checker(Span::secs(1), secs(40));
     system.run_for(Span::secs(40));
     let m = system.world.metrics();
     assert!(m.counter("xshard.commits") > 0, "no commits");
     assert!(m.counter("xshard.aborts") > 0, "no aborts");
     assert!(system.report().safety_ok);
-    assert_eq!(system.ledger.violation_count(), 0);
+    assert_eq!(system.xshard().ledger.violation_count(), 0);
 }
 
 #[test]
 fn coordinator_chaos_never_breaks_atomicity() {
     let mut cfg = quick_cfg(2, 4);
     cfg.cross_rate = 0.4;
-    let mut system = ShardedDeployment::build(cfg);
+    let mut system = Deployment::build_sharded(cfg);
     // Drop 75% and duplicate 30% of every frame to/from the coordinator
     // for the middle of the run: prepares, certificates, commits and acks
     // all get lost or replayed. (Loss must be savage — a prepare floods to
@@ -114,7 +119,7 @@ fn coordinator_chaos_never_breaks_atomicity() {
     );
     assert!(m.counter("xshard.retries") > 0, "chaos never bit");
     assert_eq!(
-        system.ledger.violation_count(),
+        system.xshard().ledger.violation_count(),
         0,
         "atomicity violated under chaos"
     );
@@ -126,7 +131,7 @@ fn sharded_runs_are_deterministic() {
     let run = |seed| {
         let mut cfg = quick_cfg(2, seed);
         cfg.cross_rate = 0.3;
-        let mut system = ShardedDeployment::build(cfg);
+        let mut system = Deployment::build_sharded(cfg);
         system.run_for(Span::secs(20));
         let m = system.world.metrics();
         (
@@ -147,7 +152,7 @@ fn manual_overrides_move_rtus_between_shards() {
     for r in 0..cfg.base.workload.rtus {
         cfg.overrides.insert(r, if r == 1 { 1 } else { 0 });
     }
-    let mut system = ShardedDeployment::build(cfg);
+    let mut system = Deployment::build_sharded(cfg);
     system.run_for(Span::secs(15));
     let m = system.world.metrics();
     let s0 = m.counter("shard0.updates_sent");
@@ -161,7 +166,7 @@ fn manual_overrides_move_rtus_between_shards() {
 fn sharded_rt_substrate_matches_sim_semantics() {
     let mut cfg = quick_cfg(2, 6);
     cfg.cross_rate = 0.3;
-    let system = ShardedDeployment::build(cfg);
+    let system = Deployment::build_sharded(cfg);
     let outcome = system.into_rt(2).run_for(Span::secs(8));
     let report = &outcome.report;
     assert!(report.safety_ok, "rt safety violated");
@@ -174,4 +179,11 @@ fn sharded_rt_substrate_matches_sim_semantics() {
     assert!(m.counter("shard0.updates_confirmed") > 0);
     assert!(m.counter("shard1.updates_confirmed") > 0);
     assert!(m.counter("xshard.commits") > 0, "no rt cross-shard commits");
+}
+
+#[test]
+#[should_panic(expected = "not a sharded deployment")]
+fn coordinator_chaos_needs_a_coordinator() {
+    let mut system = Deployment::build(quick_cfg(1, 7).base);
+    system.schedule_coordinator_chaos(secs(1), secs(2), 0.5, 0.0);
 }

@@ -208,7 +208,10 @@ fn compromise_injection_mid_run_is_tolerated() {
         report.delivery_ratio()
     );
     let correct: Vec<u32> = (0..6).filter(|r| *r != 2).collect();
-    system.inspection.check_safety(&correct).expect("safety");
+    system.groups[0]
+        .inspection
+        .check_safety(&correct)
+        .expect("safety");
 }
 
 #[test]
@@ -242,5 +245,35 @@ fn sustained_recovery_churn_stays_stable() {
         report.view_changes <= 11 * 6 + 12,
         "view-change storm: {}",
         report.view_changes
+    );
+}
+
+/// The one safety verdict: a violation the online checker records — here
+/// through an external invariant source — fails the simulator's report
+/// exactly as it fails an rt run's.
+#[test]
+fn report_verdict_includes_the_online_checker() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    let mut cfg = DeploymentConfig::wide_area(8);
+    cfg.workload = quick_workload();
+    let mut system = Deployment::build(cfg);
+    let fired = AtomicBool::new(false);
+    system.groups[0].checker.add_external(
+        "planted",
+        std::sync::Arc::new(move || {
+            if fired.swap(true, Ordering::SeqCst) {
+                Vec::new()
+            } else {
+                vec!["planted external violation".to_string()]
+            }
+        }),
+    );
+    system.install_invariant_checker(Span::secs(1), secs(2));
+    system.run_for(Span::secs(2));
+    let report = system.report();
+    assert_eq!(report.chaos.invariant_violations, 1);
+    assert!(
+        !report.safety_ok,
+        "a checker violation must fail the verdict"
     );
 }

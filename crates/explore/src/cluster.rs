@@ -2,8 +2,8 @@
 //! nondeterminism pool (pending messages, armed timers, virtual clock)
 //! that schedules choose from.
 
-use crate::fnv64;
-use crate::schedule::{Choice, MsgKey};
+use crate::model::{Adversary, MessagePool, Model, Run};
+use crate::schedule::Choice;
 use bytes::Bytes;
 use spire::InvariantChecker;
 use spire_crypto::keys::Signer;
@@ -194,11 +194,27 @@ impl Harness {
     pub fn cfg(&self) -> &PrimeConfig {
         &self.cfg
     }
+}
 
-    /// Builds a fresh cluster at time zero with every replica started
-    /// (initial timers armed). Deterministic: two builds from the same
-    /// harness are bit-for-bit identical.
-    pub fn build(&self) -> Cluster<'_> {
+impl Model for Harness {
+    type Run<'a> = Cluster<'a>;
+
+    const WEIGHTS: &'static [(Adversary, u32)] = &[
+        (Adversary::Inject, 10),
+        (Adversary::Fifo, 45),
+        (Adversary::Reorder, 15),
+        (Adversary::FireNext, 12),
+        (Adversary::Duplicate, 4),
+        (Adversary::Drop, 7),
+        (Adversary::Partition, 4),
+        (Adversary::Skew, 3),
+    ];
+
+    const PROGRESS: &'static str = "max_executed";
+
+    /// A fresh cluster at time zero with every replica started (initial
+    /// timers armed).
+    fn build(&self) -> Cluster<'_> {
         let n = self.cfg.n;
         let replica_pids: Vec<ProcessId> = (0..n).map(ProcessId).collect();
         let client_pid = ProcessId(n);
@@ -234,15 +250,12 @@ impl Harness {
             harness: self,
             now: Time::ZERO,
             replicas,
-            pending: BTreeMap::new(),
-            emitted: BTreeMap::new(),
-            emit_seq: 0,
+            pool: MessagePool::default(),
             timers: BTreeMap::new(),
             cancel_index: BTreeMap::new(),
             fired: BTreeMap::new(),
             injected: vec![false; self.scenario.ops as usize],
             replies: 0,
-            steps: 0,
             schedule: Vec::new(),
             checker,
             inspection,
@@ -253,17 +266,6 @@ impl Harness {
         cluster.checker.check();
         cluster
     }
-
-    /// Rebuilds a cluster and applies `events` in order (unreplayable
-    /// choices are skipped as no-ops). This is the replay primitive the
-    /// explorer, shrinker, and `--replay` all share.
-    pub fn replay(&self, events: &[Choice]) -> Cluster<'_> {
-        let mut cluster = self.build();
-        for choice in events {
-            cluster.apply(choice);
-        }
-        cluster
-    }
 }
 
 /// A running model cluster plus its explicit nondeterminism pool.
@@ -272,11 +274,7 @@ pub struct Cluster<'h> {
     /// The virtual clock: max over all timer due-times fired so far.
     pub now: Time,
     replicas: Vec<ModelReplica>,
-    /// key -> (emission order, frame bytes).
-    pending: BTreeMap<MsgKey, (u64, Bytes)>,
-    /// (from, to, digest) -> emission count, for `MsgKey::nth`.
-    emitted: BTreeMap<(u32, u32, u64), u32>,
-    emit_seq: u64,
+    pool: MessagePool,
     /// (replica, tag) -> (due time, raw backend timer id).
     timers: BTreeMap<(u32, u64), (Time, u64)>,
     /// (replica, raw id) -> tag, so Effect::CancelTimer can find its timer.
@@ -286,9 +284,7 @@ pub struct Cluster<'h> {
     injected: Vec<bool>,
     /// Frames addressed to the client process (replies) seen so far.
     pub replies: u64,
-    /// Applied (non-no-op) choices.
-    pub steps: u64,
-    /// The applied schedule, replayable via [`Harness::replay`].
+    /// The applied schedule, replayable via [`Model::replay`].
     pub schedule: Vec<Choice>,
     /// The safety oracle, ticked after every applied choice.
     pub checker: InvariantChecker,
@@ -309,7 +305,7 @@ impl Cluster<'_> {
             match effect {
                 Effect::Send { to, bytes } => {
                     if to.0 < self.n() {
-                        self.enqueue(i, to.0, bytes);
+                        self.pool.enqueue(i, to.0, bytes);
                     } else {
                         self.replies += 1;
                     }
@@ -332,26 +328,10 @@ impl Cluster<'_> {
             }
         }
     }
+}
 
-    fn enqueue(&mut self, from: u32, to: u32, bytes: Bytes) {
-        let digest = fnv64(&bytes);
-        let nth = self.emitted.entry((from, to, digest)).or_insert(0);
-        let key = MsgKey {
-            from,
-            to,
-            digest,
-            nth: *nth,
-        };
-        *nth += 1;
-        self.emit_seq += 1;
-        self.pending.insert(key, (self.emit_seq, bytes));
-    }
-
-    /// Applies one choice. Returns `false` (a recorded no-op is *not*
-    /// appended to the schedule) when the choice references an op already
-    /// injected, a message no longer pending, or a timer not armed — the
-    /// property that makes shrinking by plain event removal sound.
-    pub fn apply(&mut self, choice: &Choice) -> bool {
+impl Run for Cluster<'_> {
+    fn apply(&mut self, choice: &Choice) -> bool {
         let applied = match choice {
             Choice::Inject { op } => {
                 let idx = *op as usize;
@@ -367,7 +347,7 @@ impl Cluster<'_> {
                 }
             }
             Choice::Deliver { key } => {
-                if let Some((_, bytes)) = self.pending.remove(key) {
+                if let Some(bytes) = self.pool.take(key) {
                     let from = ProcessId(key.from);
                     self.step_replica(key.to, Input::Deliver { from, bytes });
                     true
@@ -375,16 +355,8 @@ impl Cluster<'_> {
                     false
                 }
             }
-            Choice::Duplicate { key } => {
-                if let Some((_, bytes)) = self.pending.get(key) {
-                    let bytes = bytes.clone();
-                    self.enqueue(key.from, key.to, bytes);
-                    true
-                } else {
-                    false
-                }
-            }
-            Choice::Drop { key } => self.pending.remove(key).is_some(),
+            Choice::Duplicate { key } => self.pool.duplicate(key),
+            Choice::Drop { key } => self.pool.take(key).is_some(),
             Choice::Fire { replica, tag } => {
                 if let Some((due, raw)) = self.timers.remove(&(*replica, *tag)) {
                     self.cancel_index.remove(&(*replica, raw));
@@ -400,13 +372,65 @@ impl Cluster<'_> {
             }
         };
         if applied {
-            self.steps += 1;
             self.schedule.push(choice.clone());
             self.checker.check();
         }
         applied
     }
 
+    fn ok(&self) -> bool {
+        self.checker.ok()
+    }
+
+    fn violation_kinds(&self) -> Vec<String> {
+        let mut kinds: Vec<String> = self
+            .checker
+            .violations()
+            .iter()
+            .map(|v| v.kind.to_string())
+            .collect();
+        kinds.sort();
+        kinds.dedup();
+        kinds
+    }
+
+    fn schedule(&self) -> &[Choice] {
+        &self.schedule
+    }
+
+    fn pool(&self) -> &MessagePool {
+        &self.pool
+    }
+
+    /// Excludes pings (pure noise for exploration); ordered by due time
+    /// then key.
+    fn armed_timers(&self) -> Vec<(u32, u64, Time)> {
+        let mut timers: Vec<(u32, u64, Time)> = self
+            .timers
+            .iter()
+            .filter(|((_, tag), _)| *tag != TIMER_PING)
+            .map(|((replica, tag), (due, _))| (*replica, *tag, *due))
+            .collect();
+        timers.sort_by_key(|(replica, tag, due)| (*due, *replica, *tag));
+        timers
+    }
+
+    fn uninjected_ops(&self) -> Vec<u32> {
+        self.injected
+            .iter()
+            .enumerate()
+            .filter(|(_, done)| !**done)
+            .map(|(op, _)| op as u32)
+            .collect()
+    }
+
+    /// The executed-op high-water mark over all replicas.
+    fn progress(&self) -> u64 {
+        self.inspection.max_executed()
+    }
+}
+
+impl Cluster<'_> {
     /// Every currently-applicable choice under the exhaustive bounds:
     /// uninjected ops, every pending delivery, and every armed timer whose
     /// tag still has budget. (Drops and duplicates are not enumerated —
@@ -419,7 +443,7 @@ impl Cluster<'_> {
                 out.push(Choice::Inject { op: op as u32 });
             }
         }
-        for key in self.pending.keys() {
+        for key in self.pool.keys() {
             out.push(Choice::Deliver { key: key.clone() });
         }
         for (replica, tag) in self.timers.keys() {
@@ -433,42 +457,6 @@ impl Cluster<'_> {
             }
         }
         out
-    }
-
-    /// Pending message keys in key order (deterministic).
-    pub fn pending_keys(&self) -> Vec<MsgKey> {
-        self.pending.keys().cloned().collect()
-    }
-
-    /// The pending message emitted longest ago, if any.
-    pub fn oldest_pending(&self) -> Option<MsgKey> {
-        self.pending
-            .iter()
-            .min_by_key(|(_, (seq, _))| *seq)
-            .map(|(key, _)| key.clone())
-    }
-
-    /// Armed timers as `(replica, tag, due)`, excluding pings (pure noise
-    /// for exploration), ordered by due time then key.
-    pub fn armed_timers(&self) -> Vec<(u32, u64, Time)> {
-        let mut timers: Vec<(u32, u64, Time)> = self
-            .timers
-            .iter()
-            .filter(|((_, tag), _)| *tag != TIMER_PING)
-            .map(|((replica, tag), (due, _))| (*replica, *tag, *due))
-            .collect();
-        timers.sort_by_key(|(replica, tag, due)| (*due, *replica, *tag));
-        timers
-    }
-
-    /// Ops not yet injected.
-    pub fn uninjected_ops(&self) -> Vec<u32> {
-        self.injected
-            .iter()
-            .enumerate()
-            .filter(|(_, done)| !**done)
-            .map(|(op, _)| op as u32)
-            .collect()
     }
 
     /// A 64-bit hash of the whole explorable state: the virtual clock,
@@ -485,7 +473,7 @@ impl Cluster<'_> {
         // Aggregate pending by content triple so duplicate copies form a
         // multiset (delivering either copy is the same transition).
         let mut multiset: BTreeMap<(u32, u32, u64), u64> = BTreeMap::new();
-        for key in self.pending.keys() {
+        for key in self.pool.keys() {
             *multiset.entry((key.from, key.to, key.digest)).or_insert(0) += 1;
         }
         h.u64(multiset.len() as u64);
@@ -505,19 +493,6 @@ impl Cluster<'_> {
             h.u64(*injected as u64);
         }
         h.finish()
-    }
-
-    /// Distinct violation kinds the checker has recorded so far.
-    pub fn violation_kinds(&self) -> Vec<String> {
-        let mut kinds: Vec<String> = self
-            .checker
-            .violations()
-            .iter()
-            .map(|v| v.kind.to_string())
-            .collect();
-        kinds.sort();
-        kinds.dedup();
-        kinds
     }
 
     /// Read access to replica `i`'s model wrapper.

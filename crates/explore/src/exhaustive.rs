@@ -4,11 +4,13 @@
 //! (replicas own live state plus a shared inspection registry), so each
 //! frontier node is a *prefix of choices* replayed from genesis — replay
 //! is deterministic, so a prefix is a perfect, compact state snapshot.
-//! Child states hash into a seen-set ([`Cluster::state_hash`]); commuting
-//! delivery orders collapse into one state, which is what makes n=4
-//! configs tractable.
+//! Child states hash into a seen-set
+//! ([`Cluster::state_hash`](crate::cluster::Cluster::state_hash));
+//! commuting delivery orders collapse into one state, which is what makes
+//! n=4 configs tractable.
 
 use crate::cluster::{Bounds, Harness};
+use crate::model::{Model, Run};
 use crate::schedule::Choice;
 use std::collections::{HashSet, VecDeque};
 
@@ -45,7 +47,7 @@ pub fn explore(harness: &Harness, bounds: &Bounds) -> ExhaustiveReport {
     let mut report = ExhaustiveReport::default();
     let mut seen: HashSet<u64> = HashSet::new();
     let root = harness.build();
-    if !root.checker.ok() {
+    if !root.ok() {
         report.states_visited = 1;
         report.violation = Some(FoundViolation {
             kinds: root.violation_kinds(),
@@ -70,7 +72,7 @@ pub fn explore(harness: &Harness, bounds: &Bounds) -> ExhaustiveReport {
             let mut child = harness.replay(&prefix);
             report.replays += 1;
             child.apply(&choice);
-            if !child.checker.ok() {
+            if !child.ok() {
                 report.violation = Some(FoundViolation {
                     kinds: child.violation_kinds(),
                     schedule: child.schedule,

@@ -1,25 +1,39 @@
-//! Schedule exploration harness over the Prime model seam.
+//! Schedule exploration harness over the Prime model seam and the
+//! cross-shard coordinator machine.
 //!
 //! `spire-prime`'s [`ModelReplica`](spire_prime::ModelReplica) turns a
 //! replica into a pure transition function: the caller injects every
 //! nondeterministic event (message delivery, timer firing, clock reads)
-//! and receives the side effects back as data. This crate drives whole
-//! clusters of model replicas through *schedules* — explicit sequences of
-//! [`Choice`]s — and checks the shared
-//! [`InvariantChecker`](spire::invariant::InvariantChecker) predicates
-//! after every step.
+//! and receives the side effects back as data. This crate drives such
+//! machines through *schedules* — explicit sequences of [`Choice`]s — and
+//! checks the model's safety oracle after every step.
 //!
-//! Three drivers are provided:
+//! A [`Model`] builds [`Run`]s; a run applies choices, exposes its
+//! nondeterminism pool (pending messages, armed timers, uninjected ops)
+//! and says whether its oracle still holds. Two models implement the
+//! pair:
 //!
-//! - [`exhaustive::explore`] — bounded exhaustive interleaving for tiny
-//!   configs (breadth-first over choice prefixes with state-hash
-//!   deduplication, so commuting delivery orders collapse);
-//! - [`random::explore`] — seeded randomized exploration with weighted
-//!   adversarial choices (reorder, duplicate, drop, partition bursts) for
-//!   larger configs and longer horizons;
+//! - [`Harness`] / [`Cluster`] — a Prime cluster of model replicas judged
+//!   by the shared [`InvariantChecker`](spire::invariant::InvariantChecker);
+//! - [`xshard::XHarness`] / [`xshard::XCluster`] — one cross-shard 2PC
+//!   coordinator against model participant groups, judged by the
+//!   atomicity ledger.
+//!
+//! The drivers are written once, generic over the model:
+//!
+//! - [`random::explore`] / [`random::hunt`] — seeded randomized
+//!   exploration with weighted adversarial choices (reorder, duplicate,
+//!   drop, timer skew, partition bursts; each model carries its own
+//!   weight table) for larger configs and longer horizons;
 //! - [`shrink::shrink`] — greedy delta debugging over a failing schedule,
 //!   exploiting that choices referencing vanished messages/timers are
-//!   no-ops (so removing a cause silently disables its dependents).
+//!   no-ops (so removing a cause silently disables its dependents);
+//! - [`Model::replay`] — deterministic re-execution of a schedule.
+//!
+//! [`exhaustive::explore`] — bounded breadth-first interleaving with
+//! state-hash deduplication (so commuting delivery orders collapse) — is
+//! typed to the Prime cluster: the cross-shard model has no state hash,
+//! and its coordinator's timer space makes prefix enumeration useless.
 //!
 //! Failing schedules serialize to a self-describing JSON replay artifact
 //! ([`Artifact`]); `exp_x1_explore --replay=PATH` in `spire-bench`
@@ -28,6 +42,7 @@
 pub mod cluster;
 pub mod exhaustive;
 pub mod json;
+pub mod model;
 pub mod random;
 pub mod schedule;
 pub mod shrink;
@@ -35,6 +50,7 @@ pub mod xshard;
 
 pub use cluster::{Bounds, Cluster, Harness, Scenario};
 pub use exhaustive::{ExhaustiveReport, FoundViolation};
+pub use model::{Adversary, MessagePool, Model, Run};
 pub use random::{RandomParams, RandomReport};
 pub use schedule::{Artifact, Choice, MsgKey};
 

@@ -1,9 +1,11 @@
 //! Seeded randomized schedule exploration with weighted adversarial
 //! choices: reordering (random rather than FIFO delivery), duplication,
-//! drops, and partition bursts that discard every message crossing a
-//! random cut. Byzantine-leader misbehavior (equivocation, proposal
-//! delay) comes from the scenario's behavior assignment, so the random
-//! driver composes network-level adversaries with replica-level ones.
+//! drops, timer skew, and partition bursts that discard every message
+//! crossing a random cut — each model weighs them its own way
+//! ([`Model::WEIGHTS`]). Byzantine-leader misbehavior (equivocation,
+//! proposal delay) comes from the Prime scenario's behavior assignment,
+//! so the random driver composes network-level adversaries with
+//! replica-level ones.
 //!
 //! Exploration runs in *episodes*: each derives its own sub-seed, builds
 //! a fresh cluster, and walks up to `steps_per_episode` choices, checking
@@ -11,8 +13,8 @@
 //! `(scenario, seed, episode index)` alone — but failures are reported as
 //! the explicit applied schedule, which replays without any RNG at all.
 
-use crate::cluster::Harness;
 use crate::exhaustive::FoundViolation;
+use crate::model::{Adversary, Model, Run};
 use crate::schedule::Choice;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -49,7 +51,8 @@ pub struct RandomReport {
     pub episodes: u64,
     /// Total applied choices across all episodes.
     pub steps: u64,
-    /// Executed-op high-water mark across episodes (progress evidence).
+    /// High-water mark of [`Run::progress`] across episodes (executed ops
+    /// for Prime, finished transactions for the cross-shard model).
     pub max_executed: u64,
     /// The first violating schedule, if any (the run stops on it).
     pub violation: Option<FoundViolation>,
@@ -65,7 +68,7 @@ fn episode_seed(master: u64, episode: u64) -> u64 {
 
 /// Runs randomized exploration until a violation, the episode budget, or
 /// the wall limit.
-pub fn explore(harness: &Harness, params: &RandomParams) -> RandomReport {
+pub fn explore<M: Model>(model: &M, params: &RandomParams) -> RandomReport {
     let mut report = RandomReport::default();
     let started = Instant::now();
     for episode in 0..params.episodes {
@@ -75,10 +78,10 @@ pub fn explore(harness: &Harness, params: &RandomParams) -> RandomReport {
             }
         }
         let mut rng = StdRng::seed_from_u64(episode_seed(params.seed, episode));
-        let mut cluster = harness.build();
+        let mut cluster = model.build();
         let mut applied = 0usize;
         while applied < params.steps_per_episode {
-            let choices = pick(&mut rng, &cluster);
+            let choices = pick(&mut rng, M::WEIGHTS, &cluster);
             if choices.is_empty() {
                 break;
             }
@@ -87,19 +90,18 @@ pub fn explore(harness: &Harness, params: &RandomParams) -> RandomReport {
                     applied += 1;
                     report.steps += 1;
                 }
-                if !cluster.checker.ok() {
+                if !cluster.ok() {
                     report.episodes = episode + 1;
-                    report.max_executed =
-                        report.max_executed.max(cluster.inspection.max_executed());
+                    report.max_executed = report.max_executed.max(cluster.progress());
                     report.violation = Some(FoundViolation {
                         kinds: cluster.violation_kinds(),
-                        schedule: cluster.schedule,
+                        schedule: cluster.schedule().to_vec(),
                     });
                     return report;
                 }
             }
         }
-        report.max_executed = report.max_executed.max(cluster.inspection.max_executed());
+        report.max_executed = report.max_executed.max(cluster.progress());
         report.episodes = episode + 1;
     }
     report
@@ -113,8 +115,8 @@ pub fn explore(harness: &Harness, params: &RandomParams) -> RandomReport {
 /// depends on the shape of the starting schedule — hunting across a few
 /// seeds reliably reaches near-global minima (e.g. the seeded quorum bug
 /// shrinks to ~12 events) where a single unlucky seed plateaus at ~30.
-pub fn hunt(
-    harness: &Harness,
+pub fn hunt<M: Model>(
+    model: &M,
     base: &RandomParams,
     rounds: u64,
     target_len: usize,
@@ -131,11 +133,11 @@ pub fn hunt(
             }
             params.wall_limit = Some(left);
         }
-        let Some(found) = explore(harness, &params).violation else {
+        let Some(found) = explore(model, &params).violation else {
             continue;
         };
-        let shrunk = crate::shrink::shrink(harness, &found.schedule);
-        let kinds = crate::shrink::reproduces(harness, &shrunk)
+        let shrunk = crate::shrink::shrink(model, &found.schedule);
+        let kinds = crate::shrink::reproduces(model, &shrunk)
             .expect("shrunk schedule must still reproduce");
         if best
             .as_ref()
@@ -158,52 +160,51 @@ pub fn hunt(
     best
 }
 
-/// Picks the next choice(s) by weighted category. Partition bursts return
-/// several `Drop`s at once; every other category returns one choice.
-fn pick(rng: &mut StdRng, cluster: &crate::cluster::Cluster<'_>) -> Vec<Choice> {
+/// Picks the next choice(s) by weighted category: one roll selects the
+/// category from `weights`, whose own draws (if any) follow. Partition
+/// bursts return several `Drop`s at once; every other category returns
+/// one choice.
+fn pick(rng: &mut StdRng, weights: &[(Adversary, u32)], cluster: &impl Run) -> Vec<Choice> {
     let pending = cluster.pending_keys();
     let timers = cluster.armed_timers();
     let ops = cluster.uninjected_ops();
     let roll: u32 = rng.gen_range(0..100);
-    match roll {
-        // Inject a fresh client op.
-        0..=9 if !ops.is_empty() => {
+    let mut upto = 0;
+    let category = weights.iter().find_map(|&(category, weight)| {
+        upto += weight;
+        (roll < upto).then_some(category)
+    });
+    match category {
+        Some(Adversary::Inject) if !ops.is_empty() => {
             vec![Choice::Inject {
                 op: ops[rng.gen_range(0..ops.len())],
             }]
         }
-        // FIFO delivery: the common case, keeps episodes making progress.
-        10..=54 if !pending.is_empty() => {
+        Some(Adversary::Fifo) if !pending.is_empty() => {
             vec![Choice::Deliver {
                 key: cluster.oldest_pending().expect("pending nonempty"),
             }]
         }
-        // Reorder: deliver a uniformly random pending message.
-        55..=69 if !pending.is_empty() => {
+        Some(Adversary::Reorder) if !pending.is_empty() => {
             vec![Choice::Deliver {
                 key: pending[rng.gen_range(0..pending.len())].clone(),
             }]
         }
-        // Fire the earliest-due timer (realistic clock progression).
-        70..=81 if !timers.is_empty() => {
+        Some(Adversary::FireNext) if !timers.is_empty() => {
             let (replica, tag, _) = timers[0];
             vec![Choice::Fire { replica, tag }]
         }
-        // Duplicate a random pending message.
-        82..=85 if !pending.is_empty() => {
+        Some(Adversary::Duplicate) if !pending.is_empty() => {
             vec![Choice::Duplicate {
                 key: pending[rng.gen_range(0..pending.len())].clone(),
             }]
         }
-        // Drop a random pending message.
-        86..=92 if !pending.is_empty() => {
+        Some(Adversary::Drop) if !pending.is_empty() => {
             vec![Choice::Drop {
                 key: pending[rng.gen_range(0..pending.len())].clone(),
             }]
         }
-        // Partition burst: pick a random side-assignment and drop every
-        // pending message that crosses the cut.
-        93..=96 if !pending.is_empty() => {
+        Some(Adversary::Partition) if !pending.is_empty() => {
             let side_mask: u32 = rng.gen();
             let crossing: Vec<Choice> = pending
                 .iter()
@@ -220,8 +221,7 @@ fn pick(rng: &mut StdRng, cluster: &crate::cluster::Cluster<'_>) -> Vec<Choice> 
                 crossing
             }
         }
-        // Timing skew: fire a uniformly random armed timer.
-        97..=99 if !timers.is_empty() => {
+        Some(Adversary::Skew) if !timers.is_empty() => {
             let (replica, tag, _) = timers[rng.gen_range(0..timers.len())];
             vec![Choice::Fire { replica, tag }]
         }
@@ -230,7 +230,7 @@ fn pick(rng: &mut StdRng, cluster: &crate::cluster::Cluster<'_>) -> Vec<Choice> 
     }
 }
 
-fn fallback(cluster: &crate::cluster::Cluster<'_>) -> Vec<Choice> {
+fn fallback(cluster: &impl Run) -> Vec<Choice> {
     if let Some(key) = cluster.oldest_pending() {
         return vec![Choice::Deliver { key }];
     }

@@ -17,18 +17,17 @@
 //! class of bug the explorer hunts (see the `seeded-xshard-bug` feature
 //! of `spire-shard`).
 //!
-//! The module reuses the crate's [`Choice`]/[`MsgKey`] schedule grammar
-//! and the [`Artifact`](crate::Artifact) replay format (scenario names
-//! start with `"xshard"`), with its own ddmin shrinker — the base
-//! drivers are typed to the Prime harness.
+//! [`XHarness`] is the crate's second [`Model`]: the random driver, the
+//! ddmin shrinker and replay are the ones the Prime cluster uses, over
+//! the same [`Choice`]/[`MsgKey`] schedule grammar and
+//! [`Artifact`](crate::Artifact) replay format (scenario names start
+//! with `"xshard"`). What is its own is the machine, the atomicity oracle
+//! and the adversary's weight table.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
-use std::time::Instant;
 
 use bytes::Bytes;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 use spire_crypto::keys::{KeyMaterial, Signer};
 use spire_crypto::{KeyStore, NodeId};
@@ -41,9 +40,7 @@ use spire_shard::{
 };
 use spire_sim::{Time, WireWriter};
 
-use crate::exhaustive::FoundViolation;
-use crate::fnv64;
-use crate::random::{RandomParams, RandomReport};
+use crate::model::{Adversary, MessagePool, Model, Run};
 use crate::schedule::{Choice, MsgKey};
 
 pub use spire_shard::SEEDED_XSHARD_BUG_ACTIVE;
@@ -149,9 +146,27 @@ impl XHarness {
             txs,
         }
     }
+}
 
-    /// A fresh cluster at genesis.
-    pub fn build(&self) -> XCluster<'_> {
+impl Model for XHarness {
+    type Run<'a> = XCluster<'a>;
+
+    /// Timers weigh more than in the Prime table (and there is no
+    /// partition burst): coordinator retries, and the decision deadlines
+    /// they carry, are where 2PC bugs live.
+    const WEIGHTS: &'static [(Adversary, u32)] = &[
+        (Adversary::Inject, 10),
+        (Adversary::Fifo, 40),
+        (Adversary::Reorder, 15),
+        (Adversary::FireNext, 17),
+        (Adversary::Duplicate, 4),
+        (Adversary::Drop, 10),
+        (Adversary::Skew, 4),
+    ];
+
+    const PROGRESS: &'static str = "completed_txs";
+
+    fn build(&self) -> XCluster<'_> {
         let scenario = &self.scenario;
         XCluster {
             harness: self,
@@ -172,26 +187,14 @@ impl XHarness {
                 mock: true,
             },
             ledger: XShardLedger::new(),
-            pending: BTreeMap::new(),
-            emitted: BTreeMap::new(),
-            next_seq: 0,
+            pool: MessagePool::default(),
             timers: BTreeMap::new(),
             now: Time::ZERO,
             injected: BTreeSet::new(),
             completed: Vec::new(),
             violations: Vec::new(),
             schedule: Vec::new(),
-            steps: 0,
         }
-    }
-
-    /// Replays an explicit schedule from genesis (no-op choices skipped).
-    pub fn replay(&self, events: &[Choice]) -> XCluster<'_> {
-        let mut cluster = self.build();
-        for choice in events {
-            cluster.apply(choice);
-        }
-        cluster
     }
 }
 
@@ -205,9 +208,7 @@ pub struct XCluster<'a> {
     verifier: CertVerifier,
     /// The online atomicity oracle.
     pub ledger: XShardLedger,
-    pending: BTreeMap<MsgKey, (u64, Bytes)>,
-    emitted: BTreeMap<(u32, u32, u64), u32>,
-    next_seq: u64,
+    pool: MessagePool,
     /// Armed coordinator retry timers: xid -> due time.
     timers: BTreeMap<u64, Time>,
     now: Time,
@@ -218,87 +219,12 @@ pub struct XCluster<'a> {
     pub violations: Vec<String>,
     /// The applied (effective) schedule so far.
     pub schedule: Vec<Choice>,
-    /// Applied choice count.
-    pub steps: usize,
 }
 
 impl XCluster<'_> {
     /// Process id of the coordinator (participants are `0..groups*reps`).
     pub fn coord_pid(&self) -> u32 {
         self.harness.scenario.groups * self.harness.scenario.reps
-    }
-
-    /// True while the atomicity invariant holds.
-    pub fn ok(&self) -> bool {
-        self.ledger.ok()
-    }
-
-    /// Stable short labels for the violations seen so far.
-    pub fn violation_kinds(&self) -> Vec<String> {
-        let mut kinds: Vec<String> = Vec::new();
-        for text in &self.violations {
-            let kind = if text.contains("replica divergence") {
-                "xshard-divergence"
-            } else {
-                "xshard-atomicity"
-            };
-            if !kinds.iter().any(|k| k == kind) {
-                kinds.push(kind.to_string());
-            }
-        }
-        kinds
-    }
-
-    /// Transaction indices not yet injected.
-    pub fn uninjected_ops(&self) -> Vec<u32> {
-        (0..self.harness.scenario.ops)
-            .filter(|op| !self.injected.contains(op))
-            .collect()
-    }
-
-    /// Every pending message key.
-    pub fn pending_keys(&self) -> Vec<MsgKey> {
-        self.pending.keys().cloned().collect()
-    }
-
-    /// The pending message enqueued earliest (FIFO delivery).
-    pub fn oldest_pending(&self) -> Option<MsgKey> {
-        self.pending
-            .iter()
-            .min_by_key(|(_, (seq, _))| *seq)
-            .map(|(key, _)| key.clone())
-    }
-
-    /// Armed timers as `(process, tag, due)`, earliest-due first. Only
-    /// the coordinator owns timers.
-    pub fn armed_timers(&self) -> Vec<(u32, u64, Time)> {
-        let coord = self.coord_pid();
-        let mut timers: Vec<(u32, u64, Time)> = self
-            .timers
-            .iter()
-            .map(|(&xid, &due)| (coord, xid, due))
-            .collect();
-        timers.sort_by_key(|&(_, _, due)| due);
-        timers
-    }
-
-    /// Applies one choice; returns false (and changes nothing) when the
-    /// choice references state that no longer exists — the no-op
-    /// degradation that keeps shrinking sound.
-    pub fn apply(&mut self, choice: &Choice) -> bool {
-        let applied = match choice {
-            Choice::Inject { op } => self.inject(*op),
-            Choice::Deliver { key } => self.deliver(key),
-            Choice::Duplicate { key } => self.duplicate(key),
-            Choice::Drop { key } => self.pending.remove(key).is_some(),
-            Choice::Fire { replica, tag } => self.fire(*replica, *tag),
-        };
-        if applied {
-            self.schedule.push(choice.clone());
-            self.steps += 1;
-            self.violations.extend(self.ledger.drain_violations());
-        }
-        applied
     }
 
     fn inject(&mut self, op: u32) -> bool {
@@ -312,7 +238,7 @@ impl XCluster<'_> {
     }
 
     fn deliver(&mut self, key: &MsgKey) -> bool {
-        let Some((_, bytes)) = self.pending.remove(key) else {
+        let Some(bytes) = self.pool.take(key) else {
             return false;
         };
         if key.to == self.coord_pid() {
@@ -361,16 +287,8 @@ impl XCluster<'_> {
             };
             let mut scratch = WireWriter::new();
             reply.sign_with(&self.harness.replica_signers[pid], &mut scratch);
-            self.enqueue(key.to, self.coord_pid(), reply.encode());
+            self.pool.enqueue(key.to, self.coord_pid(), reply.encode());
         }
-        true
-    }
-
-    fn duplicate(&mut self, key: &MsgKey) -> bool {
-        let Some(bytes) = self.pending.get(key).map(|(_, b)| b.clone()) else {
-            return false;
-        };
-        self.enqueue(key.from, key.to, bytes);
         true
     }
 
@@ -407,7 +325,7 @@ impl XCluster<'_> {
                     let coord = self.coord_pid();
                     for rep in 0..self.harness.scenario.reps {
                         let to = group * self.harness.scenario.reps + rep;
-                        self.enqueue(coord, to, frame.clone());
+                        self.pool.enqueue(coord, to, frame.clone());
                     }
                 }
                 XAction::SetTimer { xid, delay } => {
@@ -420,222 +338,75 @@ impl XCluster<'_> {
             }
         }
     }
+}
 
-    fn enqueue(&mut self, from: u32, to: u32, bytes: Bytes) {
-        let digest = fnv64(&bytes);
-        let nth = self.emitted.entry((from, to, digest)).or_insert(0);
-        let key = MsgKey {
-            from,
-            to,
-            digest,
-            nth: *nth,
+impl Run for XCluster<'_> {
+    fn apply(&mut self, choice: &Choice) -> bool {
+        let applied = match choice {
+            Choice::Inject { op } => self.inject(*op),
+            Choice::Deliver { key } => self.deliver(key),
+            Choice::Duplicate { key } => self.pool.duplicate(key),
+            Choice::Drop { key } => self.pool.take(key).is_some(),
+            Choice::Fire { replica, tag } => self.fire(*replica, *tag),
         };
-        *nth += 1;
-        self.next_seq += 1;
-        self.pending.insert(key, (self.next_seq, bytes));
-    }
-}
-
-/// Replays `events` from genesis; returns the violation kinds if the
-/// schedule still breaks atomicity, `None` if it is now clean.
-pub fn reproduces(harness: &XHarness, events: &[Choice]) -> Option<Vec<String>> {
-    let cluster = harness.replay(events);
-    if cluster.ok() {
-        None
-    } else {
-        Some(cluster.violation_kinds())
-    }
-}
-
-/// Greedy ddmin over a failing schedule (same shape as
-/// [`crate::shrink::shrink`], retargeted at the cross-shard cluster).
-pub fn shrink(harness: &XHarness, events: &[Choice]) -> Vec<Choice> {
-    debug_assert!(
-        reproduces(harness, events).is_some(),
-        "shrink() requires a failing schedule"
-    );
-    let mut current: Vec<Choice> = harness.replay(events).schedule;
-    loop {
-        let before = current.len();
-        let mut chunk = (current.len() / 2).max(1);
-        loop {
-            let mut start = 0;
-            while start < current.len() {
-                let end = (start + chunk).min(current.len());
-                let mut candidate = current.clone();
-                candidate.drain(start..end);
-                if !candidate.is_empty() && reproduces(harness, &candidate).is_some() {
-                    current = candidate;
-                } else {
-                    start = end;
-                }
-            }
-            if chunk == 1 {
-                break;
-            }
-            chunk = (chunk / 2).max(1);
+        if applied {
+            self.schedule.push(choice.clone());
+            self.violations.extend(self.ledger.drain_violations());
         }
-        current = harness.replay(&current).schedule;
-        if current.len() >= before {
-            break;
-        }
+        applied
     }
-    current
-}
 
-fn episode_seed(master: u64, episode: u64) -> u64 {
-    let mut z = master ^ episode.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
+    /// True while the atomicity invariant holds.
+    fn ok(&self) -> bool {
+        self.ledger.ok()
+    }
 
-/// Seeded randomized exploration of cross-shard schedules; stops at the
-/// first atomicity violation, the episode budget, or the wall limit.
-/// `max_executed` in the report counts completed transactions.
-pub fn explore(harness: &XHarness, params: &RandomParams) -> RandomReport {
-    let mut report = RandomReport::default();
-    let started = Instant::now();
-    for episode in 0..params.episodes {
-        if let Some(limit) = params.wall_limit {
-            if started.elapsed() >= limit {
-                break;
+    fn violation_kinds(&self) -> Vec<String> {
+        let mut kinds: Vec<String> = Vec::new();
+        for text in &self.violations {
+            let kind = if text.contains("replica divergence") {
+                "xshard-divergence"
+            } else {
+                "xshard-atomicity"
+            };
+            if !kinds.iter().any(|k| k == kind) {
+                kinds.push(kind.to_string());
             }
         }
-        let mut rng = StdRng::seed_from_u64(episode_seed(params.seed, episode));
-        let mut cluster = harness.build();
-        let mut applied = 0usize;
-        while applied < params.steps_per_episode {
-            let choices = pick(&mut rng, &cluster);
-            if choices.is_empty() {
-                break;
-            }
-            for choice in choices {
-                if cluster.apply(&choice) {
-                    applied += 1;
-                    report.steps += 1;
-                }
-                if !cluster.ok() {
-                    report.episodes = episode + 1;
-                    report.max_executed = report.max_executed.max(cluster.completed.len() as u64);
-                    report.violation = Some(FoundViolation {
-                        kinds: cluster.violation_kinds(),
-                        schedule: cluster.schedule,
-                    });
-                    return report;
-                }
-            }
-        }
-        report.max_executed = report.max_executed.max(cluster.completed.len() as u64);
-        report.episodes = episode + 1;
+        kinds
     }
-    report
-}
 
-/// Explores across bumped seeds, shrinking every violation and keeping
-/// the smallest; stops early at `target_len` events.
-pub fn hunt(
-    harness: &XHarness,
-    base: &RandomParams,
-    rounds: u64,
-    target_len: usize,
-) -> Option<FoundViolation> {
-    let started = Instant::now();
-    let mut best: Option<FoundViolation> = None;
-    for round in 0..rounds {
-        let mut params = base.clone();
-        params.seed = base.seed.wrapping_add(round);
-        if let Some(limit) = base.wall_limit {
-            let left = limit.saturating_sub(started.elapsed());
-            if left.is_zero() {
-                break;
-            }
-            params.wall_limit = Some(left);
-        }
-        let Some(found) = explore(harness, &params).violation else {
-            continue;
-        };
-        let shrunk = shrink(harness, &found.schedule);
-        let kinds = reproduces(harness, &shrunk).expect("shrunk schedule must still reproduce");
-        if best
-            .as_ref()
-            .map(|b| shrunk.len() < b.schedule.len())
-            .unwrap_or(true)
-        {
-            best = Some(FoundViolation {
-                schedule: shrunk,
-                kinds,
-            });
-        }
-        if best
-            .as_ref()
-            .map(|b| b.schedule.len() <= target_len)
-            .unwrap_or(false)
-        {
-            break;
-        }
+    fn schedule(&self) -> &[Choice] {
+        &self.schedule
     }
-    best
-}
 
-/// Weighted adversarial choice, biased toward progress (FIFO delivery)
-/// with reorder / duplicate / drop / timer-skew minorities. Timers weigh
-/// more than in the Prime driver: coordinator retries (and the decision
-/// deadlines they carry) are where 2PC bugs live.
-fn pick(rng: &mut StdRng, cluster: &XCluster<'_>) -> Vec<Choice> {
-    let pending = cluster.pending_keys();
-    let timers = cluster.armed_timers();
-    let ops = cluster.uninjected_ops();
-    let roll: u32 = rng.gen_range(0..100);
-    match roll {
-        0..=9 if !ops.is_empty() => {
-            vec![Choice::Inject {
-                op: ops[rng.gen_range(0..ops.len())],
-            }]
-        }
-        10..=49 if !pending.is_empty() => {
-            vec![Choice::Deliver {
-                key: cluster.oldest_pending().expect("pending nonempty"),
-            }]
-        }
-        50..=64 if !pending.is_empty() => {
-            vec![Choice::Deliver {
-                key: pending[rng.gen_range(0..pending.len())].clone(),
-            }]
-        }
-        65..=81 if !timers.is_empty() => {
-            let (replica, tag, _) = timers[0];
-            vec![Choice::Fire { replica, tag }]
-        }
-        82..=85 if !pending.is_empty() => {
-            vec![Choice::Duplicate {
-                key: pending[rng.gen_range(0..pending.len())].clone(),
-            }]
-        }
-        86..=95 if !pending.is_empty() => {
-            vec![Choice::Drop {
-                key: pending[rng.gen_range(0..pending.len())].clone(),
-            }]
-        }
-        96..=99 if !timers.is_empty() => {
-            let (replica, tag, _) = timers[rng.gen_range(0..timers.len())];
-            vec![Choice::Fire { replica, tag }]
-        }
-        _ => fallback(cluster),
+    fn pool(&self) -> &MessagePool {
+        &self.pool
     }
-}
 
-fn fallback(cluster: &XCluster<'_>) -> Vec<Choice> {
-    if let Some(key) = cluster.oldest_pending() {
-        return vec![Choice::Deliver { key }];
+    /// Only the coordinator owns timers (tag = xid).
+    fn armed_timers(&self) -> Vec<(u32, u64, Time)> {
+        let coord = self.coord_pid();
+        let mut timers: Vec<(u32, u64, Time)> = self
+            .timers
+            .iter()
+            .map(|(&xid, &due)| (coord, xid, due))
+            .collect();
+        timers.sort_by_key(|&(_, _, due)| due);
+        timers
     }
-    if let Some(&(replica, tag, _)) = cluster.armed_timers().first() {
-        return vec![Choice::Fire { replica, tag }];
+
+    /// Transaction indices not yet injected.
+    fn uninjected_ops(&self) -> Vec<u32> {
+        (0..self.harness.scenario.ops)
+            .filter(|op| !self.injected.contains(op))
+            .collect()
     }
-    if let Some(&op) = cluster.uninjected_ops().first() {
-        return vec![Choice::Inject { op }];
+
+    /// Finished transactions.
+    fn progress(&self) -> u64 {
+        self.completed.len() as u64
     }
-    Vec::new()
 }
 
 #[cfg(test)]
@@ -698,68 +469,5 @@ mod tests {
         drain(&mut cluster, 1_000);
         assert!(cluster.ok(), "starved prepare must abort atomically");
         assert_eq!(cluster.completed, vec![(1, false)]);
-    }
-
-    #[test]
-    fn random_exploration_is_clean_on_honest_build() {
-        // With the seeded bug compiled in this test would find the
-        // violation instead, so it only asserts cleanliness without it.
-        if spire_shard::SEEDED_XSHARD_BUG_ACTIVE {
-            return;
-        }
-        let h = harness(2);
-        let report = explore(
-            &h,
-            &RandomParams {
-                seed: 7,
-                episodes: 40,
-                steps_per_episode: 300,
-                wall_limit: None,
-            },
-        );
-        assert!(
-            report.violation.is_none(),
-            "honest build must survive adversarial schedules: {:?}",
-            report.violation.as_ref().map(|v| &v.kinds)
-        );
-        assert!(report.max_executed > 0, "exploration never finished a tx");
-    }
-
-    #[test]
-    fn replay_is_deterministic() {
-        let h = harness(2);
-        let mut cluster = h.build();
-        drain(&mut cluster, 10_000);
-        let schedule = cluster.schedule.clone();
-        let replayed = h.replay(&schedule);
-        assert_eq!(replayed.steps, cluster.steps);
-        assert_eq!(replayed.completed, cluster.completed);
-        assert_eq!(replayed.violation_kinds(), cluster.violation_kinds());
-    }
-
-    #[cfg(feature = "seeded-xshard-bug")]
-    #[test]
-    fn seeded_bug_is_found_and_shrinks() {
-        let h = harness(2);
-        let found = hunt(
-            &h,
-            &RandomParams {
-                seed: 1,
-                episodes: 200,
-                steps_per_episode: 400,
-                wall_limit: Some(std::time::Duration::from_secs(120)),
-            },
-            8,
-            12,
-        )
-        .expect("the seeded coordinator bug must be reachable");
-        assert!(found.kinds.iter().any(|k| k.starts_with("xshard")));
-        // The shrunk schedule still reproduces, and stays reasonably small.
-        assert!(reproduces(&h, &found.schedule).is_some());
-        assert!(
-            found.schedule.len() <= 40,
-            "shrunk schedule has {} events",
-            found.schedule.len()
-        );
     }
 }

@@ -1,9 +1,13 @@
-//! End-to-end smoke tests for the exploration harness: liveness under the
-//! randomized driver, exhaustive-search accounting, replay determinism,
-//! and (under `--features seeded-commit-bug`) bug-catching + shrinking.
+//! End-to-end smoke tests for the exploration harness, over both models
+//! (the Prime cluster and the cross-shard 2PC machine): liveness under
+//! the randomized driver, exhaustive-search accounting, replay
+//! determinism, and (under `--features seeded-commit-bug` /
+//! `seeded-xshard-bug`) bug-catching + shrinking.
 
+use spire_explore::xshard::{XHarness, XScenario, SEEDED_XSHARD_BUG_ACTIVE};
 use spire_explore::{
-    exhaustive, random, shrink, Artifact, Bounds, Harness, RandomParams, Scenario,
+    exhaustive, random, shrink, Artifact, Bounds, Choice, Harness, Model, RandomParams, Run,
+    Scenario,
 };
 use spire_prime::model::SEEDED_BUG_ACTIVE;
 
@@ -11,28 +15,98 @@ fn harness(name: &str, ops: u32) -> Harness {
     Harness::new(Scenario::named(name, 1, 0, ops).expect("known scenario"))
 }
 
+fn xharness(ops: u32) -> XHarness {
+    XHarness::new(XScenario::named("xshard-commit", ops).expect("known scenario"))
+}
+
+/// The honest build survives the adversarial driver and makes progress.
+fn random_is_clean(model: &impl Model, params: &RandomParams) {
+    let report = random::explore(model, params);
+    assert!(
+        report.violation.is_none(),
+        "honest run violated invariants: {:?}",
+        report.violation
+    );
+    assert!(report.episodes == params.episodes && report.steps > 0);
+    assert!(report.max_executed > 0, "no episode made any progress");
+}
+
 #[test]
 fn random_honest_executes_ops_without_violations() {
     // Under the correct build this also holds for every adversarial
     // scenario; the honest one additionally demonstrates liveness.
-    let h = harness("honest", 3);
     let params = RandomParams {
         seed: 0xA11CE,
         episodes: 8,
         steps_per_episode: 600,
         wall_limit: None,
     };
-    let report = random::explore(&h, &params);
+    random_is_clean(&harness("honest", 3), &params);
+}
+
+#[test]
+fn random_xshard_commits_without_violations() {
+    // With the seeded bug compiled in the driver would (rightly) find the
+    // violation instead.
+    if SEEDED_XSHARD_BUG_ACTIVE {
+        return;
+    }
+    let params = RandomParams {
+        seed: 7,
+        episodes: 40,
+        steps_per_episode: 300,
+        wall_limit: None,
+    };
+    random_is_clean(&xharness(2), &params);
+}
+
+/// The artifact fields of an f = 1, two-op scenario.
+fn header(scenario: &str, k: u32, seeded_bug: bool) -> Artifact {
+    Artifact {
+        scenario: scenario.to_string(),
+        f: 1,
+        k,
+        ops: 2,
+        seed: 0,
+        seeded_bug,
+        violations: Vec::new(),
+        events: Vec::new(),
+    }
+}
+
+/// Hunts the seeded bug, checks the shrunk schedule is small, and that it
+/// reproduces deterministically — including after a JSON roundtrip (the
+/// exact `--replay` path). `header` carries the model's artifact fields.
+fn hunt_shrinks_and_replays(
+    model: &impl Model,
+    header: Artifact,
+    params: &RandomParams,
+    rounds: u64,
+    target_len: usize,
+    max_len: usize,
+) -> Vec<String> {
+    let violation = random::hunt(model, params, rounds, target_len)
+        .expect("randomized exploration must catch the seeded bug");
+    let shrunk = violation.schedule;
     assert!(
-        report.violation.is_none(),
-        "honest run violated invariants: {:?}",
-        report.violation
+        shrunk.len() <= max_len,
+        "shrunk schedule still has {} events",
+        shrunk.len()
     );
-    assert!(report.episodes == 8 && report.steps > 0);
-    assert!(
-        report.max_executed > 0,
-        "no episode ordered and executed any op"
+    let kinds = shrink::reproduces(model, &shrunk).expect("shrunk schedule must still fail");
+    let artifact = Artifact {
+        seed: params.seed,
+        violations: kinds.clone(),
+        events: shrunk,
+        ..header
+    };
+    let parsed = Artifact::from_json_str(&artifact.to_json_string()).expect("parses");
+    assert_eq!(parsed, artifact);
+    assert_eq!(
+        shrink::reproduces(model, &parsed.events).expect("replay must fail"),
+        kinds
     );
+    kinds
 }
 
 #[test]
@@ -45,39 +119,35 @@ fn seeded_bug_is_caught_and_shrinks_small() {
         panic!("test ran without the seeded-commit-bug feature");
     }
     let h = harness("equivocating-leader", 2);
+    let header = header(&h.scenario.name, h.scenario.k, SEEDED_BUG_ACTIVE);
     let params = RandomParams {
         seed: 0,
         episodes: 512,
         steps_per_episode: 600,
         wall_limit: None,
     };
-    let violation = random::hunt(&h, &params, 16, 25)
-        .expect("randomized exploration must catch the seeded quorum bug");
-    let shrunk = violation.schedule;
-    assert!(
-        shrunk.len() <= 25,
-        "shrunk schedule still has {} events",
-        shrunk.len()
-    );
-    // The shrunk schedule reproduces deterministically, including after a
-    // JSON roundtrip (the exact --replay path).
-    let kinds = shrink::reproduces(&h, &shrunk).expect("shrunk schedule must still fail");
-    let artifact = Artifact {
-        scenario: h.scenario.name.clone(),
-        f: h.scenario.f,
-        k: h.scenario.k,
-        ops: h.scenario.ops,
-        seed: params.seed,
-        seeded_bug: SEEDED_BUG_ACTIVE,
-        violations: kinds.clone(),
-        events: shrunk,
+    hunt_shrinks_and_replays(&h, header, &params, 16, 25, 25);
+}
+
+#[test]
+#[cfg_attr(
+    not(feature = "seeded-xshard-bug"),
+    ignore = "needs the seeded bug build"
+)]
+fn seeded_xshard_bug_is_found_and_shrinks() {
+    if !SEEDED_XSHARD_BUG_ACTIVE {
+        panic!("test ran without the seeded-xshard-bug feature");
+    }
+    let h = xharness(2);
+    let header = header(&h.scenario.name, 0, SEEDED_XSHARD_BUG_ACTIVE);
+    let params = RandomParams {
+        seed: 1,
+        episodes: 200,
+        steps_per_episode: 400,
+        wall_limit: Some(std::time::Duration::from_secs(120)),
     };
-    let parsed = Artifact::from_json_str(&artifact.to_json_string()).expect("parses");
-    assert_eq!(parsed, artifact);
-    assert_eq!(
-        shrink::reproduces(&h, &parsed.events).expect("replay must fail"),
-        kinds
-    );
+    let kinds = hunt_shrinks_and_replays(&h, header, &params, 8, 12, 40);
+    assert!(kinds.iter().any(|k| k.starts_with("xshard")));
 }
 
 #[test]
@@ -136,36 +206,32 @@ fn exhaustive_tiny_config_is_clean_and_deduplicates() {
     assert!(report.deepest > 2);
 }
 
-#[test]
-fn replays_are_deterministic() {
-    let h = harness("equivocating-leader", 2);
-    // Build a schedule greedily (FIFO delivery, earliest timer), recording
-    // every applied choice.
-    let mut cluster = h.build();
-    let mut choices = Vec::new();
-    for op in 0..2 {
-        let choice = spire_explore::Choice::Inject { op };
-        cluster.apply(&choice);
-        choices.push(choice);
+/// Drives `model` greedily (inject everything, then FIFO delivery /
+/// earliest timer) and checks that replaying the applied schedule — and
+/// re-running a seeded random exploration — reproduces it exactly.
+/// Returns the driven run and its replay for model-specific comparisons.
+fn replay_is_deterministic<M: Model>(model: &M) -> (M::Run<'_>, M::Run<'_>) {
+    let mut cluster = model.build();
+    for op in cluster.uninjected_ops() {
+        cluster.apply(&Choice::Inject { op });
     }
     for _ in 0..60 {
         let choice = if let Some(key) = cluster.oldest_pending() {
-            spire_explore::Choice::Deliver { key }
+            Choice::Deliver { key }
         } else if let Some(&(replica, tag, _)) = cluster.armed_timers().first() {
-            spire_explore::Choice::Fire { replica, tag }
+            Choice::Fire { replica, tag }
         } else {
             break;
         };
         cluster.apply(&choice);
-        choices.push(choice);
     }
-    assert!(choices.len() > 10);
-    // Replaying the recorded schedule reproduces the exact cluster state.
-    let c1 = h.replay(&choices);
-    let c2 = h.replay(&choices);
-    assert_eq!(c1.state_hash(), cluster.state_hash());
-    assert_eq!(c1.state_hash(), c2.state_hash());
-    assert_eq!(c1.steps, c2.steps);
+    assert!(cluster.schedule().len() > 10);
+    let replayed = model.replay(cluster.schedule());
+    assert_eq!(replayed.schedule(), cluster.schedule());
+    assert_eq!(replayed.progress(), cluster.progress());
+    assert_eq!(replayed.violation_kinds(), cluster.violation_kinds());
+    assert_eq!(replayed.pending_keys(), cluster.pending_keys());
+    assert_eq!(replayed.armed_timers(), cluster.armed_timers());
     // Seeded randomized runs are reproducible end to end as well.
     let params = RandomParams {
         seed: 99,
@@ -173,8 +239,31 @@ fn replays_are_deterministic() {
         steps_per_episode: 200,
         wall_limit: None,
     };
-    let r1 = random::explore(&h, &params);
-    let r2 = random::explore(&h, &params);
+    let r1 = random::explore(model, &params);
+    let r2 = random::explore(model, &params);
     assert_eq!(r1.steps, r2.steps);
     assert_eq!(r1.max_executed, r2.max_executed);
+    assert_eq!(
+        r1.violation.map(|v| v.schedule),
+        r2.violation.map(|v| v.schedule)
+    );
+    (cluster, replayed)
+}
+
+#[test]
+fn replays_are_deterministic() {
+    let h = harness("equivocating-leader", 2);
+    let (cluster, replayed) = replay_is_deterministic(&h);
+    // For Prime, the replay reproduces the exact cluster state.
+    assert_eq!(replayed.state_hash(), cluster.state_hash());
+    let xh = xharness(2);
+    let (xcluster, xreplayed) = replay_is_deterministic(&xh);
+    assert_eq!(xreplayed.completed, xcluster.completed);
+}
+
+#[test]
+fn both_adversary_weight_tables_cover_every_roll() {
+    for weights in [Harness::WEIGHTS, XHarness::WEIGHTS] {
+        assert_eq!(weights.iter().map(|(_, w)| w).sum::<u32>(), 100);
+    }
 }

@@ -5,7 +5,7 @@
 //! schedule stays clean. The artifact's own `violations` field records
 //! what it used to trigger, for the archaeology.
 
-use spire_explore::{xshard, Artifact, Harness, Scenario};
+use spire_explore::{xshard, Artifact, Harness, Model, Run, Scenario};
 
 /// Replays a committed artifact and returns the violation kinds the
 /// schedule produces on the current code.
@@ -36,7 +36,7 @@ fn viewstate_single_claim_schedule_stays_safe() {
     );
 }
 
-/// Hunted and shrunk by `xshard::hunt` against the planted
+/// Hunted and shrunk by `random::hunt` against the planted
 /// `seeded-xshard-bug` coordinator (an "impatient" commit phase that
 /// aborts unacked groups after three retries while acked groups stay
 /// committed — a textbook 2PC atomicity break). On an honest build the

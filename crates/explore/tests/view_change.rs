@@ -4,7 +4,7 @@
 //! the model seam, so the exact interleaving is pinned — including the
 //! ViewState *join* path, which wall-clock tests rarely isolate.
 
-use spire_explore::{Artifact, Choice, Cluster, Harness, Scenario};
+use spire_explore::{Artifact, Choice, Cluster, Harness, Model, Run, Scenario};
 use spire_prime::model::SEEDED_BUG_ACTIVE;
 use spire_prime::replica::TIMER_PROGRESS;
 

@@ -941,7 +941,7 @@ impl Runtime {
     }
 
     /// Merges every worker's last-published metrics clone into one store
-    /// (series re-sorted). At most [`PUBLISH_INTERVAL`] stale — the
+    /// (series re-sorted). At most one publish interval (250 ms) stale — the
     /// in-flight view the health monitor snapshots while the run is
     /// still going.
     pub fn live_metrics(&self) -> Metrics {

@@ -222,8 +222,8 @@ pub struct TraceEvent {
 
 /// Bounded ring buffer of recent trace events.
 ///
-/// When full, the oldest event is evicted and counted in [`dropped`]
-/// (`FlightRecorder::dropped`), so the recorder always holds the most recent
+/// When full, the oldest event is evicted and counted in
+/// [`FlightRecorder::dropped`], so the recorder always holds the most recent
 /// window — exactly what a postmortem needs.
 #[derive(Clone, Debug, Default)]
 pub struct FlightRecorder {

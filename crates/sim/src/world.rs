@@ -62,7 +62,7 @@ pub trait Process: Send {
 }
 
 /// Configuration of a directed network link.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LinkConfig {
     /// Propagation delay.
     pub latency: Span,

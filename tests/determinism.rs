@@ -3,7 +3,7 @@
 //! Backend refactor (which opened the door to wall-clock time sources)
 //! against ever leaking nondeterminism into the sim substrate.
 
-use spire::{Deployment, DeploymentConfig, Report, Scenario};
+use spire::{Deployment, DeploymentConfig, Scenario};
 use spire_sim::Span;
 
 fn run_once(seed: u64, scenario_idx: usize) -> String {
@@ -17,8 +17,7 @@ fn run_once(seed: u64, scenario_idx: usize) -> String {
     let scenario = &Scenario::red_team_suite()[scenario_idx];
     scenario.apply(&mut deployment);
     deployment.run_for(Span::secs(8));
-    let report = Report::from_deployment(&deployment);
-    report.to_json()
+    deployment.report().to_json()
 }
 
 #[test]
