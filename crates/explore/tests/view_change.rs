@@ -1,6 +1,6 @@
 //! Schedule-driven regression tests for the view-change path
 //! (`on_suspect` -> `on_view_state` -> `on_new_view`), the least-tested
-//! region of `replica.rs`. Every test drives explicit schedules through
+//! region of `replica/view_change.rs`. Every test drives explicit schedules through
 //! the model seam, so the exact interleaving is pinned — including the
 //! ViewState *join* path, which wall-clock tests rarely isolate.
 

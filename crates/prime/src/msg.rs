@@ -560,30 +560,62 @@ pub enum PrimeMsg {
     },
 }
 
+/// The message's own signature field, for the variants that carry one
+/// (works on `&PrimeMsg` and `&mut PrimeMsg` alike).
+///
+/// Every signed variant writes its signature *last*, which is what lets
+/// [`signing_bytes`](PrimeMsg::signing_bytes) zero the signature in the
+/// already-encoded buffer instead of cloning the whole message.
+macro_rules! own_sig {
+    ($msg:expr) => {
+        match $msg {
+            PrimeMsg::PoRequest { sig, .. }
+            | PrimeMsg::PoAck { sig, .. }
+            | PrimeMsg::PrePrepare { sig, .. }
+            | PrimeMsg::Prepare { sig, .. }
+            | PrimeMsg::Commit { sig, .. }
+            | PrimeMsg::Suspect { sig, .. }
+            | PrimeMsg::ViewState(ViewStateMsg { sig, .. })
+            | PrimeMsg::NewView { sig, .. }
+            | PrimeMsg::Notify { sig, .. }
+            | PrimeMsg::StateReq { sig, .. }
+            | PrimeMsg::Reply { sig, .. }
+            | PrimeMsg::PoAckMulti { sig, .. }
+            | PrimeMsg::CommitMulti { sig, .. } => Some(sig),
+            _ => None,
+        }
+    };
+}
+
 impl PrimeMsg {
-    /// True for variants whose encoding ends in their own 64-byte
-    /// signature field.
-    ///
-    /// Every signed variant writes its signature *last*, which is what lets
-    /// [`signing_bytes`](PrimeMsg::signing_bytes) zero the signature in the
-    /// already-encoded buffer instead of cloning the whole message.
-    fn carries_sig(&self) -> bool {
-        matches!(
-            self,
-            PrimeMsg::PoRequest { .. }
-                | PrimeMsg::PoAck { .. }
-                | PrimeMsg::PrePrepare { .. }
-                | PrimeMsg::Prepare { .. }
-                | PrimeMsg::Commit { .. }
-                | PrimeMsg::Suspect { .. }
-                | PrimeMsg::ViewState(_)
-                | PrimeMsg::NewView { .. }
-                | PrimeMsg::Notify { .. }
-                | PrimeMsg::StateReq { .. }
-                | PrimeMsg::Reply { .. }
-                | PrimeMsg::PoAckMulti { .. }
-                | PrimeMsg::CommitMulti { .. }
-        )
+    /// The replica this message names as its author, for variants that
+    /// name one. A pre-prepare and a new-view are authored by the leader of
+    /// the view they carry; client ops name no replica.
+    pub fn claimed_sender(&self) -> Option<ReplicaId> {
+        match self {
+            PrimeMsg::PoRequest { origin: r, .. }
+            | PrimeMsg::PoAck { replica: r, .. }
+            | PrimeMsg::PoAckMulti { replica: r, .. }
+            | PrimeMsg::Prepare { replica: r, .. }
+            | PrimeMsg::Commit { replica: r, .. }
+            | PrimeMsg::CommitMulti { replica: r, .. }
+            | PrimeMsg::Ping { replica: r, .. }
+            | PrimeMsg::Pong { replica: r, .. }
+            | PrimeMsg::Suspect { replica: r, .. }
+            | PrimeMsg::StateReq { replica: r, .. }
+            | PrimeMsg::StateResp { replica: r, .. }
+            | PrimeMsg::StateMeta { replica: r, .. }
+            | PrimeMsg::StateChunk { replica: r, .. }
+            | PrimeMsg::StateChunkReq { replica: r, .. }
+            | PrimeMsg::SuffixVote { replica: r, .. }
+            | PrimeMsg::ReconReq { replica: r, .. }
+            | PrimeMsg::Notify { replica: r, .. }
+            | PrimeMsg::Reply { replica: r, .. } => Some(*r),
+            PrimeMsg::PoSummary(row) => Some(row.replica),
+            PrimeMsg::ViewState(state) => Some(state.replica),
+            PrimeMsg::Checkpoint(attestation) => Some(attestation.replica),
+            PrimeMsg::Op(_) | PrimeMsg::PrePrepare { .. } | PrimeMsg::NewView { .. } => None,
+        }
     }
 
     /// The canonical bytes a signature covers for this message: the
@@ -600,7 +632,7 @@ impl PrimeMsg {
     pub fn write_signing_bytes<'a>(&self, scratch: &'a mut WireWriter) -> &'a [u8] {
         scratch.clear();
         self.write(scratch);
-        if self.carries_sig() {
+        if own_sig!(self).is_some() {
             scratch.zero_tail(64);
         }
         scratch.as_slice()
@@ -610,21 +642,8 @@ impl PrimeMsg {
     /// reusing `scratch` for the signing bytes.
     pub fn sign_with(&mut self, key: &Signer, scratch: &mut WireWriter) {
         let sig = key.sign64(self.write_signing_bytes(scratch));
-        match self {
-            PrimeMsg::PoRequest { sig: s, .. }
-            | PrimeMsg::PoAck { sig: s, .. }
-            | PrimeMsg::PrePrepare { sig: s, .. }
-            | PrimeMsg::Prepare { sig: s, .. }
-            | PrimeMsg::Commit { sig: s, .. }
-            | PrimeMsg::Suspect { sig: s, .. }
-            | PrimeMsg::NewView { sig: s, .. }
-            | PrimeMsg::Notify { sig: s, .. }
-            | PrimeMsg::StateReq { sig: s, .. }
-            | PrimeMsg::Reply { sig: s, .. }
-            | PrimeMsg::PoAckMulti { sig: s, .. }
-            | PrimeMsg::CommitMulti { sig: s, .. } => *s = sig,
-            PrimeMsg::ViewState(state) => state.sig = sig,
-            _ => {}
+        if let Some(field) = own_sig!(self) {
+            *field = sig;
         }
     }
 
@@ -643,24 +662,11 @@ impl PrimeMsg {
         mock: bool,
         scratch: &mut WireWriter,
     ) -> bool {
-        let sig = match self {
-            PrimeMsg::PoRequest { sig, .. }
-            | PrimeMsg::PoAck { sig, .. }
-            | PrimeMsg::PrePrepare { sig, .. }
-            | PrimeMsg::Prepare { sig, .. }
-            | PrimeMsg::Commit { sig, .. }
-            | PrimeMsg::Suspect { sig, .. }
-            | PrimeMsg::NewView { sig, .. }
-            | PrimeMsg::Notify { sig, .. }
-            | PrimeMsg::StateReq { sig, .. }
-            | PrimeMsg::Reply { sig, .. }
-            | PrimeMsg::PoAckMulti { sig, .. }
-            | PrimeMsg::CommitMulti { sig, .. } => *sig,
-            PrimeMsg::ViewState(state) => state.sig,
-            // Unsigned control messages (pings, state transfer, recon) rely
-            // on the authenticated overlay link; their effects are
-            // idempotent and validated by content.
-            _ => return true,
+        // Unsigned control messages (pings, state transfer, recon) rely
+        // on the authenticated overlay link; their effects are
+        // idempotent and validated by content.
+        let Some(sig) = own_sig!(self).copied() else {
+            return true;
         };
         verify64(
             keystore,

@@ -1,0 +1,107 @@
+//! Checkpoints: signed attestations of the execution snapshot every
+//! `checkpoint_interval` matrices, and the stable checkpoint (proven by
+//! `f + 1` matching attestations) that log compaction and state transfer
+//! are anchored on.
+
+use super::io::{Io, Metric};
+use super::StateHasher;
+use crate::msg::{CheckpointMsg, PrimeMsg};
+use bytes::Bytes;
+use spire_sim::{Context, TraceKind};
+use std::collections::BTreeMap;
+use std::hash::{Hash, Hasher};
+
+#[derive(Default)]
+pub(super) struct Checkpoints {
+    votes: BTreeMap<u64, BTreeMap<u32, CheckpointMsg>>,
+    /// `(seq, snapshot, proof)` of the latest stable checkpoint.
+    pub(super) stable: Option<(u64, Bytes, Vec<CheckpointMsg>)>,
+    /// The execution cover the stable checkpoint was taken at (read only
+    /// once one exists).
+    pub(super) stable_exec_cover: Vec<u64>,
+    /// Our own snapshots awaiting stability.
+    pending_snapshots: BTreeMap<u64, Bytes>,
+}
+
+impl Checkpoints {
+    pub(super) fn take(&mut self, io: &mut Io, ctx: &mut Context<'_>, seq: u64, snapshot: Vec<u8>) {
+        let digest = spire_crypto::digest(&snapshot);
+        io.inspect(|rec| rec.push_checkpoint(seq, digest));
+        io.count(ctx, Metric::SignOps, 1);
+        let msg = CheckpointMsg::signed(io.me, seq, digest, &io.signer);
+        self.votes
+            .entry(seq)
+            .or_default()
+            .insert(io.me.0, msg.clone());
+        // Cache our own snapshot so it is available once stable.
+        self.pending_snapshots.insert(seq, Bytes::from(snapshot));
+        io.broadcast(ctx, PrimeMsg::Checkpoint(msg).encode());
+    }
+
+    /// Returns the attestation's sequence if it was accepted.
+    pub(super) fn on_checkpoint(
+        &mut self,
+        io: &Io,
+        ctx: &mut Context<'_>,
+        msg: CheckpointMsg,
+    ) -> Option<u64> {
+        if !io.verify_checkpoint(ctx, &msg) {
+            io.count(ctx, Metric::BadCkptSig, 1);
+            return None;
+        }
+        let seq = msg.seq;
+        self.votes
+            .entry(seq)
+            .or_default()
+            .insert(msg.replica.0, msg);
+        Some(seq)
+    }
+
+    /// Promotes our snapshot at `seq` to the stable checkpoint once `f + 1`
+    /// attestations match it; returns whether it just became stable.
+    pub(super) fn check_stable(
+        &mut self,
+        io: &Io,
+        ctx: &mut Context<'_>,
+        seq: u64,
+        exec_cover: &[u64],
+    ) -> bool {
+        let (Some(votes), Some(snapshot)) =
+            (self.votes.get(&seq), self.pending_snapshots.get(&seq))
+        else {
+            return false;
+        };
+        let my_digest = spire_crypto::digest(snapshot);
+        let matching: Vec<CheckpointMsg> = votes
+            .values()
+            .filter(|v| v.digest == my_digest)
+            .cloned()
+            .collect();
+        let already = self.stable.as_ref().map_or(0, |(s, _, _)| *s);
+        if matching.len() < (io.cfg.f + 1) as usize || seq <= already {
+            return false;
+        }
+        self.stable = Some((seq, snapshot.clone(), matching));
+        self.stable_exec_cover = exec_cover.to_vec();
+        io.count(ctx, Metric::CheckpointsStable, 1);
+        ctx.trace(TraceKind::Checkpoint {
+            replica: io.me.0,
+            seq,
+        });
+        true
+    }
+
+    pub(super) fn compact(&mut self, stable_seq: u64) {
+        self.votes.retain(|s, _| *s + 1 >= stable_seq);
+        self.pending_snapshots.retain(|s, _| *s >= stable_seq);
+    }
+
+    pub(super) fn digest(&self, h: &mut StateHasher) {
+        for (seq, votes) in &self.votes {
+            h.all(votes.keys()).write_u64(*seq);
+        }
+        let stable = self.stable.as_ref();
+        stable.map(|(seq, snapshot, _)| (seq, snapshot)).hash(h);
+        h.all(self.pending_snapshots.keys());
+    }
+}

@@ -1,0 +1,250 @@
+//! Execution: applying committed matrices to the application in
+//! deterministic `(origin, po_seq)` order, exactly-once per client op, and
+//! the execution snapshot that checkpoints and state transfer carry.
+
+use super::io::{Io, Metric};
+use super::ordering::Ordering;
+use super::preorder::PreOrder;
+use super::StateHasher;
+use crate::application::Application;
+use crate::behavior::ByzBehavior;
+use crate::msg::{ClientOp, PrimeMsg};
+use bytes::Bytes;
+use spire_crypto::Digest;
+use spire_sim::{span_key, Context, SpanPhase, TraceKind, Wire, WireError, WireReader, WireWriter};
+use std::collections::{BTreeMap, BTreeSet};
+use std::hash::Hash;
+
+/// Exactly-once tracking of a client's operation sequence numbers that
+/// tolerates out-of-order arrival/execution: a contiguous floor plus the
+/// sparse set of numbers seen above it. (A plain high-water mark would
+/// wrongly treat an op overtaken in the network by a later one from the
+/// same client as a duplicate.)
+#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
+pub struct CseqWindow {
+    floor: u64,
+    above: BTreeSet<u64>,
+}
+
+impl CseqWindow {
+    /// Marks `cseq` as seen; returns false if it was already seen.
+    pub fn try_mark(&mut self, cseq: u64) -> bool {
+        if cseq <= self.floor || self.above.contains(&cseq) {
+            return false;
+        }
+        self.above.insert(cseq);
+        while self.above.remove(&(self.floor + 1)) {
+            self.floor += 1;
+        }
+        true
+    }
+
+    /// The contiguous floor (every cseq `<= floor` was seen).
+    pub fn floor(&self) -> u64 {
+        self.floor
+    }
+
+    /// Sparse entries above the floor.
+    pub fn sparse(&self) -> impl Iterator<Item = u64> + '_ {
+        self.above.iter().copied()
+    }
+
+    /// Rebuilds from snapshot parts.
+    pub fn from_parts(floor: u64, above: impl IntoIterator<Item = u64>) -> CseqWindow {
+        CseqWindow {
+            floor,
+            above: above.into_iter().collect(),
+        }
+    }
+}
+
+pub(super) struct Execution {
+    pub(super) app: Box<dyn Application>,
+    /// Per-origin PO sequence executed through.
+    pub(super) exec_cover: Vec<u64>,
+    executed_cseq: BTreeMap<u32, CseqWindow>,
+    pub(super) last_executed: u64,
+    exec_chain_head: Digest,
+    total_ops: u64,
+}
+
+impl Execution {
+    pub(super) fn new(app: Box<dyn Application>, n: usize) -> Execution {
+        Execution {
+            app,
+            exec_cover: vec![0; n],
+            executed_cseq: BTreeMap::new(),
+            last_executed: 0,
+            exec_chain_head: [0; 32],
+            total_ops: 0,
+        }
+    }
+
+    /// Executes the next committed matrix, if it and every pre-ordered
+    /// request it newly covers are at hand; returns its sequence. A matrix
+    /// with absent requests stalls until reconciliation completes.
+    pub(super) fn execute_next(
+        &mut self,
+        io: &mut Io,
+        ctx: &mut Context<'_>,
+        pre: &mut PreOrder,
+        ord: &Ordering,
+        view: u64,
+    ) -> Option<u64> {
+        let next = self.last_executed + 1;
+        if next > ord.commit_aru {
+            return None;
+        }
+        let matrix = ord.committed_matrices.get(&next)?;
+        let quorum = io.cfg.cover_quorum();
+        // Per-origin execution targets from this matrix.
+        let targets: Vec<u64> = (0..io.cfg.n as usize)
+            .map(|i| matrix.covered_aru(i, quorum).max(self.exec_cover[i]))
+            .collect();
+        let newly_covered = |cover: &[u64]| -> Vec<(u32, u64)> {
+            (0..cover.len())
+                .flat_map(|i| ((cover[i] + 1)..=targets[i]).map(move |s| (i as u32, s)))
+                .collect()
+        };
+        // First pass: are all needed PO-Requests present and certified?
+        let mut absent = newly_covered(&self.exec_cover);
+        absent.retain(|(origin, s)| pre.certified_ops(*origin, *s).is_none());
+        if !absent.is_empty() {
+            pre.request_missing(io, ctx, absent);
+            return None;
+        }
+        // Second pass: execute deterministically.
+        for (origin, s) in newly_covered(&self.exec_cover) {
+            let ops = pre.certified_ops(origin, s).expect("checked").to_vec();
+            for op in ops {
+                ctx.span_mark(span_key(op.client.0, op.cseq), SpanPhase::Order);
+                self.execute_op(io, ctx, pre, op, view);
+            }
+            self.exec_cover[origin as usize] = s;
+        }
+        self.last_executed = next;
+        io.count(ctx, Metric::MatricesExecuted, 1);
+        let head = self.exec_chain_head;
+        io.inspect(|rec| rec.push_commit(view, next, head));
+        Some(next)
+    }
+
+    fn execute_op(
+        &mut self,
+        io: &mut Io,
+        ctx: &mut Context<'_>,
+        pre: &mut PreOrder,
+        op: ClientOp,
+        view: u64,
+    ) {
+        let executed = self.executed_cseq.entry(op.client.0).or_default();
+        if !executed.try_mark(op.cseq) {
+            return; // duplicate (several replicas originated it)
+        }
+        if ctx.tracing_enabled() {
+            ctx.span_mark(span_key(op.client.0, op.cseq), SpanPhase::Execute);
+            if let Some(kind) = self.app.classify(&op.payload) {
+                ctx.trace(TraceKind::Mark {
+                    pid: ctx.id().0,
+                    label: kind,
+                    value: op.cseq,
+                });
+            }
+        }
+        let outcome = if io.behavior == ByzBehavior::DivergentExec {
+            // A compromised replica corrupting its own state machine: it
+            // diverges silently. Clients are protected by f+1 matching
+            // replies; tests assert correct replicas stay consistent.
+            let mut corrupted = op.payload.to_vec();
+            corrupted.push(0xff);
+            self.app.execute(&corrupted)
+        } else {
+            self.app.execute(&op.payload)
+        };
+        for notification in outcome.notifications {
+            let msg = PrimeMsg::Notify {
+                replica: io.me,
+                client: notification.target,
+                nseq: notification.nseq,
+                payload: Bytes::from(notification.payload),
+                sig: [0; 64],
+            };
+            io.send_client_signed(ctx, pre, notification.target, msg);
+        }
+        io.count(ctx, Metric::OpsExecuted, 1);
+        self.total_ops += 1;
+        self.exec_chain_head = spire_crypto::digest_parts(&[
+            &self.exec_chain_head,
+            &op.client.0.to_le_bytes(),
+            &op.cseq.to_le_bytes(),
+            &op.payload,
+        ]);
+        io.inspect(|rec| {
+            rec.view = view;
+            rec.last_executed = self.last_executed;
+            rec.ops_executed += 1;
+            rec.exec_chain.push(self.exec_chain_head);
+            rec.app_digest = self.app.digest();
+        });
+        let reply = PrimeMsg::Reply {
+            replica: io.me,
+            client: op.client,
+            cseq: op.cseq,
+            result: Bytes::from(outcome.reply),
+            sig: [0; 64],
+        };
+        io.send_client_signed(ctx, pre, op.client, reply);
+    }
+
+    pub(super) fn snapshot(&self) -> Vec<u8> {
+        let mut w = WireWriter::new();
+        w.bytes(&self.app.snapshot());
+        self.exec_cover.write(&mut w);
+        w.u32(self.executed_cseq.len() as u32);
+        for (c, window) in &self.executed_cseq {
+            w.u32(*c).u64(window.floor());
+            window.sparse().collect::<Vec<u64>>().write(&mut w);
+        }
+        w.raw(&self.exec_chain_head).u64(self.total_ops);
+        w.finish().to_vec()
+    }
+
+    pub(super) fn restore(&mut self, io: &Io, snapshot: &[u8]) -> bool {
+        let mut r = WireReader::new(snapshot);
+        let mut parse = || -> Result<_, WireError> {
+            let app_snap = r.bytes()?.to_vec();
+            let cover = Vec::<u64>::read(&mut r)?;
+            let mut cseq = BTreeMap::new();
+            for _ in 0..r.u32()? {
+                let (c, floor) = (r.u32()?, r.u64()?);
+                cseq.insert(c, CseqWindow::from_parts(floor, Vec::<u64>::read(&mut r)?));
+            }
+            Ok((app_snap, cover, cseq, r.array::<32>()?, r.u64()?))
+        };
+        let Ok((app_snap, cover, cseq, head, total_ops)) = parse() else {
+            return false;
+        };
+        if cover.len() != io.cfg.n as usize {
+            return false;
+        }
+        self.app.restore(&app_snap);
+        self.exec_cover = cover;
+        self.executed_cseq = cseq;
+        // The execution hash chain resumes from the checkpoint's head; the
+        // published chain restarts at the checkpoint's global op count so
+        // prefix checks compare the overlapping history.
+        self.exec_chain_head = head;
+        self.total_ops = total_ops;
+        io.inspect(|rec| {
+            rec.exec_chain.clear();
+            rec.chain_offset = total_ops;
+            rec.ops_executed = total_ops;
+        });
+        true
+    }
+
+    pub(super) fn digest(&self, h: &mut StateHasher) {
+        (self.last_executed, self.total_ops, self.exec_chain_head).hash(h);
+        (&self.exec_cover, &self.executed_cseq, self.app.digest()).hash(h);
+    }
+}

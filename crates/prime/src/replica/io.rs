@@ -1,0 +1,582 @@
+//! The shared core every sub-protocol may touch: identity and keys, the
+//! transport with its per-peer link stage and link-MAC envelope, metered
+//! signing and cached verification, and the amortized-signature outbox.
+//! Nothing here knows about views, sequences or checkpoints, with one
+//! exception: a flushed batch hands our own attested frames back to
+//! [`PreOrder`] for retention, so the flush-capable senders take it.
+
+use super::preorder::PreOrder;
+use super::TIMER_BATCH;
+use crate::behavior::ByzBehavior;
+use crate::config::{ClientId, PrimeConfig, ReplicaId};
+use crate::inspect::{Inspection, ReplicaRecord};
+use crate::msg::{self, CheckpointMsg, ClientOp, PrimeMsg, SummaryRow, ViewStateMsg};
+use crate::net::ReplicaNet;
+use bytes::Bytes;
+use spire_crypto::batch::{self, BatchAttestation, BatchSigner, DigestCache};
+use spire_crypto::keys::{verify64, Signer};
+use spire_crypto::{Digest, KeyStore, NodeId};
+use spire_sim::{Context, WireWriter};
+use std::sync::Arc;
+
+/// Messages accumulated in one signing batch before the Merkle root is
+/// signed: bounds both memory and the inclusion-proof length (log2(64) = 6
+/// path digests).
+const BATCH_CAP: usize = 64;
+
+/// The closed set of metrics a replica emits. Keys are prefixed with the
+/// instance label once, at construction, because several fire per message
+/// delivery — a `format!` there dominated the metrics path.
+macro_rules! metrics {
+    ($($variant:ident => $name:literal,)*) => {
+        #[derive(Clone, Copy)]
+        pub(super) enum Metric { $($variant,)* }
+        const METRIC_NAMES: &[&str] = &[$($name,)*];
+    };
+}
+
+metrics! {
+    BadClientSig => "bad_client_sig",
+    BadPoSig => "bad_po_sig",
+    BadOpInBatch => "bad_op_in_batch",
+    BadAckSig => "bad_ack_sig",
+    Certified => "certified",
+    SummariesSent => "summaries_sent",
+    BadSummarySig => "bad_summary_sig",
+    ProposeWindowStall => "propose_window_stall",
+    PrepreparesStashed => "preprepares_stashed",
+    BadMatrixRow => "bad_matrix_row",
+    DupMatrixRow => "dup_matrix_row",
+    EquivocationDetected => "equivocation_detected",
+    BadPrepareSig => "bad_prepare_sig",
+    BadCommitSig => "bad_commit_sig",
+    Committed => "committed",
+    ReconRequested => "recon_requested",
+    PoRetries => "po_retries",
+    PoGapRecon => "po_gap_recon",
+    MatricesExecuted => "matrices_executed",
+    OpsExecuted => "ops_executed",
+    BadCkptSig => "bad_ckpt_sig",
+    CheckpointsStable => "checkpoints_stable",
+    BadStateReqSig => "bad_state_req_sig",
+    BadStateProof => "bad_state_proof",
+    StateReconstructPending => "state_reconstruct_pending",
+    BadStateSnapshot => "bad_state_snapshot",
+    RecoveryCompleted => "recovery_completed",
+    RecoveryFromGenesis => "recovery_from_genesis",
+    TatMs => "tat_ms",
+    PrepreparesSent => "preprepares_sent",
+    LeaderGapUs => "leader_gap_us",
+    SuspectsSent => "suspects_sent",
+    VcRebroadcasts => "vc_rebroadcasts",
+    BadNewView => "bad_new_view",
+    ViewChanges => "view_changes",
+    ViewsInstalled => "views_installed",
+    DecodeFail => "decode_fail",
+    BadPreprepareSig => "bad_preprepare_sig",
+    SignOps => "sign_ops",
+    VerifyOps => "verify_ops",
+    VerifyCacheHits => "verify_cache_hits",
+    BatchFlushes => "batch_flushes",
+    BatchedMsgs => "batched_msgs",
+    BadBatchAuth => "bad_batch_auth",
+    MacOps => "mac_ops",
+    MacAuthHits => "mac_auth_hits",
+    MacFail => "mac_fail",
+    LinkBatches => "link_batches",
+    LinkBatchedFrames => "link_batched_frames",
+    EagerProposals => "eager_proposals",
+    MultiAcks => "multi_acks",
+    MultiCommits => "multi_commits",
+    BadStateMeta => "bad_state_meta",
+    StateAccumsEvicted => "state_accums_evicted",
+    RecoveryChunks => "recovery_chunks",
+    RecoveryChunkRetries => "recovery_chunk_retries",
+    RecoveryDurationUs => "recovery_duration_us",
+    CompactionRuns => "compaction.runs",
+    CompactionEvicted => "compaction.evicted",
+    CompactionPoRetained => "compaction.po_retained",
+    CompactionSlotsRetained => "compaction.slots_retained",
+    CompactionMatricesRetained => "compaction.matrices_retained",
+    CompactionSuffixRetained => "compaction.suffix_retained",
+}
+
+pub(super) fn metric_keys(label: &str) -> Vec<String> {
+    let key = |name: &&str| match *name {
+        "certified" => "prime_certified".to_string(),
+        "preprepares_stashed" => name.to_string(),
+        name => format!("{label}.{name}"),
+    };
+    METRIC_NAMES.iter().map(key).collect()
+}
+
+/// Where a queued batch-signed message goes at flush time.
+pub(super) enum OutboxDest {
+    /// Broadcast to every other replica (votes).
+    Replicas,
+    /// Sent to one client (replies and notifications).
+    Client(ClientId),
+}
+
+/// What to keep of a queued message once its attested frame exists at
+/// flush time. Reconciliation later forwards retained frames verbatim, so
+/// they must be self-contained (attestation included).
+pub(super) enum Retain {
+    /// Nothing to retain.
+    None,
+    /// Our own (possibly cumulative) PO-Ack: the one frame is certificate
+    /// material under every covered `(origin, po_seq)`.
+    Acks(Vec<(ReplicaId, u64, Digest)>),
+    /// Our own PO-Request: the stored content bytes under
+    /// `(me, po_seq)` are replaced with the attested frame.
+    Request { po_seq: u64, digest: Digest },
+}
+
+/// A message queued for the next amortized-signature flush.
+pub(super) struct OutboxItem {
+    /// The encoded message, signature field all-zero.
+    payload: Bytes,
+    /// Recipient set.
+    dest: OutboxDest,
+    /// Certificate-material retention at flush time.
+    retain: Retain,
+}
+
+pub(super) struct Io {
+    pub(super) cfg: PrimeConfig,
+    pub(super) me: ReplicaId,
+    pub(super) behavior: ByzBehavior,
+    keystore: Arc<KeyStore>,
+    pub(super) signer: Signer,
+    pub(super) net: Box<dyn ReplicaNet>,
+    /// Per-peer symmetric link keys (indexed by replica id). When present,
+    /// every replica-to-replica frame is sealed in an HMAC envelope and
+    /// MAC-authenticated frames skip per-hop signature verification.
+    pub(super) session_keys: Option<Vec<[u8; 32]>>,
+    /// Label-prefixed metric keys, indexed by [`Metric`].
+    pub(super) metric_keys: Vec<String>,
+    /// White-box inspection registry (for invariant checking).
+    pub(super) inspection: Option<Inspection>,
+
+    // ---- amortized authentication ----
+    /// Votes/replies queued for the amortized flush (when `batch_sign`):
+    /// all messages queued within one `batch_interval` window share one
+    /// batch-root signature.
+    pub(super) outbox: Vec<OutboxItem>,
+    /// Whether a `TIMER_BATCH` flush is already pending.
+    pub(super) batch_timer_armed: bool,
+    batcher: BatchSigner,
+    /// Verified batch roots, keyed by digest(signer || root || root_sig).
+    root_cache: DigestCache,
+    /// Verified client ops, keyed by digest over the full signed encoding.
+    op_cache: DigestCache,
+    /// Verified summary rows, keyed by [`SummaryRow::cache_key`].
+    row_cache: DigestCache,
+    /// Reusable encoding buffer for sign/verify signing bytes.
+    scratch: WireWriter,
+
+    // ---- link batching ----
+    /// Frames staged per peer (index = replica id) during the current
+    /// activation; flushed as one (sealed) multi-frame container per peer
+    /// at the activation boundary when `cfg.link_batch` is on.
+    link_stage: Vec<Vec<Bytes>>,
+    /// Peers with staged frames, in first-touch order (deterministic).
+    link_stage_order: Vec<u32>,
+}
+
+impl Io {
+    pub(super) fn new(
+        cfg: PrimeConfig,
+        me: ReplicaId,
+        behavior: ByzBehavior,
+        keystore: Arc<KeyStore>,
+        signer: Signer,
+        net: Box<dyn ReplicaNet>,
+    ) -> Io {
+        let cache = cfg.verify_cache;
+        Io {
+            me,
+            behavior,
+            keystore,
+            signer,
+            net,
+            session_keys: None,
+            metric_keys: metric_keys("prime"),
+            inspection: None,
+            outbox: Vec::new(),
+            batch_timer_armed: false,
+            batcher: BatchSigner::new(),
+            root_cache: DigestCache::new(cache),
+            op_cache: DigestCache::new(cache),
+            row_cache: DigestCache::new(cache),
+            scratch: WireWriter::with_capacity(256),
+            link_stage: (0..cfg.n).map(|_| Vec::new()).collect(),
+            link_stage_order: Vec::new(),
+            cfg,
+        }
+    }
+
+    pub(super) fn count(&self, ctx: &mut Context<'_>, metric: Metric, delta: u64) {
+        ctx.count(&self.metric_keys[metric as usize], delta);
+    }
+
+    pub(super) fn record(&self, ctx: &mut Context<'_>, metric: Metric, value: f64) {
+        ctx.record(&self.metric_keys[metric as usize], value);
+    }
+
+    pub(super) fn observe(&self, ctx: &mut Context<'_>, metric: Metric, value: u64) {
+        ctx.observe(&self.metric_keys[metric as usize], value);
+    }
+
+    /// Updates this replica's inspection record, if a registry is attached.
+    pub(super) fn inspect(&self, f: impl FnOnce(&mut ReplicaRecord)) {
+        if let Some(inspection) = &self.inspection {
+            inspection.update(self.me.0, f);
+        }
+    }
+
+    // ================= transport =================
+
+    /// Sends an encoded frame to a peer, sealed under the pair's link key
+    /// when session MACs are on. Retained certificate material must stay
+    /// unsealed (a seal is per-recipient), so sealing happens here — at the
+    /// last moment before the transport — and nowhere else.
+    ///
+    /// With `cfg.link_batch` on, the frame is *staged* instead: every
+    /// frame bound for the same peer within one activation travels in one
+    /// multi-frame container, sealed once and pushed through the overlay
+    /// once (see [`Io::flush_links`]). Dissemination order per peer
+    /// is preserved.
+    pub(super) fn net_send(&mut self, ctx: &mut Context<'_>, to: ReplicaId, bytes: Bytes) {
+        if self.cfg.link_batch && (to.0 as usize) < self.link_stage.len() {
+            let stage = &mut self.link_stage[to.0 as usize];
+            if stage.is_empty() {
+                self.link_stage_order.push(to.0);
+            }
+            stage.push(bytes);
+            return;
+        }
+        self.ship(ctx, to, bytes);
+    }
+
+    fn ship(&mut self, ctx: &mut Context<'_>, to: ReplicaId, mut wire: Bytes) {
+        let keys = self.session_keys.as_ref();
+        if let Some(key) = keys.and_then(|k| k.get(to.0 as usize)) {
+            self.count(ctx, Metric::MacOps, 1);
+            wire = msg::seal_frame(self.me, key, &wire);
+        }
+        self.net.send_replica(ctx, to, wire);
+    }
+
+    /// Ships every staged frame: per peer, a lone frame goes out as-is
+    /// and several coalesce into one multi-frame container — one seal,
+    /// one overlay dissemination, one hop-acknowledgement chain for the
+    /// lot. Runs at each activation boundary, so batching adds zero
+    /// latency; it only removes per-frame overhead.
+    pub(super) fn flush_links(&mut self, ctx: &mut Context<'_>) {
+        if self.link_stage_order.is_empty() {
+            return;
+        }
+        let order = std::mem::take(&mut self.link_stage_order);
+        for &peer in &order {
+            let frames = std::mem::take(&mut self.link_stage[peer as usize]);
+            debug_assert!(!frames.is_empty());
+            let wire = if frames.len() == 1 {
+                frames.into_iter().next().expect("one frame")
+            } else {
+                self.count(ctx, Metric::LinkBatches, 1);
+                self.count(ctx, Metric::LinkBatchedFrames, frames.len() as u64);
+                msg::encode_multi(&frames)
+            };
+            self.ship(ctx, ReplicaId(peer), wire);
+        }
+    }
+
+    /// Strips and checks a link-MAC envelope. Returns the inner frame
+    /// bytes plus the MAC-authenticated sender, `(payload, None)` when the
+    /// frame is not sealed (client traffic, or session MACs off), or
+    /// `None` for a frame whose envelope fails authentication (dropped).
+    pub(super) fn unseal(
+        &mut self,
+        ctx: &mut Context<'_>,
+        payload: Bytes,
+    ) -> Option<(Bytes, Option<ReplicaId>)> {
+        if payload.first() != Some(&msg::SEALED_FRAME_TAG) {
+            return Some((payload, None));
+        }
+        // A malformed envelope, or a sealed frame from an unknown sender or
+        // arriving at a replica with no session keys, cannot be
+        // authenticated: drop it.
+        let keys = self.session_keys.as_ref();
+        let keyed = msg::decode_sealed(&payload)
+            .ok()
+            .flatten()
+            .and_then(|sealed| {
+                let key = keys?.get(sealed.sender.0 as usize)?;
+                Some((sealed, key))
+            });
+        let Some((sealed, key)) = keyed else {
+            self.count(ctx, Metric::MacFail, 1);
+            return None;
+        };
+        self.count(ctx, Metric::MacOps, 1);
+        if !sealed.verify(key) {
+            self.count(ctx, Metric::MacFail, 1);
+            return None;
+        }
+        self.count(ctx, Metric::MacAuthHits, 1);
+        // Zero-copy: the inner frame is a subslice of the sealed buffer,
+        // so reslicing the shared `Bytes` is a refcount bump, not a copy.
+        let start = sealed.inner.as_ptr() as usize - payload.as_ptr() as usize;
+        let len = sealed.inner.len();
+        let sender = sealed.sender;
+        Some((payload.slice(start..start + len), Some(sender)))
+    }
+
+    /// Sends one encoded frame to every other replica.
+    pub(super) fn broadcast(&mut self, ctx: &mut Context<'_>, bytes: Bytes) {
+        self.broadcast_split(ctx, bytes.clone(), bytes);
+    }
+
+    pub(super) fn send_to(&mut self, ctx: &mut Context<'_>, to: ReplicaId, msg: &PrimeMsg) {
+        if to != self.me {
+            self.net_send(ctx, to, msg.encode());
+        }
+    }
+
+    /// Sends `a` to even-numbered replicas and `b` to odd ones (the
+    /// equivocation attack split), sharing each encoding across recipients.
+    pub(super) fn broadcast_split(&mut self, ctx: &mut Context<'_>, a: Bytes, b: Bytes) {
+        for r in 0..self.cfg.n {
+            if r != self.me.0 {
+                let bytes = if r % 2 == 0 { a.clone() } else { b.clone() };
+                self.net_send(ctx, ReplicaId(r), bytes);
+            }
+        }
+    }
+
+    /// Asks two peers, rotating with `rotor` and spread by `salt`, so a
+    /// large catch-up cannot melt the network.
+    pub(super) fn ask_two_peers(
+        &mut self,
+        ctx: &mut Context<'_>,
+        salt: u32,
+        rotor: u32,
+        msg: &PrimeMsg,
+    ) {
+        let n = self.cfg.n;
+        for offset in 1..=2u32 {
+            let target = (self.me.0 + salt + offset * (rotor % n + 1)) % n;
+            self.send_to(ctx, ReplicaId(target), msg);
+        }
+    }
+
+    // ================= amortized authentication =================
+
+    /// Signs a message in place, metered and buffer-reusing.
+    pub(super) fn sign(&mut self, ctx: &mut Context<'_>, msg: &mut PrimeMsg) {
+        self.count(ctx, Metric::SignOps, 1);
+        msg.sign_with(&self.signer, &mut self.scratch);
+    }
+
+    /// Verifies a replica-signed message, metered. `env_auth` is the
+    /// replica whose batch attestation already authenticated the enclosing
+    /// frame, if any: when it matches the claimed sender, the (zeroed)
+    /// embedded signature needs no further checking.
+    pub(super) fn verify_replica_msg(
+        &mut self,
+        ctx: &mut Context<'_>,
+        msg: &PrimeMsg,
+        claimed: ReplicaId,
+        env_auth: Option<ReplicaId>,
+    ) -> bool {
+        if env_auth == Some(claimed) {
+            return true;
+        }
+        self.count(ctx, Metric::VerifyOps, 1);
+        let node = NodeId(self.cfg.replica_key_base + claimed.0);
+        let mock = self.signer.is_mock();
+        msg.verify_sig_with(&self.keystore, node, mock, &mut self.scratch)
+    }
+
+    /// A hit costs a lookup; a miss is metered, checked and, when valid,
+    /// remembered.
+    fn verify_cached(
+        &mut self,
+        ctx: &mut Context<'_>,
+        cache: fn(&mut Io) -> &mut DigestCache,
+        key: Digest,
+        check: impl FnOnce(&Io) -> bool,
+    ) -> bool {
+        if cache(self).contains(&key) {
+            self.count(ctx, Metric::VerifyCacheHits, 1);
+            return true;
+        }
+        self.count(ctx, Metric::VerifyOps, 1);
+        let ok = check(self);
+        if ok {
+            cache(self).insert(key);
+        }
+        ok
+    }
+
+    /// Verifies a client op through the bounded cache: ops re-arrive inside
+    /// every PO-Request rebroadcast and reconciliation, so each distinct
+    /// signed op is checked against the client key at most once per cache
+    /// lifetime.
+    pub(super) fn verify_client_op(&mut self, ctx: &mut Context<'_>, op: &ClientOp) -> bool {
+        self.verify_cached(
+            ctx,
+            |io| &mut io.op_cache,
+            op.digest(),
+            |io| op.verify(&io.keystore, io.cfg.client_key_base, io.signer.is_mock()),
+        )
+    }
+
+    /// Verifies a summary row through the bounded cache: the same signed
+    /// rows recur across PO-Summary broadcasts and every Pre-Prepare matrix
+    /// that embeds them.
+    pub(super) fn verify_summary_row(&mut self, ctx: &mut Context<'_>, row: &SummaryRow) -> bool {
+        row.replica.0 < self.cfg.n
+            && self.verify_cached(
+                ctx,
+                |io| &mut io.row_cache,
+                row.cache_key(),
+                |io| row.verify(&io.keystore, io.cfg.replica_key_base, io.signer.is_mock()),
+            )
+    }
+
+    pub(super) fn verify_checkpoint(&self, ctx: &mut Context<'_>, msg: &CheckpointMsg) -> bool {
+        self.count(ctx, Metric::VerifyOps, 1);
+        msg.verify(
+            &self.keystore,
+            self.cfg.replica_key_base,
+            self.signer.is_mock(),
+        )
+    }
+
+    pub(super) fn verify_view_state(&self, ctx: &mut Context<'_>, state: &ViewStateMsg) -> bool {
+        self.count(ctx, Metric::VerifyOps, 1);
+        state.verify(
+            &self.keystore,
+            self.cfg.replica_key_base,
+            self.signer.is_mock(),
+        )
+    }
+
+    /// Verifies a batch attestation (inclusion proof + root signature).
+    /// All messages of one batch share the signed root, so the signature
+    /// check is cached and later messages cost only hashing.
+    pub(super) fn verify_batch_attestation(
+        &mut self,
+        ctx: &mut Context<'_>,
+        signer: ReplicaId,
+        attestation: &BatchAttestation,
+        msg_digest: &Digest,
+    ) -> bool {
+        let Some(root) = attestation.compute_root(msg_digest) else {
+            return false;
+        };
+        let sig = &attestation.root_sig;
+        let key = spire_crypto::digest_parts(&[&signer.0.to_le_bytes(), &root, sig]);
+        self.verify_cached(
+            ctx,
+            |io| &mut io.root_cache,
+            key,
+            |io| {
+                let node = NodeId(io.cfg.replica_key_base + signer.0);
+                let bytes = batch::root_signing_bytes(&root);
+                verify64(&io.keystore, node, &bytes, sig, io.signer.is_mock())
+            },
+        )
+    }
+
+    /// Queues a zero-signature encoding for the amortized flush. The batch
+    /// flushes `batch_interval` after its first message (or immediately at
+    /// [`BATCH_CAP`]); authenticity comes from the batch attestation
+    /// attached at flush time.
+    pub(super) fn queue_outbox(
+        &mut self,
+        ctx: &mut Context<'_>,
+        pre: &mut PreOrder,
+        payload: Bytes,
+        dest: OutboxDest,
+        retain: Retain,
+    ) {
+        self.outbox.push(OutboxItem {
+            payload,
+            dest,
+            retain,
+        });
+        if self.outbox.len() >= BATCH_CAP {
+            self.flush_outbox(ctx, pre);
+        } else if !self.batch_timer_armed {
+            self.batch_timer_armed = true;
+            ctx.set_timer(self.cfg.batch_interval, TIMER_BATCH);
+        }
+    }
+
+    /// Queues a vote broadcast (PO-Ack / Prepare / Commit) for the
+    /// amortized flush, or signs and broadcasts it immediately when batch
+    /// signing is off. `retain` marks our own PO-Acks for certificate
+    /// retention (see [`Retain`]).
+    pub(super) fn send_vote(
+        &mut self,
+        ctx: &mut Context<'_>,
+        pre: &mut PreOrder,
+        mut msg: PrimeMsg,
+        retain: Retain,
+    ) {
+        if self.cfg.batch_sign {
+            self.queue_outbox(ctx, pre, msg.encode(), OutboxDest::Replicas, retain);
+            return;
+        }
+        self.sign(ctx, &mut msg);
+        let bytes = msg.encode();
+        pre.retain_own(self, ctx, retain, &bytes);
+        self.broadcast(ctx, bytes);
+    }
+
+    /// Sends a signed message to a client (Reply / Notify), through the
+    /// amortized batch when batch signing is on.
+    pub(super) fn send_client_signed(
+        &mut self,
+        ctx: &mut Context<'_>,
+        pre: &mut PreOrder,
+        client: ClientId,
+        mut msg: PrimeMsg,
+    ) {
+        if self.cfg.batch_sign {
+            let dest = OutboxDest::Client(client);
+            self.queue_outbox(ctx, pre, msg.encode(), dest, Retain::None);
+            return;
+        }
+        self.sign(ctx, &mut msg);
+        self.net.send_client(ctx, client, msg.encode());
+    }
+
+    /// Signs one Merkle root over every queued message and sends each with
+    /// its inclusion attestation, so everything queued during one
+    /// `batch_interval` window shares a single signature.
+    pub(super) fn flush_outbox(&mut self, ctx: &mut Context<'_>, pre: &mut PreOrder) {
+        if self.outbox.is_empty() {
+            return;
+        }
+        let items = std::mem::take(&mut self.outbox);
+        for item in &items {
+            self.batcher.push(spire_crypto::digest(&item.payload));
+        }
+        self.count(ctx, Metric::SignOps, 1);
+        self.count(ctx, Metric::BatchFlushes, 1);
+        self.count(ctx, Metric::BatchedMsgs, items.len() as u64);
+        let signed = self.batcher.flush(&self.signer).expect("non-empty batch");
+        for (i, item) in items.into_iter().enumerate() {
+            let frame = msg::encode_batched(self.me, &signed.attestation(i), &item.payload);
+            match item.dest {
+                OutboxDest::Replicas => self.broadcast(ctx, frame.clone()),
+                OutboxDest::Client(client) => self.net.send_client(ctx, client, frame.clone()),
+            }
+            pre.retain_own(self, ctx, item.retain, &frame);
+        }
+    }
+}

@@ -1,0 +1,571 @@
+//! Chunked state transfer. A responder serves its stable checkpoint as a
+//! manifest plus per-chunk erasure shares; the requester (recovering or
+//! far behind) pins a manifest `f + 1` responders vouch for, reconstructs
+//! chunk by chunk and retries the rest against alternate responders.
+
+use super::io::{Io, Metric};
+use super::{StateHasher, TIMER_CHUNK, TIMER_STATE_REQ};
+use crate::behavior::ByzBehavior;
+use crate::config::ReplicaId;
+use crate::msg::{CheckpointMsg, PrimeMsg};
+use bytes::Bytes;
+use spire_crypto::erasure::{self, Share};
+use spire_crypto::Digest;
+use spire_sim::{Context, Span, Time, TraceKind, WireWriter};
+use std::collections::{BTreeMap, BTreeSet};
+use std::hash::{Hash, Hasher};
+
+/// Manifest candidates retained at once (superseded ones are evicted).
+const META_CANDIDATE_CAP: usize = 8;
+/// Shares stashed before a manifest pins (links reorder the manifest and
+/// the share stream); hard bound on pre-pin memory.
+const EARLY_SHARE_CAP: usize = 4096;
+
+/// A stable checkpoint: `(seq, snapshot, proof)`.
+type Stable = (u64, Bytes, Vec<CheckpointMsg>);
+
+// ================= responder side =================
+
+pub(super) fn request_state(io: &mut Io, ctx: &mut Context<'_>, have_seq: u64) {
+    let mut req = PrimeMsg::StateReq {
+        replica: io.me,
+        have_seq,
+        sig: [0; 64],
+    };
+    io.sign(ctx, &mut req);
+    io.broadcast(ctx, req.encode());
+}
+
+/// Chunked transfer of the stable checkpoint to `to`: describe the layout
+/// (per-chunk digests pin what a correct reconstruction must hash to),
+/// then stream this replica's erasure share of every chunk. Each chunk is
+/// coded with k = f + 1, so any f+1 correct responders let the requester
+/// reconstruct it at 1/(f+1) the bandwidth each; a lost or corrupt share
+/// costs one chunk retry, not the whole snapshot. `highs`: the highest PO
+/// and summary sequences seen from the requester.
+pub(super) fn serve_checkpoint(
+    io: &mut Io,
+    ctx: &mut Context<'_>,
+    to: ReplicaId,
+    stable @ (seq, snapshot, proof): &Stable,
+    view: u64,
+    highs: (u64, u64),
+) {
+    let chunk_size = io.cfg.state_chunk_bytes.max(1);
+    let meta = PrimeMsg::StateMeta {
+        replica: io.me,
+        checkpoint_seq: *seq,
+        erasure_k: (io.cfg.f + 1) as u8,
+        chunk_size: chunk_size as u32,
+        total_len: snapshot.len() as u64,
+        chunk_digests: snapshot
+            .chunks(chunk_size)
+            .map(spire_crypto::digest)
+            .collect(),
+        proof: proof.clone(),
+        view,
+        requester_po_high: highs.0,
+        requester_sseq_high: highs.1,
+    };
+    io.send_to(ctx, to, &meta);
+    send_chunk_shares(io, ctx, to, stable, None);
+}
+
+/// Sends this replica's erasure share of each requested chunk of the
+/// stable snapshot (all chunks when `wanted` is None). A responder
+/// with [`ByzBehavior::CorruptShares`] flips bits in every share it
+/// serves — the requester's per-chunk digest check weeds these out.
+pub(super) fn send_chunk_shares(
+    io: &mut Io,
+    ctx: &mut Context<'_>,
+    to: ReplicaId,
+    (seq, snapshot, _): &Stable,
+    wanted: Option<&[u32]>,
+) {
+    let k = (io.cfg.f + 1) as usize;
+    let n = (io.cfg.n as usize).max(k);
+    let chunk_size = io.cfg.state_chunk_bytes.max(1);
+    let corrupt = io.behavior == ByzBehavior::CorruptShares;
+    for (i, chunk) in snapshot.chunks(chunk_size).enumerate() {
+        if wanted.is_some_and(|w| !w.contains(&(i as u32))) {
+            continue;
+        }
+        let Ok(shares) = erasure::encode(chunk, k, n) else {
+            continue;
+        };
+        let share = &shares[io.me.0 as usize];
+        let mut data = share.data.clone();
+        if corrupt {
+            for b in &mut data {
+                *b ^= 0xA5;
+            }
+        }
+        let msg = PrimeMsg::StateChunk {
+            replica: io.me,
+            checkpoint_seq: *seq,
+            chunk: i as u32,
+            share_index: share.index,
+            share: Bytes::from(data),
+        };
+        io.send_to(ctx, to, &msg);
+    }
+}
+
+// ================= requester side =================
+
+/// What a `StateMeta` describes: a snapshot's layout and proof, plus the
+/// numbering-resume hints gathered with it.
+pub(super) struct Manifest {
+    pub(super) checkpoint_seq: u64,
+    snapshot_digest: Digest,
+    erasure_k: u8,
+    chunk_size: u32,
+    total_len: u64,
+    chunk_digests: Vec<Digest>,
+    pub(super) proof: Vec<CheckpointMsg>,
+    pub(super) po_high: u64,
+    pub(super) sseq_high: u64,
+}
+
+impl Manifest {
+    /// A digest over the complete layout, so a lying responder cannot
+    /// merge its vote with a correct one's.
+    fn layout_key(&self) -> Digest {
+        let mut w = WireWriter::new();
+        w.u64(self.checkpoint_seq)
+            .raw(&self.snapshot_digest)
+            .u8(self.erasure_k)
+            .u32(self.chunk_size)
+            .u64(self.total_len);
+        for d in &self.chunk_digests {
+            w.raw(d);
+        }
+        spire_crypto::digest(&w.finish())
+    }
+}
+
+/// A manifest observed from one or more responders, keyed by its
+/// [`Manifest::layout_key`]. Pinned (promoted to a [`ChunkTransfer`])
+/// once `f + 1` distinct responders vouch for byte-identical layouts: at
+/// least one is correct, and the embedded checkpoint proof carries its own
+/// `f + 1` signatures.
+struct MetaCandidate {
+    manifest: Manifest,
+    voters: BTreeSet<u32>,
+}
+
+/// The pinned in-flight chunked state transfer: per-chunk shares
+/// accumulate until any `erasure_k` of them reconstruct to the pinned
+/// chunk digest; missing chunks are re-requested from rotating alternate
+/// responders with exponential backoff.
+struct ChunkTransfer {
+    manifest: Manifest,
+    /// Reconstructed chunks by index.
+    chunks: BTreeMap<u32, Vec<u8>>,
+    /// Collected shares for not-yet-reconstructed chunks.
+    shares: BTreeMap<u32, BTreeMap<u8, Vec<u8>>>,
+    /// Current retry delay (doubles per round, capped).
+    backoff: Span,
+    /// Retry rounds issued; rotates the alternate responders asked.
+    retry_rotor: u32,
+}
+
+#[derive(Default)]
+pub(super) struct StateTransfer {
+    /// In state-transfer recovery: nothing else is processed until a
+    /// checkpoint is installed.
+    pub(super) recovering: bool,
+    recovery_started: Time,
+    /// Manifest candidates, keyed by [`Manifest::layout_key`].
+    meta_votes: BTreeMap<Digest, MetaCandidate>,
+    /// Chunk shares that arrived before a manifest pinned, keyed by
+    /// (checkpoint_seq, chunk, share index); bounded by [`EARLY_SHARE_CAP`].
+    early_shares: BTreeMap<(u64, u32, u8), Vec<u8>>,
+    /// The pinned in-flight chunked transfer, if any.
+    transfer: Option<ChunkTransfer>,
+    /// Last time any state-transfer accumulator made progress; stale
+    /// accumulators are evicted after `cfg.state_accum_deadline`.
+    accum_touched: Time,
+    /// Whether a `TIMER_CHUNK` retry tick is already pending.
+    chunk_timer_armed: bool,
+}
+
+impl StateTransfer {
+    pub(super) fn start_recovery(&mut self, io: &Io, ctx: &mut Context<'_>) {
+        self.recovery_started = ctx.now();
+        self.accum_touched = ctx.now();
+        io.inspect(|rec| rec.recovering = true);
+        ctx.trace(TraceKind::RecoveryStart { replica: io.me.0 });
+        ctx.set_timer(Span::millis(10), TIMER_STATE_REQ);
+    }
+
+    /// Leaves recovery mode, publishing the flag to the inspection
+    /// registry so the invariant checker and health engine can tell an
+    /// announced recovery from silence or attack.
+    pub(super) fn finish_recovery(&mut self, io: &Io, ctx: &mut Context<'_>, transferred: bool) {
+        self.recovering = false;
+        io.count(ctx, Metric::RecoveryCompleted, 1);
+        if transferred {
+            let took = ctx.now().since(self.recovery_started).0;
+            io.observe(ctx, Metric::RecoveryDurationUs, took);
+        }
+        ctx.trace(TraceKind::RecoveryDone { replica: io.me.0 });
+        io.inspect(|rec| rec.recovering = false);
+    }
+
+    fn clear_accumulators(&mut self) {
+        self.meta_votes.clear();
+        self.early_shares.clear();
+    }
+
+    /// Returns whether to (re-)solicit manifests with a fresh StateReq.
+    pub(super) fn on_state_req_timer(&mut self, io: &Io, ctx: &mut Context<'_>) -> bool {
+        // If nobody has a checkpoint yet (young system), rejoin
+        // from genesis; reconciliation certificates let us
+        // replay everything that was ordered meanwhile. An active
+        // chunked transfer defers the fallback: shares are
+        // arriving, completion is a matter of retries.
+        if ctx.now().since(self.recovery_started) >= io.cfg.recovery_genesis_timeout
+            && self.transfer.is_none()
+        {
+            self.clear_accumulators();
+            io.count(ctx, Metric::RecoveryFromGenesis, 1);
+            self.finish_recovery(io, ctx, false);
+            return false;
+        }
+        // Pre-pin accumulators that stopped making progress are
+        // dropped; the fresh StateReq re-solicits manifests.
+        if ctx.now().since(self.accum_touched) >= io.cfg.state_accum_deadline
+            && (!self.meta_votes.is_empty() || !self.early_shares.is_empty())
+            && self.transfer.is_none()
+        {
+            self.clear_accumulators();
+            io.count(ctx, Metric::StateAccumsEvicted, 1);
+        }
+        true
+    }
+
+    /// A state-transfer manifest from one responder. Unsigned: instead,
+    /// the layout is tallied by its digest and pinned only once `f + 1`
+    /// distinct responders sent byte-identical manifests, and the
+    /// embedded checkpoint proof must carry `f + 1` valid signatures
+    /// over one snapshot digest.
+    pub(super) fn on_state_meta(
+        &mut self,
+        io: &Io,
+        ctx: &mut Context<'_>,
+        msg: PrimeMsg,
+        last_executed: u64,
+    ) {
+        let PrimeMsg::StateMeta {
+            replica: from,
+            checkpoint_seq,
+            erasure_k,
+            chunk_size,
+            total_len,
+            chunk_digests,
+            proof,
+            requester_po_high,
+            requester_sseq_high,
+            ..
+        } = msg
+        else {
+            return;
+        };
+        if from == io.me || (!self.recovering && checkpoint_seq <= last_executed) {
+            return;
+        }
+        if let Some(t) = &self.transfer {
+            if t.manifest.checkpoint_seq >= checkpoint_seq {
+                return; // already pinned this (or a newer) transfer
+            }
+        }
+        // Layout sanity before any allocation is charged to this claim.
+        let expected = (total_len as usize).div_ceil((chunk_size as usize).max(1));
+        if erasure_k == 0
+            || erasure_k as u32 > io.cfg.n
+            || chunk_size == 0
+            || chunk_digests.len() != expected
+            || expected > u16::MAX as usize
+        {
+            io.count(ctx, Metric::BadStateMeta, 1);
+            return;
+        }
+        // Validate the proof: f+1 distinct valid signatures over one
+        // snapshot digest at this sequence.
+        let mut tallies: BTreeMap<Digest, BTreeSet<u32>> = BTreeMap::new();
+        for attestation in &proof {
+            if attestation.seq == checkpoint_seq
+                && attestation.replica.0 < io.cfg.n
+                && io.verify_checkpoint(ctx, attestation)
+            {
+                tallies
+                    .entry(attestation.digest)
+                    .or_default()
+                    .insert(attestation.replica.0);
+            }
+        }
+        let needed = (io.cfg.f + 1) as usize;
+        let Some(snapshot_digest) = tallies
+            .iter()
+            .find(|(_, set)| set.len() >= needed)
+            .map(|(d, _)| *d)
+        else {
+            io.count(ctx, Metric::BadStateProof, 1);
+            return;
+        };
+        let manifest = Manifest {
+            checkpoint_seq,
+            snapshot_digest,
+            erasure_k,
+            chunk_size,
+            total_len,
+            chunk_digests,
+            proof,
+            po_high: 0,
+            sseq_high: 0,
+        };
+        let key = manifest.layout_key();
+        if !self.meta_votes.contains_key(&key) && self.meta_votes.len() >= META_CANDIDATE_CAP {
+            // Evict the candidate for the oldest checkpoint to stay bounded.
+            if let Some(victim) = self
+                .meta_votes
+                .iter()
+                .min_by_key(|(_, c)| c.manifest.checkpoint_seq)
+                .map(|(k, _)| *k)
+            {
+                self.meta_votes.remove(&victim);
+                io.count(ctx, Metric::StateAccumsEvicted, 1);
+            }
+        }
+        let entry = self.meta_votes.entry(key).or_insert_with(|| MetaCandidate {
+            manifest,
+            voters: BTreeSet::new(),
+        });
+        entry.voters.insert(from.0);
+        entry.manifest.po_high = entry.manifest.po_high.max(requester_po_high);
+        entry.manifest.sseq_high = entry.manifest.sseq_high.max(requester_sseq_high);
+        self.accum_touched = ctx.now();
+        if entry.voters.len() >= needed {
+            self.pin_transfer(io, ctx, key);
+        }
+    }
+
+    /// Promotes a quorum-backed manifest candidate to the active transfer,
+    /// drains any early-stashed shares into it and starts the retry timer.
+    fn pin_transfer(&mut self, io: &Io, ctx: &mut Context<'_>, key: Digest) {
+        let Some(candidate) = self.meta_votes.remove(&key) else {
+            return;
+        };
+        self.meta_votes.clear();
+        let mut t = ChunkTransfer {
+            manifest: candidate.manifest,
+            chunks: BTreeMap::new(),
+            shares: BTreeMap::new(),
+            backoff: io.cfg.chunk_retry_timeout,
+            retry_rotor: 0,
+        };
+        for ((seq, chunk, idx), data) in std::mem::take(&mut self.early_shares) {
+            if seq == t.manifest.checkpoint_seq && (chunk as usize) < t.manifest.chunk_digests.len()
+            {
+                t.shares.entry(chunk).or_default().insert(idx, data);
+            }
+        }
+        let pending: Vec<u32> = t.shares.keys().copied().collect();
+        self.transfer = Some(t);
+        self.accum_touched = ctx.now();
+        for chunk in pending {
+            self.try_reconstruct_chunk(io, ctx, chunk);
+        }
+        if !self.chunk_timer_armed {
+            self.chunk_timer_armed = true;
+            ctx.set_timer(io.cfg.chunk_retry_timeout, TIMER_CHUNK);
+        }
+    }
+
+    /// One erasure share of one chunk from one responder.
+    pub(super) fn on_state_chunk(
+        &mut self,
+        io: &Io,
+        ctx: &mut Context<'_>,
+        msg: PrimeMsg,
+        last_executed: u64,
+    ) {
+        let PrimeMsg::StateChunk {
+            checkpoint_seq,
+            chunk,
+            share_index,
+            share,
+            ..
+        } = msg
+        else {
+            return;
+        };
+        if share_index as u32 >= io.cfg.n || (!self.recovering && checkpoint_seq <= last_executed) {
+            return;
+        }
+        match &mut self.transfer {
+            Some(t) if t.manifest.checkpoint_seq == checkpoint_seq => {
+                if t.chunks.contains_key(&chunk)
+                    || chunk as usize >= t.manifest.chunk_digests.len()
+                    // A share is never larger than the chunk it codes (plus
+                    // the erasure length frame).
+                    || share.len() > t.manifest.chunk_size as usize + 64
+                {
+                    return;
+                }
+                t.shares
+                    .entry(chunk)
+                    .or_default()
+                    .insert(share_index, share.to_vec());
+                self.accum_touched = ctx.now();
+                self.try_reconstruct_chunk(io, ctx, chunk);
+            }
+            _ => {
+                // Stash ahead of the manifest pin (bounded): responders
+                // stream manifest + shares back to back and links reorder.
+                if share.len() <= io.cfg.state_chunk_bytes.max(1) + 64
+                    && self.early_shares.len() < EARLY_SHARE_CAP
+                {
+                    self.early_shares
+                        .insert((checkpoint_seq, chunk, share_index), share.to_vec());
+                    self.accum_touched = ctx.now();
+                }
+            }
+        }
+    }
+
+    /// Attempts to reconstruct one chunk from the collected shares: tries
+    /// combinations of `k` shares (bounded search) until one decodes to
+    /// the pinned per-chunk digest. Corrupt shares from Byzantine
+    /// responders fail the digest check and other subsets are tried.
+    fn try_reconstruct_chunk(&mut self, io: &Io, ctx: &mut Context<'_>, chunk: u32) {
+        let Some(t) = &mut self.transfer else {
+            return;
+        };
+        let k = t.manifest.erasure_k as usize;
+        let Some(pool) = t.shares.get(&chunk).filter(|pool| pool.len() >= k) else {
+            return;
+        };
+        let want = t.manifest.chunk_digests[chunk as usize];
+        let shares: Vec<Share> = pool
+            .iter()
+            .map(|(idx, data)| Share {
+                index: *idx,
+                data: data.clone(),
+            })
+            .collect();
+        let m = shares.len().min(16); // responders are replicas: small
+        let found = (0u32..(1 << m))
+            .filter(|mask| mask.count_ones() as usize == k)
+            .take(256)
+            .find_map(|mask| {
+                let subset: Vec<Share> = (0..m)
+                    .filter(|i| mask & (1 << i) != 0)
+                    .map(|i| shares[i].clone())
+                    .collect();
+                erasure::decode(&subset, k)
+                    .ok()
+                    .filter(|candidate| spire_crypto::digest(candidate) == want)
+            });
+        match found {
+            Some(data) => {
+                t.chunks.insert(chunk, data);
+                t.shares.remove(&chunk);
+                io.count(ctx, Metric::RecoveryChunks, 1);
+            }
+            None => io.count(ctx, Metric::StateReconstructPending, 1),
+        }
+    }
+
+    /// Once every chunk reconstructed, reassembles the snapshot and checks
+    /// it against the proven digest; returns it for installation unless
+    /// execution has meanwhile passed its checkpoint.
+    pub(super) fn take_complete(
+        &mut self,
+        io: &Io,
+        ctx: &mut Context<'_>,
+        last_executed: u64,
+    ) -> Option<(Manifest, Vec<u8>)> {
+        let done = |t: &ChunkTransfer| t.chunks.len() == t.manifest.chunk_digests.len();
+        let t = self.transfer.take_if(|t| done(t))?;
+        self.clear_accumulators();
+        let mut snapshot = Vec::with_capacity(t.manifest.total_len as usize);
+        for data in t.chunks.into_values() {
+            snapshot.extend_from_slice(&data);
+        }
+        if snapshot.len() as u64 != t.manifest.total_len
+            || spire_crypto::digest(&snapshot) != t.manifest.snapshot_digest
+        {
+            // With at most f Byzantine replicas, f+1 matching manifests pin
+            // a correct layout; a whole-snapshot mismatch here means the
+            // pin itself was forged — drop everything and retry fresh.
+            io.count(ctx, Metric::BadStateSnapshot, 1);
+            return None;
+        }
+        (t.manifest.checkpoint_seq > last_executed).then_some((t.manifest, snapshot))
+    }
+
+    /// Per-chunk retry tick: evicts a stalled transfer, otherwise
+    /// re-requests the missing chunks from two rotating alternate
+    /// responders with exponential backoff.
+    pub(super) fn on_chunk_timer(&mut self, io: &mut Io, ctx: &mut Context<'_>) {
+        self.chunk_timer_armed = false;
+        let stalled = ctx.now().since(self.accum_touched) >= io.cfg.state_accum_deadline;
+        if self.transfer.is_some() && stalled {
+            // Stale or poisoned transfer: evict everything; TIMER_STATE_REQ
+            // (recovering) or TIMER_RECON (catch-up) solicits fresh
+            // manifests from scratch.
+            self.transfer = None;
+            self.clear_accumulators();
+            io.count(ctx, Metric::StateAccumsEvicted, 1);
+            return;
+        }
+        let Some(t) = &mut self.transfer else {
+            return;
+        };
+        let missing: Vec<u32> = (0..t.manifest.chunk_digests.len() as u32)
+            .filter(|c| !t.chunks.contains_key(c))
+            .take(256)
+            .collect();
+        if missing.is_empty() {
+            return; // finalize already ran (or is about to)
+        }
+        t.retry_rotor = t.retry_rotor.wrapping_add(1);
+        let delay = t.backoff;
+        t.backoff = Span((t.backoff.0 * 2).min(io.cfg.chunk_retry_max.0));
+        io.count(ctx, Metric::RecoveryChunkRetries, 1);
+        let req = PrimeMsg::StateChunkReq {
+            replica: io.me,
+            checkpoint_seq: t.manifest.checkpoint_seq,
+            chunks: missing,
+        };
+        // Two rotating alternates per round: one mute or corrupt responder
+        // cannot stall the transfer, and the request load spreads.
+        let n = io.cfg.n;
+        if n > 1 {
+            for offset in 0..2u32 {
+                let slot = (t.retry_rotor + offset) % (n - 1);
+                io.send_to(ctx, ReplicaId((io.me.0 + 1 + slot) % n), &req);
+            }
+        }
+        self.chunk_timer_armed = true;
+        ctx.set_timer(delay, TIMER_CHUNK);
+    }
+
+    pub(super) fn digest(&self, h: &mut StateHasher) {
+        let pinned = self.transfer.as_ref();
+        (
+            self.recovering,
+            pinned.map(|t| (t.manifest.checkpoint_seq, t.chunks.len(), t.retry_rotor)),
+        )
+            .hash(h);
+        for (chunk, pool) in pinned.iter().flat_map(|t| &t.shares) {
+            h.all(pool.keys()).write_u32(*chunk);
+        }
+        for (key, candidate) in &self.meta_votes {
+            (key, &candidate.voters).hash(h);
+        }
+        h.all(self.early_shares.keys());
+    }
+}

@@ -1,0 +1,428 @@
+//! Suspect-leader monitoring and view changes: turnaround-time and
+//! progress-timeout suspicion, RTT probing, Suspect / ViewState / NewView
+//! exchange, and joining a view the rest of the cluster already runs.
+
+use super::io::{Io, Metric};
+use super::StateHasher;
+use crate::config::{ProtocolMode, ReplicaId};
+use crate::msg::{Matrix, PreparedClaim, PrimeMsg, SummaryRow, ViewStateMsg};
+use bytes::Bytes;
+use spire_sim::{Context, Span, Time, TraceKind};
+use std::collections::{BTreeMap, BTreeSet};
+use std::hash::{Hash, Hasher};
+
+#[derive(Default)]
+pub(super) struct ViewChange {
+    pub(super) view: u64,
+    pub(super) in_view_change: bool,
+    /// When the current view was entered (for view-change timeouts).
+    view_entered_at: Time,
+    /// Grows on every view change without intervening progress (capped),
+    /// doubling the progress timeout each time so cascades of failed view
+    /// changes damp out instead of thrashing (standard PBFT-style backoff).
+    timeout_doublings: u32,
+    suspects: BTreeMap<u64, BTreeSet<u32>>,
+    suspected_views: BTreeSet<u64>,
+    pub(super) view_states: BTreeMap<u64, BTreeMap<u32, ViewStateMsg>>,
+    /// Highest view each replica has claimed in any signed message; a
+    /// replica that fell behind joins view `v` once `f + k + 1` replicas
+    /// claim `>= v` (at least one of them is correct).
+    claimed_views: BTreeMap<u32, u64>,
+
+    // ---- suspect-leader ----
+    rtt_us: BTreeMap<u32, f64>,
+    ping_nonce: u64,
+    outstanding_pings: BTreeMap<u64, (u32, Time)>,
+    outstanding_summary: Option<(u64, Time)>,
+    last_progress: Time,
+}
+
+impl ViewChange {
+    pub(super) fn is_leader(&self, io: &Io) -> bool {
+        io.cfg.leader_of(self.view) == io.me
+    }
+
+    pub(super) fn note_progress(&mut self, now: Time) {
+        self.last_progress = now;
+        self.timeout_doublings = 0;
+    }
+
+    /// Starts the turnaround clock, unless one runs or we lead.
+    pub(super) fn summary_sent(&mut self, io: &Io, sseq: u64, now: Time) {
+        if self.outstanding_summary.is_none() && !self.is_leader(io) {
+            self.outstanding_summary = Some((sseq, now));
+        }
+    }
+
+    /// TAT measurement: if `proposal` covers our outstanding summary, stops
+    /// the clock; returns whether the leader took longer than a correct one
+    /// could have, given the measured round trip to it.
+    pub(super) fn leader_too_slow(
+        &mut self,
+        io: &Io,
+        ctx: &mut Context<'_>,
+        proposal: Option<&Matrix>,
+    ) -> bool {
+        let (Some((sseq, sent)), Some(matrix)) = (self.outstanding_summary, proposal) else {
+            return false;
+        };
+        let mine = |row: &SummaryRow| row.replica == io.me && row.sseq >= sseq;
+        if !matrix.rows.iter().any(mine) {
+            return false;
+        }
+        self.outstanding_summary = None;
+        let Some(rtt) = self.rtt_us.get(&io.cfg.leader_of(self.view).0) else {
+            return false;
+        };
+        if io.cfg.mode != ProtocolMode::Prime || self.in_view_change {
+            return false;
+        }
+        let tat_us = ctx.now().since(sent).0 as f64;
+        let allowed = io.cfg.tat_allowance * (rtt + 2.0 * io.cfg.pre_prepare_interval.0 as f64);
+        io.record(ctx, Metric::TatMs, tat_us / 1000.0);
+        tat_us > allowed
+    }
+
+    fn signed_suspect(&self, io: &mut Io, ctx: &mut Context<'_>) -> Bytes {
+        let mut msg = PrimeMsg::Suspect {
+            replica: io.me,
+            view: self.view,
+            sig: [0; 64],
+        };
+        io.sign(ctx, &mut msg);
+        msg.encode()
+    }
+
+    /// Accuses the current leader, once per view; returns whether it did.
+    pub(super) fn suspect_current_view(&mut self, io: &mut Io, ctx: &mut Context<'_>) -> bool {
+        if !self.suspected_views.insert(self.view) {
+            return false;
+        }
+        let suspect = self.signed_suspect(io, ctx);
+        self.suspects.entry(self.view).or_default().insert(io.me.0);
+        io.count(ctx, Metric::SuspectsSent, 1);
+        ctx.trace(TraceKind::SuspectLeader {
+            replica: io.me.0,
+            view: self.view,
+        });
+        io.broadcast(ctx, suspect);
+        true
+    }
+
+    /// Re-broadcasts the current view's change artifacts: our Suspect,
+    /// our ViewState while the change is in flight, and — from a new
+    /// leader already holding a state quorum — the NewView itself. Every
+    /// one of those messages is otherwise sent exactly once; a loss
+    /// window that swallows them (site DoS, disconnection) would leave
+    /// all replicas waiting forever on a quorum that can no longer form.
+    /// Receivers treat each as an idempotent set-insert, so resending is
+    /// safe.
+    pub(super) fn rebroadcast_view_change(&mut self, io: &mut Io, ctx: &mut Context<'_>) {
+        let suspect = self.signed_suspect(io, ctx);
+        io.broadcast(ctx, suspect);
+        if self.in_view_change {
+            let own_state = self
+                .view_states
+                .get(&self.view)
+                .and_then(|m| m.get(&io.me.0));
+            if let Some(state) = own_state {
+                io.broadcast(ctx, PrimeMsg::ViewState(state.clone()).encode());
+            }
+        } else {
+            self.new_view(io, ctx, false);
+        }
+        io.count(ctx, Metric::VcRebroadcasts, 1);
+    }
+
+    /// The new leader installs the view once it holds a quorum of state
+    /// reports: broadcasts the NewView and returns the reports to apply.
+    /// (`installing = false`: re-broadcast for an already installed view.)
+    pub(super) fn new_view(
+        &self,
+        io: &mut Io,
+        ctx: &mut Context<'_>,
+        installing: bool,
+    ) -> Option<Vec<ViewStateMsg>> {
+        let states = self.view_states.get(&self.view)?;
+        if self.in_view_change != installing
+            || !self.is_leader(io)
+            || states.len() < io.cfg.ordering_quorum()
+        {
+            return None;
+        }
+        let mut msg = PrimeMsg::NewView {
+            view: self.view,
+            states: states.values().cloned().collect(),
+            sig: [0; 64],
+        };
+        io.sign(ctx, &mut msg);
+        io.broadcast(ctx, msg.encode());
+        let PrimeMsg::NewView { states, .. } = msg else {
+            unreachable!("built above")
+        };
+        Some(states)
+    }
+
+    /// Returns whether the accusation was accepted.
+    pub(super) fn on_suspect(
+        &mut self,
+        io: &mut Io,
+        ctx: &mut Context<'_>,
+        msg: &PrimeMsg,
+    ) -> bool {
+        let PrimeMsg::Suspect { replica, view, .. } = *msg else {
+            return false;
+        };
+        if view < self.view || !io.verify_replica_msg(ctx, msg, replica, None) {
+            return false;
+        }
+        self.suspects.entry(view).or_default().insert(replica.0);
+        true
+    }
+
+    /// The highest view at or above ours that a suspect quorum accuses.
+    pub(super) fn suspected_by_quorum(&self, io: &Io) -> Option<u64> {
+        let quorum = io.cfg.suspect_quorum();
+        self.suspects
+            .range(self.view..)
+            .filter(|(_, set)| set.len() >= quorum)
+            .map(|(v, _)| *v)
+            .max()
+    }
+
+    pub(super) fn can_enter(&self, new_view: u64) -> bool {
+        new_view > self.view || (new_view == self.view && !self.in_view_change)
+    }
+
+    /// Moves to `new_view` and reports our state for it.
+    pub(super) fn enter_view(
+        &mut self,
+        io: &mut Io,
+        ctx: &mut Context<'_>,
+        new_view: u64,
+        last_committed: u64,
+        prepared: Vec<PreparedClaim>,
+    ) {
+        self.view = new_view;
+        io.inspect(|rec| rec.view = new_view);
+        self.in_view_change = true;
+        self.view_entered_at = ctx.now();
+        self.timeout_doublings = (self.timeout_doublings + 1).min(3);
+        self.outstanding_summary = None;
+        io.count(ctx, Metric::ViewChanges, 1);
+        ctx.trace(TraceKind::ViewChange {
+            replica: io.me.0,
+            view: new_view,
+        });
+        let mut state = ViewStateMsg {
+            replica: io.me,
+            view: new_view,
+            last_committed,
+            prepared,
+            sig: [0; 64],
+        };
+        io.count(ctx, Metric::SignOps, 1);
+        state.sig = io.signer.sign64(&state.signing_bytes());
+        self.view_states
+            .entry(new_view)
+            .or_default()
+            .insert(io.me.0, state.clone());
+        io.broadcast(ctx, PrimeMsg::ViewState(state).encode());
+    }
+
+    /// Returns whether the state report was accepted.
+    pub(super) fn on_view_state(
+        &mut self,
+        io: &Io,
+        ctx: &mut Context<'_>,
+        state: ViewStateMsg,
+    ) -> bool {
+        if state.view < self.view || !io.verify_view_state(ctx, &state) {
+            return false;
+        }
+        let states = self.view_states.entry(state.view).or_default();
+        states.insert(state.replica.0, state);
+        true
+    }
+
+    /// Seeing a quorum of view states for a higher view means a view
+    /// change is in progress; join it.
+    pub(super) fn should_join(&self, io: &Io, view: u64) -> bool {
+        let quorum = io.cfg.ordering_quorum();
+        view > self.view
+            && self
+                .view_states
+                .get(&view)
+                .is_some_and(|m| m.len() >= quorum)
+    }
+
+    /// Validates a NewView and moves to its view; returns what to apply.
+    pub(super) fn on_new_view(
+        &mut self,
+        io: &mut Io,
+        ctx: &mut Context<'_>,
+        msg: PrimeMsg,
+    ) -> Option<(u64, Vec<ViewStateMsg>)> {
+        let PrimeMsg::NewView { view, .. } = msg else {
+            return None;
+        };
+        if view < self.view {
+            return None;
+        }
+        let leader = io.cfg.leader_of(view);
+        if !io.verify_replica_msg(ctx, &msg, leader, None) {
+            return None;
+        }
+        let PrimeMsg::NewView { states, .. } = msg else {
+            return None;
+        };
+        // Validate the quorum of states.
+        let mut signers = BTreeSet::new();
+        for state in &states {
+            if state.view == view && state.replica.0 < io.cfg.n && io.verify_view_state(ctx, state)
+            {
+                signers.insert(state.replica.0);
+            }
+        }
+        if signers.len() < io.cfg.ordering_quorum() {
+            io.count(ctx, Metric::BadNewView, 1);
+            return None;
+        }
+        if view > self.view {
+            self.view = view;
+            io.inspect(|rec| rec.view = view);
+            self.in_view_change = true;
+        }
+        Some((view, states))
+    }
+
+    pub(super) fn installed(&mut self, now: Time) {
+        self.in_view_change = false;
+        self.last_progress = now;
+    }
+
+    /// Records that `replica` operates in `view`; if a quorum of f+k+1
+    /// replicas claim a higher view than ours, adopt it (we were left
+    /// behind by a view change we missed, e.g. during recovery). Returns
+    /// whether we joined.
+    pub(super) fn note_claimed_view(&mut self, io: &Io, replica: ReplicaId, view: u64) -> bool {
+        let entry = self.claimed_views.entry(replica.0).or_insert(0);
+        *entry = (*entry).max(view);
+        let mut views: Vec<u64> = self.claimed_views.values().copied().collect();
+        views.sort_unstable_by(|a, b| b.cmp(a));
+        let quorum = io.cfg.suspect_quorum();
+        if views.len() < quorum {
+            return false;
+        }
+        let joinable = views[quorum - 1];
+        // Prepare/Commit messages only flow in *installed* views, so a
+        // quorum of them proves the view is active: join it directly.
+        let join = joinable > self.view || (joinable == self.view && self.in_view_change);
+        if join {
+            self.view = joinable;
+            io.inspect(|rec| rec.view = joinable);
+            self.in_view_change = false;
+            self.outstanding_summary = None;
+        }
+        join
+    }
+
+    pub(super) fn send_pings(&mut self, io: &mut Io, ctx: &mut Context<'_>) {
+        let me = io.me.0;
+        for r in (0..io.cfg.n).filter(|r| *r != me) {
+            self.ping_nonce += 1;
+            self.outstanding_pings
+                .insert(self.ping_nonce, (r, ctx.now()));
+            let ping = PrimeMsg::Ping {
+                replica: io.me,
+                nonce: self.ping_nonce,
+            };
+            io.send_to(ctx, ReplicaId(r), &ping);
+        }
+        // Cap the outstanding map.
+        while self.outstanding_pings.len() > 4 * io.cfg.n as usize {
+            self.outstanding_pings.pop_first();
+        }
+    }
+
+    pub(super) fn on_pong(&mut self, now: Time, replica: ReplicaId, nonce: u64) {
+        if let Some((target, sent)) = self.outstanding_pings.remove(&nonce) {
+            if target == replica.0 {
+                let rtt = now.since(sent).0 as f64;
+                let entry = self.rtt_us.entry(replica.0).or_insert(rtt);
+                *entry = 0.8 * *entry + 0.2 * rtt;
+            }
+        }
+    }
+
+    /// The progress-timer verdict. A view change that never completes (its
+    /// new leader is also faulty or unreachable) must itself time out, or
+    /// the whole cluster waits forever for a NewView that will never come.
+    pub(super) fn stalled(&self, io: &Io, now: Time, work_pending: bool) -> bool {
+        let timeout = Span::micros(io.cfg.progress_timeout.0 << self.timeout_doublings);
+        if self.in_view_change {
+            now.since(self.view_entered_at) >= timeout
+        } else {
+            work_pending && now.since(self.last_progress) >= timeout
+        }
+    }
+
+    /// Drops view-change state for long-dead views (suspicions are only
+    /// counted for views >= ours; view states only install view + 1).
+    pub(super) fn compact(&mut self) {
+        let view = self.view;
+        self.suspects.retain(|v, _| *v >= view);
+        self.suspected_views.retain(|v| *v >= view);
+        self.view_states.retain(|v, _| *v + 1 >= view);
+    }
+
+    /// Deliberately excluded: RTT estimates and outstanding pings (the
+    /// explorer never fires ping timers).
+    pub(super) fn digest(&self, h: &mut StateHasher) {
+        let summary = self.outstanding_summary.map(|(sseq, sent)| (sseq, sent.0));
+        (self.view, self.in_view_change, self.view_entered_at.0).hash(h);
+        (self.timeout_doublings, self.last_progress.0, summary).hash(h);
+        (&self.suspects, &self.suspected_views, &self.claimed_views).hash(h);
+        for (view, states) in &self.view_states {
+            h.all(states.keys()).write_u64(*view);
+        }
+    }
+}
+
+/// Derives the deterministic view-change plan from a quorum of state
+/// reports: the committed base and the (seq, matrix) reproposals preserving
+/// every prepared matrix above it, highest-view claim winning per sequence,
+/// with explicit empty matrices filling holes.
+///
+/// Every replica recomputes this from the same `NewView` quorum, so a
+/// Byzantine new leader cannot silently drop a prepared matrix.
+pub fn plan_new_view(states: &[ViewStateMsg]) -> (u64, Vec<(u64, Matrix)>) {
+    let base = states.iter().map(|s| s.last_committed).max().unwrap_or(0);
+    let mut claims: BTreeMap<u64, &PreparedClaim> = BTreeMap::new();
+    for state in states {
+        for claim in &state.prepared {
+            if claim.seq > base {
+                let better = claims
+                    .get(&claim.seq)
+                    .map(|existing| claim.view > existing.view)
+                    .unwrap_or(true);
+                if better {
+                    claims.insert(claim.seq, claim);
+                }
+            }
+        }
+    }
+    let top = claims.keys().max().copied().unwrap_or(base);
+    let reproposals = ((base + 1)..=top)
+        .map(|seq| {
+            (
+                seq,
+                claims
+                    .get(&seq)
+                    .map(|c| c.matrix.clone())
+                    .unwrap_or_default(),
+            )
+        })
+        .collect();
+    (base, reproposals)
+}
