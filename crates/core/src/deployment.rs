@@ -150,10 +150,7 @@ impl DeploymentConfig {
             dual_homed_substations: true,
             trace: std::env::var_os("SPIRE_TRACE").is_some(),
             session_macs: true,
-            // `SPIRE_PIPELINING=0` reverts any scenario binary to the
-            // timer-paced, one-message-per-frame wire behaviour for A/B
-            // runs without a code change.
-            pipelining: std::env::var("SPIRE_PIPELINING").map_or(true, |v| v != "0"),
+            pipelining: true,
             replica_service_us: None,
             seed,
         }

@@ -17,6 +17,10 @@ fn run(session_macs: bool) -> Report {
     cfg.session_macs = session_macs;
     let mut system = Deployment::build(cfg);
     system.run_for(Span::secs(6));
+    // Honest replicas send their unsigned messages (pings, state transfer,
+    // reconciliation) under their own link MAC only.
+    let spoofed = system.world.metrics().counter("prime.bad_link_sender");
+    assert_eq!(spoofed, 0, "honest traffic tripped the link-sender rule");
     system.report()
 }
 

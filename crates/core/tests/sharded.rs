@@ -52,6 +52,10 @@ fn two_shards_partition_the_fleet_and_both_deliver() {
         report.updates_confirmed,
         "per-shard counters must partition the aggregate"
     );
+    // Every counter is namespaced by the label of the instance that emits
+    // it; a bare key would be shared by every group of the deployment.
+    let bare: Vec<&str> = m.counter_names().filter(|k| !k.contains('.')).collect();
+    assert!(bare.is_empty(), "counters without a label: {bare:?}");
 }
 
 #[test]

@@ -56,12 +56,24 @@ pub enum Effect {
 /// whatever the caller injected; the RNG is seeded (the replica itself
 /// never consults it, but the trait requires one); metrics aggregate into
 /// a counter map so protocol instrumentation stays observable.
-struct RecordingBackend {
-    now: Time,
+pub(crate) struct RecordingBackend {
+    pub(crate) now: Time,
     rng: StdRng,
     next_timer: u64,
-    effects: Vec<Effect>,
-    counters: BTreeMap<String, u64>,
+    pub(crate) effects: Vec<Effect>,
+    pub(crate) counters: BTreeMap<String, u64>,
+}
+
+impl RecordingBackend {
+    pub(crate) fn new(seed: u64) -> RecordingBackend {
+        RecordingBackend {
+            now: Time::ZERO,
+            rng: StdRng::seed_from_u64(seed),
+            next_timer: 0,
+            effects: Vec::new(),
+            counters: BTreeMap::new(),
+        }
+    }
 }
 
 impl Backend for RecordingBackend {
@@ -116,13 +128,7 @@ impl ModelReplica {
         ModelReplica {
             replica,
             pid,
-            backend: RecordingBackend {
-                now: Time::ZERO,
-                rng: StdRng::seed_from_u64(seed),
-                next_timer: 0,
-                effects: Vec::new(),
-                counters: BTreeMap::new(),
-            },
+            backend: RecordingBackend::new(seed),
         }
     }
 

@@ -425,7 +425,9 @@ pub enum PrimeMsg {
         requester_sseq_high: u64,
     },
     /// A committed matrix forwarded to a catching-up replica; adopted once
-    /// `f + 1` responders agree (unsigned; agreement provides safety).
+    /// `f + 1` responders agree. Unsigned: the agreement of `f + 1`
+    /// *link-authenticated* senders provides safety (a replica with session
+    /// keys drops one that does not arrive under its claimed sender's MAC).
     SuffixVote {
         /// Responding replica.
         replica: ReplicaId,

@@ -80,6 +80,7 @@ metrics! {
     BatchFlushes => "batch_flushes",
     BatchedMsgs => "batched_msgs",
     BadBatchAuth => "bad_batch_auth",
+    BadLinkSender => "bad_link_sender",
     MacOps => "mac_ops",
     MacAuthHits => "mac_auth_hits",
     MacFail => "mac_fail",
@@ -102,11 +103,7 @@ metrics! {
 }
 
 pub(super) fn metric_keys(label: &str) -> Vec<String> {
-    let key = |name: &&str| match *name {
-        "certified" => "prime_certified".to_string(),
-        "preprepares_stashed" => name.to_string(),
-        name => format!("{label}.{name}"),
-    };
+    let key = |name: &&str| format!("{label}.{name}");
     METRIC_NAMES.iter().map(key).collect()
 }
 
@@ -578,5 +575,71 @@ impl Io {
             }
             pre.retain_own(self, ctx, item.retain, &frame);
         }
+    }
+}
+
+/// Shared fixtures for the per-sub-protocol unit tests: one sub-protocol,
+/// an [`Io`] over direct links and a recording backend — no cluster.
+#[cfg(test)]
+pub(super) mod testkit {
+    use super::*;
+    use crate::model::{Effect, RecordingBackend};
+    use crate::net::DirectNet;
+    use spire_crypto::keys::KeyMaterial;
+    use spire_sim::ProcessId;
+
+    fn material() -> KeyMaterial {
+        KeyMaterial::new([9u8; 32])
+    }
+
+    /// Replica `r`'s (mock-mode) signing key, to author its messages.
+    pub fn signer(r: u32) -> Signer {
+        let base = PrimeConfig::new(1, 0).replica_key_base;
+        Signer::new(material().signing_key(NodeId(base + r)), true)
+    }
+
+    /// Client `c`'s (mock-mode) signing key.
+    pub fn client_signer(c: u32) -> Signer {
+        let base = PrimeConfig::new(1, 0).client_key_base;
+        Signer::new(material().signing_key(NodeId(base + c)), true)
+    }
+
+    /// Replica `me` of an `f = 1`, `n = 4` group: every frame goes straight
+    /// out (no link staging, no batch signing), so a test reads what was
+    /// sent from the backend's effects.
+    pub fn io(me: u32, behavior: ByzBehavior) -> Io {
+        let mut cfg = PrimeConfig::new(1, 0);
+        cfg.link_batch = false;
+        let net = DirectNet {
+            replicas: (0..cfg.n).map(ProcessId).collect(),
+            clients: Default::default(),
+        };
+        let keystore = Arc::new(KeyStore::for_nodes(&material(), 3000));
+        Io::new(
+            cfg,
+            ReplicaId(me),
+            behavior,
+            keystore,
+            signer(me),
+            Box::new(net),
+        )
+    }
+
+    /// Runs `f` with a context over `backend`, as process `me`.
+    pub fn run<R>(
+        backend: &mut RecordingBackend,
+        me: u32,
+        f: impl FnOnce(&mut Context<'_>) -> R,
+    ) -> R {
+        f(&mut Context::new(backend, ProcessId(me)))
+    }
+
+    /// Drains the frames sent so far as `(destination replica, message)`.
+    pub fn sent(backend: &mut RecordingBackend) -> Vec<(u32, PrimeMsg)> {
+        let sends = backend.effects.drain(..).filter_map(|effect| match effect {
+            Effect::Send { to, bytes } => Some((to.0, PrimeMsg::decode(&bytes).expect("frame"))),
+            _ => None,
+        });
+        sends.collect()
     }
 }

@@ -675,6 +675,24 @@ impl Replica {
             }
             return;
         }
+        // An unsigned message speaks only for whoever sent it: with session
+        // keys installed it must arrive authenticated as its claimed sender
+        // (that peer's link MAC, or its batch), or one compromised replica
+        // could cast `f + 1` suffix or manifest votes under other names.
+        let unsigned = matches!(
+            msg,
+            PrimeMsg::SuffixVote { .. }
+                | PrimeMsg::StateMeta { .. }
+                | PrimeMsg::StateChunk { .. }
+                | PrimeMsg::StateChunkReq { .. }
+                | PrimeMsg::ReconReq { .. }
+                | PrimeMsg::Ping { .. }
+                | PrimeMsg::Pong { .. }
+        );
+        if unsigned && io.session_keys.is_some() && env_auth != msg.claimed_sender() {
+            io.count(ctx, Metric::BadLinkSender, 1);
+            return;
+        }
         let last_executed = self.exe.last_executed;
         match msg {
             PrimeMsg::Op(op) => self.pre.on_client_op(io, ctx, op),

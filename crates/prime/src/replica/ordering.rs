@@ -341,9 +341,18 @@ impl Ordering {
         seq: u64,
         matrix: Matrix,
     ) -> bool {
+        // One live candidate per (seq, voter), so the map stays bounded
+        // between checkpoints: a voter's newer claim replaces its older one.
+        let digest = matrix.digest();
+        self.suffix_votes.retain(|(s, d), (_, voters)| {
+            if *s == seq && *d != digest {
+                voters.remove(&from.0);
+            }
+            !voters.is_empty()
+        });
         let (matrix, voters) = self
             .suffix_votes
-            .entry((seq, matrix.digest()))
+            .entry((seq, digest))
             .or_insert_with(|| (matrix, BTreeSet::new()));
         voters.insert(from.0);
         let adopt = voters.len() >= needed && !self.committed_matrices.contains_key(&seq);

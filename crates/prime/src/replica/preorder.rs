@@ -566,3 +566,169 @@ impl PreOrder {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::ClientId;
+    use crate::model::RecordingBackend;
+    use crate::replica::io::testkit::{client_signer, io, run, sent, signer};
+
+    /// A signed PO-Request from `origin` carrying one op per `cseq`, with
+    /// its wire frame and the digest acks vouch for.
+    fn request(origin: u32, po_seq: u64, cseqs: &[u8]) -> (PrimeMsg, Bytes, Digest) {
+        let op = |c: &u8| {
+            let payload = Bytes::from(vec![*c]);
+            ClientOp::signed(ClientId(1), u64::from(*c), payload, &client_signer(1))
+        };
+        let mut msg = PrimeMsg::PoRequest {
+            origin: ReplicaId(origin),
+            po_seq,
+            ops: cseqs.iter().map(op).collect(),
+            sig: [0; 64],
+        };
+        msg.sign(&signer(origin));
+        let digest = spire_crypto::digest(&msg.signing_bytes());
+        (msg.clone(), msg.encode(), digest)
+    }
+
+    /// A signed PO-Ack from `from`: the classic form for one entry, the
+    /// cumulative form for several.
+    fn ack(from: u32, entries: &[(u32, u64, Digest)]) -> PrimeMsg {
+        let replica = ReplicaId(from);
+        let entries: Vec<_> = entries
+            .iter()
+            .map(|(o, s, d)| (ReplicaId(*o), *s, *d))
+            .collect();
+        let mut msg = match entries[..] {
+            [(origin, po_seq, digest)] => PrimeMsg::PoAck {
+                replica,
+                origin,
+                po_seq,
+                digest,
+                sig: [0; 64],
+            },
+            _ => PrimeMsg::PoAckMulti {
+                replica,
+                entries,
+                sig: [0; 64],
+            },
+        };
+        msg.sign(&signer(from));
+        msg
+    }
+
+    /// Pre-ordering alone, as replica 0 of four (`2f + k + 1 = 3`).
+    struct Bench {
+        io: Io,
+        pre: PreOrder,
+        backend: RecordingBackend,
+    }
+
+    impl Bench {
+        fn new() -> Bench {
+            Bench {
+                io: io(0, ByzBehavior::Honest),
+                pre: PreOrder::new(4),
+                backend: RecordingBackend::new(0),
+            }
+        }
+
+        /// Delivers a request, then ends the activation (our ack goes out).
+        fn request(&mut self, (msg, frame, _): &(PrimeMsg, Bytes, Digest)) -> usize {
+            let Bench { io, pre, backend } = self;
+            run(backend, 0, |ctx| {
+                pre.accept_po_request(io, ctx, msg.clone(), None, frame);
+                let staged = pre.pending_acks.len();
+                pre.flush_acks(io, ctx);
+                staged
+            })
+        }
+
+        fn ack(&mut self, msg: &PrimeMsg) {
+            let Bench { io, pre, backend } = self;
+            run(backend, 0, |ctx| {
+                pre.on_po_ack(io, ctx, msg, None, &msg.encode())
+            });
+        }
+
+        fn certified(&self) -> u64 {
+            self.backend
+                .counters
+                .get("prime.certified")
+                .copied()
+                .unwrap_or(0)
+        }
+    }
+
+    #[test]
+    fn an_equivocating_origins_two_contents_never_both_certify() {
+        let (a, b) = (request(1, 1, &[1]), request(1, 1, &[2]));
+        let mut bench = Bench::new();
+        bench.request(&a);
+        bench.ack(&ack(2, &[(1, 1, a.2)]));
+        let held = |bench: &Bench| bench.pre.certified_ops(1, 1).map(<[ClientOp]>::to_vec);
+        let PrimeMsg::PoRequest { ops, .. } = &a.0 else {
+            unreachable!()
+        };
+        // Origin (its request) + us + replica 2 vouch for A.
+        assert_eq!(held(&bench).as_ref(), Some(ops));
+        // The other half of the cluster got B and says so; B's content
+        // reaches us too. Nothing about (1, 1) moves.
+        bench.request(&b);
+        bench.ack(&ack(2, &[(1, 1, b.2)]));
+        bench.ack(&ack(3, &[(1, 1, b.2)]));
+        assert_eq!(held(&bench).as_ref(), Some(ops));
+        assert_eq!(
+            (bench.certified(), &bench.pre.po_aru[..]),
+            (1, &[0, 1, 0, 0][..])
+        );
+    }
+
+    #[test]
+    fn a_duplicate_is_re_acked_until_its_request_certifies() {
+        let a = request(1, 1, &[1]);
+        let mut bench = Bench::new();
+        assert_eq!(bench.request(&a), 1, "first sight: ack");
+        assert_eq!(
+            bench.request(&a),
+            1,
+            "uncertified duplicate: our ack may be lost"
+        );
+        let acks = sent(&mut bench.backend);
+        assert_eq!(acks.len(), 6, "two acks to each of three peers");
+        assert!(acks
+            .iter()
+            .all(|(_, m)| matches!(m, PrimeMsg::PoAck { .. })));
+        bench.ack(&ack(2, &[(1, 1, a.2)]));
+        assert_eq!(bench.certified(), 1);
+        assert_eq!(
+            bench.request(&a),
+            0,
+            "certified duplicate: nothing to repair"
+        );
+    }
+
+    #[test]
+    fn one_entry_and_n_entry_acks_certify_identically() {
+        let (a, b) = (request(1, 1, &[1]), request(1, 2, &[2]));
+        let (mut singles, mut multi) = (Bench::new(), Bench::new());
+        for bench in [&mut singles, &mut multi] {
+            bench.request(&a);
+            bench.request(&b);
+        }
+        singles.ack(&ack(2, &[(1, 1, a.2)]));
+        singles.ack(&ack(2, &[(1, 2, b.2)]));
+        multi.ack(&ack(2, &[(1, 1, a.2), (1, 2, b.2)]));
+        for bench in [&singles, &multi] {
+            assert_eq!(
+                (bench.certified(), &bench.pre.po_aru[..]),
+                (2, &[0, 2, 0, 0][..])
+            );
+        }
+        for po_seq in [1, 2] {
+            let ops = singles.pre.certified_ops(1, po_seq).expect("certified");
+            assert_eq!(multi.pre.certified_ops(1, po_seq), Some(ops));
+        }
+    }
+}

@@ -569,3 +569,215 @@ impl StateTransfer {
         h.all(self.early_shares.keys());
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::model::{Effect, RecordingBackend};
+    use crate::replica::io::testkit::{io, run, sent, signer};
+
+    /// A stable checkpoint over a three-chunk snapshot, proven by replicas
+    /// 1 and 2.
+    fn stable(seq: u64) -> Stable {
+        let snapshot: Vec<u8> = (0..2500u32).map(|i| (i % 251) as u8).collect();
+        let digest = spire_crypto::digest(&snapshot);
+        let attest = |r| CheckpointMsg::signed(ReplicaId(r), seq, digest, &signer(r));
+        (seq, Bytes::from(snapshot), vec![attest(1), attest(2)])
+    }
+
+    /// What responder `r` sends replica 0 for `stable`: its manifest, then
+    /// its share of every chunk.
+    fn served(r: u32, behavior: ByzBehavior, stable: &Stable) -> Vec<PrimeMsg> {
+        let mut io = io(r, behavior);
+        let mut backend = RecordingBackend::new(u64::from(r));
+        run(&mut backend, r, |ctx| {
+            serve_checkpoint(&mut io, ctx, ReplicaId(0), stable, 0, (7, 9));
+        });
+        let frames = sent(&mut backend).into_iter();
+        frames
+            .map(|(to, msg)| (to == 0).then_some(msg).expect("to replica 0"))
+            .collect()
+    }
+
+    fn manifest(r: u32, stable: &Stable) -> PrimeMsg {
+        served(r, ByzBehavior::Honest, stable).remove(0)
+    }
+
+    fn shares(r: u32, behavior: ByzBehavior, stable: &Stable) -> Vec<PrimeMsg> {
+        served(r, behavior, stable).split_off(1)
+    }
+
+    /// The requester side alone: replica 0, recovering.
+    struct Requester {
+        io: Io,
+        xfer: StateTransfer,
+        backend: RecordingBackend,
+    }
+
+    impl Requester {
+        fn new() -> Requester {
+            Requester {
+                io: io(0, ByzBehavior::Honest),
+                xfer: StateTransfer {
+                    recovering: true,
+                    ..StateTransfer::default()
+                },
+                backend: RecordingBackend::new(0),
+            }
+        }
+
+        fn deliver(&mut self, msgs: impl IntoIterator<Item = PrimeMsg>) {
+            let Requester { io, xfer, backend } = self;
+            for msg in msgs {
+                run(backend, 0, |ctx| match msg {
+                    PrimeMsg::StateMeta { .. } => xfer.on_state_meta(io, ctx, msg, 0),
+                    _ => xfer.on_state_chunk(io, ctx, msg, 0),
+                });
+            }
+        }
+
+        fn chunk_timer(&mut self) {
+            let Requester { io, xfer, backend } = self;
+            run(backend, 0, |ctx| xfer.on_chunk_timer(io, ctx));
+        }
+
+        fn complete(&mut self) -> Option<Vec<u8>> {
+            let Requester { io, xfer, backend } = self;
+            let done = run(backend, 0, |ctx| xfer.take_complete(io, ctx, 0));
+            done.map(|(_, snapshot)| snapshot)
+        }
+
+        fn count(&self, name: &str) -> u64 {
+            let key = format!("prime.{name}");
+            self.backend.counters.get(&key).copied().unwrap_or(0)
+        }
+
+        fn timer_delays(&mut self) -> Vec<Span> {
+            let armed = self
+                .backend
+                .effects
+                .iter()
+                .filter_map(|effect| match effect {
+                    Effect::SetTimer { delay, tag, .. } if *tag == TIMER_CHUNK => Some(*delay),
+                    _ => None,
+                });
+            armed.collect()
+        }
+    }
+
+    #[test]
+    fn a_manifest_pins_only_at_f_plus_1_byte_identical_layouts() {
+        let stable = stable(50);
+        let mut r = Requester::new();
+        r.deliver([manifest(1, &stable)]);
+        assert!(r.xfer.transfer.is_none(), "one responder is not a quorum");
+        // A second responder describing a different layout of the same
+        // checkpoint cannot merge its vote with the first one's.
+        let mut other = manifest(2, &stable);
+        if let PrimeMsg::StateMeta { chunk_digests, .. } = &mut other {
+            chunk_digests[0][0] ^= 1;
+        }
+        r.deliver([other]);
+        assert!(r.xfer.transfer.is_none());
+        assert_eq!(r.xfer.meta_votes.len(), 2);
+        r.deliver([manifest(3, &stable)]);
+        let pinned = r
+            .xfer
+            .transfer
+            .as_ref()
+            .expect("f + 1 identical layouts pin");
+        assert_eq!((pinned.manifest.po_high, pinned.manifest.sseq_high), (7, 9));
+        assert!(r.xfer.meta_votes.is_empty());
+    }
+
+    #[test]
+    fn a_ninth_candidate_evicts_the_oldest() {
+        let mut r = Requester::new();
+        for seq in 10..18 {
+            r.deliver([manifest(1, &stable(seq))]);
+        }
+        assert_eq!(
+            (r.xfer.meta_votes.len(), r.count("state_accums_evicted")),
+            (8, 0)
+        );
+        r.deliver([manifest(1, &stable(18))]);
+        let kept = r
+            .xfer
+            .meta_votes
+            .values()
+            .map(|c| c.manifest.checkpoint_seq);
+        assert_eq!(kept.collect::<Vec<_>>().iter().min(), Some(&11));
+        assert_eq!(
+            (r.xfer.meta_votes.len(), r.count("state_accums_evicted")),
+            (8, 1)
+        );
+    }
+
+    #[test]
+    fn early_shares_drain_on_pin() {
+        let stable = stable(50);
+        let mut r = Requester::new();
+        // Links reorder: both responders' shares overtake their manifests.
+        r.deliver(shares(1, ByzBehavior::Honest, &stable));
+        r.deliver(shares(2, ByzBehavior::Honest, &stable));
+        assert_eq!(r.xfer.early_shares.len(), 6);
+        r.deliver([manifest(1, &stable), manifest(2, &stable)]);
+        assert!(r.xfer.early_shares.is_empty());
+        assert_eq!(r.count("recovery_chunks"), 3);
+        assert_eq!(r.complete().as_deref(), Some(&stable.1[..]));
+    }
+
+    #[test]
+    fn a_corrupt_share_is_caught_and_re_requested_with_doubling_backoff() {
+        let stable = stable(50);
+        let mut r = Requester::new();
+        r.deliver([manifest(1, &stable), manifest(2, &stable)]);
+        r.deliver(shares(1, ByzBehavior::Honest, &stable));
+        r.deliver(shares(2, ByzBehavior::CorruptShares, &stable));
+        // k = 2 shares per chunk are in, but no pair decodes to the pinned
+        // chunk digest.
+        assert_eq!(
+            (
+                r.count("recovery_chunks"),
+                r.count("state_reconstruct_pending")
+            ),
+            (0, 3)
+        );
+        r.backend.effects.clear();
+        for _ in 0..6 {
+            r.chunk_timer();
+        }
+        // Doubling from `chunk_retry_timeout` up to `chunk_retry_max`.
+        let ms = |d: Span| d.0 / 1000;
+        let delays: Vec<u64> = r.timer_delays().into_iter().map(ms).collect();
+        assert_eq!(delays, [200, 400, 800, 1600, 2000, 2000]);
+        assert_eq!(r.count("recovery_chunk_retries"), 6);
+        // Each round asks two alternates for every missing chunk.
+        let asked = sent(&mut r.backend);
+        assert_eq!(asked.len(), 12);
+        for (to, req) in asked {
+            assert_ne!(to, 0);
+            assert!(matches!(req, PrimeMsg::StateChunkReq { chunks, .. } if chunks == [0, 1, 2]));
+        }
+        // One more honest responder and every chunk has a good pair.
+        r.deliver(shares(3, ByzBehavior::Honest, &stable));
+        assert_eq!(r.complete().as_deref(), Some(&stable.1[..]));
+    }
+
+    #[test]
+    fn a_stalled_transfer_is_evicted_at_the_accumulator_deadline() {
+        let stable = stable(50);
+        let mut r = Requester::new();
+        r.deliver([manifest(1, &stable), manifest(2, &stable)]);
+        assert!(r.xfer.transfer.is_some());
+        r.backend.effects.clear();
+        r.backend.now = r.backend.now + r.io.cfg.state_accum_deadline;
+        r.chunk_timer();
+        assert!(r.xfer.transfer.is_none());
+        assert_eq!(r.count("state_accums_evicted"), 1);
+        assert!(
+            r.timer_delays().is_empty(),
+            "an evicted transfer re-arms nothing"
+        );
+    }
+}

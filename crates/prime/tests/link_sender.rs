@@ -1,0 +1,115 @@
+//! An unsigned message counts as a vote from whoever *sent* it, not from
+//! whoever it *names*: with session keys installed, a replica-originated
+//! unsigned message is accepted only under its claimed sender's link MAC.
+
+use bytes::Bytes;
+use spire_crypto::keys::{KeyMaterial, Signer};
+use spire_crypto::{KeyStore, NodeId};
+use spire_prime::msg::{seal_frame, Matrix};
+use spire_prime::{
+    ByzBehavior, DirectNet, HashChainApp, Input, ModelReplica, PrimeConfig, PrimeMsg, Replica,
+    ReplicaId,
+};
+use spire_sim::{ProcessId, Time};
+use std::sync::Arc;
+
+/// Replica 0 of an `f = 1` cluster behind the model seam, plus its link
+/// key for each peer (when `session_keys`).
+fn replica_zero(session_keys: bool) -> (ModelReplica, Vec<[u8; 32]>) {
+    let cfg = PrimeConfig::new(1, 0);
+    let material = KeyMaterial::new([7u8; 32]);
+    let node = |r: u32| NodeId(cfg.replica_key_base + r);
+    let keys: Vec<[u8; 32]> = (0..cfg.n)
+        .map(|peer| material.link_key(node(0), node(peer)))
+        .collect();
+    let net = DirectNet {
+        replicas: (0..cfg.n).map(ProcessId).collect(),
+        clients: Default::default(),
+    };
+    let mut replica = Replica::new(
+        cfg.clone(),
+        ReplicaId(0),
+        ByzBehavior::Honest,
+        Arc::new(KeyStore::for_nodes(&material, 3000)),
+        Signer::new(material.signing_key(node(0)), true),
+        Box::new(net),
+        Box::new(HashChainApp::new()),
+        false,
+    );
+    if session_keys {
+        replica = replica.with_session_keys(keys.clone());
+    }
+    let mut model = ModelReplica::new(replica, ProcessId(0), 1);
+    model.step(Time::ZERO, Input::Start);
+    (model, keys)
+}
+
+/// A suffix vote for sequence 1 naming `claimed` as its author.
+fn suffix_vote(claimed: u32) -> Bytes {
+    PrimeMsg::SuffixVote {
+        replica: ReplicaId(claimed),
+        seq: 1,
+        matrix: Matrix::default(),
+    }
+    .encode()
+}
+
+fn deliver(model: &mut ModelReplica, from: u32, bytes: Bytes) {
+    let from = ProcessId(from);
+    model.step(Time(1_000), Input::Deliver { from, bytes });
+}
+
+fn commit_aru(model: &ModelReplica) -> String {
+    let debug = format!("{:?}", model.replica());
+    let at = debug.find("commit_aru").expect("Debug shows commit_aru");
+    debug[at..]
+        .split(',')
+        .next()
+        .unwrap_or_default()
+        .to_string()
+}
+
+fn spoofed(model: &ModelReplica) -> u64 {
+    let counters = model.counters();
+    counters.get("prime.bad_link_sender").copied().unwrap_or(0)
+}
+
+#[test]
+fn one_peer_cannot_cast_suffix_votes_under_other_names() {
+    let (mut model, keys) = replica_zero(true);
+    // Replica 3 seals two votes naming replicas 1 and 2: `f + 1` distinct
+    // *claimed* voters, one real sender.
+    for claimed in [1, 2] {
+        let sealed = seal_frame(ReplicaId(3), &keys[3], &suffix_vote(claimed));
+        deliver(&mut model, 3, sealed);
+    }
+    assert_eq!(commit_aru(&model), "commit_aru: 0");
+    assert_eq!(spoofed(&model), 2);
+    // Unsealed copies bypass the MAC, not the rule.
+    for claimed in [1, 2] {
+        deliver(&mut model, 3, suffix_vote(claimed));
+    }
+    assert_eq!(commit_aru(&model), "commit_aru: 0");
+    assert_eq!(spoofed(&model), 4);
+    // The same two votes, each under its author's own link MAC, are the
+    // `f + 1` agreement the catch-up path is built on.
+    for author in [1, 2] {
+        let key = &keys[author as usize];
+        let sealed = seal_frame(ReplicaId(author), key, &suffix_vote(author));
+        deliver(&mut model, author, sealed);
+    }
+    assert_eq!(commit_aru(&model), "commit_aru: 1");
+    assert_eq!(spoofed(&model), 4);
+}
+
+/// The stated limit of the `session_macs = false` ablation: without link
+/// keys there is nothing to hold an unsigned message's sender to.
+#[test]
+fn without_session_keys_unsigned_messages_are_taken_at_their_word() {
+    let (mut model, _) = replica_zero(false);
+    for claimed in [1, 2] {
+        deliver(&mut model, 3, suffix_vote(claimed));
+    }
+    assert_eq!(commit_aru(&model), "commit_aru: 1");
+    assert_eq!(spoofed(&model), 0);
+}
