@@ -526,8 +526,10 @@ impl Replica {
     /// Composed from each sub-protocol's `digest`, which sits next to the
     /// fields it covers. Deliberately excluded: the verify/op/row caches
     /// and batch signer (pure performance state), RTT estimates and
-    /// outstanding pings (the explorer never fires ping timers), and
-    /// metric bookkeeping.
+    /// outstanding pings (the explorer never fires ping timers), metric
+    /// bookkeeping, the staged acks / commits / link frames (empty at every
+    /// activation boundary), and the bytes behind what is hashed by key or
+    /// digest only (stored frames, view-state and checkpoint-vote bodies).
     pub fn state_digest(&self) -> u64 {
         let mut h = StateHasher(0xcbf2_9ce4_8422_2325);
         (self.io.me, self.io.outbox.len(), self.io.batch_timer_armed).hash(&mut h);

@@ -387,5 +387,13 @@ impl Ordering {
         for (at, _, _, _, bytes) in &self.delayed_proposals {
             (at.0, bytes).hash(h);
         }
+        // `last_preprepare_at` gates eager proposals.
+        self.last_preprepare_at.map(|at| at.0).hash(h);
+        for (key, matrix) in &self.stashed_pps {
+            (key, matrix.digest()).hash(h);
+        }
+        for (key, (_, voters)) in &self.suffix_votes {
+            (key, voters).hash(h);
+        }
     }
 }

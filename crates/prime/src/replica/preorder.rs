@@ -550,6 +550,7 @@ impl PreOrder {
     pub(super) fn digest(&self, h: &mut StateHasher) {
         (self.my_po_seq, self.my_sseq, self.recon_rotor).hash(h);
         (&self.po_aru, &self.po_high, &self.sseq_high).hash(h);
+        self.po_gap_snapshot.hash(h);
         (&self.last_summary_vector.0, &self.seen_ops, &self.missing).hash(h);
         for op in &self.pending_ops {
             (op.client, op.cseq, &op.payload).hash(h);

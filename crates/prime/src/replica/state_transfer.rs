@@ -554,6 +554,8 @@ impl StateTransfer {
     }
 
     pub(super) fn digest(&self, h: &mut StateHasher) {
+        (self.recovery_started.0, self.accum_touched.0).hash(h);
+        self.chunk_timer_armed.hash(h);
         let pinned = self.transfer.as_ref();
         (
             self.recovering,
