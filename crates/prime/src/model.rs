@@ -58,22 +58,10 @@ pub enum Effect {
 /// a counter map so protocol instrumentation stays observable.
 pub(crate) struct RecordingBackend {
     pub(crate) now: Time,
-    rng: StdRng,
-    next_timer: u64,
+    pub(crate) rng: StdRng,
+    pub(crate) next_timer: u64,
     pub(crate) effects: Vec<Effect>,
     pub(crate) counters: BTreeMap<String, u64>,
-}
-
-impl RecordingBackend {
-    pub(crate) fn new(seed: u64) -> RecordingBackend {
-        RecordingBackend {
-            now: Time::ZERO,
-            rng: StdRng::seed_from_u64(seed),
-            next_timer: 0,
-            effects: Vec::new(),
-            counters: BTreeMap::new(),
-        }
-    }
 }
 
 impl Backend for RecordingBackend {
@@ -128,7 +116,13 @@ impl ModelReplica {
         ModelReplica {
             replica,
             pid,
-            backend: RecordingBackend::new(seed),
+            backend: RecordingBackend {
+                now: Time::ZERO,
+                rng: StdRng::seed_from_u64(seed),
+                next_timer: 0,
+                effects: Vec::new(),
+                counters: BTreeMap::new(),
+            },
         }
     }
 

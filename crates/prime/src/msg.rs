@@ -562,11 +562,9 @@ pub enum PrimeMsg {
     },
 }
 
-/// The message's own signature field, for the variants that carry one
-/// (works on `&PrimeMsg` and `&mut PrimeMsg` alike).
-///
-/// Every signed variant writes its signature *last*, which is what lets
-/// [`signing_bytes`](PrimeMsg::signing_bytes) zero the signature in the
+/// The message's own signature field, for the variants that carry one (by
+/// `&` or `&mut`). Every signed variant writes its signature *last*, so
+/// [`signing_bytes`](PrimeMsg::signing_bytes) zeroes it in the
 /// already-encoded buffer instead of cloning the whole message.
 macro_rules! own_sig {
     ($msg:expr) => {

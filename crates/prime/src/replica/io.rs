@@ -107,14 +107,6 @@ pub(super) fn metric_keys(label: &str) -> Vec<String> {
     METRIC_NAMES.iter().map(key).collect()
 }
 
-/// Where a queued batch-signed message goes at flush time.
-pub(super) enum OutboxDest {
-    /// Broadcast to every other replica (votes).
-    Replicas,
-    /// Sent to one client (replies and notifications).
-    Client(ClientId),
-}
-
 /// What to keep of a queued message once its attested frame exists at
 /// flush time. Reconciliation later forwards retained frames verbatim, so
 /// they must be self-contained (attestation included).
@@ -126,15 +118,16 @@ pub(super) enum Retain {
     Acks(Vec<(ReplicaId, u64, Digest)>),
     /// Our own PO-Request: the stored content bytes under
     /// `(me, po_seq)` are replaced with the attested frame.
-    Request { po_seq: u64, digest: Digest },
+    Request { po_seq: u64 },
 }
 
 /// A message queued for the next amortized-signature flush.
 pub(super) struct OutboxItem {
     /// The encoded message, signature field all-zero.
     payload: Bytes,
-    /// Recipient set.
-    dest: OutboxDest,
+    /// One client (replies and notifications), or `None` for a broadcast
+    /// to every other replica (votes).
+    client: Option<ClientId>,
     /// Certificate-material retention at flush time.
     retain: Retain,
 }
@@ -497,12 +490,12 @@ impl Io {
         ctx: &mut Context<'_>,
         pre: &mut PreOrder,
         payload: Bytes,
-        dest: OutboxDest,
+        client: Option<ClientId>,
         retain: Retain,
     ) {
         self.outbox.push(OutboxItem {
             payload,
-            dest,
+            client,
             retain,
         });
         if self.outbox.len() >= BATCH_CAP {
@@ -525,7 +518,7 @@ impl Io {
         retain: Retain,
     ) {
         if self.cfg.batch_sign {
-            self.queue_outbox(ctx, pre, msg.encode(), OutboxDest::Replicas, retain);
+            self.queue_outbox(ctx, pre, msg.encode(), None, retain);
             return;
         }
         self.sign(ctx, &mut msg);
@@ -544,8 +537,7 @@ impl Io {
         mut msg: PrimeMsg,
     ) {
         if self.cfg.batch_sign {
-            let dest = OutboxDest::Client(client);
-            self.queue_outbox(ctx, pre, msg.encode(), dest, Retain::None);
+            self.queue_outbox(ctx, pre, msg.encode(), Some(client), Retain::None);
             return;
         }
         self.sign(ctx, &mut msg);
@@ -569,9 +561,9 @@ impl Io {
         let signed = self.batcher.flush(&self.signer).expect("non-empty batch");
         for (i, item) in items.into_iter().enumerate() {
             let frame = msg::encode_batched(self.me, &signed.attestation(i), &item.payload);
-            match item.dest {
-                OutboxDest::Replicas => self.broadcast(ctx, frame.clone()),
-                OutboxDest::Client(client) => self.net.send_client(ctx, client, frame.clone()),
+            match item.client {
+                None => self.broadcast(ctx, frame.clone()),
+                Some(client) => self.net.send_client(ctx, client, frame.clone()),
             }
             pre.retain_own(self, ctx, item.retain, &frame);
         }
@@ -623,6 +615,17 @@ pub(super) mod testkit {
             signer(me),
             Box::new(net),
         )
+    }
+
+    /// A fresh recording backend at time zero.
+    pub fn backend() -> RecordingBackend {
+        RecordingBackend {
+            now: spire_sim::Time::ZERO,
+            rng: rand::SeedableRng::seed_from_u64(0),
+            next_timer: 0,
+            effects: Vec::new(),
+            counters: Default::default(),
+        }
     }
 
     /// Runs `f` with a context over `backend`, as process `me`.

@@ -447,13 +447,9 @@ impl Replica {
     }
 
     fn enter_view(&mut self, ctx: &mut Context<'_>, new_view: u64) {
-        if !self.vc.can_enter(new_view) {
-            return;
+        if self.vc.enter_view(&mut self.io, ctx, new_view, &self.ord) {
+            self.maybe_install_view(ctx);
         }
-        let (committed, prepared) = (self.ord.commit_aru, self.ord.prepared_claims());
-        self.vc
-            .enter_view(&mut self.io, ctx, new_view, committed, prepared);
-        self.maybe_install_view(ctx);
     }
 
     fn maybe_install_view(&mut self, ctx: &mut Context<'_>) {
@@ -523,13 +519,13 @@ impl Replica {
     /// collision merely prunes one branch (coverage loss, never a false
     /// violation).
     ///
-    /// Composed from each sub-protocol's `digest`, which sits next to the
-    /// fields it covers. Deliberately excluded: the verify/op/row caches
-    /// and batch signer (pure performance state), RTT estimates and
-    /// outstanding pings (the explorer never fires ping timers), metric
-    /// bookkeeping, the staged acks / commits / link frames (empty at every
-    /// activation boundary), and the bytes behind what is hashed by key or
-    /// digest only (stored frames, view-state and checkpoint-vote bodies).
+    /// Composed from each sub-protocol's `digest`, next to the fields it
+    /// covers. Deliberately excluded: the verify caches and batch signer
+    /// (pure performance state), RTT estimates and outstanding pings (the
+    /// explorer never fires ping timers), metric bookkeeping, the staged
+    /// acks / commits / link frames (empty at every activation boundary),
+    /// and the bytes behind what is hashed by key or digest only (stored
+    /// frames, view-state and checkpoint-vote bodies).
     pub fn state_digest(&self) -> u64 {
         let mut h = StateHasher(0xcbf2_9ce4_8422_2325);
         (self.io.me, self.io.outbox.len(), self.io.batch_timer_armed).hash(&mut h);
@@ -678,9 +674,8 @@ impl Replica {
             return;
         }
         // An unsigned message speaks only for whoever sent it: with session
-        // keys installed it must arrive authenticated as its claimed sender
-        // (that peer's link MAC, or its batch), or one compromised replica
-        // could cast `f + 1` suffix or manifest votes under other names.
+        // keys it must arrive authenticated as its claimed sender, or one
+        // compromised replica could cast `f + 1` votes under other names.
         let unsigned = matches!(
             msg,
             PrimeMsg::SuffixVote { .. }
@@ -735,16 +730,18 @@ impl Replica {
             }
             PrimeMsg::ViewState(state) => {
                 let view = state.view;
-                if self.vc.on_view_state(io, ctx, state) {
-                    if self.vc.should_join(io, view) {
+                if let Some(join) = self.vc.on_view_state(io, ctx, state) {
+                    if join {
                         self.enter_view(ctx, view);
                     }
                     self.maybe_install_view(ctx);
                 }
             }
-            PrimeMsg::NewView { .. } => {
-                if let Some((view, states)) = self.vc.on_new_view(io, ctx, msg) {
-                    self.apply_new_view(ctx, view, &states);
+            PrimeMsg::NewView {
+                view, ref states, ..
+            } => {
+                if self.vc.on_new_view(io, ctx, &msg) {
+                    self.apply_new_view(ctx, view, states);
                 }
             }
             PrimeMsg::Checkpoint(attestation) => {
@@ -873,17 +870,5 @@ impl Replica {
             _ => return,
         };
         ctx.set_timer(rearm, tag);
-    }
-}
-
-impl std::fmt::Debug for Replica {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Replica")
-            .field("me", &self.io.me)
-            .field("view", &self.vc.view)
-            .field("commit_aru", &self.ord.commit_aru)
-            .field("last_executed", &self.exe.last_executed)
-            .field("recovering", &self.xfer.recovering)
-            .finish()
     }
 }

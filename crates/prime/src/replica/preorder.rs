@@ -2,7 +2,7 @@
 //! per-origin certification ARU, PO-Summary rows, and reconciliation of
 //! missing or never-certified requests.
 
-use super::io::{Io, Metric, OutboxDest, Retain};
+use super::io::{Io, Metric, Retain};
 use super::{CseqWindow, StateHasher};
 use crate::behavior::ByzBehavior;
 use crate::config::ReplicaId;
@@ -130,11 +130,10 @@ impl PreOrder {
             // replaces the stored bytes at flush time.
             let retain = Retain::Request {
                 po_seq: self.my_po_seq,
-                digest: spire_crypto::digest(&msg.signing_bytes()),
             };
             let payload = msg.encode();
             self.accept_po_request(io, ctx, msg, Some(io.me), &payload);
-            io.queue_outbox(ctx, self, payload, OutboxDest::Replicas, retain);
+            io.queue_outbox(ctx, self, payload, None, retain);
             return;
         }
         io.sign(ctx, &mut msg);
@@ -286,15 +285,13 @@ impl PreOrder {
                     self.check_certified(io, ctx, origin.0, po_seq);
                 }
             }
-            Retain::Request { po_seq, digest } => {
+            Retain::Request { po_seq } => {
                 // Swap the zero-signature encoding stored at queue time
-                // for the attested frame reconciliation will forward.
-                if let Some(entry) = self.po.get_mut(&(io.me.0, po_seq)) {
-                    if let Some((stored, _, raw)) = &mut entry.content {
-                        if *stored == digest {
-                            *raw = frame.clone();
-                        }
-                    }
+                // for the attested frame reconciliation will forward (our
+                // own content is never replaced in between).
+                let entry = self.po.get_mut(&(io.me.0, po_seq));
+                if let Some((_, _, raw)) = entry.and_then(|e| e.content.as_mut()) {
+                    *raw = frame.clone();
                 }
             }
         }
@@ -573,7 +570,7 @@ mod tests {
     use super::*;
     use crate::config::ClientId;
     use crate::model::RecordingBackend;
-    use crate::replica::io::testkit::{client_signer, io, run, sent, signer};
+    use crate::replica::io::testkit::{backend, client_signer, io, run, sent, signer};
 
     /// A signed PO-Request from `origin` carrying one op per `cseq`, with
     /// its wire frame and the digest acks vouch for.
@@ -631,7 +628,7 @@ mod tests {
             Bench {
                 io: io(0, ByzBehavior::Honest),
                 pre: PreOrder::new(4),
-                backend: RecordingBackend::new(0),
+                backend: backend(),
             }
         }
 

@@ -328,15 +328,13 @@ impl StateTransfer {
         let key = manifest.layout_key();
         if !self.meta_votes.contains_key(&key) && self.meta_votes.len() >= META_CANDIDATE_CAP {
             // Evict the candidate for the oldest checkpoint to stay bounded.
-            if let Some(victim) = self
+            let oldest = self
                 .meta_votes
                 .iter()
-                .min_by_key(|(_, c)| c.manifest.checkpoint_seq)
-                .map(|(k, _)| *k)
-            {
-                self.meta_votes.remove(&victim);
-                io.count(ctx, Metric::StateAccumsEvicted, 1);
-            }
+                .min_by_key(|(_, c)| c.manifest.checkpoint_seq);
+            let victim = *oldest.expect("at the cap").0;
+            self.meta_votes.remove(&victim);
+            io.count(ctx, Metric::StateAccumsEvicted, 1);
         }
         let entry = self.meta_votes.entry(key).or_insert_with(|| MetaCandidate {
             manifest,
@@ -576,7 +574,7 @@ impl StateTransfer {
 mod tests {
     use super::*;
     use crate::model::{Effect, RecordingBackend};
-    use crate::replica::io::testkit::{io, run, sent, signer};
+    use crate::replica::io::testkit::{backend, io, run, sent, signer};
 
     /// A stable checkpoint over a three-chunk snapshot, proven by replicas
     /// 1 and 2.
@@ -591,7 +589,7 @@ mod tests {
     /// its share of every chunk.
     fn served(r: u32, behavior: ByzBehavior, stable: &Stable) -> Vec<PrimeMsg> {
         let mut io = io(r, behavior);
-        let mut backend = RecordingBackend::new(u64::from(r));
+        let mut backend = backend();
         run(&mut backend, r, |ctx| {
             serve_checkpoint(&mut io, ctx, ReplicaId(0), stable, 0, (7, 9));
         });
@@ -624,7 +622,7 @@ mod tests {
                     recovering: true,
                     ..StateTransfer::default()
                 },
-                backend: RecordingBackend::new(0),
+                backend: backend(),
             }
         }
 

@@ -3,6 +3,7 @@
 //! exchange, and joining a view the rest of the cluster already runs.
 
 use super::io::{Io, Metric};
+use super::ordering::Ordering;
 use super::StateHasher;
 use crate::config::{ProtocolMode, ReplicaId};
 use crate::msg::{Matrix, PreparedClaim, PrimeMsg, SummaryRow, ViewStateMsg};
@@ -190,19 +191,18 @@ impl ViewChange {
             .max()
     }
 
-    pub(super) fn can_enter(&self, new_view: u64) -> bool {
-        new_view > self.view || (new_view == self.view && !self.in_view_change)
-    }
-
-    /// Moves to `new_view` and reports our state for it.
+    /// Moves to `new_view` (unless we are already changing into it, or past
+    /// it) and reports our state for it; returns whether it did.
     pub(super) fn enter_view(
         &mut self,
         io: &mut Io,
         ctx: &mut Context<'_>,
         new_view: u64,
-        last_committed: u64,
-        prepared: Vec<PreparedClaim>,
-    ) {
+        ord: &Ordering,
+    ) -> bool {
+        if new_view < self.view || (new_view == self.view && self.in_view_change) {
+            return false;
+        }
         self.view = new_view;
         io.inspect(|rec| rec.view = new_view);
         self.in_view_change = true;
@@ -217,8 +217,8 @@ impl ViewChange {
         let mut state = ViewStateMsg {
             replica: io.me,
             view: new_view,
-            last_committed,
-            prepared,
+            last_committed: ord.commit_aru,
+            prepared: ord.prepared_claims(),
             sig: [0; 64],
         };
         io.count(ctx, Metric::SignOps, 1);
@@ -228,57 +228,44 @@ impl ViewChange {
             .or_default()
             .insert(io.me.0, state.clone());
         io.broadcast(ctx, PrimeMsg::ViewState(state).encode());
+        true
     }
 
-    /// Returns whether the state report was accepted.
+    /// `None` if the state report was dropped; else whether a quorum of
+    /// reports for a higher view shows a view change in progress to join.
     pub(super) fn on_view_state(
         &mut self,
         io: &Io,
         ctx: &mut Context<'_>,
         state: ViewStateMsg,
-    ) -> bool {
+    ) -> Option<bool> {
         if state.view < self.view || !io.verify_view_state(ctx, &state) {
-            return false;
+            return None;
         }
+        let ahead = state.view > self.view;
         let states = self.view_states.entry(state.view).or_default();
         states.insert(state.replica.0, state);
-        true
+        Some(ahead && states.len() >= io.cfg.ordering_quorum())
     }
 
-    /// Seeing a quorum of view states for a higher view means a view
-    /// change is in progress; join it.
-    pub(super) fn should_join(&self, io: &Io, view: u64) -> bool {
-        let quorum = io.cfg.ordering_quorum();
-        view > self.view
-            && self
-                .view_states
-                .get(&view)
-                .is_some_and(|m| m.len() >= quorum)
-    }
-
-    /// Validates a NewView and moves to its view; returns what to apply.
+    /// Validates a NewView and moves to its view; returns whether to apply it.
     pub(super) fn on_new_view(
         &mut self,
         io: &mut Io,
         ctx: &mut Context<'_>,
-        msg: PrimeMsg,
-    ) -> Option<(u64, Vec<ViewStateMsg>)> {
-        let PrimeMsg::NewView { view, .. } = msg else {
-            return None;
+        msg: &PrimeMsg,
+    ) -> bool {
+        let PrimeMsg::NewView { view, states, .. } = msg else {
+            return false;
         };
-        if view < self.view {
-            return None;
-        }
+        let view = *view;
         let leader = io.cfg.leader_of(view);
-        if !io.verify_replica_msg(ctx, &msg, leader, None) {
-            return None;
+        if view < self.view || !io.verify_replica_msg(ctx, msg, leader, None) {
+            return false;
         }
-        let PrimeMsg::NewView { states, .. } = msg else {
-            return None;
-        };
         // Validate the quorum of states.
         let mut signers = BTreeSet::new();
-        for state in &states {
+        for state in states {
             if state.view == view && state.replica.0 < io.cfg.n && io.verify_view_state(ctx, state)
             {
                 signers.insert(state.replica.0);
@@ -286,14 +273,14 @@ impl ViewChange {
         }
         if signers.len() < io.cfg.ordering_quorum() {
             io.count(ctx, Metric::BadNewView, 1);
-            return None;
+            return false;
         }
         if view > self.view {
             self.view = view;
             io.inspect(|rec| rec.view = view);
             self.in_view_change = true;
         }
-        Some((view, states))
+        true
     }
 
     pub(super) fn installed(&mut self, now: Time) {
@@ -309,12 +296,11 @@ impl ViewChange {
         let entry = self.claimed_views.entry(replica.0).or_insert(0);
         *entry = (*entry).max(view);
         let mut views: Vec<u64> = self.claimed_views.values().copied().collect();
-        views.sort_unstable_by(|a, b| b.cmp(a));
-        let quorum = io.cfg.suspect_quorum();
-        if views.len() < quorum {
+        views.sort_unstable();
+        let Some(at) = views.len().checked_sub(io.cfg.suspect_quorum()) else {
             return false;
-        }
-        let joinable = views[quorum - 1];
+        };
+        let joinable = views[at];
         // Prepare/Commit messages only flow in *installed* views, so a
         // quorum of them proves the view is active: join it directly.
         let join = joinable > self.view || (joinable == self.view && self.in_view_change);
@@ -399,30 +385,23 @@ impl ViewChange {
 pub fn plan_new_view(states: &[ViewStateMsg]) -> (u64, Vec<(u64, Matrix)>) {
     let base = states.iter().map(|s| s.last_committed).max().unwrap_or(0);
     let mut claims: BTreeMap<u64, &PreparedClaim> = BTreeMap::new();
-    for state in states {
-        for claim in &state.prepared {
-            if claim.seq > base {
-                let better = claims
-                    .get(&claim.seq)
-                    .map(|existing| claim.view > existing.view)
-                    .unwrap_or(true);
-                if better {
-                    claims.insert(claim.seq, claim);
-                }
-            }
+    let above_base = states
+        .iter()
+        .flat_map(|s| &s.prepared)
+        .filter(|c| c.seq > base);
+    for claim in above_base {
+        let held = claims.entry(claim.seq).or_insert(claim);
+        if claim.view > held.view {
+            *held = claim;
         }
     }
-    let top = claims.keys().max().copied().unwrap_or(base);
-    let reproposals = ((base + 1)..=top)
-        .map(|seq| {
-            (
-                seq,
-                claims
-                    .get(&seq)
-                    .map(|c| c.matrix.clone())
-                    .unwrap_or_default(),
-            )
-        })
-        .collect();
-    (base, reproposals)
+    let top = claims.keys().next_back().copied().unwrap_or(base);
+    let matrix = |seq| claims.get(&seq).map(|c| c.matrix.clone());
+    let reproposals = (base + 1)..=top;
+    (
+        base,
+        reproposals
+            .map(|seq| (seq, matrix(seq).unwrap_or_default()))
+            .collect(),
+    )
 }

@@ -6,16 +6,24 @@ use bytes::Bytes;
 use spire_crypto::keys::{KeyMaterial, Signer};
 use spire_crypto::{KeyStore, NodeId};
 use spire_prime::msg::{seal_frame, Matrix};
+use spire_prime::replica::TIMER_PROGRESS;
 use spire_prime::{
-    ByzBehavior, DirectNet, HashChainApp, Input, ModelReplica, PrimeConfig, PrimeMsg, Replica,
-    ReplicaId,
+    ByzBehavior, DirectNet, HashChainApp, Input, Inspection, ModelReplica, PrimeConfig, PrimeMsg,
+    Replica, ReplicaId,
 };
 use spire_sim::{ProcessId, Time};
 use std::sync::Arc;
 
-/// Replica 0 of an `f = 1` cluster behind the model seam, plus its link
-/// key for each peer (when `session_keys`).
-fn replica_zero(session_keys: bool) -> (ModelReplica, Vec<[u8; 32]>) {
+/// Replica 0 of an `f = 1` cluster behind the model seam, with its
+/// inspection registry and its link key for each peer (installed when
+/// `session_keys`).
+struct Zero {
+    model: ModelReplica,
+    inspection: Inspection,
+    keys: Vec<[u8; 32]>,
+}
+
+fn replica_zero(session_keys: bool) -> Zero {
     let cfg = PrimeConfig::new(1, 0);
     let material = KeyMaterial::new([7u8; 32]);
     let node = |r: u32| NodeId(cfg.replica_key_base + r);
@@ -36,12 +44,18 @@ fn replica_zero(session_keys: bool) -> (ModelReplica, Vec<[u8; 32]>) {
         Box::new(HashChainApp::new()),
         false,
     );
+    let inspection = Inspection::new();
+    replica = replica.with_inspection(inspection.clone());
     if session_keys {
         replica = replica.with_session_keys(keys.clone());
     }
     let mut model = ModelReplica::new(replica, ProcessId(0), 1);
     model.step(Time::ZERO, Input::Start);
-    (model, keys)
+    Zero {
+        model,
+        inspection,
+        keys,
+    }
 }
 
 /// A suffix vote for sequence 1 naming `claimed` as its author.
@@ -54,65 +68,60 @@ fn suffix_vote(claimed: u32) -> Bytes {
     .encode()
 }
 
-fn deliver(model: &mut ModelReplica, from: u32, bytes: Bytes) {
-    let from = ProcessId(from);
-    model.step(Time(1_000), Input::Deliver { from, bytes });
-}
+impl Zero {
+    fn deliver(&mut self, from: u32, bytes: Bytes) {
+        let from = ProcessId(from);
+        self.model.step(Time(1_000), Input::Deliver { from, bytes });
+    }
 
-fn commit_aru(model: &ModelReplica) -> String {
-    let debug = format!("{:?}", model.replica());
-    let at = debug.find("commit_aru").expect("Debug shows commit_aru");
-    debug[at..]
-        .split(',')
-        .next()
-        .unwrap_or_default()
-        .to_string()
-}
+    /// The committed prefix, as the progress timer publishes it.
+    fn commit_aru(&mut self) -> u64 {
+        let tag = TIMER_PROGRESS;
+        self.model.step(Time(1_000), Input::Timer { tag });
+        self.inspection.records()[&0].commit_aru
+    }
 
-fn spoofed(model: &ModelReplica) -> u64 {
-    let counters = model.counters();
-    counters.get("prime.bad_link_sender").copied().unwrap_or(0)
+    fn spoofed(&self) -> u64 {
+        let counters = self.model.counters();
+        counters.get("prime.bad_link_sender").copied().unwrap_or(0)
+    }
 }
 
 #[test]
 fn one_peer_cannot_cast_suffix_votes_under_other_names() {
-    let (mut model, keys) = replica_zero(true);
+    let mut zero = replica_zero(true);
     // Replica 3 seals two votes naming replicas 1 and 2: `f + 1` distinct
     // *claimed* voters, one real sender.
     for claimed in [1, 2] {
-        let sealed = seal_frame(ReplicaId(3), &keys[3], &suffix_vote(claimed));
-        deliver(&mut model, 3, sealed);
+        let sealed = seal_frame(ReplicaId(3), &zero.keys[3], &suffix_vote(claimed));
+        zero.deliver(3, sealed);
     }
-    assert_eq!(commit_aru(&model), "commit_aru: 0");
-    assert_eq!(spoofed(&model), 2);
+    assert_eq!((zero.commit_aru(), zero.spoofed()), (0, 2));
     // Unsealed copies bypass the MAC, not the rule.
     for claimed in [1, 2] {
-        deliver(&mut model, 3, suffix_vote(claimed));
+        zero.deliver(3, suffix_vote(claimed));
     }
-    assert_eq!(commit_aru(&model), "commit_aru: 0");
-    assert_eq!(spoofed(&model), 4);
+    assert_eq!((zero.commit_aru(), zero.spoofed()), (0, 4));
     // The same two votes, each under its author's own link MAC, are the
     // `f + 1` agreement the catch-up path is built on.
     for author in [1, 2] {
-        let key = &keys[author as usize];
-        let sealed = seal_frame(ReplicaId(author), key, &suffix_vote(author));
-        deliver(&mut model, author, sealed);
+        let key = zero.keys[author as usize];
+        let sealed = seal_frame(ReplicaId(author), &key, &suffix_vote(author));
+        zero.deliver(author, sealed);
     }
-    assert_eq!(commit_aru(&model), "commit_aru: 1");
-    assert_eq!(spoofed(&model), 4);
+    assert_eq!((zero.commit_aru(), zero.spoofed()), (1, 4));
 }
 
 /// The stated limit of the `session_macs = false` ablation: without link
 /// keys there is nothing to hold an unsigned message's sender to.
 #[test]
 fn without_session_keys_unsigned_messages_are_taken_at_their_word() {
-    let (mut model, _) = replica_zero(false);
-    let before = model.state_digest();
-    deliver(&mut model, 3, suffix_vote(1));
+    let mut zero = replica_zero(false);
+    let before = zero.model.state_digest();
+    zero.deliver(3, suffix_vote(1));
     // One vote short of adoption is still state the explorer must tell apart.
-    assert_eq!(commit_aru(&model), "commit_aru: 0");
-    assert_ne!(model.state_digest(), before);
-    deliver(&mut model, 3, suffix_vote(2));
-    assert_eq!(commit_aru(&model), "commit_aru: 1");
-    assert_eq!(spoofed(&model), 0);
+    assert_ne!(zero.model.state_digest(), before);
+    assert_eq!(zero.commit_aru(), 0);
+    zero.deliver(3, suffix_vote(2));
+    assert_eq!((zero.commit_aru(), zero.spoofed()), (1, 0));
 }
