@@ -101,20 +101,21 @@ impl Execution {
         let targets: Vec<u64> = (0..io.cfg.n as usize)
             .map(|i| matrix.covered_aru(i, quorum).max(self.exec_cover[i]))
             .collect();
-        let newly_covered = |cover: &[u64]| -> Vec<(u32, u64)> {
-            (0..cover.len())
-                .flat_map(|i| ((cover[i] + 1)..=targets[i]).map(move |s| (i as u32, s)))
-                .collect()
+        let cover = self.exec_cover.clone();
+        let newly_covered = || {
+            let range = |i: usize| (cover[i] + 1)..=targets[i];
+            (0..cover.len()).flat_map(move |i| range(i).map(move |s| (i as u32, s)))
         };
         // First pass: are all needed PO-Requests present and certified?
-        let mut absent = newly_covered(&self.exec_cover);
-        absent.retain(|(origin, s)| pre.certified_ops(*origin, *s).is_none());
+        let absent: Vec<(u32, u64)> = newly_covered()
+            .filter(|(origin, s)| pre.certified_ops(*origin, *s).is_none())
+            .collect();
         if !absent.is_empty() {
             pre.request_missing(io, ctx, absent);
             return None;
         }
         // Second pass: execute deterministically.
-        for (origin, s) in newly_covered(&self.exec_cover) {
+        for (origin, s) in newly_covered() {
             let ops = pre.certified_ops(origin, s).expect("checked").to_vec();
             for op in ops {
                 ctx.span_mark(span_key(op.client.0, op.cseq), SpanPhase::Order);
