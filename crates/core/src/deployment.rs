@@ -22,7 +22,7 @@ use spire_prime::{
     ByzBehavior, ClientId, Inspection, PrimeConfig, ProtocolMode, Replica, ReplicaId, SpinesNet,
 };
 use spire_scada::{Hmi, Rtu, RtuProxy, ScadaDirectory, ScadaMaster, WorkloadConfig};
-use spire_shard::{ShardMap, XShardLedger, SHARD_KEY_STRIDE};
+use spire_shard::{ShardMap, XShardLedger};
 use spire_sim::{ControlOp, LinkConfig, Metrics, ProcessId, Span, SpawnFn, Time, TraceKind, World};
 use spire_spines::{
     DaemonBehavior, DaemonConfig, Dissemination, OverlayAddr, OverlayId, OverlayNetwork,
@@ -295,6 +295,22 @@ impl GroupSpec {
             app_factory: None,
         }
     }
+
+    /// Every crypto identity [`build_group`] assigns for this group: the
+    /// daemons of both overlays, the replicas, and the Prime clients
+    /// (proxies, HMIs, extra clients), each at the group's key offset.
+    pub fn identities(&self, cfg: &DeploymentConfig) -> Vec<NodeId> {
+        let sites = cfg.spire.sites.len() as u32;
+        let hubs = self.rtus.len() as u32;
+        let clients = (self.rtus.iter().copied())
+            .chain((0..self.hmis).map(|h| 1000 + h))
+            .chain(self.extra_clients.iter().map(|(id, _)| *id));
+        let ids = (0..sites).map(|d| key_base::INTERNAL_DAEMON + d);
+        let ids = ids.chain((0..sites + hubs).map(|d| key_base::EXTERNAL_DAEMON + d));
+        let ids = ids.chain((0..cfg.spire.total_replicas()).map(|r| key_base::REPLICA + r));
+        let ids = ids.chain(clients.map(|c| key_base::CLIENT + c));
+        ids.map(|id| NodeId(self.key_offset + id)).collect()
+    }
 }
 
 /// Everything [`build_group`] constructed for one group, kept for wiring
@@ -505,8 +521,9 @@ pub fn build_group(
             internal_topology.add_edge(OverlayId(i), OverlayId(j), w.max(1));
         }
     }
-    let internal = OverlayNetwork::build(
+    let internal = OverlayNetwork::build_labeled(
         world,
+        "internal",
         &internal_topology,
         daemon_cfg,
         material,
@@ -546,8 +563,9 @@ pub fn build_group(
             external_topology.add_edge(hub, cc, cfg.link_ms(hub, cc) as u32);
         }
     }
-    let external = OverlayNetwork::build(
+    let external = OverlayNetwork::build_labeled(
         world,
+        "external",
         &external_topology,
         daemon_cfg,
         material,
@@ -801,24 +819,27 @@ impl Deployment {
     /// Panics if the configuration fails [`SpireConfig::validate`] (non
     /// site-tolerant layouts are allowed; they are part of the evaluation).
     pub fn build(cfg: DeploymentConfig) -> Deployment {
-        let (mut world, material, keystore) = Deployment::foundation(&cfg, 1);
         let spec = GroupSpec::single(&cfg);
+        let (mut world, material, keystore) =
+            Deployment::foundation(&cfg, std::slice::from_ref(&spec));
         let group = build_group(&mut world, &cfg, &spec, &material, &keystore);
         Deployment::assemble(world, cfg, vec![group], None)
     }
 
-    /// The empty world, key material and key store a deployment of
-    /// `groups` groups builds into. One key space for the whole
-    /// deployment: group `g` occupies ids `g * SHARD_KEY_STRIDE ..` (a
-    /// single group is the stride × 1 case).
+    /// The empty world, key material and key store the groups described
+    /// by `specs` build into. One key space for the whole deployment,
+    /// holding exactly the identities the groups assign (group `g` at
+    /// offset `g * SHARD_KEY_STRIDE`), so a certificate from any group
+    /// verifies in any other and an unassigned id verifies nowhere.
     pub(crate) fn foundation(
         cfg: &DeploymentConfig,
-        groups: u32,
+        specs: &[GroupSpec],
     ) -> (World, KeyMaterial, Arc<KeyStore>) {
         cfg.spire.validate(false).expect("invalid spire config");
         let mut world = World::new(cfg.seed);
         let material = KeyMaterial::new([0x55u8; 32]);
-        let keystore = Arc::new(KeyStore::for_nodes(&material, SHARD_KEY_STRIDE * groups));
+        let ids = specs.iter().flat_map(|spec| spec.identities(cfg));
+        let keystore = Arc::new(KeyStore::for_ids(&material, ids));
         if cfg.trace {
             world.enable_tracing(65_536);
         }
@@ -1243,21 +1264,22 @@ pub fn classify_frame(bytes: &[u8]) -> &'static str {
     let Some(&tag) = bytes.first() else {
         return "empty";
     };
-    // Sealed session envelope: [254][sender u32][mac 32][len u32][inner].
-    let mut tag = if tag == 254 {
-        match bytes.get(41) {
-            Some(&inner) => inner,
-            None => return "other",
-        }
-    } else {
-        tag
+    // Session envelopes put the inner frame behind their header — unicast
+    // [254][sender u32][mac 32][len u32][inner], group
+    // [252][sender u32][n u8][n x mac 32][len u32][inner].
+    let header = match tag {
+        254 => 41,
+        252 => 10 + 32 * bytes.get(5).map_or(0, |n| *n as usize),
+        _ => 0,
+    };
+    let Some(&(mut tag)) = bytes.get(header) else {
+        return "other";
     };
     // Multi-frame container: [253][count u16][len u32][first frame]... —
     // classify by the first sub-frame (a coalesced flush is usually
     // homogeneous vote traffic anyway).
     if tag == 253 {
-        let offset = if bytes.first() == Some(&254) { 41 } else { 0 };
-        match bytes.get(offset + 7) {
+        match bytes.get(header + 7) {
             Some(&inner) => tag = inner,
             None => return "other",
         }
@@ -1472,6 +1494,59 @@ mod tests {
                 _ => None,
             })
             .expect("link is part of the attack window")
+    }
+
+    #[test]
+    fn the_key_store_holds_exactly_the_identities_the_deployment_assigns() {
+        let cfg = quick_cfg(1);
+        let d = Deployment::build(cfg.clone());
+        let ReplicaBuilder {
+            keystore, material, ..
+        } = &*d.groups[0].builder;
+        // Four sites: 4 internal daemons, 4 + 2 external (site daemons and
+        // substation hubs), 6 replicas, 2 proxies, 1 HMI.
+        assert_eq!((cfg.spire.sites.len(), cfg.workload.hmis), (4, 1));
+        assert_eq!(keystore.len(), 4 + (4 + 2) + 6 + 2 + 1);
+        let signed_by = |node: u32| {
+            let sig = material.signing_key(NodeId(node)).sign(b"op");
+            keystore.verify(NodeId(node), b"op", &sig)
+        };
+        assert!(signed_by(key_base::CLIENT + 1) && signed_by(key_base::CLIENT + 1000));
+        assert!(signed_by(key_base::EXTERNAL_DAEMON + 5) && signed_by(key_base::REPLICA + 5));
+        // The right key for an id nobody was assigned verifies nowhere.
+        for stranger in [2, 999, 1001].map(|c| key_base::CLIENT + c) {
+            assert!(!signed_by(stranger), "id {stranger}");
+        }
+        assert!(!signed_by(key_base::REPLICA + 6) && !signed_by(key_base::INTERNAL_DAEMON + 4));
+    }
+
+    #[test]
+    fn a_sharded_build_provisions_each_groups_offset_range() {
+        let mut cfg = crate::sharded::ShardedConfig::wide_area(2, 1);
+        cfg.base.workload.rtus = 4;
+        let d = Deployment::build_sharded(cfg);
+        let keystore = &d.groups[1].builder.keystore;
+        assert!(Arc::ptr_eq(keystore, &d.groups[0].builder.keystore));
+        // Per group: 4 + (4 + 2) daemons, 6 replicas, 2 proxies, the HMI
+        // and the cross-shard coordinator's client identity.
+        assert_eq!(keystore.len(), 2 * (4 + 6 + 6 + 2 + 1 + 1));
+        for (g, group) in d.groups.iter().enumerate() {
+            let offset = g as u32 * spire_shard::SHARD_KEY_STRIDE;
+            assert_eq!(group.prime.replica_key_base, offset + key_base::REPLICA);
+            let has = |id: u32| keystore.get(NodeId(offset + id)).is_some();
+            assert!(has(key_base::REPLICA + 5) && has(key_base::INTERNAL_DAEMON + 3));
+            assert!(has(key_base::CLIENT + spire_shard::COORD_CLIENT_ID));
+            // Proxies sign under their global RTU id, in their own group's
+            // range only.
+            let rtus = d.xshard().map.partition(0..4);
+            for rtu in 0..4 {
+                assert_eq!(
+                    has(key_base::CLIENT + rtu),
+                    rtus[g].contains(&rtu),
+                    "rtu {rtu}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -116,33 +116,10 @@ impl Deployment {
     /// [`SpireConfig`]: crate::config::SpireConfig
     pub fn build_sharded(cfg: ShardedConfig) -> Deployment {
         assert!(cfg.shards >= 1, "at least one shard");
-        // One key space, so prepare certificates from any group verify
-        // in any other.
-        let (mut world, material, keystore) = Deployment::foundation(&cfg.base, cfg.shards);
         let map = ShardMap::new(cfg.shards).with_overrides(cfg.overrides.clone());
         let partition = map.partition(0..cfg.base.workload.rtus);
-        let ledger = Arc::new(XShardLedger::new());
-        let verifier = CertVerifier {
-            keystore: Arc::clone(&keystore),
-            stride: SHARD_KEY_STRIDE,
-            replica_base: key_base::REPLICA,
-            client: ClientId(COORD_CLIENT_ID),
-            f: cfg.base.spire.f,
-            mock: cfg.base.mock_sigs,
-        };
-
-        let mut groups: Vec<GroupParts> = Vec::new();
-        for g in 0..cfg.shards {
-            let group_verifier = verifier.clone();
-            let group_ledger = Arc::clone(&ledger);
-            let factory: AppFactory = Arc::new(move |dir: &ScadaDirectory| {
-                Box::new(ScadaMaster::new(dir.clone()).with_xshard(XShardContext {
-                    participant: XParticipant::new(g),
-                    verifier: group_verifier.clone(),
-                    ledger: Arc::clone(&group_ledger),
-                }))
-            });
-            let spec = GroupSpec {
+        let mut specs: Vec<GroupSpec> = (0..cfg.shards)
+            .map(|g| GroupSpec {
                 key_offset: g * SHARD_KEY_STRIDE,
                 label: format!("s{g}-"),
                 metric_scope: Some(format!("shard{g}")),
@@ -154,10 +131,37 @@ impl Deployment {
                     BTreeMap::new()
                 },
                 extra_clients: vec![(COORD_CLIENT_ID, COORD_CLIENT_PORT)],
-                app_factory: Some(factory),
-            };
+                // Set below: the application verifies against the key store.
+                app_factory: None,
+            })
+            .collect();
+        // One key space, so prepare certificates from any group verify
+        // in any other.
+        let (mut world, material, keystore) = Deployment::foundation(&cfg.base, &specs);
+        let ledger = Arc::new(XShardLedger::new());
+        let verifier = CertVerifier {
+            keystore: Arc::clone(&keystore),
+            stride: SHARD_KEY_STRIDE,
+            replica_base: key_base::REPLICA,
+            client: ClientId(COORD_CLIENT_ID),
+            f: cfg.base.spire.f,
+            mock: cfg.base.mock_sigs,
+        };
+
+        let mut groups: Vec<GroupParts> = Vec::new();
+        for (g, spec) in (0..cfg.shards).zip(&mut specs) {
+            let group_verifier = verifier.clone();
+            let group_ledger = Arc::clone(&ledger);
+            let factory: AppFactory = Arc::new(move |dir: &ScadaDirectory| {
+                Box::new(ScadaMaster::new(dir.clone()).with_xshard(XShardContext {
+                    participant: XParticipant::new(g),
+                    verifier: group_verifier.clone(),
+                    ledger: Arc::clone(&group_ledger),
+                }))
+            });
+            spec.app_factory = Some(factory);
             groups.push(build_group(
-                &mut world, &cfg.base, &spec, &material, &keystore,
+                &mut world, &cfg.base, spec, &material, &keystore,
             ));
         }
 
@@ -177,7 +181,6 @@ impl Deployment {
                 let daemon = parts.external.daemon_pid(OverlayId(parts.hmi_site));
                 GroupLink {
                     port: SpinesPort::new(daemon, parts.client_addrs[&COORD_CLIENT_ID]),
-                    replica_addrs: parts.replica_addrs.clone(),
                     signer: Signer::new(
                         material.signing_key(NodeId(parts.prime.client_key_base + COORD_CLIENT_ID)),
                         cfg.base.mock_sigs,

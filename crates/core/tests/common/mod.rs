@@ -21,8 +21,8 @@
 use bytes::Bytes;
 use spire_crypto::batch::BatchAttestation;
 use spire_prime::msg::{
-    encode_batched, encode_multi, seal_frame, CheckpointMsg, Matrix, PreparedClaim, SummaryRow,
-    ViewStateMsg,
+    encode_batched, encode_multi, seal_frame, seal_frame_for_all, CheckpointMsg, Matrix,
+    PreparedClaim, SummaryRow, ViewStateMsg,
 };
 use spire_prime::{ClientId, ClientOp, KvOp, PrimeMsg, ReplicaId, ReplyCert};
 use spire_scada::{CommandAction, ModbusFrame, ScadaOp};
@@ -233,7 +233,10 @@ pub fn prime_corpus() -> Vec<Bytes> {
         },
     ];
     frames.extend(more.iter().map(|m| m.encode()));
-    frames.push(encode_multi(&[inner, more[4].encode()]));
+    frames.push(encode_multi(&[inner.clone(), more[4].encode()]));
+    // The group seal: one envelope for all four peers of replica 2.
+    let keys: Vec<[u8; 32]> = (0..4u8).map(|r| [0x40 + r; 32]).collect();
+    frames.push(seal_frame_for_all(ReplicaId(2), &keys, &inner));
     frames
 }
 
@@ -250,6 +253,14 @@ pub fn overlay_corpus() -> Vec<Bytes> {
         route_idx: 1,
         reliable: true,
         payload: Bytes::from_static(b"prime frame inside"),
+    };
+    let group_data = DataMsg {
+        dst: OverlayId::GROUP,
+        dst_port: 1,
+        mode: Dissemination::Flood,
+        route: Vec::new(),
+        route_idx: 0,
+        ..data.clone()
     };
     [
         OverlayMsg::Hello {
@@ -292,6 +303,11 @@ pub fn overlay_corpus() -> Vec<Bytes> {
                 }
                 .encode(),
             ],
+        },
+        OverlayMsg::ClientJoin { group: 1 },
+        OverlayMsg::Data {
+            frame_id: 100,
+            msg: group_data,
         },
     ]
     .iter()
@@ -413,7 +429,7 @@ pub fn shard_corpus() -> Vec<Bytes> {
 }
 
 /// One frame over each decoder count cap (65 shards, 257 commands, 65
-/// certificate frames), built by the real encoders. Every decoder must
+/// certificate frames, 65 authenticator slots), built by the real encoders. Every decoder must
 /// keep rejecting these.
 pub fn overcap_corpus() -> Vec<Bytes> {
     vec![
@@ -433,6 +449,7 @@ pub fn overcap_corpus() -> Vec<Bytes> {
         }
         .encode(),
         reply_cert(65).encode(),
+        seal_frame_for_all(ReplicaId(0), &[[7u8; 32]; 65], b"inner"),
     ]
 }
 

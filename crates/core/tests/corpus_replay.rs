@@ -11,7 +11,7 @@
 mod common;
 
 use bytes::Bytes;
-use spire_prime::msg::{decode_frame, decode_multi, decode_sealed};
+use spire_prime::msg::{decode_frame, decode_group_sealed, decode_multi, decode_sealed};
 use spire_prime::{KvOp, ReplyCert};
 use spire_rt::{RtConfig, RtHooks, Runtime};
 use spire_scada::{ModbusFrame, ScadaOp};
@@ -103,6 +103,7 @@ fn committed_corpus_matches_builders() {
 /// substrate sink: each decoder is tried independently.
 fn classify(bytes: &[u8]) -> [(&'static str, bool); 6] {
     let prime_ok = matches!(decode_sealed(bytes), Ok(Some(_)))
+        || matches!(decode_group_sealed(bytes), Ok(Some(_)))
         || matches!(decode_multi(&Bytes::copy_from_slice(bytes)), Ok(Some(_)))
         || decode_frame(bytes).is_ok();
     let shard_ok = ShardMsg::decode(bytes).is_ok()

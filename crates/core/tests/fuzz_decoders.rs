@@ -80,6 +80,8 @@ fn decode_everything(bytes: &[u8]) {
     let _ = KvReply::decode(bytes);
     let shared = Bytes::copy_from_slice(bytes);
     let _ = spire_prime::msg::decode_multi(&shared);
+    let _ = spire_prime::msg::decode_sealed(bytes);
+    let _ = spire_prime::msg::decode_group_sealed(bytes);
     let _ = spire_spines::SpinesPort::decode_deliver(&shared);
 }
 

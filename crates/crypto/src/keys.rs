@@ -82,9 +82,16 @@ impl KeyStore {
 
     /// Builds the directory for nodes `0..n` from shared key material.
     pub fn for_nodes(material: &KeyMaterial, n: u32) -> KeyStore {
+        KeyStore::for_ids(material, (0..n).map(NodeId))
+    }
+
+    /// Builds the directory for exactly the given nodes. Deriving a public
+    /// key costs a scalar multiplication (~80 us), so a deployment
+    /// provisions the identities it assigns, not an id range around them;
+    /// a signature under any other id fails [`KeyStore::verify`].
+    pub fn for_ids(material: &KeyMaterial, ids: impl IntoIterator<Item = NodeId>) -> KeyStore {
         let mut store = KeyStore::new();
-        for i in 0..n {
-            let node = NodeId(i);
+        for node in ids {
             store.insert(node, material.signing_key(node).verifying_key());
         }
         store

@@ -25,6 +25,31 @@ pub enum ClientRouting {
     },
 }
 
+impl ClientRouting {
+    /// Submits one encoded message to every replica. Over a flooding
+    /// overlay that is a single dissemination to the replica group
+    /// ([`crate::net::REPLICA_GROUP`]: the replicas at `addrs` are its
+    /// members); the routed modes have no groups and send to each address.
+    pub fn send_all(&self, ctx: &mut Context<'_>, msg: Bytes) {
+        use spire_spines::Dissemination::Flood;
+        match self {
+            ClientRouting::Direct(replicas) => {
+                for pid in replicas {
+                    ctx.send(*pid, msg.clone());
+                }
+            }
+            ClientRouting::Spines {
+                port, mode: Flood, ..
+            } => port.send_group(ctx, crate::net::REPLICA_GROUP, true, msg),
+            ClientRouting::Spines { port, addrs, mode } => {
+                for addr in addrs {
+                    port.send(ctx, *addr, *mode, true, msg.clone());
+                }
+            }
+        }
+    }
+}
+
 /// A workload-driving client process.
 ///
 /// Sends one signed op every `interval` (up to `count`; 0 = unlimited),
@@ -39,9 +64,6 @@ pub struct TestClient {
     count: u64,
     payload_size: usize,
     label: String,
-    /// How many replicas each op is submitted to (Prime clients typically
-    /// submit to f+1 or all; we default to all for simplicity).
-    fanout: usize,
 
     next_cseq: u64,
     sent_at: BTreeMap<u64, Time>,
@@ -61,7 +83,6 @@ impl TestClient {
         count: u64,
         label: &str,
     ) -> TestClient {
-        let fanout = cfg.n as usize;
         TestClient {
             cfg,
             id,
@@ -71,7 +92,6 @@ impl TestClient {
             count,
             payload_size: 16,
             label: label.to_string(),
-            fanout,
             next_cseq: 0,
             sent_at: BTreeMap::new(),
             replies: BTreeMap::new(),
@@ -93,19 +113,7 @@ impl TestClient {
         let op = ClientOp::signed(self.id, cseq, Bytes::from(payload), &self.signer);
         let msg = PrimeMsg::Op(op).encode();
         self.sent_at.insert(cseq, ctx.now());
-        match &self.routing {
-            ClientRouting::Direct(replicas) => {
-                for pid in replicas.iter().take(self.fanout) {
-                    ctx.send(*pid, msg.clone());
-                }
-            }
-            ClientRouting::Spines { port, addrs, mode } => {
-                let (port, mode) = (*port, *mode);
-                for addr in addrs.clone().into_iter().take(self.fanout) {
-                    port.send(ctx, addr, mode, true, msg.clone());
-                }
-            }
-        }
+        self.routing.send_all(ctx, msg);
         ctx.count(&format!("{}.sent", self.label), 1);
     }
 

@@ -10,7 +10,7 @@ use bytes::Bytes;
 use spire_crypto::batch::BatchAttestation;
 use spire_crypto::keys::{verify64, Signer};
 use spire_crypto::{Digest, KeyStore, NodeId};
-use spire_sim::{impl_wire, Wire, WireError, WireReader, WireWriter};
+use spire_sim::{impl_wire, Counted, Wire, WireError, WireReader, WireWriter};
 
 /// An operation submitted by a client, carried inside PO-Requests.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -873,6 +873,78 @@ pub fn decode_sealed(bytes: &[u8]) -> Result<Option<Sealed<'_>>, WireError> {
     let inner = r.bytes()?;
     r.expect_end()?;
     Ok(Some(Sealed { sender, mac, inner }))
+}
+
+/// Frame tag marking a group-sealed envelope: one frame for *every* peer,
+/// carried by a single overlay dissemination, under a PBFT-style
+/// authenticator — one MAC slot per replica instead of one envelope per
+/// recipient. Layout: `[252][sender u32][n u8][mac_0 … mac_{n-1}][inner]`;
+/// slot `r` is the very MAC [`seal_frame`] would put on a unicast envelope
+/// to `r` (over `sender || inner` under the `(sender, r)` pair key), so
+/// recipient `r`, checking its own slot, gets the same per-pair sender
+/// authentication. The sender's own slot is zero and never checked.
+pub const AUTHENTICATOR_FRAME_TAG: u8 = 252;
+
+/// Most MAC slots a group-sealed envelope may carry; a larger count is
+/// rejected before any slot is read.
+pub const MAX_AUTHENTICATOR_SLOTS: usize = 64;
+
+/// Wraps an encoded frame in a group-sealed envelope for all peers at once;
+/// `keys[r]` is the sender's link key with replica `r`.
+pub fn seal_frame_for_all(sender: ReplicaId, keys: &[[u8; 32]], inner: &[u8]) -> Bytes {
+    let mut w = WireWriter::with_capacity(1 + 4 + 1 + 32 * keys.len() + 4 + inner.len());
+    w.u8(AUTHENTICATOR_FRAME_TAG)
+        .u32(sender.0)
+        .u8(keys.len() as u8);
+    for (r, key) in keys.iter().enumerate() {
+        if r == sender.0 as usize {
+            w.raw(&[0; 32]);
+        } else {
+            w.raw(&seal_mac(sender, key, inner));
+        }
+    }
+    w.bytes(inner);
+    w.finish()
+}
+
+/// A parsed group-sealed envelope, before MAC verification.
+#[derive(Debug)]
+pub struct GroupSealed<'a> {
+    /// The replica claiming to have sealed this frame.
+    pub sender: ReplicaId,
+    /// One MAC per replica id; see [`AUTHENTICATOR_FRAME_TAG`].
+    pub macs: Vec<[u8; 32]>,
+    /// The enclosed frame bytes.
+    pub inner: &'a [u8],
+}
+
+impl GroupSealed<'_> {
+    /// Constant-time check of recipient `me`'s slot under its link key with
+    /// the claimed sender. An envelope with no slot for `me` fails.
+    pub fn verify(&self, me: ReplicaId, key: &[u8; 32]) -> bool {
+        let expected = seal_mac(self.sender, key, self.inner);
+        let slot = self.macs.get(me.0 as usize);
+        slot.is_some_and(|mac| spire_crypto::hmac::constant_time_eq(&expected, mac))
+    }
+}
+
+/// Parses a group-sealed envelope without checking any MAC. Returns
+/// `Ok(None)` when the bytes are not one at all.
+pub fn decode_group_sealed(bytes: &[u8]) -> Result<Option<GroupSealed<'_>>, WireError> {
+    if bytes.first() != Some(&AUTHENTICATOR_FRAME_TAG) {
+        return Ok(None);
+    }
+    let mut r = WireReader::new(bytes);
+    r.u8()?; // tag
+    let sender = ReplicaId(r.u32()?);
+    let macs = Counted::<u8, MAX_AUTHENTICATOR_SLOTS>::read(&mut r)?;
+    let inner = r.bytes()?;
+    r.expect_end()?;
+    Ok(Some(GroupSealed {
+        sender,
+        macs,
+        inner,
+    }))
 }
 
 /// Frame tag marking a multi-frame container: several ordinary frames

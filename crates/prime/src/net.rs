@@ -8,6 +8,11 @@ use spire_sim::{Context, ProcessId};
 use spire_spines::{Dissemination, OverlayAddr, SpinesPort};
 use std::collections::BTreeMap;
 
+/// The Spines multicast group every replica joins on both overlays: a
+/// replica's broadcast, and a client's submission to all replicas, is one
+/// dissemination to this group.
+pub const REPLICA_GROUP: u16 = 1;
+
 /// How a replica reaches peers and clients.
 pub trait ReplicaNet: Send {
     /// Called from the replica's `on_start` (e.g. to attach overlay ports).
@@ -16,12 +21,30 @@ pub trait ReplicaNet: Send {
     /// Sends a payload to another replica.
     fn send_replica(&mut self, ctx: &mut Context<'_>, to: ReplicaId, payload: Bytes);
 
+    /// Sends one payload to each of the `n` replicas but `me`. A transport
+    /// that can multicast overrides the per-peer loop.
+    fn send_all_replicas(&mut self, ctx: &mut Context<'_>, me: ReplicaId, n: u32, payload: Bytes) {
+        send_each_replica(self, ctx, me, n, payload);
+    }
+
     /// Sends a payload to a client.
     fn send_client(&mut self, ctx: &mut Context<'_>, to: ClientId, payload: Bytes);
 
     /// Extracts the protocol payload from a raw incoming simulation
     /// message, or `None` if it is transport noise.
     fn unwrap(&self, from: ProcessId, bytes: &Bytes) -> Option<Bytes>;
+}
+
+fn send_each_replica<N: ReplicaNet + ?Sized>(
+    net: &mut N,
+    ctx: &mut Context<'_>,
+    me: ReplicaId,
+    n: u32,
+    payload: Bytes,
+) {
+    for r in (0..n).filter(|r| *r != me.0) {
+        net.send_replica(ctx, ReplicaId(r), payload.clone());
+    }
 }
 
 /// Direct links: replica and client process ids are known statically.
@@ -76,9 +99,9 @@ pub struct SpinesNet {
 
 impl ReplicaNet for SpinesNet {
     fn start(&mut self, ctx: &mut Context<'_>) {
-        self.internal.attach(ctx);
-        if let Some(external) = &self.external {
-            external.attach(ctx);
+        for port in std::iter::once(&self.internal).chain(&self.external) {
+            port.attach(ctx);
+            port.join(ctx, REPLICA_GROUP);
         }
     }
 
@@ -87,6 +110,16 @@ impl ReplicaNet for SpinesNet {
             self.internal
                 .send(ctx, addr, self.replica_mode, self.reliable, payload);
         }
+    }
+
+    fn send_all_replicas(&mut self, ctx: &mut Context<'_>, me: ReplicaId, n: u32, payload: Bytes) {
+        // Spines has groups under flooding only.
+        if self.replica_mode == Dissemination::Flood {
+            self.internal
+                .send_group(ctx, REPLICA_GROUP, self.reliable, payload);
+            return;
+        }
+        send_each_replica(self, ctx, me, n, payload);
     }
 
     fn send_client(&mut self, ctx: &mut Context<'_>, to: ClientId, payload: Bytes) {

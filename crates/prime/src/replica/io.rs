@@ -168,7 +168,8 @@ pub(super) struct Io {
     // ---- link batching ----
     /// Frames staged per peer (index = replica id) during the current
     /// activation; flushed as one (sealed) multi-frame container per peer
-    /// at the activation boundary when `cfg.link_batch` is on.
+    /// — or one for all peers, when they are the same — at the activation
+    /// boundary when `cfg.link_batch` is on.
     link_stage: Vec<Vec<Bytes>>,
     /// Peers with staged frames, in first-touch order (deterministic).
     link_stage_order: Vec<u32>,
@@ -258,69 +259,101 @@ impl Io {
         self.net.send_replica(ctx, to, wire);
     }
 
-    /// Ships every staged frame: per peer, a lone frame goes out as-is
-    /// and several coalesce into one multi-frame container — one seal,
-    /// one overlay dissemination, one hop-acknowledgement chain for the
-    /// lot. Runs at each activation boundary, so batching adds zero
-    /// latency; it only removes per-frame overhead.
+    /// Ships one wire to every peer as a single transport send, sealed
+    /// under the group authenticator when session MACs are on: the MAC
+    /// work of `n - 1` unicast seals, one envelope.
+    fn ship_to_all(&mut self, ctx: &mut Context<'_>, mut wire: Bytes) {
+        if let Some(keys) = &self.session_keys {
+            self.count(ctx, Metric::MacOps, keys.len() as u64 - 1);
+            wire = msg::seal_frame_for_all(self.me, keys, &wire);
+        }
+        self.net.send_all_replicas(ctx, self.me, self.cfg.n, wire);
+    }
+
+    /// A lone staged frame travels as-is; several coalesce into one
+    /// multi-frame container.
+    fn pack(&self, ctx: &mut Context<'_>, frames: Vec<Bytes>) -> Bytes {
+        debug_assert!(!frames.is_empty());
+        if frames.len() == 1 {
+            return frames.into_iter().next().expect("one frame");
+        }
+        self.count(ctx, Metric::LinkBatches, 1);
+        self.count(ctx, Metric::LinkBatchedFrames, frames.len() as u64);
+        msg::encode_multi(&frames)
+    }
+
+    /// Ships every staged frame, packed per destination — one seal, one
+    /// overlay dissemination, one hop-acknowledgement chain for the lot.
+    /// When every peer was staged the same bytes (a broadcast, which is
+    /// most of what a replica says) they go out once, to all; otherwise
+    /// (an equivocator's split, reconciliation, state transfer, any
+    /// unicast in the mix) once per peer. Runs at each activation boundary,
+    /// so batching adds zero latency; it only removes per-frame overhead.
     pub(super) fn flush_links(&mut self, ctx: &mut Context<'_>) {
         if self.link_stage_order.is_empty() {
             return;
         }
         let order = std::mem::take(&mut self.link_stage_order);
+        let stage = |peer: &u32| &self.link_stage[*peer as usize];
+        let same_for_all = order.len() + 1 == self.cfg.n as usize
+            && order[1..]
+                .iter()
+                .all(|peer| stage(peer) == stage(&order[0]));
+        if same_for_all {
+            let frames = std::mem::take(&mut self.link_stage[order[0] as usize]);
+            for &peer in &order[1..] {
+                self.link_stage[peer as usize].clear();
+            }
+            let wire = self.pack(ctx, frames);
+            self.ship_to_all(ctx, wire);
+            return;
+        }
         for &peer in &order {
             let frames = std::mem::take(&mut self.link_stage[peer as usize]);
-            debug_assert!(!frames.is_empty());
-            let wire = if frames.len() == 1 {
-                frames.into_iter().next().expect("one frame")
-            } else {
-                self.count(ctx, Metric::LinkBatches, 1);
-                self.count(ctx, Metric::LinkBatchedFrames, frames.len() as u64);
-                msg::encode_multi(&frames)
-            };
+            let wire = self.pack(ctx, frames);
             self.ship(ctx, ReplicaId(peer), wire);
         }
     }
 
-    /// Strips and checks a link-MAC envelope. Returns the inner frame
-    /// bytes plus the MAC-authenticated sender, `(payload, None)` when the
-    /// frame is not sealed (client traffic, or session MACs off), or
-    /// `None` for a frame whose envelope fails authentication (dropped).
+    /// Strips and checks a link-MAC envelope — the unicast seal, or our
+    /// slot of a group seal. Returns the inner frame bytes plus the
+    /// MAC-authenticated sender, `(payload, None)` when the frame is not
+    /// sealed (client traffic, or session MACs off), or `None` for a frame
+    /// whose envelope fails authentication (dropped).
     pub(super) fn unseal(
         &mut self,
         ctx: &mut Context<'_>,
         payload: Bytes,
     ) -> Option<(Bytes, Option<ReplicaId>)> {
-        if payload.first() != Some(&msg::SEALED_FRAME_TAG) {
+        let tag = payload.first().copied();
+        if tag != Some(msg::SEALED_FRAME_TAG) && tag != Some(msg::AUTHENTICATOR_FRAME_TAG) {
             return Some((payload, None));
         }
         // A malformed envelope, or a sealed frame from an unknown sender or
         // arriving at a replica with no session keys, cannot be
         // authenticated: drop it.
-        let keys = self.session_keys.as_ref();
-        let keyed = msg::decode_sealed(&payload)
-            .ok()
-            .flatten()
-            .and_then(|sealed| {
-                let key = keys?.get(sealed.sender.0 as usize)?;
-                Some((sealed, key))
-            });
-        let Some((sealed, key)) = keyed else {
+        let key_of = |sender: ReplicaId| self.session_keys.as_ref()?.get(sender.0 as usize);
+        let checked = if tag == Some(msg::SEALED_FRAME_TAG) {
+            let sealed = msg::decode_sealed(&payload).ok().flatten();
+            sealed.and_then(|s| Some((s.sender, s.inner, s.verify(key_of(s.sender)?))))
+        } else {
+            let sealed = msg::decode_group_sealed(&payload).ok().flatten();
+            sealed.and_then(|s| Some((s.sender, s.inner, s.verify(self.me, key_of(s.sender)?))))
+        };
+        let Some((sender, inner, authentic)) = checked else {
             self.count(ctx, Metric::MacFail, 1);
             return None;
         };
         self.count(ctx, Metric::MacOps, 1);
-        if !sealed.verify(key) {
+        if !authentic {
             self.count(ctx, Metric::MacFail, 1);
             return None;
         }
         self.count(ctx, Metric::MacAuthHits, 1);
         // Zero-copy: the inner frame is a subslice of the sealed buffer,
         // so reslicing the shared `Bytes` is a refcount bump, not a copy.
-        let start = sealed.inner.as_ptr() as usize - payload.as_ptr() as usize;
-        let len = sealed.inner.len();
-        let sender = sealed.sender;
-        Some((payload.slice(start..start + len), Some(sender)))
+        let start = inner.as_ptr() as usize - payload.as_ptr() as usize;
+        Some((payload.slice(start..start + inner.len()), Some(sender)))
     }
 
     /// Sends one encoded frame to every other replica.

@@ -135,6 +135,7 @@ impl Replica {
     /// key, and incoming MAC-authenticated frames skip per-hop signature
     /// verification — the paper's Spines-level session authentication.
     pub fn with_session_keys(mut self, keys: Vec<[u8; 32]>) -> Replica {
+        assert_eq!(keys.len(), self.io.cfg.n as usize, "one key per replica");
         self.io.session_keys = Some(keys);
         self
     }

@@ -85,24 +85,8 @@ impl Hmi {
         let msg = PrimeMsg::Op(client_op).encode();
         self.sent_at.insert(self.cseq, ctx.now());
         self.poll_cseqs.insert(self.cseq);
-        self.send_to_replicas(ctx, msg);
+        self.routing.send_all(ctx, msg);
         ctx.count("hmi.polls_sent", 1);
-    }
-
-    fn send_to_replicas(&mut self, ctx: &mut Context<'_>, msg: bytes::Bytes) {
-        match &self.routing {
-            ClientRouting::Direct(replicas) => {
-                for pid in replicas.clone() {
-                    ctx.send(pid, msg.clone());
-                }
-            }
-            ClientRouting::Spines { port, addrs, mode } => {
-                let (port, mode) = (*port, *mode);
-                for addr in addrs.clone() {
-                    port.send(ctx, addr, mode, true, msg.clone());
-                }
-            }
-        }
     }
 
     fn issue_command(&mut self, ctx: &mut Context<'_>) {
@@ -128,7 +112,7 @@ impl Hmi {
         let msg = PrimeMsg::Op(client_op).encode();
         self.sent_at.insert(self.cseq, ctx.now());
         ctx.span_mark(span_key(self.client_id.0, self.cseq), SpanPhase::Submit);
-        self.send_to_replicas(ctx, msg);
+        self.routing.send_all(ctx, msg);
         ctx.count("hmi.commands_sent", 1);
     }
 }

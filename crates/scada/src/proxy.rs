@@ -163,19 +163,7 @@ impl RtuProxy {
         let msg = PrimeMsg::Op(client_op).encode();
         self.sent_at.insert(self.cseq, ctx.now());
         ctx.span_mark(span_key(self.client_id.0, self.cseq), SpanPhase::Submit);
-        match &self.routing {
-            ClientRouting::Direct(replicas) => {
-                for pid in replicas.clone() {
-                    ctx.send(pid, msg.clone());
-                }
-            }
-            ClientRouting::Spines { port, addrs, mode } => {
-                let (port, mode) = (*port, *mode);
-                for addr in addrs.clone() {
-                    port.send(ctx, addr, mode, true, msg.clone());
-                }
-            }
-        }
+        self.routing.send_all(ctx, msg);
         ctx.count("scada.updates_sent", 1);
         if let Some(scoped) = &self.scoped {
             ctx.count(&scoped.sent, 1);

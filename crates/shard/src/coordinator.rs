@@ -12,9 +12,10 @@ use std::collections::{BTreeMap, BTreeSet};
 use bytes::Bytes;
 use spire_crypto::keys::Signer;
 use spire_prime::msg::{decode_enclosed, ClientOp, PrimeMsg};
+use spire_prime::net::REPLICA_GROUP;
 use spire_prime::{ClientId, ReplyCert};
 use spire_sim::{Context, Process, ProcessId, Span, Time};
-use spire_spines::{Dissemination, OverlayAddr, SpinesPort};
+use spire_spines::SpinesPort;
 
 use crate::map::ShardMap;
 use crate::msg::{parse_reply, ShardCmd, ShardMsg, XReply, DECISION_ABORT, DECISION_COMMIT};
@@ -396,10 +397,9 @@ impl XCoord {
 
 /// Client wiring for one group: how the coordinator process reaches it.
 pub struct GroupLink {
-    /// Overlay port at the group's HMI-site external daemon.
+    /// Overlay port at the group's HMI-site external daemon; the group's
+    /// replicas are its [`REPLICA_GROUP`] there.
     pub port: SpinesPort,
-    /// External-overlay addresses of the group's replicas.
-    pub replica_addrs: Vec<OverlayAddr>,
     /// Signer for the coordinator's client key *in this group's key
     /// space* (`g * stride + client_base + id`).
     pub signer: Signer,
@@ -476,10 +476,7 @@ impl CoordinatorProcess {
                     let link = &self.links[group as usize];
                     let op = ClientOp::signed(self.client, cseq, payload, &link.signer);
                     let msg = PrimeMsg::Op(op).encode();
-                    for &addr in &link.replica_addrs {
-                        link.port
-                            .send(ctx, addr, Dissemination::Flood, true, msg.clone());
-                    }
+                    link.port.send_group(ctx, REPLICA_GROUP, true, msg);
                     ctx.count("xshard.sends", 1);
                 }
                 XAction::SetTimer { xid, delay } => {

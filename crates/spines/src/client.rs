@@ -68,6 +68,22 @@ impl SpinesPort {
         ctx.send(self.daemon_pid, msg.encode());
     }
 
+    /// Joins multicast group `group` on the daemon. Call from `on_start`,
+    /// after [`SpinesPort::attach`].
+    pub fn join(&self, ctx: &mut Context<'_>, group: u16) {
+        ctx.send(self.daemon_pid, OverlayMsg::ClientJoin { group }.encode());
+    }
+
+    /// Sends `payload` to every member of `group` but this client, as one
+    /// dissemination. Groups exist under [`Dissemination::Flood`] only.
+    pub fn send_group(&self, ctx: &mut Context<'_>, group: u16, reliable: bool, payload: Bytes) {
+        let dst = OverlayAddr {
+            node: OverlayId::GROUP,
+            port: group,
+        };
+        self.send(ctx, dst, Dissemination::Flood, reliable, payload);
+    }
+
     /// Parses an incoming daemon message; returns `(source, payload)` for
     /// data deliveries and `None` for anything else.
     pub fn decode_deliver(bytes: &Bytes) -> Option<(OverlayAddr, Bytes)> {

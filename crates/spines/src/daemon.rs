@@ -18,7 +18,19 @@
 //! link-level batches sealed by one HMAC per flush window (see
 //! [`DaemonConfig::batch_window`]) — constrained flooding otherwise
 //! amplifies every application message into one authenticated frame and
-//! one ack per overlay edge.
+//! one ack per overlay edge. A hop ack is never flushed on its own account:
+//! it leaves with the window's flush, beside whatever data is bound for the
+//! same neighbor. The retransmission timeout (60 ms) is sixty windows away,
+//! so an ack that waits out one window never fires it.
+//!
+//! **Multicast groups.** A client joins a group on its daemon
+//! ([`OverlayMsg::ClientJoin`]); a message flooded to
+//! [`OverlayId::GROUP`] is delivered by every daemon to its local members
+//! (never back to the sending client) and always forwarded, so one
+//! dissemination reaches every member. Membership is local knowledge: the
+//! flood visits every daemon anyway, so nothing is advertised. Groups exist
+//! under [`Dissemination::Flood`] only; under the routed modes a group
+//! destination is dropped and counted.
 
 use crate::msg::{lsa_signing_bytes, DataMsg, Dissemination, OverlayMsg};
 use crate::topology::{OverlayId, Topology};
@@ -27,7 +39,7 @@ use spire_crypto::ed25519::Signature;
 use spire_crypto::hmac::{hmac_sha256, verify_hmac_sha256};
 use spire_crypto::{KeyStore, NodeId, SigningKey};
 use spire_sim::{Context, Process, ProcessId, Span, Time, TraceKind};
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
 use std::sync::Arc;
 
 const TIMER_HELLO: u64 = 1;
@@ -109,6 +121,51 @@ pub enum DaemonBehavior {
     Corrupting,
 }
 
+/// One row of the per-overlay message attribution: every message a daemon
+/// emits, and every message a client hands it, is counted under exactly one
+/// of these as `spines.<label>.<row>`.
+#[derive(Clone, Copy)]
+enum Row {
+    /// `ClientSend` to one address.
+    ClientSend,
+    /// `ClientSend` to a group.
+    GroupSend,
+    /// `ClientAttach` / `ClientJoin`.
+    ClientCtl,
+    /// `ClientDeliver` handed to a local client.
+    ClientDeliver,
+    /// Sealed to a neighbor: data frames only.
+    TxData,
+    /// Sealed to a neighbor: hop acks only.
+    TxAckOnly,
+    /// Sealed to a neighbor: hop acks and data frames together.
+    TxMixed,
+    /// Sealed to a neighbor: a hello probe.
+    TxHello,
+    /// Sealed to a neighbor: a link-state advertisement.
+    TxLsa,
+    /// Sealed to a neighbor: a retransmitted data frame.
+    TxRetx,
+}
+
+const ROW_NAMES: [&str; 10] = [
+    "client_send",
+    "group_send",
+    "client_ctl",
+    "client_deliver",
+    "tx_data",
+    "tx_ack_only",
+    "tx_mixed",
+    "tx_hello",
+    "tx_lsa",
+    "tx_retx",
+];
+
+fn row_keys(label: &str) -> Vec<String> {
+    let key = |name: &&str| format!("spines.{label}.{name}");
+    ROW_NAMES.iter().map(key).collect()
+}
+
 struct NeighborState {
     pid: ProcessId,
     link_key: [u8; 32],
@@ -125,7 +182,6 @@ struct LsaEntry {
 }
 
 struct PendingFrame {
-    to_pid: ProcessId,
     to_overlay: OverlayId,
     msg: DataMsg,
     /// Encoded wire body, *without* the link HMAC: the first transmission
@@ -155,6 +211,12 @@ pub struct Daemon {
     neighbors: BTreeMap<OverlayId, NeighborState>,
     pid_to_overlay: BTreeMap<ProcessId, OverlayId>,
     clients: BTreeMap<u16, ProcessId>,
+    /// Local members of each multicast group. By process, not by port, so
+    /// a join does not depend on the client's attach having arrived first
+    /// (the real-clock substrate does not keep the two in order).
+    groups: BTreeMap<u16, BTreeSet<ProcessId>>,
+    /// Label-prefixed counter keys, indexed by [`Row`].
+    row_keys: Vec<String>,
     lsa_db: BTreeMap<OverlayId, LsaEntry>,
     my_lsa_seq: u64,
     routes: Option<Topology>,
@@ -218,6 +280,8 @@ impl Daemon {
             neighbors: neighbor_map,
             pid_to_overlay,
             clients: BTreeMap::new(),
+            groups: BTreeMap::new(),
+            row_keys: row_keys("overlay"),
             lsa_db: BTreeMap::new(),
             my_lsa_seq: 0,
             routes: None,
@@ -236,12 +300,24 @@ impl Daemon {
         }
     }
 
+    /// Names the overlay this daemon belongs to in its `spines.<label>.*`
+    /// attribution counters (default `"overlay"`).
+    pub fn with_label(mut self, label: &str) -> Daemon {
+        self.row_keys = row_keys(label);
+        self
+    }
+
+    fn count_row(&self, ctx: &mut Context<'_>, row: Row) {
+        ctx.count(&self.row_keys[row as usize], 1);
+    }
+
     fn crypto_id(&self, overlay: OverlayId) -> NodeId {
         NodeId(self.key_base + overlay.0 as u32)
     }
 
-    /// Seals an encoded body with the neighbor's link HMAC and sends it.
-    fn seal_to(&mut self, ctx: &mut Context<'_>, neighbor: OverlayId, body: &[u8]) {
+    /// Seals an encoded body with the neighbor's link HMAC and sends it:
+    /// the one place a daemon emits to another daemon.
+    fn seal_to(&self, ctx: &mut Context<'_>, neighbor: OverlayId, body: &[u8], row: Row) {
         let Some(state) = self.neighbors.get(&neighbor) else {
             return;
         };
@@ -250,11 +326,11 @@ impl Daemon {
         framed.extend_from_slice(body);
         framed.extend_from_slice(&tag);
         ctx.send(state.pid, Bytes::from(framed));
+        self.count_row(ctx, row);
     }
 
-    fn frame_to(&mut self, ctx: &mut Context<'_>, neighbor: OverlayId, msg: &OverlayMsg) {
-        let body = msg.encode();
-        self.seal_to(ctx, neighbor, &body);
+    fn frame_to(&self, ctx: &mut Context<'_>, neighbor: OverlayId, msg: &OverlayMsg, row: Row) {
+        self.seal_to(ctx, neighbor, &msg.encode(), row);
     }
 
     fn batching(&self) -> bool {
@@ -287,6 +363,11 @@ impl Daemon {
     fn flush_neighbor(&mut self, ctx: &mut Context<'_>, neighbor: OverlayId) {
         let acks = self.staged_acks.remove(&neighbor).unwrap_or_default();
         let mut frames = self.stage.remove(&neighbor).unwrap_or_default();
+        let row = match (acks.is_empty(), frames.is_empty()) {
+            (true, _) => Row::TxData,
+            (false, true) => Row::TxAckOnly,
+            (false, false) => Row::TxMixed,
+        };
         if !acks.is_empty() {
             let ack = if acks.len() == 1 {
                 OverlayMsg::HopAck { frame_id: acks[0] }
@@ -297,12 +378,12 @@ impl Daemon {
         }
         match frames.len() {
             0 => {}
-            1 => self.seal_to(ctx, neighbor, &frames[0]),
+            1 => self.seal_to(ctx, neighbor, &frames[0], row),
             n => {
                 ctx.count("spines.link_batches", 1);
                 ctx.count("spines.link_batched_frames", n as u64);
                 let body = OverlayMsg::Batch { frames }.encode();
-                self.seal_to(ctx, neighbor, &body);
+                self.seal_to(ctx, neighbor, &body, row);
             }
         }
     }
@@ -348,10 +429,9 @@ impl Daemon {
         self.next_frame += 1;
         let reliable = msg.reliable;
         if reliable {
-            let Some(state) = self.neighbors.get(&neighbor) else {
+            if !self.neighbors.contains_key(&neighbor) {
                 return;
-            };
-            let to_pid = state.pid;
+            }
             let wire = OverlayMsg::Data {
                 frame_id,
                 msg: msg.clone(),
@@ -360,7 +440,6 @@ impl Daemon {
             self.pending.insert(
                 frame_id,
                 PendingFrame {
-                    to_pid,
                     to_overlay: neighbor,
                     msg,
                     body: body.clone(),
@@ -372,7 +451,7 @@ impl Daemon {
             if self.batching() {
                 self.stage_frame(ctx, neighbor, body);
             } else {
-                self.seal_to(ctx, neighbor, &body);
+                self.seal_to(ctx, neighbor, &body, Row::TxData);
             }
         } else {
             let wire = OverlayMsg::Data { frame_id, msg };
@@ -380,7 +459,7 @@ impl Daemon {
                 let body = wire.encode();
                 self.stage_frame(ctx, neighbor, body);
             } else {
-                self.frame_to(ctx, neighbor, &wire);
+                self.frame_to(ctx, neighbor, &wire, Row::TxData);
             }
         }
     }
@@ -412,7 +491,7 @@ impl Daemon {
         self.routes = None;
         let targets: Vec<OverlayId> = self.alive_neighbors();
         for n in targets {
-            self.frame_to(ctx, n, &lsa);
+            self.frame_to(ctx, n, &lsa, Row::TxLsa);
         }
     }
 
@@ -503,11 +582,15 @@ impl Daemon {
         }
     }
 
-    fn deliver_local(&mut self, ctx: &mut Context<'_>, msg: &DataMsg) {
-        let Some(client) = self.clients.get(&msg.dst_port).copied() else {
-            ctx.count("spines.no_client_drop", 1);
-            return;
-        };
+    fn deliver_local(&self, ctx: &mut Context<'_>, msg: &DataMsg) {
+        match self.clients.get(&msg.dst_port) {
+            Some(client) => self.deliver_to(ctx, msg, *client),
+            None => ctx.count("spines.no_client_drop", 1),
+        }
+    }
+
+    /// Hands `msg` to a local client: the one place a daemon emits to one.
+    fn deliver_to(&self, ctx: &mut Context<'_>, msg: &DataMsg, client: ProcessId) {
         let deliver = OverlayMsg::ClientDeliver {
             src: msg.src,
             src_port: msg.src_port,
@@ -515,17 +598,41 @@ impl Daemon {
         };
         ctx.send(client, deliver.encode());
         ctx.count("spines.delivered", 1);
+        self.count_row(ctx, Row::ClientDeliver);
+    }
+
+    /// Hands a group message to every local member of group `msg.dst_port`
+    /// except the client that sent it.
+    fn deliver_group(&self, ctx: &mut Context<'_>, msg: &DataMsg) {
+        let Some(members) = self.groups.get(&msg.dst_port) else {
+            return;
+        };
+        let local = msg.src == self.me;
+        let sender = self.clients.get(&msg.src_port).filter(|_| local);
+        for member in members {
+            if Some(member) != sender {
+                self.deliver_to(ctx, msg, *member);
+            }
+        }
     }
 
     /// Core forwarding logic shared by locally originated and transit data.
     fn route_data(&mut self, ctx: &mut Context<'_>, mut msg: DataMsg, from_hop: Option<OverlayId>) {
+        if msg.dst == OverlayId::GROUP && msg.mode != Dissemination::Flood {
+            ctx.count("spines.group_not_flood_drop", 1);
+            return;
+        }
         match msg.mode {
             Dissemination::Flood => {
                 let key = (msg.src.0, msg.src_port, msg.seq);
                 if !self.mark_flood_seen(key) {
                     return;
                 }
-                if msg.dst == self.me {
+                if msg.dst == OverlayId::GROUP {
+                    // Members may sit behind any daemon: deliver here and
+                    // keep flooding.
+                    self.deliver_group(ctx, &msg);
+                } else if msg.dst == self.me {
                     self.deliver_local(ctx, &msg);
                     return;
                 }
@@ -622,7 +729,8 @@ impl Daemon {
             payload,
         };
         match mode {
-            Dissemination::DisjointPaths(k) => {
+            // (A group destination has no source route; `route_data` drops it.)
+            Dissemination::DisjointPaths(k) if dst != OverlayId::GROUP => {
                 if dst == self.me {
                     let mut msg = base;
                     msg.mode = Dissemination::Shortest;
@@ -723,20 +831,20 @@ impl Daemon {
                 };
                 for n in self.alive_neighbors() {
                     if n != from {
-                        self.frame_to(ctx, n, &lsa);
+                        self.frame_to(ctx, n, &lsa, Row::TxLsa);
                     }
                 }
             }
             OverlayMsg::Data { frame_id, msg } => {
                 if msg.reliable {
                     if self.batching() {
-                        // Cumulative ack: all reliable frames of one batch
-                        // (or window) are acknowledged in a single
-                        // HopAckMulti on the next flush.
+                        // Cumulative ack: all reliable frames of one window
+                        // are acknowledged in a single HopAckMulti when the
+                        // window flushes, beside any data bound the same way.
                         self.staged_acks.entry(from).or_default().push(frame_id);
                         self.schedule_flush(ctx);
                     } else {
-                        self.frame_to(ctx, from, &OverlayMsg::HopAck { frame_id });
+                        self.frame_to(ctx, from, &OverlayMsg::HopAck { frame_id }, Row::TxAckOnly);
                     }
                     if !self.mark_frame_seen(frame_id) {
                         return; // duplicate retransmission
@@ -772,7 +880,12 @@ impl Daemon {
     fn on_client_msg(&mut self, ctx: &mut Context<'_>, from: ProcessId, msg: OverlayMsg) {
         match msg {
             OverlayMsg::ClientAttach { port } => {
+                self.count_row(ctx, Row::ClientCtl);
                 self.clients.insert(port, from);
+            }
+            OverlayMsg::ClientJoin { group } => {
+                self.count_row(ctx, Row::ClientCtl);
+                self.groups.entry(group).or_default().insert(from);
             }
             OverlayMsg::ClientSend {
                 dst,
@@ -781,6 +894,15 @@ impl Daemon {
                 reliable,
                 payload,
             } => {
+                let group = dst == OverlayId::GROUP;
+                self.count_row(
+                    ctx,
+                    if group {
+                        Row::GroupSend
+                    } else {
+                        Row::ClientSend
+                    },
+                );
                 // Identify the sending client's port (must be attached).
                 let Some(src_port) = self
                     .clients
@@ -827,17 +949,6 @@ impl Process for Daemon {
                 Ok(msg) => self.on_neighbor_msg(ctx, overlay_from, msg),
                 Err(_) => ctx.count("spines.decode_fail", 1),
             }
-            // Acks are latency-critical — a delayed ack fires the sender's
-            // retransmission timer and multiplies traffic — so they flush at
-            // the end of the activation that received the data (one
-            // cumulative ack per incoming batch), while forwarded data keeps
-            // riding the coalescing window.
-            if !self.staged_acks.is_empty() {
-                let targets: Vec<OverlayId> = self.staged_acks.keys().copied().collect();
-                for n in targets {
-                    self.flush_neighbor(ctx, n);
-                }
-            }
         } else {
             // Local client.
             match OverlayMsg::decode(bytes) {
@@ -857,7 +968,7 @@ impl Process for Daemon {
                 };
                 let all: Vec<OverlayId> = self.neighbors.keys().copied().collect();
                 for n in all {
-                    self.frame_to(ctx, n, &hello);
+                    self.frame_to(ctx, n, &hello, Row::TxHello);
                 }
                 // Death detection.
                 let now = ctx.now();
@@ -958,14 +1069,8 @@ impl Process for Daemon {
                         // Retransmissions bypass the batch stage and are
                         // sealed individually: the rare path pays the
                         // per-frame HMAC so the common path doesn't.
-                        let Some(state) = self.neighbors.get(&frame.to_overlay) else {
-                            continue;
-                        };
-                        let tag = hmac_sha256(&state.link_key, &frame.body);
-                        let mut framed = Vec::with_capacity(frame.body.len() + 32);
-                        framed.extend_from_slice(&frame.body);
-                        framed.extend_from_slice(&tag);
-                        ctx.send(frame.to_pid, Bytes::from(framed));
+                        let (to, body) = (frame.to_overlay, frame.body.clone());
+                        self.seal_to(ctx, to, &body, Row::TxRetx);
                         ctx.count("spines.retx", 1);
                     }
                 }

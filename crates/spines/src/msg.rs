@@ -50,9 +50,10 @@ pub struct DataMsg {
     pub src: OverlayId,
     /// Originating client port on that daemon.
     pub src_port: u16,
-    /// Destination daemon.
+    /// Destination daemon, or [`OverlayId::GROUP`] for a multicast group.
     pub dst: OverlayId,
-    /// Destination client port.
+    /// Destination client port; the group number when `dst` is
+    /// [`OverlayId::GROUP`].
     pub dst_port: u16,
     /// Per-(src, src_port) sequence number for end-to-end deduplication.
     pub seq: u64,
@@ -116,9 +117,9 @@ pub enum OverlayMsg {
     },
     /// Client -> daemon: send a payload through the overlay.
     ClientSend {
-        /// Destination daemon.
+        /// Destination daemon, or [`OverlayId::GROUP`].
         dst: OverlayId,
-        /// Destination port.
+        /// Destination port, or the group number.
         dst_port: u16,
         /// Dissemination mode.
         mode: Dissemination,
@@ -147,6 +148,13 @@ pub enum OverlayMsg {
         /// Each element is one encoded non-`Batch` [`OverlayMsg`].
         frames: Vec<Bytes>,
     },
+    /// Client -> daemon: join a multicast group. A message flooded to
+    /// [`OverlayId::GROUP`] with this group number is delivered to every
+    /// member behind every daemon, except the client that sent it.
+    ClientJoin {
+        /// Group to join.
+        group: u16,
+    },
 }
 
 impl_wire!(enum OverlayMsg {
@@ -159,6 +167,7 @@ impl_wire!(enum OverlayMsg {
     7 => ClientDeliver { src, src_port, payload },
     8 => HopAckMulti { frame_ids },
     9 => Batch { frames },
+    10 => ClientJoin { group },
 });
 
 impl OverlayMsg {
@@ -238,6 +247,7 @@ mod tests {
         roundtrip(OverlayMsg::HopAckMulti {
             frame_ids: vec![1, 99, u64::MAX],
         });
+        roundtrip(OverlayMsg::ClientJoin { group: 3 });
         roundtrip(OverlayMsg::Batch {
             frames: vec![
                 OverlayMsg::HopAck { frame_id: 7 }.encode(),

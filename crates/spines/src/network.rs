@@ -39,6 +39,34 @@ impl OverlayNetwork {
         link_of: impl Fn(OverlayId, OverlayId) -> LinkConfig,
         behavior_of: impl Fn(OverlayId) -> DaemonBehavior,
     ) -> OverlayNetwork {
+        OverlayNetwork::build_labeled(
+            world,
+            "overlay",
+            topology,
+            cfg,
+            material,
+            keystore,
+            key_base,
+            link_of,
+            behavior_of,
+        )
+    }
+
+    /// [`OverlayNetwork::build`] with the daemons' attribution counters
+    /// published as `spines.<label>.*`, so a deployment's two overlays can
+    /// be told apart.
+    #[allow(clippy::too_many_arguments)]
+    pub fn build_labeled(
+        world: &mut World,
+        label: &str,
+        topology: &Topology,
+        cfg: DaemonConfig,
+        material: &KeyMaterial,
+        keystore: &Arc<KeyStore>,
+        key_base: u32,
+        link_of: impl Fn(OverlayId, OverlayId) -> LinkConfig,
+        behavior_of: impl Fn(OverlayId) -> DaemonBehavior,
+    ) -> OverlayNetwork {
         // First pass: allocate process ids by creating placeholder entries.
         // We must know every neighbor's pid before constructing a daemon, so
         // compute the assignment up front: processes are added in ascending
@@ -69,7 +97,8 @@ impl OverlayNetwork {
                 Arc::clone(keystore),
                 key_base,
                 neighbors,
-            );
+            )
+            .with_label(label);
             let pid = world.add_process(&format!("spines-{id}"), Box::new(daemon));
             assert_eq!(pid, pid_of(i), "process id assignment diverged");
             daemons.insert(*id, pid);

@@ -14,6 +14,12 @@ pub struct OverlayId(pub u16);
 
 spire_sim::impl_wire!(struct OverlayId(id));
 
+impl OverlayId {
+    /// The reserved destination of a multicast-group message: no daemon has
+    /// this id, and the message's `dst_port` names the group.
+    pub const GROUP: OverlayId = OverlayId(u16::MAX);
+}
+
 impl std::fmt::Display for OverlayId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "ov{}", self.0)
