@@ -4,6 +4,7 @@
 use crate::master::notify_kind;
 use crate::op::{CommandAction, ScadaOp};
 use bytes::Bytes;
+use rand::Rng;
 use spire_crypto::keys::Signer;
 use spire_prime::client::ClientRouting;
 use spire_prime::{ClientId, ClientOp, PrimeConfig, PrimeMsg};
@@ -24,6 +25,8 @@ pub struct Hmi {
     command_interval: Span,
     max_commands: u64,
     poll_interval: Span,
+    /// Grid instant of the command being waited for.
+    next_command: Time,
 
     cseq: u64,
     issued: u64,
@@ -57,6 +60,7 @@ impl Hmi {
             command_interval,
             max_commands,
             poll_interval: Span::ZERO,
+            next_command: Time(0),
             cseq: 0,
             issued: 0,
             next_target: 0,
@@ -72,6 +76,23 @@ impl Hmi {
     pub fn with_polling(mut self, interval: Span) -> Hmi {
         self.poll_interval = interval;
         self
+    }
+
+    /// Arms the next command: its instant on the `command_interval` grid
+    /// plus an offset drawn uniformly from one summary interval. A console
+    /// is not synchronised with the masters' timers, but in the simulator
+    /// both start at t = 0 and every Prime period divides the command
+    /// period, so on the bare grid each command meets the PO-flush and
+    /// summary ticks at the same phase and its latency is a step function
+    /// of sub-millisecond transport delays (one summary interval high).
+    /// The offset spans the longest timer on the ordering path, which makes
+    /// the phase uniform; the rate, and which report burst a command shares
+    /// its pre-ordering round with, stay as they were.
+    fn arm_command_timer(&mut self, ctx: &mut Context<'_>) {
+        self.next_command = Time(self.next_command.0 + self.command_interval.0);
+        let offset = ctx.rng().gen_range(0..=self.cfg.summary_interval.0);
+        let at = self.next_command.0 + offset;
+        ctx.set_timer(Span(at.saturating_sub(ctx.now().0)), TIMER_COMMAND);
     }
 
     fn issue_poll(&mut self, ctx: &mut Context<'_>) {
@@ -123,7 +144,8 @@ impl Process for Hmi {
             port.attach(ctx);
         }
         if self.command_interval.0 > 0 {
-            ctx.set_timer(self.command_interval, TIMER_COMMAND);
+            self.next_command = ctx.now();
+            self.arm_command_timer(ctx);
         }
         if self.poll_interval.0 > 0 {
             ctx.set_timer(self.poll_interval, TIMER_POLL);
@@ -197,7 +219,7 @@ impl Process for Hmi {
         match tag {
             TIMER_COMMAND if self.max_commands == 0 || self.issued < self.max_commands => {
                 self.issue_command(ctx);
-                ctx.set_timer(self.command_interval, TIMER_COMMAND);
+                self.arm_command_timer(ctx);
             }
             TIMER_POLL => {
                 self.issue_poll(ctx);
@@ -214,5 +236,59 @@ impl std::fmt::Debug for Hmi {
             .field("client", &self.client_id)
             .field("issued", &self.issued)
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use spire_crypto::keys::KeyMaterial;
+    use spire_crypto::NodeId;
+    use spire_sim::World;
+
+    /// The instants (µs) at which a lone HMI issued its commands.
+    fn command_instants(interval: Span, run: Span) -> (Vec<u64>, PrimeConfig) {
+        let cfg = PrimeConfig::new(1, 0);
+        let signer = Signer::new(KeyMaterial::new([7u8; 32]).signing_key(NodeId(9)), true);
+        let routing = ClientRouting::Direct(Vec::new());
+        let hmi = Hmi::new(
+            cfg.clone(),
+            ClientId(9),
+            signer,
+            routing,
+            vec![0],
+            interval,
+            0,
+        );
+        let mut world = World::new(3);
+        world.add_process("hmi", Box::new(hmi));
+        let mut instants = Vec::new();
+        // Commands are at least a step apart, so each step sees at most one.
+        let step = Span::micros(100);
+        while world.now().0 < run.0 {
+            world.run_for(step);
+            if world.metrics().counter("hmi.commands_sent") > instants.len() as u64 {
+                instants.push(world.now().0);
+            }
+        }
+        (instants, cfg)
+    }
+
+    #[test]
+    fn commands_keep_their_grid_and_leave_the_replicas_tick_phase() {
+        let interval = Span::millis(500);
+        let (instants, cfg) = command_instants(interval, Span::secs(20));
+        // One command per grid instant: k = 1 ..= 39 within 20 s.
+        assert_eq!(instants.len(), 39);
+        let window = cfg.summary_interval.0;
+        let mut phases = std::collections::BTreeSet::new();
+        for (k, at) in instants.iter().enumerate() {
+            let grid = (k as u64 + 1) * interval.0;
+            let offset = at.checked_sub(grid).expect("never before its grid instant");
+            assert!(offset <= window + 100, "command {k} is {offset} us late");
+            phases.insert(offset / 1000);
+        }
+        // The offsets cover the summary interval rather than repeat.
+        assert!(phases.len() >= 6, "phases {phases:?}");
     }
 }
