@@ -2,7 +2,7 @@
 //! (every Prime message, sealed / Merkle-batched / multi-frame envelopes,
 //! every Spines overlay message, SCADA ops, Modbus device frames, the
 //! cross-shard payloads, KV ops) plus one frame over each decoder count
-//! cap, which must stay rejected.
+//! cap and one per retired wire tag, which must stay rejected.
 //!
 //! New entries go at the *end* of their category: files are addressed by
 //! index, so appending never renames a committed file.
@@ -28,6 +28,7 @@ use spire_prime::{ClientId, ClientOp, KvOp, PrimeMsg, ReplicaId, ReplyCert};
 use spire_scada::{CommandAction, ModbusFrame, ScadaOp};
 use spire_shard::msg::{cmd_kind, encode_ack, encode_prepared, encode_rejected, DECISION_COMMIT};
 use spire_shard::{ShardCmd, ShardMsg};
+use spire_sim::{Wire, WireWriter};
 use spire_spines::msg::DataMsg;
 use spire_spines::{Dissemination, OverlayId, OverlayMsg};
 
@@ -180,17 +181,6 @@ pub fn prime_corpus() -> Vec<Bytes> {
             ],
             sig: [18u8; 64],
         },
-        PrimeMsg::StateResp {
-            replica: ReplicaId(1),
-            checkpoint_seq: 50,
-            share_index: 1,
-            erasure_k: 2,
-            share: Bytes::from_static(b"erasure share"),
-            proof: vec![checkpoint.clone(), checkpoint.clone()],
-            view: 2,
-            requester_po_high: 17,
-            requester_sseq_high: 5,
-        },
         PrimeMsg::SuffixVote {
             replica: ReplicaId(2),
             seq: 51,
@@ -233,7 +223,7 @@ pub fn prime_corpus() -> Vec<Bytes> {
         },
     ];
     frames.extend(more.iter().map(|m| m.encode()));
-    frames.push(encode_multi(&[inner.clone(), more[4].encode()]));
+    frames.push(encode_multi(&[inner.clone(), more[3].encode()]));
     // The group seal: one envelope for all four peers of replica 2.
     let keys: Vec<[u8; 32]> = (0..4u8).map(|r| [0x40 + r; 32]).collect();
     frames.push(seal_frame_for_all(ReplicaId(2), &keys, &inner));
@@ -453,6 +443,30 @@ pub fn overcap_corpus() -> Vec<Bytes> {
     ]
 }
 
+/// Frames of wire tags that are no longer assigned, written field by field
+/// since no encoder produces them any more. Every decoder must keep
+/// rejecting these, so a retired tag is never silently reused.
+///
+/// `retired_00`: `PrimeMsg` tag 15, the whole-snapshot `StateResp` that
+/// chunked state transfer superseded (the bytes `prime_19.bin` held).
+pub fn retired_corpus() -> Vec<Bytes> {
+    let checkpoint = CheckpointMsg {
+        replica: ReplicaId(2),
+        seq: 50,
+        digest: [11u8; 32],
+        sig: [16u8; 64],
+    };
+    let mut w = WireWriter::new();
+    // tag | replica, checkpoint_seq | share_index, erasure_k, share | proof
+    // | view, requester_po_high, requester_sseq_high
+    15u8.write(&mut w);
+    (ReplicaId(1), 50u64).write(&mut w);
+    (1u8, 2u8, Bytes::from_static(b"erasure share")).write(&mut w);
+    vec![checkpoint.clone(), checkpoint].write(&mut w);
+    (2u64, 17u64, 5u64).write(&mut w);
+    vec![w.finish()]
+}
+
 pub fn kv_corpus() -> Vec<Bytes> {
     [
         KvOp::Cas {
@@ -480,6 +494,7 @@ pub fn full_corpus() -> Vec<(&'static str, Vec<Bytes>)> {
         ("modbus", modbus_corpus()),
         ("shard", shard_corpus()),
         ("overcap", overcap_corpus()),
+        ("retired", retired_corpus()),
         ("kv", kv_corpus()),
     ]
 }
