@@ -396,34 +396,6 @@ pub enum PrimeMsg {
         /// Signature.
         sig: [u8; 64],
     },
-    /// State-transfer response carrying one erasure share of the snapshot
-    /// (Reed-Solomon with `k = f + 1`): any `f + 1` correct responders
-    /// suffice to reconstruct, and each ships only `1/(f+1)` of the bytes.
-    StateResp {
-        /// Responding replica.
-        replica: ReplicaId,
-        /// Sequence of the included checkpoint.
-        checkpoint_seq: u64,
-        /// Erasure share index (the responder's replica id).
-        share_index: u8,
-        /// Erasure parameter `k` used by the responder.
-        erasure_k: u8,
-        /// The share bytes.
-        share: Bytes,
-        /// `f + 1` matching signed checkpoint attestations proving the
-        /// snapshot digest.
-        proof: Vec<CheckpointMsg>,
-        /// The current view at the responder.
-        view: u64,
-        /// The responder's highest seen PO sequence *originated by the
-        /// requester*, so a recovered origin resumes its numbering without
-        /// colliding with its pre-recovery certificates.
-        requester_po_high: u64,
-        /// The responder's highest seen summary sequence *from the
-        /// requester*: a recovered replica must resume above it or its new
-        /// summaries are discarded as stale replays.
-        requester_sseq_high: u64,
-    },
     /// A committed matrix forwarded to a catching-up replica; adopted once
     /// `f + 1` responders agree. Unsigned: the agreement of `f + 1`
     /// *link-authenticated* senders provides safety (a replica with session
@@ -530,10 +502,12 @@ pub enum PrimeMsg {
         /// The current view at the responder.
         view: u64,
         /// The responder's highest seen PO sequence originated by the
-        /// requester (numbering resume, as in [`PrimeMsg::StateResp`]).
+        /// requester, so a recovered origin resumes its numbering without
+        /// colliding with its pre-recovery certificates.
         requester_po_high: u64,
         /// The responder's highest seen summary sequence from the
-        /// requester.
+        /// requester: a recovered replica must resume above it or its new
+        /// summaries are discarded as stale replays.
         requester_sseq_high: u64,
     },
     /// One erasure share of one snapshot chunk. Unsigned; validated
@@ -603,7 +577,6 @@ impl PrimeMsg {
             | PrimeMsg::Pong { replica: r, .. }
             | PrimeMsg::Suspect { replica: r, .. }
             | PrimeMsg::StateReq { replica: r, .. }
-            | PrimeMsg::StateResp { replica: r, .. }
             | PrimeMsg::StateMeta { replica: r, .. }
             | PrimeMsg::StateChunk { replica: r, .. }
             | PrimeMsg::StateChunkReq { replica: r, .. }
@@ -716,10 +689,8 @@ impl_wire!(enum PrimeMsg {
     12 => NewView { view, states, sig },
     13 => Checkpoint(attestation),
     14 => StateReq { replica, have_seq, sig },
-    15 => StateResp {
-        replica, checkpoint_seq, share_index, erasure_k, share, proof, view,
-        requester_po_high, requester_sseq_high,
-    },
+    // 15 was `StateResp`, the whole-snapshot transfer; it stays unassigned so
+    // a frame from an old build is rejected, never read as something else.
     16 => ReconReq { replica, origin, po_seq },
     17 => Reply { replica, client, cseq, result, sig },
     18 => SuffixVote { replica, seq, matrix },
@@ -735,7 +706,7 @@ impl_wire!(enum PrimeMsg {
 });
 
 /// Frame tag marking a batch-attested message ([`PrimeMsg`] encodings start
-/// with tags 1..=24, so the two framings share one byte stream).
+/// with tags 1..=24 (15 retired), so the two framings share one byte stream).
 pub const BATCH_FRAME_TAG: u8 = 255;
 
 /// A replica-to-replica frame as read off a link: either a plain message
@@ -1109,22 +1080,6 @@ mod tests {
             replica: ReplicaId(5),
             have_seq: 0,
             sig: [4; 64],
-        });
-        roundtrip(PrimeMsg::StateResp {
-            replica: ReplicaId(1),
-            checkpoint_seq: 50,
-            share_index: 1,
-            erasure_k: 2,
-            share: Bytes::from_static(b"snap-share"),
-            proof: vec![CheckpointMsg {
-                replica: ReplicaId(0),
-                seq: 50,
-                digest: [7; 32],
-                sig: [8; 64],
-            }],
-            view: 2,
-            requester_po_high: 17,
-            requester_sseq_high: 5,
         });
         roundtrip(PrimeMsg::SuffixVote {
             replica: ReplicaId(2),

@@ -789,10 +789,8 @@ impl Replica {
                 origin,
                 po_seq,
             } => self.pre.on_recon_req(io, ctx, replica, origin.0, po_seq),
-            // StateResp is the legacy whole-snapshot transfer, superseded
-            // by the chunked path; still decoded for wire compatibility,
-            // never acted on. Reply and Notify are client-bound.
-            PrimeMsg::StateResp { .. } | PrimeMsg::Reply { .. } | PrimeMsg::Notify { .. } => {}
+            // Reply and Notify are client-bound.
+            PrimeMsg::Reply { .. } | PrimeMsg::Notify { .. } => {}
         }
     }
 

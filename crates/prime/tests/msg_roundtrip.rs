@@ -20,7 +20,7 @@ use spire_prime::{ClientId, ReplicaId};
 
 const MASTER_SEED: u64 = 0x0005_EED0_FA11;
 const SAMPLES_PER_VARIANT: u64 = 40;
-const VARIANTS: u64 = 24;
+const VARIANTS: u64 = 23;
 
 fn sig64(rng: &mut StdRng) -> [u8; 64] {
     let mut sig = [0u8; 64];
@@ -98,7 +98,7 @@ fn view_state(rng: &mut StdRng) -> ViewStateMsg {
     }
 }
 
-/// A random instance of variant `variant` (0-based over all 24).
+/// A random instance of variant `variant` (0-based over all 23).
 fn gen_msg(rng: &mut StdRng, variant: u64) -> PrimeMsg {
     match variant {
         0 => PrimeMsg::Op(client_op(rng)),
@@ -167,45 +167,31 @@ fn gen_msg(rng: &mut StdRng, variant: u64) -> PrimeMsg {
             have_seq: rng.gen(),
             sig: sig64(rng),
         },
-        14 => PrimeMsg::StateResp {
-            replica: ReplicaId(rng.gen_range(0..32)),
-            checkpoint_seq: rng.gen(),
-            share_index: rng.gen(),
-            erasure_k: rng.gen(),
-            share: payload(rng, 96),
-            proof: {
-                let n = rng.gen_range(0..3);
-                (0..n).map(|_| checkpoint(rng)).collect()
-            },
-            view: rng.gen(),
-            requester_po_high: rng.gen(),
-            requester_sseq_high: rng.gen(),
-        },
-        15 => PrimeMsg::SuffixVote {
+        14 => PrimeMsg::SuffixVote {
             replica: ReplicaId(rng.gen_range(0..32)),
             seq: rng.gen(),
             matrix: matrix(rng),
         },
-        16 => PrimeMsg::ReconReq {
+        15 => PrimeMsg::ReconReq {
             replica: ReplicaId(rng.gen_range(0..32)),
             origin: ReplicaId(rng.gen_range(0..32)),
             po_seq: rng.gen(),
         },
-        17 => PrimeMsg::Notify {
+        16 => PrimeMsg::Notify {
             replica: ReplicaId(rng.gen_range(0..32)),
             client: ClientId(rng.gen_range(0..64)),
             nseq: rng.gen(),
             payload: payload(rng, 64),
             sig: sig64(rng),
         },
-        18 => PrimeMsg::Reply {
+        17 => PrimeMsg::Reply {
             replica: ReplicaId(rng.gen_range(0..32)),
             client: ClientId(rng.gen_range(0..64)),
             cseq: rng.gen(),
             result: payload(rng, 64),
             sig: sig64(rng),
         },
-        19 => PrimeMsg::PoAckMulti {
+        18 => PrimeMsg::PoAckMulti {
             replica: ReplicaId(rng.gen_range(0..32)),
             entries: {
                 let n = rng.gen_range(0..6);
@@ -215,7 +201,7 @@ fn gen_msg(rng: &mut StdRng, variant: u64) -> PrimeMsg {
             },
             sig: sig64(rng),
         },
-        20 => PrimeMsg::CommitMulti {
+        19 => PrimeMsg::CommitMulti {
             replica: ReplicaId(rng.gen_range(0..32)),
             view: rng.gen(),
             entries: {
@@ -224,7 +210,7 @@ fn gen_msg(rng: &mut StdRng, variant: u64) -> PrimeMsg {
             },
             sig: sig64(rng),
         },
-        21 => PrimeMsg::StateMeta {
+        20 => PrimeMsg::StateMeta {
             replica: ReplicaId(rng.gen_range(0..32)),
             checkpoint_seq: rng.gen(),
             erasure_k: rng.gen(),
@@ -242,14 +228,14 @@ fn gen_msg(rng: &mut StdRng, variant: u64) -> PrimeMsg {
             requester_po_high: rng.gen(),
             requester_sseq_high: rng.gen(),
         },
-        22 => PrimeMsg::StateChunk {
+        21 => PrimeMsg::StateChunk {
             replica: ReplicaId(rng.gen_range(0..32)),
             checkpoint_seq: rng.gen(),
             chunk: rng.gen(),
             share_index: rng.gen(),
             share: payload(rng, 96),
         },
-        23 => PrimeMsg::StateChunkReq {
+        22 => PrimeMsg::StateChunkReq {
             replica: ReplicaId(rng.gen_range(0..32)),
             checkpoint_seq: rng.gen(),
             chunks: {
