@@ -8,8 +8,9 @@ use crate::deployment::key_base;
 use bytes::Bytes;
 use spire_crypto::keys::Signer;
 use spire_crypto::{KeyMaterial, KeyStore, NodeId};
-use spire_prime::client::ClientRouting;
-use spire_prime::{Application, ClientId, PrimeConfig, PrimeMsg, ReplicaId};
+use spire_prime::{
+    Application, ClientId, ClientRouting, ClientSession, PrimeConfig, PrimeMsg, ReplicaId,
+};
 use spire_scada::{Hmi, Rtu, RtuProxy, ScadaDirectory, ScadaMaster, WorkloadConfig};
 use spire_sim::{LinkConfig, ProcessId, Span, Time, World};
 use spire_spines::{
@@ -210,9 +211,8 @@ impl BaselineDeployment {
                 material.signing_key(NodeId(key_base::CLIENT + r)),
                 mock_sigs,
             );
-            let proxy = RtuProxy::new(
-                prime.clone(),
-                r,
+            let session = ClientSession::new(
+                &prime,
                 ClientId(r),
                 signer,
                 ClientRouting::Spines {
@@ -220,8 +220,9 @@ impl BaselineDeployment {
                     addrs: vec![master_addr],
                     mode: Dissemination::Shortest,
                 },
-                device_pid,
+                Arc::clone(&keystore),
             );
+            let proxy = RtuProxy::new(session, r, device_pid);
             let got = world.add_process(&format!("proxy-{r}"), Box::new(proxy));
             assert_eq!(got, proxy_pid);
             world.add_link(device_pid, proxy_pid, LinkConfig::local());
@@ -234,8 +235,8 @@ impl BaselineDeployment {
             material.signing_key(NodeId(key_base::CLIENT + 1000)),
             mock_sigs,
         );
-        let hmi = Hmi::new(
-            prime,
+        let session = ClientSession::new(
+            &prime,
             ClientId(1000),
             signer,
             ClientRouting::Spines {
@@ -243,9 +244,14 @@ impl BaselineDeployment {
                 addrs: vec![master_addr],
                 mode: Dissemination::Shortest,
             },
+            Arc::clone(&keystore),
+        );
+        let hmi = Hmi::new(
+            session,
             (0..n_rtus).collect(),
             workload.command_interval,
             0,
+            prime.summary_interval,
         );
         let hmi_pid = world.add_process("hmi", Box::new(hmi));
         external.wire_client(&mut world, OverlayId(0), hmi_pid);

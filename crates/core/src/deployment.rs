@@ -17,9 +17,9 @@ use crate::invariant::InvariantChecker;
 use crate::report::Report;
 use spire_crypto::keys::Signer;
 use spire_crypto::{KeyMaterial, KeyStore, NodeId};
-use spire_prime::client::ClientRouting;
 use spire_prime::{
-    ByzBehavior, ClientId, Inspection, PrimeConfig, ProtocolMode, Replica, ReplicaId, SpinesNet,
+    ByzBehavior, ClientId, ClientRouting, ClientSession, Inspection, PrimeConfig, ProtocolMode,
+    Replica, ReplicaId, SpinesNet,
 };
 use spire_scada::{Hmi, Rtu, RtuProxy, ScadaDirectory, ScadaMaster, WorkloadConfig};
 use spire_shard::{ShardMap, XShardLedger};
@@ -728,9 +728,8 @@ pub fn build_group(
             material.signing_key(NodeId(prime.client_key_base + r)),
             cfg.mock_sigs,
         );
-        let mut proxy = RtuProxy::new(
-            prime.clone(),
-            r,
+        let session = ClientSession::new(
+            &prime,
             ClientId(r),
             signer,
             ClientRouting::Spines {
@@ -738,8 +737,9 @@ pub fn build_group(
                 addrs: replica_addrs.clone(),
                 mode: Dissemination::Flood,
             },
-            device_pid,
+            Arc::clone(keystore),
         );
+        let mut proxy = RtuProxy::new(session, r, device_pid);
         if let Some(scope) = &spec.metric_scope {
             proxy = proxy.with_metric_scope(scope);
         }
@@ -759,8 +759,8 @@ pub fn build_group(
             material.signing_key(NodeId(prime.client_key_base + client)),
             cfg.mock_sigs,
         );
-        let hmi = Hmi::new(
-            prime.clone(),
+        let session = ClientSession::new(
+            &prime,
             ClientId(client),
             signer,
             ClientRouting::Spines {
@@ -771,9 +771,14 @@ pub fn build_group(
                 addrs: replica_addrs.clone(),
                 mode: Dissemination::Flood,
             },
+            Arc::clone(keystore),
+        );
+        let hmi = Hmi::new(
+            session,
             spec.rtus.clone(),
             cfg.workload.command_interval,
             0,
+            prime.summary_interval,
         )
         .with_polling(cfg.workload.poll_interval);
         let pid = world.add_process(&format!("{label}hmi-{h}"), Box::new(hmi));

@@ -23,7 +23,7 @@ use crate::deployment::{
 };
 use spire_crypto::keys::Signer;
 use spire_crypto::NodeId;
-use spire_prime::ClientId;
+use spire_prime::{ClientId, ClientRouting, ReplicaKeys};
 use spire_scada::{ScadaDirectory, ScadaMaster, XShardContext};
 use spire_shard::coordinator::{CoordinatorProcess, GroupLink, XCoordConfig};
 use spire_shard::{
@@ -31,7 +31,7 @@ use spire_shard::{
     SHARD_KEY_STRIDE,
 };
 use spire_sim::{ControlOp, LinkConfig, Span, Time};
-use spire_spines::{OverlayId, SpinesPort};
+use spire_spines::{Dissemination, OverlayId, SpinesPort};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -143,6 +143,7 @@ impl Deployment {
             keystore: Arc::clone(&keystore),
             stride: SHARD_KEY_STRIDE,
             replica_base: key_base::REPLICA,
+            n: cfg.base.spire.total_replicas(),
             client: ClientId(COORD_CLIENT_ID),
             f: cfg.base.spire.f,
             mock: cfg.base.mock_sigs,
@@ -180,11 +181,21 @@ impl Deployment {
             .map(|parts| {
                 let daemon = parts.external.daemon_pid(OverlayId(parts.hmi_site));
                 GroupLink {
-                    port: SpinesPort::new(daemon, parts.client_addrs[&COORD_CLIENT_ID]),
+                    routing: ClientRouting::Spines {
+                        port: SpinesPort::new(daemon, parts.client_addrs[&COORD_CLIENT_ID]),
+                        addrs: parts.replica_addrs.clone(),
+                        mode: Dissemination::Flood,
+                    },
                     signer: Signer::new(
                         material.signing_key(NodeId(parts.prime.client_key_base + COORD_CLIENT_ID)),
                         cfg.base.mock_sigs,
                     ),
+                    keys: ReplicaKeys {
+                        keystore: Arc::clone(&keystore),
+                        key_base: parts.prime.replica_key_base,
+                        n: parts.prime.n,
+                        mock: cfg.base.mock_sigs,
+                    },
                 }
             })
             .collect();

@@ -8,7 +8,9 @@
 //! protocol layer (Prime messages and envelopes, Spines overlay messages,
 //! SCADA ops, Modbus device frames, cross-shard payloads, KV ops); each is
 //! run through a seeded stream of random mutations and fed to every
-//! decoder. Seeded, so a failure reproduces.
+//! decoder — and to the one handler every client shares, a
+//! [`ClientSession`], bare and as an overlay delivery: it must not panic
+//! and must accept nothing. Seeded, so a failure reproduces.
 
 mod common;
 
@@ -16,10 +18,17 @@ use bytes::Bytes;
 use common::full_corpus;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use spire_prime::{decode_enclosed, KvOp, KvReply, PrimeMsg, ReplyCert};
+use spire_crypto::keys::{KeyMaterial, Signer};
+use spire_crypto::{KeyStore, NodeId};
+use spire_prime::{
+    decode_enclosed, ClientId, ClientRouting, ClientSession, KvOp, KvReply, PrimeConfig, PrimeMsg,
+    ReplyCert,
+};
 use spire_scada::{ModbusFrame, ScadaOp};
 use spire_shard::ShardMsg;
-use spire_spines::OverlayMsg;
+use spire_sim::{Context, LinkConfig, Process, ProcessId, Span, World};
+use spire_spines::{Dissemination, OverlayAddr, OverlayId, OverlayMsg, SpinesPort};
+use std::sync::Arc;
 
 /// One random mutation of `frame`: bit flip, truncation, extension,
 /// random splice, or full replacement.
@@ -89,19 +98,105 @@ fn whole_corpus() -> impl Iterator<Item = Bytes> {
     full_corpus().into_iter().flat_map(|(_, frames)| frames)
 }
 
+/// Every corpus frame and 400 seeded mutations of each (fixed seed: a
+/// failing mutation reproduces).
+fn mutated_corpus() -> impl Iterator<Item = Bytes> {
+    let mut rng = StdRng::seed_from_u64(0xDEC0DE);
+    whole_corpus().flat_map(move |frame| {
+        let mangled: Vec<Bytes> = (0..400)
+            .map(|_| Bytes::from(mutate(&mut rng, &frame)))
+            .collect();
+        std::iter::once(frame).chain(mangled)
+    })
+}
+
 #[test]
 fn decoders_are_total_under_mutation() {
-    let corpus: Vec<Bytes> = whole_corpus().collect();
-    // Fixed seed: a failing mutation reproduces. 400 mutations per corpus
-    // frame, each fed to every decoder.
-    let mut rng = StdRng::seed_from_u64(0xDEC0DE);
-    for frame in &corpus {
-        decode_everything(frame);
-        for _ in 0..400 {
-            let mangled = mutate(&mut rng, frame);
-            decode_everything(&mangled);
+    for frame in mutated_corpus() {
+        decode_everything(&frame);
+    }
+}
+
+/// Client 7 — the client the corpus's `Reply` and `Notify` name — with an
+/// operation outstanding under the `cseq` that `Reply` carries, fed every
+/// frame twice: as it is over direct links, and wrapped in a delivery from
+/// its daemon over an overlay port.
+struct FuzzedClient {
+    direct: ClientSession,
+    overlay: ClientSession,
+    daemon: ProcessId,
+    frames: Vec<Bytes>,
+}
+
+impl Process for FuzzedClient {
+    fn on_start(&mut self, ctx: &mut Context<'_>) {
+        for _ in 0..3 {
+            self.direct.submit(ctx, Bytes::from_static(b"op"));
+            self.overlay.submit(ctx, Bytes::from_static(b"op"));
+        }
+        for frame in std::mem::take(&mut self.frames) {
+            let wrapped = OverlayMsg::ClientDeliver {
+                src: OverlayId(0),
+                src_port: 100,
+                payload: frame.clone(),
+            };
+            let accepted = [
+                self.direct.on_message(ctx, self.daemon, &frame),
+                self.overlay.on_message(ctx, self.daemon, &wrapped.encode()),
+            ];
+            assert_eq!(accepted, [None, None], "accepted {frame:?}");
+            ctx.count("fuzz.fed", 1);
         }
     }
+
+    fn on_message(&mut self, _ctx: &mut Context<'_>, _from: ProcessId, _bytes: &Bytes) {}
+}
+
+/// No byte sequence from the network can panic the handler or make it
+/// accept anything: the corpus signatures are filler, and nothing a
+/// mutation produces verifies under a replica's key.
+#[test]
+fn the_client_session_is_total_and_accepts_nothing_under_mutation() {
+    let cfg = PrimeConfig::new(1, 1);
+    let material = KeyMaterial::new([0x55u8; 32]);
+    let keystore = Arc::new(KeyStore::for_nodes(&material, 3000));
+    let daemon = ProcessId(0);
+    let session = |routing| {
+        let key = material.signing_key(NodeId(cfg.client_key_base + 7));
+        let signer = Signer::new(key, false);
+        ClientSession::new(&cfg, ClientId(7), signer, routing, Arc::clone(&keystore))
+    };
+    let addr = OverlayAddr {
+        node: OverlayId(1),
+        port: 40,
+    };
+    let frames: Vec<Bytes> = mutated_corpus().collect();
+    let fed = frames.len() as u64;
+    let client = FuzzedClient {
+        direct: session(ClientRouting::Direct(vec![daemon])),
+        overlay: session(ClientRouting::Spines {
+            port: SpinesPort::new(daemon, addr),
+            addrs: Vec::new(),
+            mode: Dissemination::Flood,
+        }),
+        daemon,
+        frames,
+    };
+    let mut world = World::new(1);
+    struct Deaf;
+    impl Process for Deaf {
+        fn on_message(&mut self, _ctx: &mut Context<'_>, _from: ProcessId, _bytes: &Bytes) {}
+    }
+    assert_eq!(world.add_process("daemon", Box::new(Deaf)), daemon);
+    let client = world.add_process("client", Box::new(client));
+    world.add_link(daemon, client, LinkConfig::local());
+    world.run_for(Span::millis(1));
+    let m = world.metrics();
+    assert_eq!(m.counter("fuzz.fed"), fed);
+    // Both sessions saw the corpus's own `Reply` and `Notify` to client 7,
+    // plain and inside envelopes, and rejected their filler signatures.
+    assert!(m.counter("client.bad_reply_auth") >= 4);
+    assert_eq!(m.counter("client.quorums"), 0);
 }
 
 #[test]

@@ -45,6 +45,12 @@ fn a_confirmed_operation_costs_at_most_300_messages() {
     let confirmed = report.updates_confirmed + report.commands_actuated;
     let per_op = metrics.counter("sim.delivered") as f64 / confirmed as f64;
     assert!(per_op <= 300.0, "{per_op:.1} messages per confirmed op");
+    // What authenticating replies costs a client: the f + 1 = 2 votes that
+    // decide a quorum are checked, the other replicas' go unread.
+    let quorums = metrics.counter("client.quorums");
+    assert!(quorums >= confirmed, "{quorums} client quorums");
+    assert!(metrics.counter("client.verify_ops") <= 2 * quorums);
+    assert_eq!(metrics.counter("client.bad_reply_auth"), 0);
 }
 
 /// Every message the substrate delivered is a device↔proxy frame or is

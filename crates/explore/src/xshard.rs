@@ -182,6 +182,7 @@ impl Model for XHarness {
                 keystore: self.keystore.clone(),
                 stride: SHARD_KEY_STRIDE,
                 replica_base: REPLICA_BASE,
+                n: scenario.reps,
                 client: ClientId(COORD_CLIENT_ID),
                 f: scenario.f,
                 mock: true,

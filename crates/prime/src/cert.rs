@@ -18,11 +18,10 @@
 use std::collections::BTreeSet;
 
 use bytes::Bytes;
-use spire_crypto::{KeyStore, NodeId};
-use spire_sim::{impl_wire, Counted, Wire, WireError, WireWriter};
+use spire_sim::{impl_wire, Counted, Wire, WireError};
 
+use crate::client::{ReplicaKeys, Vote, VoteKind};
 use crate::config::ClientId;
-use crate::msg::{decode_frame, Frame, PrimeMsg};
 
 /// Upper bound on frames carried by one certificate (a quorum needs only
 /// `f + 1`; anything larger is a malformed or hostile encoding).
@@ -43,74 +42,22 @@ impl_wire!(struct ReplyCert { result, frames as Counted<u8, MAX_CERT_FRAMES> });
 
 impl ReplyCert {
     /// Verifies the certificate: at least `f + 1` *distinct* replicas of
-    /// the issuing group (keys at `replica_key_base + id`) produced an
-    /// authentic `Reply` to `client` carrying exactly `self.result`.
+    /// the issuing group (`keys`) produced an authentic `Reply` to `client`
+    /// carrying exactly `self.result` — the same author check a client
+    /// session applies to each vote ([`ReplicaKeys::authentic`]).
     /// Unparseable, mismatched, or badly-signed frames are skipped rather
     /// than fatal — an attacker padding a valid certificate with junk
     /// must not invalidate it.
-    pub fn verify(
-        &self,
-        keystore: &KeyStore,
-        replica_key_base: u32,
-        client: ClientId,
-        f: u32,
-        mock: bool,
-    ) -> bool {
-        let mut scratch = WireWriter::with_capacity(256);
-        let mut seen: BTreeSet<u32> = BTreeSet::new();
-        for raw in &self.frames {
-            match decode_frame(raw) {
-                Ok(Frame::Plain(msg)) => {
-                    if let PrimeMsg::Reply {
-                        replica,
-                        client: c,
-                        result,
-                        ..
-                    } = &msg
-                    {
-                        if *c == client
-                            && *result == self.result
-                            && msg.verify_sig_with(
-                                keystore,
-                                NodeId(replica_key_base + replica.0),
-                                mock,
-                                &mut scratch,
-                            )
-                        {
-                            seen.insert(replica.0);
-                        }
-                    }
-                }
-                Ok(Frame::Batched {
-                    signer,
-                    attestation,
-                    msg,
-                    msg_digest,
-                }) => {
-                    if let PrimeMsg::Reply {
-                        replica,
-                        client: c,
-                        result,
-                        ..
-                    } = &msg
-                    {
-                        if signer == *replica
-                            && *c == client
-                            && *result == self.result
-                            && attestation.verify(
-                                keystore,
-                                NodeId(replica_key_base + replica.0),
-                                &msg_digest,
-                                mock,
-                            )
-                        {
-                            seen.insert(replica.0);
-                        }
-                    }
-                }
-                Err(_) => continue,
-            }
-        }
+    pub fn verify(&self, keys: &ReplicaKeys, client: ClientId, f: u32) -> bool {
+        let replies = self
+            .frames
+            .iter()
+            .filter_map(|raw| Vote::decode(raw, client));
+        let seen: BTreeSet<u32> = replies
+            .filter(|v| v.kind == VoteKind::Reply && v.payload == self.result)
+            .filter(|v| keys.authentic(v))
+            .map(|v| v.replica.0)
+            .collect();
         seen.len() > f as usize
     }
 
@@ -129,14 +76,23 @@ impl ReplyCert {
 mod tests {
     use super::*;
     use crate::config::ReplicaId;
+    use crate::msg::PrimeMsg;
     use spire_crypto::keys::{KeyMaterial, Signer};
+    use spire_crypto::{KeyStore, NodeId};
+    use spire_sim::WireWriter;
+    use std::sync::Arc;
 
     const BASE: u32 = 1000;
 
-    fn store(n: u32) -> (KeyMaterial, KeyStore) {
+    fn store(n: u32) -> (KeyMaterial, ReplicaKeys) {
         let material = KeyMaterial::new([9u8; 32]);
-        let store = KeyStore::for_nodes(&material, n);
-        (material, store)
+        let keys = ReplicaKeys {
+            keystore: Arc::new(KeyStore::for_nodes(&material, n)),
+            key_base: BASE,
+            n: 4,
+            mock: true,
+        };
+        (material, keys)
     }
 
     fn signed_reply(material: &KeyMaterial, replica: u32, result: &[u8]) -> Bytes {
@@ -165,44 +121,57 @@ mod tests {
 
     #[test]
     fn quorum_of_plain_replies_verifies() {
-        let (material, store) = store(2048);
+        let (material, keys) = store(2048);
         let cert = ReplyCert {
             result: Bytes::from_static(b"ok"),
             frames: (0..2).map(|r| signed_reply(&material, r, b"ok")).collect(),
         };
-        assert!(cert.verify(&store, BASE, ClientId(7), 1, true));
+        assert!(cert.verify(&keys, ClientId(7), 1));
+    }
+
+    /// Signatures that verify under keys the store holds — a client's, at
+    /// `BASE + 1000` — count for nobody: those ids are past the group.
+    #[test]
+    fn ids_past_the_group_size_name_no_replica() {
+        let (material, keys) = store(2048);
+        let frames = (1000..1002).map(|r| signed_reply(&material, r, b"ok"));
+        let cert = ReplyCert {
+            result: Bytes::from_static(b"ok"),
+            frames: frames.collect(),
+        };
+        assert!(!cert.verify(&keys, ClientId(7), 1));
     }
 
     #[test]
     fn duplicate_replicas_do_not_count_twice() {
-        let (material, store) = store(2048);
+        let (material, keys) = store(2048);
         let frame = signed_reply(&material, 0, b"ok");
         let cert = ReplyCert {
             result: Bytes::from_static(b"ok"),
             frames: vec![frame.clone(), frame],
         };
-        assert!(!cert.verify(&store, BASE, ClientId(7), 1, true));
+        assert!(!cert.verify(&keys, ClientId(7), 1));
     }
 
     #[test]
     fn mismatched_result_rejected() {
-        let (material, store) = store(2048);
+        let (material, keys) = store(2048);
         let cert = ReplyCert {
             result: Bytes::from_static(b"other"),
             frames: (0..2).map(|r| signed_reply(&material, r, b"ok")).collect(),
         };
-        assert!(!cert.verify(&store, BASE, ClientId(7), 1, true));
+        assert!(!cert.verify(&keys, ClientId(7), 1));
     }
 
     #[test]
     fn junk_frames_are_skipped_not_fatal() {
-        let (material, store) = store(2048);
+        let (material, keys) = store(2048);
         let mut frames = vec![Bytes::from_static(&[0xde, 0xad])];
         frames.extend((0..2).map(|r| signed_reply(&material, r, b"ok")));
         let cert = ReplyCert {
             result: Bytes::from_static(b"ok"),
             frames,
         };
-        assert!(cert.verify(&store, BASE, ClientId(7), 1, true));
+        assert!(cert.verify(&keys, ClientId(7), 1));
     }
 }

@@ -41,7 +41,7 @@ pub mod replica;
 pub use application::{Application, CounterApp, ExecResult, HashChainApp, Notification};
 pub use behavior::ByzBehavior;
 pub use cert::ReplyCert;
-pub use client::TestClient;
+pub use client::{Accepted, ClientRouting, ClientSession, ReplicaKeys, TestClient};
 pub use config::{ClientId, PrimeConfig, ProtocolMode, ReplicaId};
 pub use inspect::Inspection;
 pub use kv::{KvApp, KvOp, KvReply};

@@ -779,9 +779,9 @@ pub fn decode_frame(bytes: &[u8]) -> Result<Frame, WireError> {
 }
 
 /// Decodes a frame and returns the enclosed message, discarding any batch
-/// attestation. For client-side receivers (proxies, HMIs, historians),
-/// which authenticate results by collecting `f + 1` matching replies
-/// rather than by checking individual replica signatures.
+/// attestation — for callers that read content and believe nothing (models,
+/// measurement harnesses). A client acting on replies goes through
+/// [`crate::ClientSession`], which keeps the attestation and checks it.
 pub fn decode_enclosed(bytes: &[u8]) -> Result<PrimeMsg, WireError> {
     Ok(match decode_frame(bytes)? {
         Frame::Plain(msg) => msg,

@@ -6,10 +6,9 @@
 use bytes::Bytes;
 use spire_crypto::keys::Signer;
 use spire_crypto::{KeyMaterial, KeyStore, NodeId};
-use spire_prime::client::ClientRouting;
 use spire_prime::{
-    ByzBehavior, ClientId, CounterApp, HashChainApp, Inspection, PrimeConfig, ProtocolMode,
-    Replica, ReplicaId, TestClient,
+    ByzBehavior, ClientId, ClientRouting, ClientSession, CounterApp, HashChainApp, Inspection,
+    PrimeConfig, ProtocolMode, Replica, ReplicaId, TestClient,
 };
 use spire_sim::{LinkConfig, ProcessId, Span, World};
 use std::sync::Arc;
@@ -95,15 +94,14 @@ fn add_client(cluster: &mut Cluster, id: u32, interval: Span, count: u64) -> Pro
             .signing_key(NodeId(cluster.cfg.client_key_base + id)),
         false,
     );
-    let client = TestClient::new(
-        cluster.cfg.clone(),
+    let session = ClientSession::new(
+        &cluster.cfg,
         ClientId(id),
         signer,
         ClientRouting::Direct(cluster.replica_pids.clone()),
-        interval,
-        count,
-        &format!("client{id}"),
+        Arc::clone(&cluster.keystore),
     );
+    let client = TestClient::new(session, interval, count, &format!("client{id}"));
     let pid = cluster
         .world
         .add_process(&format!("client-{id}"), Box::new(client));
@@ -181,15 +179,14 @@ fn build_cluster_with_clients_inner(
             material.signing_key(NodeId(cfg.client_key_base + id)),
             mock_sigs,
         );
-        let client = TestClient::new(
-            cfg.clone(),
+        let session = ClientSession::new(
+            &cfg,
             ClientId(*id),
             signer,
             ClientRouting::Direct(replica_pids.clone()),
-            *interval,
-            *count,
-            &format!("client{id}"),
+            Arc::clone(&keystore),
         );
+        let client = TestClient::new(session, *interval, *count, &format!("client{id}"));
         let pid = world.add_process(&format!("client-{id}"), Box::new(client));
         assert_eq!(pid, client_pids[id]);
     }

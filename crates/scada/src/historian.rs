@@ -8,7 +8,7 @@
 
 use crate::master::notify_kind;
 use bytes::Bytes;
-use spire_prime::{ClientId, PrimeConfig, PrimeMsg};
+use spire_prime::{Accepted, ClientSession};
 use spire_sim::{Context, Process, ProcessId, Time, WireReader};
 use std::sync::{Arc, Mutex};
 
@@ -76,56 +76,30 @@ impl Archive {
 
 /// The historian process.
 pub struct Historian {
-    cfg: PrimeConfig,
-    client_id: ClientId,
+    session: ClientSession,
     archive: Archive,
-    votes: crate::proxy::QuorumTracker,
 }
 
 impl Historian {
-    /// Creates a historian with the given Prime client identity. Register
-    /// its client id in the [`crate::master::ScadaDirectory`] `hmis` list so
+    /// Creates a historian listening on `session`. Register the session's
+    /// client id in the [`crate::master::ScadaDirectory`] `hmis` list so
     /// the masters push it events.
-    pub fn new(cfg: PrimeConfig, client_id: ClientId, archive: Archive) -> Historian {
-        Historian {
-            cfg,
-            client_id,
-            archive,
-            votes: Default::default(),
-        }
+    pub fn new(session: ClientSession, archive: Archive) -> Historian {
+        Historian { session, archive }
     }
 }
 
 impl Process for Historian {
-    fn on_message(&mut self, ctx: &mut Context<'_>, _from: ProcessId, bytes: &Bytes) {
-        // Accept both direct and overlay-wrapped deliveries.
-        let payload = match spire_spines::SpinesPort::decode_deliver(bytes) {
-            Some((_, payload)) => payload,
-            None => bytes.clone(),
-        };
-        let Ok(PrimeMsg::Notify {
-            replica,
-            client,
-            nseq,
-            payload,
-            ..
-        }) = spire_prime::decode_enclosed(&payload)
+    fn on_start(&mut self, ctx: &mut Context<'_>) {
+        self.session.start(ctx);
+    }
+
+    fn on_message(&mut self, ctx: &mut Context<'_>, from: ProcessId, bytes: &Bytes) {
+        let Some(Accepted::Notify { payload, .. }) = self.session.on_message(ctx, from, bytes)
         else {
             return;
         };
-        if client != self.client_id {
-            return;
-        }
-        let quorum = (self.cfg.f + 1) as usize;
-        let fired = self.votes.vote(nseq, replica.0, &payload, quorum);
-        let conflicts = self.votes.take_conflicts();
-        if conflicts > 0 {
-            ctx.count("scada.conflicting_accept", conflicts);
-        }
-        let Some(agreed) = fired else {
-            return;
-        };
-        let mut r = WireReader::new(&agreed);
+        let mut r = WireReader::new(&payload);
         let Ok(kind) = r.u8() else { return };
         if kind != notify_kind::BREAKER_EVENT {
             return;

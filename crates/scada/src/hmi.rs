@@ -5,70 +5,55 @@ use crate::master::notify_kind;
 use crate::op::{CommandAction, ScadaOp};
 use bytes::Bytes;
 use rand::Rng;
-use spire_crypto::keys::Signer;
-use spire_prime::client::ClientRouting;
-use spire_prime::{ClientId, ClientOp, PrimeConfig, PrimeMsg};
+use spire_prime::{Accepted, ClientSession};
 use spire_sim::{span_key, Context, Process, ProcessId, Span, SpanPhase, Time};
-use std::collections::BTreeMap;
 
 const TIMER_COMMAND: u64 = 1;
 const TIMER_POLL: u64 = 2;
 
 /// An HMI operator console process.
 pub struct Hmi {
-    cfg: PrimeConfig,
-    client_id: ClientId,
-    signer: Signer,
-    routing: ClientRouting,
+    session: ClientSession,
     /// RTUs the operator cycles commands through.
     targets: Vec<u32>,
     command_interval: Span,
     max_commands: u64,
     poll_interval: Span,
+    /// Width of the offset drawn onto each command's grid instant: the
+    /// masters' summary interval (see `arm_command_timer`).
+    phase_window: Span,
     /// Grid instant of the command being waited for.
     next_command: Time,
 
-    cseq: u64,
     issued: u64,
     next_target: usize,
     breaker_open: bool,
-    sent_at: BTreeMap<u64, Time>,
     poll_cseqs: std::collections::BTreeSet<u64>,
-    replies: crate::proxy::QuorumTracker,
-    alarms: crate::proxy::QuorumTracker,
 }
 
 impl Hmi {
     /// Creates an HMI issuing a command every `command_interval` to the
     /// given RTUs, alternating open/close (0 `max_commands` = unlimited).
-    #[allow(clippy::too_many_arguments)]
+    /// `phase_window` is the masters' `summary_interval`.
     pub fn new(
-        cfg: PrimeConfig,
-        client_id: ClientId,
-        signer: Signer,
-        routing: ClientRouting,
+        session: ClientSession,
         targets: Vec<u32>,
         command_interval: Span,
         max_commands: u64,
+        phase_window: Span,
     ) -> Hmi {
         Hmi {
-            cfg,
-            client_id,
-            signer,
-            routing,
+            session,
             targets,
             command_interval,
             max_commands,
             poll_interval: Span::ZERO,
+            phase_window,
             next_command: Time(0),
-            cseq: 0,
             issued: 0,
             next_target: 0,
             breaker_open: true,
-            sent_at: BTreeMap::new(),
             poll_cseqs: Default::default(),
-            replies: Default::default(),
-            alarms: Default::default(),
         }
     }
 
@@ -90,7 +75,7 @@ impl Hmi {
     /// its pre-ordering round with, stay as they were.
     fn arm_command_timer(&mut self, ctx: &mut Context<'_>) {
         self.next_command = Time(self.next_command.0 + self.command_interval.0);
-        let offset = ctx.rng().gen_range(0..=self.cfg.summary_interval.0);
+        let offset = ctx.rng().gen_range(0..=self.phase_window.0);
         let at = self.next_command.0 + offset;
         ctx.set_timer(Span(at.saturating_sub(ctx.now().0)), TIMER_COMMAND);
     }
@@ -101,12 +86,8 @@ impl Hmi {
         }
         let rtu = self.targets[self.next_target % self.targets.len()];
         let op = ScadaOp::ReadState { rtu };
-        self.cseq += 1;
-        let client_op = ClientOp::signed(self.client_id, self.cseq, op.encode(), &self.signer);
-        let msg = PrimeMsg::Op(client_op).encode();
-        self.sent_at.insert(self.cseq, ctx.now());
-        self.poll_cseqs.insert(self.cseq);
-        self.routing.send_all(ctx, msg);
+        let cseq = self.session.submit(ctx, op.encode());
+        self.poll_cseqs.insert(cseq);
         ctx.count("hmi.polls_sent", 1);
     }
 
@@ -127,22 +108,17 @@ impl Hmi {
             ts_us: ctx.now().0,
             action,
         };
-        self.cseq += 1;
         self.issued += 1;
-        let client_op = ClientOp::signed(self.client_id, self.cseq, op.encode(), &self.signer);
-        let msg = PrimeMsg::Op(client_op).encode();
-        self.sent_at.insert(self.cseq, ctx.now());
-        ctx.span_mark(span_key(self.client_id.0, self.cseq), SpanPhase::Submit);
-        self.routing.send_all(ctx, msg);
+        let span = span_key(self.session.id().0, self.session.next_cseq());
+        ctx.span_mark(span, SpanPhase::Submit);
+        self.session.submit(ctx, op.encode());
         ctx.count("hmi.commands_sent", 1);
     }
 }
 
 impl Process for Hmi {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
-        if let ClientRouting::Spines { port, .. } = &self.routing {
-            port.attach(ctx);
-        }
+        self.session.start(ctx);
         if self.command_interval.0 > 0 {
             self.next_command = ctx.now();
             self.arm_command_timer(ctx);
@@ -152,66 +128,25 @@ impl Process for Hmi {
         }
     }
 
-    fn on_message(&mut self, ctx: &mut Context<'_>, _from: ProcessId, bytes: &Bytes) {
-        let payload = match &self.routing {
-            ClientRouting::Direct(_) => bytes.clone(),
-            ClientRouting::Spines { .. } => match spire_spines::SpinesPort::decode_deliver(bytes) {
-                Some((_, payload)) => payload,
-                None => return,
-            },
-        };
-        let Ok(msg) = spire_prime::decode_enclosed(&payload) else {
-            return;
-        };
-        let quorum = (self.cfg.f + 1) as usize;
-        match msg {
-            PrimeMsg::Reply {
-                replica,
-                client,
-                cseq,
-                result,
-                ..
-            } if client == self.client_id
-                && self
-                    .replies
-                    .vote(cseq, replica.0, &result, quorum)
-                    .is_some() =>
-            {
-                let is_poll = self.poll_cseqs.remove(&cseq);
-                if let Some(sent) = self.sent_at.remove(&cseq) {
-                    let latency = ctx.now().since(sent).as_millis_f64();
-                    let name = if is_poll {
-                        "hmi.poll_latency_ms"
-                    } else {
-                        "hmi.command_ack_ms"
-                    };
-                    ctx.record(name, latency);
-                }
-                if is_poll {
+    fn on_message(&mut self, ctx: &mut Context<'_>, from: ProcessId, bytes: &Bytes) {
+        match self.session.on_message(ctx, from, bytes) {
+            Some(Accepted::Reply { cseq, sent, .. }) => {
+                let latency = ctx.now().since(sent).as_millis_f64();
+                if self.poll_cseqs.remove(&cseq) {
+                    ctx.record("hmi.poll_latency_ms", latency);
                     ctx.count("hmi.polls_acked", 1);
                 } else {
-                    ctx.span_mark(span_key(self.client_id.0, cseq), SpanPhase::Confirm);
+                    ctx.record("hmi.command_ack_ms", latency);
+                    ctx.span_mark(span_key(self.session.id().0, cseq), SpanPhase::Confirm);
                     ctx.count("hmi.commands_acked", 1);
                 }
             }
-            PrimeMsg::Notify {
-                replica,
-                client,
-                nseq,
-                payload,
-                ..
-            } if client == self.client_id => {
-                if let Some(agreed) = self.alarms.vote(nseq, replica.0, &payload, quorum) {
-                    if agreed.first() == Some(&notify_kind::BREAKER_EVENT) {
-                        ctx.count("hmi.alarms", 1);
-                    }
-                }
+            Some(Accepted::Notify { payload, .. })
+                if payload.first() == Some(&notify_kind::BREAKER_EVENT) =>
+            {
+                ctx.count("hmi.alarms", 1);
             }
             _ => {}
-        }
-        let conflicts = self.replies.take_conflicts() + self.alarms.take_conflicts();
-        if conflicts > 0 {
-            ctx.count("scada.conflicting_accept", conflicts);
         }
     }
 
@@ -233,7 +168,7 @@ impl Process for Hmi {
 impl std::fmt::Debug for Hmi {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Hmi")
-            .field("client", &self.client_id)
+            .field("session", &self.session)
             .field("issued", &self.issued)
             .finish()
     }
@@ -242,24 +177,25 @@ impl std::fmt::Debug for Hmi {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spire_crypto::keys::KeyMaterial;
-    use spire_crypto::NodeId;
+    use spire_crypto::keys::{KeyMaterial, Signer};
+    use spire_crypto::{KeyStore, NodeId};
+    use spire_prime::{ClientId, ClientRouting, PrimeConfig};
     use spire_sim::World;
+    use std::sync::Arc;
 
     /// The instants (µs) at which a lone HMI issued its commands.
     fn command_instants(interval: Span, run: Span) -> (Vec<u64>, PrimeConfig) {
         let cfg = PrimeConfig::new(1, 0);
         let signer = Signer::new(KeyMaterial::new([7u8; 32]).signing_key(NodeId(9)), true);
         let routing = ClientRouting::Direct(Vec::new());
-        let hmi = Hmi::new(
-            cfg.clone(),
+        let session = ClientSession::new(
+            &cfg,
             ClientId(9),
             signer,
             routing,
-            vec![0],
-            interval,
-            0,
+            Arc::new(KeyStore::new()),
         );
+        let hmi = Hmi::new(session, vec![0], interval, 0, cfg.summary_interval);
         let mut world = World::new(3);
         world.add_process("hmi", Box::new(hmi));
         let mut instants = Vec::new();

@@ -3,108 +3,24 @@
 //! Upstream, it wraps device reports as signed Prime client operations;
 //! downstream, it actuates a supervisory command on the device only after
 //! `f + 1` replicas push matching command notifications — so up to `f`
-//! compromised masters cannot actuate anything on their own.
+//! compromised masters cannot actuate anything on their own. Submitting,
+//! authenticating each vote and counting to `f + 1` are its
+//! [`ClientSession`]'s; the device bridge and the `scada.*` metrics are
+//! what is left here.
 
 use crate::master::notify_kind;
 use crate::modbus::ModbusFrame;
 use crate::op::ScadaOp;
 use bytes::Bytes;
-use spire_crypto::keys::Signer;
-use spire_prime::client::ClientRouting;
-use spire_prime::{ClientId, ClientOp, PrimeConfig, PrimeMsg};
-use spire_sim::{span_key, Context, Process, ProcessId, SpanPhase, Time, WireReader};
-use std::collections::BTreeMap;
-
-/// Collects per-key votes from replicas and fires once `quorum` of them
-/// agree on identical bytes.
-///
-/// After a key fires, votes keep being tallied: if a *different* value
-/// later gathers a full quorum for the same key, two disjoint quorums
-/// accepted conflicting values — impossible with at most `f` faults, so
-/// it is recorded as a conflict and surfaced to the invariant checker
-/// via `take_conflicts`.
-#[derive(Clone, Debug, Default)]
-pub struct QuorumTracker {
-    votes: BTreeMap<u64, BTreeMap<u32, Vec<u8>>>,
-    /// key -> hash of the payload that won, once fired.
-    fired: BTreeMap<u64, u64>,
-    conflicts: u64,
-}
-
-/// FNV-1a, enough to distinguish the fired payload without storing it.
-fn payload_hash(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-impl QuorumTracker {
-    /// Records a vote; returns the agreed payload the first time `quorum`
-    /// matching votes exist for `key`.
-    pub fn vote(
-        &mut self,
-        key: u64,
-        replica: u32,
-        payload: &[u8],
-        quorum: usize,
-    ) -> Option<Vec<u8>> {
-        let votes = self.votes.entry(key).or_default();
-        votes.insert(replica, payload.to_vec());
-        let mut tallies: BTreeMap<&[u8], usize> = BTreeMap::new();
-        for v in votes.values() {
-            *tallies.entry(v.as_slice()).or_insert(0) += 1;
-        }
-        let winner = tallies
-            .into_iter()
-            .find(|(_, count)| *count >= quorum)
-            .map(|(payload, _)| payload.to_vec());
-        if let Some(decided) = self.fired.get(&key).copied() {
-            // Already decided: watch for a second, conflicting quorum.
-            if let Some(payload) = winner {
-                if payload_hash(&payload) != decided {
-                    self.conflicts += 1;
-                }
-                self.votes.remove(&key);
-            }
-            return None;
-        }
-        if let Some(payload) = winner {
-            self.fired.insert(key, payload_hash(&payload));
-            self.votes.remove(&key);
-            // Bound memory.
-            if self.fired.len() > 100_000 {
-                let first = *self.fired.keys().next().unwrap();
-                self.fired.remove(&first);
-            }
-            return Some(payload);
-        }
-        None
-    }
-
-    /// Drains the count of conflicting quorum decisions observed since
-    /// the last call (each is a client-visible safety violation).
-    pub fn take_conflicts(&mut self) -> u64 {
-        std::mem::take(&mut self.conflicts)
-    }
-}
+use spire_prime::{Accepted, ClientSession};
+use spire_sim::{span_key, Context, Process, ProcessId, SpanPhase, WireReader};
 
 /// The RTU proxy process.
 pub struct RtuProxy {
-    cfg: PrimeConfig,
+    session: ClientSession,
     /// The RTU this proxy serves.
     pub rtu_id: u32,
-    client_id: ClientId,
-    signer: Signer,
-    routing: ClientRouting,
     device: ProcessId,
-
-    cseq: u64,
-    sent_at: BTreeMap<u64, Time>,
-    replies: QuorumTracker,
-    notifies: QuorumTracker,
     txn: u16,
     /// Precomputed per-shard metric keys (sharded deployments only) —
     /// emitted alongside the global `scada.*` series.
@@ -119,26 +35,13 @@ struct ScopedKeys {
 }
 
 impl RtuProxy {
-    /// Creates a proxy for `rtu_id`, bridging `device` to the replicas.
-    pub fn new(
-        cfg: PrimeConfig,
-        rtu_id: u32,
-        client_id: ClientId,
-        signer: Signer,
-        routing: ClientRouting,
-        device: ProcessId,
-    ) -> RtuProxy {
+    /// Creates a proxy for `rtu_id`, bridging `device` to the replicas
+    /// `session` talks to.
+    pub fn new(session: ClientSession, rtu_id: u32, device: ProcessId) -> RtuProxy {
         RtuProxy {
-            cfg,
+            session,
             rtu_id,
-            client_id,
-            signer,
-            routing,
             device,
-            cseq: 0,
-            sent_at: BTreeMap::new(),
-            replies: QuorumTracker::default(),
-            notifies: QuorumTracker::default(),
             txn: 0,
             scoped: None,
         }
@@ -157,19 +60,6 @@ impl RtuProxy {
         self
     }
 
-    fn submit(&mut self, ctx: &mut Context<'_>, op: ScadaOp) {
-        self.cseq += 1;
-        let client_op = ClientOp::signed(self.client_id, self.cseq, op.encode(), &self.signer);
-        let msg = PrimeMsg::Op(client_op).encode();
-        self.sent_at.insert(self.cseq, ctx.now());
-        ctx.span_mark(span_key(self.client_id.0, self.cseq), SpanPhase::Submit);
-        self.routing.send_all(ctx, msg);
-        ctx.count("scada.updates_sent", 1);
-        if let Some(scoped) = &self.scoped {
-            ctx.count(&scoped.sent, 1);
-        }
-    }
-
     fn on_device_frame(&mut self, ctx: &mut Context<'_>, frame: ModbusFrame) {
         match frame {
             ModbusFrame::Report {
@@ -183,66 +73,18 @@ impl RtuProxy {
                     registers,
                     breakers: coils,
                 };
-                self.submit(ctx, op);
+                let span = span_key(self.session.id().0, self.session.next_cseq());
+                ctx.span_mark(span, SpanPhase::Submit);
+                self.session.submit(ctx, op.encode());
+                ctx.count("scada.updates_sent", 1);
+                if let Some(scoped) = &self.scoped {
+                    ctx.count(&scoped.sent, 1);
+                }
             }
             ModbusFrame::WriteAck { .. } => {
                 ctx.count("scada.device_acks", 1);
             }
             _ => {}
-        }
-    }
-
-    fn on_prime_msg(&mut self, ctx: &mut Context<'_>, msg: PrimeMsg) {
-        let quorum = (self.cfg.f + 1) as usize;
-        match msg {
-            PrimeMsg::Reply {
-                replica,
-                client,
-                cseq,
-                result,
-                ..
-            } => {
-                if client != self.client_id {
-                    return;
-                }
-                if self
-                    .replies
-                    .vote(cseq, replica.0, &result, quorum)
-                    .is_some()
-                {
-                    if let Some(sent) = self.sent_at.remove(&cseq) {
-                        let latency = ctx.now().since(sent).as_millis_f64();
-                        ctx.record("scada.update_latency_ms", latency);
-                        if let Some(scoped) = &self.scoped {
-                            ctx.record(&scoped.latency, latency);
-                        }
-                    }
-                    ctx.span_mark(span_key(self.client_id.0, cseq), SpanPhase::Confirm);
-                    ctx.count("scada.updates_confirmed", 1);
-                    if let Some(scoped) = &self.scoped {
-                        ctx.count(&scoped.confirmed, 1);
-                    }
-                }
-            }
-            PrimeMsg::Notify {
-                replica,
-                client,
-                nseq,
-                payload,
-                ..
-            } => {
-                if client != self.client_id {
-                    return;
-                }
-                if let Some(agreed) = self.notifies.vote(nseq, replica.0, &payload, quorum) {
-                    self.actuate(ctx, &agreed);
-                }
-            }
-            _ => {}
-        }
-        let conflicts = self.replies.take_conflicts() + self.notifies.take_conflicts();
-        if conflicts > 0 {
-            ctx.count("scada.conflicting_accept", conflicts);
         }
     }
 
@@ -297,9 +139,7 @@ impl RtuProxy {
 
 impl Process for RtuProxy {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
-        if let ClientRouting::Spines { port, .. } = &self.routing {
-            port.attach(ctx);
-        }
+        self.session.start(ctx);
     }
 
     fn on_message(&mut self, ctx: &mut Context<'_>, from: ProcessId, bytes: &Bytes) {
@@ -309,15 +149,21 @@ impl Process for RtuProxy {
             }
             return;
         }
-        let payload = match &self.routing {
-            ClientRouting::Direct(_) => bytes.clone(),
-            ClientRouting::Spines { .. } => match spire_spines::SpinesPort::decode_deliver(bytes) {
-                Some((_, payload)) => payload,
-                None => return,
-            },
-        };
-        if let Ok(msg) = spire_prime::decode_enclosed(&payload) {
-            self.on_prime_msg(ctx, msg);
+        match self.session.on_message(ctx, from, bytes) {
+            Some(Accepted::Reply { cseq, sent, .. }) => {
+                let latency = ctx.now().since(sent).as_millis_f64();
+                ctx.record("scada.update_latency_ms", latency);
+                if let Some(scoped) = &self.scoped {
+                    ctx.record(&scoped.latency, latency);
+                }
+                ctx.span_mark(span_key(self.session.id().0, cseq), SpanPhase::Confirm);
+                ctx.count("scada.updates_confirmed", 1);
+                if let Some(scoped) = &self.scoped {
+                    ctx.count(&scoped.confirmed, 1);
+                }
+            }
+            Some(Accepted::Notify { payload, .. }) => self.actuate(ctx, &payload),
+            None => {}
         }
     }
 }
@@ -326,35 +172,7 @@ impl std::fmt::Debug for RtuProxy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RtuProxy")
             .field("rtu", &self.rtu_id)
-            .field("client", &self.client_id)
+            .field("session", &self.session)
             .finish()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn quorum_tracker_fires_once_at_quorum() {
-        let mut t = QuorumTracker::default();
-        assert!(t.vote(1, 0, b"x", 2).is_none());
-        assert_eq!(t.vote(1, 1, b"x", 2), Some(b"x".to_vec()));
-        assert!(t.vote(1, 2, b"x", 2).is_none(), "must fire only once");
-    }
-
-    #[test]
-    fn quorum_tracker_requires_matching_payloads() {
-        let mut t = QuorumTracker::default();
-        assert!(t.vote(1, 0, b"a", 2).is_none());
-        assert!(t.vote(1, 1, b"b", 2).is_none());
-        assert_eq!(t.vote(1, 2, b"a", 2), Some(b"a".to_vec()));
-    }
-
-    #[test]
-    fn quorum_tracker_replica_revote_does_not_double_count() {
-        let mut t = QuorumTracker::default();
-        assert!(t.vote(1, 0, b"a", 2).is_none());
-        assert!(t.vote(1, 0, b"a", 2).is_none(), "same replica twice");
     }
 }

@@ -3,14 +3,19 @@
 //! breaker command, and the command round-trips back to the device only
 //! after f+1 replicas agree.
 
+use bytes::Bytes;
 use spire_crypto::keys::Signer;
-use spire_crypto::{KeyMaterial, KeyStore, NodeId};
-use spire_prime::client::ClientRouting;
-use spire_prime::{ByzBehavior, ClientId, Inspection, PrimeConfig, Replica, ReplicaId};
+use spire_crypto::{BatchSigner, KeyMaterial, KeyStore, NodeId};
+use spire_prime::msg::encode_batched;
+use spire_prime::{
+    ByzBehavior, ClientId, ClientRouting, ClientSession, Inspection, PrimeConfig, PrimeMsg,
+    Replica, ReplicaId,
+};
+use spire_scada::master::notify_kind;
 use spire_scada::{
     Archive, Historian, Hmi, ProcessModel, Rtu, RtuProxy, ScadaDirectory, ScadaMaster,
 };
-use spire_sim::{LinkConfig, ProcessId, Span, World};
+use spire_sim::{Context, LinkConfig, Process, ProcessId, Span, WireWriter, World};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -33,14 +38,20 @@ struct TestBed {
     archive: Archive,
 }
 
+fn prime_config() -> PrimeConfig {
+    let mut c = PrimeConfig::new(1, 0); // n = 4
+    c.progress_timeout = Span::secs(2);
+    c
+}
+
+fn key_material() -> KeyMaterial {
+    KeyMaterial::new([7u8; 32])
+}
+
 fn build(seed: u64, n_rtus: u32, byz: BTreeMap<u32, ByzBehavior>) -> TestBed {
-    let cfg = {
-        let mut c = PrimeConfig::new(1, 0); // n = 4
-        c.progress_timeout = Span::secs(2);
-        c
-    };
+    let cfg = prime_config();
     let mut world = World::new(seed);
-    let material = KeyMaterial::new([7u8; 32]);
+    let material = key_material();
     let keystore = Arc::new(KeyStore::for_nodes(&material, 4096));
     let inspection = Inspection::new();
 
@@ -83,6 +94,18 @@ fn build(seed: u64, n_rtus: u32, byz: BTreeMap<u32, ByzBehavior>) -> TestBed {
         .with_inspection(inspection.clone());
         world.add_process(&format!("replica-{i}"), Box::new(replica));
     }
+    let session = |id: u32| {
+        let key = material.signing_key(NodeId(cfg.client_key_base + id));
+        let routing = ClientRouting::Direct(replica_pids.clone());
+        let keystore = Arc::clone(&keystore);
+        ClientSession::new(
+            &cfg,
+            ClientId(id),
+            Signer::new(key, false),
+            routing,
+            keystore,
+        )
+    };
     for r in 0..n_rtus {
         let device_pid = ProcessId(first + cfg.n + 2 * r);
         let proxy_pid = ProcessId(first + cfg.n + 2 * r + 1);
@@ -91,15 +114,7 @@ fn build(seed: u64, n_rtus: u32, byz: BTreeMap<u32, ByzBehavior>) -> TestBed {
             world.add_process(&format!("rtu-{r}"), Box::new(device)),
             device_pid
         );
-        let signer = Signer::new(material.signing_key(NodeId(cfg.client_key_base + r)), false);
-        let proxy = RtuProxy::new(
-            cfg.clone(),
-            r,
-            ClientId(r),
-            signer,
-            ClientRouting::Direct(replica_pids.clone()),
-            device_pid,
-        );
+        let proxy = RtuProxy::new(session(r), r, device_pid);
         assert_eq!(
             world.add_process(&format!("proxy-{r}"), Box::new(proxy)),
             proxy_pid
@@ -109,18 +124,12 @@ fn build(seed: u64, n_rtus: u32, byz: BTreeMap<u32, ByzBehavior>) -> TestBed {
             world.add_link(proxy_pid, *rp, link());
         }
     }
-    let signer = Signer::new(
-        material.signing_key(NodeId(cfg.client_key_base + 1000)),
-        false,
-    );
     let hmi = Hmi::new(
-        cfg.clone(),
-        ClientId(1000),
-        signer,
-        ClientRouting::Direct(replica_pids.clone()),
+        session(1000),
         (0..n_rtus).collect(),
         Span::secs(3),
         2,
+        cfg.summary_interval,
     );
     let hmi_pid = world.add_process("hmi", Box::new(hmi));
     assert_eq!(hmi_pid, client_pids[&1000]);
@@ -128,7 +137,7 @@ fn build(seed: u64, n_rtus: u32, byz: BTreeMap<u32, ByzBehavior>) -> TestBed {
         world.add_link(hmi_pid, *rp, link());
     }
     let archive = Archive::new();
-    let historian = Historian::new(cfg.clone(), ClientId(1001), archive.clone());
+    let historian = Historian::new(session(1001), archive.clone());
     let historian_pid = world.add_process("historian", Box::new(historian));
     assert_eq!(historian_pid, client_pids[&1001]);
     for rp in &replica_pids {
@@ -227,4 +236,196 @@ fn one_divergent_master_cannot_mislead_proxies_or_devices() {
     );
     bed.inspection.check_safety(&[0, 2, 3]).expect("safety");
     let _ = bed.n_rtus;
+}
+
+/// A process that is no replica: at `at` it sends each `(client, frame)`.
+struct Forger {
+    at: Span,
+    frames: Vec<(ProcessId, Bytes)>,
+}
+
+impl Process for Forger {
+    fn on_start(&mut self, ctx: &mut Context<'_>) {
+        ctx.set_timer(self.at, 1);
+    }
+
+    fn on_message(&mut self, _ctx: &mut Context<'_>, _from: ProcessId, _bytes: &Bytes) {}
+
+    fn on_timer(&mut self, ctx: &mut Context<'_>, _tag: u64) {
+        for (to, frame) in self.frames.drain(..) {
+            ctx.send(to, frame);
+        }
+    }
+}
+
+/// Adds a forger wired to every client it writes to.
+fn add_forger(bed: &mut TestBed, at: Span, frames: Vec<(ProcessId, Bytes)>) {
+    let targets: std::collections::BTreeSet<ProcessId> = frames.iter().map(|(to, _)| *to).collect();
+    let forger = bed
+        .world
+        .add_process("forger", Box::new(Forger { at, frames }));
+    for to in targets {
+        bed.world.add_link(forger, to, LinkConfig::local());
+    }
+}
+
+/// Process ids in the testbed's layout: 4 replicas, (device, proxy) pairs,
+/// the HMI, the historian.
+fn proxy_pid(r: u32) -> ProcessId {
+    ProcessId(4 + 2 * r + 1)
+}
+
+fn notify(replica: u32, client: u32, nseq: u64, payload: &[u8]) -> PrimeMsg {
+    PrimeMsg::Notify {
+        replica: ReplicaId(replica),
+        client: ClientId(client),
+        nseq,
+        payload: Bytes::copy_from_slice(payload),
+        sig: [0; 64],
+    }
+}
+
+/// "Open breaker 0 of `rtu`", as the masters push it to the RTU's proxy.
+fn open_breaker(rtu: u32) -> Vec<u8> {
+    let mut w = WireWriter::new();
+    w.u8(notify_kind::COMMAND).u32(rtu).u64(1).u8(1).u8(0);
+    w.into_vec()
+}
+
+/// "Breaker 0 of RTU 0 opened", as the masters push it to HMI-class clients.
+fn breaker_opened() -> Vec<u8> {
+    let mut w = WireWriter::new();
+    w.u8(notify_kind::BREAKER_EVENT).u32(0).u8(0).bool(false);
+    w.into_vec()
+}
+
+/// The probe that motivated the author check: one process, no replica's
+/// key, two never-signed notifications naming replicas 2 and 3. Before the
+/// check a proxy took that for f + 1 masters and opened the breaker.
+#[test]
+fn one_sender_naming_two_replicas_actuates_nothing() {
+    let mut bed = build(4, 1, BTreeMap::new());
+    let frames = [2, 3]
+        .map(|replica| {
+            (
+                proxy_pid(0),
+                notify(replica, 0, 1, &open_breaker(0)).encode(),
+            )
+        })
+        .to_vec();
+    add_forger(&mut bed, Span::millis(100), frames);
+    bed.world.run_for(Span::secs(1));
+    let m = bed.world.metrics();
+    assert_eq!(m.counter("scada.commands_actuated"), 0);
+    assert_eq!(m.counter("rtu0.coil_writes"), 0);
+    assert_eq!(m.counter("client.bad_reply_auth"), 2);
+}
+
+/// `f + 1` = 2 copies of what `make(replica, variant)` builds, under
+/// distinct replica ids and none of them authentic, in each of the four
+/// ways a forger holding compromised replica 0's key (and two client keys)
+/// can try. `make` is told the variant so that it can keep their tally
+/// keys apart.
+fn forgeries(make: impl Fn(u32, u64) -> PrimeMsg) -> Vec<Bytes> {
+    let (cfg, material) = (prime_config(), key_material());
+    let key = |node| Signer::new(material.signing_key(NodeId(node)), false);
+    let replica0 = key(cfg.replica_key_base);
+    let mut frames = Vec::new();
+    // 0: never signed.
+    frames.extend([2, 3].map(|r| make(r, 0).encode()));
+    // 1: signed, by another replica's key.
+    frames.extend([2, 3].map(|r| {
+        let mut msg = make(r, 1);
+        msg.sign(&replica0);
+        msg.encode()
+    }));
+    // 2: inside replica 0's validly signed batch, naming other replicas.
+    let inner = [2, 3].map(|r| make(r, 2).encode());
+    let mut batcher = BatchSigner::new();
+    for payload in &inner {
+        batcher.push(spire_crypto::digest(payload));
+    }
+    let batch = batcher.flush(&replica0).expect("two leaves");
+    for (i, payload) in inner.iter().enumerate() {
+        frames.push(encode_batched(ReplicaId(0), &batch.attestation(i), payload));
+    }
+    // 3: a valid signature under a key the store holds, a client's, which
+    // `replica_key_base + replica` reaches for a "replica" that is none.
+    frames.extend([0, 1].map(|client| {
+        let mut msg = make(cfg.client_key_base - cfg.replica_key_base + client, 3);
+        msg.sign(&key(cfg.client_key_base + client));
+        msg.encode()
+    }));
+    frames
+}
+
+/// Every client is sent forged quorums while the first update of each
+/// proxy is in flight: nothing confirms early, nothing actuates, alarms or
+/// is archived, and the honest quorums still decide everything afterwards.
+#[test]
+fn forged_votes_move_no_client_and_the_honest_quorum_still_confirms() {
+    let mut bed = build(5, 2, BTreeMap::new());
+    let (hmi, historian) = (ProcessId(4 + 2 * 2), ProcessId(4 + 2 * 2 + 1));
+    let mut frames = Vec::new();
+    let mut aim =
+        |to: ProcessId, forged: Vec<Bytes>| frames.extend(forged.into_iter().map(|f| (to, f)));
+    for rtu in 0..2 {
+        // The first report goes out at 250 ms as cseq 1 and takes tens of
+        // milliseconds to order.
+        aim(
+            proxy_pid(rtu),
+            forgeries(|replica, _| PrimeMsg::Reply {
+                replica: ReplicaId(replica),
+                client: ClientId(rtu),
+                cseq: 1,
+                result: Bytes::from_static(b"forged"),
+                sig: [0; 64],
+            }),
+        );
+        aim(
+            proxy_pid(rtu),
+            forgeries(|replica, v| notify(replica, rtu, 1 + v, &open_breaker(rtu))),
+        );
+    }
+    for (pid, client) in [(hmi, 1000), (historian, 1001)] {
+        aim(
+            pid,
+            forgeries(|replica, v| notify(replica, client, 1 + v, &breaker_opened())),
+        );
+    }
+    let forged = frames.len() as u64;
+    add_forger(&mut bed, Span::millis(255), frames);
+
+    bed.world.run_for(Span::millis(260));
+    let m = bed.world.metrics();
+    assert_eq!(
+        m.counter("scada.updates_sent"),
+        2,
+        "one update per proxy in flight"
+    );
+    assert_eq!(
+        m.counter("scada.updates_confirmed"),
+        0,
+        "confirmed on forged replies"
+    );
+    assert_eq!(m.counter("scada.commands_actuated"), 0);
+    assert_eq!(m.counter("hmi.alarms"), 0);
+    assert!(bed.archive.is_empty(), "forged event archived");
+    assert_eq!(m.counter("client.bad_reply_auth"), forged);
+    assert_eq!(m.counter("client.quorums"), 0);
+
+    // To 12.16 s: both commands are through and no report is in flight.
+    bed.world.run_for(Span::millis(11_900));
+    let m = bed.world.metrics();
+    assert_eq!(
+        m.counter("scada.updates_confirmed"),
+        m.counter("scada.updates_sent")
+    );
+    assert_eq!(m.counter("hmi.commands_sent"), 2);
+    assert_eq!(m.counter("scada.commands_actuated"), 2);
+    assert_eq!(m.counter("hmi.commands_acked"), 2);
+    assert_eq!(m.counter("scada.conflicting_accept"), 0);
+    assert_eq!(m.counter("client.bad_reply_auth"), forged);
+    assert!(bed.archive.is_empty());
+    bed.inspection.check_safety(&[0, 1, 2, 3]).expect("safety");
 }

@@ -11,11 +11,9 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use bytes::Bytes;
 use spire_crypto::keys::Signer;
-use spire_prime::msg::{decode_enclosed, ClientOp, PrimeMsg};
-use spire_prime::net::REPLICA_GROUP;
-use spire_prime::{ClientId, ReplyCert};
+use spire_prime::client::{op_frame, Vote, VoteKind};
+use spire_prime::{ClientId, ClientRouting, ReplicaKeys, ReplyCert};
 use spire_sim::{Context, Process, ProcessId, Span, Time};
-use spire_spines::SpinesPort;
 
 use crate::map::ShardMap;
 use crate::msg::{parse_reply, ShardCmd, ShardMsg, XReply, DECISION_ABORT, DECISION_COMMIT};
@@ -395,14 +393,18 @@ impl XCoord {
     }
 }
 
-/// Client wiring for one group: how the coordinator process reaches it.
+/// Client wiring for one group: how the coordinator process reaches it
+/// and whose replies it believes.
 pub struct GroupLink {
     /// Overlay port at the group's HMI-site external daemon; the group's
-    /// replicas are its [`REPLICA_GROUP`] there.
-    pub port: SpinesPort,
+    /// replicas are its [`spire_prime::net::REPLICA_GROUP`] there.
+    pub routing: ClientRouting,
     /// Signer for the coordinator's client key *in this group's key
     /// space* (`g * stride + client_base + id`).
     pub signer: Signer,
+    /// The group's replicas, to authenticate each reply before the
+    /// machine sees it.
+    pub keys: ReplicaKeys,
 }
 
 /// Timer tag for the workload cadence; per-transaction retry timers use
@@ -416,7 +418,6 @@ const XID_TAG_BASE: u64 = 16;
 pub struct CoordinatorProcess {
     coord: XCoord,
     links: Vec<GroupLink>,
-    daemon_to_group: BTreeMap<ProcessId, u32>,
     client: ClientId,
     /// New-transaction cadence; `Span::ZERO` disables the workload.
     interval: Span,
@@ -445,15 +446,9 @@ impl CoordinatorProcess {
             interval == Span::ZERO || !pairs.is_empty(),
             "coordinator workload needs cross-shard pairs"
         );
-        let daemon_to_group = links
-            .iter()
-            .enumerate()
-            .map(|(g, link)| (link.port.daemon_pid, g as u32))
-            .collect();
         CoordinatorProcess {
             coord: XCoord::new(cfg),
             links,
-            daemon_to_group,
             client,
             interval,
             pairs,
@@ -474,9 +469,8 @@ impl CoordinatorProcess {
                     payload,
                 } => {
                     let link = &self.links[group as usize];
-                    let op = ClientOp::signed(self.client, cseq, payload, &link.signer);
-                    let msg = PrimeMsg::Op(op).encode();
-                    link.port.send_group(ctx, REPLICA_GROUP, true, msg);
+                    let msg = op_frame(self.client, cseq, payload, &link.signer);
+                    link.routing.send_all(ctx, msg);
                     ctx.count("xshard.sends", 1);
                 }
                 XAction::SetTimer { xid, delay } => {
@@ -546,7 +540,7 @@ impl CoordinatorProcess {
 impl Process for CoordinatorProcess {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
         for link in &self.links {
-            link.port.attach(ctx);
+            link.routing.attach(ctx);
         }
         if self.interval > Span::ZERO {
             ctx.set_timer(self.interval, WORKLOAD_TAG);
@@ -554,28 +548,27 @@ impl Process for CoordinatorProcess {
     }
 
     fn on_message(&mut self, ctx: &mut Context<'_>, from: ProcessId, bytes: &Bytes) {
-        let Some(&group) = self.daemon_to_group.get(&from) else {
+        // The group whose daemon delivered this, and the frame inside.
+        let delivered =
+            |(g, link): (usize, &GroupLink)| Some((g, link.routing.unwrap(from, bytes)?));
+        let Some((group, payload)) = self.links.iter().enumerate().find_map(delivered) else {
             return;
         };
-        let Some((_, payload)) = SpinesPort::decode_deliver(bytes) else {
+        let Some(vote) = Vote::decode(&payload, self.client) else {
             return;
         };
-        let Ok(PrimeMsg::Reply {
-            replica,
-            client,
-            cseq,
-            result,
-            ..
-        }) = decode_enclosed(&payload)
-        else {
-            return;
-        };
-        if client != self.client {
+        // The machine tallies and keeps `payload` for certificates; no
+        // reply reaches it unauthenticated.
+        if vote.kind != VoteKind::Reply || !self.links[group].keys.check(ctx, &vote) {
             return;
         }
-        let actions = self
-            .coord
-            .on_reply(group, replica.0, cseq, &result, &payload);
+        let actions = self.coord.on_reply(
+            group as u32,
+            vote.replica.0,
+            vote.seq,
+            &vote.payload,
+            &payload,
+        );
         self.apply(ctx, actions);
     }
 

@@ -10,7 +10,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use spire_crypto::{Digest, KeyStore};
-use spire_prime::{ClientId, ReplyCert};
+use spire_prime::{ClientId, ReplicaKeys, ReplyCert};
 use spire_sim::{WireError, WireReader, WireWriter};
 
 use crate::msg::{
@@ -29,6 +29,8 @@ pub struct CertVerifier {
     pub stride: u32,
     /// Replica key base within a group's key space.
     pub replica_base: u32,
+    /// Replicas per group; a vote naming an id at or above it is nobody's.
+    pub n: u32,
     /// Coordinator client id (the `Reply.client` votes must target).
     pub client: ClientId,
     /// Per-group fault threshold; certificates need `f + 1` votes.
@@ -43,11 +45,14 @@ impl CertVerifier {
     pub fn verify(&self, cert: &ReplyCert, coord_shard: u32, expect_result: &[u8]) -> bool {
         cert.result.as_ref() == expect_result
             && cert.verify(
-                &self.keystore,
-                coord_shard * self.stride + self.replica_base,
+                &ReplicaKeys {
+                    keystore: Arc::clone(&self.keystore),
+                    key_base: coord_shard * self.stride + self.replica_base,
+                    n: self.n,
+                    mock: self.mock,
+                },
                 self.client,
                 self.f,
-                self.mock,
             )
     }
 }
@@ -57,6 +62,7 @@ impl fmt::Debug for CertVerifier {
         f.debug_struct("CertVerifier")
             .field("stride", &self.stride)
             .field("replica_base", &self.replica_base)
+            .field("n", &self.n)
             .field("client", &self.client)
             .field("f", &self.f)
             .field("mock", &self.mock)
@@ -254,6 +260,7 @@ mod tests {
                 keystore,
                 stride: SHARD_KEY_STRIDE,
                 replica_base: 1000,
+                n: 4,
                 client: ClientId(COORD_CLIENT_ID),
                 f: 1,
                 mock: true,

@@ -114,10 +114,12 @@ pub enum DaemonBehavior {
     Honest,
     /// Forwards control traffic but silently drops all data (blackhole).
     Blackhole,
-    /// Flips a byte in every forwarded data payload (detected end-to-end by
-    /// the application's signatures, and at the hop by HMAC only if the
-    /// corruption happens before authentication — a compromised daemon
-    /// re-MACs, so end-to-end protection is what catches it).
+    /// Flips a byte in every forwarded data payload. The hop HMAC catches
+    /// it only if the corruption happens before authentication — a
+    /// compromised daemon re-MACs — so end-to-end protection is what
+    /// detects it: a replica verifies a client op's signature and a peer's
+    /// signature, attestation or session MAC, and a client verifies each
+    /// reply's author before counting it (`client.bad_reply_auth`).
     Corrupting,
 }
 

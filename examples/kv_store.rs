@@ -7,77 +7,42 @@ use bytes::Bytes;
 use spire_repro::spire_crypto::keys::Signer;
 use spire_repro::spire_crypto::{KeyMaterial, KeyStore, NodeId};
 use spire_repro::spire_prime::{
-    ByzBehavior, ClientId, ClientOp, Inspection, KvApp, KvOp, KvReply, PrimeConfig, PrimeMsg,
-    Replica, ReplicaId,
+    Accepted, ByzBehavior, ClientId, ClientRouting, ClientSession, Inspection, KvApp, KvOp,
+    KvReply, PrimeConfig, Replica, ReplicaId,
 };
 use spire_repro::spire_sim::{Context, LinkConfig, Process, ProcessId, Span, World};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// A scripted KV client: PUT, overwrite via CAS, failed CAS, GET; checks
 /// every reply against the expected value once f+1 replicas agree.
 struct KvClient {
-    cfg: PrimeConfig,
-    signer: Signer,
-    replicas: Vec<ProcessId>,
+    session: ClientSession,
     script: Vec<(KvOp, KvReply)>,
-    next: usize,
-    votes: BTreeMap<u64, BTreeMap<u32, Vec<u8>>>,
-    done: BTreeMap<u64, bool>,
 }
 
 impl KvClient {
+    /// Submits the script entry the session's next sequence number names
+    /// (entry `i` travels as `cseq = i + 1`), if there is one left.
     fn submit_next(&mut self, ctx: &mut Context<'_>) {
-        if self.next >= self.script.len() {
-            return;
+        if let Some((op, _)) = self.script.get(self.session.next_cseq() as usize - 1) {
+            self.session.submit(ctx, Bytes::from(op.encode()));
         }
-        let (op, _) = &self.script[self.next];
-        let cseq = (self.next + 1) as u64;
-        let payload = Bytes::from(op.encode());
-        let client_op = ClientOp::signed(ClientId(0), cseq, payload, &self.signer);
-        let msg = PrimeMsg::Op(client_op).encode();
-        for pid in self.replicas.clone() {
-            ctx.send(pid, msg.clone());
-        }
-        self.next += 1;
     }
 }
 
 impl Process for KvClient {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
+        self.session.start(ctx);
         self.submit_next(ctx);
     }
 
-    fn on_message(&mut self, ctx: &mut Context<'_>, _from: ProcessId, bytes: &Bytes) {
-        let Ok(PrimeMsg::Reply {
-            replica,
-            cseq,
-            result,
-            ..
-        }) = PrimeMsg::decode(bytes)
+    fn on_message(&mut self, ctx: &mut Context<'_>, from: ProcessId, bytes: &Bytes) {
+        let Some(Accepted::Reply { cseq, result, .. }) = self.session.on_message(ctx, from, bytes)
         else {
             return;
         };
-        if self.done.get(&cseq).copied().unwrap_or(false) {
-            return;
-        }
-        let votes = self.votes.entry(cseq).or_default();
-        votes.insert(replica.0, result.to_vec());
-        let needed = (self.cfg.f + 1) as usize;
-        let mut tally: BTreeMap<&[u8], usize> = BTreeMap::new();
-        for v in votes.values() {
-            *tally.entry(v.as_slice()).or_insert(0) += 1;
-        }
-        let Some(agreed) = tally
-            .into_iter()
-            .find(|(_, n)| *n >= needed)
-            .map(|(v, _)| v.to_vec())
-        else {
-            return;
-        };
-        self.done.insert(cseq, true);
         let (op, expected) = &self.script[(cseq - 1) as usize];
-        let reply = KvReply::decode(&agreed).expect("reply decodes");
+        let reply = KvReply::decode(&result).expect("reply decodes");
         assert_eq!(&reply, expected, "unexpected reply for {op:?}");
         ctx.count("kv.verified", 1);
         // Pipeline: next op only after the previous confirmed (strict
@@ -170,15 +135,9 @@ fn main() {
     ];
     let script_len = script.len() as u64;
     let signer = Signer::new(material.signing_key(NodeId(cfg.client_key_base)), false);
-    let client = KvClient {
-        cfg: cfg.clone(),
-        signer,
-        replicas: replica_pids.clone(),
-        script,
-        next: 0,
-        votes: BTreeMap::new(),
-        done: BTreeMap::new(),
-    };
+    let routing = ClientRouting::Direct(replica_pids.clone());
+    let session = ClientSession::new(&cfg, ClientId(0), signer, routing, keystore);
+    let client = KvClient { session, script };
     let got = world.add_process("kv-client", Box::new(client));
     assert_eq!(got, client_pid);
     let link = LinkConfig::lan();
