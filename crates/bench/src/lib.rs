@@ -1,25 +1,17 @@
 //! Shared helpers for the Spire experiment harness.
 //!
-//! Each table/figure of the paper's evaluation has a binary in `src/bin/`
-//! (see DESIGN.md for the index); `benches/experiments.rs` runs scaled-down
-//! versions of all of them under `cargo bench`.
+//! Every table/figure of the paper's evaluation is one row of
+//! [`experiments::TABLE`], run by the `spire-exp` binary (`spire-exp
+//! --list`; DESIGN.md has the index).
 
 pub mod experiments;
 
-use spire_sim::stats::Summary;
+use spire_sim::json::Json;
 
 /// Git revision the harness was built from (stamped by `build.rs`;
 /// `"unknown"` outside a checkout).
 pub fn git_rev() -> &'static str {
     env!("SPIRE_GIT_REV")
-}
-
-/// Reads an experiment scale parameter from the environment.
-pub fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
 }
 
 /// Prints a table header followed by a separator line.
@@ -29,14 +21,61 @@ pub fn header(title: &str, columns: &str) {
     println!("{}", "-".repeat(columns.len().max(20)));
 }
 
-/// Formats a latency summary compactly for table cells.
-pub fn fmt_summary(summary: &Option<Summary>) -> String {
-    match summary {
-        Some(s) => format!(
-            "mean={:>6.1}ms p50={:>6.1}ms p99={:>7.1}ms max={:>7.1}ms",
-            s.mean, s.p50, s.p99, s.max
-        ),
-        None => "no samples".to_string(),
+/// One table cell: the value at `path` (dots descend into nested objects)
+/// as text — floats to at most three decimals, `-` for null, NaN or a
+/// missing key.
+fn cell(row: &Json, path: &str) -> String {
+    let value = path.split('.').try_fold(row, |v, key| v.get(key));
+    match value {
+        Some(Json::Float(v)) if v.is_finite() => {
+            let text = format!("{v:.3}");
+            text.trim_end_matches('0').trim_end_matches('.').to_string()
+        }
+        Some(Json::Str(s)) => s.clone(),
+        None | Some(Json::Null | Json::Float(_)) => "-".to_string(),
+        Some(other) => other.to_string(),
+    }
+}
+
+/// Prints `rows` as an aligned table with one column per entry of
+/// `columns`, each a key (or dotted path) into the row objects — the same
+/// objects an experiment's `--json` summary carries, so the table and the
+/// JSON cannot list different columns.
+pub fn print_rows(title: &str, columns: &[&str], rows: &[Json]) {
+    let cells: Vec<Vec<String>> = rows
+        .iter()
+        .map(|row| columns.iter().map(|c| cell(row, c)).collect())
+        .collect();
+    let widths: Vec<usize> = columns
+        .iter()
+        .enumerate()
+        .map(|(i, name)| {
+            cells
+                .iter()
+                .map(|r| r[i].len())
+                .fold(name.len(), usize::max)
+        })
+        .collect();
+    let line = |texts: Vec<&str>| {
+        let padded: Vec<String> = texts
+            .iter()
+            .zip(&widths)
+            .map(|(text, width)| format!("{text:>width$}"))
+            .collect();
+        format!("  {}", padded.join(" | "))
+    };
+    header(title, &line(columns.to_vec()));
+    for row in &cells {
+        println!("{}", line(row.iter().map(String::as_str).collect()));
+    }
+}
+
+/// Prints a flat summary object as `key  value` lines (nested values as
+/// compact JSON).
+pub fn print_fields(summary: &Json) {
+    let Json::Obj(fields) = summary else { return };
+    for (key, _) in fields {
+        println!("{key:<32} {}", cell(summary, key));
     }
 }
 
@@ -67,11 +106,18 @@ pub fn bucket_timeline(
     rows
 }
 
-/// Runs closures on worker threads and collects their results in order.
-/// (Each closure builds and runs its own simulation world.)
-pub fn parallel_runs<T: Send>(jobs: Vec<Box<dyn FnOnce() -> T + Send>>) -> Vec<T> {
+/// Runs `run(item)` for every item, each on its own thread, and collects
+/// the results in item order. (Each run builds its own simulation world.)
+pub fn parallel_runs<I: Send, T: Send>(
+    items: impl IntoIterator<Item = I>,
+    run: impl Fn(I) -> T + Sync,
+) -> Vec<T> {
     std::thread::scope(|scope| {
-        let handles: Vec<_> = jobs.into_iter().map(|job| scope.spawn(job)).collect();
+        let run = &run;
+        let handles: Vec<_> = items
+            .into_iter()
+            .map(|item| scope.spawn(move || run(item)))
+            .collect();
         handles
             .into_iter()
             .map(|h| h.join().expect("experiment thread panicked"))
@@ -100,15 +146,27 @@ mod tests {
     }
 
     #[test]
-    fn env_parsing() {
-        assert_eq!(env_u64("SPIRE_DOES_NOT_EXIST_XYZ", 7), 7);
+    fn cells_follow_dotted_paths_and_dash_out_what_is_missing() {
+        let row = Json::obj([
+            ("n", Json::Num(7)),
+            ("ratio", Json::Float(0.97123)),
+            ("whole", Json::Float(50.0)),
+            ("nan", Json::Float(f64::NAN)),
+            ("ok", Json::Bool(true)),
+            ("xshard", Json::obj([("committed", Json::Num(5))])),
+        ]);
+        assert_eq!(cell(&row, "n"), "7");
+        assert_eq!(cell(&row, "ratio"), "0.971");
+        assert_eq!(cell(&row, "whole"), "50");
+        assert_eq!(cell(&row, "nan"), "-");
+        assert_eq!(cell(&row, "ok"), "true");
+        assert_eq!(cell(&row, "xshard.committed"), "5");
+        assert_eq!(cell(&row, "xshard.absent"), "-");
     }
 
     #[test]
     fn parallel_runs_preserve_order() {
-        let jobs: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..8usize)
-            .map(|i| Box::new(move || i * 2) as Box<dyn FnOnce() -> usize + Send>)
-            .collect();
-        assert_eq!(parallel_runs(jobs), vec![0, 2, 4, 6, 8, 10, 12, 14]);
+        let doubled = parallel_runs(0..8usize, |i| i * 2);
+        assert_eq!(doubled, vec![0, 2, 4, 6, 8, 10, 12, 14]);
     }
 }

@@ -246,13 +246,7 @@ impl BaselineDeployment {
             },
             Arc::clone(&keystore),
         );
-        let hmi = Hmi::new(
-            session,
-            (0..n_rtus).collect(),
-            workload.command_interval,
-            0,
-            prime.summary_interval,
-        );
+        let hmi = Hmi::new(session, (0..n_rtus).collect(), workload.command_interval, 0);
         let hmi_pid = world.add_process("hmi", Box::new(hmi));
         external.wire_client(&mut world, OverlayId(0), hmi_pid);
 

@@ -773,14 +773,8 @@ pub fn build_group(
             },
             Arc::clone(keystore),
         );
-        let hmi = Hmi::new(
-            session,
-            spec.rtus.clone(),
-            cfg.workload.command_interval,
-            0,
-            prime.summary_interval,
-        )
-        .with_polling(cfg.workload.poll_interval);
+        let hmi = Hmi::new(session, spec.rtus.clone(), cfg.workload.command_interval, 0)
+            .with_polling(cfg.workload.poll_interval);
         let pid = world.add_process(&format!("{label}hmi-{h}"), Box::new(hmi));
         external.wire_client(world, OverlayId(hmi_site), pid);
         hmi_pids.push(pid);
@@ -1225,9 +1219,10 @@ impl std::fmt::Debug for Deployment {
 }
 
 /// Which substrate hosts an assembled deployment.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Substrate {
     /// The single-threaded deterministic discrete-event simulator.
+    #[default]
     Sim,
     /// The multi-threaded real-clock runtime; `threads == 0` means one
     /// worker per available core.

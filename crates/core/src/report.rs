@@ -2,6 +2,7 @@
 //! availability and safety numbers the paper's tables and figures are
 //! built from.
 
+use spire_sim::json::Json;
 use spire_sim::stats::{fraction_within, Summary};
 use spire_sim::Time;
 
@@ -17,7 +18,7 @@ pub const SLA_MS: f64 = 100.0;
 pub const REPORT_SCHEMA_VERSION: u32 = 4;
 
 /// Where a report came from: the run substrate and the hardware/build
-/// identity — the same provenance `BENCH_*.json` rows carry.
+/// identity — the same provenance the experiment summaries carry.
 #[derive(Clone, Debug)]
 pub struct Provenance {
     /// `"sim"`, `"rt"` or `"rt:<threads>"`.
@@ -31,14 +32,19 @@ pub struct Provenance {
     pub git_rev: String,
 }
 
+/// CPU cores available on the host, recorded with every wall-clock figure.
+pub fn host_cores() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+}
+
 impl Provenance {
     /// Provenance for a run, resolving `cores` from the host.
     pub fn of(substrate: &str, threads: usize, git_rev: &str) -> Provenance {
         Provenance {
             substrate: substrate.to_string(),
-            cores: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
+            cores: host_cores(),
             threads,
             git_rev: git_rev.to_string(),
         }
@@ -212,6 +218,20 @@ pub struct ShardStat {
     pub p99_ms: f64,
 }
 
+impl ShardStat {
+    /// The per-shard JSON row of a report (and of the shard-scaling
+    /// experiment summary).
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            ("shard", self.shard.into()),
+            ("sent", self.sent.into()),
+            ("confirmed", self.confirmed.into()),
+            ("p50_ms", self.p50_ms.into()),
+            ("p99_ms", self.p99_ms.into()),
+        ])
+    }
+}
+
 /// Cross-shard 2PC-over-BFT outcomes, read from the `xshard.*` metrics
 /// the coordinator publishes (all-zero without a coordinator workload).
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -270,6 +290,13 @@ impl ChaosStats {
     pub fn mailbox_dropped_total(&self) -> u64 {
         self.mailbox_dropped.iter().map(|(_, n)| n).sum()
     }
+}
+
+fn field_list<const N: usize>(fields: [(&str, Json); N]) -> Vec<(String, Json)> {
+    fields
+        .into_iter()
+        .map(|(k, v)| (k.to_string(), v))
+        .collect()
 }
 
 /// Metrics extracted from a run.
@@ -526,187 +553,153 @@ impl Report {
         out
     }
 
-    /// Serializes the full report as a JSON object (hand-rolled; the
-    /// repo carries no JSON dependency). Non-finite floats become `null`.
+    /// Serializes the full report as one JSON object. Non-finite floats
+    /// become `null`.
     pub fn to_json(&self) -> String {
-        fn num(v: f64) -> String {
-            if v.is_finite() {
-                format!("{v}")
-            } else {
-                "null".to_string()
-            }
-        }
-        let summary = match &self.update_summary {
-            Some(s) => format!(
-                "{{\"count\":{},\"mean\":{},\"min\":{},\"p50\":{},\"p90\":{},\"p99\":{},\"p999\":{},\"max\":{}}}",
-                s.count,
-                num(s.mean),
-                num(s.min),
-                num(s.p50),
-                num(s.p90),
-                num(s.p99),
-                num(s.p999),
-                num(s.max),
-            ),
-            None => "null".to_string(),
-        };
-        let phases: Vec<String> = self
-            .phase_breakdown
-            .iter()
-            .map(|p| {
-                format!(
-                    "{{\"phase\":{:?},\"metric\":{:?},\"count\":{},\"mean_ms\":{},\"p50_ms\":{},\"p99_ms\":{},\"max_ms\":{}}}",
-                    p.phase,
-                    p.metric,
-                    p.count,
-                    num(p.mean_ms),
-                    num(p.p50_ms),
-                    num(p.p99_ms),
-                    num(p.max_ms),
-                )
-            })
-            .collect();
-        let throughput: Vec<String> = self
-            .throughput_timeline
-            .iter()
-            .map(|(s, n)| format!("[{s},{n}]"))
-            .collect();
-        let dropped: Vec<String> = self
-            .chaos
-            .mailbox_dropped
-            .iter()
-            .map(|(class, n)| format!("{{\"class\":{class:?},\"dropped\":{n}}}"))
-            .collect();
-        let chaos = format!(
-            "{{\"invariant_checks\":{},\"invariant_violations\":{},\
-             \"conflicting_accepts\":{},\"decode_failures\":{},\
-             \"corrupted_frames\":{},\"duplicated_frames\":{},\
-             \"mailbox_retries\":{},\"mailbox_dropped\":[{}]}}",
-            self.chaos.invariant_checks,
-            self.chaos.invariant_violations,
-            self.chaos.conflicting_accepts,
-            self.chaos.decode_failures,
-            self.chaos.corrupted_frames,
-            self.chaos.duplicated_frames,
-            self.chaos.mailbox_retries,
-            dropped.join(","),
-        );
-        let shards: Vec<String> = self
-            .shards
-            .iter()
-            .map(|s| {
-                format!(
-                    "{{\"shard\":{},\"sent\":{},\"confirmed\":{},\"p50_ms\":{},\"p99_ms\":{}}}",
-                    s.shard,
-                    s.sent,
-                    s.confirmed,
-                    num(s.p50_ms),
-                    num(s.p99_ms),
-                )
-            })
-            .collect();
-        let xshard = format!(
-            "{{\"commands\":{},\"committed\":{},\"aborted\":{},\"retries\":{},\
-             \"commit_rate\":{},\"commit_p50_ms\":{},\"commit_p99_ms\":{}}}",
-            self.xshard.commands,
-            self.xshard.committed,
-            self.xshard.aborted,
-            self.xshard.retries,
-            num(self.xshard.commit_rate()),
-            num(self.xshard.commit_p50_ms),
-            num(self.xshard.commit_p99_ms),
-        );
-        let health = format!(
-            "{{\"snapshots\":{},\"latency_breaches\":{},\"delivery_breaches\":{},\
-             \"silence_breaches\":{},\"slow_leader_alarms\":{},\"site_dos_alarms\":{},\
-             \"partition_alarms\":{},\"degraded_windows\":{}}}",
-            self.health.snapshots,
-            self.health.latency_breaches,
-            self.health.delivery_breaches,
-            self.health.silence_breaches,
-            self.health.slow_leader_alarms,
-            self.health.site_dos_alarms,
-            self.health.partition_alarms,
-            self.health.degraded_windows,
-        );
-        let recovery = format!(
-            "{{\"started\":{},\"completed\":{},\"completion_rate\":{},\"chunks\":{},\
-             \"chunk_retries\":{},\"accums_evicted\":{},\"duration_p50_ms\":{},\
-             \"duration_p99_ms\":{},\"compaction_runs\":{},\"compaction_evicted\":{},\
-             \"retained_po\":{},\"retained_slots\":{},\"retained_matrices\":{}}}",
-            self.recovery.started,
-            self.recovery.completed,
-            num(self.recovery.completion_rate()),
-            self.recovery.chunks,
-            self.recovery.chunk_retries,
-            self.recovery.accums_evicted,
-            num(self.recovery.duration_p50_ms),
-            num(self.recovery.duration_p99_ms),
-            self.recovery.compaction_runs,
-            self.recovery.compaction_evicted,
-            num(self.recovery.retained_po),
-            num(self.recovery.retained_slots),
-            num(self.recovery.retained_matrices),
-        );
-        format!(
-            "{{\"schema_version\":{REPORT_SCHEMA_VERSION},\
-             \"updates_sent\":{},\"updates_confirmed\":{},\"delivery_ratio\":{},\
-             \"sla_fraction\":{},\"sla_ms\":{},\"update_summary\":{},\
-             \"commands_issued\":{},\"commands_actuated\":{},\
-             \"view_changes\":{},\"recoveries_started\":{},\"recoveries_completed\":{},\
-             \"safety_ok\":{},\"silent_seconds\":{},\
-             \"auth\":{{\"sign_ops\":{},\"verify_ops\":{},\"verify_cache_hits\":{},\
-             \"batch_flushes\":{},\"batched_msgs\":{},\"mac_ops\":{},\
-             \"mac_auth_hits\":{},\"mac_fail\":{},\"amortization_factor\":{},\
-             \"signs_per_update\":{},\"verifies_per_update\":{}}},\
-             \"chaos\":{},\"health\":{},\"recovery\":{},\"shards\":[{}],\"xshard\":{},\
-             \"phase_breakdown\":[{}],\"throughput_timeline\":[{}]}}",
-            self.updates_sent,
-            self.updates_confirmed,
-            num(self.delivery_ratio()),
-            num(self.sla_fraction),
-            num(SLA_MS),
-            summary,
-            self.commands_issued,
-            self.commands_actuated,
-            self.view_changes,
-            self.recoveries.0,
-            self.recoveries.1,
-            self.safety_ok,
-            self.silent_seconds(),
-            self.auth.sign_ops,
-            self.auth.verify_ops,
-            self.auth.verify_cache_hits,
-            self.auth.batch_flushes,
-            self.auth.batched_msgs,
-            self.auth.mac_ops,
-            self.auth.mac_auth_hits,
-            self.auth.mac_fail,
-            num(self.auth.amortization_factor()),
-            num(self.signs_per_update()),
-            num(self.verifies_per_update()),
-            chaos,
-            health,
-            recovery,
-            shards.join(","),
-            xshard,
-            phases.join(","),
-            throughput.join(","),
-        )
+        Json::Obj(self.json_fields()).to_string()
     }
 
-    /// Like [`Report::to_json`], with run provenance spliced in as
+    /// Like [`Report::to_json`], with run provenance as the leading
     /// top-level fields — report JSON then carries the same
-    /// `substrate`/`cores`/`threads`/`git_rev` identity as `BENCH_*.json`
-    /// rows.
+    /// `substrate`/`cores`/`threads`/`git_rev` identity as the experiment
+    /// summaries.
     pub fn to_json_with(&self, prov: &Provenance) -> String {
-        let body = self.to_json();
-        let fields = format!(
-            "{{\"substrate\":{:?},\"cores\":{},\"threads\":{},\"git_rev\":{:?},",
-            prov.substrate, prov.cores, prov.threads, prov.git_rev,
-        );
-        debug_assert!(body.starts_with('{'));
-        format!("{fields}{}", &body[1..])
+        let mut fields = field_list([
+            ("substrate", prov.substrate.as_str().into()),
+            ("cores", prov.cores.into()),
+            ("threads", prov.threads.into()),
+            ("git_rev", prov.git_rev.as_str().into()),
+        ]);
+        fields.extend(self.json_fields());
+        Json::Obj(fields).to_string()
+    }
+
+    /// The report's top-level JSON fields, in schema order.
+    fn json_fields(&self) -> Vec<(String, Json)> {
+        let summary = match &self.update_summary {
+            Some(s) => Json::obj([
+                ("count", s.count.into()),
+                ("mean", s.mean.into()),
+                ("min", s.min.into()),
+                ("p50", s.p50.into()),
+                ("p90", s.p90.into()),
+                ("p99", s.p99.into()),
+                ("p999", s.p999.into()),
+                ("max", s.max.into()),
+            ]),
+            None => Json::Null,
+        };
+        let auth = Json::obj([
+            ("sign_ops", self.auth.sign_ops.into()),
+            ("verify_ops", self.auth.verify_ops.into()),
+            ("verify_cache_hits", self.auth.verify_cache_hits.into()),
+            ("batch_flushes", self.auth.batch_flushes.into()),
+            ("batched_msgs", self.auth.batched_msgs.into()),
+            ("mac_ops", self.auth.mac_ops.into()),
+            ("mac_auth_hits", self.auth.mac_auth_hits.into()),
+            ("mac_fail", self.auth.mac_fail.into()),
+            (
+                "amortization_factor",
+                self.auth.amortization_factor().into(),
+            ),
+            ("signs_per_update", self.signs_per_update().into()),
+            ("verifies_per_update", self.verifies_per_update().into()),
+        ]);
+        let dropped = self.chaos.mailbox_dropped.iter().map(|(class, n)| {
+            Json::obj([("class", class.as_str().into()), ("dropped", (*n).into())])
+        });
+        let chaos = Json::obj([
+            ("invariant_checks", self.chaos.invariant_checks.into()),
+            (
+                "invariant_violations",
+                self.chaos.invariant_violations.into(),
+            ),
+            ("conflicting_accepts", self.chaos.conflicting_accepts.into()),
+            ("decode_failures", self.chaos.decode_failures.into()),
+            ("corrupted_frames", self.chaos.corrupted_frames.into()),
+            ("duplicated_frames", self.chaos.duplicated_frames.into()),
+            ("mailbox_retries", self.chaos.mailbox_retries.into()),
+            ("mailbox_dropped", Json::Arr(dropped.collect())),
+        ]);
+        let health = Json::obj([
+            ("snapshots", self.health.snapshots.into()),
+            ("latency_breaches", self.health.latency_breaches.into()),
+            ("delivery_breaches", self.health.delivery_breaches.into()),
+            ("silence_breaches", self.health.silence_breaches.into()),
+            ("slow_leader_alarms", self.health.slow_leader_alarms.into()),
+            ("site_dos_alarms", self.health.site_dos_alarms.into()),
+            ("partition_alarms", self.health.partition_alarms.into()),
+            ("degraded_windows", self.health.degraded_windows.into()),
+        ]);
+        let recovery = Json::obj([
+            ("started", self.recovery.started.into()),
+            ("completed", self.recovery.completed.into()),
+            ("completion_rate", self.recovery.completion_rate().into()),
+            ("chunks", self.recovery.chunks.into()),
+            ("chunk_retries", self.recovery.chunk_retries.into()),
+            ("accums_evicted", self.recovery.accums_evicted.into()),
+            ("duration_p50_ms", self.recovery.duration_p50_ms.into()),
+            ("duration_p99_ms", self.recovery.duration_p99_ms.into()),
+            ("compaction_runs", self.recovery.compaction_runs.into()),
+            (
+                "compaction_evicted",
+                self.recovery.compaction_evicted.into(),
+            ),
+            ("retained_po", self.recovery.retained_po.into()),
+            ("retained_slots", self.recovery.retained_slots.into()),
+            ("retained_matrices", self.recovery.retained_matrices.into()),
+        ]);
+        let xshard = Json::obj([
+            ("commands", self.xshard.commands.into()),
+            ("committed", self.xshard.committed.into()),
+            ("aborted", self.xshard.aborted.into()),
+            ("retries", self.xshard.retries.into()),
+            ("commit_rate", self.xshard.commit_rate().into()),
+            ("commit_p50_ms", self.xshard.commit_p50_ms.into()),
+            ("commit_p99_ms", self.xshard.commit_p99_ms.into()),
+        ]);
+        let phases = self.phase_breakdown.iter().map(|p| {
+            Json::obj([
+                ("phase", p.phase.as_str().into()),
+                ("metric", p.metric.as_str().into()),
+                ("count", p.count.into()),
+                ("mean_ms", p.mean_ms.into()),
+                ("p50_ms", p.p50_ms.into()),
+                ("p99_ms", p.p99_ms.into()),
+                ("max_ms", p.max_ms.into()),
+            ])
+        });
+        let throughput = self
+            .throughput_timeline
+            .iter()
+            .map(|(s, n)| Json::Arr(vec![(*s).into(), (*n).into()]));
+        field_list([
+            ("schema_version", REPORT_SCHEMA_VERSION.into()),
+            ("updates_sent", self.updates_sent.into()),
+            ("updates_confirmed", self.updates_confirmed.into()),
+            ("delivery_ratio", self.delivery_ratio().into()),
+            ("sla_fraction", self.sla_fraction.into()),
+            ("sla_ms", SLA_MS.into()),
+            ("update_summary", summary),
+            ("commands_issued", self.commands_issued.into()),
+            ("commands_actuated", self.commands_actuated.into()),
+            ("view_changes", self.view_changes.into()),
+            ("recoveries_started", self.recoveries.0.into()),
+            ("recoveries_completed", self.recoveries.1.into()),
+            ("safety_ok", self.safety_ok.into()),
+            ("silent_seconds", self.silent_seconds().into()),
+            ("auth", auth),
+            ("chaos", chaos),
+            ("health", health),
+            ("recovery", recovery),
+            (
+                "shards",
+                Json::Arr(self.shards.iter().map(ShardStat::to_json).collect()),
+            ),
+            ("xshard", xshard),
+            ("phase_breakdown", Json::Arr(phases.collect())),
+            ("throughput_timeline", Json::Arr(throughput.collect())),
+        ])
     }
 
     /// One-line health summary for text reports (present even when no

@@ -41,7 +41,6 @@
 
 pub mod cluster;
 pub mod exhaustive;
-pub mod json;
 pub mod model;
 pub mod random;
 pub mod schedule;

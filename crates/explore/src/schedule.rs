@@ -1,6 +1,6 @@
 //! Schedules, stable message keys, and the JSON replay artifact.
 
-use crate::json::{parse, Json};
+use spire_sim::json::{parse, Json};
 
 /// Content-addressed identity of a pending message, stable across replays
 /// *and* across schedule edits.
@@ -40,41 +40,24 @@ pub enum Choice {
 
 impl Choice {
     fn to_json(&self) -> Json {
-        let key_fields = |key: &MsgKey| {
-            vec![
-                ("from".to_string(), Json::Num(key.from as u64)),
-                ("to".to_string(), Json::Num(key.to as u64)),
-                (
-                    "digest".to_string(),
-                    Json::Str(format!("{:016x}", key.digest)),
-                ),
-                ("nth".to_string(), Json::Num(key.nth as u64)),
-            ]
+        let keyed = |t: &str, key: &MsgKey| {
+            Json::obj([
+                ("t", Json::from(t)),
+                ("from", key.from.into()),
+                ("to", key.to.into()),
+                ("digest", format!("{:016x}", key.digest).into()),
+                ("nth", key.nth.into()),
+            ])
         };
         match self {
-            Choice::Inject { op } => Json::Obj(vec![
-                ("t".to_string(), Json::Str("inject".to_string())),
-                ("op".to_string(), Json::Num(*op as u64)),
-            ]),
-            Choice::Deliver { key } => {
-                let mut fields = vec![("t".to_string(), Json::Str("deliver".to_string()))];
-                fields.extend(key_fields(key));
-                Json::Obj(fields)
-            }
-            Choice::Duplicate { key } => {
-                let mut fields = vec![("t".to_string(), Json::Str("dup".to_string()))];
-                fields.extend(key_fields(key));
-                Json::Obj(fields)
-            }
-            Choice::Drop { key } => {
-                let mut fields = vec![("t".to_string(), Json::Str("drop".to_string()))];
-                fields.extend(key_fields(key));
-                Json::Obj(fields)
-            }
-            Choice::Fire { replica, tag } => Json::Obj(vec![
-                ("t".to_string(), Json::Str("fire".to_string())),
-                ("replica".to_string(), Json::Num(*replica as u64)),
-                ("tag".to_string(), Json::Num(*tag)),
+            Choice::Inject { op } => Json::obj([("t", Json::from("inject")), ("op", (*op).into())]),
+            Choice::Deliver { key } => keyed("deliver", key),
+            Choice::Duplicate { key } => keyed("dup", key),
+            Choice::Drop { key } => keyed("drop", key),
+            Choice::Fire { replica, tag } => Json::obj([
+                ("t", Json::from("fire")),
+                ("replica", (*replica).into()),
+                ("tag", (*tag).into()),
             ]),
         }
     }
@@ -149,25 +132,18 @@ pub struct Artifact {
 impl Artifact {
     /// Serializes to the replay JSON document.
     pub fn to_json_string(&self) -> String {
-        Json::Obj(vec![
-            ("version".to_string(), Json::Num(1)),
-            ("scenario".to_string(), Json::Str(self.scenario.clone())),
-            ("f".to_string(), Json::Num(self.f as u64)),
-            ("k".to_string(), Json::Num(self.k as u64)),
-            ("ops".to_string(), Json::Num(self.ops as u64)),
-            ("seed".to_string(), Json::Num(self.seed)),
-            ("seeded_bug".to_string(), Json::Bool(self.seeded_bug)),
+        let violations = self.violations.iter().map(|v| Json::from(v.as_str()));
+        Json::obj([
+            ("version", Json::Num(1)),
+            ("scenario", self.scenario.as_str().into()),
+            ("f", self.f.into()),
+            ("k", self.k.into()),
+            ("ops", self.ops.into()),
+            ("seed", self.seed.into()),
+            ("seeded_bug", self.seeded_bug.into()),
+            ("violations", Json::Arr(violations.collect())),
             (
-                "violations".to_string(),
-                Json::Arr(
-                    self.violations
-                        .iter()
-                        .map(|v| Json::Str(v.clone()))
-                        .collect(),
-                ),
-            ),
-            (
-                "events".to_string(),
+                "events",
                 Json::Arr(self.events.iter().map(Choice::to_json).collect()),
             ),
         ])

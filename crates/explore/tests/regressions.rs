@@ -70,3 +70,26 @@ fn xshard_impatient_coordinator_schedule() {
         );
     }
 }
+
+/// Every committed artifact is a fixed point of the JSON module: it parses,
+/// and both the value and the `Artifact` read from it serialize back to
+/// the bytes on disk — so a replay file written by one revision is read
+/// unchanged by the next.
+#[test]
+fn committed_artifacts_reserialize_to_the_bytes_on_disk() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("artifacts");
+    let mut seen = 0;
+    for entry in std::fs::read_dir(&dir).expect("artifacts directory") {
+        let path = entry.expect("directory entry").path();
+        if path.extension().and_then(|e| e.to_str()) != Some("json") {
+            continue;
+        }
+        let text = std::fs::read_to_string(&path).expect("artifact reads");
+        let value = spire_sim::json::parse(&text).expect("artifact is JSON");
+        assert_eq!(value.to_string(), text, "{}", path.display());
+        let artifact = Artifact::from_json_str(&text).expect("artifact parses");
+        assert_eq!(artifact.to_json_string(), text, "{}", path.display());
+        seen += 1;
+    }
+    assert!(seen >= 2, "expected the committed artifacts, found {seen}");
+}

@@ -38,6 +38,64 @@ pub enum ProtocolMode {
     PbftLike,
 }
 
+// Protocol parameters with one value in use anywhere in the tree. Each was a
+// `PrimeConfig` field nobody assigned; `PrimeConfig` keeps what a deployment,
+// a test or the benchmark actually varies.
+
+/// Batch flush interval for PO-Requests.
+pub(crate) const PO_INTERVAL: Span = Span::millis(5);
+
+/// Maximum ops per PO-Request batch.
+pub(crate) const PO_BATCH: usize = 64;
+
+/// PO-Summary broadcast interval.
+pub const SUMMARY_INTERVAL: Span = Span::millis(10);
+
+/// Leader's pre-prepare (proposal) interval, Δpp.
+pub(crate) const PRE_PREPARE_INTERVAL: Span = Span::millis(30);
+
+/// Ping interval for RTT measurement (suspect-leader).
+pub(crate) const PING_INTERVAL: Span = Span::millis(500);
+
+/// Multiplier over the measured network round trip allowed to the
+/// leader before suspicion (Prime's K_lat).
+pub(crate) const TAT_ALLOWANCE: f64 = 2.5;
+
+/// Retry interval for fetching missing PO-Requests (reconciliation).
+pub(crate) const RECON_INTERVAL: Span = Span::millis(50);
+
+/// A recovering replica that finds no checkpoint anywhere for this long
+/// rejoins from genesis and catches up via reconciliation instead.
+pub(crate) const RECOVERY_GENESIS_TIMEOUT: Span = Span::secs(3);
+
+/// State transfer splits the execution snapshot into chunks of this
+/// many bytes; each chunk is erasure-encoded independently so a
+/// recovering replica reconstructs from any `f+1` per-chunk shares.
+pub(crate) const STATE_CHUNK_BYTES: usize = 1024;
+
+/// Initial per-chunk retry timeout: chunks still missing this long
+/// after the manifest is pinned are re-requested from alternate
+/// responders. Doubles on every retry round up to
+/// [`CHUNK_RETRY_MAX`].
+pub(crate) const CHUNK_RETRY_TIMEOUT: Span = Span::millis(200);
+
+/// Ceiling for the exponential per-chunk retry backoff.
+pub(crate) const CHUNK_RETRY_MAX: Span = Span::secs(2);
+
+/// Manifest/share accumulators for a checkpoint that made no progress
+/// for this long are evicted (bounds memory when responders go mute
+/// or serve garbage).
+pub(crate) const STATE_ACCUM_DEADLINE: Span = Span::secs(2);
+
+/// Capacity of each bounded verification cache (client ops, summary
+/// rows, batch roots); 0 disables caching.
+pub(crate) const VERIFY_CACHE: usize = 4096;
+
+/// Minimum gap between consecutive eager proposals, bounding the
+/// leader's proposal rate (and thus matrix-broadcast load) under
+/// heavy summary churn.
+pub(crate) const EAGER_PROPOSE_GAP: Span = Span::millis(5);
+
 /// Static configuration shared by all replicas of one Prime instance.
 #[derive(Clone, Debug)]
 pub struct PrimeConfig {
@@ -49,44 +107,11 @@ pub struct PrimeConfig {
     pub k: u32,
     /// Protocol mode.
     pub mode: ProtocolMode,
-    /// Batch flush interval for PO-Requests.
-    pub po_interval: Span,
-    /// Maximum ops per PO-Request batch.
-    pub po_batch: usize,
-    /// PO-Summary broadcast interval.
-    pub summary_interval: Span,
-    /// Leader's pre-prepare (proposal) interval, Δpp.
-    pub pre_prepare_interval: Span,
-    /// Ping interval for RTT measurement (suspect-leader).
-    pub ping_interval: Span,
-    /// Multiplier over the measured network round trip allowed to the
-    /// leader before suspicion (Prime's K_lat).
-    pub tat_allowance: f64,
     /// Hard timeout with no ordering progress before suspecting the leader
     /// (the only defense in [`ProtocolMode::PbftLike`]).
     pub progress_timeout: Span,
     /// Take a checkpoint every this many committed matrices.
     pub checkpoint_interval: u64,
-    /// Retry interval for fetching missing PO-Requests (reconciliation).
-    pub recon_interval: Span,
-    /// A recovering replica that finds no checkpoint anywhere for this long
-    /// rejoins from genesis and catches up via reconciliation instead.
-    pub recovery_genesis_timeout: Span,
-    /// State transfer splits the execution snapshot into chunks of this
-    /// many bytes; each chunk is erasure-encoded independently so a
-    /// recovering replica reconstructs from any `f+1` per-chunk shares.
-    pub state_chunk_bytes: usize,
-    /// Initial per-chunk retry timeout: chunks still missing this long
-    /// after the manifest is pinned are re-requested from alternate
-    /// responders. Doubles on every retry round up to
-    /// [`Self::chunk_retry_max`].
-    pub chunk_retry_timeout: Span,
-    /// Ceiling for the exponential per-chunk retry backoff.
-    pub chunk_retry_max: Span,
-    /// Manifest/share accumulators for a checkpoint that made no progress
-    /// for this long are evicted (bounds memory when responders go mute
-    /// or serve garbage).
-    pub state_accum_deadline: Span,
     /// Crypto id base for replicas in the key store.
     pub replica_key_base: u32,
     /// Crypto id base for clients in the key store.
@@ -100,24 +125,17 @@ pub struct PrimeConfig {
     /// immediately once 64 messages accumulate). Longer windows amortize
     /// better at the cost of up to this much latency per protocol hop.
     pub batch_interval: Span,
-    /// Capacity of each bounded verification cache (client ops, summary
-    /// rows, batch roots); 0 disables caching.
-    pub verify_cache: usize,
     /// How far ahead of the committed prefix the leader may propose: the
     /// number of ordering sequences that may be in flight (pre-prepared
     /// but not yet committed) at once. 1 degenerates to strictly serial
     /// ordering; wider windows pipeline the Prepare/Commit rounds.
     pub proposal_window: u64,
     /// Propose as soon as fresh summary rows arrive (subject to
-    /// `eager_propose_gap` and the window) instead of waiting for the
-    /// next `pre_prepare_interval` tick. The timer keeps running as a
+    /// `EAGER_PROPOSE_GAP` and the window) instead of waiting for the
+    /// next `PRE_PREPARE_INTERVAL` tick. The timer keeps running as a
     /// backstop; eager proposals just stop the ordering pipeline from
     /// quantizing end-to-end latency to the proposal interval.
     pub eager_propose: bool,
-    /// Minimum gap between consecutive eager proposals, bounding the
-    /// leader's proposal rate (and thus matrix-broadcast load) under
-    /// heavy summary churn.
-    pub eager_propose_gap: Span,
     /// Coalesce all frames bound for the same peer within one activation
     /// into a single multi-frame container, sealed (when session MACs
     /// are on) and shipped through the overlay once. Off, every message
@@ -133,28 +151,14 @@ impl PrimeConfig {
             f,
             k,
             mode: ProtocolMode::Prime,
-            po_interval: Span::millis(5),
-            po_batch: 64,
-            summary_interval: Span::millis(10),
-            pre_prepare_interval: Span::millis(30),
-            ping_interval: Span::millis(500),
-            tat_allowance: 2.5,
             progress_timeout: Span::secs(5),
             checkpoint_interval: 50,
-            recon_interval: Span::millis(50),
-            recovery_genesis_timeout: Span::secs(3),
-            state_chunk_bytes: 1024,
-            chunk_retry_timeout: Span::millis(200),
-            chunk_retry_max: Span::secs(2),
-            state_accum_deadline: Span::secs(2),
             replica_key_base: 1000,
             client_key_base: 2000,
             batch_sign: false,
             batch_interval: Span::millis(2),
-            verify_cache: 4096,
             proposal_window: 8,
             eager_propose: true,
-            eager_propose_gap: Span::millis(5),
             link_batch: true,
         }
     }

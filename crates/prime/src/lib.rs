@@ -42,7 +42,7 @@ pub use application::{Application, CounterApp, ExecResult, HashChainApp, Notific
 pub use behavior::ByzBehavior;
 pub use cert::ReplyCert;
 pub use client::{Accepted, ClientRouting, ClientSession, ReplicaKeys, TestClient};
-pub use config::{ClientId, PrimeConfig, ProtocolMode, ReplicaId};
+pub use config::{ClientId, PrimeConfig, ProtocolMode, ReplicaId, SUMMARY_INTERVAL};
 pub use inspect::Inspection;
 pub use kv::{KvApp, KvOp, KvReply};
 pub use model::{Effect, Input, ModelReplica};

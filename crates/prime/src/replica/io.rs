@@ -8,7 +8,7 @@
 use super::preorder::PreOrder;
 use super::TIMER_BATCH;
 use crate::behavior::ByzBehavior;
-use crate::config::{ClientId, PrimeConfig, ReplicaId};
+use crate::config::{self, ClientId, PrimeConfig, ReplicaId};
 use crate::inspect::{Inspection, ReplicaRecord};
 use crate::msg::{self, CheckpointMsg, ClientOp, PrimeMsg, SummaryRow, ViewStateMsg};
 use crate::net::ReplicaNet;
@@ -184,7 +184,7 @@ impl Io {
         signer: Signer,
         net: Box<dyn ReplicaNet>,
     ) -> Io {
-        let cache = cfg.verify_cache;
+        let cache = config::VERIFY_CACHE;
         Io {
             me,
             behavior,

@@ -52,7 +52,7 @@ pub use view_change::plan_new_view;
 
 use crate::application::Application;
 use crate::behavior::ByzBehavior;
-use crate::config::{PrimeConfig, ProtocolMode, ReplicaId};
+use crate::config::{self, PrimeConfig, ProtocolMode, ReplicaId};
 use crate::inspect::Inspection;
 use crate::msg::{self, Frame, Matrix, PrimeMsg, ViewStateMsg};
 use crate::net::ReplicaNet;
@@ -166,11 +166,11 @@ impl Replica {
 
     /// Event-driven proposing: fresh summary rows (or a reopened proposal
     /// window) trigger a pre-prepare immediately instead of waiting for
-    /// the next `pre_prepare_interval` tick, so ordering latency tracks
+    /// the next `PRE_PREPARE_INTERVAL` tick, so ordering latency tracks
     /// message arrival rather than the timer quantum. Rate-limited by
-    /// `eager_propose_gap`; the periodic timer stays on as a backstop.
+    /// `EAGER_PROPOSE_GAP`; the periodic timer stays on as a backstop.
     fn maybe_eager_propose(&mut self, ctx: &mut Context<'_>) {
-        let gap = self.io.cfg.eager_propose_gap.0;
+        let gap = config::EAGER_PROPOSE_GAP.0;
         let last = self.ord.last_preprepare_at;
         if !self.io.cfg.eager_propose
             || !self.can_propose()
@@ -571,12 +571,12 @@ impl Process for Replica {
         let cfg = &self.io.cfg;
         self.io.net.start(ctx);
         self.vc.note_progress(ctx.now());
-        ctx.set_timer(cfg.po_interval, TIMER_PO_FLUSH);
-        ctx.set_timer(cfg.summary_interval, TIMER_SUMMARY);
-        ctx.set_timer(cfg.pre_prepare_interval, TIMER_PRE_PREPARE);
-        ctx.set_timer(cfg.ping_interval, TIMER_PING);
+        ctx.set_timer(config::PO_INTERVAL, TIMER_PO_FLUSH);
+        ctx.set_timer(config::SUMMARY_INTERVAL, TIMER_SUMMARY);
+        ctx.set_timer(config::PRE_PREPARE_INTERVAL, TIMER_PRE_PREPARE);
+        ctx.set_timer(config::PING_INTERVAL, TIMER_PING);
         ctx.set_timer(cfg.progress_timeout, TIMER_PROGRESS);
-        ctx.set_timer(cfg.recon_interval, TIMER_RECON);
+        ctx.set_timer(config::RECON_INTERVAL, TIMER_RECON);
         if self.xfer.recovering {
             self.xfer.start_recovery(&self.io, ctx);
         }
@@ -803,11 +803,11 @@ impl Replica {
                 if !recovering {
                     self.pre.flush_po_batch(&mut self.io, ctx);
                 }
-                self.io.cfg.po_interval
+                config::PO_INTERVAL
             }
             TIMER_SUMMARY => {
                 self.maybe_send_summary(ctx);
-                self.io.cfg.summary_interval
+                config::SUMMARY_INTERVAL
             }
             TIMER_PRE_PREPARE => {
                 // Release any delayed (attacked) proposals first.
@@ -816,13 +816,13 @@ impl Replica {
                     self.io.broadcast(ctx, bytes);
                 }
                 self.propose(ctx);
-                self.io.cfg.pre_prepare_interval
+                config::PRE_PREPARE_INTERVAL
             }
             TIMER_PING => {
                 if self.io.cfg.mode == ProtocolMode::Prime && !recovering {
                     self.vc.send_pings(&mut self.io, ctx);
                 }
-                self.io.cfg.ping_interval
+                config::PING_INTERVAL
             }
             TIMER_PROGRESS => {
                 self.publish_ordering_health();
@@ -855,7 +855,7 @@ impl Replica {
                 }
                 self.pre.recon_tick(&mut self.io, ctx);
                 self.try_execute(ctx);
-                self.io.cfg.recon_interval
+                config::RECON_INTERVAL
             }
             TIMER_STATE_REQ if recovering && self.xfer.on_state_req_timer(&self.io, ctx) => {
                 state_transfer::request_state(&mut self.io, ctx, self.exe.last_executed);

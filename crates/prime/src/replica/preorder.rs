@@ -5,7 +5,7 @@
 use super::io::{Io, Metric, Retain};
 use super::{CseqWindow, StateHasher};
 use crate::behavior::ByzBehavior;
-use crate::config::ReplicaId;
+use crate::config::{self, ReplicaId};
 use crate::msg::{AruVector, ClientOp, PrimeMsg, SummaryRow};
 use bytes::Bytes;
 use spire_crypto::Digest;
@@ -95,7 +95,7 @@ impl PreOrder {
         }
         ctx.span_mark(span_key(op.client.0, op.cseq), SpanPhase::Recv);
         self.pending_ops.push(op);
-        if self.pending_ops.len() >= io.cfg.po_batch {
+        if self.pending_ops.len() >= config::PO_BATCH {
             self.flush_po_batch(io, ctx);
         }
     }

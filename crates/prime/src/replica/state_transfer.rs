@@ -6,7 +6,7 @@
 use super::io::{Io, Metric};
 use super::{StateHasher, TIMER_CHUNK, TIMER_STATE_REQ};
 use crate::behavior::ByzBehavior;
-use crate::config::ReplicaId;
+use crate::config::{self, ReplicaId};
 use crate::msg::{CheckpointMsg, PrimeMsg};
 use bytes::Bytes;
 use spire_crypto::erasure::{self, Share};
@@ -51,7 +51,7 @@ pub(super) fn serve_checkpoint(
     view: u64,
     highs: (u64, u64),
 ) {
-    let chunk_size = io.cfg.state_chunk_bytes.max(1);
+    let chunk_size = config::STATE_CHUNK_BYTES.max(1);
     let meta = PrimeMsg::StateMeta {
         replica: io.me,
         checkpoint_seq: *seq,
@@ -84,7 +84,7 @@ pub(super) fn send_chunk_shares(
 ) {
     let k = (io.cfg.f + 1) as usize;
     let n = (io.cfg.n as usize).max(k);
-    let chunk_size = io.cfg.state_chunk_bytes.max(1);
+    let chunk_size = config::STATE_CHUNK_BYTES.max(1);
     let corrupt = io.behavior == ByzBehavior::CorruptShares;
     for (i, chunk) in snapshot.chunks(chunk_size).enumerate() {
         if wanted.is_some_and(|w| !w.contains(&(i as u32))) {
@@ -184,7 +184,7 @@ pub(super) struct StateTransfer {
     /// The pinned in-flight chunked transfer, if any.
     transfer: Option<ChunkTransfer>,
     /// Last time any state-transfer accumulator made progress; stale
-    /// accumulators are evicted after `cfg.state_accum_deadline`.
+    /// accumulators are evicted after `STATE_ACCUM_DEADLINE`.
     accum_touched: Time,
     /// Whether a `TIMER_CHUNK` retry tick is already pending.
     chunk_timer_armed: bool,
@@ -225,7 +225,7 @@ impl StateTransfer {
         // replay everything that was ordered meanwhile. An active
         // chunked transfer defers the fallback: shares are
         // arriving, completion is a matter of retries.
-        if ctx.now().since(self.recovery_started) >= io.cfg.recovery_genesis_timeout
+        if ctx.now().since(self.recovery_started) >= config::RECOVERY_GENESIS_TIMEOUT
             && self.transfer.is_none()
         {
             self.clear_accumulators();
@@ -235,7 +235,7 @@ impl StateTransfer {
         }
         // Pre-pin accumulators that stopped making progress are
         // dropped; the fresh StateReq re-solicits manifests.
-        if ctx.now().since(self.accum_touched) >= io.cfg.state_accum_deadline
+        if ctx.now().since(self.accum_touched) >= config::STATE_ACCUM_DEADLINE
             && (!self.meta_votes.is_empty() || !self.early_shares.is_empty())
             && self.transfer.is_none()
         {
@@ -360,7 +360,7 @@ impl StateTransfer {
             manifest: candidate.manifest,
             chunks: BTreeMap::new(),
             shares: BTreeMap::new(),
-            backoff: io.cfg.chunk_retry_timeout,
+            backoff: config::CHUNK_RETRY_TIMEOUT,
             retry_rotor: 0,
         };
         for ((seq, chunk, idx), data) in std::mem::take(&mut self.early_shares) {
@@ -377,7 +377,7 @@ impl StateTransfer {
         }
         if !self.chunk_timer_armed {
             self.chunk_timer_armed = true;
-            ctx.set_timer(io.cfg.chunk_retry_timeout, TIMER_CHUNK);
+            ctx.set_timer(config::CHUNK_RETRY_TIMEOUT, TIMER_CHUNK);
         }
     }
 
@@ -422,7 +422,7 @@ impl StateTransfer {
             _ => {
                 // Stash ahead of the manifest pin (bounded): responders
                 // stream manifest + shares back to back and links reorder.
-                if share.len() <= io.cfg.state_chunk_bytes.max(1) + 64
+                if share.len() <= config::STATE_CHUNK_BYTES.max(1) + 64
                     && self.early_shares.len() < EARLY_SHARE_CAP
                 {
                     self.early_shares
@@ -509,7 +509,7 @@ impl StateTransfer {
     /// responders with exponential backoff.
     pub(super) fn on_chunk_timer(&mut self, io: &mut Io, ctx: &mut Context<'_>) {
         self.chunk_timer_armed = false;
-        let stalled = ctx.now().since(self.accum_touched) >= io.cfg.state_accum_deadline;
+        let stalled = ctx.now().since(self.accum_touched) >= config::STATE_ACCUM_DEADLINE;
         if self.transfer.is_some() && stalled {
             // Stale or poisoned transfer: evict everything; TIMER_STATE_REQ
             // (recovering) or TIMER_RECON (catch-up) solicits fresh
@@ -531,7 +531,7 @@ impl StateTransfer {
         }
         t.retry_rotor = t.retry_rotor.wrapping_add(1);
         let delay = t.backoff;
-        t.backoff = Span((t.backoff.0 * 2).min(io.cfg.chunk_retry_max.0));
+        t.backoff = Span((t.backoff.0 * 2).min(config::CHUNK_RETRY_MAX.0));
         io.count(ctx, Metric::RecoveryChunkRetries, 1);
         let req = PrimeMsg::StateChunkReq {
             replica: io.me,
@@ -771,7 +771,7 @@ mod tests {
         r.deliver([manifest(1, &stable), manifest(2, &stable)]);
         assert!(r.xfer.transfer.is_some());
         r.backend.effects.clear();
-        r.backend.now = r.backend.now + r.io.cfg.state_accum_deadline;
+        r.backend.now = r.backend.now + config::STATE_ACCUM_DEADLINE;
         r.chunk_timer();
         assert!(r.xfer.transfer.is_none());
         assert_eq!(r.count("state_accums_evicted"), 1);

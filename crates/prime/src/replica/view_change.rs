@@ -5,7 +5,7 @@
 use super::io::{Io, Metric};
 use super::ordering::Ordering;
 use super::StateHasher;
-use crate::config::{ProtocolMode, ReplicaId};
+use crate::config::{self, ProtocolMode, ReplicaId};
 use crate::msg::{Matrix, PreparedClaim, PrimeMsg, SummaryRow, ViewStateMsg};
 use bytes::Bytes;
 use spire_sim::{Context, Span, Time, TraceKind};
@@ -79,7 +79,7 @@ impl ViewChange {
             return false;
         }
         let tat_us = ctx.now().since(sent).0 as f64;
-        let allowed = io.cfg.tat_allowance * (rtt + 2.0 * io.cfg.pre_prepare_interval.0 as f64);
+        let allowed = config::TAT_ALLOWANCE * (rtt + 2.0 * config::PRE_PREPARE_INTERVAL.0 as f64);
         io.record(ctx, Metric::TatMs, tat_us / 1000.0);
         tat_us > allowed
     }

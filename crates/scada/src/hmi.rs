@@ -19,9 +19,6 @@ pub struct Hmi {
     command_interval: Span,
     max_commands: u64,
     poll_interval: Span,
-    /// Width of the offset drawn onto each command's grid instant: the
-    /// masters' summary interval (see `arm_command_timer`).
-    phase_window: Span,
     /// Grid instant of the command being waited for.
     next_command: Time,
 
@@ -34,13 +31,11 @@ pub struct Hmi {
 impl Hmi {
     /// Creates an HMI issuing a command every `command_interval` to the
     /// given RTUs, alternating open/close (0 `max_commands` = unlimited).
-    /// `phase_window` is the masters' `summary_interval`.
     pub fn new(
         session: ClientSession,
         targets: Vec<u32>,
         command_interval: Span,
         max_commands: u64,
-        phase_window: Span,
     ) -> Hmi {
         Hmi {
             session,
@@ -48,7 +43,6 @@ impl Hmi {
             command_interval,
             max_commands,
             poll_interval: Span::ZERO,
-            phase_window,
             next_command: Time(0),
             issued: 0,
             next_target: 0,
@@ -75,7 +69,7 @@ impl Hmi {
     /// its pre-ordering round with, stay as they were.
     fn arm_command_timer(&mut self, ctx: &mut Context<'_>) {
         self.next_command = Time(self.next_command.0 + self.command_interval.0);
-        let offset = ctx.rng().gen_range(0..=self.phase_window.0);
+        let offset = ctx.rng().gen_range(0..=spire_prime::SUMMARY_INTERVAL.0);
         let at = self.next_command.0 + offset;
         ctx.set_timer(Span(at.saturating_sub(ctx.now().0)), TIMER_COMMAND);
     }
@@ -184,7 +178,7 @@ mod tests {
     use std::sync::Arc;
 
     /// The instants (µs) at which a lone HMI issued its commands.
-    fn command_instants(interval: Span, run: Span) -> (Vec<u64>, PrimeConfig) {
+    fn command_instants(interval: Span, run: Span) -> Vec<u64> {
         let cfg = PrimeConfig::new(1, 0);
         let signer = Signer::new(KeyMaterial::new([7u8; 32]).signing_key(NodeId(9)), true);
         let routing = ClientRouting::Direct(Vec::new());
@@ -195,7 +189,7 @@ mod tests {
             routing,
             Arc::new(KeyStore::new()),
         );
-        let hmi = Hmi::new(session, vec![0], interval, 0, cfg.summary_interval);
+        let hmi = Hmi::new(session, vec![0], interval, 0);
         let mut world = World::new(3);
         world.add_process("hmi", Box::new(hmi));
         let mut instants = Vec::new();
@@ -207,16 +201,16 @@ mod tests {
                 instants.push(world.now().0);
             }
         }
-        (instants, cfg)
+        instants
     }
 
     #[test]
     fn commands_keep_their_grid_and_leave_the_replicas_tick_phase() {
         let interval = Span::millis(500);
-        let (instants, cfg) = command_instants(interval, Span::secs(20));
+        let instants = command_instants(interval, Span::secs(20));
         // One command per grid instant: k = 1 ..= 39 within 20 s.
         assert_eq!(instants.len(), 39);
-        let window = cfg.summary_interval.0;
+        let window = spire_prime::SUMMARY_INTERVAL.0;
         let mut phases = std::collections::BTreeSet::new();
         for (k, at) in instants.iter().enumerate() {
             let grid = (k as u64 + 1) * interval.0;

@@ -124,13 +124,7 @@ fn build(seed: u64, n_rtus: u32, byz: BTreeMap<u32, ByzBehavior>) -> TestBed {
             world.add_link(proxy_pid, *rp, link());
         }
     }
-    let hmi = Hmi::new(
-        session(1000),
-        (0..n_rtus).collect(),
-        Span::secs(3),
-        2,
-        cfg.summary_interval,
-    );
+    let hmi = Hmi::new(session(1000), (0..n_rtus).collect(), Span::secs(3), 2);
     let hmi_pid = world.add_process("hmi", Box::new(hmi));
     assert_eq!(hmi_pid, client_pids[&1000]);
     for rp in &replica_pids {

@@ -10,6 +10,7 @@
 //!
 //! * [`world`] — the event loop, processes, timers and the link model.
 //! * [`clock`] — virtual vs monotonic time sources (shared with `spire-rt`).
+//! * [`json`] — the workspace's one JSON value, writer and parser.
 //! * [`time`] — virtual time types.
 //! * [`metrics`] — counters, time series and histograms collected during runs.
 //! * [`stats`] — percentile/CDF summaries for the experiment harness.
@@ -26,6 +27,7 @@
 //! ```
 
 pub mod clock;
+pub mod json;
 pub mod metrics;
 pub mod stats;
 pub mod time;

@@ -48,17 +48,17 @@ impl Span {
     pub const ZERO: Span = Span(0);
 
     /// Builds a span from microseconds.
-    pub fn micros(us: u64) -> Span {
+    pub const fn micros(us: u64) -> Span {
         Span(us)
     }
 
     /// Builds a span from milliseconds.
-    pub fn millis(ms: u64) -> Span {
+    pub const fn millis(ms: u64) -> Span {
         Span(ms * 1_000)
     }
 
     /// Builds a span from seconds.
-    pub fn secs(s: u64) -> Span {
+    pub const fn secs(s: u64) -> Span {
         Span(s * 1_000_000)
     }
 

@@ -22,6 +22,7 @@
 //! `bool` and returns; event payloads are `Copy` scalars and `&'static str`,
 //! so a disabled hook performs no heap allocation.
 
+use crate::json::ObjWriter;
 use crate::time::Time;
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::fmt::Write as _;
@@ -115,27 +116,27 @@ impl TraceKind {
         }
     }
 
-    /// Writes the event payload as JSON object fields (no braces).
-    fn write_json_args(&self, out: &mut String) {
+    /// Writes the event payload as fields of an open JSON object.
+    fn write_json_args(&self, obj: &mut ObjWriter<'_>) {
         match *self {
             TraceKind::MsgSend { from, to, len } | TraceKind::MsgRecv { to, from, len } => {
-                let _ = write!(out, "\"from\":{from},\"to\":{to},\"len\":{len}");
+                obj.num("from", from).num("to", to).num("len", len);
             }
             TraceKind::TimerFire { pid, tag } => {
-                let _ = write!(out, "\"pid\":{pid},\"tag\":{tag}");
+                obj.num("pid", pid).num("tag", tag);
             }
             TraceKind::Crash { pid } | TraceKind::Restart { pid } => {
-                let _ = write!(out, "\"pid\":{pid}");
+                obj.num("pid", pid);
             }
             TraceKind::ViewChange { replica, view }
             | TraceKind::SuspectLeader { replica, view } => {
-                let _ = write!(out, "\"replica\":{replica},\"view\":{view}");
+                obj.num("replica", replica).num("view", view);
             }
             TraceKind::RecoveryStart { replica } | TraceKind::RecoveryDone { replica } => {
-                let _ = write!(out, "\"replica\":{replica}");
+                obj.num("replica", replica);
             }
             TraceKind::Checkpoint { replica, seq } => {
-                let _ = write!(out, "\"replica\":{replica},\"seq\":{seq}");
+                obj.num("replica", replica).num("seq", seq);
             }
             TraceKind::OverlayHop {
                 daemon,
@@ -143,20 +144,18 @@ impl TraceKind {
                 dst,
                 ttl,
             } => {
-                let _ = write!(
-                    out,
-                    "\"daemon\":{daemon},\"src\":{src},\"dst\":{dst},\"ttl\":{ttl}"
-                );
+                obj.num("daemon", daemon)
+                    .num("src", src)
+                    .num("dst", dst)
+                    .num("ttl", ttl);
             }
             TraceKind::PhaseMark { pid, key, phase } => {
-                let _ = write!(
-                    out,
-                    "\"pid\":{pid},\"key\":{key},\"phase\":\"{}\"",
-                    phase.name()
-                );
+                obj.num("pid", pid)
+                    .num("key", key)
+                    .str("phase", phase.name());
             }
             TraceKind::Mark { pid, label, value } => {
-                let _ = write!(out, "\"pid\":{pid},\"label\":\"{label}\",\"value\":{value}");
+                obj.num("pid", pid).str("label", label).num("value", value);
             }
         }
     }
@@ -307,6 +306,16 @@ pub enum SpanPhase {
 pub const SPAN_PHASES: usize = 6;
 
 impl SpanPhase {
+    /// Every phase, in causal order.
+    pub const ALL: [SpanPhase; SPAN_PHASES] = [
+        SpanPhase::Submit,
+        SpanPhase::Recv,
+        SpanPhase::Preorder,
+        SpanPhase::Order,
+        SpanPhase::Execute,
+        SpanPhase::Confirm,
+    ];
+
     /// Index into a per-span phase-time array.
     pub fn idx(self) -> usize {
         self as usize
@@ -675,40 +684,30 @@ impl Tracer {
     }
 
     /// JSONL export: one JSON object per line — every held event, then every
-    /// completed span.
+    /// completed span. Process names are escaped like any other string.
     pub fn events_jsonl(&self, name_of: &dyn Fn(u32) -> String) -> String {
         let mut out = String::new();
         for ev in self.recorder.events() {
-            let _ = write!(
-                out,
-                "{{\"ts_us\":{},\"ev\":\"{}\",\"proc\":\"{}\",",
-                ev.at.0,
-                ev.kind.name(),
-                name_of(ev.kind.pid())
-            );
-            ev.kind.write_json_args(&mut out);
-            out.push_str("}\n");
+            let mut obj = ObjWriter::new(&mut out);
+            obj.num("ts_us", ev.at.0)
+                .str("ev", ev.kind.name())
+                .str("proc", &name_of(ev.kind.pid()));
+            ev.kind.write_json_args(&mut obj);
+            obj.end();
+            out.push('\n');
         }
         for rec in &self.completed {
-            let _ = write!(
-                out,
-                "{{\"ev\":\"span\",\"client\":{},\"cseq\":{}",
-                rec.client(),
-                rec.cseq()
-            );
-            for phase in [
-                SpanPhase::Submit,
-                SpanPhase::Recv,
-                SpanPhase::Preorder,
-                SpanPhase::Order,
-                SpanPhase::Execute,
-                SpanPhase::Confirm,
-            ] {
+            let mut obj = ObjWriter::new(&mut out);
+            obj.str("ev", "span")
+                .num("client", rec.client())
+                .num("cseq", rec.cseq());
+            for phase in SpanPhase::ALL {
                 if let Some(t) = rec.at[phase.idx()] {
-                    let _ = write!(out, ",\"{}_us\":{}", phase.name(), t.0);
+                    obj.num(&format!("{}_us", phase.name()), t.0);
                 }
             }
-            out.push_str("}\n");
+            obj.end();
+            out.push('\n');
         }
         out
     }
@@ -722,94 +721,78 @@ impl Tracer {
     /// Virtual microseconds map directly to the `ts`/`dur` fields.
     pub fn chrome_trace(&self, name_of: &dyn Fn(u32) -> String) -> String {
         let mut out = String::from("[");
-        let mut first = true;
-        let mut emit = |out: &mut String, obj: &str| {
-            if !first {
+        // Starts the next array element: one object per line.
+        fn element(out: &mut String) -> ObjWriter<'_> {
+            if out.len() > 1 {
                 out.push(',');
             }
-            first = false;
             out.push('\n');
-            out.push_str(obj);
+            ObjWriter::new(out)
+        }
+        let lane_name = |out: &mut String, kind: &str, pid: u64, tid: u64, name: &str| {
+            let mut obj = element(out);
+            obj.str("name", kind)
+                .str("ph", "M")
+                .num("pid", pid)
+                .num("tid", tid);
+            let mut args = obj.obj("args");
+            args.str("name", name);
+            args.end();
+            obj.end();
         };
-        emit(
-            &mut out,
-            "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\
-             \"args\":{\"name\":\"sim events\"}}",
-        );
-        emit(
-            &mut out,
-            "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\
-             \"args\":{\"name\":\"supervisory updates\"}}",
-        );
+        lane_name(&mut out, "process_name", 0, 0, "sim events");
+        lane_name(&mut out, "process_name", 1, 0, "supervisory updates");
         let mut pids: Vec<u32> = self.recorder.events().map(|e| e.kind.pid()).collect();
         pids.sort_unstable();
         pids.dedup();
-        for pid in &pids {
-            emit(
-                &mut out,
-                &format!(
-                    "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":{pid},\
-                     \"args\":{{\"name\":\"{}\"}}}}",
-                    name_of(*pid)
-                ),
-            );
+        for pid in pids {
+            lane_name(&mut out, "thread_name", 0, pid.into(), &name_of(pid));
         }
         for ev in self.recorder.events() {
-            let mut obj = format!(
-                "{{\"name\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\"pid\":0,\"tid\":{},\"ts\":{},\
-                 \"args\":{{",
-                ev.kind.name(),
-                ev.kind.pid(),
-                ev.at.0
-            );
-            ev.kind.write_json_args(&mut obj);
-            obj.push_str("}}");
-            emit(&mut out, &obj);
+            let mut obj = element(&mut out);
+            obj.str("name", ev.kind.name())
+                .str("ph", "i")
+                .str("s", "t")
+                .num("pid", 0u64)
+                .num("tid", ev.kind.pid())
+                .num("ts", ev.at.0);
+            let mut args = obj.obj("args");
+            ev.kind.write_json_args(&mut args);
+            args.end();
+            obj.end();
         }
         for rec in &self.completed {
+            let slice = |out: &mut String, (name, a, b): &(&str, SpanPhase, SpanPhase)| {
+                let (Some(start), Some(end)) = (rec.at[a.idx()], rec.at[b.idx()]) else {
+                    return false;
+                };
+                if end < start {
+                    return false;
+                }
+                let mut obj = element(out);
+                obj.str("name", name)
+                    .str("cat", "update")
+                    .str("ph", "X")
+                    .num("pid", 1u64)
+                    .num("tid", rec.key % 1_000_000)
+                    .num("ts", start.0)
+                    .num("dur", end.0 - start.0);
+                let mut args = obj.obj("args");
+                args.num("client", rec.client()).num("cseq", rec.cseq());
+                args.end();
+                obj.end();
+                true
+            };
             // One slice per adjacent phase pair (skip the total — it would
             // just shadow the others on the same lane). A span too sparse for
             // any adjacent pair still gets its end-to-end slice.
+            let (total, adjacent) = SPAN_DELTAS.split_last().expect("SPAN_DELTAS is non-empty");
             let mut sliced = false;
-            for (name, a, b) in SPAN_DELTAS.iter().take(SPAN_DELTAS.len() - 1) {
-                if let (Some(start), Some(end)) = (rec.at[a.idx()], rec.at[b.idx()]) {
-                    if end >= start {
-                        sliced = true;
-                        emit(
-                            &mut out,
-                            &format!(
-                                "{{\"name\":\"{name}\",\"cat\":\"update\",\"ph\":\"X\",\
-                                 \"pid\":1,\"tid\":{},\"ts\":{},\"dur\":{},\
-                                 \"args\":{{\"client\":{},\"cseq\":{}}}}}",
-                                rec.key % 1_000_000,
-                                start.0,
-                                end.0 - start.0,
-                                rec.client(),
-                                rec.cseq()
-                            ),
-                        );
-                    }
-                }
+            for delta in adjacent {
+                sliced |= slice(&mut out, delta);
             }
             if !sliced {
-                let (name, a, b) = SPAN_DELTAS[SPAN_DELTAS.len() - 1];
-                if let (Some(start), Some(end)) = (rec.at[a.idx()], rec.at[b.idx()]) {
-                    if end >= start {
-                        emit(
-                            &mut out,
-                            &format!(
-                                "{{\"name\":\"{name}\",\"cat\":\"update\",\"ph\":\"X\",\
-                                 \"pid\":1,\"tid\":{},\"ts\":{},\"dur\":{},\
-                                 \"args\":{{\"client\":{},\"cseq\":{}}}}}",
-                                rec.key % 1_000_000,
-                                start.0,
-                                end.0 - start.0,
-                                rec.client(),
-                                rec.cseq()
-                            ),
-                        );
-                    }
-                }
+                slice(&mut out, total);
             }
         }
         out.push_str("\n]\n");
