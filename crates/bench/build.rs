@@ -1,5 +1,5 @@
 //! Stamps the bench binaries with the git revision they were built from,
-//! so `BENCH_*.json` rows and report JSON can be diffed across PRs.
+//! so experiment summaries and report JSON can be told apart across PRs.
 
 use std::process::Command;
 
@@ -14,7 +14,9 @@ fn main() {
         .filter(|s| !s.is_empty())
         .unwrap_or_else(|| "unknown".to_string());
     println!("cargo:rustc-env=SPIRE_GIT_REV={rev}");
-    // Re-stamp when HEAD moves (best effort: path only exists in a
-    // checkout; missing paths are ignored by cargo).
+    // Re-stamp when HEAD moves: `HEAD` changes on a checkout, its reflog on
+    // every commit to the branch it names (best effort: the paths only
+    // exist in a checkout; missing paths are ignored by cargo).
     println!("cargo:rerun-if-changed=../../.git/HEAD");
+    println!("cargo:rerun-if-changed=../../.git/logs/HEAD");
 }

@@ -4,14 +4,15 @@
 //!
 //! Arguments are `--flag VALUE` or `--flag=VALUE` — `--secs`, `--msgs`,
 //! `--substrate`, `--json`, `--scale` (see [`Args`]) — plus bare numbers
-//! where a doc line shows them. An experiment takes what its doc line
-//! names and the driver refuses the rest.
+//! where a doc line shows them. Every experiment takes `--scale` and
+//! `--json`; beyond those it takes what its doc line names and the driver
+//! refuses the rest.
 //!
 //! Exit code: 0 on success, 1 when an experiment's own pass criteria fail
 //! or its summary cannot be written, 2 on a usage error.
 
 use spire::deployment::Substrate;
-use spire_bench::experiments::{Args, Experiment, TABLE};
+use spire_bench::experiments::{Args, Experiment, Outcome, TABLE};
 
 fn usage_error(msg: &str) -> ! {
     eprintln!("spire-exp: {msg}");
@@ -28,6 +29,7 @@ fn list() {
         "all"
     );
     println!("\n--scale N runs any experiment's reduced-scale variant, durations times N");
+    println!("--json PATH writes any experiment's summary (its rows) to PATH");
 }
 
 /// Parses everything after the experiment name, refusing a flag that
@@ -89,9 +91,16 @@ fn parse(usage: &str, mut rest: impl Iterator<Item = String>) -> Args {
 /// Runs one experiment; true when it passed and its summary (if asked
 /// for) was written.
 fn run(exp: &Experiment, args: &Args) -> bool {
-    let outcome = (exp.run)(args);
-    let mut ok = outcome.ok;
-    if let (Some(path), Some(summary)) = (&args.json, outcome.summary) {
+    let Outcome { mut ok, summary } = (exp.run)(args);
+    // A measurement ends with where it was taken; a calculator has no host.
+    if let Some(cores) = summary.get("cores") {
+        println!(
+            "\n{}: git_rev {}, {cores} core(s)",
+            exp.name,
+            spire_bench::git_rev()
+        );
+    }
+    if let Some(path) = &args.json {
         match std::fs::write(path, format!("{summary}\n")) {
             Ok(()) => println!("{} summary -> {path}", exp.name),
             Err(e) => {
@@ -125,8 +134,11 @@ fn main() {
             ok
         }
         name => match TABLE.iter().find(|exp| exp.name == name) {
-            // `--scale` applies to every experiment, so no doc line repeats it.
-            Some(exp) => run(exp, &parse(&format!("{} [--scale N]", exp.doc), argv)),
+            // These two apply to every experiment, so no doc line repeats them.
+            Some(exp) => {
+                let usage = format!("{} [--scale N] [--json PATH]", exp.doc);
+                run(exp, &parse(&usage, argv))
+            }
             None => usage_error(&format!("no experiment named {name:?}")),
         },
     };

@@ -3,11 +3,11 @@
 //! function each, and [`TABLE`]: the single list `spire-exp <name>`,
 //! `spire-exp all`, `spire-exp --list` and EXPERIMENTS.md all read.
 
-use crate::{bucket_timeline, header, parallel_runs, print_fields, print_rows};
+use crate::{bucket_timeline, parallel_runs, print_fields, print_rows};
 use bytes::Bytes;
 use spire::attack::Scenario;
 use spire::deployment::{Deployment, DeploymentConfig, Substrate};
-use spire::report::{host_cores, Report, ShardStat, REPORT_SCHEMA_VERSION};
+use spire::report::{host_cores, Report, ShardStat, REPORT_SCHEMA_VERSION, SLA_MS};
 use spire::{BaselineDeployment, SpireConfig};
 use spire_crypto::{KeyMaterial, KeyStore};
 use spire_prime::{ByzBehavior, ProtocolMode};
@@ -30,8 +30,8 @@ pub struct Args {
     pub msgs: Option<u32>,
     /// `--substrate sim|rt|rt:N`.
     pub substrate: Substrate,
-    /// `--json PATH`: where the driver writes the summary. Nothing is
-    /// written without it.
+    /// `--json PATH`: where the driver writes the experiment's summary.
+    /// Nothing is written without it.
     pub json: Option<String>,
     /// `--scale N`: run the reduced-scale variant (what `all` runs), its
     /// durations multiplied by `N`.
@@ -60,15 +60,13 @@ impl Args {
 pub struct Outcome {
     /// False when the experiment's own pass criteria failed (exit code 1).
     pub ok: bool,
-    /// The machine-readable summary, for experiments that have one.
-    pub summary: Option<Json>,
+    /// The machine-readable summary `--json PATH` writes: the head
+    /// (`experiment`, `schema_version`, `git_rev`), the experiment's
+    /// parameters and the rows its tables were printed from. A summary that records the host's `cores`
+    /// is a measurement, and the driver ends its printout with the
+    /// `git_rev` / `cores` line; a calculator (T1, the planner) has neither.
+    pub summary: Json,
 }
-
-/// An experiment that only prints its table.
-const PRINTED: Outcome = Outcome {
-    ok: true,
-    summary: None,
-};
 
 /// One row of the experiment table.
 pub struct Experiment {
@@ -76,7 +74,8 @@ pub struct Experiment {
     pub name: &'static str,
     /// One line for `--list`. The bracketed part names every argument the
     /// experiment reads, with its full-scale default; the driver refuses
-    /// any other (`--scale`, the reduced variant, applies to all).
+    /// any other (`--scale`, the reduced variant, and `--json PATH` apply
+    /// to all).
     pub doc: &'static str,
     /// Runs it.
     pub run: fn(&Args) -> Outcome,
@@ -91,7 +90,7 @@ const fn exp(name: &'static str, doc: &'static str, run: fn(&Args) -> Outcome) -
 pub const TABLE: &[Experiment] = &[
     exp("t1", "T1: replicas required for f intrusions + k recoveries (+1 site loss)", t1_configurations),
     exp("t2", "T2: long-running wide-area deployment statistics [--secs 1800]", t2_longrun),
-    exp("rt-throughput", "RT: sim vs real-clock throughput sweep, per point [--secs 10] [--json PATH]", rt_throughput),
+    exp("rt-throughput", "RT: sim vs real-clock throughput sweep, per point [--secs 10]", rt_throughput),
     exp("f1", "F1: update-latency CDF, wide-area vs LAN [--secs 300]", f1_latency_cdf),
     exp("f2", "F2: latency timeline across proactive recoveries [--secs 180]", f2_recovery_timeline),
     exp("f3", "F3: DoS + disconnection of the primary control center vs the baseline [--secs 120]", f3_network_attack),
@@ -103,9 +102,9 @@ pub const TABLE: &[Experiment] = &[
     exp("a3", "A3: Merkle batch signing vs per-message signatures, real ed25519 [--secs 30]", a3_amortized_auth),
     exp("t3", "T3: the red-team scenario matrix", t3_red_team),
     exp("f6-chaos", "F6-chaos: seeded chaos matrix with online invariants [--secs 60] [SEED ...] (1..=8)", f6_chaos),
-    exp("shard-scaling", "SHARD: 1/2/4-group scaling + cross-shard 2PC legs, per point [--secs 30] [--json PATH]", shard_scaling),
-    exp("endurance", "ENDURANCE: soak under rolling recovery + network chaos [--secs 600] [--substrate sim] [--json PATH]", endurance),
-    exp("planner", "Operator tool: replica placement for a tolerance target [F K DATA_CENTERS] (1 1 2)", config_planner),
+    exp("shard-scaling", "SHARD: 1/2/4-group scaling + cross-shard 2PC legs, per point [--secs 30]", shard_scaling),
+    exp("endurance", "ENDURANCE: soak under rolling recovery + network chaos [--secs 600] [--substrate sim]", endurance),
+    exp("planner", "Planner: replica placement for a tolerance target (operator tool) [F K DATA_CENTERS] (1 1 2)", config_planner),
 ];
 
 /// The leading fields every experiment summary carries.
@@ -115,6 +114,34 @@ fn summary_head(experiment: &str) -> Vec<(&'static str, Json)> {
         ("schema_version", REPORT_SCHEMA_VERSION.into()),
         ("git_rev", crate::git_rev().into()),
     ]
+}
+
+/// What an experiment that ran something on this host hands back: the
+/// head, the host's cores, the experiment's parameters, then its rows.
+fn measured<const N: usize>(
+    ok: bool,
+    experiment: &str,
+    params: [(&'static str, Json); N],
+    rows: Vec<Json>,
+) -> Outcome {
+    let mut doc = summary_head(experiment);
+    doc.push(("cores", host_cores().into()));
+    doc.extend(params);
+    doc.push(("rows", Json::Arr(rows)));
+    let summary = Json::obj(doc);
+    Outcome { ok, summary }
+}
+
+/// `row` with `lead` in front: the sweep key or label a run's row is told
+/// apart by.
+fn keyed<const N: usize>(lead: [(&str, Json); N], row: Json) -> Json {
+    let Json::Obj(fields) = row else {
+        unreachable!("a row is an object")
+    };
+    let lead = lead
+        .into_iter()
+        .map(|(key, value)| (key.to_string(), value));
+    Json::Obj(lead.chain(fields).collect())
 }
 
 fn secs(s: u64) -> Time {
@@ -154,35 +181,90 @@ fn trace_hooks(system: &Deployment, report: &Report, tag: &str) {
     }
 }
 
+/// One figure of a latency summary; null when nothing was confirmed.
+fn stat(latency: &Option<Summary>, pick: fn(&Summary) -> f64) -> Json {
+    latency.as_ref().map_or(Json::Null, |s| pick(s).into())
+}
+
+/// What every deployment run reports, whichever experiment made it: the
+/// row its table line and its JSON are both read from.
+fn run_row(report: &Report) -> Json {
+    let stat = |pick| stat(&report.update_summary, pick);
+    let over_sla = report.update_latencies_ms.iter().filter(|ms| **ms > SLA_MS);
+    Json::obj([
+        ("updates_sent", report.updates_sent.into()),
+        ("updates_confirmed", report.updates_confirmed.into()),
+        ("delivery_ratio", report.delivery_ratio().into()),
+        ("mean_ms", stat(|s| s.mean)),
+        ("p50_ms", stat(|s| s.p50)),
+        ("p99_ms", stat(|s| s.p99)),
+        ("p999_ms", stat(|s| s.p999)),
+        ("max_ms", stat(|s| s.max)),
+        ("sla_fraction", report.sla_fraction.into()),
+        ("over_sla", over_sla.count().into()),
+        ("recoveries_started", report.recoveries.0.into()),
+        ("recoveries_completed", report.recoveries.1.into()),
+        ("view_changes", report.view_changes.into()),
+        ("silent_seconds", report.silent_seconds().into()),
+        ("safety_ok", report.safety_ok.into()),
+    ])
+}
+
+/// One deployment run, the sequence every deployment-based experiment
+/// shares: builds `cfg`, lets `arm` schedule its faults, runs `span` of
+/// simulated time, takes the report and fires the trace hooks under `tag`.
+/// Returns the run's row, and the report for what an experiment reads
+/// beyond it (a timeline, the latency samples, the auth counters).
+fn run(
+    cfg: DeploymentConfig,
+    span: Span,
+    tag: &str,
+    arm: impl FnOnce(&mut Deployment),
+) -> (Json, Report) {
+    let mut system = Deployment::build(cfg);
+    arm(&mut system);
+    system.run_for(span);
+    let report = system.report();
+    trace_hooks(&system, &report, tag);
+    (run_row(&report), report)
+}
+
 /// T1 — resource requirements: replicas needed for (f, k), with and
 /// without tolerance to one site disconnection, vs prior systems.
 fn t1_configurations(_: &Args) -> Outcome {
-    header(
-        "T1: replicas required (3f+2k+1 analysis)",
-        "  f  k |  BFT(3f+1) | +recovery (3f+2k+1) | +1-site-loss: 2 sites  4 sites  6 sites",
-    );
+    let mut rows = Vec::new();
     for f in 1..=3u32 {
         for k in 0..=2u32 {
-            let bft = 3 * f + 1;
-            let spire_n = spire::required_replicas(f, k);
             let over = |sites| {
-                SpireConfig::min_replicas_site_tolerant(f, k, sites)
-                    .map(|n| n.to_string())
-                    .unwrap_or_else(|| "-".to_string())
+                SpireConfig::min_replicas_site_tolerant(f, k, sites).map_or(Json::Null, Json::from)
             };
-            println!(
-                "  {f}  {k} | {bft:>10} | {spire_n:>19} | {:>21} {:>8} {:>8}",
-                over(2),
-                over(4),
-                over(6)
-            );
+            rows.push(Json::obj([
+                ("f", f.into()),
+                ("k", k.into()),
+                ("bft", (3 * f + 1).into()),
+                ("spire", spire::required_replicas(f, k).into()),
+                ("over_2_sites", over(2)),
+                ("over_4_sites", over(4)),
+                ("over_6_sites", over(6)),
+            ]));
         }
     }
+    print_rows(
+        "T1: replicas required — BFT 3f+1, Spire 3f+2k+1, and to also survive \
+         one site's loss over 2 / 4 / 6 sites",
+        "f k bft spire over_2_sites over_4_sites over_6_sites",
+        &rows,
+    );
     println!("\nPaper's deployed configuration: f=1, k=1 -> 6 replicas as 2+2+1+1");
     println!("over 2 control centers + 2 data centers (site-loss tolerant).");
     let cfg = SpireConfig::spread(1, 1, 2);
     assert!(cfg.validate(true).is_ok());
-    PRINTED
+    let mut doc = summary_head("t1");
+    doc.push(("rows", Json::Arr(rows)));
+    Outcome {
+        ok: true,
+        summary: Json::obj(doc),
+    }
 }
 
 /// T2 — long-running wide-area deployment: latency statistics and SLA
@@ -195,84 +277,49 @@ fn t2_longrun(args: &Args) -> Outcome {
         command_interval: Span::secs(30),
         ..workload(10, 1000)
     };
-    let mut system = Deployment::build(cfg);
-    // One proactive recovery per minute, round-robin over the 6 replicas.
-    system.schedule_proactive_recovery(secs(30), Span::secs(60), secs(duration_s));
-    system.run_for(Span::secs(duration_s));
-    let report = system.report();
-    let summary = report.update_summary.expect("updates flowed");
-    header(
+    let (row, _) = run(cfg, Span::secs(duration_s), "t2", |system| {
+        // One proactive recovery per minute, round-robin over the 6 replicas.
+        system.schedule_proactive_recovery(secs(30), Span::secs(60), secs(duration_s));
+    });
+    print_fields(
         &format!("T2: wide-area long run ({duration_s} simulated seconds)"),
-        "metric                         value",
+        &row,
     );
-    println!("updates sent                   {}", report.updates_sent);
-    println!(
-        "updates confirmed              {}",
-        report.updates_confirmed
-    );
-    println!(
-        "delivery ratio                 {:.4}",
-        report.delivery_ratio()
-    );
-    println!("mean latency                   {:.2} ms", summary.mean);
-    println!("median latency                 {:.2} ms", summary.p50);
-    println!("99th percentile                {:.2} ms", summary.p99);
-    println!("99.9th percentile              {:.2} ms", summary.p999);
-    println!("max latency                    {:.2} ms", summary.max);
-    println!(
-        "within 100 ms SLA              {:.3} %",
-        report.sla_fraction * 100.0
-    );
-    println!(
-        "proactive recoveries           {} started / {} completed",
-        report.recoveries.0, report.recoveries.1
-    );
-    println!("view changes                   {}", report.view_changes);
-    println!("silent seconds                 {}", report.silent_seconds());
-    println!(
-        "safety                         {}",
-        if report.safety_ok { "OK" } else { "VIOLATED" }
-    );
-    trace_hooks(&system, &report, "t2");
-    PRINTED
+    measured(true, "t2", [("duration_s", duration_s.into())], vec![row])
 }
 
 /// F1 — CDF of end-to-end update latency: wide-area vs single-site LAN.
 fn f1_latency_cdf(args: &Args) -> Outcome {
     let duration_s = args.secs(300, 60);
-    let run = |lan: bool| {
-        let mut cfg = if lan {
-            DeploymentConfig::lan(77)
-        } else {
-            DeploymentConfig::wide_area(77)
+    let rows = parallel_runs(["lan", "wan"], |site| {
+        let mut cfg = match site {
+            "lan" => DeploymentConfig::lan(77),
+            _ => DeploymentConfig::wide_area(77),
         };
         cfg.workload = workload(10, 500);
-        let mut system = Deployment::build(cfg);
-        system.run_for(Span::secs(duration_s));
-        let report = system.report();
-        trace_hooks(&system, &report, if lan { "f1-lan" } else { "f1-wan" });
-        report.update_latencies_ms
-    };
-    let mut results = parallel_runs([false, true], run);
-    let lan = results.pop().unwrap();
-    let wan = results.pop().unwrap();
-    header(
-        "F1: update latency CDF (proxy -> f+1 confirmations)",
-        "percentile |   LAN (1 site)   | wide-area (2CC+2DC)",
+        let tag = format!("f1-{site}");
+        let (_, report) = run(cfg, Span::secs(duration_s), &tag, |_| {});
+        let latencies = &report.update_latencies_ms;
+        let at = |pct| percentile(latencies, pct).into();
+        Json::obj([
+            ("deployment", site.into()),
+            ("p10_ms", at(10.0)),
+            ("p25_ms", at(25.0)),
+            ("p50_ms", at(50.0)),
+            ("p75_ms", at(75.0)),
+            ("p90_ms", at(90.0)),
+            ("p95_ms", at(95.0)),
+            ("p99_ms", at(99.0)),
+            ("p999_ms", at(99.9)),
+            ("sla_fraction", fraction_within(latencies, 100.0).into()),
+        ])
+    });
+    print_rows(
+        "F1: update latency CDF (proxy -> f+1 confirmations), 1-site LAN vs wide-area 2CC+2DC",
+        "deployment p10_ms p25_ms p50_ms p75_ms p90_ms p95_ms p99_ms p999_ms sla_fraction",
+        &rows,
     );
-    for pct in [10.0, 25.0, 50.0, 75.0, 90.0, 95.0, 99.0, 99.9] {
-        println!(
-            "  {pct:>6.1}% | {:>13.2} ms | {:>16.2} ms",
-            percentile(&lan, pct),
-            percentile(&wan, pct)
-        );
-    }
-    println!(
-        "within 100ms SLA: LAN {:.2}%, wide-area {:.2}%",
-        fraction_within(&lan, 100.0) * 100.0,
-        fraction_within(&wan, 100.0) * 100.0
-    );
-    PRINTED
+    measured(true, "f1", [("duration_s", duration_s.into())], rows)
 }
 
 /// F2 — latency/throughput timeline across proactive recovery events.
@@ -281,36 +328,42 @@ fn f2_recovery_timeline(args: &Args) -> Outcome {
     let recovery_period_s = if args.scale.is_some() { 20 } else { 30 };
     let mut cfg = DeploymentConfig::wide_area(88);
     cfg.workload = workload(8, 500);
-    let mut system = Deployment::build(cfg);
-    system.schedule_proactive_recovery(
-        secs(recovery_period_s),
-        Span::secs(recovery_period_s),
-        secs(duration_s),
-    );
-    system.run_for(Span::secs(duration_s));
-    let report = system.report();
-    trace_hooks(&system, &report, "f2");
-    header(
+    let (row, report) = run(cfg, Span::secs(duration_s), "f2", |system| {
+        system.schedule_proactive_recovery(
+            secs(recovery_period_s),
+            Span::secs(recovery_period_s),
+            secs(duration_s),
+        );
+    });
+    let rows: Vec<Json> = bucket_timeline(&report.update_timeline, 5, duration_s)
+        .into_iter()
+        .map(|(t, confirmed, mean_ms)| {
+            Json::obj([
+                ("t_s", t.into()),
+                ("confirmed", confirmed.into()),
+                ("mean_ms", mean_ms.into()),
+                ("recovery", (t > 0 && t % recovery_period_s < 5).into()),
+            ])
+        })
+        .collect();
+    print_rows(
         &format!(
             "F2: timeline with a proactive recovery every {recovery_period_s} s (offered: 16 updates/s)"
         ),
-        "  t(s) | updates confirmed | mean latency",
+        "t_s confirmed mean_ms recovery",
+        &rows,
     );
-    for (t, count, mean) in bucket_timeline(&report.update_timeline, 5, duration_s) {
-        let marker = if t > 0 && (t % recovery_period_s) < 5 {
-            "  <- recovery"
-        } else {
-            ""
-        };
-        println!("  {t:>4} | {count:>17} | {mean:>9.1} ms{marker}");
-    }
-    println!(
-        "recoveries completed: {} / {}; safety {}",
-        report.recoveries.1,
-        report.recoveries.0,
-        if report.safety_ok { "OK" } else { "VIOLATED" }
+    print_rows(
+        "F2: the whole run",
+        "recoveries_started recoveries_completed delivery_ratio silent_seconds safety_ok",
+        std::slice::from_ref(&row),
     );
-    PRINTED
+    let params = [
+        ("duration_s", duration_s.into()),
+        ("recovery_period_s", recovery_period_s.into()),
+        ("run", row),
+    ];
+    measured(true, "f2", params, rows)
 }
 
 /// F3 — behaviour under network attack: DoS then full disconnection of the
@@ -322,115 +375,102 @@ fn f3_network_attack(args: &Args) -> Outcome {
     let repair = duration_s * 3 / 4;
     let workload = workload(8, 500);
 
-    let spire_timeline = {
-        let mut cfg = DeploymentConfig::wide_area(99);
-        cfg.workload = workload;
-        let mut system = Deployment::build(cfg);
+    let mut cfg = DeploymentConfig::wide_area(99);
+    cfg.workload = workload;
+    let (_, report) = run(cfg, Span::secs(duration_s), "f3", |system| {
         system.schedule_site_dos(0, secs(dos_from), secs(cut_from), 0.7);
         system.schedule_site_disconnect(0, secs(cut_from), secs(repair));
-        system.run_for(Span::secs(duration_s));
-        let report = system.report();
-        assert!(report.safety_ok, "safety violated under network attack");
-        trace_hooks(&system, &report, "f3");
-        report.update_timeline
+    });
+    assert!(report.safety_ok, "safety violated under network attack");
+    // The baseline sits out the DoS phase: the cut alone is what kills it.
+    let mut baseline = BaselineDeployment::build(99, workload, true);
+    baseline.schedule_cc_outage(secs(cut_from), secs(repair));
+    baseline.run_for(Span::secs(duration_s));
+    let baseline_timeline = baseline.world.metrics().series("scada.update_latency_ms");
+
+    let bucket = |confirmed: usize, mean_ms: f64| {
+        Json::obj([("confirmed", confirmed.into()), ("mean_ms", mean_ms.into())])
     };
-    let baseline_timeline = {
-        let mut baseline = BaselineDeployment::build(99, workload, true);
-        baseline.schedule_cc_outage(secs(cut_from), secs(repair));
-        // Model the DoS phase as heavy loss on the CC links too.
-        baseline.run_for(Span::secs(duration_s));
-        baseline
-            .world
-            .metrics()
-            .series("scada.update_latency_ms")
-            .to_vec()
-    };
-    header(
+    let rows: Vec<Json> = bucket_timeline(&report.update_timeline, 5, duration_s)
+        .into_iter()
+        .zip(bucket_timeline(baseline_timeline, 5, duration_s))
+        .map(
+            |((t, confirmed, mean_ms), (_, base_confirmed, base_mean_ms))| {
+                let cc1 = if t >= cut_from && t < repair {
+                    "cut".into()
+                } else if t >= dos_from && t < cut_from {
+                    "dos".into()
+                } else {
+                    Json::Null
+                };
+                Json::obj([
+                    ("t_s", t.into()),
+                    ("spire", bucket(confirmed, mean_ms)),
+                    ("baseline", bucket(base_confirmed, base_mean_ms)),
+                    ("cc1", cc1),
+                ])
+            },
+        )
+        .collect();
+    print_rows(
         &format!(
             "F3: DoS on CC1 at {dos_from}s, disconnection {cut_from}s-{repair}s (offered: 16 updates/s)"
         ),
-        "  t(s) | Spire confirmed / mean | baseline confirmed / mean",
+        "t_s spire.confirmed spire.mean_ms baseline.confirmed baseline.mean_ms cc1",
+        &rows,
     );
-    let spire_rows = bucket_timeline(&spire_timeline, 5, duration_s);
-    let base_rows = bucket_timeline(&baseline_timeline, 5, duration_s);
-    for (s_row, b_row) in spire_rows.iter().zip(base_rows.iter()) {
-        let phase = if s_row.0 >= cut_from && s_row.0 < repair {
-            " <- CC1 cut"
-        } else if s_row.0 >= dos_from && s_row.0 < cut_from {
-            " <- CC1 DoS"
-        } else {
-            ""
-        };
-        println!(
-            "  {:>4} | {:>9} {:>8.1}ms | {:>12} {:>8.1}ms{phase}",
-            s_row.0, s_row.1, s_row.2, b_row.1, b_row.2
-        );
-    }
-    PRINTED
+    let params = [
+        ("duration_s", duration_s.into()),
+        ("dos_from_s", dos_from.into()),
+        ("cut_from_s", cut_from.into()),
+        ("repair_s", repair.into()),
+    ];
+    measured(true, "f3", params, rows)
 }
 
 /// F4 — latency vs offered load: Spire (wide-area, 6 replicas) vs the
 /// unreplicated baseline, sweeping the per-RTU update interval.
 fn f4_throughput(args: &Args) -> Outcome {
     let duration_s = args.secs(60, 30);
-    header(
-        "F4: latency vs offered load (10 RTUs)",
-        "  updates/s | Spire mean / p99 / delivered      | baseline mean / p99 / delivered",
-    );
     let intervals_ms = [1000u64, 500, 200, 100, 50, 20, 10];
     let rows = parallel_runs(intervals_ms, |interval| {
         let workload = workload(10, interval);
-        let offered = workload.updates_per_second();
         let mut cfg = DeploymentConfig::wide_area(3000 + interval);
         cfg.workload = workload;
-        let mut system = Deployment::build(cfg);
-        system.run_for(Span::secs(duration_s));
-        let report = system.report();
-        trace_hooks(&system, &report, &format!("f4-{interval}ms"));
+        let tag = format!("f4-{interval}ms");
+        let (row, _) = run(cfg, Span::secs(duration_s), &tag, |_| {});
         let mut baseline = BaselineDeployment::build(3000 + interval, workload, true);
         baseline.run_for(Span::secs(duration_s));
         let m = baseline.world.metrics();
-        let base_lat = m.values("scada.update_latency_ms");
-        let base_ratio = if m.counter("scada.updates_sent") == 0 {
-            0.0
-        } else {
-            m.counter("scada.updates_confirmed") as f64 / m.counter("scada.updates_sent") as f64
-        };
-        (
-            offered,
-            report.update_summary,
-            report.delivery_ratio(),
-            Summary::of(&base_lat),
-            base_ratio,
+        let latency = Summary::of(&m.values("scada.update_latency_ms"));
+        let sent = m.counter("scada.updates_sent");
+        let delivery = m.counter("scada.updates_confirmed") as f64 / sent.max(1) as f64;
+        let baseline = Json::obj([
+            ("mean_ms", stat(&latency, |s| s.mean)),
+            ("p99_ms", stat(&latency, |s| s.p99)),
+            ("delivery_ratio", delivery.into()),
+        ]);
+        let offered = workload.updates_per_second();
+        keyed(
+            [("offered_per_s", offered.into()), ("baseline", baseline)],
+            row,
         )
     });
-    for (offered, spire_sum, spire_ratio, base_sum, base_ratio) in rows {
-        let fmt = |s: &Option<Summary>| match s {
-            Some(s) => format!("{:>7.1} / {:>7.1}", s.mean, s.p99),
-            None => "      - /      -".to_string(),
-        };
-        println!(
-            "  {offered:>9.0} | {} / {:>5.1}% | {} / {:>5.1}%",
-            fmt(&spire_sum),
-            spire_ratio * 100.0,
-            fmt(&base_sum),
-            base_ratio * 100.0
-        );
-    }
-    PRINTED
+    print_rows(
+        "F4: latency vs offered load (10 RTUs), Spire vs the unreplicated baseline",
+        "offered_per_s mean_ms p99_ms delivery_ratio baseline.mean_ms baseline.p99_ms baseline.delivery_ratio",
+        &rows,
+    );
+    measured(true, "f4", [("duration_s", duration_s.into())], rows)
 }
 
 /// F5 — the leader performance attack: latency under a proposal-delaying
 /// leader, Prime vs PBFT-like, sweeping the injected delay.
 fn f5_leader_attack(args: &Args) -> Outcome {
     let duration_s = args.secs(60, 40);
-    header(
-        "F5: malicious leader delaying proposals (update latency)",
-        "  delay(ms) | Prime p50 / view-changes | PBFT-like p50 / view-changes",
-    );
     let delays_ms = [0u64, 200, 500, 900, 1500];
     let rows = parallel_runs(delays_ms, |delay| {
-        let run = |mode: ProtocolMode| {
+        let leg = |mode: ProtocolMode| {
             let mut cfg = DeploymentConfig::wide_area(4000 + delay);
             cfg.mode = mode;
             cfg.workload = workload(5, 500);
@@ -438,29 +478,23 @@ fn f5_leader_attack(args: &Args) -> Outcome {
                 cfg.byz
                     .insert(0, ByzBehavior::LeaderDelay(Span::millis(delay)));
             }
-            let mut system = Deployment::build(cfg);
-            system.run_for(Span::secs(duration_s));
-            let report = system.report();
-            trace_hooks(&system, &report, &format!("f5-{mode:?}-{delay}ms"));
-            let p50 = if report.update_latencies_ms.is_empty() {
-                f64::NAN
-            } else {
-                percentile(&report.update_latencies_ms, 50.0)
-            };
-            (p50, report.view_changes)
+            let tag = format!("f5-{mode:?}-{delay}ms");
+            run(cfg, Span::secs(duration_s), &tag, |_| {}).0
         };
-        let (prime_p50, prime_vc) = run(ProtocolMode::Prime);
-        let (pbft_p50, pbft_vc) = run(ProtocolMode::PbftLike);
-        (delay, prime_p50, prime_vc, pbft_p50, pbft_vc)
+        Json::obj([
+            ("delay_ms", delay.into()),
+            ("prime", leg(ProtocolMode::Prime)),
+            ("pbft_like", leg(ProtocolMode::PbftLike)),
+        ])
     });
-    for (delay, prime_p50, prime_vc, pbft_p50, pbft_vc) in rows {
-        println!(
-            "  {delay:>9} | {prime_p50:>9.1} ms / {prime_vc:>4} | {pbft_p50:>12.1} ms / {pbft_vc:>4}"
-        );
-    }
+    print_rows(
+        "F5: malicious leader delaying proposals (update latency), Prime vs PBFT-like",
+        "delay_ms prime.p50_ms prime.view_changes pbft_like.p50_ms pbft_like.view_changes",
+        &rows,
+    );
     println!("\nShape check: Prime's p50 stays near the no-attack level (the slow");
     println!("leader is replaced); the PBFT-like p50 grows with the injected delay.");
-    PRINTED
+    measured(true, "f5", [("duration_s", duration_s.into())], rows)
 }
 
 /// An overlay client that counts deliveries under `counter`.
@@ -561,18 +595,14 @@ fn f6_overlay_resilience(args: &Args) -> Outcome {
     topology.add_edge(OverlayId(0), OverlayId(4), 12);
     topology.add_edge(OverlayId(4), OverlayId(8), 12);
     topology.add_edge(OverlayId(2), OverlayId(10), 12);
-    header(
-        "F6: overlay delivery ratio vs failed daemons (12-node overlay)",
-        "  failed | shortest-path | 3 disjoint paths | constrained flooding",
-    );
-    for failures in 0..=4u16 {
-        let mut ratios = Vec::new();
-        for mode in [
-            Dissemination::Shortest,
-            Dissemination::DisjointPaths(3),
-            Dissemination::Flood,
+    let mut rows = Vec::new();
+    for failures in 0..=4usize {
+        let mut row = vec![("failed", failures.into())];
+        for (column, mode) in [
+            ("shortest_path", Dissemination::Shortest),
+            ("disjoint_paths_3", Dissemination::DisjointPaths(3)),
+            ("flooding", Dissemination::Flood),
         ] {
-            let traced = std::env::var_os("SPIRE_TRACE").is_some();
             let (mut world, net) = overlay_world(
                 1000 + failures as u64,
                 6,
@@ -580,13 +610,6 @@ fn f6_overlay_resilience(args: &Args) -> Outcome {
                 DaemonConfig::default(),
                 LinkConfig::wan(5),
             );
-            if traced {
-                world.enable_tracing(16_384);
-                for node in topology.nodes() {
-                    let pid = net.daemon_pid(node);
-                    world.tracer_mut().mark_overlay(pid.0);
-                }
-            }
             let dst = overlay_addr(6, 1);
             add_overlay_client(&mut world, &net, "rx", dst, |port| {
                 let counter = "f6.rx";
@@ -607,45 +630,32 @@ fn f6_overlay_resilience(args: &Args) -> Outcome {
             // breaks the second disjoint path 0-11-...-6; flooding survives
             // every kill because 0-4-8-7-6 stays connected throughout.
             let victims = [5u16, 9, 11, 3];
-            for v in victims.iter().take(failures as usize) {
+            for v in victims.iter().take(failures) {
                 let pid = net.daemon_pid(OverlayId(*v));
                 world.schedule_control(Time(1_000_000), move |w| w.crash(pid));
             }
             world.run_for(Span::secs(60));
             let delivered = world.metrics().counter("f6.rx");
-            if traced && failures == 0 {
-                if let Some(h) = world.metrics().histogram("overlay.hop_us") {
-                    println!(
-                        "  [trace] {mode:?}: {} overlay hops, mean {:.0} us, p99 {:.0} us",
-                        h.count(),
-                        h.mean(),
-                        h.percentile(99.0)
-                    );
-                }
-            }
-            ratios.push(delivered as f64 / messages as f64);
+            row.push((column, (delivered as f64 / messages as f64).into()));
         }
-        println!(
-            "  {failures:>6} | {:>12.1}% | {:>15.1}% | {:>19.1}%",
-            ratios[0] * 100.0,
-            ratios[1] * 100.0,
-            ratios[2] * 100.0
-        );
+        rows.push(Json::obj(row));
     }
+    print_rows(
+        "F6: overlay delivery ratio vs failed daemons (12-node overlay), by dissemination mode",
+        "failed shortest_path disjoint_paths_3 flooding",
+        &rows,
+    );
     println!("\nShape check: shortest-path degrades once its path dies until");
     println!("re-routing converges; flooding survives anything that leaves the");
     println!("graph connected.");
-    PRINTED
+    measured(true, "f6", [("messages", messages.into())], rows)
 }
 
 /// Ablation A1 — Spines per-source fairness on/off under a flooding
 /// attacker (the DESIGN.md design-choice ablation).
 fn a1_fairness(args: &Args) -> Outcome {
     let messages = args.msgs(200, 100);
-    header(
-        "A1 (ablation): flooding attacker vs per-source fairness",
-        "  fairness | legitimate delivered | attacker msgs | rate-limited drops",
-    );
+    let mut rows = Vec::new();
     for fairness in [true, false] {
         let mut cfg = DaemonConfig::default();
         if !fairness {
@@ -695,53 +705,70 @@ fn a1_fairness(args: &Args) -> Outcome {
             );
         }
         world.run_for(Span::secs(120));
-        println!(
-            "  {:>8} | {:>19.1}% | {:>13} | {:>18}",
-            if fairness { "on" } else { "off" },
-            world.metrics().counter("a1.rx") as f64 / messages as f64 * 100.0,
-            messages * 300,
-            world.metrics().counter("spines.flood_rate_limited"),
-        );
+        let m = world.metrics();
+        rows.push(Json::obj([
+            ("fairness", if fairness { "on" } else { "off" }.into()),
+            (
+                "legit_delivery_ratio",
+                (m.counter("a1.rx") as f64 / messages as f64).into(),
+            ),
+            ("attacker_msgs", (messages * 300).into()),
+            (
+                "rate_limited_drops",
+                m.counter("spines.flood_rate_limited").into(),
+            ),
+        ]));
     }
+    print_rows(
+        "A1 (ablation): flooding attackers vs per-source fairness",
+        "fairness legit_delivery_ratio attacker_msgs rate_limited_drops",
+        &rows,
+    );
     println!("\nShape check: with fairness off, the attacker's flood congests the");
     println!("narrow links and legitimate delivery collapses; with per-source");
     println!("rate limits on, the attacker is clamped and delivery is unaffected.");
-    PRINTED
+    measured(true, "a1", [("messages", messages.into())], rows)
 }
 
 /// Ablation A2 — dual-homed vs single-homed substations under the loss of
 /// the primary control center.
 fn a2_dual_homing(args: &Args) -> Outcome {
     let duration_s = args.secs(90, 60);
-    header(
-        "A2 (ablation): substation homing vs loss of the primary CC",
-        "  homing | confirmed during outage | confirmed overall",
-    );
     let cut_from = duration_s / 3;
     let cut_until = duration_s * 2 / 3;
-    for dual in [true, false] {
+    let mut rows = Vec::new();
+    for homing in ["dual", "single"] {
         let mut cfg = DeploymentConfig::wide_area(555);
-        cfg.dual_homed_substations = dual;
+        cfg.dual_homed_substations = homing == "dual";
         cfg.workload = workload(6, 500);
-        let mut system = Deployment::build(cfg);
-        system.schedule_site_disconnect(0, secs(cut_from), secs(cut_until));
-        system.run_for(Span::secs(duration_s));
-        let report = system.report();
-        let during: usize = report
+        let tag = format!("a2-{homing}");
+        let (row, report) = run(cfg, Span::secs(duration_s), &tag, |system| {
+            system.schedule_site_disconnect(0, secs(cut_from), secs(cut_until));
+        });
+        let during = report
             .update_timeline
             .iter()
             .filter(|(t, _)| t.0 > (cut_from + 5) * 1_000_000 && t.0 < cut_until * 1_000_000)
             .count();
-        println!(
-            "  {:>6} | {:>23} | {:>16.1}%",
-            if dual { "dual" } else { "single" },
-            during,
-            report.delivery_ratio() * 100.0
-        );
+        let lead = [
+            ("homing", homing.into()),
+            ("confirmed_during_outage", during.into()),
+        ];
+        rows.push(keyed(lead, row));
     }
+    print_rows(
+        "A2 (ablation): substation homing vs loss of the primary CC",
+        "homing confirmed_during_outage delivery_ratio",
+        &rows,
+    );
     println!("\nShape check: dual-homed substations keep reporting through the");
     println!("outage via the second control center; single-homed ones go dark.");
-    PRINTED
+    let params = [
+        ("duration_s", duration_s.into()),
+        ("cut_from_s", cut_from.into()),
+        ("cut_until_s", cut_until.into()),
+    ];
+    measured(true, "a2", params, rows)
 }
 
 /// Ablation A3 — amortized authentication: signature operations per
@@ -749,10 +776,6 @@ fn a2_dual_homing(args: &Args) -> Outcome {
 /// signing, with the mock-signature fast path as the reference row.
 fn a3_amortized_auth(args: &Args) -> Outcome {
     let duration_s = args.secs(30, 15);
-    header(
-        "A3 (perf): signature amortization (6 replicas, 20 RTUs @ 20/s, real ed25519)",
-        "  config            | signs/update | cache hit% | msgs/flush | delivery | safety",
-    );
     let configs = [
         ("mock per-message", true, false),
         ("real per-message", false, false),
@@ -767,43 +790,40 @@ fn a3_amortized_auth(args: &Args) -> Outcome {
         // filling batches at this offered load (~400 updates/s).
         cfg.batch_interval = Span::millis(8);
         cfg.workload = workload(20, 50);
-        let mut system = Deployment::build(cfg);
-        system.run_for(Span::secs(duration_s));
-        let report = system.report();
+        let tag = format!("a3-{}", name.replace(' ', "-"));
+        let (row, report) = run(cfg, Span::secs(duration_s), &tag, |_| {});
         let hits = report.auth.verify_cache_hits as f64;
         let looked_up = hits + report.auth.verify_ops as f64;
-        let hit_pct = if looked_up > 0.0 {
-            hits / looked_up * 100.0
-        } else {
-            0.0
-        };
-        (
-            name,
-            report.signs_per_update(),
-            hit_pct,
-            report.auth.amortization_factor(),
-            report.delivery_ratio(),
-            report.safety_ok,
-            started.elapsed().as_secs_f64(),
-        )
+        let lead = [
+            ("config", name.into()),
+            ("signs_per_update", report.signs_per_update().into()),
+            ("verify_cache_hit_ratio", (hits / looked_up.max(1.0)).into()),
+            ("msgs_per_flush", report.auth.amortization_factor().into()),
+            ("wall_s", started.elapsed().as_secs_f64().into()),
+        ];
+        keyed(lead, row)
     });
-    for (name, spu, hit_pct, amortize, delivery, safety, wall_s) in &rows {
-        println!(
-            "  {name:<17} | {spu:>12.2} | {hit_pct:>9.1}% | {amortize:>10.1} | {:>7.1}% | {} ({wall_s:.0}s wall)",
-            delivery * 100.0,
-            if *safety { "OK" } else { "VIOLATED" }
-        );
-    }
-    let per_msg = rows[1].1;
-    let batched = rows[2].1;
+    print_rows(
+        "A3 (perf): signature amortization (6 replicas, 20 RTUs @ 20/s, real ed25519)",
+        "config signs_per_update verify_cache_hit_ratio msgs_per_flush delivery_ratio safety_ok wall_s",
+        &rows,
+    );
+    let signs = |row: &Json| row.get("signs_per_update").and_then(Json::as_f64);
+    let reduction = signs(&rows[1])
+        .zip(signs(&rows[2]))
+        .map(|(per_msg, batched)| per_msg / batched);
     println!("\nShape check: batch signing amortizes one root signature over every");
     println!("vote, reply, and PO-request issued within one signing window,");
     println!(
         "cutting signature ops per delivered update by {:.1}x with identical",
-        per_msg / batched
+        reduction.unwrap_or(f64::NAN)
     );
     println!("safety and delivery.");
-    PRINTED
+    let params = [
+        ("duration_s", duration_s.into()),
+        ("sign_reduction", reduction.map_or(Json::Null, Json::from)),
+    ];
+    measured(true, "a3", params, rows)
 }
 
 /// F6-chaos — the seeded chaos adversary matrix: each row is one
@@ -821,89 +841,73 @@ fn f6_chaos(args: &Args) -> Outcome {
         [] => (1..=8).collect(),
         given => given.to_vec(),
     };
-    header(
-        &format!("F6-chaos: seeded chaos runs ({duration_s} simulated seconds each)"),
-        "  seed | events | delivery |   SLA  | VCs | recov | corrupt/dup frames | checks | violations",
-    );
     let rows = parallel_runs(seeds, |seed| {
         let mut cfg = DeploymentConfig::wide_area(seed);
         cfg.workload = workload(6, 500);
         let plan = ChaosPlan::generate(seed, &cfg.spire, Span::secs(duration_s));
         let scenario = plan.scenario();
-        let mut system = Deployment::build(cfg);
-        scenario.apply(&mut system);
-        system.run_for(scenario.duration + Span::secs(5));
-        let report = system.report();
-        (
-            seed,
-            plan.log.len(),
-            report.delivery_ratio(),
-            report.sla_fraction,
-            report.view_changes,
-            report.recoveries,
-            report.chaos.corrupted_frames,
-            report.chaos.duplicated_frames,
-            report.chaos.invariant_checks,
-            report.chaos.invariant_violations,
-        )
+        let span = scenario.duration + Span::secs(5);
+        let tag = format!("f6-chaos-{seed}");
+        let (row, report) = run(cfg, span, &tag, |system| scenario.apply(system));
+        let lead = [
+            ("seed", seed.into()),
+            ("plan_events", plan.log.len().into()),
+            ("corrupted_frames", report.chaos.corrupted_frames.into()),
+            ("duplicated_frames", report.chaos.duplicated_frames.into()),
+            ("invariant_checks", report.chaos.invariant_checks.into()),
+            (
+                "invariant_violations",
+                report.chaos.invariant_violations.into(),
+            ),
+        ];
+        keyed(lead, row)
     });
+    print_rows(
+        &format!("F6-chaos: seeded chaos runs ({duration_s} simulated seconds each)"),
+        "seed plan_events delivery_ratio sla_fraction view_changes recoveries_started recoveries_completed corrupted_frames duplicated_frames invariant_checks invariant_violations",
+        &rows,
+    );
     let mut all_clean = true;
-    for (seed, events, delivery, sla, vcs, recov, corrupt, dup, checks, violations) in rows {
-        all_clean &= violations == 0;
-        println!(
-            "  {seed:>4} | {events:>6} | {:>7.1}% | {:>5.1}% | {vcs:>3} | {}/{} | {corrupt:>8} / {dup:<8} | {checks:>6} | {violations:>10}",
-            delivery * 100.0,
-            sla * 100.0,
-            recov.1,
-            recov.0,
-        );
-        if violations > 0 {
-            println!("       ^ REPRODUCE: run_scenario --chaos={seed} --duration={duration_s}");
+    for row in &rows {
+        if row.get("invariant_violations") != Some(&Json::Num(0)) {
+            all_clean = false;
+            let seed = row
+                .get("seed")
+                .and_then(Json::as_u64)
+                .expect("keyed by seed");
+            println!("  REPRODUCE: run_scenario --chaos={seed} --duration={duration_s}");
         }
     }
     println!(
         "\nShape check: every seed ends with zero invariant violations — the\n\
-         generated fault schedules stay within the f={}/k={} envelope, so the\n\
-         protocol must absorb them all.",
-        1, 1
+         generated fault schedules stay within the f=1/k=1 envelope, so the\n\
+         protocol must absorb them all."
     );
-    Outcome {
-        ok: all_clean,
-        summary: None,
-    }
+    measured(
+        all_clean,
+        "f6-chaos",
+        [("duration_s", duration_s.into())],
+        rows,
+    )
 }
 
 /// T3 — the red-team scenario matrix.
 fn t3_red_team(_: &Args) -> Outcome {
-    header(
-        "T3: red-team scenario matrix (f=1, k=1, 6 replicas, 6 RTUs)",
-        "scenario                                         | safety | delivery |   SLA  | VCs",
-    );
     let suite = Scenario::red_team_suite().into_iter().enumerate();
     let rows = parallel_runs(suite, |(i, scenario)| {
         let mut cfg = DeploymentConfig::wide_area(7000 + i as u64);
         cfg.workload = workload(6, 500);
-        let mut system = Deployment::build(cfg);
-        scenario.apply(&mut system);
-        system.run_for(scenario.duration + Span::secs(5));
-        let report = system.report();
-        (
-            scenario.name.clone(),
-            report.safety_ok,
-            report.delivery_ratio(),
-            report.sla_fraction,
-            report.view_changes,
-        )
+        let span = scenario.duration + Span::secs(5);
+        let tag = format!("t3-{i}");
+        let (row, _) = run(cfg, span, &tag, |system| scenario.apply(system));
+        keyed([("scenario", scenario.name.as_str().into())], row)
     });
-    for (name, safety, delivery, sla, vcs) in rows {
-        println!(
-            "{name:<48} | {:>6} | {:>7.1}% | {:>5.1}% | {vcs:>3}",
-            if safety { "OK" } else { "BROKEN" },
-            delivery * 100.0,
-            sla * 100.0
-        );
-    }
-    PRINTED
+    print_rows(
+        "T3: red-team scenario matrix (f=1, k=1, 6 replicas, 6 RTUs)",
+        "scenario safety_ok delivery_ratio sla_fraction view_changes",
+        &rows,
+    );
+    measured(true, "t3", [], rows)
 }
 
 /// One RT row — the table line and the JSON row alike.
@@ -985,15 +989,7 @@ fn rt_throughput(args: &Args) -> Outcome {
     }
     print_rows(
         "RT: confirmed updates/s by substrate (10 RTUs, f=1 k=1)",
-        &[
-            "offered_per_s",
-            "substrate",
-            "updates_confirmed",
-            "delivery_ratio",
-            "wall_s",
-            "confirmed_per_wall_s",
-            "safety_ok",
-        ],
+        "offered_per_s substrate updates_confirmed delivery_ratio wall_s confirmed_per_wall_s safety_ok",
         &rows,
     );
     let peak = |substrate: &str| {
@@ -1019,13 +1015,7 @@ fn rt_throughput(args: &Args) -> Outcome {
         .collect();
     print_rows(
         &format!("RT: worker sweep at 200 offered/s (host has {cores} core(s))"),
-        &[
-            "threads",
-            "updates_confirmed",
-            "delivery_ratio",
-            "p99_ms",
-            "safety_ok",
-        ],
+        "threads updates_confirmed delivery_ratio p99_ms safety_ok",
         &sweep,
     );
 
@@ -1045,7 +1035,7 @@ fn rt_throughput(args: &Args) -> Outcome {
     ]);
     Outcome {
         ok: true,
-        summary: Some(Json::obj(doc)),
+        summary: Json::obj(doc),
     }
 }
 
@@ -1156,21 +1146,14 @@ fn shard_scaling(args: &Args) -> Outcome {
         top_delivery = report.delivery_ratio();
         rows.push(shard_row("sim", shards, 0.0, false, point_secs, &report));
     }
-    let sweep_columns = [
-        "substrate",
-        "shards",
-        "updates_confirmed",
-        "confirmed_per_s",
-        "delivery_ratio",
-        "p99_ms",
-        "safety_ok",
-    ];
+    let sweep_columns =
+        "substrate shards updates_confirmed confirmed_per_s delivery_ratio p99_ms safety_ok";
     print_rows(
         &format!(
             "SHARD: aggregate throughput vs group count \
              ({total_rtus} RTUs, {offered_per_s}/s offered, {cpu_us} us replica CPU per message)"
         ),
-        &sweep_columns,
+        sweep_columns,
         &rows,
     );
     let scaling = rates[rates.len() - 1] / rates[0].max(1e-9);
@@ -1261,18 +1244,7 @@ fn shard_scaling(args: &Args) -> Outcome {
             "SHARD: cross-shard 2PC legs, in order mix / poisoned / chaos \
              ({x_groups} groups, {xshard_secs}s)"
         ),
-        &[
-            "cross_rate",
-            "chaos",
-            "xshard.commands",
-            "xshard.committed",
-            "xshard.aborted",
-            "xshard.retries",
-            "xshard.commit_p50_ms",
-            "xshard.commit_p99_ms",
-            "invariant_violations",
-            "safety_ok",
-        ],
+        "cross_rate chaos xshard.commands xshard.committed xshard.aborted xshard.retries xshard.commit_p50_ms xshard.commit_p99_ms invariant_violations safety_ok",
         &rows[legs_from..],
     );
 
@@ -1301,7 +1273,7 @@ fn shard_scaling(args: &Args) -> Outcome {
     rows.push(shard_row("rt", 2, 0.1, false, rt_secs, &outcome.report));
     print_rows(
         &format!("SHARD: rt substrate leg (2 groups, 10% mix, {rt_secs}s wall time)"),
-        &sweep_columns,
+        sweep_columns,
         &rows[rows.len() - 1..],
     );
 
@@ -1325,7 +1297,7 @@ fn shard_scaling(args: &Args) -> Outcome {
     ]);
     Outcome {
         ok,
-        summary: Some(Json::obj(doc)),
+        summary: Json::obj(doc),
     }
 }
 
@@ -1493,16 +1465,14 @@ fn endurance(args: &Args) -> Outcome {
     }
     scenario.apply(&mut system);
 
-    header(
-        &format!(
-            "ENDURANCE: {duration_s} s soak, recovery every {period_s} s, \
-             network chaos seed {seed}, on {substrate}"
-        ),
-        "field                            value",
+    let title = format!(
+        "ENDURANCE: {duration_s} s soak, recovery every {period_s} s, \
+         network chaos seed {seed}, on {substrate}"
     );
-    for line in &plan.log {
-        println!("  chaos: {line}");
-    }
+    let events: Vec<Json> = (plan.log.iter())
+        .map(|line| Json::obj([("chaos_event", line.as_str().into())]))
+        .collect();
+    print_rows(&title, "chaos_event", &events);
 
     let (report, po_series): (Report, Vec<(Time, f64)>) = match substrate {
         Substrate::Sim => {
@@ -1607,7 +1577,7 @@ fn endurance(args: &Args) -> Outcome {
         delivery_excl,
         ok,
     );
-    print_fields(&summary);
+    print_fields("ENDURANCE: the soak", &summary);
     // Per-minute confirmed counts: the soak's availability timeline.
     let minutes = duration_s / 60;
     if minutes >= 2 {
@@ -1633,50 +1603,68 @@ fn endurance(args: &Args) -> Outcome {
     if !table.is_empty() {
         println!("\nper-phase latency breakdown (endurance):\n{table}");
     }
-    Outcome {
-        ok,
-        summary: Some(summary),
-    }
+    Outcome { ok, summary }
 }
 
-/// Operator tool: prints valid Spire replica placements for a requested
+/// Operator tool: valid Spire replica placements for a requested
 /// tolerance level (`planner [f] [k] [data_centers]`, defaults 1 1 2).
 fn config_planner(args: &Args) -> Outcome {
+    let mut doc = summary_head("planner");
     if args.positional.iter().any(|v| *v > 100) {
         eprintln!("planner: f, k and data centers are at most 100 each");
         return Outcome {
             ok: false,
-            summary: None,
+            summary: Json::obj(doc),
         };
     }
     let arg = |i: usize, default: u32| args.positional.get(i).map_or(default, |v| *v as u32);
     let (f, k, dcs) = (arg(0, 1), arg(1, 1), arg(2, 2));
-    println!("tolerance target: f={f} intrusions, k={k} concurrent recoveries");
-    println!(
-        "minimum replicas (3f+2k+1): {}",
-        spire::required_replicas(f, k)
-    );
     let cfg = SpireConfig::spread(f, k, dcs);
-    println!("\nplacement over 2 control centers + {dcs} data centers:");
-    for (i, site) in cfg.sites.iter().enumerate() {
-        println!(
-            "  {} ({:?}): replicas {:?}",
-            site.name,
-            site.kind,
-            cfg.replicas_of_site(i)
-        );
+    let verdict = cfg.validate(true);
+    let mut target = vec![
+        ("f", f.into()),
+        ("k", k.into()),
+        ("data_centers", dcs.into()),
+        ("min_replicas", spire::required_replicas(f, k).into()),
+        ("site_loss_tolerant", verdict.is_ok().into()),
+    ];
+    // When this placement would not survive a site's loss: the fewest
+    // sites, and the replicas over them, that would.
+    let instead = (2..=8u32)
+        .find_map(|sites| Some((sites, SpireConfig::min_replicas_site_tolerant(f, k, sites)?)));
+    if let (Err(_), Some((sites, replicas))) = (&verdict, instead) {
+        target.push(("tolerant_sites", sites.into()));
+        target.push(("tolerant_replicas", replicas.into()));
     }
-    match cfg.validate(true) {
+    let target = Json::obj(target);
+    print_fields(
+        "Planner: f intrusions + k concurrent recoveries need 3f+2k+1 replicas",
+        &target,
+    );
+    let rows: Vec<Json> = (cfg.sites.iter().enumerate())
+        .map(|(i, site)| {
+            Json::obj([
+                ("site", site.name.as_str().into()),
+                ("kind", format!("{:?}", site.kind).into()),
+                (
+                    "replicas",
+                    Json::Arr(cfg.replicas_of_site(i).map(Json::from).collect()),
+                ),
+            ])
+        })
+        .collect();
+    print_rows(
+        &format!("Planner: placement over 2 control centers + {dcs} data centers"),
+        "site kind replicas",
+        &rows,
+    );
+    match &verdict {
         Ok(()) => println!("\nconfiguration tolerates the loss of any single site."),
-        Err(e) => {
-            println!("\nNOT site-loss tolerant: {e}");
-            for sites in 2..=8 {
-                if let Some(n) = SpireConfig::min_replicas_site_tolerant(f, k, sites) {
-                    println!("  -> {n} replicas over {sites} sites would be");
-                    break;
-                }
-            }
-        }
+        Err(e) => println!("\nNOT site-loss tolerant: {e}"),
     }
-    PRINTED
+    doc.extend([("target", target), ("rows", Json::Arr(rows))]);
+    Outcome {
+        ok: true,
+        summary: Json::obj(doc),
+    }
 }

@@ -15,18 +15,21 @@ pub fn git_rev() -> &'static str {
 }
 
 /// Prints a table header followed by a separator line.
-pub fn header(title: &str, columns: &str) {
+fn header(title: &str, columns: &str) {
     println!("\n== {title} ==");
     println!("{columns}");
     println!("{}", "-".repeat(columns.len().max(20)));
 }
 
-/// One table cell: the value at `path` (dots descend into nested objects)
-/// as text — floats to at most three decimals, `-` for null, NaN or a
-/// missing key.
+/// The value at `path` in `row` (dots descend into nested objects).
+fn lookup<'a>(row: &'a Json, path: &str) -> Option<&'a Json> {
+    path.split('.').try_fold(row, |v, key| v.get(key))
+}
+
+/// One table cell: the value at `path` as text — floats to at most three
+/// decimals, `-` for null, NaN or a missing key.
 fn cell(row: &Json, path: &str) -> String {
-    let value = path.split('.').try_fold(row, |v, key| v.get(key));
-    match value {
+    match lookup(row, path) {
         Some(Json::Float(v)) if v.is_finite() => {
             let text = format!("{v:.3}");
             text.trim_end_matches('0').trim_end_matches('.').to_string()
@@ -37,11 +40,12 @@ fn cell(row: &Json, path: &str) -> String {
     }
 }
 
-/// Prints `rows` as an aligned table with one column per entry of
+/// Prints `rows` as an aligned table with one column per word of
 /// `columns`, each a key (or dotted path) into the row objects — the same
 /// objects an experiment's `--json` summary carries, so the table and the
 /// JSON cannot list different columns.
-pub fn print_rows(title: &str, columns: &[&str], rows: &[Json]) {
+pub fn print_rows(title: &str, columns: &str, rows: &[Json]) {
+    let columns: Vec<&str> = columns.split_whitespace().collect();
     let cells: Vec<Vec<String>> = rows
         .iter()
         .map(|row| columns.iter().map(|c| cell(row, c)).collect())
@@ -56,24 +60,35 @@ pub fn print_rows(title: &str, columns: &[&str], rows: &[Json]) {
                 .fold(name.len(), usize::max)
         })
         .collect();
-    let line = |texts: Vec<&str>| {
-        let padded: Vec<String> = texts
-            .iter()
-            .zip(&widths)
-            .map(|(text, width)| format!("{text:>width$}"))
-            .collect();
-        format!("  {}", padded.join(" | "))
+    // Text reads from the left, numbers line up on the right.
+    let is_text = |column: &&str| {
+        let mut values = rows.iter().filter_map(|row| lookup(row, column));
+        values.any(|v| matches!(v, Json::Str(_)))
     };
-    header(title, &line(columns.to_vec()));
+    let text: Vec<bool> = columns.iter().map(is_text).collect();
+    let line = |texts: Vec<&str>| {
+        let padded: Vec<String> = (texts.iter().zip(&widths).zip(&text))
+            .map(|((cell, width), text)| {
+                if *text {
+                    format!("{cell:<width$}")
+                } else {
+                    format!("{cell:>width$}")
+                }
+            })
+            .collect();
+        format!("  {}", padded.join(" | ").trim_end())
+    };
+    header(title, &line(columns.clone()));
     for row in &cells {
         println!("{}", line(row.iter().map(String::as_str).collect()));
     }
 }
 
-/// Prints a flat summary object as `key  value` lines (nested values as
-/// compact JSON).
-pub fn print_fields(summary: &Json) {
+/// Prints a flat object — a summary, or one row — as `key  value` lines
+/// under `title` (nested values as compact JSON).
+pub fn print_fields(title: &str, summary: &Json) {
     let Json::Obj(fields) = summary else { return };
+    header(title, "field                            value");
     for (key, _) in fields {
         println!("{key:<32} {}", cell(summary, key));
     }

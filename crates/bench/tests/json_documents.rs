@@ -5,7 +5,7 @@
 use bytes::Bytes;
 use spire::deployment::{Deployment, DeploymentConfig};
 use spire::report::Provenance;
-use spire_bench::experiments::{endurance_summary, rt_row, shard_row};
+use spire_bench::experiments::{endurance_summary, rt_row, shard_row, Args, TABLE};
 use spire_explore::{Artifact, Choice};
 use spire_scada::WorkloadConfig;
 use spire_sim::json::{parse, Json};
@@ -101,5 +101,31 @@ fn hostile_labels_read_back_verbatim_from_every_emitter() {
     ] {
         let doc = parse(&row.to_string()).expect("row is JSON");
         assert_eq!(doc.get("substrate").and_then(Json::as_str), Some(HOSTILE));
+    }
+}
+
+/// The summaries of the rows cheap enough to run here parse back, carry
+/// the head and hold one object per table row.
+#[test]
+fn experiment_summaries_parse_back_with_their_rows() {
+    let msgs = Args {
+        msgs: Some(20),
+        ..Args::default()
+    };
+    for (name, args, rows) in [
+        ("t1", Args::default(), 9),
+        ("planner", Args::default(), 4),
+        ("f6", msgs.clone(), 5),
+        ("a1", msgs, 2),
+    ] {
+        let exp = TABLE.iter().find(|exp| exp.name == name).expect("in TABLE");
+        let outcome = (exp.run)(&args);
+        assert!(outcome.ok, "{name}");
+        let doc = parse(&outcome.summary.to_string()).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(doc.get("experiment").and_then(Json::as_str), Some(name));
+        assert!(doc.get("git_rev").and_then(Json::as_str).is_some());
+        let held = doc.get("rows").and_then(Json::as_arr).expect("rows");
+        assert_eq!(held.len(), rows, "{name}");
+        assert!(held.iter().all(|row| matches!(row, Json::Obj(_))));
     }
 }

@@ -118,14 +118,24 @@ impl std::fmt::Debug for SingleMaster {
 pub struct BaselineDeployment {
     /// The simulation world.
     pub world: World,
-    /// The master's process id.
-    pub master_pid: ProcessId,
     /// The external overlay (CC + substation hubs).
     pub external: OverlayNetwork,
-    /// Proxy process ids.
-    pub proxy_pids: Vec<ProcessId>,
     /// Workload used.
     pub workload: WorkloadConfig,
+}
+
+/// The HMI's client id.
+const HMI_CLIENT: u32 = 1000;
+
+/// The identities a baseline with `n_rtus` substations assigns: the master,
+/// one client per RTU proxy, the HMI, and the daemons of the control center
+/// and of each substation hub.
+fn identities(n_rtus: u32) -> impl Iterator<Item = NodeId> {
+    let clients = (0..n_rtus).chain([HMI_CLIENT]);
+    std::iter::once(key_base::REPLICA)
+        .chain(clients.map(|c| key_base::CLIENT + c))
+        .chain((0..=n_rtus).map(|d| key_base::EXTERNAL_DAEMON + d))
+        .map(NodeId)
 }
 
 impl BaselineDeployment {
@@ -134,8 +144,8 @@ impl BaselineDeployment {
     pub fn build(seed: u64, workload: WorkloadConfig, mock_sigs: bool) -> BaselineDeployment {
         let mut world = World::new(seed);
         let material = KeyMaterial::new([0x55u8; 32]);
-        let keystore = Arc::new(KeyStore::for_nodes(&material, 4096));
         let n_rtus = workload.rtus;
+        let keystore = Arc::new(KeyStore::for_ids(&material, identities(n_rtus)));
 
         // External overlay: CC (node 0) + one hub per substation.
         let mut topology = Topology::new();
@@ -160,7 +170,7 @@ impl BaselineDeployment {
         for r in 0..n_rtus {
             directory.rtu_proxy.insert(r, r);
         }
-        directory.hmis.push(1000);
+        directory.hmis.push(HMI_CLIENT);
 
         let mut client_addrs: BTreeMap<u32, OverlayAddr> = BTreeMap::new();
         for r in 0..n_rtus {
@@ -173,7 +183,7 @@ impl BaselineDeployment {
             );
         }
         client_addrs.insert(
-            1000,
+            HMI_CLIENT,
             OverlayAddr {
                 node: OverlayId(0),
                 port: 200,
@@ -200,7 +210,6 @@ impl BaselineDeployment {
         let master_pid = world.add_process("scada-master", Box::new(master));
         external.wire_client(&mut world, OverlayId(0), master_pid);
 
-        let mut proxy_pids = Vec::new();
         for r in 0..n_rtus {
             let hub = OverlayId(1 + r as u16);
             let first = world.process_count() as u32;
@@ -227,20 +236,19 @@ impl BaselineDeployment {
             assert_eq!(got, proxy_pid);
             world.add_link(device_pid, proxy_pid, LinkConfig::local());
             external.wire_client(&mut world, hub, proxy_pid);
-            proxy_pids.push(proxy_pid);
         }
 
         // HMI at the control center.
         let signer = Signer::new(
-            material.signing_key(NodeId(key_base::CLIENT + 1000)),
+            material.signing_key(NodeId(key_base::CLIENT + HMI_CLIENT)),
             mock_sigs,
         );
         let session = ClientSession::new(
             &prime,
-            ClientId(1000),
+            ClientId(HMI_CLIENT),
             signer,
             ClientRouting::Spines {
-                port: SpinesPort::new(external.daemon_pid(OverlayId(0)), client_addrs[&1000]),
+                port: SpinesPort::new(external.daemon_pid(OverlayId(0)), client_addrs[&HMI_CLIENT]),
                 addrs: vec![master_addr],
                 mode: Dissemination::Shortest,
             },
@@ -252,9 +260,7 @@ impl BaselineDeployment {
 
         BaselineDeployment {
             world,
-            master_pid,
             external,
-            proxy_pids,
             workload,
         }
     }
@@ -283,19 +289,54 @@ impl BaselineDeployment {
             }
         });
     }
-
-    /// Compromises the single master (it simply stops serving) at `at` —
-    /// the baseline has no tolerance to offer.
-    pub fn schedule_master_compromise(&mut self, at: Time) {
-        let pid = self.master_pid;
-        self.world.schedule_control(at, move |w| {
-            w.crash(pid);
-        });
-    }
 }
 
 impl std::fmt::Debug for BaselineDeployment {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "BaselineDeployment(rtus={})", self.workload.rtus)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_key_store_holds_exactly_the_identities_the_baseline_assigns() {
+        let material = KeyMaterial::new([0x55u8; 32]);
+        let keystore = KeyStore::for_ids(&material, identities(2));
+        // The master, 2 proxies, the HMI, the CC daemon and 2 hub daemons.
+        assert_eq!(keystore.len(), 1 + 2 + 1 + (1 + 2));
+        let signed_by = |node: u32| {
+            let sig = material.signing_key(NodeId(node)).sign(b"op");
+            keystore.verify(NodeId(node), b"op", &sig)
+        };
+        assert!(signed_by(key_base::REPLICA) && signed_by(key_base::EXTERNAL_DAEMON + 2));
+        assert!(signed_by(key_base::CLIENT + 1) && signed_by(key_base::CLIENT + HMI_CLIENT));
+        // The right key for an id nobody was assigned verifies nowhere.
+        for stranger in [
+            key_base::REPLICA + 1,
+            key_base::CLIENT + 2,
+            key_base::EXTERNAL_DAEMON + 3,
+        ] {
+            assert!(!signed_by(stranger), "id {stranger}");
+        }
+    }
+
+    /// Every identity the build hands out is one the key store holds: an
+    /// update is confirmed and a command actuated end to end.
+    #[test]
+    fn a_baseline_built_on_those_identities_confirms_updates_and_commands() {
+        let workload = WorkloadConfig {
+            rtus: 2,
+            update_interval: Span::millis(500),
+            command_interval: Span::secs(1),
+            ..Default::default()
+        };
+        let mut baseline = BaselineDeployment::build(3, workload, false);
+        baseline.run_for(Span::secs(5));
+        let m = baseline.world.metrics();
+        assert!(m.counter("scada.updates_confirmed") >= 16);
+        assert!(m.counter("scada.commands_actuated") >= 3);
     }
 }

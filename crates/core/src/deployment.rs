@@ -672,9 +672,6 @@ pub fn build_group(
                     replica_addrs[r as usize],
                 )),
                 client_addrs: client_addrs.clone(),
-                replica_mode: Dissemination::Flood,
-                client_mode: Dissemination::Flood,
-                reliable: true,
             }
         })
         .collect();

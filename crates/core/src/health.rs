@@ -49,31 +49,10 @@ pub struct HealthConfig {
     pub warmup: u32,
     /// Latency SLO: window p99 must stay at or under this (ms).
     pub sla_ms: f64,
-    /// Delivery SLO: the trailing delivery ratio must stay at or above
-    /// this. Updates in flight at a window edge plus the rt substrate's
-    /// per-worker metrics publish cadence (sent and confirmed counters
-    /// live in different workers' slots, skewed by up to `rate × 250 ms`)
-    /// make clean ratios read as low as ~0.92, so the floor leaves real
-    /// slack; a redundancy-exhausting attack halves or zeroes delivery
-    /// and clears it by a wide margin.
-    pub delivery_slo: f64,
     /// Windows the delivery ratio is pooled over (the current window
     /// plus up to `delivery_windows - 1` preceding ones), absorbing
     /// confirm/send boundary jitter at 1 s window sizes.
     pub delivery_windows: usize,
-    /// Site-DoS signature: trailing delivery ratio below this is
-    /// attack-grade degradation, not SLO jitter.
-    pub dos_delivery: f64,
-    /// Site-DoS signature: link-level loss drops per window at or above
-    /// this fire the alarm (clean links are lossless, so any sustained
-    /// value is injected).
-    pub dos_min_link_drops: u64,
-    /// Slow-leader signature: window TAT p99 above `factor × baseline`
-    /// fires (baseline is a learned EWMA of clean windows).
-    pub slow_tat_factor: f64,
-    /// Slow-leader signature: absolute TAT floor (ms) below which the
-    /// factor test never fires, so micro-TATs cannot alarm on noise.
-    pub slow_tat_floor_ms: f64,
     /// Partition signature: consecutive fully-silent windows (traffic
     /// expected, nothing confirmed) before the alarm fires.
     pub partition_windows: u32,
@@ -86,16 +65,33 @@ impl Default for HealthConfig {
             ring: 120,
             warmup: 3,
             sla_ms: crate::report::SLA_MS,
-            delivery_slo: 0.90,
             delivery_windows: 5,
-            dos_delivery: 0.75,
-            dos_min_link_drops: 25,
-            slow_tat_factor: 3.0,
-            slow_tat_floor_ms: 150.0,
             partition_windows: 2,
         }
     }
 }
+
+/// Delivery SLO: the trailing delivery ratio must stay at or above this.
+/// Updates in flight at a window edge plus the rt substrate's per-worker
+/// metrics publish cadence (sent and confirmed counters live in different
+/// workers' slots, skewed by up to `rate × 250 ms`) make clean ratios read
+/// as low as ~0.92, so the floor leaves real slack; a
+/// redundancy-exhausting attack halves or zeroes delivery and clears it by
+/// a wide margin.
+const DELIVERY_SLO: f64 = 0.90;
+/// Site-DoS signature: trailing delivery ratio below this is attack-grade
+/// degradation, not SLO jitter.
+const DOS_DELIVERY: f64 = 0.75;
+/// Site-DoS signature: link-level loss drops per window at or above this
+/// fire the alarm (clean links are lossless, so any sustained value is
+/// injected).
+const DOS_MIN_LINK_DROPS: u64 = 25;
+/// Slow-leader signature: window TAT p99 above this factor times the
+/// baseline fires (baseline is a learned EWMA of clean windows).
+const SLOW_TAT_FACTOR: f64 = 3.0;
+/// Slow-leader signature: absolute TAT floor (ms) below which the factor
+/// test never fires, so micro-TATs cannot alarm on noise.
+const SLOW_TAT_FLOOR_MS: f64 = 150.0;
 
 /// Per-window deltas and rates computed by the snapshot engine.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -226,7 +222,7 @@ impl SloTracker {
                 breaches.push(BreachClass::Latency);
             }
         }
-        if w.sent > 0 && w.delivery < cfg.delivery_slo {
+        if w.sent > 0 && w.delivery < DELIVERY_SLO {
             self.delivery_breaches += 1;
             breaches.push(BreachClass::Delivery);
         }
@@ -280,8 +276,8 @@ impl AttackDetector {
         // floor so clean LAN-grade turnarounds never trip the factor).
         let tat_limit = self
             .baseline_tat_ms
-            .map(|b| (b * cfg.slow_tat_factor).max(cfg.slow_tat_floor_ms))
-            .unwrap_or(cfg.slow_tat_floor_ms);
+            .map(|b| (b * SLOW_TAT_FACTOR).max(SLOW_TAT_FLOOR_MS))
+            .unwrap_or(SLOW_TAT_FLOOR_MS);
         let tat_high = w.tat_p99_ms.is_some_and(|t| t > tat_limit);
         if w.suspects > 0 || tat_high {
             self.slow_leader_windows += 1;
@@ -297,8 +293,7 @@ impl AttackDetector {
 
         // Site DoS: injected link loss (clean links are lossless) or a
         // collapsed window delivery ratio on real traffic.
-        if w.link_drops >= cfg.dos_min_link_drops || (w.sent >= 8 && w.delivery < cfg.dos_delivery)
-        {
+        if w.link_drops >= DOS_MIN_LINK_DROPS || (w.sent >= 8 && w.delivery < DOS_DELIVERY) {
             self.site_dos_windows += 1;
             fired.push(AlarmKind::SiteDos);
         }

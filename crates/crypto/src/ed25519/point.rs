@@ -127,11 +127,6 @@ impl Point {
         result
     }
 
-    /// Computes `a*self + b*B` (the verification combination).
-    pub fn double_scalar_mul_base(a: &Scalar, point: &Point, b: &Scalar) -> Point {
-        point.mul_scalar(a).add(&base_point().mul_scalar(b))
-    }
-
     /// Compresses to the 32-byte RFC 8032 encoding.
     pub fn compress(&self) -> [u8; 32] {
         let z_inv = self.z.invert();

@@ -453,7 +453,6 @@ pub struct TestClient {
     session: ClientSession,
     interval: Span,
     count: u64,
-    payload_size: usize,
     label: String,
 }
 
@@ -464,15 +463,8 @@ impl TestClient {
             session,
             interval,
             count,
-            payload_size: 16,
             label: label.to_string(),
         }
-    }
-
-    /// Sets the op payload size in bytes.
-    pub fn with_payload_size(mut self, size: usize) -> TestClient {
-        self.payload_size = size;
-        self
     }
 }
 
@@ -492,7 +484,7 @@ impl Process for TestClient {
 
     fn on_timer(&mut self, ctx: &mut Context<'_>, tag: u64) {
         if tag == TIMER_SEND && (self.count == 0 || self.session.next_cseq() <= self.count) {
-            let mut payload = vec![0u8; self.payload_size.max(8)];
+            let mut payload = vec![0u8; 16];
             payload[..8].copy_from_slice(&ctx.now().0.to_le_bytes());
             self.session.submit(ctx, Bytes::from(payload));
             ctx.count(&format!("{}.sent", self.label), 1);

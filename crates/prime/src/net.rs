@@ -24,7 +24,9 @@ pub trait ReplicaNet: Send {
     /// Sends one payload to each of the `n` replicas but `me`. A transport
     /// that can multicast overrides the per-peer loop.
     fn send_all_replicas(&mut self, ctx: &mut Context<'_>, me: ReplicaId, n: u32, payload: Bytes) {
-        send_each_replica(self, ctx, me, n, payload);
+        for r in (0..n).filter(|r| *r != me.0) {
+            self.send_replica(ctx, ReplicaId(r), payload.clone());
+        }
     }
 
     /// Sends a payload to a client.
@@ -33,18 +35,6 @@ pub trait ReplicaNet: Send {
     /// Extracts the protocol payload from a raw incoming simulation
     /// message, or `None` if it is transport noise.
     fn unwrap(&self, from: ProcessId, bytes: &Bytes) -> Option<Bytes>;
-}
-
-fn send_each_replica<N: ReplicaNet + ?Sized>(
-    net: &mut N,
-    ctx: &mut Context<'_>,
-    me: ReplicaId,
-    n: u32,
-    payload: Bytes,
-) {
-    for r in (0..n).filter(|r| *r != me.0) {
-        net.send_replica(ctx, ReplicaId(r), payload.clone());
-    }
 }
 
 /// Direct links: replica and client process ids are known statically.
@@ -76,6 +66,13 @@ impl ReplicaNet for DirectNet {
     }
 }
 
+/// Replica and client traffic alike goes by Spines' resilient
+/// dissemination (constrained flooding, the paper's choice for the internal
+/// network; Spines has groups under flooding only).
+const MODE: Dissemination = Dissemination::Flood;
+/// Every send asks for hop-by-hop reliability.
+const RELIABLE: bool = true;
+
 /// Spines transport: replicas are clients of an internal overlay; clients
 /// (proxies/HMIs) are reached through an external overlay.
 #[derive(Clone, Debug)]
@@ -88,13 +85,6 @@ pub struct SpinesNet {
     pub external: Option<SpinesPort>,
     /// Overlay address of each client on the external network.
     pub client_addrs: BTreeMap<u32, OverlayAddr>,
-    /// Dissemination mode for replica traffic (the paper uses Spines'
-    /// resilient dissemination for the internal network).
-    pub replica_mode: Dissemination,
-    /// Dissemination mode for client-bound traffic.
-    pub client_mode: Dissemination,
-    /// Request hop-by-hop reliability.
-    pub reliable: bool,
 }
 
 impl ReplicaNet for SpinesNet {
@@ -107,29 +97,30 @@ impl ReplicaNet for SpinesNet {
 
     fn send_replica(&mut self, ctx: &mut Context<'_>, to: ReplicaId, payload: Bytes) {
         if let Some(addr) = self.replica_addrs.get(to.0 as usize).copied() {
-            self.internal
-                .send(ctx, addr, self.replica_mode, self.reliable, payload);
+            self.internal.send(ctx, addr, MODE, RELIABLE, payload);
         }
     }
 
-    fn send_all_replicas(&mut self, ctx: &mut Context<'_>, me: ReplicaId, n: u32, payload: Bytes) {
-        // Spines has groups under flooding only.
-        if self.replica_mode == Dissemination::Flood {
-            self.internal
-                .send_group(ctx, REPLICA_GROUP, self.reliable, payload);
-            return;
-        }
-        send_each_replica(self, ctx, me, n, payload);
+    fn send_all_replicas(&mut self, ctx: &mut Context<'_>, _: ReplicaId, _: u32, payload: Bytes) {
+        self.internal
+            .send_group(ctx, REPLICA_GROUP, RELIABLE, payload);
     }
 
     fn send_client(&mut self, ctx: &mut Context<'_>, to: ClientId, payload: Bytes) {
         let port = self.external.as_ref().unwrap_or(&self.internal);
         if let Some(addr) = self.client_addrs.get(&to.0).copied() {
-            port.send(ctx, addr, self.client_mode, self.reliable, payload);
+            port.send(ctx, addr, MODE, RELIABLE, payload);
         }
     }
 
-    fn unwrap(&self, _from: ProcessId, bytes: &Bytes) -> Option<Bytes> {
+    /// A delivery counts only from one of this replica's own daemons.
+    fn unwrap(&self, from: ProcessId, bytes: &Bytes) -> Option<Bytes> {
+        let ours = std::iter::once(&self.internal)
+            .chain(&self.external)
+            .any(|port| port.daemon_pid == from);
+        if !ours {
+            return None;
+        }
         SpinesPort::decode_deliver(bytes).map(|(_, payload)| payload)
     }
 }

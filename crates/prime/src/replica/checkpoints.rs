@@ -105,3 +105,67 @@ impl Checkpoints {
         h.all(self.pending_snapshots.keys());
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::behavior::ByzBehavior;
+    use crate::config::ReplicaId;
+    use crate::replica::io::testkit::{backend, io, run, sent, signer};
+
+    /// As replica 0 of four (`f + 1 = 2`): our own attestation is not a
+    /// proof, a peer's over a different snapshot or under the wrong key
+    /// does not help, the first matching one makes the checkpoint stable —
+    /// once — and its sequence is where compaction runs from.
+    #[test]
+    fn a_checkpoint_turns_stable_at_f_plus_one_matching_attestations() {
+        let (mut io, mut ckpt, mut backend) = (
+            io(0, ByzBehavior::Honest),
+            Checkpoints::default(),
+            backend(),
+        );
+        let snapshot = b"state after 20 matrices".to_vec();
+        let digest = spire_crypto::digest(&snapshot);
+        let cover = [7, 0, 3, 0];
+        run(&mut backend, 0, |ctx| {
+            ckpt.take(&mut io, ctx, 10, b"state after 10".to_vec());
+            ckpt.take(&mut io, ctx, 20, snapshot.clone());
+            assert!(!ckpt.check_stable(&io, ctx, 20, &cover), "ours alone");
+
+            let elsewhere = spire_crypto::digest(b"a divergent replica's state");
+            let divergent = CheckpointMsg::signed(ReplicaId(1), 20, elsewhere, &signer(1));
+            assert_eq!(ckpt.on_checkpoint(&io, ctx, divergent), Some(20));
+            let forged = CheckpointMsg::signed(ReplicaId(2), 20, digest, &signer(3));
+            assert_eq!(ckpt.on_checkpoint(&io, ctx, forged), None);
+            assert!(!ckpt.check_stable(&io, ctx, 20, &cover));
+            assert!(ckpt.stable.is_none());
+
+            let matching = CheckpointMsg::signed(ReplicaId(2), 20, digest, &signer(2));
+            assert_eq!(ckpt.on_checkpoint(&io, ctx, matching), Some(20));
+            assert!(ckpt.check_stable(&io, ctx, 20, &cover));
+            assert!(!ckpt.check_stable(&io, ctx, 20, &cover), "stable once");
+        });
+        let (seq, held, proof) = ckpt.stable.as_ref().expect("stable");
+        assert_eq!((*seq, &held[..]), (20, &snapshot[..]));
+        let provers: Vec<u32> = proof.iter().map(|m| m.replica.0).collect();
+        assert_eq!(
+            provers,
+            [0, 2],
+            "the proof holds the matching attestations only"
+        );
+        assert_eq!(ckpt.stable_exec_cover, cover);
+        assert_eq!(backend.counters.get("prime.checkpoints_stable"), Some(&1));
+        assert_eq!(backend.counters.get("prime.bad_ckpt_sig"), Some(&1));
+
+        // Compaction from the stable sequence drops what lies below it.
+        ckpt.compact(20);
+        assert_eq!(ckpt.pending_snapshots.keys().collect::<Vec<_>>(), [&20]);
+        assert_eq!(ckpt.votes.keys().collect::<Vec<_>>(), [&20]);
+        let attestations = sent(&mut backend);
+        assert_eq!(
+            attestations.len(),
+            6,
+            "two attestations to each of three peers"
+        );
+    }
+}

@@ -397,3 +397,66 @@ impl Ordering {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::replica::io::testkit::{backend, io, run, sent};
+
+    /// Votes for `digest` at sequence 1 from each of `voters`.
+    fn votes(ord: &mut Ordering, voters: &[u32], digest: Digest, commit: bool) {
+        for from in voters {
+            ord.record_vote(1, ReplicaId(*from), digest, commit);
+        }
+    }
+
+    /// One slot, as replica 0 of four (ordering quorum `2f + k + 1 = 3`):
+    /// it prepares on the third matching Prepare, stages our Commit, and
+    /// commits on the third matching Commit — never on votes for another
+    /// digest, and once only.
+    #[test]
+    fn a_slot_prepares_and_commits_from_votes_alone() {
+        let (mut io, mut pre) = (io(0, ByzBehavior::Honest), PreOrder::new(4));
+        let (mut ord, mut backend) = (Ordering::default(), backend());
+        run(&mut backend, 0, |ctx| {
+            let matrix = Matrix::default();
+            let digest = ord
+                .admit_pre_prepare(&mut io, ctx, &mut pre, 0, 1, matrix.clone())
+                .expect("an empty matrix of the current view is admitted");
+            let other = spire_crypto::digest(b"another matrix");
+
+            votes(&mut ord, &[0, 1], digest, false);
+            votes(&mut ord, &[2, 3], other, false);
+            assert!(!ord.try_prepare_commit(&io, ctx, 1));
+            assert!(ord.prepared_claims().is_empty(), "two of three Prepares");
+            votes(&mut ord, &[2], digest, false);
+            assert!(
+                !ord.try_prepare_commit(&io, ctx, 1),
+                "prepared, not committed"
+            );
+            let claims = ord.prepared_claims();
+            assert_eq!((claims.len(), claims[0].seq, claims[0].view), (1, 1, 0));
+
+            // Our own Commit was recorded with the prepare and goes out once.
+            ord.flush_commits(&mut io, ctx, &mut pre);
+            ord.flush_commits(&mut io, ctx, &mut pre);
+            votes(&mut ord, &[1], digest, true);
+            votes(&mut ord, &[3], other, true);
+            assert!(!ord.try_prepare_commit(&io, ctx, 1), "two of three Commits");
+            assert!(!ord.advance_commit_aru());
+            votes(&mut ord, &[2], digest, true);
+            assert!(ord.try_prepare_commit(&io, ctx, 1));
+            assert!(!ord.try_prepare_commit(&io, ctx, 1), "a slot commits once");
+            assert!(ord.advance_commit_aru());
+            assert_eq!(ord.commit_aru, 1);
+            assert_eq!(ord.committed_matrices.get(&1), Some(&matrix));
+            assert!(ord.prepared_claims().is_empty(), "nothing above the prefix");
+        });
+        let commits = sent(&mut backend);
+        assert_eq!(commits.len(), 3, "one Commit to each peer");
+        let ours =
+            |m: &PrimeMsg| matches!(m, PrimeMsg::Commit { replica, seq: 1, .. } if replica.0 == 0);
+        assert!(commits.iter().all(|(_, m)| ours(m)));
+        assert_eq!(backend.counters.get("prime.committed"), Some(&1));
+    }
+}

@@ -405,3 +405,77 @@ pub fn plan_new_view(states: &[ViewStateMsg]) -> (u64, Vec<(u64, Matrix)>) {
             .collect(),
     )
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::behavior::ByzBehavior;
+    use crate::msg::AruVector;
+    use crate::replica::io::testkit::{backend, io, run, sent, signer};
+    use crate::replica::preorder::PreOrder;
+
+    /// A one-row matrix told apart by `mark`.
+    fn matrix(mark: u64) -> Matrix {
+        let row = SummaryRow::signed(ReplicaId(2), mark, AruVector(vec![mark; 4]), &signer(2));
+        Matrix { rows: vec![row] }
+    }
+
+    /// Replica `from`'s signed report for view 1: nothing committed, nothing
+    /// prepared.
+    fn empty_state(from: u32) -> ViewStateMsg {
+        let mut state = ViewStateMsg {
+            replica: ReplicaId(from),
+            view: 1,
+            last_committed: 0,
+            prepared: Vec::new(),
+            sig: [0; 64],
+        };
+        state.sig = signer(from).sign64(&state.signing_bytes());
+        state
+    }
+
+    /// Replica 1 leads view 1 of four. It prepared sequences 1 and 3 in
+    /// view 0 (not 2), reports both on entering the view, installs it at a
+    /// quorum of three reports, and the plan every replica derives from its
+    /// NewView reproposes both matrices with a no-op in the hole.
+    #[test]
+    fn the_new_leader_reproposes_every_claim_its_ordering_prepared() {
+        let (mut io, mut pre) = (io(1, ByzBehavior::Honest), PreOrder::new(4));
+        let (mut ord, mut vc) = (Ordering::default(), ViewChange::default());
+        let mut backend = backend();
+        let states = run(&mut backend, 1, |ctx| {
+            for seq in [1, 2, 3] {
+                let digest = ord
+                    .admit_pre_prepare(&mut io, ctx, &mut pre, 0, seq, matrix(seq))
+                    .expect("admitted");
+                let voters = if seq == 2 { 0..2 } else { 0..3 };
+                for from in voters {
+                    ord.record_vote(seq, ReplicaId(from), digest, false);
+                }
+                ord.try_prepare_commit(&io, ctx, seq);
+            }
+            assert!(vc.enter_view(&mut io, ctx, 1, &ord));
+            assert!(!vc.enter_view(&mut io, ctx, 1, &ord), "already changing");
+            assert_eq!(vc.on_view_state(&io, ctx, empty_state(2)), Some(false));
+            assert!(vc.new_view(&mut io, ctx, true).is_none(), "two of three");
+            let mut forged = empty_state(3);
+            forged.last_committed = 9;
+            assert_eq!(vc.on_view_state(&io, ctx, forged), None);
+            assert_eq!(vc.on_view_state(&io, ctx, empty_state(3)), Some(false));
+            vc.new_view(&mut io, ctx, true)
+                .expect("a quorum of reports")
+        });
+        let (base, plan) = plan_new_view(&states);
+        assert_eq!(base, 0);
+        assert_eq!(
+            plan,
+            [(1, matrix(1)), (2, Matrix::default()), (3, matrix(3))]
+        );
+
+        let frames = sent(&mut backend);
+        let reports = |m: &PrimeMsg| matches!(m, PrimeMsg::ViewState(s) if s.prepared.len() == 2);
+        let installs = |m: &PrimeMsg| matches!(m, PrimeMsg::NewView { view: 1, states, .. } if states.len() == 3);
+        assert_eq!(frames.iter().filter(|(_, m)| reports(m)).count(), 3);
+        assert_eq!(frames.iter().filter(|(_, m)| installs(m)).count(), 3);
+    }
+}

@@ -1,6 +1,7 @@
 //! An unsigned message counts as a vote from whoever *sent* it, not from
 //! whoever it *names*: with session keys installed, a replica-originated
 //! unsigned message is accepted only under its claimed sender's link MAC.
+//! And on an overlay, a delivery counts only from the replica's own daemons.
 
 use bytes::Bytes;
 use spire_crypto::keys::{KeyMaterial, Signer};
@@ -9,9 +10,10 @@ use spire_prime::msg::{seal_frame, Matrix};
 use spire_prime::replica::TIMER_PROGRESS;
 use spire_prime::{
     ByzBehavior, DirectNet, HashChainApp, Input, Inspection, ModelReplica, PrimeConfig, PrimeMsg,
-    Replica, ReplicaId,
+    Replica, ReplicaId, ReplicaNet, SpinesNet,
 };
 use spire_sim::{ProcessId, Time};
+use spire_spines::{OverlayAddr, OverlayId, OverlayMsg, SpinesPort};
 use std::sync::Arc;
 
 /// Replica 0 of an `f = 1` cluster behind the model seam, with its
@@ -24,23 +26,27 @@ struct Zero {
 }
 
 fn replica_zero(session_keys: bool) -> Zero {
+    let net = DirectNet {
+        replicas: (0..PrimeConfig::new(1, 0).n).map(ProcessId).collect(),
+        clients: Default::default(),
+    };
+    replica_zero_on(Box::new(net), session_keys)
+}
+
+fn replica_zero_on(net: Box<dyn ReplicaNet>, session_keys: bool) -> Zero {
     let cfg = PrimeConfig::new(1, 0);
     let material = KeyMaterial::new([7u8; 32]);
     let node = |r: u32| NodeId(cfg.replica_key_base + r);
     let keys: Vec<[u8; 32]> = (0..cfg.n)
         .map(|peer| material.link_key(node(0), node(peer)))
         .collect();
-    let net = DirectNet {
-        replicas: (0..cfg.n).map(ProcessId).collect(),
-        clients: Default::default(),
-    };
     let mut replica = Replica::new(
         cfg.clone(),
         ReplicaId(0),
         ByzBehavior::Honest,
         Arc::new(KeyStore::for_nodes(&material, 3000)),
         Signer::new(material.signing_key(node(0)), true),
-        Box::new(net),
+        net,
         Box::new(HashChainApp::new()),
         false,
     );
@@ -124,4 +130,44 @@ fn without_session_keys_unsigned_messages_are_taken_at_their_word() {
     assert_eq!(zero.commit_aru(), 0);
     zero.deliver(3, suffix_vote(2));
     assert_eq!((zero.commit_aru(), zero.spoofed()), (1, 0));
+}
+
+/// `SpinesNet::unwrap` takes a `ClientDeliver` from the internal and the
+/// external daemon it is attached to and from no other process, as
+/// `ClientRouting::unwrap` does on the client side.
+#[test]
+fn an_overlay_delivery_counts_only_from_the_replicas_own_daemons() {
+    let (internal_daemon, external_daemon, stranger) = (50, 51, 52);
+    let addr = OverlayAddr {
+        node: OverlayId(0),
+        port: 1,
+    };
+    let net = SpinesNet {
+        internal: SpinesPort::new(ProcessId(internal_daemon), addr),
+        replica_addrs: vec![addr; 4],
+        external: Some(SpinesPort::new(ProcessId(external_daemon), addr)),
+        client_addrs: Default::default(),
+    };
+    let mut zero = replica_zero_on(Box::new(net), false);
+    let delivery = |claimed: u32| {
+        OverlayMsg::ClientDeliver {
+            src: OverlayId(0),
+            src_port: 1,
+            payload: suffix_vote(claimed),
+        }
+        .encode()
+    };
+    let before = zero.model.state_digest();
+    zero.deliver(stranger, delivery(1));
+    zero.deliver(stranger, delivery(2));
+    assert_eq!(
+        zero.model.state_digest(),
+        before,
+        "a stranger's frame moved state"
+    );
+    assert_eq!(zero.commit_aru(), 0);
+    // The same two frames, one from each of the replica's daemons.
+    zero.deliver(internal_daemon, delivery(1));
+    zero.deliver(external_daemon, delivery(2));
+    assert_eq!(zero.commit_aru(), 1);
 }

@@ -11,9 +11,9 @@
 //!   timer service and as the link delay line (the same per-link
 //!   latency/jitter/loss/corruption/duplication model the simulator
 //!   uses). Due work is routed to per-actor pending queues and a ready
-//!   ring; a scheduled actor drains a bounded burst
-//!   ([`RtConfig::burst`]) of frames and timers before yielding, so the
-//!   hot actor's state stays cache-warm without starving its shard.
+//!   ring; a scheduled actor drains a bounded burst (64) of frames and
+//!   timers before yielding, so the hot actor's state stays cache-warm
+//!   without starving its shard.
 //! - **Frame batching.** Cross-worker sends coalesce: frames staged for
 //!   the same destination worker during one scheduling pass travel as a
 //!   single batch envelope — one queue push, at most one wakeup, for the
@@ -62,6 +62,14 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
+/// Timer-wheel bucket width in microseconds.
+const WHEEL_GRANULARITY_US: u64 = 200;
+/// Timer-wheel bucket count.
+const WHEEL_SLOTS: usize = 1_024;
+/// Frames + timers one actor may drain per scheduling before the ready
+/// ring moves on to the next actor.
+const BURST: usize = 64;
+
 /// Tuning knobs for the runtime.
 #[derive(Clone, Copy, Debug)]
 pub struct RtConfig {
@@ -70,13 +78,6 @@ pub struct RtConfig {
     /// Bounded capacity of each worker's cross-worker run queue, in
     /// frames (batch envelopes count their frames, not one slot).
     pub mailbox_capacity: usize,
-    /// Timer-wheel bucket width in microseconds.
-    pub wheel_granularity_us: u64,
-    /// Timer-wheel bucket count.
-    pub wheel_slots: usize,
-    /// Frames + timers one actor may drain per scheduling before the
-    /// ready ring moves on to the next actor.
-    pub burst: usize,
 }
 
 impl Default for RtConfig {
@@ -86,9 +87,6 @@ impl Default for RtConfig {
                 .map(|n| n.get())
                 .unwrap_or(4),
             mailbox_capacity: 65_536,
-            wheel_granularity_us: 200,
-            wheel_slots: 1_024,
-            burst: 64,
         }
     }
 }
@@ -545,8 +543,6 @@ struct Worker {
     slots: HashMap<u32, ActorSlot>,
     /// Actors with pending work, scheduled round-robin.
     ready: VecDeque<u32>,
-    /// Frames + timers an actor may drain per scheduling.
-    burst: usize,
     rx: Arc<RunQueue<Envelope>>,
     stop: Arc<AtomicBool>,
     /// Precomputed per-worker gauge series names (`rt.wN.*`), so the
@@ -724,7 +720,7 @@ impl Worker {
     }
 
     /// Schedules the ready ring once: every currently-ready actor drains
-    /// up to `burst` entries; actors with leftovers rejoin the tail.
+    /// up to [`BURST`] entries; actors with leftovers rejoin the tail.
     fn run_ready(&mut self, scratch: &mut Vec<Due>) {
         let rounds = self.ready.len();
         for _ in 0..rounds {
@@ -734,7 +730,7 @@ impl Worker {
             let Some(slot) = self.slots.get_mut(&pid) else {
                 continue;
             };
-            let take = slot.pending.len().min(self.burst);
+            let take = slot.pending.len().min(BURST);
             scratch.extend(slot.pending.drain(..take));
             if slot.pending.is_empty() {
                 slot.in_ready = false;
@@ -892,7 +888,7 @@ impl Runtime {
                         fabric.seed ^ (w as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
                     ),
                     metrics: Metrics::new(),
-                    wheel: TimerWheel::new(cfg.wheel_granularity_us, cfg.wheel_slots),
+                    wheel: TimerWheel::new(WHEEL_GRANULARITY_US, WHEEL_SLOTS),
                     cancelled: HashSet::new(),
                     next_timer: 0,
                     links: Arc::clone(&links),
@@ -909,7 +905,6 @@ impl Runtime {
                 actors,
                 slots: HashMap::new(),
                 ready: VecDeque::new(),
-                burst: cfg.burst.max(1),
                 rx: Arc::clone(&queues[w]),
                 stop: Arc::clone(&stop),
                 gauge_mailbox: format!("rt.w{w}.mailbox_depth"),

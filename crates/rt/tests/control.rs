@@ -173,7 +173,6 @@ fn tiny_mailbox_backpressure_is_counted() {
     let cfg = RtConfig {
         threads: 2,          // burst on worker 0, slow on worker 1: cross-worker sends
         mailbox_capacity: 4, // overflow quickly
-        ..Default::default()
     };
     let run = Runtime::from_fabric_with(world.into_fabric(), cfg, RtHooks::default())
         .run_for(Span::millis(500));

@@ -546,11 +546,6 @@ impl World {
         );
     }
 
-    /// Returns true if a (directed) link exists.
-    pub fn has_link(&self, a: ProcessId, b: ProcessId) -> bool {
-        self.links.contains_key(&(a.0, b.0))
-    }
-
     /// Brings both directions of a link up or down (partition injection).
     pub fn set_link_up(&mut self, a: ProcessId, b: ProcessId, up: bool) {
         for key in [(a.0, b.0), (b.0, a.0)] {

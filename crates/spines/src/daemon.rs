@@ -47,24 +47,30 @@ const TIMER_LSA: u64 = 2;
 const TIMER_RETX: u64 = 3;
 const TIMER_FLUSH: u64 = 4;
 
+/// Interval between hello probes.
+const HELLO_INTERVAL: Span = Span::millis(500);
+/// A neighbor is declared dead if silent for this long.
+const DEAD_AFTER: Span = Span::millis(1_800);
+/// Interval between periodic LSA refreshes.
+const LSA_INTERVAL: Span = Span::secs(5);
+/// Link-state advertisements older than this are aged out of the database
+/// (a crashed daemon's stale adjacency must not linger).
+const LSA_MAX_AGE: Span = Span::secs(16);
+/// Retransmission scan interval for reliable frames.
+const RETRANSMIT_INTERVAL: Span = Span::millis(20);
+/// Retransmission timeout for a reliable frame.
+const RETRANSMIT_TIMEOUT: Span = Span::millis(60);
+/// Give up after this many retransmissions. With exponential backoff (60 ms
+/// doubling, 2 s cap) twelve retries span roughly ten seconds: enough for
+/// liveness detection to update routes and the re-route path to kick in.
+const MAX_RETRIES: u32 = 12;
+/// Flush a neighbor's stage early once this many frames are queued,
+/// bounding batch size and staging memory under load.
+const BATCH_MAX_FRAMES: usize = 32;
+
 /// Tuning knobs for a daemon.
 #[derive(Clone, Copy, Debug)]
 pub struct DaemonConfig {
-    /// Interval between hello probes.
-    pub hello_interval: Span,
-    /// A neighbor is declared dead if silent for this long.
-    pub dead_after: Span,
-    /// Interval between periodic LSA refreshes.
-    pub lsa_interval: Span,
-    /// Link-state advertisements older than this are aged out of the
-    /// database (a crashed daemon's stale adjacency must not linger).
-    pub lsa_max_age: Span,
-    /// Retransmission scan interval for reliable frames.
-    pub retransmit_interval: Span,
-    /// Retransmission timeout for a reliable frame.
-    pub retransmit_timeout: Span,
-    /// Give up after this many retransmissions.
-    pub max_retries: u32,
     /// Initial TTL for data messages.
     pub default_ttl: u8,
     /// Sustained flood forwarding rate allowed per source (messages/sec).
@@ -79,29 +85,15 @@ pub struct DaemonConfig {
     /// overlay edge *plus* one ack per frame. `Span::ZERO` disables
     /// batching (every message is framed and acked individually).
     pub batch_window: Span,
-    /// Flush a neighbor's stage early once this many frames are queued,
-    /// bounding batch size and staging memory under load.
-    pub batch_max_frames: usize,
 }
 
 impl Default for DaemonConfig {
     fn default() -> Self {
         DaemonConfig {
-            hello_interval: Span::millis(500),
-            dead_after: Span::millis(1_800),
-            lsa_interval: Span::secs(5),
-            lsa_max_age: Span::secs(16),
-            retransmit_interval: Span::millis(20),
-            retransmit_timeout: Span::millis(60),
-            // With exponential backoff (60 ms doubling, 2 s cap) twelve
-            // retries span roughly ten seconds: enough for liveness
-            // detection to update routes and the re-route path to kick in.
-            max_retries: 12,
             default_ttl: 32,
             flood_rate_per_source: 5_000.0,
             flood_burst: 500.0,
             batch_window: Span::millis(1),
-            batch_max_frames: 32,
         }
     }
 }
@@ -346,7 +338,7 @@ impl Daemon {
             stage.push(body);
             stage.len()
         };
-        if queued >= self.cfg.batch_max_frames {
+        if queued >= BATCH_MAX_FRAMES {
             self.flush_neighbor(ctx, neighbor);
         } else {
             self.schedule_flush(ctx);
@@ -446,8 +438,8 @@ impl Daemon {
                     msg,
                     body: body.clone(),
                     retries: 0,
-                    next_at: ctx.now() + self.cfg.retransmit_timeout,
-                    rto: self.cfg.retransmit_timeout,
+                    next_at: ctx.now() + RETRANSMIT_TIMEOUT,
+                    rto: RETRANSMIT_TIMEOUT,
                 },
             );
             if self.batching() {
@@ -769,7 +761,6 @@ impl Daemon {
                     ctx.count("spines.hello_spoof_drop", 1);
                     return;
                 }
-                let hello_interval = self.cfg.hello_interval;
                 let newly_alive = {
                     let Some(state) = self.neighbors.get_mut(&from) else {
                         return;
@@ -782,7 +773,7 @@ impl Daemon {
                         // Damping: a congested link leaking the occasional
                         // hello must not flap alive; require two hellos in
                         // quick succession before reviving.
-                        let stable = ctx.now().since(previous) <= hello_interval.times(2);
+                        let stable = ctx.now().since(previous) <= HELLO_INTERVAL.times(2);
                         if stable {
                             state.alive = true;
                         }
@@ -927,9 +918,9 @@ impl Process for Daemon {
         for (_, state) in self.neighbors.iter_mut() {
             state.last_heard = ctx.now();
         }
-        ctx.set_timer(self.cfg.hello_interval, TIMER_HELLO);
-        ctx.set_timer(self.cfg.lsa_interval, TIMER_LSA);
-        ctx.set_timer(self.cfg.retransmit_interval, TIMER_RETX);
+        ctx.set_timer(HELLO_INTERVAL, TIMER_HELLO);
+        ctx.set_timer(LSA_INTERVAL, TIMER_LSA);
+        ctx.set_timer(RETRANSMIT_INTERVAL, TIMER_RETX);
         self.regenerate_lsa(ctx);
     }
 
@@ -974,10 +965,9 @@ impl Process for Daemon {
                 }
                 // Death detection.
                 let now = ctx.now();
-                let dead_after = self.cfg.dead_after;
                 let mut changed = false;
                 for (_, state) in self.neighbors.iter_mut() {
-                    if state.alive && now.since(state.last_heard) > dead_after {
+                    if state.alive && now.since(state.last_heard) > DEAD_AFTER {
                         state.alive = false;
                         changed = true;
                     }
@@ -985,24 +975,23 @@ impl Process for Daemon {
                 if changed {
                     self.regenerate_lsa(ctx);
                 }
-                ctx.set_timer(self.cfg.hello_interval, TIMER_HELLO);
+                ctx.set_timer(HELLO_INTERVAL, TIMER_HELLO);
             }
             TIMER_LSA => {
                 // Age out stale advertisements (their origin stopped
                 // refreshing: crashed, partitioned, or compromised-and-
                 // silenced). Our own entry is refreshed just below.
                 let now = ctx.now();
-                let max_age = self.cfg.lsa_max_age;
                 let me = self.me;
                 let before = self.lsa_db.len();
                 self.lsa_db
-                    .retain(|origin, e| *origin == me || now.since(e.received_at) <= max_age);
+                    .retain(|origin, e| *origin == me || now.since(e.received_at) <= LSA_MAX_AGE);
                 if self.lsa_db.len() != before {
                     self.routes = None;
                     ctx.count("spines.lsa_aged_out", 1);
                 }
                 self.regenerate_lsa(ctx);
-                ctx.set_timer(self.cfg.lsa_interval, TIMER_LSA);
+                ctx.set_timer(LSA_INTERVAL, TIMER_LSA);
             }
             TIMER_RETX => {
                 let now = ctx.now();
@@ -1045,7 +1034,7 @@ impl Process for Daemon {
                         to_drop.push(id);
                         continue;
                     }
-                    if retries >= self.cfg.max_retries {
+                    if retries >= MAX_RETRIES {
                         to_drop.push(id);
                     } else {
                         to_resend.push(id);
@@ -1076,7 +1065,7 @@ impl Process for Daemon {
                         ctx.count("spines.retx", 1);
                     }
                 }
-                ctx.set_timer(self.cfg.retransmit_interval, TIMER_RETX);
+                ctx.set_timer(RETRANSMIT_INTERVAL, TIMER_RETX);
             }
             TIMER_FLUSH => {
                 self.flush_scheduled = false;

@@ -125,10 +125,4 @@ impl OverlayNetwork {
     pub fn wire_client(&self, world: &mut World, daemon: OverlayId, client: ProcessId) {
         world.add_link(self.daemon_pid(daemon), client, LinkConfig::local());
     }
-
-    /// Takes the underlay link between two neighboring daemons down or up
-    /// (link-level attack/repair injection).
-    pub fn set_overlay_link_up(&self, world: &mut World, a: OverlayId, b: OverlayId, up: bool) {
-        world.set_link_up(self.daemon_pid(a), self.daemon_pid(b), up);
-    }
 }
