@@ -25,7 +25,7 @@
 
 use spire::attack::{Attack, Scenario};
 use spire::deployment::{Deployment, DeploymentConfig, HealthOptions, Substrate};
-use spire::health::{parse_prometheus, prometheus_text, AlarmKind, HealthConfig, HealthMonitor};
+use spire::health::{parse_prometheus, AlarmKind, HealthConfig};
 use spire_prime::ByzBehavior;
 use spire_scada::WorkloadConfig;
 use spire_sim::{Span, Time};
@@ -116,31 +116,16 @@ fn main() {
     if let Some(s) = &scenario {
         s.apply(&mut system);
     }
-    let (mon, report): (HealthMonitor, spire::Report) = match substrate {
-        Substrate::Sim => {
-            let monitor = system.install_health_monitor(health_cfg, Time::ZERO + horizon);
-            system.run_for(horizon);
-            let report = system.report();
-            if let Some(path) = &prom_path {
-                std::fs::write(path, prometheus_text(system.world.metrics()))
-                    .unwrap_or_else(|e| fail(&format!("writing {path}: {e}")));
-            }
-            let mon = monitor.lock().unwrap().clone();
-            (mon, report)
-        }
-        Substrate::Rt { threads } => {
-            let opts = HealthOptions {
-                config: health_cfg,
-                watch: false,
-                prom_path: prom_path.clone(),
-            };
-            let outcome = system.into_rt(threads).run_monitored(horizon, opts);
-            let mon = outcome
-                .health
-                .unwrap_or_else(|| fail("rt run returned no monitor"));
-            (mon, outcome.report)
-        }
+    let opts = HealthOptions {
+        config: health_cfg,
+        watch: false,
+        prom_path: prom_path.clone(),
     };
+    let outcome = system.run(substrate, horizon, Some(opts));
+    let report = outcome.report;
+    let mon = outcome
+        .health
+        .unwrap_or_else(|| fail("the run returned no monitor"));
 
     println!("{}", report.one_line());
     println!("{}", report.health_line());

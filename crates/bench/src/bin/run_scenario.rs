@@ -25,13 +25,13 @@
 //!   JSON to stdout, or to `PATH` with `--json=PATH`;
 //! * `--trace=PATH` — enables structured tracing and writes a Chrome
 //!   `trace_event` file loadable in `chrome://tracing` / Perfetto
-//!   (sim substrate only);
-//! * `--watch` — live one-line health status (rate / p99 / SLO breaches /
-//!   detector verdict) to stderr every snapshot interval (rt only: the
-//!   simulator outruns wall time, so there is nothing live to watch);
-//! * `--prom=PATH` — periodically rewrite a Prometheus text-exposition
-//!   snapshot of the live metrics to `PATH` (final metrics at exit; on
-//!   sim the export is written once, after the run);
+//!   (refused on rt, which records no trace yet);
+//! * `--watch` — one-line health status (rate / p99 / SLO breaches /
+//!   detector verdict) to stderr at every snapshot interval of the
+//!   substrate's clock: live on rt, as fast as the simulator runs on sim;
+//! * `--prom=PATH` — rewrite a Prometheus text-exposition snapshot of the
+//!   run's metrics to `PATH` at every snapshot interval and once more
+//!   with the final metrics; a failed final write exits 1;
 //! * `--shards=N` — instead of a suite entry, run an N-group sharded
 //!   deployment (the RTU fleet partitioned across N independent Prime
 //!   groups plus the cross-shard 2PC coordinator) for `--duration`
@@ -59,7 +59,7 @@ use spire::chaos::ChaosPlan;
 use spire::deployment::{
     Deployment, DeploymentConfig, HealthOptions, RollingRecoveryConfig, Substrate,
 };
-use spire::health::{prometheus_text, HealthConfig};
+use spire::health::HealthConfig;
 use spire::report::{Provenance, Report};
 use spire::sharded::ShardedConfig;
 use spire_scada::WorkloadConfig;
@@ -272,8 +272,9 @@ fn main() {
             return;
         }
     };
-    if !quiet {
-        println!("running scenario: {} on {substrate}", scenario.name);
+    if trace_path.is_some() && !substrate.records_trace() {
+        eprintln!("--trace is not available on the {substrate} substrate: it records no trace");
+        std::process::exit(2);
     }
     let mut cfg = DeploymentConfig::wide_area(seed);
     cfg.workload = WorkloadConfig {
@@ -291,10 +292,11 @@ fn main() {
     } else {
         scenario.duration + Span::secs(5)
     };
-    let mut threads_used = 0usize;
-    if matches!(substrate, Substrate::Rt { .. }) && trace_path.is_some() {
-        eprintln!("--trace is not available on the rt substrate");
-        std::process::exit(2);
+    if !quiet {
+        println!(
+            "running scenario: {} on {substrate} ({duration} of its clock)",
+            scenario.name
+        );
     }
     let mut system = match shards {
         Some(n) => Deployment::build_sharded(ShardedConfig {
@@ -304,9 +306,6 @@ fn main() {
         }),
         None => Deployment::build(cfg),
     };
-    // Rolling recovery must be announced before `scenario.apply` installs
-    // the invariant checker, so the catch-up deadline and the health
-    // monitor both see the windows.
     if let Some(secs) = recovery_period {
         let rcfg = RollingRecoveryConfig {
             period: Span::secs(secs),
@@ -325,64 +324,29 @@ fn main() {
         }
     }
     scenario.apply(&mut system);
-    let report = match substrate {
-        Substrate::Sim => {
-            if watch && !quiet {
-                eprintln!(
-                    "--watch is live-only and the simulator outruns wall time; \
-                     the health monitor still runs (see the health line / report)"
-                );
-            }
-            system.install_health_monitor(HealthConfig::default(), Time::ZERO + duration);
-            system.run_for(duration);
-            let report = system.report();
-            if let Some(path) = &trace_path {
-                match system.export_chrome_trace(path) {
-                    Ok(()) => {
-                        if !quiet {
-                            println!("chrome trace written to {path}");
-                        }
-                    }
-                    Err(e) => eprintln!("failed to write trace to {path}: {e}"),
-                }
-            }
-            if let Some(path) = &prom_path {
-                if let Err(e) = std::fs::write(path, prometheus_text(system.world.metrics())) {
-                    eprintln!("failed to write Prometheus export to {path}: {e}");
-                    std::process::exit(1);
-                }
-                if !quiet {
-                    println!("prometheus export written to {path}");
-                }
-            }
-            report
-        }
-        Substrate::Rt { threads } => {
-            if !quiet {
-                println!("(real-clock run: this takes {duration} of wall time)");
-            }
-            let opts = HealthOptions {
-                config: HealthConfig::default(),
-                watch,
-                prom_path: prom_path.clone(),
-            };
-            let outcome = system.into_rt(threads).run_monitored(duration, opts);
-            threads_used = outcome.run.threads;
-            if !quiet {
-                println!(
-                    "rt: {} worker thread(s), {} frames delivered, {} dropped by the link model",
-                    outcome.run.threads,
-                    outcome.run.metrics.counter("rt.delivered"),
-                    outcome.run.metrics.counter("rt.loss_drop"),
-                );
-                if let Some(path) = &prom_path {
-                    println!("prometheus export written to {path}");
-                }
-            }
-            outcome.report
-        }
+    let opts = HealthOptions {
+        config: HealthConfig::default(),
+        watch,
+        prom_path: prom_path.clone(),
     };
-    finish(&report, substrate, threads_used, &json, seed);
+    let outcome = system.run(substrate, duration, Some(opts));
+    if let (Some(path), Some(world)) = (&trace_path, &outcome.world) {
+        match std::fs::write(path, world.chrome_trace()) {
+            Ok(()) if quiet => {}
+            Ok(()) => println!("chrome trace written to {path}"),
+            Err(e) => eprintln!("failed to write trace to {path}: {e}"),
+        }
+    }
+    if let Some(path) = &prom_path {
+        if let Err(e) = &outcome.exported {
+            eprintln!("failed to write Prometheus export to {path}: {e}");
+            std::process::exit(1);
+        }
+        if !quiet {
+            println!("prometheus export written to {path}");
+        }
+    }
+    finish(&outcome.report, substrate, outcome.run.threads, &json, seed);
 }
 
 /// Emits the report (text or JSON) and exits: 0 on success, 3 on any

@@ -170,11 +170,11 @@ fn trace_hooks(system: &Deployment, report: &Report, tag: &str) {
     }
     let chrome = format!("spire-trace-{tag}.json");
     let jsonl = format!("spire-trace-{tag}.jsonl");
-    for (what, path, written) in [
-        ("chrome trace", &chrome, system.export_chrome_trace(&chrome)),
-        ("events", &jsonl, system.export_events_jsonl(&jsonl)),
+    for (what, path, text) in [
+        ("chrome trace", &chrome, system.world.chrome_trace()),
+        ("events", &jsonl, system.world.events_jsonl()),
     ] {
-        match written {
+        match std::fs::write(path, text) {
             Ok(()) => println!("flight-recorder {what} -> {path}"),
             Err(e) => eprintln!("{what} export failed: {e}"),
         }
@@ -957,35 +957,29 @@ fn rt_throughput(args: &Args) -> Outcome {
         cfg.trace = false;
         cfg
     };
-    // One rt leg: real seconds on OS threads.
-    let rt_leg = |cfg: DeploymentConfig, interval_ms: u64, workers: usize| {
+    // One leg, wall-timed: `point_secs` of the substrate's clock — virtual
+    // seconds on the simulator's one thread, real seconds on rt's workers.
+    let leg = |cfg: DeploymentConfig, interval_ms: u64, substrate: Substrate| {
         let offered = cfg.workload.updates_per_second();
-        let rt = Deployment::build(cfg).into_rt(workers);
+        let system = Deployment::build(cfg);
         let start = std::time::Instant::now();
-        let outcome = rt.run_for(Span::secs(point_secs));
+        let outcome = system.run(substrate, Span::secs(point_secs), None);
         let wall_s = start.elapsed().as_secs_f64();
-        let threads = outcome.run.threads;
-        rt_row("rt", interval_ms, offered, &outcome.report, wall_s, threads)
+        rt_row(
+            &substrate.to_string(),
+            interval_ms,
+            offered,
+            &outcome.report,
+            wall_s,
+            outcome.run.threads,
+        )
     };
 
     let mut rows = Vec::new();
     for interval in [200u64, 100, 50, 20, 10, 5] {
         let cfg = cfg_at(8800 + interval, interval);
-        // Sim leg: virtual seconds, wall-timed.
-        let mut system = Deployment::build(cfg.clone());
-        let start = std::time::Instant::now();
-        system.run_for(Span::secs(point_secs));
-        let wall_s = start.elapsed().as_secs_f64();
-        let offered = cfg.workload.updates_per_second();
-        rows.push(rt_row(
-            "sim",
-            interval,
-            offered,
-            &system.report(),
-            wall_s,
-            1,
-        ));
-        rows.push(rt_leg(cfg, interval, 0));
+        rows.push(leg(cfg.clone(), interval, Substrate::Sim));
+        rows.push(leg(cfg, interval, Substrate::Rt { threads: 0 }));
     }
     print_rows(
         "RT: confirmed updates/s by substrate (10 RTUs, f=1 k=1)",
@@ -1011,7 +1005,13 @@ fn rt_throughput(args: &Args) -> Outcome {
     // with thread count (flat when the host has fewer physical cores).
     let sweep: Vec<Json> = [1usize, 2, 4]
         .into_iter()
-        .map(|workers| rt_leg(cfg_at(8900 + workers as u64, 50), 50, workers))
+        .map(|threads| {
+            leg(
+                cfg_at(8900 + threads as u64, 50),
+                50,
+                Substrate::Rt { threads },
+            )
+        })
         .collect();
     print_rows(
         &format!("RT: worker sweep at 200 offered/s (host has {cores} core(s))"),
@@ -1258,9 +1258,7 @@ fn shard_scaling(args: &Args) -> Outcome {
             ..workload(8, 250)
         };
         cfg.cross_rate = 0.1;
-        Deployment::build_sharded(cfg)
-            .into_rt(0)
-            .run_for(Span::secs(rt_secs))
+        Deployment::build_sharded(cfg).run(Substrate::Rt { threads: 0 }, Span::secs(rt_secs), None)
     };
     let rt_ok = outcome.report.safety_ok
         && outcome.report.chaos.invariant_violations == 0
@@ -1386,8 +1384,8 @@ pub fn endurance_summary(
 /// defeats the loss windows). Runs on either substrate (rt takes
 /// `--secs` in wall time — keep it short there).
 fn endurance(args: &Args) -> Outcome {
-    use spire::deployment::RollingRecoveryConfig;
-    use spire::{ChaosPlan, HealthConfig};
+    use spire::deployment::{HealthOptions, RollingRecoveryConfig};
+    use spire::ChaosPlan;
 
     let duration_s = args.secs(600, 90);
     let substrate = args.substrate;
@@ -1409,9 +1407,7 @@ fn endurance(args: &Args) -> Outcome {
     let scenario = plan.scenario();
 
     let mut system = Deployment::build(cfg);
-    // Rolling rotation must be announced before `apply` installs the
-    // invariant checker (it captures the windows for the catch-up
-    // deadline check). Stop scheduling early enough that the last
+    // The rolling rotation. Stop scheduling early enough that the last
     // window can close before the horizon.
     //
     // The rotation respects the same fault budget the chaos accountant
@@ -1474,53 +1470,35 @@ fn endurance(args: &Args) -> Outcome {
         .collect();
     print_rows(&title, "chaos_event", &events);
 
-    let (report, po_series): (Report, Vec<(Time, f64)>) = match substrate {
-        Substrate::Sim => {
-            system.install_health_monitor(HealthConfig::default(), secs(duration_s));
-            // A per-minute ordering-health probe on stderr — enough to
-            // localize a liveness wedge to the execution, commit, or
-            // pre-order layer without a debugger.
-            let insp = system.groups[0].inspection.clone();
-            for m in 1..=duration_s / 60 {
-                let insp = insp.clone();
-                system
-                    .world
-                    .schedule_control(Time(m * 60_000_000), move |w| {
-                        let records = insp.records();
-                        let execs: Vec<u64> = records.values().map(|r| r.last_executed).collect();
-                        let arus: Vec<u64> = records.values().map(|r| r.commit_aru).collect();
-                        let miss: Vec<u64> = records.values().map(|r| r.missing_po).collect();
-                        let metrics = w.metrics();
-                        eprintln!(
-                            "t={}s confirmed={} execs={execs:?} arus={arus:?} miss={miss:?} \
-                             po_retries={} vc_rebroadcasts={}",
-                            m * 60,
-                            metrics.counter("scada.updates_confirmed"),
-                            metrics.counter("prime.po_retries"),
-                            metrics.counter("prime.vc_rebroadcasts"),
-                        );
-                    });
-            }
-            system.run_for(duration);
-            let po = system
-                .world
-                .metrics()
-                .series("prime.compaction.po_retained")
-                .to_vec();
-            (system.report(), po)
-        }
-        Substrate::Rt { threads } => {
-            let outcome = system
-                .into_rt(threads)
-                .run_monitored(duration, spire::deployment::HealthOptions::default());
-            let po = outcome
-                .run
-                .metrics
-                .series("prime.compaction.po_retained")
-                .to_vec();
-            (outcome.report, po)
-        }
-    };
+    // A per-minute ordering-health probe on stderr — enough to localize a
+    // liveness wedge to the execution, commit, or pre-order layer without
+    // a debugger. A world control, so only the simulator runs it.
+    let insp = system.groups[0].inspection.clone();
+    for m in 1..=duration_s / 60 {
+        let insp = insp.clone();
+        system
+            .world
+            .schedule_control(Time(m * 60_000_000), move |w| {
+                let records = insp.records();
+                let execs: Vec<u64> = records.values().map(|r| r.last_executed).collect();
+                let arus: Vec<u64> = records.values().map(|r| r.commit_aru).collect();
+                let miss: Vec<u64> = records.values().map(|r| r.missing_po).collect();
+                let metrics = w.metrics();
+                eprintln!(
+                    "t={}s confirmed={} execs={execs:?} arus={arus:?} miss={miss:?} \
+                     po_retries={} vc_rebroadcasts={}",
+                    m * 60,
+                    metrics.counter("scada.updates_confirmed"),
+                    metrics.counter("prime.po_retries"),
+                    metrics.counter("prime.vc_rebroadcasts"),
+                );
+            });
+    }
+    let outcome = system.run(substrate, duration, Some(HealthOptions::default()));
+    let report = outcome.report;
+    let po_series = (outcome.run.metrics)
+        .series("prime.compaction.po_retained")
+        .to_vec();
 
     // Delivery excluding recovery windows: count whole seconds whose
     // midpoint lies outside every announced window, and the confirmed
@@ -1596,9 +1574,8 @@ fn endurance(args: &Args) -> Outcome {
         if recoveries_ok { "OK" } else { "INCOMPLETE" },
         if invariants_ok { "OK" } else { "VIOLATED" },
     );
-    // The soak consumes `system` on the rt path, so the `trace_hooks`
-    // handle is gone by now; the phase table still prints when tracing
-    // captured spans.
+    // The run consumed `system`, so there is no handle for `trace_hooks`;
+    // the phase table still prints when tracing captured spans.
     let table = report.phase_table();
     if !table.is_empty() {
         println!("\nper-phase latency breakdown (endurance):\n{table}");

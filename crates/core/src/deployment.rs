@@ -28,6 +28,7 @@ use spire_spines::{
     DaemonBehavior, DaemonConfig, Dissemination, OverlayAddr, OverlayId, OverlayNetwork,
     SpinesPort, Topology,
 };
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
 
@@ -382,24 +383,149 @@ fn safety_ok(groups: &[GroupParts], xshard: Option<&XShard>) -> bool {
         && xshard.is_none_or(|x| x.ledger.ok())
 }
 
-/// The online checker pass both substrates run on their control tick.
-struct OnlineChecks {
+/// A periodic job's schedule: due at `next`, again `every` after each
+/// run, for as long as that is not past `until`.
+#[derive(Clone, Copy)]
+struct Cadence {
+    next: Time,
+    every: Span,
+    until: Time,
+}
+
+impl Cadence {
+    /// First at `every` — so a zero `every` is due whenever asked.
+    fn every(every: Span, until: Time) -> Cadence {
+        let next = Time(every.0);
+        Cadence { next, every, until }
+    }
+
+    fn pending(self) -> Option<Time> {
+        (self.next <= self.until).then_some(self.next)
+    }
+
+    fn due(self, now: Time) -> bool {
+        self.pending().is_some_and(|at| at <= now)
+    }
+
+    /// Whether the job is due at `now`; if so it moves on.
+    fn fire(&mut self, now: Time) -> bool {
+        let due = self.due(now);
+        if due {
+            self.next = now + self.every;
+        }
+        due
+    }
+}
+
+/// The live health monitor as the observer runs it.
+struct Health {
+    monitor: Arc<Mutex<HealthMonitor>>,
+    opts: HealthOptions,
+    snapshots: Cadence,
+}
+
+/// What watches a run, written once for both substrates: the online
+/// invariant pass over every group's checker, the optional
+/// [`HealthMonitor`] with its `--watch` line and Prometheus file, and the
+/// `invariant.*` / `health.*` series the two produce. The simulator
+/// drives [`Observer::tick`] from one self-rescheduling control event
+/// ([`arm`]), the real-clock runtime from its control thread
+/// ([`RtDeployment::run`]); each moves `produced` into the metric store
+/// its substrate keeps — the world's after every tick, the merged worker
+/// metrics at shutdown.
+#[derive(Default)]
+struct Observer {
     /// Every group's checker, in group order.
     checkers: Vec<Arc<InvariantChecker>>,
-    /// Announced recovery windows (group 0, like the schedulers that
-    /// announce them).
+    /// Announced recovery windows `(replica, start, end)` of group 0: the
+    /// pass holds each replica to its catch-up deadline, a monitor started
+    /// from here on grades those spans `degraded`.
     windows: Vec<(u32, Time, Time)>,
     /// How to reproduce, appended to every violation line.
     hint: String,
+    /// When the invariant pass runs (`None`: not installed).
+    checks: Option<Cadence>,
+    health: Option<Health>,
+    /// What the ticks produced and the substrate's store does not hold yet.
+    produced: Metrics,
 }
 
-impl OnlineChecks {
-    /// Checks every group at substrate time `now`, prints each fresh
-    /// violation and returns their count. `accepts` is the cumulative
-    /// `scada.conflicting_accept` counter when the substrate can read it
-    /// (rt merges worker metrics only at shutdown); it is
-    /// deployment-global, so it is attributed to group 0's checker, once.
-    fn pass(&self, now: Time, accepts: Option<u64>) -> usize {
+impl Observer {
+    fn new(groups: &[GroupParts], hint: String) -> Observer {
+        Observer {
+            checkers: groups.iter().map(|g| Arc::clone(&g.checker)).collect(),
+            hint,
+            ..Observer::default()
+        }
+    }
+
+    /// Starts the health monitor: a snapshot every `opts.config.interval`
+    /// of the substrate's clock until `until`.
+    fn watch(&mut self, opts: HealthOptions, until: Time) -> Arc<Mutex<HealthMonitor>> {
+        let monitor = HealthMonitor::new(opts.config).with_recovery_windows(self.windows.clone());
+        let monitor = Arc::new(Mutex::new(monitor));
+        self.health = Some(Health {
+            monitor: Arc::clone(&monitor),
+            snapshots: Cadence::every(opts.config.interval, until),
+            opts,
+        });
+        monitor
+    }
+
+    /// The earliest time either job is due.
+    fn next_due(&self) -> Option<Time> {
+        let snapshots = self.health.as_ref().map(|h| h.snapshots);
+        (self.checks.iter().chain(&snapshots))
+            .filter_map(|c| c.pending())
+            .min()
+    }
+
+    /// One tick at substrate time `now`: the invariant pass, then the
+    /// health snapshot — verdicts published, the `--watch` line printed,
+    /// the Prometheus file rewritten — each if its cadence says so.
+    /// `live` is the run's metrics as of `now` (rt, which pays a merge of
+    /// every worker's store for them, passes them only when a snapshot is
+    /// due); without them the pass goes without the client-side counter.
+    /// Returns the fresh violations and one trace `Mark` per alarm fired.
+    fn tick(&mut self, now: Time, live: Option<Cow<'_, Metrics>>) -> (usize, Vec<TraceKind>) {
+        let mut violations = 0;
+        if self.checks.as_mut().is_some_and(|c| c.fire(now)) {
+            let accepts = live.as_ref().map(|m| m.counter("scada.conflicting_accept"));
+            violations = self.check(now, accepts);
+        }
+        let Some((health, live)) = self.health.as_mut().zip(live) else {
+            return (violations, Vec::new());
+        };
+        if !health.snapshots.fire(now) {
+            return (violations, Vec::new());
+        }
+        let mut monitor = health.monitor.lock().expect("health monitor poisoned");
+        let snapshot = monitor.observe(now, &live);
+        HealthMonitor::publish(&snapshot, &mut self.produced);
+        if health.opts.watch {
+            eprintln!("{}", monitor.watch_line(&snapshot));
+        }
+        if let Some(path) = &health.opts.prom_path {
+            let mut all = live.into_owned();
+            all.merge(&self.produced);
+            if let Err(e) = write_prometheus(path, &all) {
+                eprintln!("prometheus export to {path} failed: {e}");
+            }
+        }
+        let marks = snapshot.alarms.iter().map(|alarm| TraceKind::Mark {
+            pid: 0,
+            label: alarm.label(),
+            value: snapshot.snapshot.seq,
+        });
+        (violations, marks.collect())
+    }
+
+    /// The invariant pass: checks every group at substrate time `now`,
+    /// prints each fresh violation, counts the pass and what it found.
+    /// `accepts` is the cumulative `scada.conflicting_accept` counter when
+    /// the caller can read it; it is deployment-global, so it is
+    /// attributed to group 0's checker, once.
+    fn check(&mut self, now: Time, accepts: Option<u64>) -> usize {
         let mut total = 0;
         for (g, checker) in self.checkers.iter().enumerate() {
             let mut fresh = checker.check();
@@ -417,8 +543,60 @@ impl OnlineChecks {
             }
             total += fresh;
         }
+        self.produced.count("invariant.checks", 1);
+        if total > 0 {
+            self.produced.count("invariant.violations", total as u64);
+        }
         total
     }
+
+    /// Closes a run over its final `run.metrics`: the last Prometheus
+    /// rewrite and the monitor as it stands.
+    fn outcome(&self, report: Report, run: spire_rt::RtRun, world: Option<World>) -> RunOutcome {
+        let health = self.health.as_ref();
+        let exported = match health.and_then(|h| h.opts.prom_path.as_ref()) {
+            Some(path) => write_prometheus(path, &run.metrics),
+            None => Ok(()),
+        };
+        let health = health.map(|h| h.monitor.lock().expect("health monitor poisoned").clone());
+        RunOutcome {
+            report,
+            run,
+            health,
+            exported,
+            world,
+        }
+    }
+}
+
+fn write_prometheus(path: &str, metrics: &Metrics) -> std::io::Result<()> {
+    std::fs::write(path, prometheus_text(metrics))
+}
+
+/// Queues the simulator control event for the observer's next due tick.
+/// The event ticks the observer over the world's own metrics, moves what
+/// it produced into them, and queues its successor. Each `install_*` call
+/// queues one; an event that finds another has already run its tick ends
+/// there, so one chain goes on, whatever was installed when.
+fn arm(w: &mut World, observer: &Arc<Mutex<Observer>>) {
+    let Some(at) = observer.lock().expect("observer poisoned").next_due() else {
+        return;
+    };
+    let observer = Arc::clone(observer);
+    w.schedule_control(at, move |w| {
+        let mut o = observer.lock().expect("observer poisoned");
+        if o.next_due().is_none_or(|due| due > w.now()) {
+            return;
+        }
+        let (violations, marks) = o.tick(w.now(), Some(Cow::Borrowed(w.metrics())));
+        w.metrics_mut().merge(&std::mem::take(&mut o.produced));
+        drop(o);
+        if violations > 0 && w.tracer().enabled() {
+            eprintln!("--- flight recorder tail ---\n{}", w.trace_dump_tail(40));
+        }
+        marks.into_iter().for_each(|mark| w.trace(mark));
+        arm(w, &observer);
+    });
 }
 
 /// A fully built Spire system: one or more replication groups in one
@@ -445,11 +623,9 @@ pub struct Deployment {
     /// wall-clock time.
     control_plan: Vec<(Time, ControlOp)>,
     recovery_counter: u32,
-    /// Announced proactive-recovery windows `(replica, start, end)`
-    /// accumulated by the rolling scheduler. Shared with the health
-    /// monitor (degraded grading) and the invariant checker (bounded
-    /// catch-up), on both substrates.
-    recovery_windows: Vec<(u32, Time, Time)>,
+    /// What watches the run; it also keeps the recovery windows the
+    /// rolling scheduler announced.
+    observer: Arc<Mutex<Observer>>,
 }
 
 /// Tuning for the rolling proactive-recovery scheduler
@@ -850,7 +1026,9 @@ impl Deployment {
         groups: Vec<GroupParts>,
         xshard: Option<XShard>,
     ) -> Deployment {
+        let hint = format!("reproduce with seed {}", cfg.seed);
         Deployment {
+            observer: Arc::new(Mutex::new(Observer::new(&groups, hint))),
             world,
             cfg,
             device_pids: groups
@@ -863,7 +1041,6 @@ impl Deployment {
             xshard,
             control_plan: Vec::new(),
             recovery_counter: 0,
-            recovery_windows: Vec::new(),
         }
     }
 
@@ -885,18 +1062,6 @@ impl Deployment {
             );
         }
         Report::from_metrics(self.world.metrics(), safety_ok)
-    }
-
-    /// Writes the run's trace as a Chrome `trace_event` JSON array
-    /// (load it in `chrome://tracing` or <https://ui.perfetto.dev>).
-    pub fn export_chrome_trace(&self, path: &str) -> std::io::Result<()> {
-        std::fs::write(path, self.world.chrome_trace())
-    }
-
-    /// Writes the flight-recorder events as JSON Lines (one event per
-    /// line), suitable for `jq`-style post-processing.
-    pub fn export_events_jsonl(&self, path: &str) -> std::io::Result<()> {
-        std::fs::write(path, self.world.events_jsonl())
     }
 
     /// Schedules a batch of substrate-agnostic control ops at `at`: they
@@ -989,14 +1154,12 @@ impl Deployment {
             }
             round_at = round_at + rcfg.period;
         }
-        self.recovery_windows.extend(announced.iter().copied());
+        self.observer().windows.extend(announced.iter().copied());
         announced
     }
 
-    /// The recovery windows announced by every
-    /// [`Deployment::schedule_rolling_recovery`] call so far.
-    pub fn recovery_windows(&self) -> &[(u32, Time, Time)] {
-        &self.recovery_windows
+    fn observer(&self) -> std::sync::MutexGuard<'_, Observer> {
+        self.observer.lock().expect("observer poisoned")
     }
 
     /// Schedules a compromise: at `at`, replica `id` begins misbehaving.
@@ -1131,34 +1294,14 @@ impl Deployment {
     /// `invariant.violations` and reported with their group and the
     /// reproducing seed; with tracing enabled the flight-recorder tail is
     /// dumped.
+    ///
+    /// `period` and `horizon` are the simulator's: they do not cross
+    /// [`Deployment::into_rt`] ([`World::into_fabric`] drops every
+    /// scheduled control), where the same pass runs on every control tick
+    /// whether or not this was called.
     pub fn install_invariant_checker(&mut self, period: Span, horizon: Time) {
-        let checks = Arc::new(self.online_checks(format!("reproduce with seed {}", self.cfg.seed)));
-        self.world
-            .schedule_control(Time(period.0), move |w| tick(w, checks, period, horizon));
-
-        fn tick(w: &mut World, checks: Arc<OnlineChecks>, period: Span, horizon: Time) {
-            w.metrics_mut().count("invariant.checks", 1);
-            let accepts = w.metrics().counter("scada.conflicting_accept");
-            let fresh = checks.pass(w.now(), Some(accepts));
-            if fresh > 0 {
-                w.metrics_mut().count("invariant.violations", fresh as u64);
-                if w.tracer().enabled() {
-                    eprintln!("--- flight recorder tail ---\n{}", w.trace_dump_tail(40));
-                }
-            }
-            let next = w.now() + period;
-            if next <= horizon {
-                w.schedule_control(next, move |w| tick(w, checks, period, horizon));
-            }
-        }
-    }
-
-    fn online_checks(&self, hint: String) -> OnlineChecks {
-        OnlineChecks {
-            checkers: self.groups.iter().map(|g| Arc::clone(&g.checker)).collect(),
-            windows: self.recovery_windows.clone(),
-            hint,
-        }
+        self.observer().checks = Some(Cadence::every(period, horizon));
+        arm(&mut self.world, &self.observer);
     }
 
     /// Installs the live health monitor: every `cfg.interval` of virtual
@@ -1172,35 +1315,48 @@ impl Deployment {
         cfg: HealthConfig,
         horizon: Time,
     ) -> Arc<Mutex<HealthMonitor>> {
-        let monitor = Arc::new(Mutex::new(
-            HealthMonitor::new(cfg).with_recovery_windows(self.recovery_windows.clone()),
-        ));
-        let handle = Arc::clone(&monitor);
-        let interval = cfg.interval;
-        self.world.schedule_control(Time(interval.0), move |w| {
-            tick(w, monitor, interval, horizon)
-        });
-        return handle;
+        let opts = HealthOptions {
+            config: cfg,
+            ..HealthOptions::default()
+        };
+        self.watch(opts, horizon)
+    }
 
-        fn tick(w: &mut World, monitor: Arc<Mutex<HealthMonitor>>, interval: Span, horizon: Time) {
-            let now = w.now();
-            let health_tick = monitor
-                .lock()
-                .expect("health monitor poisoned")
-                .observe(now, w.metrics());
-            HealthMonitor::publish(&health_tick, w.metrics_mut());
-            for alarm in &health_tick.alarms {
-                w.trace(TraceKind::Mark {
-                    pid: 0,
-                    label: alarm.label(),
-                    value: health_tick.snapshot.seq,
-                });
-            }
-            let next = now + interval;
-            if next <= horizon {
-                w.schedule_control(next, move |w| tick(w, monitor, interval, horizon));
-            }
+    fn watch(&mut self, opts: HealthOptions, horizon: Time) -> Arc<Mutex<HealthMonitor>> {
+        let monitor = self.observer().watch(opts, horizon);
+        arm(&mut self.world, &self.observer);
+        monitor
+    }
+
+    /// Runs the assembled system for `span` on `substrate` and reports:
+    /// the one call behind every tool that takes `--substrate`. With
+    /// `health`, the monitor snapshots every `config.interval` of that
+    /// substrate's clock — virtual on the simulator, wall on rt — printing
+    /// the `watch` line and rewriting `prom_path` at each snapshot and once
+    /// more over the final metrics. The invariant pass keeps its driver's
+    /// cadence: the installed one on the simulator, every control tick on
+    /// rt.
+    pub fn run(
+        mut self,
+        substrate: Substrate,
+        span: Span,
+        health: Option<HealthOptions>,
+    ) -> RunOutcome {
+        if let Substrate::Rt { threads } = substrate {
+            return self.into_rt(threads).run(span, health);
         }
+        if let Some(opts) = health {
+            self.watch(opts, self.world.now() + span);
+        }
+        self.run_for(span);
+        let report = self.report();
+        let run = spire_rt::RtRun {
+            metrics: self.world.metrics().clone(),
+            elapsed: span,
+            threads: 0,
+        };
+        let observer = self.observer.lock().expect("observer poisoned");
+        observer.outcome(report, run, Some(self.world))
     }
 }
 
@@ -1253,69 +1409,45 @@ impl std::fmt::Display for Substrate {
     }
 }
 
-/// Heuristic message-class labeling for the rt per-class drop counters
-/// (`rt.drop.<class>`). Looks at the outermost frame tag — Prime frames
-/// (including sealed session envelopes) classify precisely; overlay
-/// wrappers and everything else land in coarse buckets.
-pub fn classify_frame(bytes: &[u8]) -> &'static str {
-    let Some(&tag) = bytes.first() else {
-        return "empty";
-    };
-    // Session envelopes put the inner frame behind their header — unicast
-    // [254][sender u32][mac 32][len u32][inner], group
-    // [252][sender u32][n u8][n x mac 32][len u32][inner].
-    let header = match tag {
-        254 => 41,
-        252 => 10 + 32 * bytes.get(5).map_or(0, |n| *n as usize),
-        _ => 0,
-    };
-    let Some(&(mut tag)) = bytes.get(header) else {
-        return "other";
-    };
-    // Multi-frame container: [253][count u16][len u32][first frame]... —
-    // classify by the first sub-frame (a coalesced flush is usually
-    // homogeneous vote traffic anyway).
-    if tag == 253 {
-        match bytes.get(header + 7) {
-            Some(&inner) => tag = inner,
-            None => return "other",
-        }
-    }
-    match tag {
-        255 => "batch",
-        2..=4 | 20 => "preorder",
-        5..=7 | 21 => "ordering",
-        10..=12 => "viewchange",
-        13..=15 => "checkpoint",
-        1 | 17 | 19 => "client",
-        8 | 9 => "liveness",
-        16 | 18 => "recon",
-        22..=24 => "statexfer",
-        _ => "other",
+impl Substrate {
+    /// Whether a run on this substrate records a trace. The real-clock
+    /// runtime's `trace` / `span_mark` are still no-ops (ROADMAP item 2),
+    /// so a tool asked for one refuses there.
+    pub fn records_trace(self) -> bool {
+        self == Substrate::Sim
     }
 }
 
 impl Deployment {
     /// Moves the assembled (not yet run) system onto the real-clock
-    /// runtime: the same actors and the same link
-    /// latency/jitter/loss/corruption/duplication model, hosted on OS
-    /// threads under wall-clock time. The control plan accumulated by the
-    /// `schedule_*` methods travels along and is replayed at the same
-    /// offsets from run start, so attack scenarios run unchanged on
-    /// either substrate; every group's checker (and the ledger of a
-    /// sharded build) ticks from the control thread.
+    /// runtime: the same actors and the same link fault model
+    /// ([`LinkConfig::transit`]), hosted on OS threads under wall-clock
+    /// time. What crosses: the control plan accumulated by the
+    /// `schedule_*` methods, replayed at the same offsets from run start,
+    /// so attack scenarios run unchanged on either substrate; the
+    /// announced recovery windows; every group's checker (and the ledger
+    /// of a sharded build), which tick from the control thread. What does
+    /// not: closures given to [`World::schedule_control`], and with them
+    /// the cadence of an installed checker or health monitor — on rt the
+    /// pass runs every control tick and [`RtDeployment::run`] starts the
+    /// monitor.
     pub fn into_rt(self, threads: usize) -> RtDeployment {
-        let checks = self.online_checks(format!(
+        let hint = format!(
             "seed {}; rt runs are not reproducible — replay the seed on the sim substrate",
             self.cfg.seed
-        ));
+        );
+        let observer = Observer {
+            windows: std::mem::take(&mut self.observer().windows),
+            checks: Some(Cadence::every(Span::ZERO, Time(u64::MAX))),
+            ..Observer::new(&self.groups, hint)
+        };
         let rt_cfg = if threads == 0 {
             spire_rt::RtConfig::default()
         } else {
             spire_rt::RtConfig::with_threads(threads)
         };
         let hooks = spire_rt::RtHooks {
-            classify: Arc::new(classify_frame),
+            classify: Arc::new(spire_prime::msg::classify_frame),
         };
         let runtime = spire_rt::Runtime::from_fabric_with(self.world.into_fabric(), rt_cfg, hooks);
         RtDeployment {
@@ -1324,7 +1456,7 @@ impl Deployment {
             groups: self.groups,
             xshard: self.xshard,
             plan: self.control_plan,
-            checks,
+            observer,
         }
     }
 }
@@ -1344,25 +1476,34 @@ pub struct RtDeployment {
     /// The fault plan recorded at schedule time, replayed at wall-clock
     /// offsets from run start.
     plan: Vec<(Time, ControlOp)>,
-    /// The checker pass, carrying the announced recovery windows so the
-    /// catch-up invariant (and the health monitor) see them under
+    /// What watches the run, carrying the announced recovery windows so
+    /// the catch-up invariant (and the health monitor) see them under
     /// wall-clock replay too.
-    checks: OnlineChecks,
+    observer: Observer,
 }
 
-/// The result of a real-clock run: the standard [`Report`] plus the raw
-/// merged metrics and wall-clock accounting.
+/// The result of [`Deployment::run`] on either substrate: the standard
+/// [`Report`] plus the raw metrics it was built from.
 #[derive(Debug)]
-pub struct RtOutcome {
+pub struct RunOutcome {
     /// The substrate-independent evaluation report.
     pub report: Report,
-    /// Merged per-worker metrics, elapsed wall time, worker count.
+    /// The run's metrics (merged across workers on rt), the time it
+    /// covered on its substrate's clock, and the worker threads that ran
+    /// it — 0 on the simulator, which has none.
     pub run: spire_rt::RtRun,
     /// The health monitor after the run (None when unmonitored).
     pub health: Option<HealthMonitor>,
+    /// How the final Prometheus rewrite went (`Ok` when none was asked
+    /// for). A failed periodic rewrite is only reported on stderr.
+    pub exported: std::io::Result<()>,
+    /// The simulated world after the run — its tracer holds the flight
+    /// recorder and the spans. `None` on rt, whose actors ended with
+    /// their threads.
+    pub world: Option<World>,
 }
 
-/// How a monitored rt run should surface its live telemetry.
+/// How a monitored run should surface its live telemetry.
 #[derive(Clone, Debug, Default)]
 pub struct HealthOptions {
     /// Monitor tuning (interval, thresholds, warmup).
@@ -1370,7 +1511,7 @@ pub struct HealthOptions {
     /// Print a one-line live status to stderr on every snapshot.
     pub watch: bool,
     /// Rewrite a Prometheus text-exposition snapshot to this path on
-    /// every snapshot (and once more at shutdown with final metrics).
+    /// every snapshot (and once more at the end with final metrics).
     pub prom_path: Option<String>,
 }
 
@@ -1380,83 +1521,45 @@ impl RtDeployment {
     /// the control thread — then shuts the runtime down and extracts the
     /// report (safety judged by the same predicate as
     /// [`Deployment::report`]).
-    pub fn run_for(self, span: Span) -> RtOutcome {
-        self.run_inner(span, None)
+    pub fn run_for(self, span: Span) -> RunOutcome {
+        self.run(span, None)
     }
 
-    /// Like [`RtDeployment::run_for`], with the live health monitor
-    /// sampling [`spire_rt::Runtime::live_metrics`] every
-    /// `opts.config.interval` of wall time: SLO grading, attack
-    /// detection, optional `--watch` status lines and periodic
-    /// Prometheus snapshots, all while the run is in flight.
-    pub fn run_monitored(self, span: Span, opts: HealthOptions) -> RtOutcome {
-        self.run_inner(span, Some(opts))
-    }
-
-    fn run_inner(self, span: Span, opts: Option<HealthOptions>) -> RtOutcome {
-        let checks = &self.checks;
-        let mut ticks: u64 = 0;
-        let mut violations: u64 = 0;
-        let mut monitor = opts
-            .as_ref()
-            .map(|o| HealthMonitor::new(o.config).with_recovery_windows(checks.windows.clone()));
-        let mut health_out = Metrics::new();
-        let mut next_snap = opts.as_ref().map(|o| Time(o.config.interval.0));
+    /// [`RtDeployment::run_for`], with the live health monitor sampling
+    /// [`spire_rt::Runtime::live_metrics`] every `config.interval` of wall
+    /// time when `health` is given: the rt half of [`Deployment::run`].
+    pub fn run(self, span: Span, health: Option<HealthOptions>) -> RunOutcome {
+        let mut observer = self.observer;
+        if let Some(opts) = health {
+            observer.watch(opts, Time(u64::MAX));
+        }
         let mut run = self.runtime.run_with(span, self.plan, |now, rt| {
-            ticks += 1;
-            violations += checks.pass(now, None) as u64;
-            let (Some(mon), Some(opts), Some(due)) =
-                (monitor.as_mut(), opts.as_ref(), next_snap.as_mut())
-            else {
-                return;
-            };
-            if now < *due {
-                return;
-            }
-            *due = now + opts.config.interval;
-            let mut live = rt.live_metrics();
-            // Fold the runtime's own gauges in as `rt.*` series so the
-            // snapshot, the report and the exporters see them.
-            let g = rt.gauges();
-            health_out.record("rt.mailbox_depth", now, g.mailbox_depth as f64);
-            health_out.record("rt.wheel_len", now, g.wheel_len as f64);
-            health_out.record("rt.busy_frac", now, g.busy_frac());
-            let tick = mon.observe(now, &live);
-            HealthMonitor::publish(&tick, &mut health_out);
-            if opts.watch {
-                eprintln!("{}", mon.watch_line(&tick));
-            }
-            if let Some(path) = &opts.prom_path {
-                live.merge(&health_out);
-                if let Err(e) = std::fs::write(path, prometheus_text(&live)) {
-                    eprintln!("prometheus export to {path} failed: {e}");
-                }
-            }
+            let snapshot = observer
+                .health
+                .as_ref()
+                .is_some_and(|h| h.snapshots.due(now));
+            let live = snapshot.then(|| {
+                // The runtime's own gauges, as `rt.*` series the snapshot,
+                // the report and the exporters see.
+                let g = rt.gauges();
+                let out = &mut observer.produced;
+                out.record("rt.mailbox_depth", now, g.mailbox_depth as f64);
+                out.record("rt.wheel_len", now, g.wheel_len as f64);
+                out.record("rt.busy_frac", now, g.busy_frac());
+                Cow::Owned(rt.live_metrics())
+            });
+            observer.tick(now, live);
         });
         // One more pass after shutdown: client-side conflicting accepts
         // live in worker metrics, which merge only now, and decisions
         // recorded after the last control tick drain here.
         let accepts = run.metrics.counter("scada.conflicting_accept");
-        violations += checks.pass(Time(run.elapsed.0), Some(accepts)) as u64;
-        run.metrics.count("invariant.checks", ticks);
-        if violations > 0 {
-            run.metrics.count("invariant.violations", violations);
-        }
-        run.metrics.merge(&health_out);
+        observer.check(Time(run.elapsed.0), Some(accepts));
+        run.metrics.merge(&observer.produced);
         run.metrics.sort_series();
         let safety_ok = safety_ok(&self.groups, self.xshard.as_ref());
         let report = Report::from_metrics(&run.metrics, safety_ok);
-        // Final snapshot over the complete merged metrics.
-        if let Some(path) = opts.as_ref().and_then(|o| o.prom_path.as_ref()) {
-            if let Err(e) = std::fs::write(path, prometheus_text(&run.metrics)) {
-                eprintln!("prometheus export to {path} failed: {e}");
-            }
-        }
-        RtOutcome {
-            report,
-            run,
-            health: monitor,
-        }
+        observer.outcome(report, run, None)
     }
 }
 

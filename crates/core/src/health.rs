@@ -411,11 +411,6 @@ impl HealthMonitor {
     /// Announces the schedule of proactive-recovery windows so silence
     /// from a recovering replica is graded `degraded` rather than fed to
     /// the no-silence SLO and the partition detector.
-    pub fn set_recovery_windows(&mut self, windows: Vec<(u32, Time, Time)>) {
-        self.recovery_windows = windows;
-    }
-
-    /// Builder form of [`HealthMonitor::set_recovery_windows`].
     pub fn with_recovery_windows(mut self, windows: Vec<(u32, Time, Time)>) -> HealthMonitor {
         self.recovery_windows = windows;
         self

@@ -58,8 +58,8 @@ pub use baseline::BaselineDeployment;
 pub use chaos::{ChaosPlan, FaultBudget};
 pub use config::{required_replicas, SiteKind, SpireConfig};
 pub use deployment::{
-    build_group, classify_frame, AppFactory, Deployment, DeploymentConfig, GroupParts, GroupSpec,
-    HealthOptions, RollingRecoveryConfig, RtDeployment, RtOutcome, Substrate, WanModel, XShard,
+    build_group, AppFactory, Deployment, DeploymentConfig, GroupParts, GroupSpec, HealthOptions,
+    RollingRecoveryConfig, RtDeployment, RunOutcome, Substrate, WanModel, XShard,
 };
 pub use health::{
     parse_prometheus, prometheus_text, AlarmKind, AttackDetector, BreachClass, HealthConfig,

@@ -5,10 +5,12 @@
 //! on both substrates.
 
 use spire::attack::Scenario;
-use spire::deployment::{Deployment, DeploymentConfig, HealthOptions};
+use spire::deployment::{Deployment, DeploymentConfig, HealthOptions, RunOutcome, Substrate};
 use spire::health::{parse_prometheus, prometheus_text, AlarmKind, HealthConfig};
 use spire::report::Provenance;
+use spire_sim::json::{self, Json};
 use spire_sim::{Span, Time};
+use std::collections::BTreeSet;
 
 /// Runs one suite scenario on the simulator with a health monitor
 /// installed and returns (monitor snapshot, deployment) for inspection.
@@ -135,27 +137,58 @@ fn report_and_prometheus_carry_health_on_sim() {
     assert_eq!(get("spire_health_alarm_site_dos"), None);
 }
 
+/// The names of the series and counters the observer produced.
+fn observer_keys(outcome: &RunOutcome) -> BTreeSet<String> {
+    let m = &outcome.run.metrics;
+    (m.counter_names().chain(m.series_names()))
+        .filter(|name| name.starts_with("health.") || name.starts_with("invariant."))
+        .map(str::to_string)
+        .collect()
+}
+
+/// The keys of one section of the report's JSON.
+fn section_keys(outcome: &RunOutcome, section: &str) -> Vec<String> {
+    let doc = json::parse(&outcome.report.to_json()).expect("report JSON parses");
+    match doc.get(section) {
+        Some(Json::Obj(fields)) => fields.iter().map(|(key, _)| key.clone()).collect(),
+        other => panic!("report has no {section} object: {other:?}"),
+    }
+}
+
 #[test]
 fn report_and_prometheus_carry_health_on_rt() {
     let mut cfg = DeploymentConfig::wide_area(11);
     cfg.workload.rtus = 6;
     cfg.workload.update_interval = Span::millis(200);
-    let system = Deployment::build(cfg);
     let prom = std::env::temp_dir().join("spire_health_rt_test.prom");
-    let opts = HealthOptions {
+    let opts = |prom_path: Option<String>| HealthOptions {
         config: HealthConfig {
             interval: Span::millis(500),
             warmup: 1,
             ..HealthConfig::default()
         },
         watch: false,
-        prom_path: Some(prom.to_string_lossy().into_owned()),
+        prom_path,
     };
-    let outcome = system.into_rt(2).run_monitored(Span::secs(3), opts);
+    let span = Span::secs(3);
+    let path = prom.to_string_lossy().into_owned();
+    let outcome = Deployment::build(cfg.clone()).run(
+        Substrate::Rt { threads: 2 },
+        span,
+        Some(opts(Some(path))),
+    );
 
-    let mon = outcome.health.expect("rt run must return its monitor");
+    let mon = outcome
+        .health
+        .as_ref()
+        .expect("rt run must return its monitor");
     assert!(mon.latest().is_some(), "monitor never ticked");
     assert!(outcome.report.health.snapshots > 0);
+    assert!(
+        outcome.report.chaos.invariant_checks > 0,
+        "checker never ticked"
+    );
+    assert!(outcome.world.is_none());
 
     let json =
         outcome
@@ -166,13 +199,37 @@ fn report_and_prometheus_carry_health_on_rt() {
     assert!(json.contains("\"threads\":2"));
     assert!(json.contains("\"cores\":"));
 
-    // The exporter wrote a parseable file with live rt gauges in it.
+    // The exporter wrote a parseable file with live rt gauges in it, and
+    // what is on disk is the final rewrite.
+    outcome.exported.as_ref().expect("final Prometheus rewrite");
     let text = std::fs::read_to_string(&prom).expect("prometheus file written");
     let samples = parse_prometheus(&text).expect("rt prometheus export must parse");
-    assert!(samples.iter().any(|s| s.name == "spire_health_snapshots"));
+    let value = |name: &str| samples.iter().find(|s| s.name == name).map(|s| s.value);
+    assert_eq!(
+        value("spire_health_snapshots"),
+        Some(outcome.report.health.snapshots as f64)
+    );
+    assert!(value("spire_invariant_checks").unwrap_or(0.0) > 0.0);
     assert!(
         samples.iter().any(|s| s.name.starts_with("spire_rt_")),
         "rt gauges missing from export"
     );
     let _ = std::fs::remove_file(&prom);
+
+    // The same build through the same call on the simulator (where the
+    // invariant pass runs at the cadence installed): one vocabulary. A
+    // clean simulated run produces every unconditional series; rt may add
+    // a breach counter of its own on a busy host.
+    let mut system = Deployment::build(cfg);
+    system.install_invariant_checker(Span::millis(500), Time::ZERO + span);
+    let sim = system.run(Substrate::Sim, span, Some(opts(None)));
+    let (sim_keys, rt_keys) = (observer_keys(&sim), observer_keys(&outcome));
+    assert!(sim_keys.contains("health.snapshots") && sim_keys.contains("invariant.checks"));
+    assert!(
+        sim_keys.is_subset(&rt_keys),
+        "sim produced {sim_keys:?}, rt only {rt_keys:?}"
+    );
+    for section in ["health", "chaos"] {
+        assert_eq!(section_keys(&sim, section), section_keys(&outcome, section));
+    }
 }

@@ -168,11 +168,6 @@ impl PrimeConfig {
         (2 * self.f + self.k + 1) as usize
     }
 
-    /// Acks (from others) needed to pre-order a request: `2f + k`.
-    pub fn po_ack_quorum(&self) -> usize {
-        (2 * self.f + self.k) as usize
-    }
-
     /// Summaries that must cover an op before execution: `f + k + 1`
     /// (guarantees a correct, currently-up replica can supply the content).
     pub fn cover_quorum(&self) -> usize {
@@ -206,7 +201,6 @@ mod tests {
         assert_eq!(c.n, 6);
         assert!(c.is_valid());
         assert_eq!(c.ordering_quorum(), 4);
-        assert_eq!(c.po_ack_quorum(), 3);
         assert_eq!(c.cover_quorum(), 3);
         assert_eq!(c.suspect_quorum(), 3);
     }

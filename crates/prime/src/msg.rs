@@ -705,6 +705,22 @@ impl_wire!(enum PrimeMsg {
     24 => StateChunkReq { replica, checkpoint_seq, chunks },
 });
 
+/// The sub-protocol the [`PrimeMsg`] behind `tag` (the table above) belongs
+/// to, as a short label.
+fn msg_class(tag: u8) -> &'static str {
+    match tag {
+        2..=4 | 20 => "preorder",
+        5..=7 | 21 => "ordering",
+        10..=12 => "viewchange",
+        13..=15 => "checkpoint",
+        1 | 17 | 19 => "client",
+        8 | 9 => "liveness",
+        16 | 18 => "recon",
+        22..=24 => "statexfer",
+        _ => "other",
+    }
+}
+
 /// Frame tag marking a batch-attested message ([`PrimeMsg`] encodings start
 /// with tags 1..=24 (15 retired), so the two framings share one byte stream).
 pub const BATCH_FRAME_TAG: u8 = 255;
@@ -957,6 +973,39 @@ pub fn decode_multi(bytes: &Bytes) -> Result<Option<Vec<Bytes>>, WireError> {
     }
     r.expect_end()?;
     Ok(Some(frames))
+}
+
+/// Labels a frame with its sub-protocol from its tags alone, without
+/// decoding or believing it — for per-class counters (the rt substrate's
+/// `rt.drop.<class>`), never for protocol decisions. Looks through a link
+/// seal (unicast or group) and classifies a multi-frame container by its
+/// first sub-frame (a coalesced flush is usually homogeneous vote traffic).
+/// Bytes that are no Prime frame — overlay wrappers, noise — land in
+/// `"other"`.
+pub fn classify_frame(bytes: &[u8]) -> &'static str {
+    let Some(&outer) = bytes.first() else {
+        return "empty";
+    };
+    // Both seals end in the inner frame's u32 length; see the layouts at
+    // `SEALED_FRAME_TAG` and `AUTHENTICATOR_FRAME_TAG`.
+    let inner_at = match outer {
+        SEALED_FRAME_TAG => 1 + 4 + 32 + 4,
+        AUTHENTICATOR_FRAME_TAG => {
+            let slots = bytes.get(1 + 4).map_or(0, |n| *n as usize);
+            1 + 4 + 1 + 32 * slots + 4
+        }
+        _ => 0,
+    };
+    let mut frame = bytes.get(inner_at..).unwrap_or(&[]);
+    if frame.first() == Some(&MULTI_FRAME_TAG) {
+        // `[253][count u16][len u32][first frame]…`
+        frame = frame.get(1 + 2 + 4..).unwrap_or(&[]);
+    }
+    match frame.first() {
+        None => "other",
+        Some(&BATCH_FRAME_TAG) => "batch",
+        Some(&tag) => msg_class(tag),
+    }
 }
 
 #[cfg(test)]
@@ -1411,5 +1460,41 @@ mod tests {
         let other = material().link_key(NodeId(1000), NodeId(1002));
         let parsed = decode_sealed(&sealed).expect("decode").expect("sealed");
         assert!(!parsed.verify(&other));
+    }
+
+    #[test]
+    fn a_commit_classifies_as_ordering_through_every_envelope() {
+        let commit = PrimeMsg::Commit {
+            replica: ReplicaId(2),
+            view: 1,
+            seq: 9,
+            digest: [5; 32],
+            sig: [6; 64],
+        }
+        .encode();
+        assert_eq!(classify_frame(&commit), "ordering");
+        let ping = PrimeMsg::Ping {
+            replica: ReplicaId(2),
+            nonce: 1,
+        }
+        .encode();
+        let container = encode_multi(&[commit.clone(), ping.clone()]);
+        assert_eq!(classify_frame(&container), "ordering");
+        for inner in [&commit, &container] {
+            let unicast = seal_frame(ReplicaId(2), &[1; 32], inner);
+            assert_eq!(classify_frame(&unicast), "ordering");
+            let group = seal_frame_for_all(ReplicaId(2), &[[1; 32]; 6], inner);
+            assert_eq!(classify_frame(&group), "ordering");
+        }
+        assert_eq!(classify_frame(&ping), "liveness");
+        assert_eq!(classify_frame(&[]), "empty");
+        // A seal cut short of its inner frame, and bytes that are no Prime
+        // frame at all.
+        assert_eq!(classify_frame(&[SEALED_FRAME_TAG, 0, 0]), "other");
+        assert_eq!(
+            classify_frame(&[AUTHENTICATOR_FRAME_TAG, 0, 0, 0, 0, 200]),
+            "other"
+        );
+        assert_eq!(classify_frame(&[0]), "other");
     }
 }

@@ -51,7 +51,7 @@ use crate::queue::RunQueue;
 use crate::wheel::TimerWheel;
 use bytes::Bytes;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use spire_sim::clock::Clock;
 use spire_sim::world::{
     Backend, Context, ControlOp, Fabric, LinkConfig, Process, ProcessId, SpawnFn, TimerId,
@@ -423,40 +423,21 @@ impl Backend for WorkerBackend {
             self.metrics.count("rt.link_down_drop", 1);
             return;
         }
-        if cfg.loss > 0.0 && self.rng.gen_bool(cfg.loss.min(1.0)) {
+        // The simulator's link fault model, draw for draw.
+        let Some(transit) = cfg.transit(bytes, &mut self.rng) else {
             self.metrics.count("rt.loss_drop", 1);
             return;
-        }
-        // Wire-layer corruption: one flipped bit, exactly as the
-        // simulator injects it. Decoders must treat this as noise.
-        let bytes =
-            if cfg.corrupt > 0.0 && !bytes.is_empty() && self.rng.gen_bool(cfg.corrupt.min(1.0)) {
-                let mut corrupted = bytes.to_vec();
-                let idx = self.rng.gen_range(0..corrupted.len());
-                corrupted[idx] ^= 0x01;
-                self.metrics.count("rt.corrupted", 1);
-                Bytes::from(corrupted)
-            } else {
-                bytes
-            };
-        let jitter = if cfg.jitter.0 > 0 {
-            Span::micros(self.rng.gen_range(0..=cfg.jitter.0))
-        } else {
-            Span::ZERO
         };
+        let bytes = transit.bytes;
+        if transit.corrupted {
+            self.metrics.count("rt.corrupted", 1);
+        }
         let now = self.clock.now();
-        let deliver_at = now + cfg.latency + jitter;
+        let deliver_at = now + transit.delay;
         self.metrics.count("rt.sent", 1);
         let dest = self.assignment.get(to.0 as usize).copied();
-        // Wire-layer duplication: the copy draws its own jitter, so the
-        // pair can arrive reordered.
-        if cfg.dup > 0.0 && self.rng.gen_bool(cfg.dup.min(1.0)) {
-            let jitter2 = if cfg.jitter.0 > 0 {
-                Span::micros(self.rng.gen_range(0..=cfg.jitter.0))
-            } else {
-                Span::ZERO
-            };
-            let dup_at = now + cfg.latency + jitter2;
+        if let Some(delay) = transit.duplicate {
+            let dup_at = now + delay;
             self.metrics.count("rt.dup", 1);
             if dest == Some(self.worker) {
                 self.wheel.insert(

@@ -5,9 +5,9 @@
 //! fast the hot path gets — ordering is sequential and every replica sees
 //! every operation. This crate breaks the paper's single-control-center
 //! assumption (following the DER-fleet line of work): RTUs are partitioned
-//! across N groups by a deterministic [`ShardMap`], proxies and HMIs are
-//! wired to the owning group by a [`ShardRouter`], and the rare
-//! supervisory command spanning regions runs as an ordered 2PC-over-BFT
+//! across N groups by a deterministic [`ShardMap`], each group is built
+//! with the proxies of the RTUs it owns ([`ShardMap::partition`]) and its
+//! own HMIs, and the rare supervisory command spanning regions runs as an ordered 2PC-over-BFT
 //! transaction ([`XCoord`] / [`XParticipant`]):
 //!
 //! 1. the coordinator client submits `XPrepare` to the *coordinator
@@ -40,7 +40,6 @@ pub use ledger::{LedgerCounts, XShardLedger};
 pub use map::ShardMap;
 pub use msg::{ShardCmd, ShardMsg, XReply};
 pub use participant::{CertVerifier, XOutcome, XParticipant};
-pub use router::ShardRouter;
 
 /// Key-id stride between groups: group `g` uses node ids
 /// `g * SHARD_KEY_STRIDE + base` for every role (daemons, replicas,

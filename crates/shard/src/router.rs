@@ -1,54 +1,8 @@
-//! Shard-aware routing: which group serves an RTU, and which groups
-//! participate in a transaction.
+//! Which groups participate in a transaction, and which of them
+//! coordinates it. (Which group serves an RTU is [`crate::ShardMap`]'s
+//! answer.)
 
-use crate::map::ShardMap;
 use crate::msg::ShardCmd;
-
-/// Steers traffic to the owning group. `T` is whatever a caller uses as a
-/// per-group endpoint — client wiring info at deployment build time, live
-/// [`crate::coordinator::GroupLink`]s inside the coordinator.
-#[derive(Clone, Debug)]
-pub struct ShardRouter<T> {
-    map: ShardMap,
-    groups: Vec<T>,
-}
-
-impl<T> ShardRouter<T> {
-    /// Builds a router; `groups[g]` is the endpoint for group `g`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `groups.len()` matches the map's shard count.
-    pub fn new(map: ShardMap, groups: Vec<T>) -> ShardRouter<T> {
-        assert_eq!(
-            groups.len(),
-            map.shards() as usize,
-            "router needs one endpoint per shard"
-        );
-        ShardRouter { map, groups }
-    }
-
-    /// The underlying shard map.
-    pub fn map(&self) -> &ShardMap {
-        &self.map
-    }
-
-    /// Endpoint of the group owning `rtu` — where the RTU's updates and
-    /// HMI reads for it must go.
-    pub fn route_rtu(&self, rtu: u32) -> &T {
-        &self.groups[self.map.shard_of(rtu) as usize]
-    }
-
-    /// Endpoint of group `g`.
-    pub fn group(&self, g: u32) -> &T {
-        &self.groups[g as usize]
-    }
-
-    /// All endpoints, in group order.
-    pub fn groups(&self) -> &[T] {
-        &self.groups
-    }
-}
 
 /// The sorted, deduplicated participant set of a transaction body.
 pub fn participants(cmds: &[ShardCmd]) -> Vec<u32> {
@@ -79,26 +33,8 @@ mod tests {
     }
 
     #[test]
-    fn routes_to_owner() {
-        let map = ShardMap::new(3);
-        let router = ShardRouter::new(map.clone(), vec!["g0", "g1", "g2"]);
-        for rtu in 0..50 {
-            assert_eq!(
-                *router.route_rtu(rtu),
-                router.groups()[map.shard_of(rtu) as usize]
-            );
-        }
-    }
-
-    #[test]
     fn participant_set_sorted_deduped() {
         assert_eq!(participants(&[cmd(2), cmd(0), cmd(2)]), vec![0, 2]);
         assert_eq!(coordinator_shard(&[0, 2]), 0);
-    }
-
-    #[test]
-    #[should_panic]
-    fn wrong_group_count_rejected() {
-        ShardRouter::new(ShardMap::new(2), vec!["only-one"]);
     }
 }

@@ -20,10 +20,10 @@
 //! # Examples
 //!
 //! ```
-//! use spire_sim::{World, Span};
+//! use spire_sim::{Span, Time, World};
 //! let mut world = World::new(1);
 //! world.run_for(Span::secs(10));
-//! assert_eq!(world.now().as_millis(), 10_000);
+//! assert_eq!(world.now(), Time::ZERO + Span::secs(10));
 //! ```
 
 pub mod clock;
@@ -44,5 +44,6 @@ pub use trace::{
 };
 pub use wire::{Count, Counted, Wire, WireError, WireReader, WireWriter};
 pub use world::{
-    Backend, Context, ControlOp, Fabric, LinkConfig, Process, ProcessId, SpawnFn, TimerId, World,
+    Backend, Context, ControlOp, Fabric, LinkConfig, Process, ProcessId, SpawnFn, TimerId, Transit,
+    World,
 };

@@ -32,11 +32,6 @@ impl Time {
         Span(self.0.saturating_sub(earlier.0))
     }
 
-    /// This instant expressed in whole milliseconds.
-    pub fn as_millis(self) -> u64 {
-        self.0 / 1_000
-    }
-
     /// This instant expressed in seconds (lossy).
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1_000_000.0
@@ -132,7 +127,7 @@ mod tests {
 
     #[test]
     fn conversions() {
-        assert_eq!(Time(2_500_000).as_millis(), 2_500);
+        assert!((Time(2_500_000).as_secs_f64() - 2.5).abs() < 1e-9);
         assert!((Span::millis(1500).as_secs_f64() - 1.5).abs() < 1e-9);
         assert!((Span::micros(1500).as_millis_f64() - 1.5).abs() < 1e-9);
     }

@@ -154,6 +154,64 @@ impl LinkConfig {
         self.jitter = jitter;
         self
     }
+
+    /// One uniform draw from `[0, jitter]` (none on a jitter-free link).
+    fn draw_jitter(&self, rng: &mut StdRng) -> Span {
+        if self.jitter.0 > 0 {
+            Span::micros(rng.gen_range(0..=self.jitter.0))
+        } else {
+            Span::ZERO
+        }
+    }
+
+    /// The link fault model both substrates send through: what this link
+    /// does to one frame, `None` being a loss. Bandwidth queueing is not
+    /// part of it (the simulator puts the transmitter's backlog in front
+    /// of both delays; rt has none).
+    ///
+    /// The draw order is fixed — loss, jitter, corruption (and the flipped
+    /// byte), duplication, the duplicate's jitter — and each draw happens
+    /// only on a link configured for it, so a seed's RNG stream, and with
+    /// it the simulator's event order, does not depend on a fault knob the
+    /// run never turns.
+    pub fn transit(&self, bytes: Bytes, rng: &mut StdRng) -> Option<Transit> {
+        if self.loss > 0.0 && rng.gen_bool(self.loss.min(1.0)) {
+            return None;
+        }
+        let delay = self.latency + self.draw_jitter(rng);
+        let corrupted =
+            self.corrupt > 0.0 && !bytes.is_empty() && rng.gen_bool(self.corrupt.min(1.0));
+        let bytes = if corrupted {
+            let mut flipped = bytes.to_vec();
+            let idx = rng.gen_range(0..flipped.len());
+            flipped[idx] ^= 0x01;
+            Bytes::from(flipped)
+        } else {
+            bytes
+        };
+        // The copy draws its own jitter, so the pair can arrive reordered.
+        let duplicate = (self.dup > 0.0 && rng.gen_bool(self.dup.min(1.0)))
+            .then(|| self.latency + self.draw_jitter(rng));
+        Some(Transit {
+            delay,
+            bytes,
+            corrupted,
+            duplicate,
+        })
+    }
+}
+
+/// A frame that survived [`LinkConfig::transit`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Transit {
+    /// Latency plus this frame's jitter.
+    pub delay: Span,
+    /// What the receiver gets: the sent bytes, one bit flipped if
+    /// `corrupted`.
+    pub bytes: Bytes,
+    pub corrupted: bool,
+    /// The delay of a second copy, when the wire duplicated the frame.
+    pub duplicate: Option<Span>,
 }
 
 /// A thunk producing a fresh state machine for a restarted process slot.
@@ -777,37 +835,20 @@ impl World {
             }
             _ => now,
         };
-        if cfg.loss > 0.0 && self.rng.gen_bool(cfg.loss.min(1.0)) {
+        let Some(transit) = cfg.transit(bytes, &mut self.rng) else {
             self.metrics.count("sim.loss_drop", 1);
             return;
-        }
-        let jitter = if cfg.jitter.0 > 0 {
-            Span::micros(self.rng.gen_range(0..=cfg.jitter.0))
-        } else {
-            Span::ZERO
         };
-        let bytes =
-            if cfg.corrupt > 0.0 && !bytes.is_empty() && self.rng.gen_bool(cfg.corrupt.min(1.0)) {
-                let mut corrupted = bytes.to_vec();
-                let idx = self.rng.gen_range(0..corrupted.len());
-                corrupted[idx] ^= 0x01;
-                self.metrics.count("sim.corrupted", 1);
-                Bytes::from(corrupted)
-            } else {
-                bytes
-            };
-        // Wire-layer duplication: the copy draws its own jitter, so the
-        // pair can arrive reordered. Drawn only on dup-configured links to
-        // keep RNG streams of existing seeds unchanged.
-        if cfg.dup > 0.0 && self.rng.gen_bool(cfg.dup.min(1.0)) {
-            let jitter2 = if cfg.jitter.0 > 0 {
-                Span::micros(self.rng.gen_range(0..=cfg.jitter.0))
-            } else {
-                Span::ZERO
-            };
+        let bytes = transit.bytes;
+        if transit.corrupted {
+            self.metrics.count("sim.corrupted", 1);
+        }
+        // The duplicate is queued first: on equal arrival times it is the
+        // one delivered first.
+        if let Some(delay) = transit.duplicate {
             self.metrics.count("sim.dup", 1);
             self.push(
-                tx_done + cfg.latency + jitter2,
+                tx_done + delay,
                 EventKind::Deliver {
                     to,
                     from,
@@ -815,7 +856,7 @@ impl World {
                 },
             );
         }
-        let arrival = tx_done + cfg.latency + jitter;
+        let arrival = tx_done + transit.delay;
         let len = bytes.len() as u32;
         self.push(arrival, EventKind::Deliver { to, from, bytes });
         self.metrics.count("sim.sent", 1);
@@ -1092,6 +1133,61 @@ mod tests {
         let series = world.metrics().series("rx_time");
         assert_eq!(series.len(), 1);
         assert!((series[0].1 - 0.010).abs() < 1e-9, "got {}", series[0].1);
+    }
+
+    /// The link fault model's draw order is part of every seed's event
+    /// stream. Pinned from `World::do_send` as it stood before the model
+    /// became one function: seed 2018, sixteen 4-byte frames over a link
+    /// with every fault knob turned on.
+    #[test]
+    fn link_model_reproduces_the_pinned_draw_sequence() {
+        let link = LinkConfig {
+            latency: Span::millis(10),
+            jitter: Span::millis(3),
+            loss: 0.2,
+            corrupt: 0.3,
+            dup: 0.25,
+            bandwidth_bps: None,
+            max_queue: Span::millis(200),
+        };
+        // (delay us, flipped byte index, duplicate's delay us); None = lost.
+        type Outcome = Option<(u64, Option<usize>, Option<u64>)>;
+        let pinned: [Outcome; 16] = [
+            Some((12_797, Some(0), None)),
+            None,
+            Some((12_652, Some(1), Some(10_187))),
+            Some((12_091, None, None)),
+            Some((10_063, Some(3), None)),
+            None,
+            Some((12_408, None, Some(10_393))),
+            Some((10_522, None, None)),
+            Some((10_512, None, None)),
+            Some((11_791, Some(1), None)),
+            Some((11_084, None, None)),
+            Some((12_147, None, None)),
+            None,
+            Some((10_792, None, Some(12_460))),
+            Some((12_371, None, None)),
+            Some((12_267, Some(1), None)),
+        ];
+        let mut rng = StdRng::seed_from_u64(2018);
+        for (i, want) in pinned.into_iter().enumerate() {
+            let sent = [i as u8, 0x10, 0x20, 0x30];
+            let got = link.transit(Bytes::from(sent.to_vec()), &mut rng);
+            let want = want.map(|(delay, flipped, dup)| {
+                let mut bytes = sent;
+                if let Some(idx) = flipped {
+                    bytes[idx] ^= 0x01;
+                }
+                Transit {
+                    delay: Span::micros(delay),
+                    bytes: Bytes::from(bytes.to_vec()),
+                    corrupted: flipped.is_some(),
+                    duplicate: dup.map(Span::micros),
+                }
+            });
+            assert_eq!(got, want, "frame {i}");
+        }
     }
 
     #[test]

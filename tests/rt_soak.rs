@@ -5,7 +5,7 @@
 use spire::{Deployment, DeploymentConfig};
 use spire_sim::Span;
 
-fn rt_outcome(rtus: u32, interval_ms: u64, secs: u64, threads: usize) -> spire::RtOutcome {
+fn rt_outcome(rtus: u32, interval_ms: u64, secs: u64, threads: usize) -> spire::RunOutcome {
     let mut cfg = DeploymentConfig::wide_area(12345);
     cfg.workload.rtus = rtus;
     cfg.workload.update_interval = Span::millis(interval_ms);
