@@ -6,9 +6,11 @@
 //! The corpus (shared via `common::full_corpus`, committed as bytes under
 //! `tests/corpus/` — see `corpus_replay.rs`) is a set of frames from every
 //! protocol layer (Prime messages and envelopes, Spines overlay messages,
-//! SCADA ops, Modbus device frames, cross-shard payloads, KV ops); each is
-//! run through a seeded stream of random mutations and fed to every
-//! decoder — and to the one handler every client shares, a
+//! SCADA ops, notifications and read-outs, Modbus device frames,
+//! cross-shard payloads, KV ops, application snapshots); each is run
+//! through a seeded stream of random mutations and fed to every decoder
+//! and every application's `restore` — and to the one handler every
+//! client shares, a
 //! [`ClientSession`], bare and as an overlay delivery: it must not panic
 //! and must accept nothing. Seeded, so a failure reproduces.
 
@@ -24,9 +26,9 @@ use spire_prime::{
     decode_enclosed, ClientId, ClientRouting, ClientSession, KvOp, KvReply, PrimeConfig, PrimeMsg,
     ReplyCert,
 };
-use spire_scada::{ModbusFrame, ScadaOp};
+use spire_scada::{ModbusFrame, RtuReadout, ScadaNotify, ScadaOp};
 use spire_shard::ShardMsg;
-use spire_sim::{Context, LinkConfig, Process, ProcessId, Span, World};
+use spire_sim::{Context, LinkConfig, Process, ProcessId, Span, Wire, World};
 use spire_spines::{Dissemination, OverlayAddr, OverlayId, OverlayMsg, SpinesPort};
 use std::sync::Arc;
 
@@ -81,6 +83,8 @@ fn decode_everything(bytes: &[u8]) {
     let _ = decode_enclosed(bytes);
     let _ = OverlayMsg::decode(bytes);
     let _ = ScadaOp::decode(bytes);
+    let _ = ScadaNotify::decode_all(bytes);
+    let _ = RtuReadout::decode_all(bytes);
     let _ = ModbusFrame::decode(bytes);
     let _ = ShardMsg::decode(bytes);
     let _ = spire_shard::msg::parse_reply(bytes);
@@ -92,6 +96,9 @@ fn decode_everything(bytes: &[u8]) {
     let _ = spire_prime::msg::decode_sealed(bytes);
     let _ = spire_prime::msg::decode_group_sealed(bytes);
     let _ = spire_spines::SpinesPort::decode_deliver(&shared);
+    for mut app in common::fresh_apps() {
+        let _ = app.restore(bytes);
+    }
 }
 
 fn whole_corpus() -> impl Iterator<Item = Bytes> {

@@ -130,6 +130,49 @@ fn coordinator_chaos_never_breaks_atomicity() {
     assert!(system.report().safety_ok);
 }
 
+/// A group-0 replica recovers once cross-shard transactions have been
+/// decided: its state transfer carries the SCADA master's snapshot with the
+/// 2PC participant appended, and it rejoins equal to its peers.
+#[test]
+fn recovery_restores_the_sharded_snapshot() {
+    let mut cfg = quick_cfg(2, 8);
+    cfg.cross_rate = 0.3;
+    let mut system = Deployment::build_sharded(cfg);
+    system.install_invariant_checker(Span::secs(1), secs(40));
+    system.run_for(Span::secs(12));
+    let decided = system.xshard().ledger.counts();
+    assert!(
+        decided.committed + decided.aborted > 0,
+        "nothing decided yet"
+    );
+    system.schedule_recovery(2, secs(13));
+    system.run_for(Span::secs(28));
+
+    let report = system.report();
+    let m = system.world.metrics();
+    assert_eq!(report.recovery.started, 1);
+    assert!(
+        report.recovery.completed >= 1,
+        "state transfer never completed"
+    );
+    assert!(report.recovery.chunks > 0, "no snapshot was transferred");
+    assert_eq!(m.counter("prime.bad_state_snapshot"), 0);
+    let records = system.groups[0].inspection.records();
+    let recovered = &records[&2];
+    assert!(!recovered.recovering && recovered.incarnation == 1);
+    // Every peer that has executed as far agrees on the application state.
+    let peers: Vec<_> = records
+        .iter()
+        .filter(|(id, rec)| **id != 2 && rec.ops_executed == recovered.ops_executed)
+        .collect();
+    assert!(peers.len() >= 2, "no peer at op {}", recovered.ops_executed);
+    for (id, rec) in peers {
+        assert_eq!(rec.app_digest, recovered.app_digest, "replica {id}");
+    }
+    assert_eq!(system.xshard().ledger.violation_count(), 0);
+    assert!(report.safety_ok);
+}
+
 #[test]
 fn sharded_runs_are_deterministic() {
     let run = |seed| {

@@ -2,6 +2,7 @@
 
 use crate::config::ClientId;
 use spire_crypto::Digest;
+use spire_sim::{impl_wire, Wire, WireError};
 
 /// A deterministic outbound message produced by executing an operation,
 /// pushed by every replica to a client (e.g. a supervisory command sent to
@@ -56,12 +57,15 @@ pub trait Application: Send {
     /// Serializes the full state.
     fn snapshot(&self) -> Vec<u8>;
 
-    /// Replaces the state from a snapshot.
-    fn restore(&mut self, snapshot: &[u8]);
+    /// Replaces the state from a snapshot, all or nothing: on `Err` the
+    /// state is exactly what it was.
+    fn restore(&mut self, snapshot: &[u8]) -> Result<(), WireError>;
 
     /// A digest of the current state (for checkpoints and divergence
-    /// detection).
-    fn digest(&self) -> Digest;
+    /// detection): by default, of its snapshot.
+    fn digest(&self) -> Digest {
+        spire_crypto::digest(&self.snapshot())
+    }
 }
 
 /// A trivial counter application used in tests: any op increments the
@@ -72,6 +76,8 @@ pub struct CounterApp {
     pub value: u64,
 }
 
+impl_wire!(struct CounterApp { value });
+
 impl Application for CounterApp {
     fn execute(&mut self, op: &[u8]) -> ExecResult {
         self.value = self
@@ -81,17 +87,12 @@ impl Application for CounterApp {
     }
 
     fn snapshot(&self) -> Vec<u8> {
-        self.value.to_le_bytes().to_vec()
+        self.to_wire(8).into_vec()
     }
 
-    fn restore(&mut self, snapshot: &[u8]) {
-        let mut bytes = [0u8; 8];
-        bytes.copy_from_slice(&snapshot[..8]);
-        self.value = u64::from_le_bytes(bytes);
-    }
-
-    fn digest(&self) -> Digest {
-        spire_crypto::digest(&self.snapshot())
+    fn restore(&mut self, snapshot: &[u8]) -> Result<(), WireError> {
+        *self = CounterApp::decode_all(snapshot)?;
+        Ok(())
     }
 }
 
@@ -103,6 +104,8 @@ pub struct HashChainApp {
     head: Digest,
     len: u64,
 }
+
+impl_wire!(struct HashChainApp { head, len });
 
 impl HashChainApp {
     /// Creates an empty chain.
@@ -134,20 +137,12 @@ impl Application for HashChainApp {
     }
 
     fn snapshot(&self) -> Vec<u8> {
-        let mut out = self.head.to_vec();
-        out.extend_from_slice(&self.len.to_le_bytes());
-        out
+        self.to_wire(40).into_vec()
     }
 
-    fn restore(&mut self, snapshot: &[u8]) {
-        self.head.copy_from_slice(&snapshot[..32]);
-        let mut bytes = [0u8; 8];
-        bytes.copy_from_slice(&snapshot[32..40]);
-        self.len = u64::from_le_bytes(bytes);
-    }
-
-    fn digest(&self) -> Digest {
-        spire_crypto::digest(&self.snapshot())
+    fn restore(&mut self, snapshot: &[u8]) -> Result<(), WireError> {
+        *self = HashChainApp::decode_all(snapshot)?;
+        Ok(())
     }
 }
 
@@ -163,9 +158,30 @@ mod tests {
         assert_eq!(app.value, 12);
         let snap = app.snapshot();
         let mut other = CounterApp::default();
-        other.restore(&snap);
+        other.restore(&snap).unwrap();
         assert_eq!(other.value, 12);
         assert_eq!(other.digest(), app.digest());
+    }
+
+    /// Every prefix of a snapshot is refused and changes nothing (both
+    /// apps indexed the input and panicked on a short one).
+    fn rejects_every_prefix(app: &mut dyn Application, snapshot: &[u8]) {
+        let before = app.digest();
+        for len in 0..snapshot.len() {
+            assert!(app.restore(&snapshot[..len]).is_err(), "{len} bytes");
+            assert_eq!(app.digest(), before);
+        }
+    }
+
+    #[test]
+    fn short_snapshots_are_refused() {
+        let mut counter = CounterApp { value: 3 };
+        rejects_every_prefix(&mut counter, &CounterApp { value: 9 }.snapshot());
+        let mut chain = HashChainApp::new();
+        chain.execute(b"1");
+        let mut longer = chain.clone();
+        longer.execute(b"2");
+        rejects_every_prefix(&mut chain, &longer.snapshot());
     }
 
     #[test]
@@ -186,7 +202,7 @@ mod tests {
         a.execute(b"1");
         a.execute(b"2");
         let mut b = HashChainApp::new();
-        b.restore(&a.snapshot());
+        b.restore(&a.snapshot()).unwrap();
         assert_eq!(a.digest(), b.digest());
         b.execute(b"3");
         a.execute(b"3");

@@ -6,8 +6,7 @@
 //! and as a template for building other replicated services.
 
 use crate::application::{Application, ExecResult};
-use spire_crypto::Digest;
-use spire_sim::{impl_wire, Wire, WireError, WireReader, WireWriter};
+use spire_sim::{impl_wire, Wire, WireError};
 use std::collections::BTreeMap;
 
 /// Operations of the replicated KV store.
@@ -100,6 +99,8 @@ pub struct KvApp {
     writes: u64,
 }
 
+impl_wire!(struct KvApp { writes, map });
+
 impl KvApp {
     /// Creates an empty store.
     pub fn new() -> KvApp {
@@ -154,31 +155,12 @@ impl Application for KvApp {
     }
 
     fn snapshot(&self) -> Vec<u8> {
-        let mut w = WireWriter::new();
-        w.u64(self.writes).u32(self.map.len() as u32);
-        for (k, v) in &self.map {
-            w.string(k).string(v);
-        }
-        w.finish().to_vec()
+        self.to_wire(64).into_vec()
     }
 
-    fn restore(&mut self, snapshot: &[u8]) {
-        let mut r = WireReader::new(snapshot);
-        let Ok(writes) = r.u64() else { return };
-        let Ok(n) = r.u32() else { return };
-        let mut map = BTreeMap::new();
-        for _ in 0..n {
-            let (Ok(k), Ok(v)) = (r.string(), r.string()) else {
-                return;
-            };
-            map.insert(k, v);
-        }
-        self.map = map;
-        self.writes = writes;
-    }
-
-    fn digest(&self) -> Digest {
-        spire_crypto::digest(&self.snapshot())
+    fn restore(&mut self, snapshot: &[u8]) -> Result<(), WireError> {
+        *self = KvApp::decode_all(snapshot)?;
+        Ok(())
     }
 }
 
@@ -278,7 +260,7 @@ mod tests {
             );
         }
         let mut other = KvApp::new();
-        other.restore(&app.snapshot());
+        other.restore(&app.snapshot()).unwrap();
         assert_eq!(other.digest(), app.digest());
         assert_eq!(other.len(), 20);
         assert_eq!(other.get("k7"), Some("v7"));

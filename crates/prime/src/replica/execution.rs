@@ -11,7 +11,7 @@ use crate::behavior::ByzBehavior;
 use crate::msg::{ClientOp, PrimeMsg};
 use bytes::Bytes;
 use spire_crypto::Digest;
-use spire_sim::{span_key, Context, SpanPhase, TraceKind, Wire, WireError, WireReader, WireWriter};
+use spire_sim::{impl_wire, span_key, Context, Counted, SpanPhase, TraceKind, Wire};
 use std::collections::{BTreeMap, BTreeSet};
 use std::hash::Hash;
 
@@ -43,40 +43,39 @@ impl CseqWindow {
     pub fn floor(&self) -> u64 {
         self.floor
     }
-
-    /// Sparse entries above the floor.
-    pub fn sparse(&self) -> impl Iterator<Item = u64> + '_ {
-        self.above.iter().copied()
-    }
-
-    /// Rebuilds from snapshot parts.
-    pub fn from_parts(floor: u64, above: impl IntoIterator<Item = u64>) -> CseqWindow {
-        CseqWindow {
-            floor,
-            above: above.into_iter().collect(),
-        }
-    }
 }
 
-pub(super) struct Execution {
-    pub(super) app: Box<dyn Application>,
+impl_wire!(struct CseqWindow { floor, above as Counted<u16> });
+
+/// What a checkpoint carries of execution after the application's own
+/// snapshot.
+pub(super) struct ExecState {
     /// Per-origin PO sequence executed through.
     pub(super) exec_cover: Vec<u64>,
     executed_cseq: BTreeMap<u32, CseqWindow>,
-    pub(super) last_executed: u64,
     exec_chain_head: Digest,
     total_ops: u64,
+}
+
+impl_wire!(struct ExecState { exec_cover, executed_cseq, exec_chain_head, total_ops });
+
+pub(super) struct Execution {
+    pub(super) app: Box<dyn Application>,
+    pub(super) state: ExecState,
+    pub(super) last_executed: u64,
 }
 
 impl Execution {
     pub(super) fn new(app: Box<dyn Application>, n: usize) -> Execution {
         Execution {
             app,
-            exec_cover: vec![0; n],
-            executed_cseq: BTreeMap::new(),
+            state: ExecState {
+                exec_cover: vec![0; n],
+                executed_cseq: BTreeMap::new(),
+                exec_chain_head: [0; 32],
+                total_ops: 0,
+            },
             last_executed: 0,
-            exec_chain_head: [0; 32],
-            total_ops: 0,
         }
     }
 
@@ -99,9 +98,9 @@ impl Execution {
         let quorum = io.cfg.cover_quorum();
         // Per-origin execution targets from this matrix.
         let targets: Vec<u64> = (0..io.cfg.n as usize)
-            .map(|i| matrix.covered_aru(i, quorum).max(self.exec_cover[i]))
+            .map(|i| matrix.covered_aru(i, quorum).max(self.state.exec_cover[i]))
             .collect();
-        let cover = self.exec_cover.clone();
+        let cover = self.state.exec_cover.clone();
         let newly_covered = || {
             let range = |i: usize| (cover[i] + 1)..=targets[i];
             (0..cover.len()).flat_map(move |i| range(i).map(move |s| (i as u32, s)))
@@ -121,11 +120,11 @@ impl Execution {
                 ctx.span_mark(span_key(op.client.0, op.cseq), SpanPhase::Order);
                 self.execute_op(io, ctx, pre, op, view);
             }
-            self.exec_cover[origin as usize] = s;
+            self.state.exec_cover[origin as usize] = s;
         }
         self.last_executed = next;
         io.count(ctx, Metric::MatricesExecuted, 1);
-        let head = self.exec_chain_head;
+        let head = self.state.exec_chain_head;
         io.inspect(|rec| rec.push_commit(view, next, head));
         Some(next)
     }
@@ -138,7 +137,7 @@ impl Execution {
         op: ClientOp,
         view: u64,
     ) {
-        let executed = self.executed_cseq.entry(op.client.0).or_default();
+        let executed = self.state.executed_cseq.entry(op.client.0).or_default();
         if !executed.try_mark(op.cseq) {
             return; // duplicate (several replicas originated it)
         }
@@ -173,9 +172,10 @@ impl Execution {
             io.send_client_signed(ctx, pre, notification.target, msg);
         }
         io.count(ctx, Metric::OpsExecuted, 1);
-        self.total_ops += 1;
-        self.exec_chain_head = spire_crypto::digest_parts(&[
-            &self.exec_chain_head,
+        let state = &mut self.state;
+        state.total_ops += 1;
+        state.exec_chain_head = spire_crypto::digest_parts(&[
+            &state.exec_chain_head,
             &op.client.0.to_le_bytes(),
             &op.cseq.to_le_bytes(),
             &op.payload,
@@ -184,7 +184,7 @@ impl Execution {
             rec.view = view;
             rec.last_executed = self.last_executed;
             rec.ops_executed += 1;
-            rec.exec_chain.push(self.exec_chain_head);
+            rec.exec_chain.push(self.state.exec_chain_head);
             rec.app_digest = self.app.digest();
         });
         let reply = PrimeMsg::Reply {
@@ -197,45 +197,27 @@ impl Execution {
         io.send_client_signed(ctx, pre, op.client, reply);
     }
 
+    /// The application's snapshot (length-prefixed), then [`ExecState`].
     pub(super) fn snapshot(&self) -> Vec<u8> {
-        let mut w = WireWriter::new();
-        w.bytes(&self.app.snapshot());
-        self.exec_cover.write(&mut w);
-        w.u32(self.executed_cseq.len() as u32);
-        for (c, window) in &self.executed_cseq {
-            w.u32(*c).u64(window.floor());
-            window.sparse().collect::<Vec<u64>>().write(&mut w);
-        }
-        w.raw(&self.exec_chain_head).u64(self.total_ops);
-        w.finish().to_vec()
+        let mut w = Bytes::from(self.app.snapshot()).to_wire(256);
+        self.state.write(&mut w);
+        w.into_vec()
     }
 
+    /// Installs a snapshot, all or nothing: the application restores first,
+    /// so one it refuses leaves every field as it was.
     pub(super) fn restore(&mut self, io: &Io, snapshot: &[u8]) -> bool {
-        let mut r = WireReader::new(snapshot);
-        let mut parse = || -> Result<_, WireError> {
-            let app_snap = r.bytes()?.to_vec();
-            let cover = Vec::<u64>::read(&mut r)?;
-            let mut cseq = BTreeMap::new();
-            for _ in 0..r.u32()? {
-                let (c, floor) = (r.u32()?, r.u64()?);
-                cseq.insert(c, CseqWindow::from_parts(floor, Vec::<u64>::read(&mut r)?));
-            }
-            Ok((app_snap, cover, cseq, r.array::<32>()?, r.u64()?))
-        };
-        let Ok((app_snap, cover, cseq, head, total_ops)) = parse() else {
+        let Ok((app, state)) = <(Bytes, ExecState)>::decode_all(snapshot) else {
             return false;
         };
-        if cover.len() != io.cfg.n as usize {
+        if state.exec_cover.len() != io.cfg.n as usize || self.app.restore(&app).is_err() {
             return false;
         }
-        self.app.restore(&app_snap);
-        self.exec_cover = cover;
-        self.executed_cseq = cseq;
         // The execution hash chain resumes from the checkpoint's head; the
         // published chain restarts at the checkpoint's global op count so
         // prefix checks compare the overlapping history.
-        self.exec_chain_head = head;
-        self.total_ops = total_ops;
+        let total_ops = state.total_ops;
+        self.state = state;
         io.inspect(|rec| {
             rec.exec_chain.clear();
             rec.chain_offset = total_ops;
@@ -245,7 +227,8 @@ impl Execution {
     }
 
     pub(super) fn digest(&self, h: &mut StateHasher) {
-        (self.last_executed, self.total_ops, self.exec_chain_head).hash(h);
-        (&self.exec_cover, &self.executed_cseq, self.app.digest()).hash(h);
+        let state = &self.state;
+        (self.last_executed, state.total_ops, state.exec_chain_head).hash(h);
+        (&state.exec_cover, &state.executed_cseq, self.app.digest()).hash(h);
     }
 }

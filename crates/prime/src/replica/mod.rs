@@ -316,7 +316,7 @@ impl Replica {
     }
 
     fn check_checkpoint_stable(&mut self, ctx: &mut Context<'_>, seq: u64) {
-        let cover = &self.exe.exec_cover;
+        let cover = &self.exe.state.exec_cover;
         if self.ckpt.check_stable(&self.io, ctx, seq, cover) {
             self.garbage_collect(ctx, seq);
         }
@@ -413,7 +413,7 @@ impl Replica {
             return;
         }
         let seq = manifest.checkpoint_seq;
-        let cover = &self.exe.exec_cover;
+        let cover = &self.exe.state.exec_cover;
         self.exe.last_executed = seq;
         self.ord.commit_aru = self.ord.commit_aru.max(seq);
         self.ord.last_proposed = self.ord.last_proposed.max(seq);
@@ -826,7 +826,7 @@ impl Replica {
             }
             TIMER_PROGRESS => {
                 self.publish_ordering_health();
-                let work_pending = self.pre.work_pending(&self.exe.exec_cover);
+                let work_pending = self.pre.work_pending(&self.exe.state.exec_cover);
                 if !recovering && self.vc.stalled(&self.io, ctx.now(), work_pending) {
                     if self.vc.suspect_current_view(&mut self.io, ctx) {
                         self.check_suspect_quorum(ctx);

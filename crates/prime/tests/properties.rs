@@ -120,7 +120,7 @@ proptest! {
         prop_assert_eq!(a.digest(), b.digest());
         // Snapshots restore to the identical state.
         let mut c = HashChainApp::new();
-        c.restore(&a.snapshot());
+        c.restore(&a.snapshot()).unwrap();
         prop_assert_eq!(c.digest(), a.digest());
     }
 
@@ -137,6 +137,7 @@ proptest! {
 mod cseq_window {
     use proptest::prelude::*;
     use spire_prime::replica::CseqWindow;
+    use spire_sim::Wire;
 
     proptest! {
         #[test]
@@ -161,7 +162,7 @@ mod cseq_window {
             for c in &marks {
                 window.try_mark(*c);
             }
-            let rebuilt = CseqWindow::from_parts(window.floor(), window.sparse());
+            let rebuilt = CseqWindow::decode_all(window.to_wire(0).as_slice()).unwrap();
             prop_assert_eq!(&rebuilt, &window);
             // A rebuilt window rejects exactly the same numbers.
             let mut a = window.clone();

@@ -6,10 +6,10 @@
 //! false history. It answers range queries over the archived samples —
 //! used by tests and by operators reconstructing an incident timeline.
 
-use crate::master::notify_kind;
+use crate::op::ScadaNotify;
 use bytes::Bytes;
 use spire_prime::{Accepted, ClientSession};
-use spire_sim::{Context, Process, ProcessId, Time, WireReader};
+use spire_sim::{Context, Process, ProcessId, Time, Wire};
 use std::sync::{Arc, Mutex};
 
 /// One archived breaker event.
@@ -99,12 +99,12 @@ impl Process for Historian {
         else {
             return;
         };
-        let mut r = WireReader::new(&payload);
-        let Ok(kind) = r.u8() else { return };
-        if kind != notify_kind::BREAKER_EVENT {
-            return;
-        }
-        let (Ok(rtu), Ok(breaker), Ok(closed)) = (r.u32(), r.u8(), r.bool()) else {
+        let Ok(ScadaNotify::BreakerEvent {
+            rtu,
+            breaker,
+            closed,
+        }) = ScadaNotify::decode_all(&payload)
+        else {
             return;
         };
         self.archive.push(BreakerEvent {

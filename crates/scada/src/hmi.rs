@@ -1,12 +1,11 @@
 //! The human-machine interface: issues supervisory commands to the
 //! replicated masters and receives alarms (breaker events).
 
-use crate::master::notify_kind;
-use crate::op::{CommandAction, ScadaOp};
+use crate::op::{CommandAction, ScadaNotify, ScadaOp};
 use bytes::Bytes;
 use rand::Rng;
 use spire_prime::{Accepted, ClientSession};
-use spire_sim::{span_key, Context, Process, ProcessId, Span, SpanPhase, Time};
+use spire_sim::{span_key, Context, Process, ProcessId, Span, SpanPhase, Time, Wire};
 
 const TIMER_COMMAND: u64 = 1;
 const TIMER_POLL: u64 = 2;
@@ -136,7 +135,10 @@ impl Process for Hmi {
                 }
             }
             Some(Accepted::Notify { payload, .. })
-                if payload.first() == Some(&notify_kind::BREAKER_EVENT) =>
+                if matches!(
+                    ScadaNotify::decode_all(&payload),
+                    Ok(ScadaNotify::BreakerEvent { .. })
+                ) =>
             {
                 ctx.count("hmi.alarms", 1);
             }

@@ -17,7 +17,7 @@
 //! * [`proxy`] — RTU proxies enforcing `f + 1` agreement before actuation.
 //! * [`hmi`] — operator consoles issuing supervisory commands.
 //! * [`historian`] — an archive of f+1-validated grid events.
-//! * [`op`] — the ordered operation codec.
+//! * [`op`] — the ordered operations, the notifications and the read-outs.
 //! * [`workload`] — load curves and deployment-wide workload parameters.
 
 pub mod device;
@@ -34,6 +34,6 @@ pub use historian::{Archive, BreakerEvent, Historian};
 pub use hmi::Hmi;
 pub use master::{ScadaDirectory, ScadaMaster, XShardContext};
 pub use modbus::ModbusFrame;
-pub use op::{CommandAction, ScadaOp};
+pub use op::{CommandAction, RtuReadout, ScadaNotify, ScadaOp};
 pub use proxy::RtuProxy;
 pub use workload::{ProcessModel, WorkloadConfig};

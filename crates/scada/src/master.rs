@@ -3,12 +3,11 @@
 //! raises events toward the HMI, and emits supervisory commands toward RTU
 //! proxies as replica notifications.
 
-use crate::op::{CommandAction, ScadaOp};
-use spire_crypto::Digest;
+use crate::op::{CommandAction, RtuReadout, ScadaNotify, ScadaOp};
 use spire_prime::{Application, ClientId, ExecResult, Notification};
 use spire_shard::msg::op_tag;
 use spire_shard::{CertVerifier, ShardMsg, XParticipant, XShardLedger};
-use spire_sim::{WireReader, WireWriter};
+use spire_sim::{impl_wire, Counted, Wire, WireError};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -29,6 +28,22 @@ struct RtuState {
     updates_applied: u64,
 }
 
+impl_wire!(struct RtuState {
+    last_update_us, updates_applied, registers as Counted<u16>, breakers as Counted<u8>,
+});
+
+/// The grid model every replica holds: a snapshot is this, plus the 2PC
+/// participant when sharded.
+#[derive(Clone, Debug, Default)]
+struct Grid {
+    rtus: BTreeMap<u32, RtuState>,
+    /// Deterministic per-target notification counters.
+    nseq: BTreeMap<u32, u64>,
+    events: u64,
+}
+
+impl_wire!(struct Grid { rtus, nseq, events });
+
 /// Cross-shard wiring for a sharded deployment: the 2PC participant state
 /// machine plus the (non-replicated) certificate verifier and decision
 /// ledger shared with the invariant checker.
@@ -46,10 +61,7 @@ pub struct XShardContext {
 #[derive(Clone, Debug, Default)]
 pub struct ScadaMaster {
     directory: ScadaDirectory,
-    rtus: BTreeMap<u32, RtuState>,
-    /// Deterministic per-target notification counters.
-    nseq: BTreeMap<u32, u64>,
-    events: u64,
+    grid: Grid,
     /// Present only in sharded deployments.
     xshard: Option<XShardContext>,
 }
@@ -70,42 +82,21 @@ impl ScadaMaster {
     }
 
     /// Applies a supervisory action to the model and notifies the target
-    /// RTU's proxy — shared by HMI commands and committed cross-shard
-    /// transactions.
-    fn actuate(&mut self, rtu: u32, ts_us: u64, action: CommandAction) -> Vec<Notification> {
-        {
-            let state = self.rtus.entry(rtu).or_default();
-            match action {
-                CommandAction::OpenBreaker(b) => {
-                    state.breakers.insert(b, false);
-                }
-                CommandAction::CloseBreaker(b) => {
-                    state.breakers.insert(b, true);
-                }
-                CommandAction::SetRegister(a, v) => {
-                    state.registers.insert(a, v);
-                }
+    /// RTU's proxy, if it has one — shared by HMI commands and committed
+    /// cross-shard transactions.
+    fn actuate(&mut self, rtu: u32, ts_us: u64, action: CommandAction) -> Option<Notification> {
+        let state = self.grid.rtus.entry(rtu).or_default();
+        match action {
+            CommandAction::OpenBreaker(b) | CommandAction::CloseBreaker(b) => {
+                let closed = matches!(action, CommandAction::CloseBreaker(_));
+                state.breakers.insert(b, closed);
+            }
+            CommandAction::SetRegister(a, v) => {
+                state.registers.insert(a, v);
             }
         }
-        let mut notifications = Vec::new();
-        if let Some(proxy) = self.directory.rtu_proxy.get(&rtu).copied() {
-            let mut w = WireWriter::new();
-            w.u8(notify_kind::COMMAND).u32(rtu).u64(ts_us);
-            match action {
-                CommandAction::OpenBreaker(b) => {
-                    w.u8(1).u8(b);
-                }
-                CommandAction::CloseBreaker(b) => {
-                    w.u8(2).u8(b);
-                }
-                CommandAction::SetRegister(a, v) => {
-                    w.u8(3).u16(a).u16(v);
-                }
-            }
-            let payload = w.finish().to_vec();
-            notifications.push(self.notify(proxy, payload));
-        }
-        notifications
+        let proxy = self.directory.rtu_proxy.get(&rtu).copied()?;
+        Some(self.notify(proxy, &ScadaNotify::Command { rtu, ts_us, action }))
     }
 
     /// Executes an ordered cross-shard operation through the embedded
@@ -151,54 +142,45 @@ impl ScadaMaster {
         }
     }
 
-    fn next_nseq(&mut self, target: u32) -> u64 {
-        let counter = self.nseq.entry(target).or_insert(0);
+    fn notify(&mut self, target: u32, payload: &ScadaNotify) -> Notification {
+        let counter = self.grid.nseq.entry(target).or_insert(0);
         *counter += 1;
-        *counter
-    }
-
-    fn notify(&mut self, target: u32, payload: Vec<u8>) -> Notification {
         Notification {
             target: ClientId(target),
-            nseq: self.next_nseq(target),
-            payload,
+            nseq: *counter,
+            payload: payload.to_wire(24).into_vec(),
         }
     }
 
     /// Number of updates applied for an RTU (0 if unknown).
     pub fn updates_applied(&self, rtu: u32) -> u64 {
-        self.rtus.get(&rtu).map(|r| r.updates_applied).unwrap_or(0)
+        self.grid
+            .rtus
+            .get(&rtu)
+            .map(|r| r.updates_applied)
+            .unwrap_or(0)
     }
 
     /// Current breaker state, if known.
     pub fn breaker(&self, rtu: u32, breaker: u8) -> Option<bool> {
-        self.rtus.get(&rtu)?.breakers.get(&breaker).copied()
+        self.grid.rtus.get(&rtu)?.breakers.get(&breaker).copied()
     }
 
     /// Current register value, if known.
     pub fn register(&self, rtu: u32, addr: u16) -> Option<u16> {
-        self.rtus.get(&rtu)?.registers.get(&addr).copied()
+        self.grid.rtus.get(&rtu)?.registers.get(&addr).copied()
     }
 
-    fn encode_rtu_state(&self, rtu: u32) -> Vec<u8> {
-        let mut w = WireWriter::new();
-        match self.rtus.get(&rtu) {
-            Some(state) => {
-                w.u8(1).u32(rtu).u64(state.last_update_us);
-                w.u16(state.registers.len() as u16);
-                for (a, v) in &state.registers {
-                    w.u16(*a).u16(*v);
-                }
-                w.u8(state.breakers.len() as u8);
-                for (b, on) in &state.breakers {
-                    w.u8(*b).bool(*on);
-                }
-            }
-            None => {
-                w.u8(0).u32(rtu);
-            }
+    fn readout(&self, rtu: u32) -> RtuReadout {
+        match self.grid.rtus.get(&rtu) {
+            Some(state) => RtuReadout::Known {
+                rtu,
+                last_update_us: state.last_update_us,
+                registers: state.registers.clone(),
+                breakers: state.breakers.clone(),
+            },
+            None => RtuReadout::Unknown { rtu },
         }
-        w.finish().to_vec()
     }
 }
 
@@ -234,35 +216,31 @@ impl Application for ScadaMaster {
                 breakers,
             } => {
                 let mut breaker_events: Vec<(u8, bool)> = Vec::new();
-                {
-                    let state = self.rtus.entry(rtu).or_default();
-                    for (a, v) in registers {
-                        state.registers.insert(a, v);
+                let state = self.grid.rtus.entry(rtu).or_default();
+                state.registers.extend(registers);
+                for (breaker, closed) in breakers {
+                    let old = state.breakers.insert(breaker, closed);
+                    if old.is_some() && old != Some(closed) {
+                        breaker_events.push((breaker, closed));
                     }
-                    for (b, on) in breakers {
-                        let old = state.breakers.insert(b, on);
-                        if old.is_some() && old != Some(on) {
-                            breaker_events.push((b, on));
-                        }
-                    }
-                    state.last_update_us = ts_us;
-                    state.updates_applied += 1;
                 }
+                state.last_update_us = ts_us;
+                state.updates_applied += 1;
                 // Unexpected breaker transitions are alarms pushed to HMIs.
                 let mut notifications = Vec::new();
-                for (b, on) in breaker_events {
-                    self.events += 1;
-                    let mut w = WireWriter::new();
-                    w.u8(1).u32(rtu).u8(b).bool(on);
-                    let payload = w.finish().to_vec();
+                for (breaker, closed) in breaker_events {
+                    self.grid.events += 1;
+                    let event = ScadaNotify::BreakerEvent {
+                        rtu,
+                        breaker,
+                        closed,
+                    };
                     for hmi in self.directory.hmis.clone() {
-                        notifications.push(self.notify(hmi, payload.clone()));
+                        notifications.push(self.notify(hmi, &event));
                     }
                 }
-                let mut w = WireWriter::new();
-                w.raw(b"ok").u64(ts_us);
                 ExecResult {
-                    reply: w.finish().to_vec(),
+                    reply: (*b"ok", ts_us).to_wire(10).into_vec(),
                     notifications,
                 }
             }
@@ -272,103 +250,37 @@ impl Application for ScadaMaster {
                 // command to the RTU's proxy.
                 ExecResult {
                     reply: b"ok:cmd".to_vec(),
-                    notifications: self.actuate(rtu, ts_us, action),
+                    notifications: self.actuate(rtu, ts_us, action).into_iter().collect(),
                 }
             }
-            ScadaOp::ReadState { rtu } => ExecResult::reply(self.encode_rtu_state(rtu)),
+            ScadaOp::ReadState { rtu } => {
+                ExecResult::reply(self.readout(rtu).to_wire(32).into_vec())
+            }
         }
     }
 
     fn snapshot(&self) -> Vec<u8> {
-        let mut w = WireWriter::new();
-        w.u32(self.rtus.len() as u32);
-        for (rtu, state) in &self.rtus {
-            w.u32(*rtu)
-                .u64(state.last_update_us)
-                .u64(state.updates_applied);
-            w.u16(state.registers.len() as u16);
-            for (a, v) in &state.registers {
-                w.u16(*a).u16(*v);
-            }
-            w.u8(state.breakers.len() as u8);
-            for (b, on) in &state.breakers {
-                w.u8(*b).bool(*on);
-            }
-        }
-        w.u32(self.nseq.len() as u32);
-        for (t, s) in &self.nseq {
-            w.u32(*t).u64(*s);
-        }
-        w.u64(self.events);
-        // Sharded deployments append the 2PC participant state; legacy
-        // single-group snapshots simply end here.
+        let mut w = self.grid.to_wire(256);
+        // A sharded master appends its participant as a present
+        // `Option<XParticipant>`; a single group's snapshot ends with the grid.
         if let Some(ctx) = &self.xshard {
-            w.u8(1);
-            ctx.participant.write_into(&mut w);
+            w.bool(true);
+            ctx.participant.write(&mut w);
         }
-        w.finish().to_vec()
+        w.into_vec()
     }
 
-    fn restore(&mut self, snapshot: &[u8]) {
-        let mut r = WireReader::new(snapshot);
-        let mut rtus = BTreeMap::new();
-        let n = r.u32().unwrap_or(0);
-        for _ in 0..n {
-            let (Ok(rtu), Ok(last), Ok(applied)) = (r.u32(), r.u64(), r.u64()) else {
-                return;
-            };
-            let mut state = RtuState {
-                last_update_us: last,
-                updates_applied: applied,
-                ..Default::default()
-            };
-            let Ok(nr) = r.u16() else { return };
-            for _ in 0..nr {
-                let (Ok(a), Ok(v)) = (r.u16(), r.u16()) else {
-                    return;
-                };
-                state.registers.insert(a, v);
-            }
-            let Ok(nb) = r.u8() else { return };
-            for _ in 0..nb {
-                let (Ok(b), Ok(on)) = (r.u8(), r.bool()) else {
-                    return;
-                };
-                state.breakers.insert(b, on);
-            }
-            rtus.insert(rtu, state);
-        }
-        let mut nseq = BTreeMap::new();
-        let m = r.u32().unwrap_or(0);
-        for _ in 0..m {
-            let (Ok(t), Ok(s)) = (r.u32(), r.u64()) else {
-                return;
-            };
-            nseq.insert(t, s);
-        }
-        self.rtus = rtus;
-        self.nseq = nseq;
-        self.events = r.u64().unwrap_or(0);
-        if let Some(ctx) = self.xshard.as_mut() {
-            if r.u8() == Ok(1) {
-                if let Ok(participant) = XParticipant::read(&mut r) {
-                    ctx.participant = participant;
-                }
+    fn restore(&mut self, snapshot: &[u8]) -> Result<(), WireError> {
+        match &mut self.xshard {
+            None => self.grid = Grid::decode_all(snapshot)?,
+            Some(ctx) => {
+                let (grid, participant) = <(Grid, Option<XParticipant>)>::decode_all(snapshot)?;
+                ctx.participant = participant.ok_or(WireError::BadTag(0))?;
+                self.grid = grid;
             }
         }
+        Ok(())
     }
-
-    fn digest(&self) -> Digest {
-        spire_crypto::digest(&self.snapshot())
-    }
-}
-
-/// Payload kinds pushed by the master (first byte of notification payloads).
-pub mod notify_kind {
-    /// Breaker state-change alarm to HMIs.
-    pub const BREAKER_EVENT: u8 = 1;
-    /// Supervisory command to an RTU proxy.
-    pub const COMMAND: u8 = 2;
 }
 
 #[cfg(test)]
@@ -413,7 +325,14 @@ mod tests {
         let out = master.execute(&update_op(1, 20, false));
         assert_eq!(out.notifications.len(), 1);
         assert_eq!(out.notifications[0].target, ClientId(200));
-        assert_eq!(out.notifications[0].payload[0], notify_kind::BREAKER_EVENT);
+        assert_eq!(
+            ScadaNotify::decode_all(&out.notifications[0].payload),
+            Ok(ScadaNotify::BreakerEvent {
+                rtu: 1,
+                breaker: 0,
+                closed: false
+            })
+        );
         // Repeating the same state is not an event.
         let out = master.execute(&update_op(1, 30, false));
         assert!(out.notifications.is_empty());
@@ -436,7 +355,14 @@ mod tests {
         assert_eq!(out1.notifications[0].target, ClientId(100));
         assert_eq!(out1.notifications[0].nseq, 1);
         assert_eq!(out2.notifications[0].nseq, 2);
-        assert_eq!(out1.notifications[0].payload[0], notify_kind::COMMAND);
+        assert_eq!(
+            ScadaNotify::decode_all(&out1.notifications[0].payload),
+            Ok(ScadaNotify::Command {
+                rtu: 1,
+                ts_us: 5,
+                action: CommandAction::OpenBreaker(0)
+            })
+        );
         assert_eq!(master.breaker(1, 0), Some(false));
     }
 
@@ -468,7 +394,7 @@ mod tests {
         );
         let snap = master.snapshot();
         let mut other = ScadaMaster::new(directory());
-        other.restore(&snap);
+        other.restore(&snap).unwrap();
         assert_eq!(other.digest(), master.digest());
         assert_eq!(other.register(1, 5), Some(123));
         // nseq continuity: the restored master continues the counter.
@@ -487,10 +413,83 @@ mod tests {
     fn read_state_reply_roundtrips() {
         let mut master = ScadaMaster::new(directory());
         master.execute(&update_op(1, 10, true));
-        let out = master.execute(&ScadaOp::ReadState { rtu: 1 }.encode());
-        assert_eq!(out.reply[0], 1); // known
-        let out = master.execute(&ScadaOp::ReadState { rtu: 9 }.encode());
-        assert_eq!(out.reply[0], 0); // unknown
+        let read = |master: &mut ScadaMaster, rtu| {
+            let out = master.execute(&ScadaOp::ReadState { rtu }.encode());
+            RtuReadout::decode_all(&out.reply).unwrap()
+        };
+        assert_eq!(
+            read(&mut master, 1),
+            RtuReadout::Known {
+                rtu: 1,
+                last_update_us: 10,
+                registers: [(0, 42)].into(),
+                breakers: [(0, true)].into(),
+            }
+        );
+        assert_eq!(read(&mut master, 9), RtuReadout::Unknown { rtu: 9 });
+    }
+
+    fn sharded(directory: ScadaDirectory) -> ScadaMaster {
+        ScadaMaster::new(directory).with_xshard(XShardContext {
+            participant: XParticipant::new(0),
+            verifier: CertVerifier {
+                keystore: Arc::new(spire_crypto::KeyStore::new()),
+                stride: spire_shard::SHARD_KEY_STRIDE,
+                replica_base: 1000,
+                n: 4,
+                client: ClientId(spire_shard::COORD_CLIENT_ID),
+                f: 1,
+                mock: true,
+            },
+            ledger: Arc::new(XShardLedger::new()),
+        })
+    }
+
+    /// A snapshot cut short anywhere — inside the grid, before or inside
+    /// the participant — is refused and leaves the master as it was. (The
+    /// lenient restore installed the grid and kept a stale participant.)
+    #[test]
+    fn truncated_snapshots_change_nothing() {
+        let shapes = [
+            sharded as fn(ScadaDirectory) -> ScadaMaster,
+            ScadaMaster::new,
+        ];
+        let mut snapshots = Vec::new();
+        for make in shapes {
+            let mut source = make(directory());
+            source.execute(&update_op(1, 10, true));
+            let prepare = ShardMsg::XPrepare {
+                xid: 7,
+                coord_shard: 0,
+                ts_us: 5,
+                shards: vec![0, 1],
+                cmds: Vec::new(),
+                poison: false,
+            };
+            let abort = ShardMsg::XAbort {
+                xid: 8,
+                coord_shard: 0,
+                shards: vec![0, 1],
+            };
+            source.execute(&prepare.encode());
+            source.execute(&abort.encode());
+            let snap = source.snapshot();
+            let mut target = make(directory());
+            target.execute(&update_op(2, 3, false));
+            let before = target.digest();
+            for len in 0..snap.len() {
+                assert!(target.restore(&snap[..len]).is_err(), "{len} bytes");
+                assert_eq!(target.digest(), before, "{len} bytes");
+            }
+            target.restore(&snap).unwrap();
+            assert_eq!(target.digest(), source.digest());
+            snapshots.push(snap);
+        }
+        // Each shape refuses the other's snapshot whole.
+        let mut single = ScadaMaster::new(directory());
+        assert_eq!(single.restore(&snapshots[0]), Err(WireError::TrailingBytes));
+        let mut group = sharded(directory());
+        assert_eq!(group.restore(&snapshots[1]), Err(WireError::Truncated));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! registers (analog measurements, setpoints) and coils (breakers).
 
 use bytes::Bytes;
-use spire_sim::{WireError, WireReader, WireWriter};
+use spire_sim::{impl_wire, Counted, Wire, WireError};
 
 /// A device-protocol frame between a proxy and a field device.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -62,99 +62,25 @@ pub enum ModbusFrame {
     },
 }
 
+// `coils` travels with a one-byte count.
+impl_wire!(enum ModbusFrame {
+    3 => ReadRegisters { txn, addr, count },
+    4 => ReadResponse { txn, addr, values },
+    5 => WriteCoil { txn, coil, on },
+    6 => WriteRegister { txn, addr, value },
+    7 => WriteAck { txn },
+    8 => Report { ts_us, registers, coils as Counted<u8> },
+});
+
 impl ModbusFrame {
     /// Encodes the frame.
     pub fn encode(&self) -> Bytes {
-        let mut w = WireWriter::with_capacity(32);
-        match self {
-            ModbusFrame::ReadRegisters { txn, addr, count } => {
-                w.u8(3).u16(*txn).u16(*addr).u16(*count);
-            }
-            ModbusFrame::ReadResponse { txn, addr, values } => {
-                w.u8(4).u16(*txn).u16(*addr).u16(values.len() as u16);
-                for v in values {
-                    w.u16(*v);
-                }
-            }
-            ModbusFrame::WriteCoil { txn, coil, on } => {
-                w.u8(5).u16(*txn).u8(*coil).bool(*on);
-            }
-            ModbusFrame::WriteRegister { txn, addr, value } => {
-                w.u8(6).u16(*txn).u16(*addr).u16(*value);
-            }
-            ModbusFrame::WriteAck { txn } => {
-                w.u8(7).u16(*txn);
-            }
-            ModbusFrame::Report {
-                ts_us,
-                registers,
-                coils,
-            } => {
-                w.u8(8).u64(*ts_us).u16(registers.len() as u16);
-                for (a, v) in registers {
-                    w.u16(*a).u16(*v);
-                }
-                w.u8(coils.len() as u8);
-                for (c, on) in coils {
-                    w.u8(*c).bool(*on);
-                }
-            }
-        }
-        w.finish()
+        self.to_wire(32).finish()
     }
 
     /// Decodes a frame.
     pub fn decode(bytes: &[u8]) -> Result<ModbusFrame, WireError> {
-        let mut r = WireReader::new(bytes);
-        let frame = match r.u8()? {
-            3 => ModbusFrame::ReadRegisters {
-                txn: r.u16()?,
-                addr: r.u16()?,
-                count: r.u16()?,
-            },
-            4 => {
-                let txn = r.u16()?;
-                let addr = r.u16()?;
-                let n = r.u16()? as usize;
-                let mut values = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    values.push(r.u16()?);
-                }
-                ModbusFrame::ReadResponse { txn, addr, values }
-            }
-            5 => ModbusFrame::WriteCoil {
-                txn: r.u16()?,
-                coil: r.u8()?,
-                on: r.bool()?,
-            },
-            6 => ModbusFrame::WriteRegister {
-                txn: r.u16()?,
-                addr: r.u16()?,
-                value: r.u16()?,
-            },
-            7 => ModbusFrame::WriteAck { txn: r.u16()? },
-            8 => {
-                let ts_us = r.u64()?;
-                let n = r.u16()? as usize;
-                let mut registers = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    registers.push((r.u16()?, r.u16()?));
-                }
-                let m = r.u8()? as usize;
-                let mut coils = Vec::with_capacity(m);
-                for _ in 0..m {
-                    coils.push((r.u8()?, r.bool()?));
-                }
-                ModbusFrame::Report {
-                    ts_us,
-                    registers,
-                    coils,
-                }
-            }
-            other => return Err(WireError::BadTag(other)),
-        };
-        r.expect_end()?;
-        Ok(frame)
+        ModbusFrame::decode_all(bytes)
     }
 }
 

@@ -1,7 +1,9 @@
-//! Operations of the replicated SCADA master state machine.
+//! Operations of the replicated SCADA master state machine, and what it
+//! sends back: notification payloads and `ReadState` replies.
 
 use bytes::Bytes;
 use spire_sim::{impl_wire, Counted, Wire, WireError};
+use std::collections::BTreeMap;
 
 /// A supervisory control action.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -68,6 +70,61 @@ impl ScadaOp {
         ScadaOp::decode_all(bytes)
     }
 }
+
+/// A notification payload pushed by every master: a receiver acts on `f + 1`
+/// matching ones.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum ScadaNotify {
+    /// An unexpected breaker transition, raised to every HMI.
+    BreakerEvent {
+        /// Reporting RTU.
+        rtu: u32,
+        /// The breaker.
+        breaker: u8,
+        /// New state (true = closed).
+        closed: bool,
+    },
+    /// A supervisory command for the target RTU's proxy to actuate.
+    Command {
+        /// Target RTU.
+        rtu: u32,
+        /// HMI timestamp when the command was issued (sim µs).
+        ts_us: u64,
+        /// The action.
+        action: CommandAction,
+    },
+}
+
+impl_wire!(enum ScadaNotify {
+    1 => BreakerEvent { rtu, breaker, closed },
+    2 => Command { rtu, ts_us, action },
+});
+
+/// The reply to [`ScadaOp::ReadState`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum RtuReadout {
+    /// No update from this RTU was ever applied.
+    Unknown {
+        /// The RTU asked about.
+        rtu: u32,
+    },
+    /// The RTU's current model.
+    Known {
+        /// The RTU asked about.
+        rtu: u32,
+        /// Device timestamp of the last applied update (sim µs).
+        last_update_us: u64,
+        /// Register values by address.
+        registers: BTreeMap<u16, u16>,
+        /// Breaker states by breaker (true = closed).
+        breakers: BTreeMap<u8, bool>,
+    },
+}
+
+impl_wire!(enum RtuReadout {
+    0 => Unknown { rtu },
+    1 => Known { rtu, last_update_us, registers as Counted<u16>, breakers as Counted<u8> },
+});
 
 #[cfg(test)]
 mod tests {

@@ -8,12 +8,11 @@
 //! [`ClientSession`]'s; the device bridge and the `scada.*` metrics are
 //! what is left here.
 
-use crate::master::notify_kind;
 use crate::modbus::ModbusFrame;
-use crate::op::ScadaOp;
+use crate::op::{CommandAction, ScadaNotify, ScadaOp};
 use bytes::Bytes;
 use spire_prime::{Accepted, ClientSession};
-use spire_sim::{span_key, Context, Process, ProcessId, SpanPhase, WireReader};
+use spire_sim::{span_key, Context, Process, ProcessId, SpanPhase, Wire};
 
 /// The RTU proxy process.
 pub struct RtuProxy {
@@ -90,44 +89,20 @@ impl RtuProxy {
 
     /// Applies an f+1-agreed supervisory command to the device.
     fn actuate(&mut self, ctx: &mut Context<'_>, payload: &[u8]) {
-        let mut r = WireReader::new(payload);
-        let Ok(kind) = r.u8() else { return };
-        if kind != notify_kind::COMMAND {
-            return;
-        }
-        let (Ok(_rtu), Ok(ts_us)) = (r.u32(), r.u64()) else {
+        let Ok(ScadaNotify::Command { ts_us, action, .. }) = ScadaNotify::decode_all(payload)
+        else {
             return;
         };
-        let Ok(action) = r.u8() else { return };
         self.txn = self.txn.wrapping_add(1);
+        let txn = self.txn;
         let frame = match action {
-            1 => {
-                let Ok(coil) = r.u8() else { return };
-                ModbusFrame::WriteCoil {
-                    txn: self.txn,
-                    coil,
-                    on: false,
-                }
+            CommandAction::OpenBreaker(coil) | CommandAction::CloseBreaker(coil) => {
+                let on = matches!(action, CommandAction::CloseBreaker(_));
+                ModbusFrame::WriteCoil { txn, coil, on }
             }
-            2 => {
-                let Ok(coil) = r.u8() else { return };
-                ModbusFrame::WriteCoil {
-                    txn: self.txn,
-                    coil,
-                    on: true,
-                }
+            CommandAction::SetRegister(addr, value) => {
+                ModbusFrame::WriteRegister { txn, addr, value }
             }
-            3 => {
-                let (Ok(addr), Ok(value)) = (r.u16(), r.u16()) else {
-                    return;
-                };
-                ModbusFrame::WriteRegister {
-                    txn: self.txn,
-                    addr,
-                    value,
-                }
-            }
-            _ => return,
         };
         ctx.send(self.device, frame.encode());
         ctx.count("scada.commands_actuated", 1);

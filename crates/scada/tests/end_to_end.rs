@@ -11,11 +11,11 @@ use spire_prime::{
     ByzBehavior, ClientId, ClientRouting, ClientSession, Inspection, PrimeConfig, PrimeMsg,
     Replica, ReplicaId,
 };
-use spire_scada::master::notify_kind;
 use spire_scada::{
-    Archive, Historian, Hmi, ProcessModel, Rtu, RtuProxy, ScadaDirectory, ScadaMaster,
+    Archive, CommandAction, Historian, Hmi, ProcessModel, Rtu, RtuProxy, ScadaDirectory,
+    ScadaMaster, ScadaNotify,
 };
-use spire_sim::{Context, LinkConfig, Process, ProcessId, Span, WireWriter, World};
+use spire_sim::{Context, LinkConfig, Process, ProcessId, Span, Wire, World};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -281,16 +281,24 @@ fn notify(replica: u32, client: u32, nseq: u64, payload: &[u8]) -> PrimeMsg {
 
 /// "Open breaker 0 of `rtu`", as the masters push it to the RTU's proxy.
 fn open_breaker(rtu: u32) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    w.u8(notify_kind::COMMAND).u32(rtu).u64(1).u8(1).u8(0);
-    w.into_vec()
+    let action = CommandAction::OpenBreaker(0);
+    ScadaNotify::Command {
+        rtu,
+        ts_us: 1,
+        action,
+    }
+    .to_wire(16)
+    .into_vec()
 }
 
 /// "Breaker 0 of RTU 0 opened", as the masters push it to HMI-class clients.
 fn breaker_opened() -> Vec<u8> {
-    let mut w = WireWriter::new();
-    w.u8(notify_kind::BREAKER_EVENT).u32(0).u8(0).bool(false);
-    w.into_vec()
+    let event = ScadaNotify::BreakerEvent {
+        rtu: 0,
+        breaker: 0,
+        closed: false,
+    };
+    event.to_wire(8).into_vec()
 }
 
 /// The probe that motivated the author check: one process, no replica's

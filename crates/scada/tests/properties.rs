@@ -112,7 +112,7 @@ proptest! {
             original.execute(&op.encode());
         }
         let mut restored = ScadaMaster::new(directory());
-        restored.restore(&original.snapshot());
+        restored.restore(&original.snapshot()).unwrap();
         prop_assert_eq!(restored.digest(), original.digest());
         // Continued execution stays in lockstep (nseq counters included).
         for op in &tail {

@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use spire_crypto::{Digest, KeyStore};
 use spire_prime::{ClientId, ReplicaKeys, ReplyCert};
-use spire_sim::{WireError, WireReader, WireWriter};
+use spire_sim::impl_wire;
 
 use crate::msg::{
     encode_ack, encode_prepared, encode_rejected, ShardCmd, ShardMsg, DECISION_ABORT,
@@ -104,13 +104,16 @@ impl XOutcome {
 }
 
 /// Deterministic 2PC participant state for one shard, embedded in the
-/// group's replicated application.
+/// group's replicated application (and in its snapshots, as this `Wire`
+/// value).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct XParticipant {
     shard: u32,
     prepared: std::collections::BTreeMap<u64, Digest>,
     decided: std::collections::BTreeMap<u64, u8>,
 }
+
+impl_wire!(struct XParticipant { shard, prepared, decided });
 
 impl XParticipant {
     /// A fresh participant for `shard`.
@@ -208,37 +211,6 @@ impl XParticipant {
             }
         }
     }
-
-    /// Appends the participant state to a snapshot encoding.
-    pub fn write_into(&self, w: &mut WireWriter) {
-        w.u32(self.shard);
-        w.u32(self.prepared.len() as u32);
-        for (xid, digest) in &self.prepared {
-            w.u64(*xid).raw(digest);
-        }
-        w.u32(self.decided.len() as u32);
-        for (xid, decision) in &self.decided {
-            w.u64(*xid).u8(*decision);
-        }
-    }
-
-    /// Reads participant state back from a snapshot encoding.
-    pub fn read(r: &mut WireReader) -> Result<XParticipant, WireError> {
-        let shard = r.u32()?;
-        let mut prepared = std::collections::BTreeMap::new();
-        for _ in 0..r.u32()? {
-            prepared.insert(r.u64()?, r.array()?);
-        }
-        let mut decided = std::collections::BTreeMap::new();
-        for _ in 0..r.u32()? {
-            decided.insert(r.u64()?, r.u8()?);
-        }
-        Ok(XParticipant {
-            shard,
-            prepared,
-            decided,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -250,6 +222,7 @@ mod tests {
     use spire_crypto::NodeId;
     use spire_prime::msg::PrimeMsg;
     use spire_prime::ReplicaId;
+    use spire_sim::{Wire, WireWriter};
 
     fn setup() -> (KeyMaterial, CertVerifier) {
         let material = KeyMaterial::new([3u8; 32]);
@@ -454,12 +427,7 @@ mod tests {
             },
             &verifier,
         );
-        let mut w = WireWriter::new();
-        p.write_into(&mut w);
-        let buf = w.finish();
-        let mut r = WireReader::new(&buf);
-        let restored = XParticipant::read(&mut r).unwrap();
-        r.expect_end().unwrap();
+        let restored = XParticipant::decode_all(p.to_wire(0).as_slice()).unwrap();
         assert_eq!(restored, p);
     }
 }

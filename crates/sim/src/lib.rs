@@ -42,7 +42,7 @@ pub use time::{Span, Time};
 pub use trace::{
     span_key, FlightRecorder, Histogram, SpanPhase, SpanRecord, TraceEvent, TraceKind, Tracer,
 };
-pub use wire::{Count, Counted, Wire, WireError, WireReader, WireWriter};
+pub use wire::{Count, Counted, Elements, Wire, WireError, WireReader, WireWriter};
 pub use world::{
     Backend, Context, ControlOp, Fabric, LinkConfig, Process, ProcessId, SpawnFn, TimerId, Transit,
     World,

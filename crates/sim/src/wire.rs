@@ -1,10 +1,10 @@
-//! The canonical wire encoding: one codec for every Prime, Spines, shard
-//! and SCADA message.
+//! The canonical wire encoding: one codec for every Prime, Spines, shard,
+//! SCADA and Modbus message and every application snapshot.
 //!
-//! Every message is signed or MAC'd over its canonical bytes, so each
-//! layout is described exactly once: a type lists its fields, in wire
-//! order, in one [`impl_wire!`](crate::impl_wire) line, and the field types
-//! carry the layout through the [`Wire`] trait:
+//! Every message is signed or MAC'd over its canonical bytes, and every
+//! snapshot is digested, so each layout is described exactly once: a type
+//! lists its fields, in wire order, in one [`impl_wire!`](crate::impl_wire)
+//! line, and the field types carry the layout through the [`Wire`] trait:
 //!
 //! | type | bytes |
 //! |---|---|
@@ -14,7 +14,9 @@
 //! | `[u8; N]` | the `N` bytes, no prefix |
 //! | `Bytes`, `String` | `u32` length + bytes (at most [`MAX_FIELD_LEN`]) |
 //! | `Option<T>` | a 0/1 byte, then `T` if 1 |
-//! | `Vec<T>` | `u16` count + elements; [`Counted`] for a `u8` count or a cap |
+//! | `Vec<T>` | `u16` count + elements |
+//! | `BTreeMap<K, V>` | `u32` count + `(K, V)` entries in key order |
+//! | other counts, caps, `BTreeSet<T>` | [`Counted`] |
 //! | tuples, structs | field by field, no framing |
 //! | enums | one tag byte, then the variant's fields |
 //!
@@ -23,6 +25,7 @@
 //! and domain-tagged signing-byte builders use them directly.
 
 use bytes::Bytes;
+use std::collections::{BTreeMap, BTreeSet};
 use std::marker::PhantomData;
 
 /// Error decoding a wire message.
@@ -402,30 +405,39 @@ macro_rules! wire_counts {
         }
     )*};
 }
-wire_counts!(u8, u16);
+wire_counts!(u8, u16, u32);
 
-/// Field codec for a `Vec<T>`: a count of type `C`, then the elements. A
-/// decoded count above `MAX` is rejected as [`WireError::OversizedLength`]
-/// before any element is read. `Vec<T>` itself is `Counted<u16>`; a field
-/// with a `u8` count or a cap names its codec in
-/// [`impl_wire!`](crate::impl_wire) as `field as Counted<u8, CAP>`.
-pub struct Counted<C, const MAX: usize = { usize::MAX }>(PhantomData<C>);
+/// A collection that travels as a count and then its elements, in order:
+/// a `Vec<T>` (or, to write, a `[T]`), a `BTreeSet<T>`, or a
+/// `BTreeMap<K, V>` as its `(K, V)` entries in key order.
+pub trait Elements {
+    /// The number of elements.
+    fn count(&self) -> usize;
+    /// Appends the elements.
+    fn write_elements(&self, w: &mut WireWriter);
+    /// Reads `count` elements.
+    fn read_elements(count: usize, r: &mut WireReader<'_>) -> Result<Self, WireError>
+    where
+        Self: Sized;
+}
 
-impl<C: Count, const MAX: usize> Counted<C, MAX> {
-    /// Appends the count and the elements. The cap binds decoders only.
-    pub fn write<T: Wire>(items: &[T], w: &mut WireWriter) {
-        C::from_len(items.len()).write(w);
-        for item in items {
-            item.write(w);
-        }
+impl<T: Wire> Elements for [T] {
+    fn count(&self) -> usize {
+        self.len()
     }
+    fn write_elements(&self, w: &mut WireWriter) {
+        self.iter().for_each(|item| item.write(w));
+    }
+}
 
-    /// Reads the count, checks it against `MAX`, reads the elements.
-    pub fn read<T: Wire>(r: &mut WireReader<'_>) -> Result<Vec<T>, WireError> {
-        let count = C::read(r)?.to_len();
-        if count > MAX {
-            return Err(WireError::OversizedLength(count as u64));
-        }
+impl<T: Wire> Elements for Vec<T> {
+    fn count(&self) -> usize {
+        self.len()
+    }
+    fn write_elements(&self, w: &mut WireWriter) {
+        self.as_slice().write_elements(w);
+    }
+    fn read_elements(count: usize, r: &mut WireReader<'_>) -> Result<Self, WireError> {
         // Every element takes at least a byte: never reserve more than the
         // input could fill.
         let mut items = Vec::with_capacity(count.min(r.remaining()));
@@ -436,12 +448,73 @@ impl<C: Count, const MAX: usize> Counted<C, MAX> {
     }
 }
 
+impl<T: Wire + Ord> Elements for BTreeSet<T> {
+    fn count(&self) -> usize {
+        self.len()
+    }
+    fn write_elements(&self, w: &mut WireWriter) {
+        self.iter().for_each(|item| item.write(w));
+    }
+    fn read_elements(count: usize, r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        (0..count).map(|_| T::read(r)).collect()
+    }
+}
+
+impl<K: Wire + Ord, V: Wire> Elements for BTreeMap<K, V> {
+    fn count(&self) -> usize {
+        self.len()
+    }
+    fn write_elements(&self, w: &mut WireWriter) {
+        for (key, value) in self {
+            key.write(w);
+            value.write(w);
+        }
+    }
+    fn read_elements(count: usize, r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        (0..count).map(|_| <(K, V)>::read(r)).collect()
+    }
+}
+
+/// Field codec for a collection ([`Elements`]): a count of type `C`, then
+/// the elements. A decoded count above `MAX` is rejected as
+/// [`WireError::OversizedLength`] before any element is read. `Vec<T>`
+/// itself is `Counted<u16>` and `BTreeMap<K, V>` is `Counted<u32>`; any
+/// other count or a cap is named in [`impl_wire!`](crate::impl_wire) as
+/// `field as Counted<u8, CAP>`.
+pub struct Counted<C, const MAX: usize = { usize::MAX }>(PhantomData<C>);
+
+impl<C: Count, const MAX: usize> Counted<C, MAX> {
+    /// Appends the count and the elements. The cap binds decoders only.
+    pub fn write<S: Elements + ?Sized>(items: &S, w: &mut WireWriter) {
+        C::from_len(items.count()).write(w);
+        items.write_elements(w);
+    }
+
+    /// Reads the count, checks it against `MAX`, reads the elements.
+    pub fn read<S: Elements>(r: &mut WireReader<'_>) -> Result<S, WireError> {
+        let count = C::read(r)?.to_len();
+        if count > MAX {
+            return Err(WireError::OversizedLength(count as u64));
+        }
+        S::read_elements(count, r)
+    }
+}
+
 impl<T: Wire> Wire for Vec<T> {
     fn write(&self, w: &mut WireWriter) {
         Counted::<u16>::write(self, w);
     }
     fn read(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         Counted::<u16>::read(r)
+    }
+}
+
+impl<K: Wire + Ord, V: Wire> Wire for BTreeMap<K, V> {
+    fn write(&self, w: &mut WireWriter) {
+        Counted::<u32>::write(self, w);
+    }
+    fn read(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        Counted::<u32>::read(r)
     }
 }
 
@@ -648,6 +721,17 @@ mod tests {
         assert_eq!(encoded(&None::<u32>), [0]);
         assert_eq!(encoded(&(1u8, 2u16, false)), [1, 2, 0, 0]);
         assert_eq!(encoded(&vec![(1u8, 2u8)]), [1, 0, 1, 2]);
+        let map = BTreeMap::from([(2u8, true), (1, false)]);
+        assert_eq!(encoded(&map), [2, 0, 0, 0, 1, 0, 2, 1]);
+        assert_eq!(BTreeMap::decode_all(&encoded(&map)), Ok(map));
+        let set = BTreeSet::from([9u8, 3]);
+        let mut w = WireWriter::new();
+        Counted::<u8>::write(&set, &mut w);
+        assert_eq!(w.as_slice(), [2, 3, 9]);
+        assert_eq!(
+            Counted::<u8>::read(&mut WireReader::new(w.as_slice())),
+            Ok(set)
+        );
         for bytes in [vec![0], vec![1, 0, 0], vec![1, 1, 0, 3, 4]] {
             let value = Option::<Vec<(u8, u8)>>::decode_all(&bytes).unwrap();
             assert_eq!(encoded(&value), bytes);
@@ -661,20 +745,20 @@ mod tests {
     fn counted_width_and_cap() {
         type Short = Counted<u8, 2>;
         let mut w = WireWriter::new();
-        Short::write(&[7u16, 8], &mut w);
+        Short::write(&vec![7u16, 8], &mut w);
         assert_eq!(w.as_slice(), [2, 7, 0, 8, 0]);
         assert_eq!(
-            Short::read::<u16>(&mut WireReader::new(w.as_slice())),
+            Short::read::<Vec<u16>>(&mut WireReader::new(w.as_slice())),
             Ok(vec![7, 8])
         );
         // The encoder does not apply the cap; the decoder rejects the count
         // before it looks for the elements.
         w.clear();
-        Short::write(&[1u16, 2, 3], &mut w);
+        Short::write(&vec![1u16, 2, 3], &mut w);
         assert_eq!(w.len(), 7);
         for input in [w.as_slice(), &w.as_slice()[..1]] {
             assert_eq!(
-                Short::read::<u16>(&mut WireReader::new(input)),
+                Short::read::<Vec<u16>>(&mut WireReader::new(input)),
                 Err(WireError::OversizedLength(3))
             );
         }

@@ -2,7 +2,9 @@
 //! from a clean state and rejoins via proof-carrying state transfer, while
 //! the system keeps operating (that is what the `+2k` replicas are for).
 //!
-//! Run with: `cargo run --release --example proactive_recovery`
+//! Run with: `cargo run --release --example proactive_recovery` — it exits
+//! 1 unless the run stayed safe and every recovery it started completed
+//! state transfer (CI runs it).
 
 use spire::deployment::{Deployment, DeploymentConfig};
 use spire_scada::WorkloadConfig;
@@ -39,5 +41,14 @@ fn main() {
         if sec % 10 == 0 {
             println!("  t={sec:>3}s  {count} updates");
         }
+    }
+
+    let (started, completed) = report.recoveries;
+    if !report.safety_ok || completed < started {
+        eprintln!(
+            "FAILED: safety {}, {completed} of {started} recoveries completed",
+            report.safety_ok
+        );
+        std::process::exit(1);
     }
 }
