@@ -16,7 +16,9 @@
 //! * `--scenario` — behavior assignment: `honest`, `equivocating-leader`,
 //!   `leader-delay`, `mute-replica`, `po-equivocation` (f=1, k=0,
 //!   n=4 throughout), or `xshard-commit` (cross-shard 2PC over two model
-//!   groups; `--random` and `--replay` only, with `--ops` transactions);
+//!   groups; `--random` and `--replay` only, with `--ops` transactions)
+//!   and `xshard-early-ack` (the same, with replica 0 of every group
+//!   acking each decision without executing it);
 //! * `--min-states` — exhaustive mode exits 1 unless at least this many
 //!   distinct states were visited (CI coverage floor);
 //! * `--expect-violation` — invert the verdict: exit 1 unless a

@@ -21,8 +21,13 @@
 //! ddmin shrinker and replay are the ones the Prime cluster uses, over
 //! the same [`Choice`]/[`MsgKey`] schedule grammar and
 //! [`Artifact`](crate::Artifact) replay format (scenario names start
-//! with `"xshard"`). What is its own is the machine, the atomicity oracle
-//! and the adversary's weight table.
+//! with `"xshard"`). What is its own is the machine, the oracles and the
+//! adversary's weight table.
+//!
+//! Two oracles judge a run: the ledger's atomicity check, and a premature
+//! `Done` — the coordinator finishing a transaction while some
+//! participant group has no replica that actually decided it, which is
+//! what the `"xshard-early-ack"` scenario's lying replica aims for.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -33,9 +38,9 @@ use spire_crypto::keys::{KeyMaterial, Signer};
 use spire_crypto::{KeyStore, NodeId};
 use spire_prime::msg::{decode_enclosed, ClientOp, PrimeMsg};
 use spire_prime::{ClientId, ReplicaId};
-use spire_shard::msg::cmd_kind;
+use spire_shard::msg::{cmd_kind, encode_ack, DECISION_ABORT, DECISION_COMMIT};
 use spire_shard::{
-    CertVerifier, ShardCmd, XAction, XCoord, XCoordConfig, XParticipant, XShardLedger,
+    CertVerifier, ShardCmd, ShardMsg, XAction, XCoord, XCoordConfig, XParticipant, XShardLedger,
     COORD_CLIENT_ID, SHARD_KEY_STRIDE,
 };
 use spire_sim::{Time, WireWriter};
@@ -69,10 +74,12 @@ pub struct XScenario {
 
 impl XScenario {
     /// Looks up a named scenario. `"xshard-commit"` is the canonical
-    /// two-group commit workload.
+    /// two-group commit workload; `"xshard-early-ack"` is the same
+    /// workload with a compromised replica in every group (see
+    /// [`XScenario::early_acker`]).
     pub fn named(name: &str, ops: u32) -> Result<XScenario, String> {
         match name {
-            "xshard-commit" => Ok(XScenario {
+            "xshard-commit" | "xshard-early-ack" => Ok(XScenario {
                 name: name.to_string(),
                 f: 1,
                 groups: 2,
@@ -80,9 +87,16 @@ impl XScenario {
                 ops: ops.max(1),
             }),
             other => Err(format!(
-                "unknown xshard scenario {other:?} (try \"xshard-commit\")"
+                "unknown xshard scenario {other:?} (try \"xshard-commit\" or \"xshard-early-ack\")"
             )),
         }
+    }
+
+    /// Whether model replica `rep` of a group answers every `XCommit` /
+    /// `XAbort` with a signed `Ack` of that decision without executing it:
+    /// replica 0 of every group in `"xshard-early-ack"`.
+    pub fn early_acker(&self, rep: u32) -> bool {
+        self.name == "xshard-early-ack" && rep == 0
     }
 }
 
@@ -192,6 +206,7 @@ impl Model for XHarness {
             timers: BTreeMap::new(),
             now: Time::ZERO,
             injected: BTreeSet::new(),
+            decided: BTreeSet::new(),
             completed: Vec::new(),
             violations: Vec::new(),
             schedule: Vec::new(),
@@ -214,6 +229,8 @@ pub struct XCluster<'a> {
     timers: BTreeMap<u64, Time>,
     now: Time,
     injected: BTreeSet<u32>,
+    /// `(xid, group)` for every group where a replica executed a decision.
+    decided: BTreeSet<(u64, u32)>,
     /// Finished transactions as `(xid, committed)`.
     pub completed: Vec<(u64, bool)>,
     /// Drained ledger violation texts, in discovery order.
@@ -265,17 +282,30 @@ impl XCluster<'_> {
             let Ok(PrimeMsg::Op(op)) = decode_enclosed(&bytes) else {
                 return true;
             };
-            let Ok(msg) = spire_shard::ShardMsg::decode(&op.payload) else {
+            let Ok(msg) = ShardMsg::decode(&op.payload) else {
                 return true;
             };
             let pid = key.to as usize;
             let group = key.to / self.harness.scenario.reps;
             let rep = key.to % self.harness.scenario.reps;
-            let outcome = self.parts[pid].execute(&msg, &self.verifier);
-            if let Some(d) = outcome.decision {
-                self.ledger
-                    .record(d.xid, group, d.shards.len() as u32, d.decision);
+            let early_ack = match &msg {
+                ShardMsg::XCommit { xid, .. } => Some(encode_ack(*xid, DECISION_COMMIT)),
+                ShardMsg::XAbort { xid, .. } => Some(encode_ack(*xid, DECISION_ABORT)),
+                ShardMsg::XPrepare { .. } => None,
             }
+            .filter(|_| self.harness.scenario.early_acker(rep));
+            let result = match early_ack {
+                Some(ack) => ack,
+                None => {
+                    let outcome = self.parts[pid].execute(&msg, &self.verifier);
+                    if let Some(d) = outcome.decision {
+                        self.ledger
+                            .record(d.xid, group, d.shards.len() as u32, d.decision);
+                        self.decided.insert((d.xid, group));
+                    }
+                    outcome.reply
+                }
+            };
             // Vote back with a genuinely signed reply frame: the
             // coordinator keeps the raw bytes, and participants verify
             // the resulting certificate against the key store.
@@ -283,7 +313,7 @@ impl XCluster<'_> {
                 replica: ReplicaId(rep),
                 client: op.client,
                 cseq: op.cseq,
-                result: Bytes::from(outcome.reply),
+                result: Bytes::from(result),
                 sig: [0; 64],
             };
             let mut scratch = WireWriter::new();
@@ -335,6 +365,13 @@ impl XCluster<'_> {
                 XAction::Done { xid, committed, .. } => {
                     self.timers.remove(&xid);
                     self.completed.push((xid, committed));
+                    // Every transaction spans every group.
+                    let groups = self.harness.scenario.groups;
+                    if let Some(g) = (0..groups).find(|g| !self.decided.contains(&(xid, *g))) {
+                        self.violations.push(format!(
+                            "xshard: tx {xid} done while group {g} has no replica decided (premature done)"
+                        ));
+                    }
                 }
             }
         }
@@ -357,9 +394,10 @@ impl Run for XCluster<'_> {
         applied
     }
 
-    /// True while the atomicity invariant holds.
+    /// True while both oracles hold (ledger violations are drained into
+    /// `violations` after every applied choice).
     fn ok(&self) -> bool {
-        self.ledger.ok()
+        self.violations.is_empty()
     }
 
     fn violation_kinds(&self) -> Vec<String> {
@@ -367,6 +405,8 @@ impl Run for XCluster<'_> {
         for text in &self.violations {
             let kind = if text.contains("replica divergence") {
                 "xshard-divergence"
+            } else if text.contains("premature done") {
+                "xshard-premature-done"
             } else {
                 "xshard-atomicity"
             };
