@@ -46,7 +46,8 @@
 //!   chunked, retried state transfer. Each restart is announced as a
 //!   recovery window, so the health monitor grades it `degraded` and the
 //!   invariant checker reports `recovery-stalled` if the replica misses
-//!   its catch-up deadline;
+//!   its catch-up deadline. With `--shards` the rotation restarts group
+//!   0's replicas, like every replica-indexed scheduler;
 //! * `--recovery-concurrent=K` — replicas restarted per rotation round
 //!   (default 1; clamped to the layout's `k`).
 //!
@@ -228,15 +229,9 @@ fn main() {
     let seed = chaos_seed.unwrap_or(9000 + index.unwrap_or(0) as u64);
     // JSON-to-stdout runs must emit nothing but the report object.
     let quiet = matches!(json, Some(None));
-    if shards.is_some() {
-        if index.is_some() || by_name.is_some() || chaos_seed.is_some() {
-            eprintln!("--shards runs its own workload; drop the scenario/chaos selector");
-            std::process::exit(2);
-        }
-        if recovery_period.is_some() {
-            eprintln!("--recovery-period is not available with --shards");
-            std::process::exit(2);
-        }
+    if shards.is_some() && (index.is_some() || by_name.is_some() || chaos_seed.is_some()) {
+        eprintln!("--shards runs its own workload; drop the scenario/chaos selector");
+        std::process::exit(2);
     }
     let scenario = match (shards, chaos_seed, index) {
         // A sharded run is an attack-free scenario of `--duration`.
@@ -312,8 +307,11 @@ fn main() {
             concurrent: recovery_concurrent,
             ..RollingRecoveryConfig::default()
         };
-        let windows =
-            system.schedule_rolling_recovery(Time(rcfg.period.0), Time(scenario.duration.0), rcfg);
+        // The rotation spans the scenario but not the run's last instant:
+        // a sharded run has no drain, and a restart as it stops cannot
+        // complete.
+        let horizon = Time(scenario.duration.0.min(duration.0.saturating_sub(1)));
+        let windows = system.schedule_rolling_recovery(Time(rcfg.period.0), horizon, rcfg);
         if !quiet {
             println!(
                 "rolling recovery: {} window(s) announced (period {}s, {} concurrent)",

@@ -17,7 +17,7 @@
 //!   by the shared [`InvariantChecker`](spire::invariant::InvariantChecker);
 //! - [`xshard::XHarness`] / [`xshard::XCluster`] — one cross-shard 2PC
 //!   coordinator against model participant groups, judged by the
-//!   atomicity ledger.
+//!   atomicity ledger and a premature-`Done` oracle.
 //!
 //! The drivers are written once, generic over the model:
 //!

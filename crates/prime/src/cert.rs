@@ -15,12 +15,10 @@
 //! the coordinator client certifies the f+1 identical prepare votes, and
 //! participant groups verify the certificate before ordering `Commit`.
 
-use std::collections::BTreeSet;
-
 use bytes::Bytes;
 use spire_sim::{impl_wire, Counted, Wire, WireError};
 
-use crate::client::{ReplicaKeys, Vote, VoteKind};
+use crate::client::{QuorumTracker, ReplicaKeys, Vote, VoteKind};
 use crate::config::ClientId;
 
 /// Upper bound on frames carried by one certificate (a quorum needs only
@@ -49,16 +47,14 @@ impl ReplyCert {
     /// than fatal — an attacker padding a valid certificate with junk
     /// must not invalidate it.
     pub fn verify(&self, keys: &ReplicaKeys, client: ClientId, f: u32) -> bool {
-        let replies = self
-            .frames
+        let mut tally = QuorumTracker::default();
+        let quorum = f as usize + 1;
+        self.frames
             .iter()
-            .filter_map(|raw| Vote::decode(raw, client));
-        let seen: BTreeSet<u32> = replies
+            .filter_map(|raw| Vote::decode(raw, client))
             .filter(|v| v.kind == VoteKind::Reply && v.payload == self.result)
             .filter(|v| keys.authentic(v))
-            .map(|v| v.replica.0)
-            .collect();
-        seen.len() > f as usize
+            .any(|v| tally.vote(0, v.replica.0, &v.payload, (), quorum).is_some())
     }
 
     /// Encodes to standalone canonical bytes.

@@ -7,7 +7,8 @@
 //! what is theirs; the cross-shard coordinator, which picks its own
 //! sequence numbers and keeps raw frames for certificates, uses the same
 //! pieces one level down ([`op_frame`], [`ClientRouting`], [`Vote`],
-//! [`ReplicaKeys`]).
+//! [`ReplicaKeys`], and [`QuorumTracker`] for its prepare votes and its
+//! per-group acks).
 
 use crate::config::{ClientId, PrimeConfig, ReplicaId};
 use crate::msg::{decode_frame, ClientOp, Frame, PrimeMsg};
@@ -201,22 +202,26 @@ impl ReplicaKeys {
 const TRACKED_KEYS: usize = 100_000;
 
 /// Collects per-key votes from replicas and fires once `quorum` of them
-/// agree on identical bytes.
+/// agree on identical bytes: the one reply tally of every Prime client. A
+/// vote may carry evidence `E` (the coordinator keeps raw frames for its
+/// certificates, a [`ClientSession`] nothing), returned from exactly the
+/// agreeing voters when the key fires.
 ///
 /// After a key fires, votes keep being tallied: if a *different* value
 /// later gathers a full quorum for the same key, two disjoint quorums
 /// accepted conflicting values — impossible with at most `f` faults, so
 /// it is recorded as a conflict and surfaced to the invariant checker
-/// via `take_conflicts`.
+/// via [`QuorumTracker::take_conflicts`].
 ///
 /// Memory is bounded per voter: each replica's undecided votes are capped
 /// (its lowest key goes first), so a compromised replica naming keys that
 /// never decide grows only its own share and evicts nobody else's vote.
 /// Callers pass replica ids below `n` only ([`ReplicaKeys::authentic`]).
 #[derive(Clone, Debug, Default)]
-struct QuorumTracker {
-    /// replica -> key -> the payload it voted, for keys still open.
-    votes: BTreeMap<u32, BTreeMap<u64, Vec<u8>>>,
+pub struct QuorumTracker<E = ()> {
+    /// replica -> key -> the payload it voted and its evidence, for keys
+    /// still open.
+    votes: BTreeMap<u32, BTreeMap<u64, (Vec<u8>, E)>>,
     /// key -> hash of the payload that won, once fired.
     fired: BTreeMap<u64, u64>,
     conflicts: u64,
@@ -232,24 +237,34 @@ fn payload_hash(bytes: &[u8]) -> u64 {
     h
 }
 
-impl QuorumTracker {
-    /// Records a vote; returns the agreed payload the first time `quorum`
-    /// matching votes exist for `key`.
-    fn vote(&mut self, key: u64, replica: u32, payload: &[u8], quorum: usize) -> Option<Vec<u8>> {
+impl<E> QuorumTracker<E> {
+    /// Records `replica`'s vote for `payload` on `key`, replacing any
+    /// earlier vote of its own there. The first time `quorum` matching
+    /// votes exist for `key`, returns the agreed payload and the evidence
+    /// of the agreeing voters, in replica order.
+    pub fn vote(
+        &mut self,
+        key: u64,
+        replica: u32,
+        payload: &[u8],
+        evidence: E,
+        quorum: usize,
+    ) -> Option<(Vec<u8>, Vec<E>)> {
         let mine = self.votes.entry(replica).or_default();
-        mine.insert(key, payload.to_vec());
+        mine.insert(key, (payload.to_vec(), evidence));
         if mine.len() > TRACKED_KEYS {
             mine.pop_first();
         }
         // Only the payload just voted can have gained a vote.
-        let agrees =
-            |votes: &&BTreeMap<u64, Vec<u8>>| votes.get(&key).is_some_and(|p| p == payload);
-        if self.votes.values().filter(agrees).count() < quorum {
+        let votes = self.votes.values().filter_map(|votes| votes.get(&key));
+        if votes.filter(|(p, _)| p == payload).count() < quorum {
             return None;
         }
-        for votes in self.votes.values_mut() {
-            votes.remove(&key);
-        }
+        let agreeing = self.votes.values_mut().filter_map(|votes| {
+            let (p, evidence) = votes.remove(&key)?;
+            (p == payload).then_some(evidence)
+        });
+        let evidence = agreeing.collect();
         if let Some(decided) = self.fired.get(&key) {
             // Already decided: a second quorum on other bytes is a conflict.
             if *decided != payload_hash(payload) {
@@ -261,25 +276,25 @@ impl QuorumTracker {
         if self.fired.len() > TRACKED_KEYS {
             self.fired.pop_first();
         }
-        Some(payload.to_vec())
+        Some((payload.to_vec(), evidence))
     }
 
     /// True once `key` fired (and has not been evicted since).
-    fn decided(&self, key: u64) -> bool {
+    pub fn decided(&self, key: u64) -> bool {
         self.fired.contains_key(&key)
     }
 
     /// True when this vote cannot change anything: `key` already fired on
     /// these bytes, or `replica` is already counted with them.
-    fn settled(&self, key: u64, replica: u32, payload: &[u8]) -> bool {
+    pub fn settled(&self, key: u64, replica: u32, payload: &[u8]) -> bool {
         let counted = self.votes.get(&replica).and_then(|v| v.get(&key));
         self.fired.get(&key) == Some(&payload_hash(payload))
-            || counted.is_some_and(|p| p == payload)
+            || counted.is_some_and(|(p, _)| p == payload)
     }
 
     /// Drains the count of conflicting quorum decisions observed since
     /// the last call (each is a client-visible safety violation).
-    fn take_conflicts(&mut self) -> u64 {
+    pub fn take_conflicts(&mut self) -> u64 {
         std::mem::take(&mut self.conflicts)
     }
 }
@@ -409,14 +424,14 @@ impl ClientSession {
         if tracker.settled(key, replica, &vote.payload) || !self.keys.check(ctx, &vote) {
             return None;
         }
-        let agreed = tracker.vote(key, replica, &vote.payload, self.quorum);
+        let agreed = tracker.vote(key, replica, &vote.payload, (), self.quorum);
         let conflicts = tracker.take_conflicts();
         if conflicts > 0 {
             // Under its historical name: the invariant checker and the
             // report read it for every kind of client.
             ctx.count("scada.conflicting_accept", conflicts);
         }
-        let agreed = agreed?;
+        let (agreed, _) = agreed?;
         ctx.count("client.quorums", 1);
         Some(match vote.kind {
             VoteKind::Reply => Accepted::Reply {
@@ -511,35 +526,55 @@ mod tests {
     #[test]
     fn quorum_tracker_fires_once_at_quorum() {
         let mut t = QuorumTracker::default();
-        assert!(t.vote(1, 0, b"x", 2).is_none());
-        assert_eq!(t.vote(1, 1, b"x", 2), Some(b"x".to_vec()));
-        assert!(t.vote(1, 2, b"x", 2).is_none(), "must fire only once");
+        assert!(t.vote(1, 0, b"x", (), 2).is_none());
+        assert_eq!(
+            t.vote(1, 1, b"x", (), 2),
+            Some((b"x".to_vec(), vec![(); 2]))
+        );
+        assert!(t.vote(1, 2, b"x", (), 2).is_none(), "must fire only once");
     }
 
     #[test]
     fn quorum_tracker_requires_matching_payloads() {
         let mut t = QuorumTracker::default();
-        assert!(t.vote(1, 0, b"a", 2).is_none());
-        assert!(t.vote(1, 1, b"b", 2).is_none());
-        assert_eq!(t.vote(1, 2, b"a", 2), Some(b"a".to_vec()));
+        assert!(t.vote(1, 0, b"a", (), 2).is_none());
+        assert!(t.vote(1, 1, b"b", (), 2).is_none());
+        assert_eq!(
+            t.vote(1, 2, b"a", (), 2),
+            Some((b"a".to_vec(), vec![(); 2]))
+        );
     }
 
     #[test]
     fn quorum_tracker_replica_revote_does_not_double_count() {
         let mut t = QuorumTracker::default();
-        assert!(t.vote(1, 0, b"a", 2).is_none());
-        assert!(t.vote(1, 0, b"a", 2).is_none(), "same replica twice");
+        assert!(t.vote(1, 0, b"a", (), 2).is_none());
+        assert!(t.vote(1, 0, b"a", (), 2).is_none(), "same replica twice");
+    }
+
+    /// The evidence handed back is the agreeing voters' own, in replica
+    /// order: never a dissenter's, and never that of a vote its replica
+    /// has since replaced.
+    #[test]
+    fn quorum_tracker_returns_evidence_of_exactly_the_agreeing_voters() {
+        let mut t = QuorumTracker::default();
+        assert!(t.vote(1, 2, b"a", "2a", 2).is_none());
+        assert!(t.vote(1, 2, b"b", "2b", 2).is_none(), "replaces 2a");
+        assert!(t.vote(1, 1, b"a", "1a", 2).is_none(), "2a no longer counts");
+        assert!(t.vote(1, 3, b"c", "3c", 2).is_none());
+        let (agreed, evidence) = t.vote(1, 0, b"a", "0a", 2).expect("quorum on a");
+        assert_eq!((agreed, evidence), (b"a".to_vec(), vec!["0a", "1a"]));
     }
 
     #[test]
     fn quorum_tracker_counts_a_second_quorum_on_other_bytes_as_a_conflict() {
         let mut t = QuorumTracker::default();
-        t.vote(1, 0, b"a", 2);
-        assert!(t.vote(1, 1, b"a", 2).is_some());
+        t.vote(1, 0, b"a", (), 2);
+        assert!(t.vote(1, 1, b"a", (), 2).is_some());
         assert!(t.settled(1, 2, b"a") && !t.settled(1, 2, b"b"));
-        t.vote(1, 2, b"b", 2);
+        t.vote(1, 2, b"b", (), 2);
         assert!(t.settled(1, 2, b"b"), "counted with these bytes");
-        assert!(t.vote(1, 3, b"b", 2).is_none());
+        assert!(t.vote(1, 3, b"b", (), 2).is_none());
         assert_eq!(t.take_conflicts(), 1);
     }
 
@@ -549,14 +584,17 @@ mod tests {
     #[test]
     fn quorum_tracker_stays_bounded_under_one_replicas_key_flood() {
         let mut t = QuorumTracker::default();
-        assert!(t.vote(5, 1, b"honest", 2).is_none());
+        assert!(t.vote(5, 1, b"honest", (), 2).is_none());
         for key in 0..1_000_000u64 {
-            assert!(t.vote(1_000 + key, 0, b"x", 2).is_none());
+            assert!(t.vote(1_000 + key, 0, b"x", (), 2).is_none());
         }
         let held: usize = t.votes.values().map(BTreeMap::len).sum();
         assert_eq!(held, TRACKED_KEYS + 1);
         assert!(t.fired.is_empty());
-        assert_eq!(t.vote(5, 2, b"honest", 2), Some(b"honest".to_vec()));
+        assert_eq!(
+            t.vote(5, 2, b"honest", (), 2),
+            Some((b"honest".to_vec(), vec![(); 2]))
+        );
     }
 
     const ME: ClientId = ClientId(7);
@@ -582,13 +620,7 @@ mod tests {
         let routing = ClientRouting::Direct((0..cfg.n).map(ProcessId).collect());
         Bench {
             session: ClientSession::new(&cfg, ME, signer, routing, keystore),
-            backend: RecordingBackend {
-                now: Time::ZERO,
-                rng: rand::SeedableRng::seed_from_u64(0),
-                next_timer: 0,
-                effects: Vec::new(),
-                counters: Default::default(),
-            },
+            backend: RecordingBackend::new(0),
             cfg,
             material,
             mock,

@@ -41,11 +41,11 @@ pub mod replica;
 pub use application::{Application, CounterApp, ExecResult, HashChainApp, Notification};
 pub use behavior::ByzBehavior;
 pub use cert::ReplyCert;
-pub use client::{Accepted, ClientRouting, ClientSession, ReplicaKeys, TestClient};
+pub use client::{Accepted, ClientRouting, ClientSession, QuorumTracker, ReplicaKeys, TestClient};
 pub use config::{ClientId, PrimeConfig, ProtocolMode, ReplicaId, SUMMARY_INTERVAL};
 pub use inspect::Inspection;
 pub use kv::{KvApp, KvOp, KvReply};
-pub use model::{Effect, Input, ModelReplica};
+pub use model::{Effect, Input, ModelReplica, RecordingBackend};
 pub use msg::{decode_enclosed, ClientOp, PrimeMsg};
 pub use net::{DirectNet, ReplicaNet, SpinesNet};
 pub use replica::Replica;

@@ -55,13 +55,30 @@ pub enum Effect {
 /// A [`Backend`] that records effects instead of performing them. Time is
 /// whatever the caller injected; the RNG is seeded (the replica itself
 /// never consults it, but the trait requires one); metrics aggregate into
-/// a counter map so protocol instrumentation stays observable.
-pub(crate) struct RecordingBackend {
-    pub(crate) now: Time,
-    pub(crate) rng: StdRng,
-    pub(crate) next_timer: u64,
-    pub(crate) effects: Vec<Effect>,
-    pub(crate) counters: BTreeMap<String, u64>,
+/// a counter map so protocol instrumentation stays observable. Unit tests
+/// of any process (a client, the cross-shard coordinator) run over one.
+pub struct RecordingBackend {
+    /// The injected clock.
+    pub now: Time,
+    rng: StdRng,
+    next_timer: u64,
+    /// Effects not yet taken, in emission order.
+    pub effects: Vec<Effect>,
+    /// Every counter bumped so far.
+    pub counters: BTreeMap<String, u64>,
+}
+
+impl RecordingBackend {
+    /// A backend at time zero with an RNG seeded from `seed`.
+    pub fn new(seed: u64) -> RecordingBackend {
+        RecordingBackend {
+            now: Time::ZERO,
+            rng: StdRng::seed_from_u64(seed),
+            next_timer: 0,
+            effects: Vec::new(),
+            counters: BTreeMap::new(),
+        }
+    }
 }
 
 impl Backend for RecordingBackend {
@@ -116,13 +133,7 @@ impl ModelReplica {
         ModelReplica {
             replica,
             pid,
-            backend: RecordingBackend {
-                now: Time::ZERO,
-                rng: StdRng::seed_from_u64(seed),
-                next_timer: 0,
-                effects: Vec::new(),
-                counters: BTreeMap::new(),
-            },
+            backend: RecordingBackend::new(seed),
         }
     }
 

@@ -652,13 +652,7 @@ pub(super) mod testkit {
 
     /// A fresh recording backend at time zero.
     pub fn backend() -> RecordingBackend {
-        RecordingBackend {
-            now: spire_sim::Time::ZERO,
-            rng: rand::SeedableRng::seed_from_u64(0),
-            next_timer: 0,
-            effects: Vec::new(),
-            counters: Default::default(),
-        }
+        RecordingBackend::new(0)
     }
 
     /// Runs `f` with a context over `backend`, as process `me`.

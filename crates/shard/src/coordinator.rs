@@ -6,13 +6,17 @@
 //! [`XAction`] values — so the explore harness can drive it directly
 //! under adversarial schedules while both substrates share the exact
 //! protocol logic.
+//!
+//! Like every Prime client it believes a group only on `f + 1` matching
+//! replies, counted by [`QuorumTracker`]s: the prepare votes by xid, each
+//! group's `Ack`s by xid.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use bytes::Bytes;
 use spire_crypto::keys::Signer;
 use spire_prime::client::{op_frame, Vote, VoteKind};
-use spire_prime::{ClientId, ClientRouting, ReplicaKeys, ReplyCert};
+use spire_prime::{ClientId, ClientRouting, QuorumTracker, ReplicaKeys, ReplyCert};
 use spire_sim::{Context, Process, ProcessId, Span, Time};
 
 use crate::map::ShardMap;
@@ -47,14 +51,6 @@ impl Default for XCoordConfig {
     }
 }
 
-/// Phases of one transaction.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Phase {
-    Preparing,
-    Committing,
-    Aborting,
-}
-
 #[derive(Debug)]
 struct Tx {
     cmds: Vec<ShardCmd>,
@@ -62,14 +58,10 @@ struct Tx {
     coord: u32,
     ts_us: u64,
     poison: bool,
-    phase: Phase,
-    /// Prepare votes from coordinator-group replicas: replica id →
-    /// (result payload, raw frame for the certificate).
-    votes: BTreeMap<u32, (Vec<u8>, Bytes)>,
-    rejects: BTreeSet<u32>,
+    /// `None` while preparing, then [`DECISION_COMMIT`] or
+    /// [`DECISION_ABORT`]: the decision sent, and the one acks must name.
+    decision: Option<u8>,
     cert: Option<ReplyCert>,
-    /// Groups that acked the current decision.
-    acked: BTreeSet<u32>,
     attempts: u32,
 }
 
@@ -114,6 +106,10 @@ pub struct XCoord {
     pending: BTreeMap<(u32, u64), u64>,
     txs: BTreeMap<u64, Tx>,
     next_xid: u64,
+    /// Prepare votes by xid, each with its raw frame for the certificate.
+    prepares: QuorumTracker<Bytes>,
+    /// Per group: acks of the current decision by xid.
+    acks: Vec<QuorumTracker>,
 }
 
 impl XCoord {
@@ -121,16 +117,13 @@ impl XCoord {
     pub fn new(cfg: XCoordConfig) -> XCoord {
         XCoord {
             next_cseq: vec![0; cfg.groups as usize],
+            acks: (0..cfg.groups).map(|_| QuorumTracker::default()).collect(),
             cfg,
             pending: BTreeMap::new(),
             txs: BTreeMap::new(),
             next_xid: 1,
+            prepares: QuorumTracker::default(),
         }
-    }
-
-    /// Number of transactions still in flight.
-    pub fn in_flight(&self) -> usize {
-        self.txs.len()
     }
 
     fn fresh_cseq(&mut self, group: u32, xid: u64) -> u64 {
@@ -141,21 +134,17 @@ impl XCoord {
     }
 
     fn send_prepare(&mut self, xid: u64, out: &mut Vec<XAction>) {
-        let (coord, payload) = {
-            let tx = &self.txs[&xid];
-            (
-                tx.coord,
-                ShardMsg::XPrepare {
-                    xid,
-                    coord_shard: tx.coord,
-                    ts_us: tx.ts_us,
-                    shards: tx.shards.clone(),
-                    cmds: tx.cmds.clone(),
-                    poison: tx.poison,
-                }
-                .encode(),
-            )
-        };
+        let tx = &self.txs[&xid];
+        let coord = tx.coord;
+        let payload = ShardMsg::XPrepare {
+            xid,
+            coord_shard: coord,
+            ts_us: tx.ts_us,
+            shards: tx.shards.clone(),
+            cmds: tx.cmds.clone(),
+            poison: tx.poison,
+        }
+        .encode();
         let cseq = self.fresh_cseq(coord, xid);
         out.push(XAction::Send {
             group: coord,
@@ -171,34 +160,26 @@ impl XCoord {
     /// Sends the current decision to every participant group that has
     /// not acked it yet.
     fn send_decision(&mut self, xid: u64, out: &mut Vec<XAction>) {
-        let (targets, payload): (Vec<u32>, Bytes) = {
-            let tx = &self.txs[&xid];
-            let targets = tx
-                .shards
-                .iter()
-                .copied()
-                .filter(|g| !tx.acked.contains(g))
-                .collect();
-            let payload = match tx.phase {
-                Phase::Committing => ShardMsg::XCommit {
-                    xid,
-                    coord_shard: tx.coord,
-                    ts_us: tx.ts_us,
-                    shards: tx.shards.clone(),
-                    cmds: tx.cmds.clone(),
-                    cert: tx.cert.clone().expect("committing without certificate"),
-                }
-                .encode(),
-                Phase::Aborting => ShardMsg::XAbort {
-                    xid,
-                    coord_shard: tx.coord,
-                    shards: tx.shards.clone(),
-                }
-                .encode(),
-                Phase::Preparing => unreachable!("decision before prepare resolved"),
-            };
-            (targets, payload)
-        };
+        let tx = &self.txs[&xid];
+        let acked = |g: &u32| self.acks[*g as usize].decided(xid);
+        let targets: Vec<u32> = tx.shards.iter().copied().filter(|g| !acked(g)).collect();
+        let payload = if tx.decision == Some(DECISION_COMMIT) {
+            ShardMsg::XCommit {
+                xid,
+                coord_shard: tx.coord,
+                ts_us: tx.ts_us,
+                shards: tx.shards.clone(),
+                cmds: tx.cmds.clone(),
+                cert: tx.cert.clone().expect("committing without certificate"),
+            }
+        } else {
+            ShardMsg::XAbort {
+                xid,
+                coord_shard: tx.coord,
+                shards: tx.shards.clone(),
+            }
+        }
+        .encode();
         for group in targets {
             let cseq = self.fresh_cseq(group, xid);
             out.push(XAction::Send {
@@ -228,11 +209,8 @@ impl XCoord {
                 coord,
                 ts_us: now.0,
                 poison,
-                phase: Phase::Preparing,
-                votes: BTreeMap::new(),
-                rejects: BTreeSet::new(),
+                decision: None,
                 cert: None,
-                acked: BTreeSet::new(),
                 attempts: 0,
             },
         );
@@ -241,8 +219,50 @@ impl XCoord {
         (xid, out)
     }
 
-    /// Feeds one reply frame from `replica` of `group`. `raw` is the
-    /// frame exactly as read off the wire (kept for certificates).
+    /// The transaction a reply from `group` to `cseq` counts for, and
+    /// whether it is a prepare vote (else an ack); `None` for a reply the
+    /// machine ignores.
+    fn route(&self, group: u32, cseq: u64, result: &[u8]) -> Option<(u64, bool)> {
+        let xid = *self.pending.get(&(group, cseq))?;
+        let tx = self.txs.get(&xid)?;
+        match parse_reply(result)? {
+            XReply::Prepared { xid: rx, .. } | XReply::Rejected { xid: rx } => {
+                (rx == xid && group == tx.coord).then_some((xid, true))
+            }
+            XReply::Ack { xid: rx, decision } => {
+                (rx == xid && tx.decision == Some(decision)).then_some((xid, false))
+            }
+        }
+    }
+
+    /// False for a reply that cannot change the machine's state, which may
+    /// then be dropped unauthenticated: one to a `cseq` of no live
+    /// transaction, a prepare vote from outside the coordinator group, an
+    /// ack of anything but the current decision, or a vote already counted
+    /// or decided on these bytes.
+    pub fn wants(&self, group: u32, replica: u32, cseq: u64, result: &[u8]) -> bool {
+        match self.route(group, cseq, result) {
+            Some((xid, true)) => !self.prepares.settled(xid, replica, result),
+            Some((xid, false)) => !self.acks[group as usize].settled(xid, replica, result),
+            None => false,
+        }
+    }
+
+    /// Drains every tally's count of second quorums on other bytes.
+    pub fn take_conflicts(&mut self) -> u64 {
+        let acks: u64 = self
+            .acks
+            .iter_mut()
+            .map(QuorumTracker::take_conflicts)
+            .sum();
+        acks + self.prepares.take_conflicts()
+    }
+
+    /// Feeds one authenticated reply frame from `replica` of `group`;
+    /// `raw` is the frame as read off the wire, kept for certificates.
+    /// Whichever of `Prepared` and `Rejected` first has `f + 1` matching
+    /// votes decides the prepare; a group is acked on `f + 1` matching
+    /// acks of the decision, and the transaction is done when all are.
     pub fn on_reply(
         &mut self,
         group: u32,
@@ -251,96 +271,53 @@ impl XCoord {
         result: &[u8],
         raw: &Bytes,
     ) -> Vec<XAction> {
-        enum Next {
-            Nothing,
-            Decide,
-            Done { committed: bool, retries: u32 },
-        }
-        let Some(&xid) = self.pending.get(&(group, cseq)) else {
-            return Vec::new();
-        };
-        let f = self.cfg.f as usize;
-        let next = {
-            let Some(tx) = self.txs.get_mut(&xid) else {
-                return Vec::new();
-            };
-            match (parse_reply(result), tx.phase) {
-                (Some(XReply::Prepared { xid: rx, .. }), Phase::Preparing)
-                    if rx == xid && group == tx.coord =>
-                {
-                    tx.votes.insert(replica, (result.to_vec(), raw.clone()));
-                    // Certificate: f+1 distinct replicas voting the SAME
-                    // payload (honest replicas are deterministic, so the
-                    // digest they vote is identical).
-                    let mut tally: BTreeMap<&[u8], Vec<u32>> = BTreeMap::new();
-                    for (rep, (res, _)) in &tx.votes {
-                        tally.entry(res.as_slice()).or_default().push(*rep);
-                    }
-                    match tally.into_iter().find(|(_, reps)| reps.len() > f) {
-                        Some((res, reps)) => {
-                            let frames = reps
-                                .iter()
-                                .map(|rep| tx.votes[rep].1.clone())
-                                .collect::<Vec<_>>();
-                            tx.cert = Some(ReplyCert {
-                                result: Bytes::copy_from_slice(res),
-                                frames,
-                            });
-                            tx.phase = Phase::Committing;
-                            tx.acked.clear();
-                            Next::Decide
-                        }
-                        None => Next::Nothing,
-                    }
-                }
-                (Some(XReply::Rejected { xid: rx }), Phase::Preparing)
-                    if rx == xid && group == tx.coord =>
-                {
-                    tx.rejects.insert(replica);
-                    if tx.rejects.len() > f {
-                        tx.phase = Phase::Aborting;
-                        tx.acked.clear();
-                        Next::Decide
-                    } else {
-                        Next::Nothing
-                    }
-                }
-                (Some(XReply::Ack { xid: rx, decision }), phase) if rx == xid => {
-                    let wanted = match phase {
-                        Phase::Committing => Some(DECISION_COMMIT),
-                        Phase::Aborting => Some(DECISION_ABORT),
-                        Phase::Preparing => None,
-                    };
-                    if wanted == Some(decision) {
-                        tx.acked.insert(group);
-                        if tx.shards.iter().all(|g| tx.acked.contains(g)) {
-                            Next::Done {
-                                committed: phase == Phase::Committing,
-                                retries: tx.attempts,
-                            }
-                        } else {
-                            Next::Nothing
-                        }
-                    } else {
-                        Next::Nothing
-                    }
-                }
-                // Stale-phase or cross-transaction replies are ignored.
-                _ => Next::Nothing,
-            }
-        };
         let mut out = Vec::new();
-        match next {
-            Next::Nothing => {}
-            Next::Decide => self.send_decision(xid, &mut out),
-            Next::Done { committed, retries } => {
-                self.txs.remove(&xid);
-                self.pending.retain(|_, x| *x != xid);
+        let Some((xid, prepare)) = self.route(group, cseq, result) else {
+            return out;
+        };
+        let quorum = self.cfg.f as usize + 1;
+        if prepare {
+            let prepares = &mut self.prepares;
+            let Some((agreed, frames)) = prepares.vote(xid, replica, result, raw.clone(), quorum)
+            else {
+                return out;
+            };
+            let tx = self
+                .txs
+                .get_mut(&xid)
+                .expect("routed to a live transaction");
+            // A quorum can still form after the retry budget aborted.
+            if tx.decision.is_some() {
+                return out;
+            }
+            tx.decision = Some(match parse_reply(&agreed) {
+                Some(XReply::Prepared { .. }) => {
+                    tx.cert = Some(ReplyCert {
+                        result: Bytes::from(agreed),
+                        frames,
+                    });
+                    DECISION_COMMIT
+                }
+                _ => DECISION_ABORT,
+            });
+            self.send_decision(xid, &mut out);
+        } else if self.acks[group as usize]
+            .vote(xid, replica, result, (), quorum)
+            .is_some()
+        {
+            let tx = &self.txs[&xid];
+            if tx
+                .shards
+                .iter()
+                .all(|g| self.acks[*g as usize].decided(xid))
+            {
                 out.push(XAction::Done {
                     xid,
-                    committed,
-                    retries,
+                    committed: tx.decision == Some(DECISION_COMMIT),
+                    retries: tx.attempts,
                 });
+                self.txs.remove(&xid);
+                self.pending.retain(|_, x| *x != xid);
             }
         }
         out
@@ -348,46 +325,28 @@ impl XCoord {
 
     /// Handles the retry timer for `xid` popping.
     pub fn on_timer(&mut self, xid: u64) -> Vec<XAction> {
-        enum Next {
-            Prepare,
-            Decide,
-        }
-        let next = {
-            let Some(tx) = self.txs.get_mut(&xid) else {
-                return Vec::new();
-            };
-            tx.attempts += 1;
-            match tx.phase {
-                Phase::Preparing => {
-                    if tx.attempts >= self.cfg.prepare_attempts {
-                        // No certificate exists, so aborting is safe: no
-                        // participant can ever receive a valid XCommit.
-                        tx.phase = Phase::Aborting;
-                        tx.acked.clear();
-                        Next::Decide
-                    } else {
-                        Next::Prepare
-                    }
-                }
-                Phase::Committing => {
-                    #[cfg(feature = "seeded-xshard-bug")]
-                    if tx.attempts >= 3 {
-                        // SEEDED BUG: an "impatient" coordinator gives up
-                        // on a stalled commit and aborts the groups that
-                        // have not acked — while groups that already
-                        // committed stay committed. Exactly the atomicity
-                        // violation the ledger must catch.
-                        tx.phase = Phase::Aborting;
-                    }
-                    Next::Decide
-                }
-                Phase::Aborting => Next::Decide,
-            }
-        };
         let mut out = Vec::new();
-        match next {
-            Next::Prepare => self.send_prepare(xid, &mut out),
-            Next::Decide => self.send_decision(xid, &mut out),
+        let Some(tx) = self.txs.get_mut(&xid) else {
+            return out;
+        };
+        tx.attempts += 1;
+        #[cfg(feature = "seeded-xshard-bug")]
+        if tx.decision == Some(DECISION_COMMIT) && tx.attempts >= 3 {
+            // SEEDED BUG: an "impatient" coordinator gives up on a stalled
+            // commit and aborts the groups that have not acked — while
+            // groups that already committed stay committed. Exactly the
+            // atomicity violation the ledger must catch.
+            tx.decision = Some(DECISION_ABORT);
+        }
+        if tx.decision.is_none() && tx.attempts >= self.cfg.prepare_attempts {
+            // No certificate exists, so aborting is safe: no participant
+            // can ever receive a valid XCommit.
+            tx.decision = Some(DECISION_ABORT);
+        }
+        if tx.decision.is_none() {
+            self.send_prepare(xid, &mut out);
+        } else {
+            self.send_decision(xid, &mut out);
         }
         out
     }
@@ -557,18 +516,23 @@ impl Process for CoordinatorProcess {
         let Some(vote) = Vote::decode(&payload, self.client) else {
             return;
         };
-        // The machine tallies and keeps `payload` for certificates; no
-        // reply reaches it unauthenticated.
-        if vote.kind != VoteKind::Reply || !self.links[group].keys.check(ctx, &vote) {
+        // As in `ClientSession::on_message`: a reply the machine would
+        // ignore is dropped unchecked, and no reply reaches its tallies
+        // (or a certificate) unauthenticated.
+        let (g, replica) = (group as u32, vote.replica.0);
+        if vote.kind != VoteKind::Reply
+            || !self.coord.wants(g, replica, vote.seq, &vote.payload)
+            || !self.links[group].keys.check(ctx, &vote)
+        {
             return;
         }
-        let actions = self.coord.on_reply(
-            group as u32,
-            vote.replica.0,
-            vote.seq,
-            &vote.payload,
-            &payload,
-        );
+        let actions = self
+            .coord
+            .on_reply(g, replica, vote.seq, &vote.payload, &payload);
+        let conflicts = self.coord.take_conflicts();
+        if conflicts > 0 {
+            ctx.count("scada.conflicting_accept", conflicts);
+        }
         self.apply(ctx, actions);
     }
 
@@ -586,7 +550,12 @@ impl Process for CoordinatorProcess {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::msg::cmd_kind;
+    use crate::msg::{cmd_kind, encode_ack, encode_prepared, encode_rejected};
+    use crate::COORD_CLIENT_ID;
+    use spire_crypto::keys::KeyMaterial;
+    use spire_crypto::{KeyStore, NodeId};
+    use spire_prime::{PrimeMsg, RecordingBackend, ReplicaId};
+    use std::sync::Arc;
 
     fn cmds2() -> Vec<ShardCmd> {
         vec![
@@ -629,6 +598,45 @@ mod tests {
             .collect()
     }
 
+    fn groups(sends: &[(u32, u64, Bytes)]) -> Vec<u32> {
+        sends.iter().map(|(group, _, _)| *group).collect()
+    }
+
+    fn done(actions: &[XAction]) -> bool {
+        actions.iter().any(|a| matches!(a, XAction::Done { .. }))
+    }
+
+    /// Replica `r`'s raw reply frame, as far as the machine cares.
+    fn frame(r: u32) -> Bytes {
+        Bytes::from(format!("frame{r}"))
+    }
+
+    /// The `Prepared` vote an honest replica casts for `prepare`.
+    fn prepared(xid: u64, prepare: &Bytes) -> Vec<u8> {
+        let ShardMsg::XPrepare {
+            ts_us,
+            shards,
+            cmds,
+            ..
+        } = ShardMsg::decode(prepare).unwrap()
+        else {
+            panic!("expected prepare");
+        };
+        encode_prepared(xid, &ShardMsg::prepare_digest(xid, ts_us, &shards, &cmds))
+    }
+
+    /// A machine whose one transaction (groups 0 and 1) holds a
+    /// certificate: it, the xid, and the commit sends.
+    fn committing() -> (XCoord, u64, Vec<(u32, u64, Bytes)>) {
+        let mut xc = XCoord::new(cfg());
+        let (xid, actions) = xc.begin(cmds2(), false, Time(0));
+        let (_, cseq, prepare) = &send_payload(&actions)[0];
+        let vote = prepared(xid, prepare);
+        xc.on_reply(0, 0, *cseq, &vote, &frame(0));
+        let commits = send_payload(&xc.on_reply(0, 1, *cseq, &vote, &frame(1)));
+        (xc, xid, commits)
+    }
+
     /// Drives a happy-path transaction through the pure machine with
     /// hand-fed replies.
     #[test]
@@ -636,46 +644,83 @@ mod tests {
         let mut xc = XCoord::new(cfg());
         let (xid, actions) = xc.begin(cmds2(), false, Time(100));
         let sends = send_payload(&actions);
-        assert_eq!(sends.len(), 1, "prepare goes to the coordinator group");
-        assert_eq!(sends[0].0, 0);
-        let ShardMsg::XPrepare {
-            ts_us,
-            shards,
-            cmds,
-            ..
-        } = ShardMsg::decode(&sends[0].2).unwrap()
-        else {
-            panic!("expected prepare");
-        };
-        let digest = ShardMsg::prepare_digest(xid, ts_us, &shards, &cmds);
-        let vote = crate::msg::encode_prepared(xid, &digest);
-        let raw = Bytes::from_static(b"frame");
+        assert_eq!(
+            groups(&sends),
+            vec![0],
+            "prepare goes to the coordinator group"
+        );
+        let vote = prepared(xid, &sends[0].2);
         // One vote: nothing yet (f=1 needs two).
-        assert!(send_payload(&xc.on_reply(0, 0, sends[0].1, &vote, &raw)).is_empty());
-        let actions = xc.on_reply(0, 1, sends[0].1, &vote, &raw);
-        let commits = send_payload(&actions);
-        assert_eq!(commits.len(), 2, "commit goes to both participants");
+        assert!(send_payload(&xc.on_reply(0, 0, sends[0].1, &vote, &frame(0))).is_empty());
+        let commits = send_payload(&xc.on_reply(0, 1, sends[0].1, &vote, &frame(1)));
+        assert_eq!(
+            groups(&commits),
+            vec![0, 1],
+            "commit goes to both participants"
+        );
         for (_, _, payload) in &commits {
             let ShardMsg::XCommit { cert, .. } = ShardMsg::decode(payload).unwrap() else {
                 panic!("expected commit");
             };
             assert_eq!(cert.result.as_ref(), vote.as_slice());
-            assert_eq!(cert.frames.len(), 2);
+            assert_eq!(cert.frames, vec![frame(0), frame(1)]);
         }
-        let ack = crate::msg::encode_ack(xid, DECISION_COMMIT);
-        assert!(xc
-            .on_reply(0, 0, commits[0].1, &ack, &raw)
-            .iter()
-            .all(|a| !matches!(a, XAction::Done { .. })));
-        let done = xc.on_reply(1, 0, commits[1].1, &ack, &raw);
-        assert!(matches!(
-            done.as_slice(),
-            [XAction::Done {
-                committed: true,
-                ..
-            }]
-        ));
-        assert_eq!(xc.in_flight(), 0);
+        // f + 1 acks per group; the last of the four completes it.
+        let ack = encode_ack(xid, DECISION_COMMIT);
+        for (i, (g, r)) in [(0, 0), (0, 1), (1, 0), (1, 1)].into_iter().enumerate() {
+            let (group, cseq, _) = commits[g];
+            let out = xc.on_reply(group, r, cseq, &ack, &frame(r));
+            if i < 3 {
+                assert!(!done(&out), "ack {i} completed the transaction");
+            } else {
+                assert!(matches!(
+                    out.as_slice(),
+                    [XAction::Done {
+                        committed: true,
+                        ..
+                    }]
+                ));
+            }
+        }
+        assert!(xc.txs.is_empty() && xc.pending.is_empty());
+    }
+
+    /// One replica of a group is not the group: its `Ack` neither completes
+    /// the transaction nor stops the decision being re-sent there.
+    #[test]
+    fn one_ack_per_group_neither_completes_nor_stops_retries() {
+        let (mut xc, xid, commits) = committing();
+        let ack = encode_ack(xid, DECISION_COMMIT);
+        for (group, cseq, _) in &commits {
+            assert!(!done(&xc.on_reply(*group, 0, *cseq, &ack, &frame(0))));
+        }
+        let retry = send_payload(&xc.on_timer(xid));
+        assert_eq!(groups(&retry), vec![0, 1], "both groups are retried");
+        // f + 1 matching acks from group 0 stop its retries ...
+        assert!(!done(&xc.on_reply(0, 1, commits[0].1, &ack, &frame(1))));
+        let retry = send_payload(&xc.on_timer(xid));
+        assert_eq!(groups(&retry), vec![1]);
+        // ... and from group 1 (one on the retried cseq) complete it.
+        assert!(done(&xc.on_reply(1, 1, retry[0].1, &ack, &frame(1))));
+    }
+
+    #[test]
+    fn acks_naming_the_other_decision_do_not_count() {
+        let (mut xc, xid, commits) = committing();
+        let (commit, abort) = (
+            encode_ack(xid, DECISION_COMMIT),
+            encode_ack(xid, DECISION_ABORT),
+        );
+        for r in 0..2 {
+            xc.on_reply(0, r, commits[0].1, &commit, &frame(r));
+        }
+        // Group 1: f + 1 acks of abort, and a lone ack of commit.
+        for r in 0..2 {
+            assert!(!xc.wants(1, r, commits[1].1, &abort));
+            assert!(!done(&xc.on_reply(1, r, commits[1].1, &abort, &frame(r))));
+        }
+        assert!(!done(&xc.on_reply(1, 2, commits[1].1, &commit, &frame(2))));
+        assert_eq!(groups(&send_payload(&xc.on_timer(xid))), vec![1]);
     }
 
     #[test]
@@ -683,10 +728,9 @@ mod tests {
         let mut xc = XCoord::new(cfg());
         let (xid, actions) = xc.begin(cmds2(), true, Time(0));
         let sends = send_payload(&actions);
-        let raw = Bytes::from_static(b"frame");
-        let rej = crate::msg::encode_rejected(xid);
-        assert!(send_payload(&xc.on_reply(0, 0, sends[0].1, &rej, &raw)).is_empty());
-        let aborts = send_payload(&xc.on_reply(0, 2, sends[0].1, &rej, &raw));
+        let rej = encode_rejected(xid);
+        assert!(send_payload(&xc.on_reply(0, 0, sends[0].1, &rej, &frame(0))).is_empty());
+        let aborts = send_payload(&xc.on_reply(0, 2, sends[0].1, &rej, &frame(2)));
         assert_eq!(aborts.len(), 2);
         for (_, _, payload) in &aborts {
             assert!(matches!(
@@ -694,6 +738,29 @@ mod tests {
                 ShardMsg::XAbort { .. }
             ));
         }
+    }
+
+    /// `Prepared` and `Rejected` share one tally: a replica that changes
+    /// its vote counts once, for its latest, and f `Prepared` beside f + 1
+    /// `Rejected` abort.
+    #[test]
+    fn prepare_votes_count_each_replica_once() {
+        let mut xc = XCoord::new(cfg());
+        let (xid, actions) = xc.begin(cmds2(), false, Time(0));
+        let (_, cseq, prepare) = &send_payload(&actions)[0];
+        let (yes, no) = (prepared(xid, prepare), encode_rejected(xid));
+        assert!(xc.on_reply(0, 0, *cseq, &yes, &frame(0)).is_empty());
+        assert!(xc.on_reply(0, 0, *cseq, &no, &frame(0)).is_empty());
+        assert!(
+            xc.on_reply(0, 1, *cseq, &yes, &frame(1)).is_empty(),
+            "replica 0 no longer votes Prepared"
+        );
+        let aborts = send_payload(&xc.on_reply(0, 2, *cseq, &no, &frame(2)));
+        assert_eq!(groups(&aborts), vec![0, 1]);
+        assert!(matches!(
+            ShardMsg::decode(&aborts[0].2).unwrap(),
+            ShardMsg::XAbort { .. }
+        ));
     }
 
     #[test]
@@ -719,29 +786,14 @@ mod tests {
 
     #[test]
     fn commit_phase_retries_only_unacked_groups() {
-        let mut xc = XCoord::new(cfg());
-        let (xid, actions) = xc.begin(cmds2(), false, Time(0));
-        let sends = send_payload(&actions);
-        let raw = Bytes::from_static(b"frame");
-        let ShardMsg::XPrepare {
-            ts_us,
-            shards,
-            cmds,
-            ..
-        } = ShardMsg::decode(&sends[0].2).unwrap()
-        else {
-            panic!();
-        };
-        let vote =
-            crate::msg::encode_prepared(xid, &ShardMsg::prepare_digest(xid, ts_us, &shards, &cmds));
-        xc.on_reply(0, 0, sends[0].1, &vote, &raw);
-        let commits = send_payload(&xc.on_reply(0, 1, sends[0].1, &vote, &raw));
-        // Group 0 acks; group 1 stays silent.
-        let ack = crate::msg::encode_ack(xid, DECISION_COMMIT);
-        xc.on_reply(0, 0, commits[0].1, &ack, &raw);
+        let (mut xc, xid, commits) = committing();
+        // Group 0 acks with f + 1 replicas; group 1 stays silent.
+        let ack = encode_ack(xid, DECISION_COMMIT);
+        for r in 0..2 {
+            xc.on_reply(0, r, commits[0].1, &ack, &frame(r));
+        }
         let retry = send_payload(&xc.on_timer(xid));
-        assert_eq!(retry.len(), 1);
-        assert_eq!(retry[0].0, 1, "only the silent group is retried");
+        assert_eq!(groups(&retry), vec![1], "only the silent group is retried");
         assert!(retry[0].1 > commits[1].1, "retry carries a fresh cseq");
     }
 
@@ -749,22 +801,81 @@ mod tests {
     fn stale_prepare_votes_after_decision_ignored() {
         let mut xc = XCoord::new(cfg());
         let (xid, actions) = xc.begin(cmds2(), false, Time(0));
-        let sends = send_payload(&actions);
-        let raw = Bytes::from_static(b"frame");
-        let ShardMsg::XPrepare {
-            ts_us,
-            shards,
-            cmds,
-            ..
-        } = ShardMsg::decode(&sends[0].2).unwrap()
-        else {
-            panic!();
+        let (_, cseq, prepare) = &send_payload(&actions)[0];
+        let vote = prepared(xid, prepare);
+        xc.on_reply(0, 0, *cseq, &vote, &frame(0));
+        xc.on_reply(0, 1, *cseq, &vote, &frame(1));
+        // A third, late vote is moot and must not produce new actions.
+        assert!(!xc.wants(0, 2, *cseq, &vote));
+        assert!(xc.on_reply(0, 2, *cseq, &vote, &frame(2)).is_empty());
+    }
+
+    /// The process authenticates only what the machine would count: f + 2
+    /// identical replies to one prepare cost f + 1 checks, and a reply to
+    /// a `cseq` the coordinator never used costs none. A later quorum on
+    /// other bytes is counted as a conflict, as by every client.
+    #[test]
+    fn process_verifies_only_votes_that_count() {
+        let material = KeyMaterial::new([4u8; 32]);
+        let keystore = Arc::new(KeyStore::for_nodes(&material, 3000));
+        let key = |node| Signer::new(material.signing_key(NodeId(node)), true);
+        // Direct links: the first claims every frame, so all replies are
+        // group 0's, the coordinator group.
+        let links = (0..2)
+            .map(|_| GroupLink {
+                routing: ClientRouting::Direct(vec![ProcessId(0)]),
+                signer: key(2000 + COORD_CLIENT_ID),
+                keys: ReplicaKeys {
+                    keystore: Arc::clone(&keystore),
+                    key_base: 1000,
+                    n: 4,
+                    mock: true,
+                },
+            })
+            .collect();
+        let client = ClientId(COORD_CLIENT_ID);
+        let mut process = CoordinatorProcess::new(
+            cfg(),
+            links,
+            client,
+            Span::ZERO,
+            ShardMap::new(2),
+            vec![],
+            0,
+        );
+        let mut backend = RecordingBackend::new(0);
+        let mut ctx = Context::new(&mut backend, ProcessId(9));
+        let (xid, actions) = process.coord.begin(cmds2(), false, Time(0));
+        let (_, cseq, prepare) = send_payload(&actions)[0].clone();
+        process.apply(&mut ctx, actions);
+        let vote = Bytes::from(prepared(xid, &prepare));
+        let reply = |r: u32, cseq: u64, result: &Bytes| {
+            let mut msg = PrimeMsg::Reply {
+                replica: ReplicaId(r),
+                client,
+                cseq,
+                result: result.clone(),
+                sig: [0; 64],
+            };
+            msg.sign(&key(1000 + r));
+            msg.encode()
         };
-        let vote =
-            crate::msg::encode_prepared(xid, &ShardMsg::prepare_digest(xid, ts_us, &shards, &cmds));
-        xc.on_reply(0, 0, sends[0].1, &vote, &raw);
-        xc.on_reply(0, 1, sends[0].1, &vote, &raw);
-        // A third, late vote must not produce new actions.
-        assert!(xc.on_reply(0, 2, sends[0].1, &vote, &raw).is_empty());
+        process.on_message(&mut ctx, ProcessId(0), &reply(3, cseq + 100, &vote));
+        for r in 0..3 {
+            process.on_message(&mut ctx, ProcessId(0), &reply(r, cseq, &vote));
+        }
+        assert_eq!(backend.counters["client.verify_ops"], 2);
+        assert!(!backend.counters.contains_key("client.bad_reply_auth"));
+        assert_eq!(
+            backend.counters["xshard.sends"], 3,
+            "prepare, then commit x2"
+        );
+        // A second quorum on other bytes is a client-visible conflict.
+        let mut ctx = Context::new(&mut backend, ProcessId(9));
+        let rejected = Bytes::from(encode_rejected(xid));
+        for r in 2..4 {
+            process.on_message(&mut ctx, ProcessId(0), &reply(r, cseq, &rejected));
+        }
+        assert_eq!(backend.counters["scada.conflicting_accept"], 1);
     }
 }

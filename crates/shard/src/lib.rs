@@ -16,12 +16,14 @@
 //! 2. `f + 1` matching votes form a portable [`spire_prime::ReplyCert`];
 //! 3. the coordinator client submits `XCommit` (carrying the certificate)
 //!    to every participant group, which verifies the certificate, orders
-//!    the commit, and applies its own shard's commands;
+//!    the commit, applies its own shard's commands, and acks; the decision
+//!    is re-sent to a group until `f + 1` of its replicas ack it;
 //! 4. an `XPrepare` rejected by `f + 1` replicas (infeasible command) or
 //!    timed out past its retry budget aborts: `XAbort` to all
 //!    participants. Once a certificate exists the transaction is
 //!    commit-only — the commit phase retries forever (blocking 2PC), so
-//!    atomicity never depends on the coordinator's patience.
+//!    atomicity never depends on the coordinator's patience. Every vote
+//!    the coordinator counts goes through [`spire_prime::QuorumTracker`].
 //!
 //! Safety relies on each *group* being a BFT RSM: a group never issues
 //! both commit and abort for one transaction, and the certificate makes
