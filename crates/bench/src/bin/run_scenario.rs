@@ -24,8 +24,9 @@
 //!   section and `substrate`/`cores`/`threads`/`git_rev` provenance) as
 //!   JSON to stdout, or to `PATH` with `--json=PATH`;
 //! * `--trace=PATH` — enables structured tracing and writes a Chrome
-//!   `trace_event` file loadable in `chrome://tracing` / Perfetto
-//!   (refused on rt, which records no trace yet);
+//!   `trace_event` file loadable in `chrome://tracing` / Perfetto, on
+//!   either substrate (on rt each worker records its own trace, merged
+//!   when the run ends);
 //! * `--watch` — one-line health status (rate / p99 / SLO breaches /
 //!   detector verdict) to stderr at every snapshot interval of the
 //!   substrate's clock: live on rt, as fast as the simulator runs on sim;
@@ -267,10 +268,6 @@ fn main() {
             return;
         }
     };
-    if trace_path.is_some() && !substrate.records_trace() {
-        eprintln!("--trace is not available on the {substrate} substrate: it records no trace");
-        std::process::exit(2);
-    }
     let mut cfg = DeploymentConfig::wide_area(seed);
     cfg.workload = WorkloadConfig {
         rtus: 6 * shards.unwrap_or(1),
@@ -328,8 +325,8 @@ fn main() {
         prom_path: prom_path.clone(),
     };
     let outcome = system.run(substrate, duration, Some(opts));
-    if let (Some(path), Some(world)) = (&trace_path, &outcome.world) {
-        match std::fs::write(path, world.chrome_trace()) {
+    if let Some(path) = &trace_path {
+        match std::fs::write(path, outcome.run.trace.chrome_trace()) {
             Ok(()) if quiet => {}
             Ok(()) => println!("chrome trace written to {path}"),
             Err(e) => eprintln!("failed to write trace to {path}: {e}"),

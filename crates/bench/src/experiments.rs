@@ -14,7 +14,7 @@ use spire_prime::{ByzBehavior, ProtocolMode};
 use spire_scada::WorkloadConfig;
 use spire_sim::json::Json;
 use spire_sim::stats::{fraction_within, percentile, Summary};
-use spire_sim::{Context, LinkConfig, Process, ProcessId, Span, Time, World};
+use spire_sim::{Context, LinkConfig, Process, ProcessId, Span, Time, Tracer, World};
 use spire_spines::{
     DaemonBehavior, DaemonConfig, Dissemination, OverlayAddr, OverlayId, OverlayNetwork,
     SpinesPort, Topology,
@@ -157,11 +157,11 @@ fn workload(rtus: u32, interval_ms: u64) -> WorkloadConfig {
     }
 }
 
-/// When the deployment ran with tracing on (`SPIRE_TRACE` set), prints
-/// the per-phase latency breakdown and writes the Chrome trace + JSONL
-/// event dumps to `spire-trace-<tag>.{json,jsonl}`.
-fn trace_hooks(system: &Deployment, report: &Report, tag: &str) {
-    if !system.cfg.trace {
+/// When the run was traced (`SPIRE_TRACE` set), prints the per-phase
+/// latency breakdown and writes the Chrome trace + JSONL event dumps to
+/// `spire-trace-<tag>.{json,jsonl}`.
+fn trace_hooks(trace: &Tracer, report: &Report, tag: &str) {
+    if !trace.enabled() {
         return;
     }
     let table = report.phase_table();
@@ -171,8 +171,8 @@ fn trace_hooks(system: &Deployment, report: &Report, tag: &str) {
     let chrome = format!("spire-trace-{tag}.json");
     let jsonl = format!("spire-trace-{tag}.jsonl");
     for (what, path, text) in [
-        ("chrome trace", &chrome, system.world.chrome_trace()),
-        ("events", &jsonl, system.world.events_jsonl()),
+        ("chrome trace", &chrome, trace.chrome_trace()),
+        ("events", &jsonl, trace.events_jsonl()),
     ] {
         match std::fs::write(path, text) {
             Ok(()) => println!("flight-recorder {what} -> {path}"),
@@ -225,7 +225,7 @@ fn run(
     arm(&mut system);
     system.run_for(span);
     let report = system.report();
-    trace_hooks(&system, &report, tag);
+    trace_hooks(system.world.tracer(), &report, tag);
     (run_row(&report), report)
 }
 
@@ -1574,12 +1574,7 @@ fn endurance(args: &Args) -> Outcome {
         if recoveries_ok { "OK" } else { "INCOMPLETE" },
         if invariants_ok { "OK" } else { "VIOLATED" },
     );
-    // The run consumed `system`, so there is no handle for `trace_hooks`;
-    // the phase table still prints when tracing captured spans.
-    let table = report.phase_table();
-    if !table.is_empty() {
-        println!("\nper-phase latency breakdown (endurance):\n{table}");
-    }
+    trace_hooks(&outcome.run.trace, &report, "endurance");
     Outcome { ok, summary }
 }
 

@@ -3,7 +3,7 @@
 //! back verbatim from `json::parse` whichever emitter carried it.
 
 use bytes::Bytes;
-use spire::deployment::{Deployment, DeploymentConfig};
+use spire::deployment::{Deployment, DeploymentConfig, Substrate};
 use spire::report::Provenance;
 use spire_bench::experiments::{endurance_summary, rt_row, shard_row, Args, TABLE};
 use spire_explore::{Artifact, Choice};
@@ -27,8 +27,8 @@ impl Process for Ticker {
     }
 }
 
-#[test]
-fn hostile_labels_read_back_verbatim_from_every_emitter() {
+/// A traced two-RTU deployment with the hostile-named ticker in it.
+fn hostile_system() -> Deployment {
     let mut cfg = DeploymentConfig::wide_area(7);
     cfg.trace = true;
     cfg.workload = WorkloadConfig {
@@ -38,6 +38,12 @@ fn hostile_labels_read_back_verbatim_from_every_emitter() {
     };
     let mut system = Deployment::build(cfg);
     system.world.add_process(HOSTILE, Box::new(Ticker));
+    system
+}
+
+#[test]
+fn hostile_labels_read_back_verbatim_from_every_emitter() {
+    let mut system = hostile_system();
     system.run_for(Span::secs(2));
     let report = system.report();
     assert!(report.updates_confirmed > 0, "the deployment ran");
@@ -52,28 +58,36 @@ fn hostile_labels_read_back_verbatim_from_every_emitter() {
         Some(report.updates_confirmed)
     );
 
-    // JSONL flight-recorder export: every line parses, some name the process.
-    let jsonl = system.world.events_jsonl();
-    let mut named = 0;
-    for line in jsonl.lines() {
-        let event = parse(line).unwrap_or_else(|e| panic!("{e}: {line}"));
-        if event.get("proc").and_then(Json::as_str) == Some(HOSTILE) {
-            named += 1;
+    // The trace exports of a run on each substrate.
+    let rt = hostile_system().run(Substrate::Rt { threads: 2 }, Span::secs(2), None);
+    for (substrate, trace) in [("sim", system.world.tracer()), ("rt", &rt.run.trace)] {
+        // JSONL flight-recorder export: every line parses, some name the
+        // process.
+        let jsonl = trace.events_jsonl();
+        let mut named = 0;
+        for line in jsonl.lines() {
+            let event = parse(line).unwrap_or_else(|e| panic!("{substrate}: {e}: {line}"));
+            if event.get("proc").and_then(Json::as_str) == Some(HOSTILE) {
+                named += 1;
+            }
         }
-    }
-    assert!(named > 0, "no JSONL event carries the hostile process name");
+        assert!(named > 0, "{substrate}: no JSONL event names the process");
 
-    // Chrome trace: one array; the process's lane is named verbatim.
-    let chrome = parse(&system.world.chrome_trace()).expect("chrome trace is JSON");
-    let lanes = chrome.as_arr().expect("an array of trace events");
-    assert!(lanes.iter().any(|ev| {
-        ev.get("name").and_then(Json::as_str) == Some("thread_name")
-            && ev
-                .get("args")
-                .and_then(|a| a.get("name"))
-                .and_then(Json::as_str)
-                == Some(HOSTILE)
-    }));
+        // Chrome trace: one array; the process's lane is named verbatim.
+        let chrome = parse(&trace.chrome_trace()).expect("chrome trace is JSON");
+        let lanes = chrome.as_arr().expect("an array of trace events");
+        assert!(
+            lanes.iter().any(|ev| {
+                ev.get("name").and_then(Json::as_str) == Some("thread_name")
+                    && ev
+                        .get("args")
+                        .and_then(|a| a.get("name"))
+                        .and_then(Json::as_str)
+                        == Some(HOSTILE)
+            }),
+            "{substrate}: no lane carries the process name"
+        );
+    }
 
     // Explorer replay artifact.
     let artifact = Artifact {

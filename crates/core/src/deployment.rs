@@ -23,7 +23,9 @@ use spire_prime::{
 };
 use spire_scada::{Hmi, Rtu, RtuProxy, ScadaDirectory, ScadaMaster, WorkloadConfig};
 use spire_shard::{ShardMap, XShardLedger};
-use spire_sim::{ControlOp, LinkConfig, Metrics, ProcessId, Span, SpawnFn, Time, TraceKind, World};
+use spire_sim::{
+    Backend, ControlOp, LinkConfig, Metrics, ProcessId, Span, SpawnFn, Time, TraceKind, World,
+};
 use spire_spines::{
     DaemonBehavior, DaemonConfig, Dissemination, OverlayAddr, OverlayId, OverlayNetwork,
     SpinesPort, Topology,
@@ -552,7 +554,7 @@ impl Observer {
 
     /// Closes a run over its final `run.metrics`: the last Prometheus
     /// rewrite and the monitor as it stands.
-    fn outcome(&self, report: Report, run: spire_rt::RtRun, world: Option<World>) -> RunOutcome {
+    fn outcome(&self, report: Report, run: spire_rt::RtRun) -> RunOutcome {
         let health = self.health.as_ref();
         let exported = match health.and_then(|h| h.opts.prom_path.as_ref()) {
             Some(path) => write_prometheus(path, &run.metrics),
@@ -564,7 +566,6 @@ impl Observer {
             run,
             health,
             exported,
-            world,
         }
     }
 }
@@ -592,9 +593,12 @@ fn arm(w: &mut World, observer: &Arc<Mutex<Observer>>) {
         w.metrics_mut().merge(&std::mem::take(&mut o.produced));
         drop(o);
         if violations > 0 && w.tracer().enabled() {
-            eprintln!("--- flight recorder tail ---\n{}", w.trace_dump_tail(40));
+            eprintln!("--- flight recorder tail ---\n{}", w.tracer().dump_tail(40));
         }
-        marks.into_iter().for_each(|mark| w.trace(mark));
+        let now = w.now();
+        marks
+            .into_iter()
+            .for_each(|mark| w.tracer_mut().record(now, mark));
         arm(w, &observer);
     });
 }
@@ -752,14 +756,9 @@ pub fn build_group(
     );
 
     if cfg.trace {
-        // Overlay daemons are marked so the simulator can attribute
+        // Overlay daemons are marked so either substrate can attribute
         // per-hop forwarding latency to the Spines path.
-        for node in internal_topology.nodes() {
-            let pid = internal.daemon_pid(node);
-            world.tracer_mut().mark_overlay(pid.0);
-        }
-        for node in external_topology.nodes() {
-            let pid = external.daemon_pid(node);
+        for pid in internal.daemons.values().chain(external.daemons.values()) {
             world.tracer_mut().mark_overlay(pid.0);
         }
     }
@@ -1013,7 +1012,7 @@ impl Deployment {
         let ids = specs.iter().flat_map(|spec| spec.identities(cfg));
         let keystore = Arc::new(KeyStore::for_ids(&material, ids));
         if cfg.trace {
-            world.enable_tracing(65_536);
+            world.tracer_mut().enable(65_536);
         }
         (world, material, keystore)
     }
@@ -1058,7 +1057,7 @@ impl Deployment {
         if !safety_ok && self.world.tracer().enabled() {
             eprintln!(
                 "safety check FAILED — flight recorder tail:\n{}",
-                self.world.trace_dump_tail(200)
+                self.world.tracer().dump_tail(200)
             );
         }
         Report::from_metrics(self.world.metrics(), safety_ok)
@@ -1352,11 +1351,12 @@ impl Deployment {
         let report = self.report();
         let run = spire_rt::RtRun {
             metrics: self.world.metrics().clone(),
+            trace: std::mem::take(self.world.tracer_mut()),
             elapsed: span,
             threads: 0,
         };
         let observer = self.observer.lock().expect("observer poisoned");
-        observer.outcome(report, run, Some(self.world))
+        observer.outcome(report, run)
     }
 }
 
@@ -1406,15 +1406,6 @@ impl std::fmt::Display for Substrate {
             Substrate::Rt { threads: 0 } => write!(f, "rt"),
             Substrate::Rt { threads } => write!(f, "rt:{threads}"),
         }
-    }
-}
-
-impl Substrate {
-    /// Whether a run on this substrate records a trace. The real-clock
-    /// runtime's `trace` / `span_mark` are still no-ops (ROADMAP item 2),
-    /// so a tool asked for one refuses there.
-    pub fn records_trace(self) -> bool {
-        self == Substrate::Sim
     }
 }
 
@@ -1483,24 +1474,21 @@ pub struct RtDeployment {
 }
 
 /// The result of [`Deployment::run`] on either substrate: the standard
-/// [`Report`] plus the raw metrics it was built from.
+/// [`Report`] plus the raw metrics and trace it was built from.
 #[derive(Debug)]
 pub struct RunOutcome {
     /// The substrate-independent evaluation report.
     pub report: Report,
-    /// The run's metrics (merged across workers on rt), the time it
-    /// covered on its substrate's clock, and the worker threads that ran
-    /// it — 0 on the simulator, which has none.
+    /// The run's metrics and trace (merged across workers on rt; the
+    /// trace names the processes and is empty unless `cfg.trace`), the
+    /// time it covered on its substrate's clock, and the worker threads
+    /// that ran it — 0 on the simulator, which has none.
     pub run: spire_rt::RtRun,
     /// The health monitor after the run (None when unmonitored).
     pub health: Option<HealthMonitor>,
     /// How the final Prometheus rewrite went (`Ok` when none was asked
     /// for). A failed periodic rewrite is only reported on stderr.
     pub exported: std::io::Result<()>,
-    /// The simulated world after the run — its tracer holds the flight
-    /// recorder and the spans. `None` on rt, whose actors ended with
-    /// their threads.
-    pub world: Option<World>,
 }
 
 /// How a monitored run should surface its live telemetry.
@@ -1559,7 +1547,7 @@ impl RtDeployment {
         run.metrics.sort_series();
         let safety_ok = safety_ok(&self.groups, self.xshard.as_ref());
         let report = Report::from_metrics(&run.metrics, safety_ok);
-        observer.outcome(report, run, None)
+        observer.outcome(report, run)
     }
 }
 

@@ -188,7 +188,9 @@ fn report_and_prometheus_carry_health_on_rt() {
         outcome.report.chaos.invariant_checks > 0,
         "checker never ticked"
     );
-    assert!(outcome.world.is_none());
+    // The merged trace names the processes; the run was untraced.
+    let trace = &outcome.run.trace;
+    assert!(trace.process_name(0) == "spines-ov0" && trace.recorder().is_empty());
 
     let json =
         outcome

@@ -1,6 +1,7 @@
 //! `Deployment::run` is one call for both substrates: on the simulator it
-//! is exactly the hand-stepped primitives, and a violation the observer
-//! catches there it catches on the real-clock runtime too. (That the rt
+//! is exactly the hand-stepped primitives, a violation the observer
+//! catches there it catches on the real-clock runtime too, and a traced
+//! run hands back its trace on either. (That the rt
 //! run carries the same monitor, Prometheus file and `health.*` /
 //! `invariant.*` vocabulary is `health.rs`'s
 //! `report_and_prometheus_carry_health_on_rt`.)
@@ -9,6 +10,7 @@ use spire::attack::{Attack, Scenario};
 use spire::deployment::{Deployment, DeploymentConfig, HealthOptions, Substrate};
 use spire::health::HealthConfig;
 use spire_scada::WorkloadConfig;
+use spire_sim::json::{self, Json};
 use spire_sim::{Span, Time};
 
 fn config(seed: u64) -> DeploymentConfig {
@@ -64,10 +66,37 @@ fn run_on_sim_is_the_hand_stepped_run() {
     assert_eq!(mon.detector.alarms, monitor.lock().unwrap().detector.alarms);
     assert!(!mon.detector.quiet(), "the DoS window went unnoticed");
     assert_eq!((outcome.run.threads, outcome.run.elapsed), (0, span));
-    assert!(
-        outcome.world.is_some(),
-        "the simulator hands its world back"
-    );
+    // The world's trace comes back, naming its processes; the run was
+    // untraced, so it recorded nothing.
+    let trace = &outcome.run.trace;
+    assert_eq!(trace.process_name(0), "spines-ov0");
+    assert!(!trace.enabled() && trace.recorder().is_empty());
+}
+
+#[test]
+fn a_traced_rt_run_breaks_latency_down_by_phase() {
+    let mut cfg = config(5);
+    cfg.trace = true;
+    let outcome = Deployment::build(cfg).run(Substrate::Rt { threads: 2 }, Span::secs(3), None);
+    let rows = &outcome.report.phase_breakdown;
+    for metric in [
+        "span.overlay_in_us",
+        "span.preorder_us",
+        "span.order_us",
+        "span.execute_us",
+        "span.confirm_us",
+        "span.total_us",
+        "overlay.hop_us",
+    ] {
+        let row = rows.iter().find(|row| row.metric == metric);
+        assert!(row.is_some_and(|row| row.count > 0), "{metric}: {rows:?}");
+    }
+    let chrome = outcome.run.trace.chrome_trace();
+    let events = json::parse(&chrome).expect("the rt chrome trace is JSON");
+    let slices = (events.as_arr().expect("an array of trace events").iter())
+        .filter(|ev| ev.get("ph").and_then(Json::as_str) == Some("X"))
+        .count();
+    assert!(slices > 0, "no span slices in the rt trace");
 }
 
 #[test]

@@ -22,7 +22,7 @@ use crate::replica::Replica;
 use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use spire_sim::{Backend, Context, Process, ProcessId, Span, Time, TimerId};
+use spire_sim::{Backend, Context, Process, ProcessId, Span, Time, TimerId, Tracer};
 use std::collections::BTreeMap;
 
 /// Whether the intentionally-seeded ordering-quorum bug is compiled in
@@ -55,8 +55,9 @@ pub enum Effect {
 /// A [`Backend`] that records effects instead of performing them. Time is
 /// whatever the caller injected; the RNG is seeded (the replica itself
 /// never consults it, but the trait requires one); metrics aggregate into
-/// a counter map so protocol instrumentation stays observable. Unit tests
-/// of any process (a client, the cross-shard coordinator) run over one.
+/// a counter map so protocol instrumentation stays observable (the tracer
+/// stays off). Unit tests of any process (a client, the cross-shard
+/// coordinator) run over one.
 pub struct RecordingBackend {
     /// The injected clock.
     pub now: Time,
@@ -66,6 +67,7 @@ pub struct RecordingBackend {
     pub effects: Vec<Effect>,
     /// Every counter bumped so far.
     pub counters: BTreeMap<String, u64>,
+    tracer: Tracer,
 }
 
 impl RecordingBackend {
@@ -77,6 +79,7 @@ impl RecordingBackend {
             next_timer: 0,
             effects: Vec::new(),
             counters: BTreeMap::new(),
+            tracer: Tracer::default(),
         }
     }
 }
@@ -116,6 +119,10 @@ impl Backend for RecordingBackend {
     fn record(&mut self, _name: &str, _value: f64) {}
 
     fn observe(&mut self, _name: &str, _value: u64) {}
+
+    fn tracer_mut(&mut self) -> &mut Tracer {
+        &mut self.tracer
+    }
 }
 
 /// A [`Replica`] wrapped behind the pure step seam.

@@ -56,7 +56,7 @@ use spire_sim::clock::Clock;
 use spire_sim::world::{
     Backend, Context, ControlOp, Fabric, LinkConfig, Process, ProcessId, SpawnFn, TimerId,
 };
-use spire_sim::{Metrics, Span, SpanPhase, Time, TraceKind};
+use spire_sim::{Metrics, Span, Time, TraceKind, Tracer};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -263,12 +263,14 @@ enum Due {
 }
 
 /// The per-worker [`Backend`]: monotonic clock, seeded RNG, private
-/// metrics, the timer/delay wheel, and routes to the other workers.
+/// metrics and tracer, timer/delay wheel, routes to the other workers.
 struct WorkerBackend {
     worker: usize,
     clock: Clock,
     rng: StdRng,
     metrics: Metrics,
+    /// The worker is its only writer; [`Runtime::shutdown`] merges them.
+    tracer: Tracer,
     wheel: TimerWheel<Due>,
     cancelled: HashSet<u64>,
     next_timer: u64,
@@ -435,6 +437,8 @@ impl Backend for WorkerBackend {
         let now = self.clock.now();
         let deliver_at = now + transit.delay;
         self.metrics.count("rt.sent", 1);
+        let (len, hop) = (bytes.len() as u32, transit.delay);
+        (self.tracer).record_send(now, [from.0, to.0, len], hop, &mut self.metrics);
         let dest = self.assignment.get(to.0 as usize).copied();
         if let Some(delay) = transit.duplicate {
             let dup_at = now + delay;
@@ -502,11 +506,9 @@ impl Backend for WorkerBackend {
         self.metrics.observe(name, value);
     }
 
-    // Structured tracing is a simulator feature; the runtime keeps the
-    // default no-op `tracing_enabled`/`trace`/`span_mark`.
-    fn trace(&mut self, _kind: TraceKind) {}
-
-    fn span_mark(&mut self, _pid: u32, _key: u64, _phase: SpanPhase) {}
+    fn tracer_mut(&mut self) -> &mut Tracer {
+        &mut self.tracer
+    }
 }
 
 /// One actor's slot on its worker's scheduler: due-but-unprocessed work
@@ -613,6 +615,7 @@ impl Worker {
     fn apply_control(&mut self, ctl: CtlMsg) {
         match ctl {
             CtlMsg::Crash(pid) => {
+                Context::new(&mut self.backend, ProcessId(pid)).trace(TraceKind::Crash { pid });
                 if self.actors.remove(&pid).is_some() {
                     *self.backend.generations.entry(pid).or_insert(0) += 1;
                     self.backend.down.insert(pid);
@@ -625,6 +628,7 @@ impl Worker {
                 self.backend.down.remove(&pid);
                 self.backend.metrics.count("rt.restarted", 1);
                 let mut ctx = Context::new(&mut self.backend, ProcessId(pid));
+                ctx.trace(TraceKind::Restart { pid });
                 proc.on_start(&mut ctx);
                 self.actors.insert(pid, proc);
             }
@@ -675,6 +679,10 @@ impl Worker {
                 };
                 self.backend.metrics.count("rt.delivered", 1);
                 let mut ctx = Context::new(&mut self.backend, to);
+                {
+                    let (to, from, len) = (to.0, from.0, bytes.len() as u32);
+                    ctx.trace(TraceKind::MsgRecv { to, from, len });
+                }
                 proc.on_message(&mut ctx, from, &bytes);
             }
             Due::Timer {
@@ -694,6 +702,7 @@ impl Worker {
                     return;
                 };
                 let mut ctx = Context::new(&mut self.backend, to);
+                ctx.trace(TraceKind::TimerFire { pid: to.0, tag });
                 proc.on_timer(&mut ctx, tag);
             }
             Due::Forward { .. } => unreachable!("forwards never enter actor slots"),
@@ -724,7 +733,7 @@ impl Worker {
         }
     }
 
-    fn run(mut self) -> Metrics {
+    fn run(mut self) -> (Metrics, Tracer) {
         // Start every local actor before touching the run queue, mirroring
         // the simulator's time-zero Start events.
         let mut pids: Vec<u32> = self.actors.keys().copied().collect();
@@ -799,15 +808,17 @@ impl Worker {
             .metrics
             .count("rt.pending_at_exit", self.backend.wheel.len() as u64);
         self.backend.metrics.count("rt.worker_clean_exit", 1);
-        self.backend.metrics
+        (self.backend.metrics, self.backend.tracer)
     }
 }
 
-/// The finished run: merged metrics and wall-clock accounting.
+/// The finished run: merged metrics and trace, and wall-clock accounting.
 #[derive(Debug)]
 pub struct RtRun {
     /// Metrics merged across all workers (series re-sorted by time).
     pub metrics: Metrics,
+    /// The workers' tracers, merged; its spans are folded into `metrics`.
+    pub trace: Tracer,
     /// Wall-clock time from runtime start to the last worker joining.
     pub elapsed: Span,
     /// Worker threads that ran.
@@ -816,7 +827,7 @@ pub struct RtRun {
 
 /// A running real-clock substrate hosting one deployment's actors.
 pub struct Runtime {
-    handles: Vec<std::thread::JoinHandle<Metrics>>,
+    handles: Vec<std::thread::JoinHandle<(Metrics, Tracer)>>,
     queues: Vec<Arc<RunQueue<Envelope>>>,
     stop: Arc<AtomicBool>,
     epoch: Instant,
@@ -854,7 +865,7 @@ impl Runtime {
             .collect();
         let mut crews: Vec<HashMap<u32, Box<dyn Process>>> =
             (0..threads).map(|_| HashMap::new()).collect();
-        for (pid, (_name, proc)) in fabric.actors.into_iter().enumerate() {
+        for (pid, proc) in fabric.actors.into_iter().enumerate() {
             crews[pid % threads].insert(pid as u32, proc);
         }
         let shared: Arc<Vec<WorkerShared>> =
@@ -869,6 +880,7 @@ impl Runtime {
                         fabric.seed ^ (w as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
                     ),
                     metrics: Metrics::new(),
+                    tracer: fabric.tracer.clone(),
                     wheel: TimerWheel::new(WHEEL_GRANULARITY_US, WHEEL_SLOTS),
                     cancelled: HashSet::new(),
                     next_timer: 0,
@@ -1030,20 +1042,23 @@ impl Runtime {
         self.run_with(span, Vec::new(), |_, _| {})
     }
 
-    /// Stops and joins all workers, merging their metrics.
+    /// Stops and joins all workers, merging their metrics and tracers.
     pub fn shutdown(self) -> RtRun {
         self.stop.store(true, Ordering::Release);
         for q in &self.queues {
             q.push_urgent(Envelope::Wake, 1);
         }
-        let mut metrics = Metrics::new();
-        for handle in self.handles {
-            let worker_metrics = handle.join().expect("rt worker panicked");
+        let mut workers = (self.handles.into_iter()).map(|h| h.join().expect("rt worker panicked"));
+        let (mut metrics, mut trace) = workers.next().expect("at least one worker");
+        for (worker_metrics, worker_trace) in workers {
             metrics.merge(&worker_metrics);
+            trace.merge(worker_trace);
         }
+        trace.fold_spans(&mut metrics);
         metrics.sort_series();
         RtRun {
             metrics,
+            trace,
             elapsed: Span::micros(self.epoch.elapsed().as_micros() as u64),
             threads: self.threads,
         }

@@ -261,7 +261,6 @@ struct LinkState {
 
 struct Slot {
     proc: Option<Box<dyn Process>>,
-    name: String,
     up: bool,
     generation: u64,
     /// Modeled single-threaded CPU: time to handle one inbound message.
@@ -353,20 +352,8 @@ pub trait Backend {
     /// Records one value into a named log-bucketed histogram.
     fn observe(&mut self, name: &str, value: u64);
 
-    /// Whether structured tracing is enabled.
-    fn tracing_enabled(&self) -> bool {
-        false
-    }
-
-    /// Records a trace event at the current time (no-op when disabled).
-    fn trace(&mut self, kind: TraceKind) {
-        let _ = kind;
-    }
-
-    /// Marks a causal-span phase for process `pid` at the current time.
-    fn span_mark(&mut self, pid: u32, key: u64, phase: SpanPhase) {
-        let _ = (pid, key, phase);
-    }
+    /// The substrate's tracer (disabled unless the run asked for a trace).
+    fn tracer_mut(&mut self) -> &mut Tracer;
 }
 
 /// The deterministic discrete-event simulation world.
@@ -435,62 +422,13 @@ impl World {
             controls: HashMap::new(),
             next_control: 0,
             max_queue: 50_000_000,
-            tracer: Tracer::disabled(),
+            tracer: Tracer::default(),
         }
     }
 
-    /// Turns on structured tracing with a flight recorder of `cap` events.
-    pub fn enable_tracing(&mut self, cap: usize) {
-        self.tracer.enable(cap);
-    }
-
-    /// The tracing front end (flight recorder, spans, exporters).
+    /// The tracing front end (flight recorder, spans, process names).
     pub fn tracer(&self) -> &Tracer {
         &self.tracer
-    }
-
-    /// Mutable tracer access (enable, overlay marking).
-    pub fn tracer_mut(&mut self) -> &mut Tracer {
-        &mut self.tracer
-    }
-
-    /// Records a trace event at the current time (no-op when disabled).
-    #[inline]
-    pub fn trace(&mut self, kind: TraceKind) {
-        self.tracer.record(self.clock.now(), kind);
-    }
-
-    /// Marks a span phase at the current time; on completion the per-phase
-    /// deltas are fed into the metric histograms (`span.*_us`).
-    #[inline]
-    pub fn span_mark(&mut self, pid: u32, key: u64, phase: SpanPhase) {
-        if let Some(rec) = self.tracer.mark(self.clock.now(), pid, key, phase) {
-            for (name, delta) in rec.phase_deltas() {
-                self.metrics.observe(name, delta);
-            }
-        }
-    }
-
-    /// Human-readable dump of the last `n` trace events, with process names.
-    pub fn trace_dump_tail(&self, n: usize) -> String {
-        self.tracer.dump_tail(n, &|pid| self.pid_name(pid))
-    }
-
-    /// JSONL export of trace events and completed spans.
-    pub fn events_jsonl(&self) -> String {
-        self.tracer.events_jsonl(&|pid| self.pid_name(pid))
-    }
-
-    /// Chrome `trace_event` JSON export (chrome://tracing / Perfetto).
-    pub fn chrome_trace(&self) -> String {
-        self.tracer.chrome_trace(&|pid| self.pid_name(pid))
-    }
-
-    fn pid_name(&self, pid: u32) -> String {
-        self.slots
-            .get(pid as usize)
-            .map(|s| s.name.clone())
-            .unwrap_or_else(|| format!("p{pid}"))
     }
 
     /// Current virtual time.
@@ -508,12 +446,12 @@ impl World {
         let id = ProcessId(self.slots.len() as u32);
         self.slots.push(Slot {
             proc: Some(proc),
-            name: name.to_string(),
             up: true,
             generation: 0,
             service: None,
             busy_until: Time(0),
         });
+        self.tracer.names.push(name.to_string());
         let now = self.clock.now();
         self.push(
             now,
@@ -523,11 +461,6 @@ impl World {
             },
         );
         id
-    }
-
-    /// The human-readable name of a process.
-    pub fn process_name(&self, id: ProcessId) -> &str {
-        &self.slots[id.0 as usize].name
     }
 
     /// Whether the process is currently up.
@@ -671,7 +604,8 @@ impl World {
         &mut self.metrics
     }
 
-    /// Runs until the queue is empty or `deadline` is passed.
+    /// Runs until the queue is empty or `deadline` is passed, then folds
+    /// the spans confirmed meanwhile into the `span.*_us` histograms.
     pub fn run_until(&mut self, deadline: Time) {
         while let Some(Reverse(ev)) = self.queue.peek() {
             if ev.at > deadline {
@@ -680,6 +614,7 @@ impl World {
             self.step();
         }
         self.clock.advance_to(deadline);
+        self.tracer.fold_spans(&mut self.metrics);
     }
 
     /// Runs for `span` of virtual time from now.
@@ -755,15 +690,9 @@ impl World {
 
     fn deliver_now(&mut self, to: ProcessId, from: ProcessId, bytes: Bytes) {
         self.metrics.count("sim.delivered", 1);
-        if self.tracer.enabled() {
-            self.tracer.record(
-                self.clock.now(),
-                TraceKind::MsgRecv {
-                    to: to.0,
-                    from: from.0,
-                    len: bytes.len() as u32,
-                },
-            );
+        {
+            let (to, from, len) = (to.0, from.0, bytes.len() as u32);
+            (self.tracer).record(self.clock.now(), TraceKind::MsgRecv { to, from, len });
         }
         self.dispatch(to, None, |proc, ctx| proc.on_message(ctx, from, &bytes));
     }
@@ -860,21 +789,10 @@ impl World {
         let len = bytes.len() as u32;
         self.push(arrival, EventKind::Deliver { to, from, bytes });
         self.metrics.count("sim.sent", 1);
-        if self.tracer.enabled() {
-            self.tracer.record(
-                now,
-                TraceKind::MsgSend {
-                    from: from.0,
-                    to: to.0,
-                    len,
-                },
-            );
-            // Daemon-to-daemon transit time includes bandwidth queueing, so
-            // this histogram is where overlay DoS pressure becomes visible.
-            if self.tracer.is_overlay(from.0) && self.tracer.is_overlay(to.0) {
-                self.metrics.observe("overlay.hop_us", arrival.since(now).0);
-            }
-        }
+        // The hop's transit includes bandwidth queueing, so the overlay-hop
+        // histogram is where overlay DoS pressure becomes visible.
+        let hop = arrival.since(now);
+        (self.tracer).record_send(now, [from.0, to.0, len], hop, &mut self.metrics);
     }
 
     /// Dismantles the world into its raw actors and link configurations so
@@ -889,27 +807,32 @@ impl World {
         Fabric {
             actors: slots
                 .into_iter()
-                .map(|s| (s.name, s.proc.expect("process checked out")))
+                .map(|s| s.proc.expect("process checked out"))
                 .collect(),
             links: links
                 .into_iter()
                 .map(|((a, b), state)| ((a, b), state.cfg))
                 .collect(),
             seed: self.seed,
+            tracer: std::mem::take(&mut self.tracer),
         }
     }
 }
 
-/// The substrate-independent contents of an assembled deployment: named
-/// actors and directed link configurations, plus the RNG seed. Produced by
-/// [`World::into_fabric`] and consumed by the real-clock runtime.
+/// The substrate-independent contents of an assembled deployment: actors
+/// and directed link configurations, the RNG seed and the tracer. Produced
+/// by [`World::into_fabric`] and consumed by the real-clock runtime.
 pub struct Fabric {
-    /// One `(name, state machine)` per process, indexed by `ProcessId`.
-    pub actors: Vec<(String, Box<dyn Process>)>,
+    /// One state machine per process, indexed by `ProcessId`.
+    pub actors: Vec<Box<dyn Process>>,
     /// Directed links `(from, to)` with their latency/jitter/loss model.
     pub links: Vec<((u32, u32), LinkConfig)>,
     /// The seed the world was built with.
     pub seed: u64,
+    /// The world's tracer, as yet empty: its settings (enabled or not, the
+    /// ring capacity, the overlay daemons) and the process names. Each
+    /// worker records into a clone.
+    pub tracer: Tracer,
 }
 
 impl Drop for World {
@@ -919,7 +842,7 @@ impl Drop for World {
         if self.tracer.enabled() && std::thread::panicking() {
             eprintln!(
                 "=== panic with tracing enabled; {}",
-                self.trace_dump_tail(100)
+                self.tracer.dump_tail(100)
             );
         }
     }
@@ -983,16 +906,8 @@ impl Backend for World {
         self.metrics.observe(name, value);
     }
 
-    fn tracing_enabled(&self) -> bool {
-        self.tracer.enabled()
-    }
-
-    fn trace(&mut self, kind: TraceKind) {
-        World::trace(self, kind);
-    }
-
-    fn span_mark(&mut self, pid: u32, key: u64, phase: SpanPhase) {
-        World::span_mark(self, pid, key, phase);
+    fn tracer_mut(&mut self) -> &mut Tracer {
+        &mut self.tracer
     }
 }
 
@@ -1058,21 +973,26 @@ impl<'w> Context<'w> {
     /// Whether structured tracing is enabled (to gate instrumentation that
     /// needs any preparatory work).
     #[inline]
-    pub fn tracing_enabled(&self) -> bool {
-        self.backend.tracing_enabled()
+    pub fn tracing_enabled(&mut self) -> bool {
+        self.backend.tracer_mut().enabled()
     }
 
     /// Records a trace event at the current time (no-op when disabled).
     #[inline]
     pub fn trace(&mut self, kind: TraceKind) {
-        self.backend.trace(kind);
+        if self.tracing_enabled() {
+            let now = self.now();
+            self.backend.tracer_mut().record(now, kind);
+        }
     }
 
     /// Marks a causal-span phase for this process at the current time.
     #[inline]
     pub fn span_mark(&mut self, key: u64, phase: SpanPhase) {
-        let me = self.me.0;
-        self.backend.span_mark(me, key, phase);
+        if self.tracing_enabled() {
+            let (now, me) = (self.now(), self.me.0);
+            self.backend.tracer_mut().mark(now, me, key, phase);
+        }
     }
 }
 
@@ -1445,7 +1365,7 @@ mod tests {
         );
         let tx = world.add_process("tx", Box::new(Sender { to: rx, n: 2 }));
         world.add_link(tx, rx, fixed_link(10));
-        world.enable_tracing(1024);
+        world.tracer_mut().enable(1024);
         world.tracer_mut().mark_overlay(tx.0);
         world.tracer_mut().mark_overlay(rx.0);
         world.run_for(Span::secs(1));
@@ -1466,7 +1386,7 @@ mod tests {
         let hops = world.metrics().histogram("overlay.hop_us").unwrap();
         assert_eq!(hops.count(), 2);
         assert_eq!(hops.min(), 10_000); // fixed 10 ms link
-        let json = world.chrome_trace();
+        let json = world.tracer().chrome_trace();
         assert!(json.contains("\"msg_send\""));
         assert!(json.contains("tx"));
     }
@@ -1502,9 +1422,9 @@ mod tests {
         let echo = world.add_process("echo", Box::new(Echo));
         let sub = world.add_process("sub", Box::new(Submitter { to: echo }));
         world.add_link(echo, sub, fixed_link(5));
-        world.enable_tracing(256);
+        world.tracer_mut().enable(256);
         world.run_for(Span::secs(1));
-        assert_eq!(world.tracer().completed_spans().len(), 1);
+        assert_eq!(world.tracer().confirmed_spans().len(), 1);
         let total = world.metrics().histogram("span.total_us").unwrap();
         assert_eq!(total.count(), 1);
         assert_eq!(total.min(), 10_000); // two 5 ms hops

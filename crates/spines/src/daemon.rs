@@ -411,14 +411,12 @@ impl Daemon {
             msg.payload = Bytes::from(corrupted);
             ctx.count("spines.corrupted", 1);
         }
-        if ctx.tracing_enabled() {
-            ctx.trace(TraceKind::OverlayHop {
-                daemon: ctx.id().0,
-                src: msg.src.0,
-                dst: msg.dst.0,
-                ttl: msg.ttl,
-            });
-        }
+        ctx.trace(TraceKind::OverlayHop {
+            daemon: ctx.id().0,
+            src: msg.src.0,
+            dst: msg.dst.0,
+            ttl: msg.ttl,
+        });
         let frame_id = ((self.me.0 as u64) << 40) | self.next_frame;
         self.next_frame += 1;
         let reliable = msg.reliable;
