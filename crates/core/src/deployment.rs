@@ -1532,7 +1532,9 @@ impl RtDeployment {
                 let g = rt.gauges();
                 let out = &mut observer.produced;
                 out.record("rt.mailbox_depth", now, g.mailbox_depth as f64);
-                out.record("rt.wheel_len", now, g.wheel_len as f64);
+                // Entries waiting in the workers' event queues: timers,
+                // delayed frames, parked retries.
+                out.record("rt.pending", now, g.pending as f64);
                 out.record("rt.busy_frac", now, g.busy_frac());
                 Cow::Owned(rt.live_metrics())
             });

@@ -8,13 +8,15 @@
 //! is bounded by the hardware, not by one event loop. Actor code is
 //! substrate-agnostic: it only sees `spire_sim::Context`, whose services
 //! are provided here by a per-worker [`Backend`](spire_sim::world::Backend)
-//! built from sharded run queues and a hashed timer wheel.
+//! built from sharded run queues and the simulator's own
+//! [`EventQueue`](spire_sim::EventQueue).
 //!
-//! The runtime is event-driven: actors are run-queue entries scheduled in
-//! bounded bursts ([`runtime`]), cross-worker traffic coalesces into
-//! batch envelopes on exact-accounting [`queue::RunQueue`]s, buffers
-//! recycle through per-worker [`pool::Pool`]s, and idle workers park on
-//! a condvar until exactly the next [`wheel::TimerWheel`] deadline.
+//! The runtime is event-driven ([`runtime`]): each worker runs its due
+//! timers and frames in (deadline, insertion) order, as the simulator
+//! does; cross-worker traffic coalesces into batch envelopes on
+//! exact-accounting [`queue::RunQueue`]s whose containers recycle through
+//! per-worker [`pool::Pool`]s; and idle workers park on a condvar until
+//! exactly their event queue's next deadline.
 //!
 //! Build a deployment exactly as for the simulator, dismantle the
 //! assembled world with `World::into_fabric`, and hand the fabric to
@@ -23,9 +25,7 @@
 pub mod pool;
 pub mod queue;
 pub mod runtime;
-pub mod wheel;
 
-pub use pool::{BufferPool, Pool};
+pub use pool::Pool;
 pub use queue::RunQueue;
 pub use runtime::{RtConfig, RtGauges, RtHooks, RtRun, Runtime};
-pub use wheel::TimerWheel;

@@ -1,15 +1,13 @@
-//! Per-worker buffer pools: the wire hot path reuses buffers instead of
-//! allocating per frame.
+//! Per-worker pools of batch containers: cross-worker handoff reuses
+//! vectors instead of allocating one per batch.
 //!
-//! Each runtime worker owns pools of reusable vectors. Paths that need a
-//! scratch buffer — frame-batch assembly for cross-worker handoff,
-//! wire-layer corruption copies — acquire a recycled vector, fill it, and
-//! either hand it off (batch containers travel to the destination worker,
-//! which releases them into *its* pool, so containers circulate between
-//! workers under symmetric traffic) or give it straight back. Released
-//! buffers keep their capacity (bounded by the pool's per-buffer cap) so
-//! steady-state traffic settles into a fixed working set with zero
-//! allocator traffic.
+//! A worker acquires a recycled container to stage the frames it sends
+//! another worker during one pass. The container travels to the
+//! destination worker, which releases it into *its* pool after draining,
+//! so containers circulate between workers under symmetric traffic.
+//! Released containers keep their capacity (bounded by the pool's
+//! per-buffer cap), so steady-state traffic settles into a fixed working
+//! set with no allocator traffic.
 
 /// A bounded freelist of reusable `Vec<T>` buffers.
 #[derive(Debug)]
@@ -18,14 +16,9 @@ pub struct Pool<T> {
     /// Buffers retained at most (excess releases fall to the allocator).
     max_buffers: usize,
     /// Element capacity above which a released buffer is shrunk before
-    /// pooling, so one jumbo frame cannot pin memory forever.
+    /// pooling, so one jumbo batch cannot pin memory forever.
     max_buffer_capacity: usize,
-    acquires: u64,
-    reuses: u64,
 }
-
-/// The byte-buffer pool used by the wire path.
-pub type BufferPool = Pool<u8>;
 
 impl<T> Pool<T> {
     /// A pool retaining up to `max_buffers` buffers of up to
@@ -35,21 +28,12 @@ impl<T> Pool<T> {
             free: Vec::with_capacity(max_buffers.min(64)),
             max_buffers,
             max_buffer_capacity,
-            acquires: 0,
-            reuses: 0,
         }
     }
 
     /// Takes a cleared buffer from the pool, or allocates a fresh one.
     pub fn acquire(&mut self) -> Vec<T> {
-        self.acquires += 1;
-        match self.free.pop() {
-            Some(buf) => {
-                self.reuses += 1;
-                buf
-            }
-            None => Vec::new(),
-        }
+        self.free.pop().unwrap_or_default()
     }
 
     /// Returns a buffer to the pool for reuse. The contents are cleared;
@@ -64,20 +48,6 @@ impl<T> Pool<T> {
             buf.shrink_to(self.max_buffer_capacity);
         }
         self.free.push(buf);
-    }
-
-    /// Buffers currently pooled.
-    pub fn pooled(&self) -> usize {
-        self.free.len()
-    }
-
-    /// Fraction of acquires served from the pool (0 before any acquire).
-    pub fn reuse_ratio(&self) -> f64 {
-        if self.acquires == 0 {
-            0.0
-        } else {
-            self.reuses as f64 / self.acquires as f64
-        }
     }
 }
 
@@ -95,7 +65,7 @@ mod tests {
 
     #[test]
     fn acquire_release_recycles() {
-        let mut pool: BufferPool = Pool::new(4, 1024);
+        let mut pool: Pool<u8> = Pool::new(4, 1024);
         let mut a = pool.acquire();
         a.extend_from_slice(b"hello");
         let ptr = a.as_ptr();
@@ -105,21 +75,25 @@ mod tests {
         assert_eq!(b.as_ptr(), ptr);
         assert!(b.is_empty());
         assert!(b.capacity() >= 5);
-        assert!(pool.reuse_ratio() > 0.0);
+        // The pool is empty again: the next acquire is a fresh vector.
+        assert_eq!(pool.acquire().capacity(), 0);
     }
 
     #[test]
     fn pool_and_buffer_sizes_are_bounded() {
-        let mut pool: BufferPool = Pool::new(2, 16);
+        let mut pool: Pool<u8> = Pool::new(2, 16);
         for _ in 0..5 {
             pool.release(Vec::with_capacity(1024));
         }
-        // Retention is capped at 2 no matter how many are released.
-        assert_eq!(pool.pooled(), 2);
-        let kept = pool.acquire();
-        assert!(
-            kept.capacity() <= 16,
-            "oversized buffer was pooled unshrunk"
-        );
+        // Retention is capped at 2 no matter how many are released: two
+        // pooled buffers come back, each shrunk, then fresh ones.
+        for _ in 0..2 {
+            let kept = pool.acquire();
+            assert!(
+                (1..=16).contains(&kept.capacity()),
+                "oversized buffer was pooled unshrunk"
+            );
+        }
+        assert_eq!(pool.acquire().capacity(), 0, "more than 2 were retained");
     }
 }

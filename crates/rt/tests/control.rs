@@ -192,3 +192,120 @@ fn tiny_mailbox_backpressure_is_counted() {
     // Backpressure slowed the flood but did not wedge the receiver.
     assert!(m.counter("toy.received") > 0);
 }
+
+/// Logs each timer's tag, in firing order, into a shared log.
+type FireLog = Arc<std::sync::Mutex<Vec<u64>>>;
+
+/// Arms 1 ms and 3 ms timers; when the 1 ms one fires it arms a 200 ms
+/// one. Logs how late the 3 ms timer fired, in microseconds.
+struct ThreeAfterOne {
+    three_due: Time,
+    log: FireLog,
+}
+
+impl Process for ThreeAfterOne {
+    fn on_start(&mut self, ctx: &mut Context<'_>) {
+        ctx.set_timer(Span::millis(1), 1);
+        self.three_due = ctx.now() + Span::millis(3);
+        ctx.set_timer(Span::millis(3), 3);
+    }
+
+    fn on_message(&mut self, _ctx: &mut Context<'_>, _from: ProcessId, _bytes: &Bytes) {}
+
+    fn on_timer(&mut self, ctx: &mut Context<'_>, tag: u64) {
+        match tag {
+            1 => {
+                ctx.set_timer(Span::millis(200), 200);
+            }
+            3 => {
+                let late = ctx.now().since(self.three_due).0;
+                self.log.lock().unwrap().push(late);
+            }
+            _ => {}
+        }
+    }
+}
+
+/// A timer armed after an earlier one fired must not hide a still
+/// pending, earlier deadline: the worker parks until the earliest entry,
+/// not the newest one.
+#[test]
+fn a_later_timer_armed_after_a_fire_does_not_delay_an_earlier_one() {
+    let log = FireLog::default();
+    let mut world = World::new(10);
+    world.add_process(
+        "three-after-one",
+        Box::new(ThreeAfterOne {
+            three_due: Time::ZERO,
+            log: Arc::clone(&log),
+        }),
+    );
+    Runtime::from_fabric(world.into_fabric(), RtConfig::with_threads(1)).run_for(Span::millis(300));
+    let late = log.lock().unwrap().clone();
+    assert_eq!(late.len(), 1, "the 3 ms timer fired {} times", late.len());
+    assert!(
+        late[0] <= 20_000,
+        "the 3 ms timer fired {} us late",
+        late[0]
+    );
+}
+
+/// Arms one timer per delay; each tag is the timer's own deadline, and
+/// every fire appends its tag to the shared log.
+struct Deadlines {
+    delays: Vec<Span>,
+    log: FireLog,
+}
+
+impl Process for Deadlines {
+    fn on_start(&mut self, ctx: &mut Context<'_>) {
+        for &delay in &self.delays {
+            let due = ctx.now() + delay;
+            ctx.set_timer(delay, due.0);
+        }
+    }
+
+    fn on_message(&mut self, _ctx: &mut Context<'_>, _from: ProcessId, _bytes: &Bytes) {}
+
+    fn on_timer(&mut self, _ctx: &mut Context<'_>, tag: u64) {
+        self.log.lock().unwrap().push(tag);
+    }
+}
+
+/// Holds its worker for 5 ms at start, so everything the other actors
+/// armed for the first 2 ms is due in the same pass.
+struct Sleeper;
+
+impl Process for Sleeper {
+    fn on_start(&mut self, _ctx: &mut Context<'_>) {
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+
+    fn on_message(&mut self, _ctx: &mut Context<'_>, _from: ProcessId, _bytes: &Bytes) {}
+}
+
+/// Work due in one pass runs in deadline order across actors: one actor
+/// with many due timers does not run ahead of another actor's earlier
+/// one.
+#[test]
+fn due_timers_of_different_actors_fire_in_deadline_order() {
+    let log = FireLog::default();
+    let mut world = World::new(11);
+    let many = (0..100).map(|i| Span::micros(1_000 + 10 * i)).collect();
+    for (name, delays) in [("many", many), ("one", vec![Span::micros(1_500)])] {
+        let log = Arc::clone(&log);
+        world.add_process(name, Box::new(Deadlines { delays, log }));
+    }
+    world.add_process("sleeper", Box::new(Sleeper));
+    Runtime::from_fabric(world.into_fabric(), RtConfig::with_threads(1)).run_for(Span::millis(100));
+    let fired = log.lock().unwrap().clone();
+    assert_eq!(fired.len(), 101);
+    if let Some(i) = fired.windows(2).position(|w| w[1] < w[0]) {
+        panic!(
+            "fire {} (deadline {} us) ran after deadline {} us",
+            i + 1,
+            fired[i + 1],
+            fired[i]
+        );
+    }
+}

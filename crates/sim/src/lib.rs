@@ -9,6 +9,8 @@
 //! a seeded RNG, so every experiment is exactly reproducible.
 //!
 //! * [`world`] — the event loop, processes, timers and the link model.
+//! * [`queue`] — the (deadline, insertion)-ordered event queue both
+//!   substrates schedule from.
 //! * [`clock`] — virtual vs monotonic time sources (shared with `spire-rt`).
 //! * [`json`] — the workspace's one JSON value, writer and parser.
 //! * [`time`] — virtual time types.
@@ -29,6 +31,7 @@
 pub mod clock;
 pub mod json;
 pub mod metrics;
+pub mod queue;
 pub mod stats;
 pub mod time;
 pub mod trace;
@@ -37,6 +40,7 @@ pub mod world;
 
 pub use clock::Clock;
 pub use metrics::Metrics;
+pub use queue::EventQueue;
 pub use stats::Summary;
 pub use time::{Span, Time};
 pub use trace::{

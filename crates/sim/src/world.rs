@@ -8,13 +8,13 @@
 
 use crate::clock::Clock;
 use crate::metrics::Metrics;
+use crate::queue::EventQueue;
 use crate::time::{Span, Time};
 use crate::trace::{SpanPhase, TraceKind, Tracer};
 use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// Identifies a process within a [`World`].
@@ -296,36 +296,13 @@ enum EventKind {
     Control(u64),
 }
 
-struct QueuedEvent {
-    at: Time,
-    seq: u64,
-    kind: EventKind,
-}
-
-impl PartialEq for QueuedEvent {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for QueuedEvent {}
-impl PartialOrd for QueuedEvent {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for QueuedEvent {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
 type ControlFn = Box<dyn FnOnce(&mut World)>;
 
 /// The substrate services a [`Context`] delegates to.
 ///
 /// [`World`] implements this over the discrete-event queue and virtual
 /// time; the real-clock runtime (`spire-rt`) implements it over per-worker
-/// mailboxes, timer wheels and a monotonic [`Clock`]. Actor code only sees
+/// mailboxes, event queues and a monotonic [`Clock`]. Actor code only sees
 /// [`Context`], so the same state machines run on either substrate.
 pub trait Backend {
     /// Current time (virtual or monotonic, measured from substrate start).
@@ -390,8 +367,7 @@ pub trait Backend {
 pub struct World {
     clock: Clock,
     seed: u64,
-    seq: u64,
-    queue: BinaryHeap<Reverse<QueuedEvent>>,
+    queue: EventQueue<EventKind>,
     slots: Vec<Slot>,
     links: HashMap<(u32, u32), LinkState>,
     rng: StdRng,
@@ -411,8 +387,7 @@ impl World {
         World {
             clock: Clock::virtual_at_zero(),
             seed,
-            seq: 0,
-            queue: BinaryHeap::new(),
+            queue: EventQueue::new(),
             slots: Vec::new(),
             links: HashMap::new(),
             rng: StdRng::seed_from_u64(seed),
@@ -607,10 +582,7 @@ impl World {
     /// Runs until the queue is empty or `deadline` is passed, then folds
     /// the spans confirmed meanwhile into the `span.*_us` histograms.
     pub fn run_until(&mut self, deadline: Time) {
-        while let Some(Reverse(ev)) = self.queue.peek() {
-            if ev.at > deadline {
-                break;
-            }
+        while self.queue.next_due().is_some_and(|at| at <= deadline) {
             self.step();
         }
         self.clock.advance_to(deadline);
@@ -625,12 +597,12 @@ impl World {
 
     /// Processes a single event; returns false if the queue is empty.
     pub fn step(&mut self) -> bool {
-        let Some(Reverse(ev)) = self.queue.pop() else {
+        let Some((at, kind)) = self.queue.pop() else {
             return false;
         };
-        debug_assert!(ev.at >= self.clock.now(), "time went backwards");
-        self.clock.advance_to(ev.at);
-        match ev.kind {
+        debug_assert!(at >= self.clock.now(), "time went backwards");
+        self.clock.advance_to(at);
+        match kind {
             EventKind::Start { to, generation } => {
                 self.dispatch(to, Some(generation), |proc, ctx| proc.on_start(ctx));
             }
@@ -731,9 +703,7 @@ impl World {
             self.queue.len() < self.max_queue,
             "event queue overflow: runaway simulation"
         );
-        let seq = self.seq;
-        self.seq += 1;
-        self.queue.push(Reverse(QueuedEvent { at, seq, kind }));
+        self.queue.push(at, kind);
     }
 
     fn do_send(&mut self, from: ProcessId, to: ProcessId, bytes: Bytes) {
