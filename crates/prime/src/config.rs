@@ -48,7 +48,9 @@ pub(crate) const PO_INTERVAL: Span = Span::millis(5);
 /// Maximum ops per PO-Request batch.
 pub(crate) const PO_BATCH: usize = 64;
 
-/// PO-Summary broadcast interval.
+/// PO-Summary broadcast interval. With batch signing on, a summary that
+/// is due while a batch flush is pending leaves with that flush instead
+/// of on this tick.
 pub const SUMMARY_INTERVAL: Span = Span::millis(10);
 
 /// Leader's pre-prepare (proposal) interval, Δpp.
@@ -130,11 +132,13 @@ pub struct PrimeConfig {
     /// but not yet committed) at once. 1 degenerates to strictly serial
     /// ordering; wider windows pipeline the Prepare/Commit rounds.
     pub proposal_window: u64,
-    /// Propose as soon as fresh summary rows arrive (subject to
-    /// `EAGER_PROPOSE_GAP` and the window) instead of waiting for the
-    /// next `PRE_PREPARE_INTERVAL` tick. The timer keeps running as a
-    /// backstop; eager proposals just stop the ordering pipeline from
-    /// quantizing end-to-end latency to the proposal interval.
+    /// Propose as soon as fresh summary rows make more requests
+    /// executable — some origin's `f + k + 1` coverage rises above the
+    /// last proposed matrix's — (subject to `EAGER_PROPOSE_GAP` and the
+    /// window) instead of waiting for the next `PRE_PREPARE_INTERVAL`
+    /// tick. The tick keeps proposing any changed matrix; eager proposals
+    /// just stop the ordering pipeline from quantizing end-to-end latency
+    /// to the proposal interval.
     pub eager_propose: bool,
     /// Coalesce all frames bound for the same peer within one activation
     /// into a single multi-frame container, sealed (when session MACs
