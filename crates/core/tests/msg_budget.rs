@@ -29,7 +29,7 @@ fn paper_rate() -> Deployment {
 /// devices and the HMI stop 300 ms before the end so everything they sent
 /// can confirm.
 #[test]
-fn a_confirmed_operation_costs_at_most_265_messages() {
+fn a_confirmed_operation_costs_at_most_235_messages() {
     let mut system = paper_rate();
     let sources = system.device_pids.iter().chain(&system.hmi_pids);
     let stop = sources.map(|pid| ControlOp::Crash(*pid)).collect();
@@ -44,7 +44,7 @@ fn a_confirmed_operation_costs_at_most_265_messages() {
     assert_eq!(metrics.counter("spines.retx"), 0);
     let confirmed = report.updates_confirmed + report.commands_actuated;
     let per_op = metrics.counter("sim.delivered") as f64 / confirmed as f64;
-    assert!(per_op <= 265.0, "{per_op:.1} messages per confirmed op");
+    assert!(per_op <= 235.0, "{per_op:.1} messages per confirmed op");
     // What authenticating replies costs a client: the f + 1 = 2 votes that
     // decide a quorum are checked, the other replicas' go unread.
     let quorums = metrics.counter("client.quorums");

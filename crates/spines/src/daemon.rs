@@ -18,10 +18,12 @@
 //! link-level batches sealed by one HMAC per flush window (see
 //! [`DaemonConfig::batch_window`]) — constrained flooding otherwise
 //! amplifies every application message into one authenticated frame and
-//! one ack per overlay edge. A hop ack is never flushed on its own account:
-//! it leaves with the window's flush, beside whatever data is bound for the
-//! same neighbor. The retransmission timeout (60 ms) is sixty windows away,
-//! so an ack that waits out one window never fires it.
+//! one ack per overlay edge. A hop ack never pays for a frame of its own
+//! while data can carry it: it leaves beside the next data flushed to the
+//! same neighbor, or at the daemon's next retransmission scan, whichever
+//! comes first. The scan runs every 10 ms, so with one link round trip the
+//! ack is back well inside the 60 ms retransmission timeout (see
+//! `RETRANSMIT_INTERVAL`).
 //!
 //! **Multicast groups.** A client joins a group on its daemon
 //! ([`OverlayMsg::ClientJoin`]); a message flooded to
@@ -56,8 +58,12 @@ const LSA_INTERVAL: Span = Span::secs(5);
 /// Link-state advertisements older than this are aged out of the database
 /// (a crashed daemon's stale adjacency must not linger).
 const LSA_MAX_AGE: Span = Span::secs(16);
-/// Retransmission scan interval for reliable frames.
-const RETRANSMIT_INTERVAL: Span = Span::millis(20);
+/// Retransmission scan interval for reliable frames. The scan also flushes
+/// the hop acks that no data frame has carried, so a receiver holds an ack
+/// at most this long. On the slowest link (15 ms one way plus up to 5 ms
+/// jitter) the sender hears the ack at most 40 ms of round trip + 10 ms =
+/// 50 ms after sending, 10 ms inside [`RETRANSMIT_TIMEOUT`].
+const RETRANSMIT_INTERVAL: Span = Span::millis(10);
 /// Retransmission timeout for a reliable frame.
 const RETRANSMIT_TIMEOUT: Span = Span::millis(60);
 /// Give up after this many retransmissions. With exponential backoff (60 ms
@@ -77,13 +83,16 @@ pub struct DaemonConfig {
     pub flood_rate_per_source: f64,
     /// Burst allowance per source (messages).
     pub flood_burst: f64,
-    /// Hop-level link batching: data frames and hop acks bound for the same
-    /// neighbor are staged for up to this window and flushed as one
-    /// [`OverlayMsg::Batch`] under a single link HMAC. Real Spines packs
-    /// messages into link-level packets the same way; without it, flooding
-    /// amplifies every application message into one authenticated frame per
-    /// overlay edge *plus* one ack per frame. `Span::ZERO` disables
-    /// batching (every message is framed and acked individually).
+    /// Hop-level link batching: data frames bound for the same neighbor are
+    /// staged for up to this window and flushed as one [`OverlayMsg::Batch`]
+    /// under a single link HMAC, led by every hop ack staged for that
+    /// neighbor. A staged ack opens the window too, but leaves only beside
+    /// data; with none, it waits for the next retransmission scan. Real
+    /// Spines packs messages into link-level packets the same way; without
+    /// it, flooding amplifies every application message into one
+    /// authenticated frame per overlay edge *plus* one ack per frame.
+    /// `Span::ZERO` disables batching (every message is framed and acked
+    /// individually).
     pub batch_window: Span,
 }
 
@@ -382,16 +391,19 @@ impl Daemon {
         }
     }
 
+    /// The batch window's flush: every neighbor with staged data, each with
+    /// its staged acks in front. Acks with no data beside them stay staged
+    /// for the next data bound that way or the next retransmission scan.
     fn flush_stages(&mut self, ctx: &mut Context<'_>) {
-        if self.stage.is_empty() && self.staged_acks.is_empty() {
-            return;
+        let targets: Vec<OverlayId> = self.stage.keys().copied().collect();
+        for n in targets {
+            self.flush_neighbor(ctx, n);
         }
-        let mut targets: Vec<OverlayId> = self.stage.keys().copied().collect();
-        for n in self.staged_acks.keys() {
-            if !targets.contains(n) {
-                targets.push(*n);
-            }
-        }
+    }
+
+    /// The retransmission scan's flush: every neighbor still holding acks.
+    fn flush_acks(&mut self, ctx: &mut Context<'_>) {
+        let targets: Vec<OverlayId> = self.staged_acks.keys().copied().collect();
         for n in targets {
             self.flush_neighbor(ctx, n);
         }
@@ -829,9 +841,10 @@ impl Daemon {
             OverlayMsg::Data { frame_id, msg } => {
                 if msg.reliable {
                     if self.batching() {
-                        // Cumulative ack: all reliable frames of one window
-                        // are acknowledged in a single HopAckMulti when the
-                        // window flushes, beside any data bound the same way.
+                        // Cumulative ack: it rides the next data flushed
+                        // back to `from`, or the next retransmission scan.
+                        // It still opens the batch window: data staged
+                        // behind it leaves when that window closes.
                         self.staged_acks.entry(from).or_default().push(frame_id);
                         self.schedule_flush(ctx);
                     } else {
@@ -992,6 +1005,7 @@ impl Process for Daemon {
                 ctx.set_timer(LSA_INTERVAL, TIMER_LSA);
             }
             TIMER_RETX => {
+                self.flush_acks(ctx);
                 let now = ctx.now();
                 let mut to_resend: Vec<u64> = Vec::new();
                 let mut to_drop: Vec<u64> = Vec::new();

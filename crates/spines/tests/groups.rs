@@ -1,13 +1,13 @@
 //! Multicast groups and the hop-ack policy, on a Spines-only `World`: one
 //! dissemination reaches every member behind every daemon exactly once and
 //! never the sender, through loss and a blackholing daemon; a group has no
-//! meaning under the routed modes; and a hop ack waits out the batch
-//! window instead of leaving alone at once, without ever firing the
-//! retransmission timer.
+//! meaning under the routed modes; and a hop ack rides the next data bound
+//! back to its sender or the next retransmission scan, without ever firing
+//! the retransmission timer.
 
 use bytes::Bytes;
 use spire_crypto::{KeyMaterial, KeyStore};
-use spire_sim::{Context, LinkConfig, Process, ProcessId, Span, World};
+use spire_sim::{Context, LinkConfig, Process, ProcessId, Span, Time, World};
 use spire_spines::{
     DaemonBehavior, DaemonConfig, Dissemination, OverlayAddr, OverlayId, OverlayNetwork,
     SpinesPort, Topology,
@@ -27,13 +27,14 @@ enum Member {
 }
 
 /// A client that attaches, joins [`GROUP`] as `member` says, sends `to_send`
-/// messages 20 ms apart (from 1 s, once routes have settled) to the group
+/// messages `every` apart (from 1 s, once routes have settled) to the group
 /// under `mode`, and counts what it is delivered as `<label>.rx`.
 struct Client {
     port: SpinesPort,
     label: &'static str,
     member: Member,
     to_send: u32,
+    every: Span,
     mode: Dissemination,
 }
 
@@ -70,7 +71,7 @@ impl Process for Client {
             self.port.send(ctx, group, self.mode, true, payload);
         }
         if self.to_send > 0 {
-            ctx.set_timer(Span::millis(20), TIMER_SEND);
+            ctx.set_timer(self.every, TIMER_SEND);
         }
     }
 }
@@ -114,6 +115,12 @@ impl Harness {
         self.add(node, port, label, member, 0, Dissemination::Flood);
     }
 
+    /// A member flooding `to_send` messages `every` apart.
+    fn stream(&mut self, node: u16, port: u16, label: &'static str, to_send: u32, every: Span) {
+        let mode = Dissemination::Flood;
+        self.spawn(node, port, label, Member::Yes, to_send, every, mode);
+    }
+
     fn add(
         &mut self,
         node: u16,
@@ -123,12 +130,28 @@ impl Harness {
         to_send: u32,
         mode: Dissemination,
     ) {
+        let every = Span::millis(20);
+        self.spawn(node, port, label, member, to_send, every, mode);
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn spawn(
+        &mut self,
+        node: u16,
+        port: u16,
+        label: &'static str,
+        member: Member,
+        to_send: u32,
+        every: Span,
+        mode: Dissemination,
+    ) {
         let node = OverlayId(node);
         let client = Client {
             port: SpinesPort::new(self.net.daemon_pid(node), OverlayAddr { node, port }),
             label,
             member,
             to_send,
+            every,
             mode,
         };
         let pid = self.world.add_process(label, Box::new(client));
@@ -218,37 +241,89 @@ fn a_group_destination_under_a_routed_mode_is_dropped_and_counted() {
     }
 }
 
-#[test]
-fn a_hop_ack_waits_out_the_batch_window_and_never_fires_a_retransmission() {
-    // Two daemons, one jitter-free 10 ms link: the times are exact.
+/// Two daemons joined by one link.
+fn pair(seed: u64, link: LinkConfig) -> Harness {
     let mut topology = Topology::new();
     topology.add_edge(OverlayId(0), OverlayId(1), 10);
-    let link = |_, _| LinkConfig::wan(10).with_jitter(Span::ZERO);
-    let mut h = Harness::build(5, &topology, link, |_| DaemonBehavior::Honest);
-    h.add(0, 100, "tx", Member::Yes, 50, Dissemination::Flood);
-    h.client(1, 100, "rx", Member::Yes);
-    // Step to the instant a counter first moves.
-    let mut first = |counter: &str| loop {
-        assert!(h.world.step(), "{counter} never moved");
-        if h.world.metrics().counter(counter) > 0 {
+    Harness::build(seed, &topology, |_, _| link, |_| DaemonBehavior::Honest)
+}
+
+/// Steps `h` to the instant `counter` next moves (within 10 s).
+fn next_move(h: &mut Harness, counter: &str) -> Time {
+    let from = h.counter(counter);
+    loop {
+        let stepped = h.world.step() && h.world.now() < Time(10_000_000);
+        assert!(stepped, "{counter} never moved");
+        if h.counter(counter) > from {
             return h.world.now();
         }
-    };
-    let data_sealed = first("spines.overlay.tx_data");
-    let ack_sealed = first("spines.overlay.tx_ack_only");
-    // Sealed at 0, received at 1 one link delay (plus the frame's
-    // serialization time) later, acknowledged one window after that.
+    }
+}
+
+#[test]
+fn with_no_data_flowing_back_a_hop_ack_leaves_at_the_next_retransmission_scan() {
+    // One jitter-free 10 ms link, traffic one way, a frame every 5 ms: the
+    // times are exact, and two frames arrive between scans.
+    let mut h = pair(5, LinkConfig::wan(10).with_jitter(Span::ZERO));
+    h.stream(0, 100, "tx", 50, Span::millis(5));
+    h.client(1, 100, "rx", Member::Yes);
+    let data_sealed = next_move(&mut h, "spines.overlay.tx_data");
+    let ack_sealed = next_move(&mut h, "spines.overlay.tx_ack_only");
+    // Received one link delay (plus the frame's serialization time) after
+    // it was sealed; acknowledged not at the batch flush one window later
+    // but at the receiver's next scan, within one scan interval of
+    // receipt. The scans run every 10 ms from the daemon's start at 0, and
+    // the next scan carries the next two frames' acks.
+    let arrived = data_sealed + Span::millis(10);
     let window = DaemonConfig::default().batch_window;
-    let waited = ack_sealed.since(data_sealed);
+    assert_eq!(ack_sealed.0 % 10_000, 0, "ack left at {ack_sealed:?}");
     assert!(
-        waited >= Span::millis(10) + window
-            && waited < Span::millis(10) + window + Span::micros(100),
-        "ack left {waited:?} after the data"
+        ack_sealed > arrived + window && ack_sealed <= arrived + Span::millis(10),
+        "data sealed at {data_sealed:?}, ack at {ack_sealed:?}"
     );
+    let next_ack = next_move(&mut h, "spines.overlay.tx_ack_only");
+    assert_eq!(next_ack.since(ack_sealed), Span::millis(10));
     h.world.run_for(Span::secs(3));
     assert_eq!(h.rx("rx"), 50);
-    // Nothing flows back but acks: each rides its own window's flush.
-    assert_eq!(h.counter("spines.overlay.tx_ack_only"), 50);
+    // Each scan carries every ack staged since the last one.
+    let (data, acks) = (
+        h.counter("spines.overlay.tx_data"),
+        h.counter("spines.overlay.tx_ack_only"),
+    );
+    assert_eq!(data, 50);
+    assert!(acks < data, "{acks} ack-only frames for {data} data frames");
     assert_eq!(h.counter("spines.overlay.tx_mixed"), 0);
+    assert_eq!(h.counter("spines.retx"), 0);
+}
+
+#[test]
+fn a_hop_ack_rides_reverse_data_staged_within_its_window() {
+    // Both ends send every 20 ms at the same instants over a jitter-free
+    // 19 ms link: each frame arrives as the far end stages its next one,
+    // so every ack leaves beside data.
+    let mut h = pair(6, LinkConfig::wan(19).with_jitter(Span::ZERO));
+    h.stream(0, 100, "a", 50, Span::millis(20));
+    h.stream(1, 100, "b", 50, Span::millis(20));
+    h.world.run_for(Span::millis(1_900));
+    assert!(h.counter("spines.overlay.tx_mixed") > 0);
+    assert_eq!(h.counter("spines.overlay.tx_ack_only"), 0);
+    // Only the last frame each way has no data to ride back: the scan
+    // carries its ack.
+    h.world.run_for(Span::secs(2));
+    assert_eq!((h.rx("a"), h.rx("b")), (50, 50));
+    assert_eq!(h.counter("spines.overlay.tx_ack_only"), 2);
+    assert_eq!(h.counter("spines.retx"), 0);
+}
+
+#[test]
+fn a_sustained_flow_on_the_slowest_wan_link_never_fires_a_retransmission() {
+    // The slowest link of the wide-area deployment, with its 5 ms of
+    // jitter: round trip plus the scan wait stays inside the 60 ms timeout.
+    let mut h = pair(7, LinkConfig::wan(15));
+    h.stream(0, 100, "tx", 1_000, Span::millis(3));
+    h.client(1, 100, "rx", Member::Yes);
+    h.world.run_for(Span::secs(5));
+    assert_eq!(h.rx("rx"), 1_000);
+    assert!(h.counter("spines.overlay.tx_ack_only") > 0);
     assert_eq!(h.counter("spines.retx"), 0);
 }
