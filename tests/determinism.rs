@@ -2,22 +2,37 @@
 //! seed must produce byte-identical JSON reports. Guards the Clock /
 //! Backend refactor (which opened the door to wall-clock time sources)
 //! against ever leaking nondeterminism into the sim substrate.
+//!
+//! The `pinned_*` cases go further and hold the event stream still across
+//! commits: each compares a run's `fnv64` digest with a committed constant.
+//! Only a change that means to alter the simulator's event stream may
+//! update them, and it says so in CHANGES.md.
 
 use spire::{Deployment, DeploymentConfig, Scenario};
+use spire_explore::fnv64;
 use spire_sim::Span;
 
-fn run_once(seed: u64, scenario_idx: usize) -> String {
+fn build(seed: u64, scenario_idx: usize, trace: bool) -> Deployment {
     let mut cfg = DeploymentConfig::wide_area(seed);
     cfg.workload.rtus = 4;
     cfg.workload.update_interval = Span::millis(400);
-    // Tracing defaults to the SPIRE_TRACE env var; pin it off so the
+    // Tracing defaults to the SPIRE_TRACE env var; pin it so the
     // byte-comparison cannot be perturbed by the environment.
-    cfg.trace = false;
+    cfg.trace = trace;
     let mut deployment = Deployment::build(cfg);
     let scenario = &Scenario::red_team_suite()[scenario_idx];
     scenario.apply(&mut deployment);
     deployment.run_for(Span::secs(8));
-    deployment.report().to_json()
+    deployment
+}
+
+fn run_once(seed: u64, scenario_idx: usize) -> String {
+    build(seed, scenario_idx, false).report().to_json()
+}
+
+/// The attack scenario the attack cases run.
+fn attack_idx() -> usize {
+    3.min(Scenario::red_team_suite().len() - 1)
 }
 
 #[test]
@@ -32,10 +47,8 @@ fn identical_seeds_identical_reports() {
 fn identical_seeds_identical_reports_under_attack() {
     // A scenario with fault injection exercises control actions, RNG
     // draws for loss/jitter, and recovery paths.
-    let suite_len = Scenario::red_team_suite().len();
-    let idx = 3.min(suite_len - 1);
-    let a = run_once(7, idx);
-    let b = run_once(7, idx);
+    let a = run_once(7, attack_idx());
+    let b = run_once(7, attack_idx());
     assert_eq!(a, b, "attack scenario diverged across identical runs");
 }
 
@@ -46,4 +59,32 @@ fn different_seeds_differ() {
     let a = run_once(1, 0);
     let b = run_once(2, 0);
     assert_ne!(a, b);
+}
+
+#[test]
+fn pinned_report_digest() {
+    let digest = fnv64(run_once(42, 0).as_bytes());
+    assert_eq!(
+        digest, 0x110c_55d5_87eb_2995,
+        "report digest moved: {digest:#018x}"
+    );
+}
+
+#[test]
+fn pinned_attack_report_digest() {
+    let digest = fnv64(run_once(7, attack_idx()).as_bytes());
+    assert_eq!(
+        digest, 0xc692_57e6_1e2e_4076,
+        "attack report digest moved: {digest:#018x}"
+    );
+}
+
+#[test]
+fn pinned_chrome_trace_digest() {
+    let trace = build(42, 0, true).world.tracer().chrome_trace();
+    let digest = fnv64(trace.as_bytes());
+    assert_eq!(
+        digest, 0x2a71_2365_9d52_95bb,
+        "Chrome trace digest moved: {digest:#018x}"
+    );
 }
