@@ -110,15 +110,19 @@ impl<T> RunQueue<T> {
     /// Returns the total weight drained.
     pub fn pop_all(&self, out: &mut Vec<T>) -> u64 {
         let mut q = self.inner.lock().expect("run queue poisoned");
+        self.drain(&mut q, out)
+    }
+
+    /// Moves every entry of the locked queue into `out`, keeping the
+    /// ledger; returns the weight moved.
+    fn drain(&self, q: &mut VecDeque<(T, u64)>, out: &mut Vec<T>) -> u64 {
         let mut drained = 0;
         for (item, weight) in q.drain(..) {
             drained += weight;
             out.push(item);
         }
-        if drained > 0 {
-            self.depth.fetch_sub(drained, Ordering::Relaxed);
-            self.recvs.fetch_add(drained, Ordering::Relaxed);
-        }
+        self.depth.fetch_sub(drained, Ordering::Relaxed);
+        self.recvs.fetch_add(drained, Ordering::Relaxed);
         drained
     }
 
@@ -155,14 +159,7 @@ impl<T> RunQueue<T> {
             }
         }
         self.parked.store(false, Ordering::Release);
-        let mut drained = 0;
-        for (item, weight) in q.drain(..) {
-            drained += weight;
-            out.push(item);
-        }
-        self.depth.fetch_sub(drained, Ordering::Relaxed);
-        self.recvs.fetch_add(drained, Ordering::Relaxed);
-        drained
+        self.drain(&mut q, out)
     }
 
     /// Weight currently queued (exact, lock-free).

@@ -309,3 +309,56 @@ fn due_timers_of_different_actors_fire_in_deadline_order() {
         );
     }
 }
+
+/// Sends two 1,250-byte frames to `peer` at start.
+struct TwoBig {
+    peer: ProcessId,
+}
+
+impl Process for TwoBig {
+    fn on_start(&mut self, ctx: &mut Context<'_>) {
+        ctx.send(self.peer, Bytes::from(vec![0u8; 1_250]));
+        ctx.send(self.peer, Bytes::from(vec![1u8; 1_250]));
+    }
+
+    fn on_message(&mut self, _ctx: &mut Context<'_>, _from: ProcessId, _bytes: &Bytes) {}
+}
+
+/// Logs the arrival time of every frame, in microseconds.
+struct Arrivals {
+    log: FireLog,
+}
+
+impl Process for Arrivals {
+    fn on_message(&mut self, ctx: &mut Context<'_>, _from: ProcessId, _bytes: &Bytes) {
+        self.log.lock().unwrap().push(ctx.now().0);
+    }
+}
+
+/// rt's links queue on bandwidth as the simulator's do: two 1,250-byte
+/// frames over a 1 Mbps link take 10 ms each to transmit, so the second
+/// arrives at least 9 ms after the first.
+#[test]
+fn bandwidth_queueing_serializes() {
+    let log = FireLog::default();
+    let mut world = World::new(12);
+    let rx = ProcessId(1);
+    let tx = world.add_process("tx", Box::new(TwoBig { peer: rx }));
+    let log_rx = Arc::clone(&log);
+    let rx = world.add_process("rx", Box::new(Arrivals { log: log_rx }));
+    let link = LinkConfig {
+        latency: Span::millis(5),
+        jitter: Span::ZERO,
+        bandwidth_bps: Some(1_000_000),
+        ..LinkConfig::local()
+    };
+    world.add_link(tx, rx, link);
+    Runtime::from_fabric(world.into_fabric(), RtConfig::with_threads(1)).run_for(Span::millis(200));
+    let at = log.lock().unwrap().clone();
+    assert_eq!(at.len(), 2, "{} frames arrived", at.len());
+    assert!(
+        at[1] - at[0] >= 9_000,
+        "frames arrived {} us apart",
+        at[1] - at[0]
+    );
+}

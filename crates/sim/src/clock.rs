@@ -27,13 +27,6 @@ impl Clock {
         Clock::Virtual(Time::ZERO)
     }
 
-    /// A monotonic clock whose epoch is the moment of this call.
-    pub fn monotonic() -> Clock {
-        Clock::Monotonic {
-            start: Instant::now(),
-        }
-    }
-
     /// The current instant, measured from the clock's epoch.
     #[inline]
     pub fn now(&self) -> Time {
@@ -51,11 +44,6 @@ impl Clock {
             *now = (*now).max(t);
         }
     }
-
-    /// True for the event-loop-driven variant.
-    pub fn is_virtual(&self) -> bool {
-        matches!(self, Clock::Virtual(_))
-    }
 }
 
 #[cfg(test)]
@@ -65,7 +53,6 @@ mod tests {
     #[test]
     fn virtual_clock_advances_monotonically() {
         let mut c = Clock::virtual_at_zero();
-        assert!(c.is_virtual());
         assert_eq!(c.now(), Time::ZERO);
         c.advance_to(Time(500));
         assert_eq!(c.now(), Time(500));
@@ -75,8 +62,9 @@ mod tests {
 
     #[test]
     fn monotonic_clock_moves_forward() {
-        let mut c = Clock::monotonic();
-        assert!(!c.is_virtual());
+        let mut c = Clock::Monotonic {
+            start: Instant::now(),
+        };
         let a = c.now();
         c.advance_to(Time(u64::MAX)); // no-op
         std::thread::sleep(std::time::Duration::from_millis(2));

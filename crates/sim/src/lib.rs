@@ -8,7 +8,10 @@
 //! queueing, partitions and host crash/restart — all under virtual time with
 //! a seeded RNG, so every experiment is exactly reproducible.
 //!
-//! * [`world`] — the event loop, processes, timers and the link model.
+//! * [`world`] — the event loop, processes, the link model and the
+//!   control plane.
+//! * [`host`] — the actor table, links, timers, send and dispatch both
+//!   substrates run on.
 //! * [`queue`] — the (deadline, insertion)-ordered event queue both
 //!   substrates schedule from.
 //! * [`clock`] — virtual vs monotonic time sources (shared with `spire-rt`).
@@ -29,6 +32,7 @@
 //! ```
 
 pub mod clock;
+pub mod host;
 pub mod json;
 pub mod metrics;
 pub mod queue;
@@ -39,6 +43,7 @@ pub mod wire;
 pub mod world;
 
 pub use clock::Clock;
+pub use host::Host;
 pub use metrics::Metrics;
 pub use queue::EventQueue;
 pub use stats::Summary;
@@ -49,5 +54,5 @@ pub use trace::{
 pub use wire::{Count, Counted, Elements, Wire, WireError, WireReader, WireWriter};
 pub use world::{
     Backend, Context, ControlOp, Fabric, LinkConfig, Process, ProcessId, SpawnFn, TimerId, Transit,
-    World,
+    World, WorldEvent,
 };
