@@ -5,7 +5,7 @@
 use bytes::Bytes;
 use spire::deployment::{Deployment, DeploymentConfig, Substrate};
 use spire::report::Provenance;
-use spire_bench::experiments::{endurance_summary, rt_row, shard_row, Args, TABLE};
+use spire_bench::experiments::{endurance_summary, rt_row, shard_row, Args, SoakMemory, TABLE};
 use spire_explore::{Artifact, Choice};
 use spire_scada::WorkloadConfig;
 use spire_sim::json::{parse, Json};
@@ -108,10 +108,15 @@ fn hostile_labels_read_back_verbatim_from_every_emitter() {
     assert_eq!(Artifact::from_json_str(&text).expect("parses"), artifact);
 
     // One row of each experiment summary.
+    let memory = SoakMemory {
+        po_retained: (f64::NAN, f64::NAN),
+        rss_mb: vec![f64::NAN, 12.5],
+        peak_rss_mb: f64::NAN,
+    };
     for row in [
         rt_row(HOSTILE, 500, 4.0, &report, 0.25, 1),
         shard_row(HOSTILE, 1, 0.1, false, 2, &report),
-        endurance_summary(HOSTILE, &report, 2, 0, (f64::NAN, f64::NAN), 1.0, false),
+        endurance_summary(HOSTILE, &report, 2, 0, &memory, 1.0, false),
     ] {
         let doc = parse(&row.to_string()).expect("row is JSON");
         assert_eq!(doc.get("substrate").and_then(Json::as_str), Some(HOSTILE));
