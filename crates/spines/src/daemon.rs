@@ -25,6 +25,26 @@
 //! ack is back well inside the 60 ms retransmission timeout (see
 //! `RETRANSMIT_INTERVAL`).
 //!
+//! **Duplicate suppression** works at two levels. A reliable frame's id
+//! is its sender's frame counter, and it arrives over a link whose HMAC
+//! names the sender, so the hop level keeps one fixed-size window per
+//! neighbor (`SeenWindow`, the anti-replay window of IPsec): the highest
+//! id received on that link and a bit for each of the 65,536 ids ending
+//! there, 8 KB per link that carries reliable traffic. Only that neighbor
+//! can move its window, so no neighbor can mark another link's frames as
+//! seen. An id below the window's floor (65,536 or more below the top) is
+//! treated as new. The busiest daemon of the benchmark's `sim_pipeline`
+//! workload (200 updates/s) assigns 227,012 frame ids across its links in
+//! the 28 s its devices send, about 8,100 a second, so the window reaches
+//! back about 8 s, close to the ~10 s a frame is retransmitted before its
+//! sender gives up. A retransmission older than that costs at most one
+//! redundant forward, because final delivery is deduplicated by the flood
+//! key. That key, `(src, src_port, seq)`, is not authenticated: a
+//! [`DataMsg`] carries no source signature, and any daemon on the path can
+//! write any `src`. So it is remembered in a set bounded by count (the
+//! last 100,000 keys), not in a window per source, which one forged
+//! far-ahead `seq` would close to the real source everywhere.
+//!
 //! **Multicast groups.** A client joins a group on its daemon
 //! ([`OverlayMsg::ClientJoin`]); a message flooded to
 //! [`OverlayId::GROUP`] is delivered by every daemon to its local members
@@ -175,6 +195,66 @@ struct NeighborState {
     weight: u32,
     last_heard: Time,
     alive: bool,
+    /// Reliable frame ids already received on this link.
+    seen: SeenWindow,
+}
+
+/// Ids a [`SeenWindow`] remembers below its top, the top included.
+const WINDOW_IDS: u64 = 1 << 16;
+const WINDOW_WORDS: usize = (WINDOW_IDS / 64) as usize;
+
+/// The hop-level duplicate filter of one link: an anti-replay sliding
+/// window (RFC 4303 §3.4.3) over the frame ids the neighbor sends. It
+/// holds the highest id received and one bit per id for the
+/// [`WINDOW_IDS`] ids ending there, in a ring indexed by `id %
+/// WINDOW_IDS`. The bitmap (8 KB) is allocated on the first reliable
+/// frame, so a link that carries none costs nothing.
+#[derive(Default)]
+struct SeenWindow {
+    top: u64,
+    bits: Vec<u64>,
+}
+
+impl SeenWindow {
+    /// Records `id`; false if it was already recorded. An id above the top
+    /// slides the window up to it; an id inside the window is a duplicate
+    /// exactly when its bit is set; an id below the window's floor is
+    /// new, and left unrecorded.
+    fn insert(&mut self, id: u64) -> bool {
+        if self.bits.is_empty() {
+            self.bits = vec![0; WINDOW_WORDS];
+            self.top = id;
+        } else if id > self.top {
+            self.slide_to(id);
+        } else if self.top - id >= WINDOW_IDS {
+            return true;
+        }
+        let bit = (id % WINDOW_IDS) as usize;
+        let (word, mask) = (bit / 64, 1u64 << (bit % 64));
+        let fresh = self.bits[word] & mask == 0;
+        self.bits[word] |= mask;
+        fresh
+    }
+
+    /// Moves the top up to `id`, clearing the bits of the ids it passes.
+    fn slide_to(&mut self, id: u64) {
+        if id - self.top >= WINDOW_IDS {
+            self.bits.fill(0);
+        } else {
+            let mut next = self.top + 1;
+            while next <= id {
+                let bit = (next % WINDOW_IDS) as usize;
+                if bit.is_multiple_of(64) && id - next >= 63 {
+                    self.bits[bit / 64] = 0;
+                    next += 64;
+                } else {
+                    self.bits[bit / 64] &= !(1u64 << (bit % 64));
+                    next += 1;
+                }
+            }
+        }
+        self.top = id;
+    }
 }
 
 struct LsaEntry {
@@ -225,8 +305,6 @@ pub struct Daemon {
     routes: Option<Topology>,
     flood_seen: HashSet<(u16, u16, u64)>,
     flood_seen_order: VecDeque<(u16, u16, u64)>,
-    frame_seen: HashSet<u64>,
-    frame_seen_order: VecDeque<u64>,
     pending: BTreeMap<u64, PendingFrame>,
     next_frame: u64,
     send_seq: BTreeMap<u16, u64>,
@@ -240,6 +318,7 @@ pub struct Daemon {
     flush_scheduled: bool,
 }
 
+/// Flood keys a daemon remembers (see `mark_flood_seen`).
 const SEEN_CAP: usize = 100_000;
 
 impl Daemon {
@@ -270,6 +349,7 @@ impl Daemon {
                     weight,
                     last_heard: Time::ZERO,
                     alive: true,
+                    seen: SeenWindow::default(),
                 },
             );
         }
@@ -290,8 +370,6 @@ impl Daemon {
             routes: None,
             flood_seen: HashSet::new(),
             flood_seen_order: VecDeque::new(),
-            frame_seen: HashSet::new(),
-            frame_seen_order: VecDeque::new(),
             pending: BTreeMap::new(),
             next_frame: 0,
             send_seq: BTreeMap::new(),
@@ -555,20 +633,6 @@ impl Daemon {
         true
     }
 
-    fn mark_frame_seen(&mut self, frame_id: u64) -> bool {
-        if self.frame_seen.contains(&frame_id) {
-            return false;
-        }
-        self.frame_seen.insert(frame_id);
-        self.frame_seen_order.push_back(frame_id);
-        if self.frame_seen_order.len() > SEEN_CAP {
-            if let Some(old) = self.frame_seen_order.pop_front() {
-                self.frame_seen.remove(&old);
-            }
-        }
-        true
-    }
-
     fn take_flood_token(&mut self, now: Time, source: OverlayId) -> bool {
         let bucket = self.buckets.entry(source).or_insert(TokenBucket {
             tokens: self.cfg.flood_burst,
@@ -761,6 +825,18 @@ impl Daemon {
         }
     }
 
+    /// An ack counts only from the link the frame was sent on: another
+    /// neighbor must not cancel its retransmission.
+    fn on_hop_ack(&mut self, ctx: &mut Context<'_>, from: OverlayId, frame_id: u64) {
+        match self.pending.get(&frame_id) {
+            Some(frame) if frame.to_overlay == from => {
+                self.pending.remove(&frame_id);
+            }
+            Some(_) => ctx.count("spines.foreign_ack_drop", 1),
+            None => {}
+        }
+    }
+
     fn on_neighbor_msg(&mut self, ctx: &mut Context<'_>, from: OverlayId, msg: OverlayMsg) {
         match msg {
             OverlayMsg::Hello {
@@ -850,18 +926,17 @@ impl Daemon {
                     } else {
                         self.frame_to(ctx, from, &OverlayMsg::HopAck { frame_id }, Row::TxAckOnly);
                     }
-                    if !self.mark_frame_seen(frame_id) {
+                    let link = self.neighbors.get_mut(&from);
+                    if !link.is_some_and(|link| link.seen.insert(frame_id)) {
                         return; // duplicate retransmission
                     }
                 }
                 self.route_data(ctx, msg, Some(from));
             }
-            OverlayMsg::HopAck { frame_id } => {
-                self.pending.remove(&frame_id);
-            }
+            OverlayMsg::HopAck { frame_id } => self.on_hop_ack(ctx, from, frame_id),
             OverlayMsg::HopAckMulti { frame_ids } => {
                 for frame_id in frame_ids {
-                    self.pending.remove(&frame_id);
+                    self.on_hop_ack(ctx, from, frame_id);
                 }
             }
             OverlayMsg::Batch { frames } => {
@@ -1095,5 +1170,89 @@ impl std::fmt::Debug for Daemon {
             .field("neighbors", &self.neighbors.len())
             .field("clients", &self.clients.len())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{SeenWindow, WINDOW_IDS, WINDOW_WORDS};
+
+    #[test]
+    fn duplicate_inside_the_window() {
+        let mut w = SeenWindow::default();
+        assert!(w.insert(100));
+        assert!(!w.insert(100));
+        assert!(w.insert(101));
+        assert!(!w.insert(100));
+        assert!(!w.insert(101));
+    }
+
+    #[test]
+    fn reordering_inside_the_window() {
+        let mut w = SeenWindow::default();
+        for id in [10, 14, 11, 13, 12, 10 + WINDOW_IDS - 1, 15] {
+            assert!(w.insert(id), "{id} is new");
+        }
+        for id in [10, 11, 12, 13, 14, 15] {
+            assert!(!w.insert(id), "{id} was seen");
+        }
+        assert!(w.insert(16));
+    }
+
+    #[test]
+    fn a_jump_of_a_whole_window_clears_it() {
+        let mut w = SeenWindow::default();
+        for id in 0..1_000 {
+            assert!(w.insert(id));
+        }
+        let top = 999 + WINDOW_IDS;
+        assert!(w.insert(top));
+        assert_eq!(w.top, top);
+        // Every id still inside the window is unmarked, whatever its bit
+        // held before the jump.
+        assert!(w.insert(top - WINDOW_IDS + 1));
+        assert!(w.insert(top - 1));
+        assert!(!w.insert(top));
+        assert!(w.bits.iter().map(|b| b.count_ones()).sum::<u32>() == 3);
+    }
+
+    #[test]
+    fn a_slide_clears_exactly_the_ids_it_passes() {
+        let mut w = SeenWindow::default();
+        for id in 0..WINDOW_IDS {
+            w.insert(id);
+        }
+        w.insert(WINDOW_IDS + 200);
+        // Ids 0..=200 fell below the floor, WINDOW_IDS..WINDOW_IDS+200 are
+        // new, and the 201.. ids still inside remain marked.
+        for id in WINDOW_IDS..WINDOW_IDS + 200 {
+            assert!(w.insert(id), "{id} is new");
+        }
+        for id in 201..WINDOW_IDS {
+            assert!(!w.insert(id), "{id} was seen");
+        }
+    }
+
+    #[test]
+    fn an_id_below_the_floor_is_new_and_unrecorded() {
+        let mut w = SeenWindow::default();
+        assert!(w.insert(5));
+        assert!(w.insert(5 + WINDOW_IDS));
+        assert!(w.insert(5), "below the floor");
+        assert!(w.insert(5), "still below the floor, never recorded");
+        assert_eq!(w.top, 5 + WINDOW_IDS);
+        assert!(!w.insert(5 + WINDOW_IDS));
+    }
+
+    #[test]
+    fn the_bitmap_keeps_its_size() {
+        let mut w = SeenWindow::default();
+        assert!(w.bits.is_empty(), "allocated on the first frame only");
+        for id in (0..1_000_000u64).map(|n| n * 3) {
+            assert!(w.insert(id));
+        }
+        assert_eq!(w.bits.len(), WINDOW_WORDS);
+        assert_eq!(w.bits.capacity(), WINDOW_WORDS);
+        assert_eq!(w.top, 2_999_997);
     }
 }
