@@ -3,10 +3,10 @@
 //! every row at reduced scale, `spire-exp --list` prints the table.
 //!
 //! Arguments are `--flag VALUE` or `--flag=VALUE` — `--secs`, `--msgs`,
-//! `--substrate`, `--json`, `--scale` (see [`Args`]) — plus bare numbers
-//! where a doc line shows them. Every experiment takes `--scale` and
-//! `--json`; beyond those it takes what its doc line names and the driver
-//! refuses the rest.
+//! `--substrate`, `--json`, `--scale` (see [`Args`]) — plus the bare
+//! `--trace`, and bare numbers where a doc line shows them. Every
+//! experiment takes `--scale`, `--json` and `--trace`; beyond those it
+//! takes what its doc line names, and `spire-exp` refuses the rest.
 //!
 //! Exit code: 0 on success, 1 when an experiment's own pass criteria fail
 //! or its summary cannot be written, 2 on a usage error.
@@ -30,6 +30,7 @@ fn list() {
     );
     println!("\n--scale N runs any experiment's reduced-scale variant, durations times N");
     println!("--json PATH writes any experiment's summary (its rows) to PATH");
+    println!("--trace records every deployment run, writing spire-trace-<tag>.json[l] in cwd");
 }
 
 /// Parses everything after the experiment name, refusing a flag that
@@ -58,6 +59,13 @@ fn parse(usage: &str, mut rest: impl Iterator<Item = String>) -> Args {
         };
         if !usage.contains(flag.as_str()) {
             usage_error(&format!("{flag} does not apply here (takes: {usage})"));
+        }
+        if flag == "--trace" {
+            if inline.is_some() {
+                usage_error("--trace takes no value");
+            }
+            args.trace = true;
+            continue;
         }
         let Some(value) = inline.or_else(|| rest.next()) else {
             usage_error(&format!("{flag} needs a value"));
@@ -123,7 +131,7 @@ fn main() {
             true
         }
         "all" => {
-            let mut args = parse("[--scale 1]", argv);
+            let mut args = parse("[--scale 1] [--trace]", argv);
             let scale = *args.scale.get_or_insert(1);
             println!("Spire evaluation experiments (scale factor {scale}); see EXPERIMENTS.md");
             // Every row runs even after a failure, so one run shows them all.
@@ -134,9 +142,9 @@ fn main() {
             ok
         }
         name => match TABLE.iter().find(|exp| exp.name == name) {
-            // These two apply to every experiment, so no doc line repeats them.
+            // These apply to every experiment, so no doc line repeats them.
             Some(exp) => {
-                let usage = format!("{} [--scale N] [--json PATH]", exp.doc);
+                let usage = format!("{} [--scale N] [--json PATH] [--trace]", exp.doc);
                 run(exp, &parse(&usage, argv))
             }
             None => usage_error(&format!("no experiment named {name:?}")),

@@ -36,6 +36,9 @@ pub struct Args {
     /// `--scale N`: run the reduced-scale variant (what `all` runs), its
     /// durations multiplied by `N`.
     pub scale: Option<u64>,
+    /// `--trace`: record every deployment run (see [`DeploymentConfig::trace`])
+    /// and write its trace files.
+    pub trace: bool,
     /// Bare numbers: seeds for `f6-chaos`, `f k dcs` for `planner`.
     pub positional: Vec<u64>,
 }
@@ -157,8 +160,8 @@ fn workload(rtus: u32, interval_ms: u64) -> WorkloadConfig {
     }
 }
 
-/// When the run was traced (`SPIRE_TRACE` set), prints the per-phase
-/// latency breakdown and writes the Chrome trace + JSONL event dumps to
+/// When the run was traced (`--trace`), prints the per-phase latency
+/// breakdown and writes the Chrome trace + JSONL event dumps to
 /// `spire-trace-<tag>.{json,jsonl}`.
 fn trace_hooks(trace: &Tracer, report: &Report, tag: &str) {
     if !trace.enabled() {
@@ -211,16 +214,19 @@ fn run_row(report: &Report) -> Json {
 }
 
 /// One deployment run, the sequence every deployment-based experiment
-/// shares: builds `cfg`, lets `arm` schedule its faults, runs `span` of
-/// simulated time, takes the report and fires the trace hooks under `tag`.
-/// Returns the run's row, and the report for what an experiment reads
-/// beyond it (a timeline, the latency samples, the auth counters).
+/// shares: builds `cfg`, traced when `args.trace`, lets `arm` schedule its
+/// faults, runs `span` of simulated time, takes the report and fires the
+/// trace hooks under `tag`. Returns the run's row, and the report for what
+/// an experiment reads beyond it (a timeline, the latency samples, the
+/// auth counters).
 fn run(
-    cfg: DeploymentConfig,
+    args: &Args,
+    mut cfg: DeploymentConfig,
     span: Span,
     tag: &str,
     arm: impl FnOnce(&mut Deployment),
 ) -> (Json, Report) {
+    cfg.trace = args.trace;
     let mut system = Deployment::build(cfg);
     arm(&mut system);
     system.run_for(span);
@@ -277,7 +283,7 @@ fn t2_longrun(args: &Args) -> Outcome {
         command_interval: Span::secs(30),
         ..workload(10, 1000)
     };
-    let (row, _) = run(cfg, Span::secs(duration_s), "t2", |system| {
+    let (row, _) = run(args, cfg, Span::secs(duration_s), "t2", |system| {
         // One proactive recovery per minute, round-robin over the 6 replicas.
         system.schedule_proactive_recovery(secs(30), Span::secs(60), secs(duration_s));
     });
@@ -298,7 +304,7 @@ fn f1_latency_cdf(args: &Args) -> Outcome {
         };
         cfg.workload = workload(10, 500);
         let tag = format!("f1-{site}");
-        let (_, report) = run(cfg, Span::secs(duration_s), &tag, |_| {});
+        let (_, report) = run(args, cfg, Span::secs(duration_s), &tag, |_| {});
         let latencies = &report.update_latencies_ms;
         let at = |pct| percentile(latencies, pct).into();
         Json::obj([
@@ -328,7 +334,7 @@ fn f2_recovery_timeline(args: &Args) -> Outcome {
     let recovery_period_s = if args.scale.is_some() { 20 } else { 30 };
     let mut cfg = DeploymentConfig::wide_area(88);
     cfg.workload = workload(8, 500);
-    let (row, report) = run(cfg, Span::secs(duration_s), "f2", |system| {
+    let (row, report) = run(args, cfg, Span::secs(duration_s), "f2", |system| {
         system.schedule_proactive_recovery(
             secs(recovery_period_s),
             Span::secs(recovery_period_s),
@@ -377,7 +383,7 @@ fn f3_network_attack(args: &Args) -> Outcome {
 
     let mut cfg = DeploymentConfig::wide_area(99);
     cfg.workload = workload;
-    let (_, report) = run(cfg, Span::secs(duration_s), "f3", |system| {
+    let (_, report) = run(args, cfg, Span::secs(duration_s), "f3", |system| {
         system.schedule_site_dos(0, secs(dos_from), secs(cut_from), 0.7);
         system.schedule_site_disconnect(0, secs(cut_from), secs(repair));
     });
@@ -438,7 +444,7 @@ fn f4_throughput(args: &Args) -> Outcome {
         let mut cfg = DeploymentConfig::wide_area(3000 + interval);
         cfg.workload = workload;
         let tag = format!("f4-{interval}ms");
-        let (row, _) = run(cfg, Span::secs(duration_s), &tag, |_| {});
+        let (row, _) = run(args, cfg, Span::secs(duration_s), &tag, |_| {});
         let mut baseline = BaselineDeployment::build(3000 + interval, workload, true);
         baseline.run_for(Span::secs(duration_s));
         let m = baseline.world.metrics();
@@ -479,7 +485,7 @@ fn f5_leader_attack(args: &Args) -> Outcome {
                     .insert(0, ByzBehavior::LeaderDelay(Span::millis(delay)));
             }
             let tag = format!("f5-{mode:?}-{delay}ms");
-            run(cfg, Span::secs(duration_s), &tag, |_| {}).0
+            run(args, cfg, Span::secs(duration_s), &tag, |_| {}).0
         };
         Json::obj([
             ("delay_ms", delay.into()),
@@ -742,7 +748,7 @@ fn a2_dual_homing(args: &Args) -> Outcome {
         cfg.dual_homed_substations = homing == "dual";
         cfg.workload = workload(6, 500);
         let tag = format!("a2-{homing}");
-        let (row, report) = run(cfg, Span::secs(duration_s), &tag, |system| {
+        let (row, report) = run(args, cfg, Span::secs(duration_s), &tag, |system| {
             system.schedule_site_disconnect(0, secs(cut_from), secs(cut_until));
         });
         let during = report
@@ -791,7 +797,7 @@ fn a3_amortized_auth(args: &Args) -> Outcome {
         cfg.batch_interval = Span::millis(8);
         cfg.workload = workload(20, 50);
         let tag = format!("a3-{}", name.replace(' ', "-"));
-        let (row, report) = run(cfg, Span::secs(duration_s), &tag, |_| {});
+        let (row, report) = run(args, cfg, Span::secs(duration_s), &tag, |_| {});
         let hits = report.auth.verify_cache_hits as f64;
         let looked_up = hits + report.auth.verify_ops as f64;
         let lead = [
@@ -848,7 +854,7 @@ fn f6_chaos(args: &Args) -> Outcome {
         let scenario = plan.scenario();
         let span = scenario.duration + Span::secs(5);
         let tag = format!("f6-chaos-{seed}");
-        let (row, report) = run(cfg, span, &tag, |system| scenario.apply(system));
+        let (row, report) = run(args, cfg, span, &tag, |system| scenario.apply(system));
         let lead = [
             ("seed", seed.into()),
             ("plan_events", plan.log.len().into()),
@@ -892,14 +898,14 @@ fn f6_chaos(args: &Args) -> Outcome {
 }
 
 /// T3 — the red-team scenario matrix.
-fn t3_red_team(_: &Args) -> Outcome {
+fn t3_red_team(args: &Args) -> Outcome {
     let suite = Scenario::red_team_suite().into_iter().enumerate();
     let rows = parallel_runs(suite, |(i, scenario)| {
         let mut cfg = DeploymentConfig::wide_area(7000 + i as u64);
         cfg.workload = workload(6, 500);
         let span = scenario.duration + Span::secs(5);
         let tag = format!("t3-{i}");
-        let (row, _) = run(cfg, span, &tag, |system| scenario.apply(system));
+        let (row, _) = run(args, cfg, span, &tag, |system| scenario.apply(system));
         keyed([("scenario", scenario.name.as_str().into())], row)
     });
     print_rows(
@@ -954,7 +960,6 @@ fn rt_throughput(args: &Args) -> Outcome {
     let cfg_at = |seed: u64, interval_ms: u64| {
         let mut cfg = DeploymentConfig::wide_area(seed);
         cfg.workload = workload(10, interval_ms);
-        cfg.trace = false;
         cfg
     };
     // One leg, wall-timed: `point_secs` of the substrate's clock — virtual
@@ -1413,6 +1418,7 @@ fn endurance(args: &Args) -> Outcome {
         command_interval: Span::secs(30),
         ..workload(10, 1000)
     };
+    cfg.trace = args.trace;
     let duration = Span::secs(duration_s);
 
     // Network chaos only: the rotation owns the whole f + k replica

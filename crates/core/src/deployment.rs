@@ -111,17 +111,17 @@ pub struct DeploymentConfig {
     /// then cuts all field traffic.
     pub dual_homed_substations: bool,
     /// Enable the structured tracing subsystem (flight recorder + causal
-    /// spans). Defaults to the `SPIRE_TRACE` environment variable so any
-    /// scenario binary can be traced without a code change.
+    /// spans). Off by default; the tools turn it on with `--trace`.
     pub trace: bool,
     /// Per-link HMAC session authentication between replicas: frames are
     /// sealed with a pairwise key, letting receivers skip the per-hop
     /// signature verification the MAC already covers.
     pub session_macs: bool,
-    /// Ordering pipelining: a wide proposal window, eager (event-driven)
-    /// pre-prepares, cumulative multi-votes, and per-link frame batching.
-    /// Off reverts to strictly timer-paced, one-message-per-frame
-    /// operation (the pre-PR8 wire behaviour) for A/B comparisons.
+    /// Ordering pipelining: the leader may keep several ordering sequences
+    /// in flight (Prime's default proposal window). Off sets the window to
+    /// 1, strictly serial ordering, and changes nothing else: eager
+    /// pre-prepares, link batching in Prime and hop batching in Spines
+    /// stay on.
     pub pipelining: bool,
     /// Modeled per-message CPU time on each replica, in microseconds
     /// (`None` = infinitely fast hosts, the default). Spire's real-world
@@ -149,7 +149,7 @@ impl DeploymentConfig {
             batch_interval: Span::millis(2),
             byz: BTreeMap::new(),
             dual_homed_substations: true,
-            trace: std::env::var_os("SPIRE_TRACE").is_some(),
+            trace: false,
             session_macs: true,
             pipelining: true,
             replica_service_us: None,
@@ -680,13 +680,7 @@ pub fn build_group(
     let n_rtus = spec.rtus.len() as u32;
     let n_hmis = spec.hmis;
 
-    // Overlay hop-level link batching rides the same A/B switch as the
-    // Prime pipelining knobs: off means every overlay message is framed,
-    // HMAC'd and acked individually (pre-batching wire behaviour).
-    let mut daemon_cfg = DaemonConfig::default();
-    if !cfg.pipelining {
-        daemon_cfg.batch_window = Span::ZERO;
-    }
+    let daemon_cfg = DaemonConfig::default();
 
     // ---------- internal overlay: one daemon per site, full mesh ----------
     let mut internal_topology = Topology::new();
@@ -826,8 +820,6 @@ pub fn build_group(
     prime.batch_interval = cfg.batch_interval;
     if !cfg.pipelining {
         prime.proposal_window = 1;
-        prime.eager_propose = false;
-        prime.link_batch = false;
     }
 
     // ---------- replicas ----------

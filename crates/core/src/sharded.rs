@@ -52,8 +52,6 @@ pub struct ShardedConfig {
     /// prepares are rejected by the coordinator group, exercising the
     /// abort path under load.
     pub poison_every: u64,
-    /// Manual RTU → shard overrides on top of the stable hash.
-    pub overrides: BTreeMap<u32, u32>,
 }
 
 impl ShardedConfig {
@@ -64,7 +62,6 @@ impl ShardedConfig {
             shards,
             cross_rate: 0.0,
             poison_every: 0,
-            overrides: BTreeMap::new(),
         }
     }
 }
@@ -116,7 +113,7 @@ impl Deployment {
     /// [`SpireConfig`]: crate::config::SpireConfig
     pub fn build_sharded(cfg: ShardedConfig) -> Deployment {
         assert!(cfg.shards >= 1, "at least one shard");
-        let map = ShardMap::new(cfg.shards).with_overrides(cfg.overrides.clone());
+        let map = ShardMap::new(cfg.shards);
         let partition = map.partition(0..cfg.base.workload.rtus);
         let mut specs: Vec<GroupSpec> = (0..cfg.shards)
             .map(|g| GroupSpec {
@@ -204,7 +201,6 @@ impl Deployment {
         let xcfg = XCoordConfig {
             groups: cfg.shards,
             f: cfg.base.spire.f,
-            ..XCoordConfig::default()
         };
         let coordinator = CoordinatorProcess::new(
             xcfg,

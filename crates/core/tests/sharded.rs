@@ -193,23 +193,6 @@ fn sharded_runs_are_deterministic() {
 }
 
 #[test]
-fn manual_overrides_move_rtus_between_shards() {
-    let mut cfg = quick_cfg(2, 5);
-    // Pin every RTU to shard 0 except rtu 1.
-    for r in 0..cfg.base.workload.rtus {
-        cfg.overrides.insert(r, if r == 1 { 1 } else { 0 });
-    }
-    let mut system = Deployment::build_sharded(cfg);
-    system.run_for(Span::secs(15));
-    let m = system.world.metrics();
-    let s0 = m.counter("shard0.updates_sent");
-    let s1 = m.counter("shard1.updates_sent");
-    assert!(s0 > s1 * 4, "override skew not visible: {s0} vs {s1}");
-    assert!(s1 > 0, "rtu 1 must still report via shard 1");
-    assert!(system.report().safety_ok);
-}
-
-#[test]
 fn sharded_rt_substrate_matches_sim_semantics() {
     let mut cfg = quick_cfg(2, 6);
     cfg.cross_rate = 0.3;

@@ -3,7 +3,7 @@
 //! operation and under the paper's attack scenarios.
 
 use spire::deployment::{Deployment, DeploymentConfig};
-use spire::BaselineDeployment;
+use spire::{BaselineDeployment, SLA_MS};
 use spire_prime::ByzBehavior;
 use spire_scada::WorkloadConfig;
 use spire_sim::{Span, Time};
@@ -46,6 +46,28 @@ fn wide_area_normal_operation_meets_sla() {
     assert_eq!(report.view_changes, 0);
     // Supervisory commands flow HMI -> masters -> proxy -> device.
     assert!(report.commands_actuated > 0, "no commands actuated");
+}
+
+/// `pipelining = false` means only a proposal window of one: strictly
+/// serial ordering, with eager proposals and link batching still on.
+#[test]
+fn serial_ordering_without_pipelining_stays_safe_and_live() {
+    let mut cfg = DeploymentConfig::wide_area(3);
+    cfg.workload = quick_workload();
+    cfg.pipelining = false;
+    let mut system = Deployment::build(cfg);
+    system.run_for(Span::secs(20));
+    let report = system.report();
+    assert!(report.safety_ok, "safety violated");
+    assert!(
+        report.delivery_ratio() > 0.97,
+        "delivery ratio {} too low ({} of {})",
+        report.delivery_ratio(),
+        report.updates_confirmed,
+        report.updates_sent
+    );
+    let summary = report.update_summary.expect("has latencies");
+    assert!(summary.p50 < SLA_MS, "update p50 over the SLA ({summary})");
 }
 
 #[test]

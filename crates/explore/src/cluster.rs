@@ -15,8 +15,9 @@ use spire_prime::{
     ByzBehavior, ClientId, ClientOp, DirectNet, Effect, HashChainApp, Input, Inspection,
     ModelReplica, PrimeConfig, PrimeMsg, Replica, ReplicaId,
 };
-use spire_sim::{ProcessId, Span, Time};
+use spire_sim::{Fnv64, ProcessId, Span, Time};
 use std::collections::{BTreeMap, BTreeSet};
+use std::hash::Hasher;
 use std::sync::{Arc, Mutex};
 
 /// A named behavior assignment over an `n = 3f + 2k + 1` cluster.
@@ -465,10 +466,10 @@ impl Cluster<'_> {
     /// timers with due times, and the injection bitmap. Two schedules
     /// reaching equal hashes are merged by the exhaustive driver.
     pub fn state_hash(&self) -> u64 {
-        let mut h = Hasher::new();
-        h.u64(self.now.0);
+        let mut h = Fnv64::default();
+        h.write_u64(self.now.0);
         for replica in &self.replicas {
-            h.u64(replica.state_digest());
+            h.write_u64(replica.state_digest());
         }
         // Aggregate pending by content triple so duplicate copies form a
         // multiset (delivering either copy is the same transition).
@@ -476,21 +477,21 @@ impl Cluster<'_> {
         for key in self.pool.keys() {
             *multiset.entry((key.from, key.to, key.digest)).or_insert(0) += 1;
         }
-        h.u64(multiset.len() as u64);
+        h.write_u64(multiset.len() as u64);
         for ((from, to, digest), count) in &multiset {
-            h.u64(*from as u64);
-            h.u64(*to as u64);
-            h.u64(*digest);
-            h.u64(*count);
+            h.write_u64(*from as u64);
+            h.write_u64(*to as u64);
+            h.write_u64(*digest);
+            h.write_u64(*count);
         }
-        h.u64(self.timers.len() as u64);
+        h.write_u64(self.timers.len() as u64);
         for ((replica, tag), (due, _)) in &self.timers {
-            h.u64(*replica as u64);
-            h.u64(*tag);
-            h.u64(due.0);
+            h.write_u64(*replica as u64);
+            h.write_u64(*tag);
+            h.write_u64(due.0);
         }
         for injected in &self.injected {
-            h.u64(*injected as u64);
+            h.write_u64(*injected as u64);
         }
         h.finish()
     }
@@ -498,24 +499,5 @@ impl Cluster<'_> {
     /// Read access to replica `i`'s model wrapper.
     pub fn replica(&self, i: u32) -> &ModelReplica {
         &self.replicas[i as usize]
-    }
-}
-
-struct Hasher(u64);
-
-impl Hasher {
-    fn new() -> Hasher {
-        Hasher(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn finish(self) -> u64 {
-        self.0
     }
 }

@@ -53,15 +53,7 @@ pub use model::{Adversary, MessagePool, Model, Run};
 pub use random::{RandomParams, RandomReport};
 pub use schedule::{Artifact, Choice, MsgKey};
 
-/// FNV-1a over arbitrary bytes; the stable 64-bit content digest used to
-/// address pending messages and to fold per-replica state digests into a
-/// cluster hash. Not cryptographic — collisions merely merge exploration
-/// states or schedule keys, never corrupt the protocol under test.
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+/// The stable 64-bit content digest that addresses pending messages and
+/// folds per-replica state digests into a cluster hash (FNV-1a; a
+/// collision merely merges exploration states or schedule keys).
+pub use spire_sim::fnv64;

@@ -187,7 +187,6 @@ impl Model for XHarness {
             coord: XCoord::new(XCoordConfig {
                 groups: scenario.groups,
                 f: scenario.f,
-                ..XCoordConfig::default()
             }),
             parts: (0..scenario.groups)
                 .flat_map(|g| (0..scenario.reps).map(move |_| XParticipant::new(g)))

@@ -15,7 +15,7 @@ use crate::msg::{decode_frame, ClientOp, Frame, PrimeMsg};
 use bytes::Bytes;
 use spire_crypto::keys::Signer;
 use spire_crypto::{KeyStore, NodeId};
-use spire_sim::{Context, Process, ProcessId, Span, Time};
+use spire_sim::{fnv64, Context, Process, ProcessId, Span, Time};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -227,16 +227,6 @@ pub struct QuorumTracker<E = ()> {
     conflicts: u64,
 }
 
-/// FNV-1a, enough to distinguish the fired payload without storing it.
-fn payload_hash(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 impl<E> QuorumTracker<E> {
     /// Records `replica`'s vote for `payload` on `key`, replacing any
     /// earlier vote of its own there. The first time `quorum` matching
@@ -267,12 +257,12 @@ impl<E> QuorumTracker<E> {
         let evidence = agreeing.collect();
         if let Some(decided) = self.fired.get(&key) {
             // Already decided: a second quorum on other bytes is a conflict.
-            if *decided != payload_hash(payload) {
+            if *decided != fnv64(payload) {
                 self.conflicts += 1;
             }
             return None;
         }
-        self.fired.insert(key, payload_hash(payload));
+        self.fired.insert(key, fnv64(payload));
         if self.fired.len() > TRACKED_KEYS {
             self.fired.pop_first();
         }
@@ -288,8 +278,7 @@ impl<E> QuorumTracker<E> {
     /// these bytes, or `replica` is already counted with them.
     pub fn settled(&self, key: u64, replica: u32, payload: &[u8]) -> bool {
         let counted = self.votes.get(&replica).and_then(|v| v.get(&key));
-        self.fired.get(&key) == Some(&payload_hash(payload))
-            || counted.is_some_and(|(p, _)| p == payload)
+        self.fired.get(&key) == Some(&fnv64(payload)) || counted.is_some_and(|(p, _)| p == payload)
     }
 
     /// Drains the count of conflicting quorum decisions observed since

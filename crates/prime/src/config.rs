@@ -132,19 +132,6 @@ pub struct PrimeConfig {
     /// but not yet committed) at once. 1 degenerates to strictly serial
     /// ordering; wider windows pipeline the Prepare/Commit rounds.
     pub proposal_window: u64,
-    /// Propose as soon as fresh summary rows make more requests
-    /// executable — some origin's `f + k + 1` coverage rises above the
-    /// last proposed matrix's — (subject to `EAGER_PROPOSE_GAP` and the
-    /// window) instead of waiting for the next `PRE_PREPARE_INTERVAL`
-    /// tick. The tick keeps proposing any changed matrix; eager proposals
-    /// just stop the ordering pipeline from quantizing end-to-end latency
-    /// to the proposal interval.
-    pub eager_propose: bool,
-    /// Coalesce all frames bound for the same peer within one activation
-    /// into a single multi-frame container, sealed (when session MACs
-    /// are on) and shipped through the overlay once. Off, every message
-    /// pays its own seal + dissemination.
-    pub link_batch: bool,
 }
 
 impl PrimeConfig {
@@ -162,8 +149,6 @@ impl PrimeConfig {
             batch_sign: false,
             batch_interval: Span::millis(2),
             proposal_window: 8,
-            eager_propose: true,
-            link_batch: true,
         }
     }
 

@@ -35,7 +35,7 @@ impl Checkpoints {
             .insert(io.me.0, msg.clone());
         // Cache our own snapshot so it is available once stable.
         self.pending_snapshots.insert(seq, Bytes::from(snapshot));
-        io.broadcast(ctx, PrimeMsg::Checkpoint(msg).encode());
+        io.broadcast(PrimeMsg::Checkpoint(msg).encode());
     }
 
     /// Returns the attestation's sequence if it was accepted.
@@ -161,7 +161,7 @@ mod tests {
         ckpt.compact(20);
         assert_eq!(ckpt.pending_snapshots.keys().collect::<Vec<_>>(), [&20]);
         assert_eq!(ckpt.votes.keys().collect::<Vec<_>>(), [&20]);
-        let attestations = sent(&mut backend);
+        let attestations = sent(&mut backend, &mut io);
         assert_eq!(
             attestations.len(),
             6,

@@ -169,7 +169,7 @@ pub(super) struct Io {
     /// Frames staged per peer (index = replica id) during the current
     /// activation; flushed as one (sealed) multi-frame container per peer
     /// — or one for all peers, when they are the same — at the activation
-    /// boundary when `cfg.link_batch` is on.
+    /// boundary.
     link_stage: Vec<Vec<Bytes>>,
     /// Peers with staged frames, in first-touch order (deterministic).
     link_stage_order: Vec<u32>,
@@ -228,28 +228,25 @@ impl Io {
 
     // ================= transport =================
 
-    /// Sends an encoded frame to a peer, sealed under the pair's link key
-    /// when session MACs are on. Retained certificate material must stay
-    /// unsealed (a seal is per-recipient), so sealing happens here — at the
-    /// last moment before the transport — and nowhere else.
-    ///
-    /// With `cfg.link_batch` on, the frame is *staged* instead: every
-    /// frame bound for the same peer within one activation travels in one
-    /// multi-frame container, sealed once and pushed through the overlay
-    /// once (see [`Io::flush_links`]). Dissemination order per peer
-    /// is preserved.
-    pub(super) fn net_send(&mut self, ctx: &mut Context<'_>, to: ReplicaId, bytes: Bytes) {
-        if self.cfg.link_batch && (to.0 as usize) < self.link_stage.len() {
-            let stage = &mut self.link_stage[to.0 as usize];
-            if stage.is_empty() {
-                self.link_stage_order.push(to.0);
-            }
-            stage.push(bytes);
+    /// Stages an encoded frame for a peer: every frame bound for the same
+    /// peer within one activation travels in one multi-frame container,
+    /// sealed once and pushed through the overlay once (see
+    /// [`Io::flush_links`]). Dissemination order per peer is preserved. A
+    /// destination outside the group is dropped, as the transports drop it.
+    pub(super) fn net_send(&mut self, to: ReplicaId, bytes: Bytes) {
+        let Some(stage) = self.link_stage.get_mut(to.0 as usize) else {
             return;
+        };
+        if stage.is_empty() {
+            self.link_stage_order.push(to.0);
         }
-        self.ship(ctx, to, bytes);
+        stage.push(bytes);
     }
 
+    /// Sends a wire to a peer, sealed under the pair's link key when
+    /// session MACs are on. Retained certificate material must stay
+    /// unsealed (a seal is per-recipient), so sealing happens here — at the
+    /// last moment before the transport — and nowhere else.
     fn ship(&mut self, ctx: &mut Context<'_>, to: ReplicaId, mut wire: Bytes) {
         let keys = self.session_keys.as_ref();
         if let Some(key) = keys.and_then(|k| k.get(to.0 as usize)) {
@@ -357,40 +354,34 @@ impl Io {
     }
 
     /// Sends one encoded frame to every other replica.
-    pub(super) fn broadcast(&mut self, ctx: &mut Context<'_>, bytes: Bytes) {
-        self.broadcast_split(ctx, bytes.clone(), bytes);
+    pub(super) fn broadcast(&mut self, bytes: Bytes) {
+        self.broadcast_split(bytes.clone(), bytes);
     }
 
-    pub(super) fn send_to(&mut self, ctx: &mut Context<'_>, to: ReplicaId, msg: &PrimeMsg) {
+    pub(super) fn send_to(&mut self, to: ReplicaId, msg: &PrimeMsg) {
         if to != self.me {
-            self.net_send(ctx, to, msg.encode());
+            self.net_send(to, msg.encode());
         }
     }
 
     /// Sends `a` to even-numbered replicas and `b` to odd ones (the
     /// equivocation attack split), sharing each encoding across recipients.
-    pub(super) fn broadcast_split(&mut self, ctx: &mut Context<'_>, a: Bytes, b: Bytes) {
+    pub(super) fn broadcast_split(&mut self, a: Bytes, b: Bytes) {
         for r in 0..self.cfg.n {
             if r != self.me.0 {
                 let bytes = if r % 2 == 0 { a.clone() } else { b.clone() };
-                self.net_send(ctx, ReplicaId(r), bytes);
+                self.net_send(ReplicaId(r), bytes);
             }
         }
     }
 
     /// Asks two peers, rotating with `rotor` and spread by `salt`, so a
     /// large catch-up cannot melt the network.
-    pub(super) fn ask_two_peers(
-        &mut self,
-        ctx: &mut Context<'_>,
-        salt: u32,
-        rotor: u32,
-        msg: &PrimeMsg,
-    ) {
+    pub(super) fn ask_two_peers(&mut self, salt: u32, rotor: u32, msg: &PrimeMsg) {
         let n = self.cfg.n;
         for offset in 1..=2u32 {
             let target = (self.me.0 + salt + offset * (rotor % n + 1)) % n;
-            self.send_to(ctx, ReplicaId(target), msg);
+            self.send_to(ReplicaId(target), msg);
         }
     }
 
@@ -557,7 +548,7 @@ impl Io {
         self.sign(ctx, &mut msg);
         let bytes = msg.encode();
         pre.retain_own(self, ctx, retain, &bytes);
-        self.broadcast(ctx, bytes);
+        self.broadcast(bytes);
     }
 
     /// Sends a signed message to a client (Reply / Notify), through the
@@ -595,7 +586,7 @@ impl Io {
         for (i, item) in items.into_iter().enumerate() {
             let frame = msg::encode_batched(self.me, &signed.attestation(i), &item.payload);
             match item.client {
-                None => self.broadcast(ctx, frame.clone()),
+                None => self.broadcast(frame.clone()),
                 Some(client) => self.net.send_client(ctx, client, frame.clone()),
             }
             pre.retain_own(self, ctx, item.retain, &frame);
@@ -629,12 +620,10 @@ pub(super) mod testkit {
         Signer::new(material().signing_key(NodeId(base + c)), true)
     }
 
-    /// Replica `me` of an `f = 1`, `n = 4` group: every frame goes straight
-    /// out (no link staging, no batch signing), so a test reads what was
-    /// sent from the backend's effects.
+    /// Replica `me` of an `f = 1`, `n = 4` group without batch signing; a
+    /// test reads what it sent with [`sent`].
     pub fn io(me: u32, behavior: ByzBehavior) -> Io {
-        let mut cfg = PrimeConfig::new(1, 0);
-        cfg.link_batch = false;
+        let cfg = PrimeConfig::new(1, 0);
         let net = DirectNet {
             replicas: (0..cfg.n).map(ProcessId).collect(),
             clients: Default::default(),
@@ -664,12 +653,21 @@ pub(super) mod testkit {
         f(&mut Context::new(backend, ProcessId(me)))
     }
 
-    /// Drains the frames sent so far as `(destination replica, message)`.
-    pub fn sent(backend: &mut RecordingBackend) -> Vec<(u32, PrimeMsg)> {
-        let sends = backend.effects.drain(..).filter_map(|effect| match effect {
-            Effect::Send { to, bytes } => Some((to.0, PrimeMsg::decode(&bytes).expect("frame"))),
-            _ => None,
-        });
-        sends.collect()
+    /// Ends `io`'s activation, shipping its link stage, and drains the
+    /// frames sent so far as `(destination replica, message)`, every
+    /// multi-frame container unpacked into the frames it carries.
+    pub fn sent(backend: &mut RecordingBackend, io: &mut Io) -> Vec<(u32, PrimeMsg)> {
+        run(backend, io.me.0, |ctx| io.flush_links(ctx));
+        let mut frames = Vec::new();
+        for effect in backend.effects.drain(..) {
+            let Effect::Send { to, bytes } = effect else {
+                continue;
+            };
+            let parts = msg::decode_multi(&bytes).expect("container");
+            for frame in parts.unwrap_or_else(|| vec![bytes]) {
+                frames.push((to.0, PrimeMsg::decode(&frame).expect("frame")));
+            }
+        }
+        frames
     }
 }

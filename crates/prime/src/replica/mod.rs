@@ -70,7 +70,7 @@ use spire_crypto::keys::Signer;
 use spire_crypto::KeyStore;
 use spire_sim::{Context, Process, ProcessId, Span};
 use state_transfer::StateTransfer;
-use std::hash::{Hash, Hasher};
+use std::hash::Hash;
 use std::sync::Arc;
 use view_change::ViewChange;
 
@@ -160,7 +160,7 @@ impl Replica {
             return;
         };
         self.vc.summary_sent(&self.io, row.sseq, ctx.now());
-        self.io.broadcast(ctx, PrimeMsg::PoSummary(row).encode());
+        self.io.broadcast(PrimeMsg::PoSummary(row).encode());
         self.maybe_eager_propose(ctx);
     }
 
@@ -179,10 +179,7 @@ impl Replica {
     fn maybe_eager_propose(&mut self, ctx: &mut Context<'_>) {
         let gap = config::EAGER_PROPOSE_GAP.0;
         let last = self.ord.last_preprepare_at;
-        if !self.io.cfg.eager_propose
-            || !self.can_propose()
-            || last.is_some_and(|prev| ctx.now().since(prev).0 < gap)
-        {
+        if !self.can_propose() || last.is_some_and(|prev| ctx.now().since(prev).0 < gap) {
             return;
         }
         let before = self.ord.last_proposed;
@@ -200,7 +197,7 @@ impl Replica {
         let rows = &self.pre.latest_rows;
         if let Some((seq, matrix, bytes)) = self.ord.propose(&mut self.io, ctx, view, rows, eager) {
             self.accept_pre_prepare(ctx, view, seq, matrix);
-            self.io.broadcast(ctx, bytes);
+            self.io.broadcast(bytes);
         }
     }
 
@@ -402,10 +399,10 @@ impl Replica {
         let mut suffix_from = have_seq + 1;
         if let Some(stable) = ckpt.stable.as_ref().filter(|s| s.0 > have_seq) {
             let highs = (pre.po_high[from.0 as usize], pre.sseq_high[from.0 as usize]);
-            state_transfer::serve_checkpoint(io, ctx, from, stable, vc.view, highs);
+            state_transfer::serve_checkpoint(io, from, stable, vc.view, highs);
             suffix_from = stable.0 + 1;
         }
-        ord.send_suffix(io, ctx, from, suffix_from);
+        ord.send_suffix(io, from, suffix_from);
     }
 
     /// Installs a completed state transfer; a recovering replica rejoins.
@@ -535,7 +532,7 @@ impl Replica {
     /// and the bytes behind what is hashed by key or digest only (stored
     /// frames, view-state and checkpoint-vote bodies).
     pub fn state_digest(&self) -> u64 {
-        let mut h = StateHasher(0xcbf2_9ce4_8422_2325);
+        let mut h = StateHasher::default();
         (self.io.me, self.io.outbox.len(), self.io.batch_timer_armed).hash(&mut h);
         self.pre.digest(&mut h);
         self.ord.digest(&mut h);
@@ -547,31 +544,9 @@ impl Replica {
     }
 }
 
-/// Incremental FNV-1a behind [`Hasher`], fed through `Hash`: fast,
-/// dependency-free, the same on every run. Used only for explorer state
-/// deduplication, never for security.
-struct StateHasher(u64);
-
-impl StateHasher {
-    fn all<T: Hash>(&mut self, items: impl IntoIterator<Item = T>) -> &mut StateHasher {
-        for item in items {
-            item.hash(self);
-        }
-        self
-    }
-}
-
-impl Hasher for StateHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for b in bytes {
-            self.0 = (self.0 ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
+/// Explorer state deduplication hashes with FNV-1a, fed through `Hash`:
+/// fast and the same on every run, never for security.
+type StateHasher = spire_sim::Fnv64;
 
 impl Process for Replica {
     fn on_start(&mut self, ctx: &mut Context<'_>) {
@@ -728,7 +703,7 @@ impl Replica {
                     replica: io.me,
                     nonce,
                 };
-                io.send_to(ctx, replica, &pong);
+                io.send_to(replica, &pong);
             }
             PrimeMsg::Pong { replica, nonce } => self.vc.on_pong(ctx.now(), replica, nonce),
             PrimeMsg::Suspect { .. } => {
@@ -778,7 +753,7 @@ impl Replica {
                 let wanted = replica != io.me && chunks.len() <= 512;
                 let stable = self.ckpt.stable.as_ref().filter(|_| wanted);
                 if let Some(stable) = stable.filter(|s| s.0 == checkpoint_seq) {
-                    state_transfer::send_chunk_shares(io, ctx, replica, stable, Some(&chunks));
+                    state_transfer::send_chunk_shares(io, replica, stable, Some(&chunks));
                 }
             }
             PrimeMsg::SuffixVote {
@@ -795,7 +770,7 @@ impl Replica {
                 replica,
                 origin,
                 po_seq,
-            } => self.pre.on_recon_req(io, ctx, replica, origin.0, po_seq),
+            } => self.pre.on_recon_req(io, replica, origin.0, po_seq),
             // Reply and Notify are client-bound.
             PrimeMsg::Reply { .. } | PrimeMsg::Notify { .. } => {}
         }
@@ -823,7 +798,7 @@ impl Replica {
                 // Release any delayed (attacked) proposals first.
                 for (view, seq, matrix, bytes) in self.ord.take_due_proposals(ctx.now()) {
                     self.accept_pre_prepare(ctx, view, seq, matrix);
-                    self.io.broadcast(ctx, bytes);
+                    self.io.broadcast(bytes);
                 }
                 self.propose(ctx, false);
                 config::PRE_PREPARE_INTERVAL

@@ -106,7 +106,7 @@ impl Ordering {
             let mut msg_b = pre_prepare(alt);
             io.sign(ctx, &mut msg_a);
             io.sign(ctx, &mut msg_b);
-            io.broadcast_split(ctx, msg_a.encode(), msg_b.encode());
+            io.broadcast_split(msg_a.encode(), msg_b.encode());
             return None;
         }
         let mut msg = pre_prepare(matrix);
@@ -336,20 +336,14 @@ impl Ordering {
 
     /// Sends `to` the committed suffix from `from_seq` so it can catch up
     /// to the present (adopted there once f+1 responders agree).
-    pub(super) fn send_suffix(
-        &self,
-        io: &mut Io,
-        ctx: &mut Context<'_>,
-        to: ReplicaId,
-        from_seq: u64,
-    ) {
+    pub(super) fn send_suffix(&self, io: &mut Io, to: ReplicaId, from_seq: u64) {
         for (seq, matrix) in self.committed_matrices.range(from_seq..).take(200) {
             let msg = PrimeMsg::SuffixVote {
                 replica: io.me,
                 seq: *seq,
                 matrix: matrix.clone(),
             };
-            io.send_to(ctx, to, &msg);
+            io.send_to(to, &msg);
         }
     }
 
@@ -473,7 +467,7 @@ mod tests {
             assert_eq!(ord.committed_matrices.get(&1), Some(&matrix));
             assert!(ord.prepared_claims().is_empty(), "nothing above the prefix");
         });
-        let commits = sent(&mut backend);
+        let commits = sent(&mut backend, &mut io);
         assert_eq!(commits.len(), 3, "one Commit to each peer");
         let ours =
             |m: &PrimeMsg| matches!(m, PrimeMsg::Commit { replica, seq: 1, .. } if replica.0 == 0);

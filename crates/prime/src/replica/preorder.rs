@@ -120,7 +120,7 @@ impl PreOrder {
             let mut msg_b = request(ops[half..].to_vec());
             io.sign(ctx, &mut msg_a);
             io.sign(ctx, &mut msg_b);
-            io.broadcast_split(ctx, msg_a.encode(), msg_b.encode());
+            io.broadcast_split(msg_a.encode(), msg_b.encode());
             return;
         }
         let mut msg = request(ops);
@@ -140,7 +140,7 @@ impl PreOrder {
         // Record our own request locally (we are origin and first acker).
         let bytes = msg.encode();
         self.accept_po_request(io, ctx, msg, None, &bytes);
-        io.broadcast(ctx, bytes);
+        io.broadcast(bytes);
     }
 
     /// Handles a PO-Request (from the origin, from our own flush, or
@@ -429,7 +429,7 @@ impl PreOrder {
     ) {
         for key in absent {
             if self.missing.insert(key) {
-                io.broadcast(ctx, recon_req(io, key.0, key.1).encode());
+                io.broadcast(recon_req(io, key.0, key.1).encode());
                 io.count(ctx, Metric::ReconRequested, 1);
             }
         }
@@ -441,7 +441,7 @@ impl PreOrder {
         let missing: Vec<(u32, u64)> = self.missing.iter().copied().take(32).collect();
         for (i, (origin, po_seq)) in missing.into_iter().enumerate() {
             let req = recon_req(io, origin, po_seq);
-            io.ask_two_peers(ctx, i as u32, self.recon_rotor, &req);
+            io.ask_two_peers(i as u32, self.recon_rotor, &req);
         }
         self.retry_uncertified_po(io, ctx);
         self.recon_rotor = self.recon_rotor.wrapping_add(1);
@@ -477,7 +477,7 @@ impl PreOrder {
         if !frames.is_empty() {
             io.count(ctx, Metric::PoRetries, frames.len() as u64);
             for frame in frames {
-                io.broadcast(ctx, frame);
+                io.broadcast(frame);
             }
         }
         for origin in (0..io.cfg.n).filter(|o| *o != me) {
@@ -486,21 +486,14 @@ impl PreOrder {
                 aru < self.po_high[origin as usize] && aru == self.po_gap_snapshot[origin as usize];
             if stuck {
                 let req = recon_req(io, origin, aru + 1);
-                io.ask_two_peers(ctx, origin, self.recon_rotor, &req);
+                io.ask_two_peers(origin, self.recon_rotor, &req);
                 io.count(ctx, Metric::PoGapRecon, 1);
             }
             self.po_gap_snapshot[origin as usize] = aru;
         }
     }
 
-    pub(super) fn on_recon_req(
-        &mut self,
-        io: &mut Io,
-        ctx: &mut Context<'_>,
-        from: ReplicaId,
-        origin: u32,
-        po_seq: u64,
-    ) {
+    pub(super) fn on_recon_req(&mut self, io: &mut Io, from: ReplicaId, origin: u32, po_seq: u64) {
         let Some(entry) = self.po.get(&(origin, po_seq)) else {
             return;
         };
@@ -515,7 +508,7 @@ impl PreOrder {
         // prior state can re-certify and execute.
         let acks = entry.acks.get(digest).into_iter().flat_map(|m| m.values());
         for frame in std::iter::once(raw).chain(acks) {
-            io.net_send(ctx, from, frame.clone());
+            io.net_send(from, frame.clone());
         }
     }
 
@@ -693,7 +686,7 @@ mod tests {
             1,
             "uncertified duplicate: our ack may be lost"
         );
-        let acks = sent(&mut bench.backend);
+        let acks = sent(&mut bench.backend, &mut bench.io);
         assert_eq!(acks.len(), 6, "two acks to each of three peers");
         assert!(acks
             .iter()

@@ -33,7 +33,7 @@ pub(super) fn request_state(io: &mut Io, ctx: &mut Context<'_>, have_seq: u64) {
         sig: [0; 64],
     };
     io.sign(ctx, &mut req);
-    io.broadcast(ctx, req.encode());
+    io.broadcast(req.encode());
 }
 
 /// Chunked transfer of the stable checkpoint to `to`: describe the layout
@@ -45,7 +45,6 @@ pub(super) fn request_state(io: &mut Io, ctx: &mut Context<'_>, have_seq: u64) {
 /// and summary sequences seen from the requester.
 pub(super) fn serve_checkpoint(
     io: &mut Io,
-    ctx: &mut Context<'_>,
     to: ReplicaId,
     stable @ (seq, snapshot, proof): &Stable,
     view: u64,
@@ -67,8 +66,8 @@ pub(super) fn serve_checkpoint(
         requester_po_high: highs.0,
         requester_sseq_high: highs.1,
     };
-    io.send_to(ctx, to, &meta);
-    send_chunk_shares(io, ctx, to, stable, None);
+    io.send_to(to, &meta);
+    send_chunk_shares(io, to, stable, None);
 }
 
 /// Sends this replica's erasure share of each requested chunk of the
@@ -77,7 +76,6 @@ pub(super) fn serve_checkpoint(
 /// serves — the requester's per-chunk digest check weeds these out.
 pub(super) fn send_chunk_shares(
     io: &mut Io,
-    ctx: &mut Context<'_>,
     to: ReplicaId,
     (seq, snapshot, _): &Stable,
     wanted: Option<&[u32]>,
@@ -107,7 +105,7 @@ pub(super) fn send_chunk_shares(
             share_index: share.index,
             share: Bytes::from(data),
         };
-        io.send_to(ctx, to, &msg);
+        io.send_to(to, &msg);
     }
 }
 
@@ -544,7 +542,7 @@ impl StateTransfer {
         if n > 1 {
             for offset in 0..2u32 {
                 let slot = (t.retry_rotor + offset) % (n - 1);
-                io.send_to(ctx, ReplicaId((io.me.0 + 1 + slot) % n), &req);
+                io.send_to(ReplicaId((io.me.0 + 1 + slot) % n), &req);
             }
         }
         self.chunk_timer_armed = true;
@@ -589,11 +587,8 @@ mod tests {
     /// its share of every chunk.
     fn served(r: u32, behavior: ByzBehavior, stable: &Stable) -> Vec<PrimeMsg> {
         let mut io = io(r, behavior);
-        let mut backend = backend();
-        run(&mut backend, r, |ctx| {
-            serve_checkpoint(&mut io, ctx, ReplicaId(0), stable, 0, (7, 9));
-        });
-        let frames = sent(&mut backend).into_iter();
+        serve_checkpoint(&mut io, ReplicaId(0), stable, 0, (7, 9));
+        let frames = sent(&mut backend(), &mut io).into_iter();
         frames
             .map(|(to, msg)| (to == 0).then_some(msg).expect("to replica 0"))
             .collect()
@@ -753,7 +748,7 @@ mod tests {
         assert_eq!(delays, [200, 400, 800, 1600, 2000, 2000]);
         assert_eq!(r.count("recovery_chunk_retries"), 6);
         // Each round asks two alternates for every missing chunk.
-        let asked = sent(&mut r.backend);
+        let asked = sent(&mut r.backend, &mut r.io);
         assert_eq!(asked.len(), 12);
         for (to, req) in asked {
             assert_ne!(to, 0);

@@ -106,7 +106,7 @@ impl ViewChange {
             replica: io.me.0,
             view: self.view,
         });
-        io.broadcast(ctx, suspect);
+        io.broadcast(suspect);
         true
     }
 
@@ -120,14 +120,14 @@ impl ViewChange {
     /// safe.
     pub(super) fn rebroadcast_view_change(&mut self, io: &mut Io, ctx: &mut Context<'_>) {
         let suspect = self.signed_suspect(io, ctx);
-        io.broadcast(ctx, suspect);
+        io.broadcast(suspect);
         if self.in_view_change {
             let own_state = self
                 .view_states
                 .get(&self.view)
                 .and_then(|m| m.get(&io.me.0));
             if let Some(state) = own_state {
-                io.broadcast(ctx, PrimeMsg::ViewState(state.clone()).encode());
+                io.broadcast(PrimeMsg::ViewState(state.clone()).encode());
             }
         } else {
             self.new_view(io, ctx, false);
@@ -157,7 +157,7 @@ impl ViewChange {
             sig: [0; 64],
         };
         io.sign(ctx, &mut msg);
-        io.broadcast(ctx, msg.encode());
+        io.broadcast(msg.encode());
         let PrimeMsg::NewView { states, .. } = msg else {
             unreachable!("built above")
         };
@@ -227,7 +227,7 @@ impl ViewChange {
             .entry(new_view)
             .or_default()
             .insert(io.me.0, state.clone());
-        io.broadcast(ctx, PrimeMsg::ViewState(state).encode());
+        io.broadcast(PrimeMsg::ViewState(state).encode());
         true
     }
 
@@ -323,7 +323,7 @@ impl ViewChange {
                 replica: io.me,
                 nonce: self.ping_nonce,
             };
-            io.send_to(ctx, ReplicaId(r), &ping);
+            io.send_to(ReplicaId(r), &ping);
         }
         // Cap the outstanding map.
         while self.outstanding_pings.len() > 4 * io.cfg.n as usize {
@@ -472,7 +472,7 @@ mod tests {
             [(1, matrix(1)), (2, Matrix::default()), (3, matrix(3))]
         );
 
-        let frames = sent(&mut backend);
+        let frames = sent(&mut backend, &mut io);
         let reports = |m: &PrimeMsg| matches!(m, PrimeMsg::ViewState(s) if s.prepared.len() == 2);
         let installs = |m: &PrimeMsg| matches!(m, PrimeMsg::NewView { view: 1, states, .. } if states.len() == 3);
         assert_eq!(frames.iter().filter(|(_, m)| reports(m)).count(), 3);

@@ -23,32 +23,23 @@ use crate::map::ShardMap;
 use crate::msg::{parse_reply, ShardCmd, ShardMsg, XReply, DECISION_ABORT, DECISION_COMMIT};
 use crate::router;
 
-/// Tuning for the coordinator machine.
+/// Retry timer for an unanswered prepare.
+pub const PREPARE_TIMEOUT: Span = Span::millis(400);
+
+/// Retry timer for unacked commit/abort decisions.
+pub const DECISION_TIMEOUT: Span = Span::millis(400);
+
+/// Prepares sent before giving up and aborting. Decisions are never
+/// abandoned (blocking 2PC).
+pub const PREPARE_ATTEMPTS: u32 = 5;
+
+/// The coordinator machine's view of the deployment.
 #[derive(Clone, Copy, Debug)]
 pub struct XCoordConfig {
     /// Number of groups.
     pub groups: u32,
     /// Per-group fault threshold (votes need `f + 1`).
     pub f: u32,
-    /// Retry timer for an unanswered prepare.
-    pub prepare_timeout: Span,
-    /// Retry timer for unacked commit/abort decisions.
-    pub decision_timeout: Span,
-    /// Prepare retries before giving up and aborting. Decisions are
-    /// never abandoned (blocking 2PC).
-    pub prepare_attempts: u32,
-}
-
-impl Default for XCoordConfig {
-    fn default() -> XCoordConfig {
-        XCoordConfig {
-            groups: 1,
-            f: 1,
-            prepare_timeout: Span::millis(400),
-            decision_timeout: Span::millis(400),
-            prepare_attempts: 5,
-        }
-    }
 }
 
 #[derive(Debug)]
@@ -153,7 +144,7 @@ impl XCoord {
         });
         out.push(XAction::SetTimer {
             xid,
-            delay: self.cfg.prepare_timeout,
+            delay: PREPARE_TIMEOUT,
         });
     }
 
@@ -190,7 +181,7 @@ impl XCoord {
         }
         out.push(XAction::SetTimer {
             xid,
-            delay: self.cfg.decision_timeout,
+            delay: DECISION_TIMEOUT,
         });
     }
 
@@ -338,7 +329,7 @@ impl XCoord {
             // atomicity violation the ledger must catch.
             tx.decision = Some(DECISION_ABORT);
         }
-        if tx.decision.is_none() && tx.attempts >= self.cfg.prepare_attempts {
+        if tx.decision.is_none() && tx.attempts >= PREPARE_ATTEMPTS {
             // No certificate exists, so aborting is safe: no participant
             // can ever receive a valid XCommit.
             tx.decision = Some(DECISION_ABORT);
@@ -577,11 +568,7 @@ mod tests {
     }
 
     fn cfg() -> XCoordConfig {
-        XCoordConfig {
-            groups: 2,
-            f: 1,
-            ..XCoordConfig::default()
-        }
+        XCoordConfig { groups: 2, f: 1 }
     }
 
     fn send_payload(actions: &[XAction]) -> Vec<(u32, u64, Bytes)> {
@@ -765,16 +752,14 @@ mod tests {
 
     #[test]
     fn prepare_retries_use_fresh_cseqs_then_abort() {
-        let mut xc = XCoord::new(XCoordConfig {
-            prepare_attempts: 3,
-            ..cfg()
-        });
+        let mut xc = XCoord::new(cfg());
         let (_, actions) = xc.begin(cmds2(), false, Time(0));
-        let first = send_payload(&actions)[0].1;
-        let second = send_payload(&xc.on_timer(1))[0].1;
-        assert!(second > first, "retry must carry a fresh cseq");
-        let third = send_payload(&xc.on_timer(1))[0].1;
-        assert!(third > second);
+        let mut last = send_payload(&actions)[0].1;
+        for _ in 1..PREPARE_ATTEMPTS {
+            let retry = send_payload(&xc.on_timer(1))[0].1;
+            assert!(retry > last, "retry must carry a fresh cseq");
+            last = retry;
+        }
         // Budget exhausted: the next pop aborts both participants.
         let aborts = send_payload(&xc.on_timer(1));
         assert_eq!(aborts.len(), 2);

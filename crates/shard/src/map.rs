@@ -1,55 +1,25 @@
 //! Deterministic RTU/substation → shard assignment.
 
-use std::collections::BTreeMap;
-
-/// FNV-1a over a byte slice — stable, dependency-free, and good enough to
-/// spread sequential RTU ids across groups.
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
-    h
-}
+use spire_sim::fnv64;
 
 /// Maps every RTU (substation) to its owning replication group.
 ///
 /// The default placement is stable hashing of the RTU id, so adding RTUs
 /// never moves existing ones between runs of the same shard count.
-/// Explicit overrides pin chosen RTUs to chosen groups (e.g. keeping a
-/// region's substations co-located regardless of hash).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ShardMap {
     shards: u32,
-    overrides: BTreeMap<u32, u32>,
 }
 
 impl ShardMap {
-    /// A map over `shards` groups with no overrides.
+    /// A map over `shards` groups.
     ///
     /// # Panics
     ///
     /// Panics if `shards` is zero.
     pub fn new(shards: u32) -> ShardMap {
         assert!(shards > 0, "shard map needs at least one shard");
-        ShardMap {
-            shards,
-            overrides: BTreeMap::new(),
-        }
-    }
-
-    /// Adds explicit placements (rtu → shard); invalid targets panic.
-    pub fn with_overrides(mut self, overrides: BTreeMap<u32, u32>) -> ShardMap {
-        for (&rtu, &shard) in &overrides {
-            assert!(
-                shard < self.shards,
-                "override rtu {rtu} -> shard {shard} out of range (shards={})",
-                self.shards
-            );
-        }
-        self.overrides.extend(overrides);
-        self
+        ShardMap { shards }
     }
 
     /// Number of groups.
@@ -59,9 +29,6 @@ impl ShardMap {
 
     /// The group owning `rtu`.
     pub fn shard_of(&self, rtu: u32) -> u32 {
-        if let Some(&shard) = self.overrides.get(&rtu) {
-            return shard;
-        }
         (fnv64(&rtu.to_le_bytes()) % self.shards as u64) as u32
     }
 
@@ -111,13 +78,6 @@ mod tests {
     }
 
     #[test]
-    fn overrides_win() {
-        let m = ShardMap::new(4).with_overrides(BTreeMap::from([(7, 3), (8, 0)]));
-        assert_eq!(m.shard_of(7), 3);
-        assert_eq!(m.shard_of(8), 0);
-    }
-
-    #[test]
     fn partition_covers_all() {
         let m = ShardMap::new(3);
         let buckets = m.partition(0..30);
@@ -128,11 +88,5 @@ mod tests {
     #[should_panic]
     fn zero_shards_rejected() {
         ShardMap::new(0);
-    }
-
-    #[test]
-    #[should_panic]
-    fn out_of_range_override_rejected() {
-        ShardMap::new(2).with_overrides(BTreeMap::from([(0, 5)]));
     }
 }

@@ -15,6 +15,7 @@
 //! * [`queue`] — the (deadline, insertion)-ordered event queue both
 //!   substrates schedule from.
 //! * [`clock`] — virtual vs monotonic time sources (shared with `spire-rt`).
+//! * [`fnv`] — the stable 64-bit hash of states, messages and reports.
 //! * [`json`] — the workspace's one JSON value, writer and parser.
 //! * [`time`] — virtual time types.
 //! * [`metrics`] — counters, time series and histograms collected during runs.
@@ -32,6 +33,7 @@
 //! ```
 
 pub mod clock;
+pub mod fnv;
 pub mod host;
 pub mod json;
 pub mod metrics;
@@ -43,6 +45,7 @@ pub mod wire;
 pub mod world;
 
 pub use clock::Clock;
+pub use fnv::{fnv64, Fnv64};
 pub use host::Host;
 pub use metrics::Metrics;
 pub use queue::EventQueue;

@@ -16,7 +16,7 @@
 //! Hop-by-hop reliability (ack + retransmit) recovers from lossy links.
 //! Data frames and hop acks bound for the same neighbor coalesce into
 //! link-level batches sealed by one HMAC per flush window (see
-//! [`DaemonConfig::batch_window`]) — constrained flooding otherwise
+//! [`BATCH_WINDOW`]) — constrained flooding otherwise
 //! amplifies every application message into one authenticated frame and
 //! one ack per overlay edge. A hop ack never pays for a frame of its own
 //! while data can carry it: it leaves beside the next data flushed to the
@@ -94,6 +94,16 @@ const MAX_RETRIES: u32 = 12;
 /// bounding batch size and staging memory under load.
 const BATCH_MAX_FRAMES: usize = 32;
 
+/// Hop-level link batching: data frames bound for the same neighbor are
+/// staged for up to this window and flushed as one [`OverlayMsg::Batch`]
+/// under a single link HMAC, led by every hop ack staged for that
+/// neighbor. A staged ack opens the window too, but leaves only beside
+/// data; with none, it waits for the next retransmission scan. Real
+/// Spines packs messages into link-level packets the same way; without
+/// it, flooding amplifies every application message into one
+/// authenticated frame per overlay edge *plus* one ack per frame.
+pub const BATCH_WINDOW: Span = Span::millis(1);
+
 /// Tuning knobs for a daemon.
 #[derive(Clone, Copy, Debug)]
 pub struct DaemonConfig {
@@ -103,17 +113,6 @@ pub struct DaemonConfig {
     pub flood_rate_per_source: f64,
     /// Burst allowance per source (messages).
     pub flood_burst: f64,
-    /// Hop-level link batching: data frames bound for the same neighbor are
-    /// staged for up to this window and flushed as one [`OverlayMsg::Batch`]
-    /// under a single link HMAC, led by every hop ack staged for that
-    /// neighbor. A staged ack opens the window too, but leaves only beside
-    /// data; with none, it waits for the next retransmission scan. Real
-    /// Spines packs messages into link-level packets the same way; without
-    /// it, flooding amplifies every application message into one
-    /// authenticated frame per overlay edge *plus* one ack per frame.
-    /// `Span::ZERO` disables batching (every message is framed and acked
-    /// individually).
-    pub batch_window: Span,
 }
 
 impl Default for DaemonConfig {
@@ -122,7 +121,6 @@ impl Default for DaemonConfig {
             default_ttl: 32,
             flood_rate_per_source: 5_000.0,
             flood_burst: 500.0,
-            batch_window: Span::millis(1),
         }
     }
 }
@@ -414,10 +412,6 @@ impl Daemon {
         self.seal_to(ctx, neighbor, &msg.encode(), row);
     }
 
-    fn batching(&self) -> bool {
-        self.cfg.batch_window.0 > 0
-    }
-
     /// Queues an encoded frame for the neighbor's next batch flush.
     fn stage_frame(&mut self, ctx: &mut Context<'_>, neighbor: OverlayId, body: Bytes) {
         let queued = {
@@ -435,7 +429,7 @@ impl Daemon {
     fn schedule_flush(&mut self, ctx: &mut Context<'_>) {
         if !self.flush_scheduled {
             self.flush_scheduled = true;
-            ctx.set_timer(self.cfg.batch_window, TIMER_FLUSH);
+            ctx.set_timer(BATCH_WINDOW, TIMER_FLUSH);
         }
     }
 
@@ -509,8 +503,7 @@ impl Daemon {
         });
         let frame_id = ((self.me.0 as u64) << 40) | self.next_frame;
         self.next_frame += 1;
-        let reliable = msg.reliable;
-        if reliable {
+        let body = if msg.reliable {
             if !self.neighbors.contains_key(&neighbor) {
                 return;
             }
@@ -530,20 +523,11 @@ impl Daemon {
                     rto: RETRANSMIT_TIMEOUT,
                 },
             );
-            if self.batching() {
-                self.stage_frame(ctx, neighbor, body);
-            } else {
-                self.seal_to(ctx, neighbor, &body, Row::TxData);
-            }
+            body
         } else {
-            let wire = OverlayMsg::Data { frame_id, msg };
-            if self.batching() {
-                let body = wire.encode();
-                self.stage_frame(ctx, neighbor, body);
-            } else {
-                self.frame_to(ctx, neighbor, &wire, Row::TxData);
-            }
-        }
+            OverlayMsg::Data { frame_id, msg }.encode()
+        };
+        self.stage_frame(ctx, neighbor, body);
     }
 
     fn regenerate_lsa(&mut self, ctx: &mut Context<'_>) {
@@ -916,16 +900,12 @@ impl Daemon {
             }
             OverlayMsg::Data { frame_id, msg } => {
                 if msg.reliable {
-                    if self.batching() {
-                        // Cumulative ack: it rides the next data flushed
-                        // back to `from`, or the next retransmission scan.
-                        // It still opens the batch window: data staged
-                        // behind it leaves when that window closes.
-                        self.staged_acks.entry(from).or_default().push(frame_id);
-                        self.schedule_flush(ctx);
-                    } else {
-                        self.frame_to(ctx, from, &OverlayMsg::HopAck { frame_id }, Row::TxAckOnly);
-                    }
+                    // Cumulative ack: it rides the next data flushed back
+                    // to `from`, or the next retransmission scan. It still
+                    // opens the batch window: data staged behind it leaves
+                    // when that window closes.
+                    self.staged_acks.entry(from).or_default().push(frame_id);
+                    self.schedule_flush(ctx);
                     let link = self.neighbors.get_mut(&from);
                     if !link.is_some_and(|link| link.seen.insert(frame_id)) {
                         return; // duplicate retransmission

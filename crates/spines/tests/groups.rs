@@ -8,6 +8,7 @@
 use bytes::Bytes;
 use spire_crypto::{KeyMaterial, KeyStore};
 use spire_sim::{Context, LinkConfig, Process, ProcessId, Span, Time, World};
+use spire_spines::daemon::BATCH_WINDOW;
 use spire_spines::{
     DaemonBehavior, DaemonConfig, Dissemination, OverlayAddr, OverlayId, OverlayNetwork,
     SpinesPort, Topology,
@@ -275,7 +276,7 @@ fn with_no_data_flowing_back_a_hop_ack_leaves_at_the_next_retransmission_scan() 
     // receipt. The scans run every 10 ms from the daemon's start at 0, and
     // the next scan carries the next two frames' acks.
     let arrived = data_sealed + Span::millis(10);
-    let window = DaemonConfig::default().batch_window;
+    let window = BATCH_WINDOW;
     assert_eq!(ack_sealed.0 % 10_000, 0, "ack left at {ack_sealed:?}");
     assert!(
         ack_sealed > arrived + window && ack_sealed <= arrived + Span::millis(10),

@@ -16,8 +16,7 @@ fn build(seed: u64, scenario_idx: usize, trace: bool) -> Deployment {
     let mut cfg = DeploymentConfig::wide_area(seed);
     cfg.workload.rtus = 4;
     cfg.workload.update_interval = Span::millis(400);
-    // Tracing defaults to the SPIRE_TRACE env var; pin it so the
-    // byte-comparison cannot be perturbed by the environment.
+    // The pinned trace case turns tracing on; the report cases keep it off.
     cfg.trace = trace;
     let mut deployment = Deployment::build(cfg);
     let scenario = &Scenario::red_team_suite()[scenario_idx];
