@@ -10,9 +10,9 @@
 //! path, and verify the one root signature — so a batch of 16 messages
 //! costs one sign instead of sixteen.
 //!
-//! Verifier-side, the root signature check itself is amortized further with
-//! a [`DigestCache`]: all messages of one batch share the same signed root,
-//! so after the first check the remaining proofs cost only hashing.
+//! Verifier-side, a replica amortizes the root signature check further by
+//! caching verified roots: all messages of one batch share the same signed
+//! root, so after the first check the remaining proofs cost only hashing.
 //!
 //! # Examples
 //!
@@ -36,7 +36,6 @@
 
 use crate::keys::{verify64, KeyStore, NodeId, Signer};
 use crate::merkle::{self, Digest, MerkleTree};
-use std::collections::{HashSet, VecDeque};
 
 /// Domain-separation prefix for batch-root signatures, so a signed root can
 /// never be confused with the signing bytes of any protocol message.
@@ -185,63 +184,6 @@ impl BatchAttestation {
     }
 }
 
-/// A bounded set of digests with FIFO eviction, used to cache "already
-/// verified" decisions.
-///
-/// Safety under Byzantine senders: entries are inserted only *after* a
-/// successful signature verification, and the key is a SHA-256 digest over
-/// the full signed content (signature included), so a forged message cannot
-/// alias a cached one without a hash collision. The bound caps memory; on
-/// overflow the oldest entry is evicted and its message is simply
-/// re-verified on next sight.
-#[derive(Debug)]
-pub struct DigestCache {
-    cap: usize,
-    set: HashSet<Digest>,
-    order: VecDeque<Digest>,
-}
-
-impl DigestCache {
-    /// Creates a cache retaining at most `cap` digests (`cap == 0` disables
-    /// caching entirely).
-    pub fn new(cap: usize) -> DigestCache {
-        DigestCache {
-            cap,
-            set: HashSet::with_capacity(cap.min(4096)),
-            order: VecDeque::with_capacity(cap.min(4096)),
-        }
-    }
-
-    /// True if `digest` was previously inserted and not yet evicted.
-    pub fn contains(&self, digest: &Digest) -> bool {
-        self.set.contains(digest)
-    }
-
-    /// Records a verified digest. Returns false if it was already present.
-    pub fn insert(&mut self, digest: Digest) -> bool {
-        if self.cap == 0 || !self.set.insert(digest) {
-            return false;
-        }
-        self.order.push_back(digest);
-        while self.order.len() > self.cap {
-            if let Some(old) = self.order.pop_front() {
-                self.set.remove(&old);
-            }
-        }
-        true
-    }
-
-    /// Number of cached digests.
-    pub fn len(&self) -> usize {
-        self.set.len()
-    }
-
-    /// True if nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.set.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -368,30 +310,5 @@ mod tests {
             &att.root_sig,
             false
         ));
-    }
-
-    #[test]
-    fn digest_cache_bounds_and_evicts_fifo() {
-        let mut cache = DigestCache::new(3);
-        let ds = digests(5);
-        assert!(cache.insert(ds[0]));
-        assert!(!cache.insert(ds[0]), "duplicate insert is a no-op");
-        assert!(cache.insert(ds[1]));
-        assert!(cache.insert(ds[2]));
-        assert_eq!(cache.len(), 3);
-        assert!(cache.insert(ds[3])); // evicts ds[0]
-        assert_eq!(cache.len(), 3);
-        assert!(!cache.contains(&ds[0]));
-        assert!(cache.contains(&ds[1]));
-        assert!(cache.contains(&ds[3]));
-    }
-
-    #[test]
-    fn zero_capacity_cache_disables_caching() {
-        let mut cache = DigestCache::new(0);
-        let d = crate::digest(b"x");
-        assert!(!cache.insert(d));
-        assert!(!cache.contains(&d));
-        assert!(cache.is_empty());
     }
 }

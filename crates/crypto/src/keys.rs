@@ -9,6 +9,7 @@
 use crate::ed25519::{SigningKey, VerifyingKey};
 use crate::sha2::Sha256;
 use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
 
 /// Logical identity of a protocol participant.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -25,15 +26,25 @@ impl std::fmt::Display for NodeId {
 /// Derives all keys from a master seed, mimicking an offline provisioning
 /// ceremony. A given `(seed, node)` pair always yields the same keys, which
 /// keeps simulation runs reproducible.
+///
+/// Deriving a signing key costs a scalar multiplication (~180 us), and a
+/// deployment asks for each identity's key several times (its public key
+/// for the [`KeyStore`], then its process's signer), so each key is derived
+/// once and remembered. Clones share what is remembered; a new instance
+/// starts empty.
 #[derive(Clone, Debug)]
 pub struct KeyMaterial {
     master_seed: [u8; 32],
+    derived: Arc<Mutex<BTreeMap<(NodeId, u64), SigningKey>>>,
 }
 
 impl KeyMaterial {
     /// Creates key material from a master seed.
     pub fn new(master_seed: [u8; 32]) -> KeyMaterial {
-        KeyMaterial { master_seed }
+        KeyMaterial {
+            master_seed,
+            derived: Arc::default(),
+        }
     }
 
     /// Derives the signing key for `node` (epoch 0).
@@ -47,6 +58,14 @@ impl KeyMaterial {
     /// epoch, so keys stolen during a compromise become useless after the
     /// replica is rejuvenated.
     pub fn signing_key_epoch(&self, node: NodeId, epoch: u64) -> SigningKey {
+        let mut derived = self.derived.lock().unwrap_or_else(|e| e.into_inner());
+        derived
+            .entry((node, epoch))
+            .or_insert_with(|| self.derive(node, epoch))
+            .clone()
+    }
+
+    fn derive(&self, node: NodeId, epoch: u64) -> SigningKey {
         let mut h = Sha256::new();
         h.update(b"spire-signing-key");
         h.update(&self.master_seed);
@@ -212,6 +231,20 @@ mod tests {
             m1.link_key(NodeId(1), NodeId(2)),
             m2.link_key(NodeId(1), NodeId(2))
         );
+    }
+
+    #[test]
+    fn a_remembered_key_is_the_key_derived_afresh() {
+        let m = KeyMaterial::new([8u8; 32]);
+        for (node, epoch) in [(NodeId(4), 0), (NodeId(4), 1), (NodeId(5), 0)] {
+            let first = m.signing_key_epoch(node, epoch);
+            let remembered = m.clone().signing_key_epoch(node, epoch);
+            let fresh = KeyMaterial::new([8u8; 32]).derive(node, epoch);
+            assert_eq!(remembered.verifying_key(), fresh.verifying_key());
+            assert_eq!(first.verifying_key(), fresh.verifying_key());
+            assert_eq!(remembered.sign(b"m"), fresh.sign(b"m"));
+        }
+        assert_eq!(m.derived.lock().unwrap().len(), 3);
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub mod keys;
 pub mod merkle;
 pub mod sha2;
 
-pub use batch::{BatchAttestation, BatchSigner, DigestCache, SignedBatch};
+pub use batch::{BatchAttestation, BatchSigner, SignedBatch};
 pub use ed25519::{Signature, SigningKey, VerifyingKey};
 pub use keys::{KeyMaterial, KeyStore, NodeId};
 pub use merkle::Digest;

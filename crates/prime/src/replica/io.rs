@@ -13,10 +13,10 @@ use crate::inspect::{Inspection, ReplicaRecord};
 use crate::msg::{self, CheckpointMsg, ClientOp, PrimeMsg, SummaryRow, ViewStateMsg};
 use crate::net::ReplicaNet;
 use bytes::Bytes;
-use spire_crypto::batch::{self, BatchAttestation, BatchSigner, DigestCache};
+use spire_crypto::batch::{self, BatchAttestation, BatchSigner};
 use spire_crypto::keys::{verify64, Signer};
 use spire_crypto::{Digest, KeyStore, NodeId};
-use spire_sim::{Context, WireWriter};
+use spire_sim::{BoundedSet, Context, WireWriter};
 use std::sync::Arc;
 
 /// Messages accumulated in one signing batch before the Merkle root is
@@ -156,12 +156,17 @@ pub(super) struct Io {
     /// Whether a `TIMER_BATCH` flush is already pending.
     pub(super) batch_timer_armed: bool,
     batcher: BatchSigner,
+    // The verify caches hold "already verified" decisions. A key enters
+    // only after its signature checked out, and it is a SHA-256 digest over
+    // the full signed content (signature included), so a forgery cannot
+    // alias a cached entry without a hash collision. An evicted entry is
+    // simply verified again on its next sight.
     /// Verified batch roots, keyed by digest(signer || root || root_sig).
-    root_cache: DigestCache,
+    root_cache: BoundedSet<Digest>,
     /// Verified client ops, keyed by digest over the full signed encoding.
-    op_cache: DigestCache,
+    op_cache: BoundedSet<Digest>,
     /// Verified summary rows, keyed by [`SummaryRow::cache_key`].
-    row_cache: DigestCache,
+    row_cache: BoundedSet<Digest>,
     /// Reusable encoding buffer for sign/verify signing bytes.
     scratch: WireWriter,
 
@@ -197,9 +202,9 @@ impl Io {
             outbox: Vec::new(),
             batch_timer_armed: false,
             batcher: BatchSigner::new(),
-            root_cache: DigestCache::new(cache),
-            op_cache: DigestCache::new(cache),
-            row_cache: DigestCache::new(cache),
+            root_cache: BoundedSet::new(cache),
+            op_cache: BoundedSet::new(cache),
+            row_cache: BoundedSet::new(cache),
             scratch: WireWriter::with_capacity(256),
             link_stage: (0..cfg.n).map(|_| Vec::new()).collect(),
             link_stage_order: Vec::new(),
@@ -418,7 +423,7 @@ impl Io {
     fn verify_cached(
         &mut self,
         ctx: &mut Context<'_>,
-        cache: fn(&mut Io) -> &mut DigestCache,
+        cache: fn(&mut Io) -> &mut BoundedSet<Digest>,
         key: Digest,
         check: impl FnOnce(&Io) -> bool,
     ) -> bool {

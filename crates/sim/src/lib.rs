@@ -15,6 +15,7 @@
 //! * [`queue`] — the (deadline, insertion)-ordered event queue both
 //!   substrates schedule from.
 //! * [`clock`] — virtual vs monotonic time sources (shared with `spire-rt`).
+//! * [`bounded`] — a set that remembers the last N keys.
 //! * [`fnv`] — the stable 64-bit hash of states, messages and reports.
 //! * [`json`] — the workspace's one JSON value, writer and parser.
 //! * [`time`] — virtual time types.
@@ -32,6 +33,7 @@
 //! assert_eq!(world.now(), Time::ZERO + Span::secs(10));
 //! ```
 
+pub mod bounded;
 pub mod clock;
 pub mod fnv;
 pub mod host;
@@ -44,6 +46,7 @@ pub mod trace;
 pub mod wire;
 pub mod world;
 
+pub use bounded::BoundedSet;
 pub use clock::Clock;
 pub use fnv::{fnv64, Fnv64};
 pub use host::Host;

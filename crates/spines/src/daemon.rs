@@ -39,11 +39,17 @@
 //! back about 8 s, close to the ~10 s a frame is retransmitted before its
 //! sender gives up. A retransmission older than that costs at most one
 //! redundant forward, because final delivery is deduplicated by the flood
-//! key. That key, `(src, src_port, seq)`, is not authenticated: a
+//! key `(src, src_port, seq)`. The same window does that work there: one
+//! per stream `(src, src_port)` over its `seq`s (`FloodSeen`), for the
+//! first 256 streams a daemon sees. That key is not authenticated — a
 //! [`DataMsg`] carries no source signature, and any daemon on the path can
-//! write any `src`. So it is remembered in a set bounded by count (the
-//! last 100,000 keys), not in a window per source, which one forged
-//! far-ahead `seq` would close to the real source everywhere.
+//! write any `src` — so whatever a window cannot decide goes to a set of
+//! the last 100,000 keys (`SEEN_CAP`) instead of counting as new: a key
+//! below its stream's floor, and every key of a stream past the limit. One
+//! forged far-ahead `seq` therefore moves its stream onto that set, where
+//! it is deduplicated as every stream was before the windows, and forged
+//! streams past the limit cost the same. On honest runs the set stays
+//! empty (`spines.flood_overflow` counts the keys it decides).
 //!
 //! **Multicast groups.** A client joins a group on its daemon
 //! ([`OverlayMsg::ClientJoin`]); a message flooded to
@@ -60,8 +66,9 @@ use bytes::Bytes;
 use spire_crypto::ed25519::Signature;
 use spire_crypto::hmac::{hmac_sha256, verify_hmac_sha256};
 use spire_crypto::{KeyStore, NodeId, SigningKey};
-use spire_sim::{Context, Process, ProcessId, Span, Time, TraceKind};
-use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
+use spire_sim::{BoundedSet, Context, Process, ProcessId, Span, Time, TraceKind};
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 const TIMER_HELLO: u64 = 1;
@@ -214,44 +221,94 @@ struct SeenWindow {
 }
 
 impl SeenWindow {
-    /// Records `id`; false if it was already recorded. An id above the top
-    /// slides the window up to it; an id inside the window is a duplicate
-    /// exactly when its bit is set; an id below the window's floor is
-    /// new, and left unrecorded.
-    fn insert(&mut self, id: u64) -> bool {
+    /// Records `id`: `Some(false)` if it was already recorded, `Some(true)`
+    /// if not, `None` if it lies below the window's floor and cannot be
+    /// told apart. An id above the top slides the window up to it; an id
+    /// inside the window is a duplicate exactly when its bit is set.
+    fn check(&mut self, id: u64) -> Option<bool> {
         if self.bits.is_empty() {
             self.bits = vec![0; WINDOW_WORDS];
             self.top = id;
         } else if id > self.top {
             self.slide_to(id);
         } else if self.top - id >= WINDOW_IDS {
-            return true;
+            return None;
         }
         let bit = (id % WINDOW_IDS) as usize;
         let (word, mask) = (bit / 64, 1u64 << (bit % 64));
         let fresh = self.bits[word] & mask == 0;
         self.bits[word] |= mask;
-        fresh
+        Some(fresh)
+    }
+
+    /// Records `id`; false if it was already recorded. An id below the
+    /// window's floor is new, and left unrecorded.
+    fn insert(&mut self, id: u64) -> bool {
+        self.check(id).unwrap_or(true)
     }
 
     /// Moves the top up to `id`, clearing the bits of the ids it passes.
+    /// Counts the ids left to clear rather than stepping an id past them,
+    /// so a top at `u64::MAX` cannot overflow.
     fn slide_to(&mut self, id: u64) {
-        if id - self.top >= WINDOW_IDS {
+        let mut left = id - self.top;
+        if left >= WINDOW_IDS {
             self.bits.fill(0);
         } else {
-            let mut next = self.top + 1;
-            while next <= id {
-                let bit = (next % WINDOW_IDS) as usize;
-                if bit.is_multiple_of(64) && id - next >= 63 {
+            let mut bit = ((self.top + 1) % WINDOW_IDS) as usize;
+            while left > 0 {
+                if bit.is_multiple_of(64) && left >= 64 {
                     self.bits[bit / 64] = 0;
-                    next += 64;
+                    (bit, left) = (bit + 64, left - 64);
                 } else {
                     self.bits[bit / 64] &= !(1u64 << (bit % 64));
-                    next += 1;
+                    (bit, left) = (bit + 1, left - 1);
                 }
+                bit %= WINDOW_IDS as usize;
             }
         }
         self.top = id;
+    }
+}
+
+/// Flood-key streams `(src, src_port)` a daemon keeps a window for.
+const MAX_STREAMS: usize = 256;
+
+/// The final-delivery duplicate filter over flood keys `(src, src_port,
+/// seq)`: a [`SeenWindow`] per stream `(src, src_port)` over its `seq`s,
+/// for the first [`MAX_STREAMS`] streams, and a set of the last
+/// [`SEEN_CAP`] keys for whatever no window can decide — a key below its
+/// stream's floor, or any key of a stream past the limit.
+struct FloodSeen {
+    windows: BTreeMap<(u16, u16), SeenWindow>,
+    overflow: BoundedSet<(u16, u16, u64)>,
+}
+
+impl FloodSeen {
+    fn new() -> FloodSeen {
+        FloodSeen {
+            windows: BTreeMap::new(),
+            overflow: BoundedSet::new(SEEN_CAP),
+        }
+    }
+
+    /// Records `key`; false if it was seen before. It goes to its stream's
+    /// window (opened while fewer than [`MAX_STREAMS`] exist); a key no
+    /// window can decide goes to the overflow set, and `on_overflow` runs.
+    fn insert(&mut self, key: (u16, u16, u64), on_overflow: impl FnOnce()) -> bool {
+        let (src, port, seq) = key;
+        let streams = self.windows.len();
+        let decided = match self.windows.entry((src, port)) {
+            Entry::Occupied(window) => window.into_mut().check(seq),
+            Entry::Vacant(slot) if streams < MAX_STREAMS => {
+                slot.insert(SeenWindow::default()).check(seq)
+            }
+            Entry::Vacant(_) => None,
+        };
+        decided.unwrap_or_else(|| {
+            on_overflow();
+            self.overflow.insert(key)
+        })
     }
 }
 
@@ -301,8 +358,7 @@ pub struct Daemon {
     lsa_db: BTreeMap<OverlayId, LsaEntry>,
     my_lsa_seq: u64,
     routes: Option<Topology>,
-    flood_seen: HashSet<(u16, u16, u64)>,
-    flood_seen_order: VecDeque<(u16, u16, u64)>,
+    flood_seen: FloodSeen,
     pending: BTreeMap<u64, PendingFrame>,
     next_frame: u64,
     send_seq: BTreeMap<u16, u64>,
@@ -316,7 +372,7 @@ pub struct Daemon {
     flush_scheduled: bool,
 }
 
-/// Flood keys a daemon remembers (see `mark_flood_seen`).
+/// Flood keys the overflow set of [`FloodSeen`] remembers.
 const SEEN_CAP: usize = 100_000;
 
 impl Daemon {
@@ -366,8 +422,7 @@ impl Daemon {
             lsa_db: BTreeMap::new(),
             my_lsa_seq: 0,
             routes: None,
-            flood_seen: HashSet::new(),
-            flood_seen_order: VecDeque::new(),
+            flood_seen: FloodSeen::new(),
             pending: BTreeMap::new(),
             next_frame: 0,
             send_seq: BTreeMap::new(),
@@ -603,18 +658,10 @@ impl Daemon {
         self.routes.as_ref().unwrap()
     }
 
-    fn mark_flood_seen(&mut self, key: (u16, u16, u64)) -> bool {
-        if self.flood_seen.contains(&key) {
-            return false;
-        }
-        self.flood_seen.insert(key);
-        self.flood_seen_order.push_back(key);
-        if self.flood_seen_order.len() > SEEN_CAP {
-            if let Some(old) = self.flood_seen_order.pop_front() {
-                self.flood_seen.remove(&old);
-            }
-        }
-        true
+    /// Records a flood key; false if it was seen before.
+    fn mark_flood_seen(&mut self, ctx: &mut Context<'_>, key: (u16, u16, u64)) -> bool {
+        let overflow = || ctx.count("spines.flood_overflow", 1);
+        self.flood_seen.insert(key, overflow)
     }
 
     fn take_flood_token(&mut self, now: Time, source: OverlayId) -> bool {
@@ -677,7 +724,7 @@ impl Daemon {
         match msg.mode {
             Dissemination::Flood => {
                 let key = (msg.src.0, msg.src_port, msg.seq);
-                if !self.mark_flood_seen(key) {
+                if !self.mark_flood_seen(ctx, key) {
                     return;
                 }
                 if msg.dst == OverlayId::GROUP {
@@ -708,7 +755,7 @@ impl Daemon {
             Dissemination::Shortest => {
                 if msg.dst == self.me {
                     let key = (msg.src.0, msg.src_port, msg.seq);
-                    if self.mark_flood_seen(key) {
+                    if self.mark_flood_seen(ctx, key) {
                         self.deliver_local(ctx, &msg);
                     }
                     return;
@@ -729,7 +776,7 @@ impl Daemon {
             Dissemination::DisjointPaths(_) => {
                 if msg.dst == self.me {
                     let key = (msg.src.0, msg.src_port, msg.seq);
-                    if self.mark_flood_seen(key) {
+                    if self.mark_flood_seen(ctx, key) {
                         self.deliver_local(ctx, &msg);
                     }
                     return;
@@ -1155,7 +1202,7 @@ impl std::fmt::Debug for Daemon {
 
 #[cfg(test)]
 mod tests {
-    use super::{SeenWindow, WINDOW_IDS, WINDOW_WORDS};
+    use super::{FloodSeen, SeenWindow, MAX_STREAMS, SEEN_CAP, WINDOW_IDS, WINDOW_WORDS};
 
     #[test]
     fn duplicate_inside_the_window() {
@@ -1234,5 +1281,101 @@ mod tests {
         assert_eq!(w.bits.len(), WINDOW_WORDS);
         assert_eq!(w.bits.capacity(), WINDOW_WORDS);
         assert_eq!(w.top, 2_999_997);
+    }
+
+    #[test]
+    fn the_top_can_reach_the_last_id() {
+        let mut w = SeenWindow::default();
+        assert!(w.insert(u64::MAX - 1));
+        assert!(w.insert(u64::MAX));
+        assert!(!w.insert(u64::MAX - 1));
+        assert!(!w.insert(u64::MAX));
+        assert_eq!(w.top, u64::MAX);
+    }
+
+    /// Records `key` in `f`; true if new. Counts the keys that overflowed.
+    fn mark(f: &mut FloodSeen, overflowed: &mut u64, key: (u16, u16, u64)) -> bool {
+        f.insert(key, || *overflowed += 1)
+    }
+
+    #[test]
+    fn flood_duplicates_and_reordering_inside_a_streams_window() {
+        let (mut f, mut overflowed) = (FloodSeen::new(), 0);
+        for seq in [3, 1, 2, 7, 5, WINDOW_IDS, 4] {
+            assert!(mark(&mut f, &mut overflowed, (1, 80, seq)), "{seq} is new");
+        }
+        // Seq 1 is the window's last: WINDOW_IDS ids end at the top.
+        for seq in [1, 2, 3, 4, 5, 7, WINDOW_IDS] {
+            assert!(
+                !mark(&mut f, &mut overflowed, (1, 80, seq)),
+                "{seq} was seen"
+            );
+        }
+        // Streams are apart: the same seq from another port or source is new.
+        assert!(mark(&mut f, &mut overflowed, (1, 81, 3)));
+        assert!(mark(&mut f, &mut overflowed, (2, 80, 3)));
+        assert!(!mark(&mut f, &mut overflowed, (2, 80, 3)));
+        assert_eq!(f.windows.len(), 3);
+        assert_eq!((overflowed, f.overflow.len()), (0, 0));
+    }
+
+    #[test]
+    fn a_key_below_its_streams_floor_goes_to_the_overflow_set() {
+        let (mut f, mut overflowed) = (FloodSeen::new(), 0);
+        // A forged far-ahead seq moves the stream's window past the real
+        // keys; they are decided by the overflow set from then on.
+        assert!(mark(&mut f, &mut overflowed, (4, 9, 10)));
+        assert!(mark(&mut f, &mut overflowed, (4, 9, u64::MAX - 1)));
+        assert_eq!(overflowed, 0);
+        for seq in 11..=20 {
+            assert!(
+                mark(&mut f, &mut overflowed, (4, 9, seq)),
+                "{seq} is new once"
+            );
+            assert!(
+                !mark(&mut f, &mut overflowed, (4, 9, seq)),
+                "then a duplicate"
+            );
+        }
+        assert_eq!(overflowed, 20);
+        assert_eq!(f.overflow.len(), 10);
+    }
+
+    #[test]
+    fn streams_past_the_limit_go_to_the_overflow_set() {
+        let (mut f, mut overflowed) = (FloodSeen::new(), 0);
+        for port in 0..MAX_STREAMS as u16 {
+            assert!(mark(&mut f, &mut overflowed, (7, port, 1)));
+        }
+        assert_eq!((f.windows.len(), overflowed), (MAX_STREAMS, 0));
+        let late = (8, 0, 1);
+        assert!(mark(&mut f, &mut overflowed, late), "the 257th stream");
+        assert!(!mark(&mut f, &mut overflowed, late));
+        assert_eq!((f.windows.len(), overflowed), (MAX_STREAMS, 2));
+        assert!(f.overflow.contains(&late));
+        // The streams that hold a window keep it.
+        assert!(!mark(&mut f, &mut overflowed, (7, 0, 1)));
+        assert!(mark(&mut f, &mut overflowed, (7, 0, 2)));
+        assert_eq!(overflowed, 2);
+    }
+
+    #[test]
+    fn forged_keys_cost_at_most_the_windows_and_the_overflow_cap() {
+        let mut f = FloodSeen::new();
+        let mut state = 0x853c_49e6_748f_ea9bu64;
+        for _ in 0..1_000_000 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let stream = (state % 10_000) as u32;
+            let key = ((stream >> 8) as u16, stream as u16 & 0xff, state >> 20);
+            f.insert(key, || {});
+        }
+        assert_eq!(f.windows.len(), MAX_STREAMS);
+        assert!(f
+            .windows
+            .values()
+            .all(|w| w.bits.len() == WINDOW_WORDS && w.bits.capacity() == WINDOW_WORDS));
+        assert_eq!(f.overflow.len(), SEEN_CAP);
     }
 }

@@ -709,3 +709,66 @@ fn a_neighbor_cannot_mark_another_links_frames_seen() {
         "S's frames were dropped as duplicates"
     );
 }
+
+/// A sealed, unreliable flood from X to Y that claims to come from
+/// `(src, src_port)` and is addressed to a port Y has no client on.
+fn forged_flood(src: u16, src_port: u16, seq: u64) -> Bytes {
+    let msg = DataMsg {
+        src: OverlayId(src),
+        src_port,
+        dst: OverlayId(2),
+        dst_port: 999,
+        seq,
+        mode: Dissemination::Flood,
+        ttl: 8,
+        route: Vec::new(),
+        route_idx: 0,
+        reliable: false,
+        payload: Bytes::from_static(b"forged"),
+    };
+    seal(&link_key(1, 2), &OverlayMsg::Data { frame_id: 0, msg })
+}
+
+#[test]
+fn a_forged_far_ahead_seq_does_not_silence_its_stream() {
+    // Mid-stream, a compromised X floods one message under S's stream
+    // (S, APP_PORT) with a seq near the top of the range. Y must still
+    // deliver each of S's messages exactly once.
+    let mut h = triangle(63, LinkConfig::wan(5), 50);
+    let (x, y) = (
+        h.net.daemon_pid(OverlayId(1)),
+        h.net.daemon_pid(OverlayId(2)),
+    );
+    let forged = forged_flood(0, APP_PORT, u64::MAX - 1);
+    h.world
+        .inject_message(spire_sim::Time(500_000), x, y, forged);
+    h.world.run_for(Span::secs(3));
+    let m = h.world.metrics();
+    assert_eq!(m.counter("spines.hmac_fail"), 0, "the forgery is sealed");
+    assert_eq!(m.counter("spines.no_client_drop"), 1, "Y took the forgery");
+    assert_eq!(m.counter("app.sent"), 50);
+    assert_eq!(m.counter("rx.rx"), 50, "S's messages lost or repeated");
+}
+
+#[test]
+fn forged_streams_do_not_silence_a_real_one() {
+    // Before S sends, a compromised X floods 10,000 messages to Y, each
+    // under a stream `(src, src_port)` of its own. Y must still deliver
+    // each of S's messages exactly once.
+    let mut h = triangle(64, LinkConfig::wan(5), 50);
+    let (x, y) = (
+        h.net.daemon_pid(OverlayId(1)),
+        h.net.daemon_pid(OverlayId(2)),
+    );
+    for i in 0..10_000u32 {
+        let forged = forged_flood(3 + (i / 1000) as u16, (i % 1000) as u16, 1);
+        h.world
+            .inject_message(spire_sim::Time(50_000), x, y, forged);
+    }
+    h.world.run_for(Span::secs(3));
+    let m = h.world.metrics();
+    assert_eq!(m.counter("spines.hmac_fail"), 0, "the forgery is sealed");
+    assert_eq!(m.counter("spines.no_client_drop"), 10_000, "Y took each");
+    assert_eq!(m.counter("app.sent"), 50);
+    assert_eq!(m.counter("rx.rx"), 50, "S's messages lost or repeated");
+}
