@@ -58,6 +58,8 @@ impl KeyMaterial {
     /// epoch, so keys stolen during a compromise become useless after the
     /// replica is rejuvenated.
     pub fn signing_key_epoch(&self, node: NodeId, epoch: u64) -> SigningKey {
+        // A panic inside `derive` inserts nothing, so a poisoned map is
+        // still whole.
         let mut derived = self.derived.lock().unwrap_or_else(|e| e.into_inner());
         derived
             .entry((node, epoch))

@@ -45,11 +45,13 @@ struct Sample {
     trace: Backtrace,
 }
 
-/// Live samples by block address.
+/// Live samples by block address. A panic cannot leave the map half
+/// updated (an allocation failure aborts), so a poisoned lock is taken as
+/// it is.
 static LIVE: Mutex<Option<HashMap<usize, Sample>>> = Mutex::new(None);
 
 /// Runs `f` with this thread marked busy, unless it already is.
-fn unbusy(f: impl FnOnce()) {
+fn unless_busy(f: impl FnOnce()) {
     let _ = BUSY.try_with(|busy| {
         if !busy.replace(true) {
             f();
@@ -82,7 +84,7 @@ fn record(ptr: *mut u8, size: usize) {
     if bytes == 0 {
         return;
     }
-    unbusy(|| {
+    unless_busy(|| {
         let trace = Backtrace::force_capture();
         let mut live = LIVE.lock().unwrap_or_else(|e| e.into_inner());
         let live = live.get_or_insert_with(HashMap::new);
@@ -91,7 +93,7 @@ fn record(ptr: *mut u8, size: usize) {
 }
 
 fn forget(ptr: *mut u8) {
-    unbusy(|| {
+    unless_busy(|| {
         let mut live = LIVE.lock().unwrap_or_else(|e| e.into_inner());
         if let Some(live) = live.as_mut() {
             live.remove(&(ptr as usize));
@@ -99,6 +101,12 @@ fn forget(ptr: *mut u8) {
     });
 }
 
+// SAFETY: every method hands its arguments to `System` unchanged and
+// returns what `System` returned, so `System`'s guarantees carry over. The
+// bookkeeping around each call uses a block's address only as a map key:
+// it never reads, writes or frees the block, and its own allocations go to
+// this allocator with the thread marked busy, so they neither recurse into
+// the bookkeeping nor take the lock it holds.
 unsafe impl GlobalAlloc for Sampler {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let ptr = System.alloc(layout);
