@@ -96,6 +96,12 @@ fn decode_everything(bytes: &[u8]) {
     let _ = spire_prime::msg::decode_sealed(bytes);
     let _ = spire_prime::msg::decode_group_sealed(bytes);
     let _ = spire_spines::SpinesPort::decode_deliver(&shared);
+    // A commit certificate's frames are decoded again by its handler.
+    if let Ok(PrimeMsg::CommitCert { frames, .. }) = PrimeMsg::decode(bytes) {
+        for frame in &frames {
+            let _ = spire_prime::msg::decode_frame(frame);
+        }
+    }
     for mut app in common::fresh_apps() {
         let _ = app.restore(bytes);
     }

@@ -1,15 +1,37 @@
 //! Checkpoints: signed attestations of the execution snapshot every
 //! `checkpoint_interval` matrices, and the stable checkpoint (proven by
 //! `f + 1` matching attestations) that log compaction and state transfer
-//! are anchored on.
+//! are anchored on. An attestation signs the snapshot's transfer layout
+//! ([`snapshot_digest`]), so a state-transfer manifest proves itself.
 
 use super::io::{Io, Metric};
 use super::StateHasher;
+use crate::config;
 use crate::msg::{CheckpointMsg, PrimeMsg};
 use bytes::Bytes;
-use spire_sim::{Context, TraceKind};
+use spire_crypto::Digest;
+use spire_sim::{Context, TraceKind, Wire};
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
+
+/// What a checkpoint attestation signs: the digest of a snapshot's
+/// transfer layout, its length and then the digest of each
+/// `STATE_CHUNK_BYTES` chunk ([`chunk_digests`]), which pins every byte.
+pub(super) fn layout_digest(total_len: u64, chunk_digests: &[Digest]) -> Digest {
+    let layout = (total_len, chunk_digests.to_vec()).to_wire(40 + 32 * chunk_digests.len());
+    spire_crypto::digest(&layout.finish())
+}
+
+pub(super) fn chunk_digests(snapshot: &[u8]) -> Vec<Digest> {
+    snapshot
+        .chunks(config::STATE_CHUNK_BYTES)
+        .map(spire_crypto::digest)
+        .collect()
+}
+
+pub(super) fn snapshot_digest(snapshot: &[u8]) -> Digest {
+    layout_digest(snapshot.len() as u64, &chunk_digests(snapshot))
+}
 
 #[derive(Default)]
 pub(super) struct Checkpoints {
@@ -25,7 +47,7 @@ pub(super) struct Checkpoints {
 
 impl Checkpoints {
     pub(super) fn take(&mut self, io: &mut Io, ctx: &mut Context<'_>, seq: u64, snapshot: Vec<u8>) {
-        let digest = spire_crypto::digest(&snapshot);
+        let digest = snapshot_digest(&snapshot);
         io.inspect(|rec| rec.push_checkpoint(seq, digest));
         io.count(ctx, Metric::SignOps, 1);
         let msg = CheckpointMsg::signed(io.me, seq, digest, &io.signer);
@@ -71,7 +93,7 @@ impl Checkpoints {
         else {
             return false;
         };
-        let my_digest = spire_crypto::digest(snapshot);
+        let my_digest = snapshot_digest(snapshot);
         let matching: Vec<CheckpointMsg> = votes
             .values()
             .filter(|v| v.digest == my_digest)
@@ -125,7 +147,7 @@ mod tests {
             backend(),
         );
         let snapshot = b"state after 20 matrices".to_vec();
-        let digest = spire_crypto::digest(&snapshot);
+        let digest = snapshot_digest(&snapshot);
         let cover = [7, 0, 3, 0];
         run(&mut backend, 0, |ctx| {
             ckpt.take(&mut io, ctx, 10, b"state after 10".to_vec());

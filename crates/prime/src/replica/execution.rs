@@ -94,7 +94,7 @@ impl Execution {
         if next > ord.commit_aru {
             return None;
         }
-        let matrix = ord.committed_matrices.get(&next)?;
+        let matrix = ord.committed_matrix(next)?;
         let quorum = io.cfg.cover_quorum();
         // Per-origin execution targets from this matrix.
         let targets: Vec<u64> = (0..io.cfg.n as usize)

@@ -10,7 +10,7 @@ use super::TIMER_BATCH;
 use crate::behavior::ByzBehavior;
 use crate::config::{self, ClientId, PrimeConfig, ReplicaId};
 use crate::inspect::{Inspection, ReplicaRecord};
-use crate::msg::{self, CheckpointMsg, ClientOp, PrimeMsg, SummaryRow, ViewStateMsg};
+use crate::msg::{self, CheckpointMsg, ClientOp, Frame, PrimeMsg, SummaryRow, ViewStateMsg};
 use crate::net::ReplicaNet;
 use bytes::Bytes;
 use spire_crypto::batch::{self, BatchAttestation, BatchSigner};
@@ -89,7 +89,6 @@ metrics! {
     EagerProposals => "eager_proposals",
     MultiAcks => "multi_acks",
     MultiCommits => "multi_commits",
-    BadStateMeta => "bad_state_meta",
     StateAccumsEvicted => "state_accums_evicted",
     RecoveryChunks => "recovery_chunks",
     RecoveryChunkRetries => "recovery_chunk_retries",
@@ -99,7 +98,6 @@ metrics! {
     CompactionPoRetained => "compaction.po_retained",
     CompactionSlotsRetained => "compaction.slots_retained",
     CompactionMatricesRetained => "compaction.matrices_retained",
-    CompactionSuffixRetained => "compaction.suffix_retained",
 }
 
 pub(super) fn metric_keys(label: &str) -> Vec<String> {
@@ -108,14 +106,17 @@ pub(super) fn metric_keys(label: &str) -> Vec<String> {
 }
 
 /// What to keep of a queued message once its attested frame exists at
-/// flush time. Reconciliation later forwards retained frames verbatim, so
-/// they must be self-contained (attestation included).
+/// flush time. Reconciliation and catch-up later forward retained frames
+/// verbatim, so they must be self-contained (attestation included).
 pub(super) enum Retain {
     /// Nothing to retain.
     None,
     /// Our own (possibly cumulative) PO-Ack: the one frame is certificate
     /// material under every covered `(origin, po_seq)`.
     Acks(Vec<(ReplicaId, u64, Digest)>),
+    /// Our own (possibly cumulative) Commit: the one frame joins the commit
+    /// certificate of every covered `(seq, digest)` ([`Io::own_commits`]).
+    Commits(Vec<(u64, Digest)>),
     /// Our own PO-Request: the stored content bytes under
     /// `(me, po_seq)` are replaced with the attested frame.
     Request { po_seq: u64 },
@@ -155,6 +156,9 @@ pub(super) struct Io {
     pub(super) outbox: Vec<OutboxItem>,
     /// Whether a `TIMER_BATCH` flush is already pending.
     pub(super) batch_timer_armed: bool,
+    /// Our own flushed Commit frames with the `(seq, digest)` entries each
+    /// votes for, until ordering files them at the activation boundary.
+    pub(super) own_commits: Vec<(Vec<(u64, Digest)>, Bytes)>,
     batcher: BatchSigner,
     // The verify caches hold "already verified" decisions. A key enters
     // only after its signature checked out, and it is a SHA-256 digest over
@@ -201,6 +205,7 @@ impl Io {
             inspection: None,
             outbox: Vec::new(),
             batch_timer_armed: false,
+            own_commits: Vec::new(),
             batcher: BatchSigner::new(),
             root_cache: BoundedSet::new(cache),
             op_cache: BoundedSet::new(cache),
@@ -483,6 +488,38 @@ impl Io {
         )
     }
 
+    /// Opens a decoded frame: its message and the replica proven to have
+    /// sent it, or `None` for a failed batch attestation. An attestation
+    /// proves its signer (the embedded signature is zero); a link MAC
+    /// proves the sealer, so a plain frame claiming its sealer needs no
+    /// signature check, and an attestation whose signer IS the sealer no
+    /// root-signature check (forwarded frames still verify theirs).
+    pub(super) fn open_frame(
+        &mut self,
+        ctx: &mut Context<'_>,
+        frame: Frame,
+        link_auth: Option<ReplicaId>,
+    ) -> Option<(PrimeMsg, Option<ReplicaId>)> {
+        match frame {
+            Frame::Plain(msg) => Some((msg, link_auth)),
+            Frame::Batched {
+                signer,
+                attestation,
+                msg,
+                msg_digest,
+            } => {
+                if signer.0 >= self.cfg.n
+                    || (link_auth != Some(signer)
+                        && !self.verify_batch_attestation(ctx, signer, &attestation, &msg_digest))
+                {
+                    self.count(ctx, Metric::BadBatchAuth, 1);
+                    return None;
+                }
+                Some((msg, Some(signer)))
+            }
+        }
+    }
+
     /// Verifies a batch attestation (inclusion proof + root signature).
     /// All messages of one batch share the signed root, so the signature
     /// check is cached and later messages cost only hashing.
@@ -537,8 +574,8 @@ impl Io {
 
     /// Queues a vote broadcast (PO-Ack / Prepare / Commit) for the
     /// amortized flush, or signs and broadcasts it immediately when batch
-    /// signing is off. `retain` marks our own PO-Acks for certificate
-    /// retention (see [`Retain`]).
+    /// signing is off. `retain` marks our own PO-Acks and Commits for
+    /// certificate retention (see [`Retain`]).
     pub(super) fn send_vote(
         &mut self,
         ctx: &mut Context<'_>,

@@ -264,15 +264,17 @@ impl PreOrder {
 
     /// Keeps what `retain` asks of one of our own frames now that its
     /// self-contained form exists; a vote may complete pre-order quorums.
+    /// Our own Commit frames are parked on `io` for ordering to file.
     pub(super) fn retain_own(
         &mut self,
-        io: &Io,
+        io: &mut Io,
         ctx: &mut Context<'_>,
         retain: Retain,
         frame: &Bytes,
     ) {
         match retain {
             Retain::None => {}
+            Retain::Commits(entries) => io.own_commits.push((entries, frame.clone())),
             Retain::Acks(entries) => {
                 for (origin, po_seq, digest) in entries {
                     if let Some(entry) = self.po.get_mut(&(origin.0, po_seq)) {

@@ -450,7 +450,7 @@ mod tests {
                     .expect("admitted");
                 let voters = if seq == 2 { 0..2 } else { 0..3 };
                 for from in voters {
-                    ord.record_vote(seq, ReplicaId(from), digest, false);
+                    ord.record_vote((seq, 0), ReplicaId(from), digest, None);
                 }
                 ord.try_prepare_commit(&io, ctx, seq);
             }

@@ -167,10 +167,14 @@ fn gen_msg(rng: &mut StdRng, variant: u64) -> PrimeMsg {
             have_seq: rng.gen(),
             sig: sig64(rng),
         },
-        14 => PrimeMsg::SuffixVote {
-            replica: ReplicaId(rng.gen_range(0..32)),
+        14 => PrimeMsg::CommitCert {
             seq: rng.gen(),
+            view: rng.gen(),
             matrix: matrix(rng),
+            frames: {
+                let n = rng.gen_range(0..5);
+                (0..n).map(|_| payload(rng, 96)).collect()
+            },
         },
         15 => PrimeMsg::ReconReq {
             replica: ReplicaId(rng.gen_range(0..32)),
@@ -213,8 +217,6 @@ fn gen_msg(rng: &mut StdRng, variant: u64) -> PrimeMsg {
         20 => PrimeMsg::StateMeta {
             replica: ReplicaId(rng.gen_range(0..32)),
             checkpoint_seq: rng.gen(),
-            erasure_k: rng.gen(),
-            chunk_size: rng.gen(),
             total_len: rng.gen(),
             chunk_digests: {
                 let n = rng.gen_range(0..5);
@@ -224,7 +226,6 @@ fn gen_msg(rng: &mut StdRng, variant: u64) -> PrimeMsg {
                 let n = rng.gen_range(0..3);
                 (0..n).map(|_| checkpoint(rng)).collect()
             },
-            view: rng.gen(),
             requester_po_high: rng.gen(),
             requester_sseq_high: rng.gen(),
         },
