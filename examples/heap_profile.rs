@@ -1,7 +1,8 @@
 //! Live heap by call site, from a sampling allocator: what the process
 //! still holds after a run at the benchmark's `sim_pipeline` rate (ten
 //! RTUs reporting every 50 ms, a command every 500 ms, a poll every 2 s,
-//! mock signatures) on `DeploymentConfig::wide_area(seed)`.
+//! mock signatures, the invariant checker every second) on
+//! `DeploymentConfig::wide_area(seed)`.
 //!
 //! Every allocation of 512 KiB or more is sampled at its size; of the
 //! smaller ones, one is sampled per 512 KiB allocated, weighted 512 KiB. A
@@ -16,7 +17,7 @@
 
 use spire::deployment::{Deployment, DeploymentConfig};
 use spire_scada::WorkloadConfig;
-use spire_sim::Span;
+use spire_sim::{Span, Time};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::backtrace::Backtrace;
 use std::cell::Cell;
@@ -224,6 +225,8 @@ fn main() {
         ..WorkloadConfig::default()
     };
     let mut system = Deployment::build(cfg);
+    // The benchmark's invariant checker, at its one-second period.
+    system.install_invariant_checker(Span::secs(1), Time(secs * 1_000_000));
     system.run_for(Span::secs(secs));
     let report = system.report();
     // Read before symbolizing, which maps the debug info.
