@@ -56,102 +56,51 @@ impl U256 {
     }
 }
 
-/// `floor(sqrt(p) * 2^64)`: binary search for the largest `x` with
-/// `x^2 <= p << 128`.
-fn sqrt_frac_bits(p: u64) -> u128 {
-    // p * 2^128 => hi = p, lo = 0
-    let target = U256 {
-        hi: p as u128,
-        lo: 0,
-    };
-    let (mut lo, mut hi) = (0u128, 1u128 << 70);
-    while lo + 1 < hi {
-        let mid = (lo + hi) / 2;
-        let sq = {
-            let (h, l) = mul_128(mid, mid);
-            U256 { hi: h, lo: l }
+/// The fractional parts, to 64 bits, of the `e`-th roots (`e` of 2 or 3)
+/// of the first `N` primes: for each prime `p`, the low 64 bits of the
+/// largest `x` with `x^e <= p << 64e`, found by binary search.
+fn root_frac_bits<const N: usize>(e: u32) -> [u64; N] {
+    let mut bits = [0; N];
+    for (slot, p) in bits.iter_mut().zip(first_primes(N)) {
+        let target = U256 {
+            hi: (p as u128) << (64 * (e - 2)),
+            lo: 0,
         };
-        if sq <= target {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    lo
-}
-
-/// `floor(cbrt(p) * 2^64)`: binary search for the largest `x` with
-/// `x^3 <= p << 192`.
-fn cbrt_frac_bits(p: u64) -> u128 {
-    let target = U256 {
-        hi: (p as u128) << 64, // p * 2^192
-        lo: 0,
-    };
-    let (mut lo, mut hi) = (0u128, 1u128 << 70);
-    while lo + 1 < hi {
-        let mid = (lo + hi) / 2;
-        let sq = {
+        let (mut lo, mut hi) = (0u128, 1u128 << 70);
+        while lo + 1 < hi {
+            let mid = (lo + hi) / 2;
             let (h, l) = mul_128(mid, mid);
-            U256 { hi: h, lo: l }
-        };
-        let cube = sq.mul_u128(mid);
-        if cube <= target {
-            lo = mid;
-        } else {
-            hi = mid;
+            let square = U256 { hi: h, lo: l };
+            let power = if e == 3 { square.mul_u128(mid) } else { square };
+            if power <= target {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
         }
+        *slot = lo as u64;
     }
-    lo
+    bits
 }
 
 fn sha256_h() -> &'static [u32; 8] {
     static H: OnceLock<[u32; 8]> = OnceLock::new();
-    H.get_or_init(|| {
-        let primes = first_primes(8);
-        let mut h = [0u32; 8];
-        for (i, p) in primes.iter().enumerate() {
-            let bits = sqrt_frac_bits(*p) as u64; // low 64 bits = fractional part
-            h[i] = (bits >> 32) as u32;
-        }
-        h
-    })
+    H.get_or_init(|| root_frac_bits(2).map(|bits| (bits >> 32) as u32))
 }
 
 fn sha256_k() -> &'static [u32; 64] {
     static K: OnceLock<[u32; 64]> = OnceLock::new();
-    K.get_or_init(|| {
-        let primes = first_primes(64);
-        let mut k = [0u32; 64];
-        for (i, p) in primes.iter().enumerate() {
-            let bits = cbrt_frac_bits(*p) as u64;
-            k[i] = (bits >> 32) as u32;
-        }
-        k
-    })
+    K.get_or_init(|| root_frac_bits(3).map(|bits| (bits >> 32) as u32))
 }
 
 fn sha512_h() -> &'static [u64; 8] {
     static H: OnceLock<[u64; 8]> = OnceLock::new();
-    H.get_or_init(|| {
-        let primes = first_primes(8);
-        let mut h = [0u64; 8];
-        for (i, p) in primes.iter().enumerate() {
-            h[i] = sqrt_frac_bits(*p) as u64;
-        }
-        h
-    })
+    H.get_or_init(|| root_frac_bits(2))
 }
 
 fn sha512_k() -> &'static [u64; 80] {
     static K: OnceLock<[u64; 80]> = OnceLock::new();
-    K.get_or_init(|| {
-        let primes = first_primes(80);
-        let mut k = [0u64; 80];
-        for (i, p) in primes.iter().enumerate() {
-            k[i] = cbrt_frac_bits(*p) as u64;
-        }
-        k
-    })
+    K.get_or_init(|| root_frac_bits(3))
 }
 
 /// Incremental SHA-256 hasher.

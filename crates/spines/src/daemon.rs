@@ -752,39 +752,23 @@ impl Daemon {
                     }
                 }
             }
+            // Unicast: deliver at the destination, else forward one hop.
+            _ if msg.dst == self.me => {
+                let key = (msg.src.0, msg.src_port, msg.seq);
+                if self.mark_flood_seen(ctx, key) {
+                    self.deliver_local(ctx, &msg);
+                }
+            }
+            _ if msg.ttl == 0 => ctx.count("spines.ttl_drop", 1),
             Dissemination::Shortest => {
-                if msg.dst == self.me {
-                    let key = (msg.src.0, msg.src_port, msg.seq);
-                    if self.mark_flood_seen(ctx, key) {
-                        self.deliver_local(ctx, &msg);
-                    }
-                    return;
-                }
-                if msg.ttl == 0 {
-                    ctx.count("spines.ttl_drop", 1);
-                    return;
-                }
                 msg.ttl -= 1;
                 let me = self.me;
-                let dst = msg.dst;
-                let next = self.topology().next_hop(me, dst);
-                match next {
+                match self.topology().next_hop(me, msg.dst) {
                     Some(n) => self.send_data_frame(ctx, n, msg),
                     None => ctx.count("spines.no_route_drop", 1),
                 }
             }
             Dissemination::DisjointPaths(_) => {
-                if msg.dst == self.me {
-                    let key = (msg.src.0, msg.src_port, msg.seq);
-                    if self.mark_flood_seen(ctx, key) {
-                        self.deliver_local(ctx, &msg);
-                    }
-                    return;
-                }
-                if msg.ttl == 0 {
-                    ctx.count("spines.ttl_drop", 1);
-                    return;
-                }
                 msg.ttl -= 1;
                 let idx = msg.route_idx as usize;
                 if idx < msg.route.len() {
