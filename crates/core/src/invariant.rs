@@ -217,7 +217,7 @@ impl InvariantChecker {
 
     /// Invariant 6: bounded recovery. Every announced proactive-recovery
     /// window `(replica, start, end)` is a promise: by `end` the replica
-    /// must have finished state transfer (or the genesis fallback) and
+    /// must have rejoined on a quorum of replies to its state requests and
     /// cleared its published `recovering` flag — i.e. it re-joined the
     /// execution quorum. Called on every checker tick with the current
     /// substrate time; each window is judged once, after it closes.

@@ -113,6 +113,7 @@ pub fn prime_corpus() -> Vec<Bytes> {
         PrimeMsg::StateReq {
             replica: ReplicaId(5),
             have_seq: 25,
+            nonce: 4_000_000,
             sig: [13u8; 64],
         },
         PrimeMsg::ReconReq {
@@ -214,12 +215,15 @@ pub fn prime_corpus() -> Vec<Bytes> {
         },
         PrimeMsg::StateMeta {
             replica: ReplicaId(1),
+            nonce: 4_000_000,
+            commit_aru: 53,
             checkpoint_seq: 50,
             total_len: 2500,
             chunk_digests: vec![[1u8; 32], [2u8; 32], [3u8; 32]],
             proof: vec![checkpoint],
             requester_po_high: 17,
             requester_sseq_high: 5,
+            sig: [21u8; 64],
         },
         PrimeMsg::StateChunk {
             replica: ReplicaId(2),

@@ -9,7 +9,7 @@ use spire::InvariantChecker;
 use spire_crypto::keys::Signer;
 use spire_crypto::{KeyMaterial, KeyStore, NodeId};
 use spire_prime::replica::{
-    TIMER_PING, TIMER_PO_FLUSH, TIMER_PRE_PREPARE, TIMER_PROGRESS, TIMER_STATE_REQ, TIMER_SUMMARY,
+    TIMER_PING, TIMER_PO_FLUSH, TIMER_PRE_PREPARE, TIMER_PROGRESS, TIMER_RECON, TIMER_SUMMARY,
 };
 use spire_prime::{
     ByzBehavior, ClientId, ClientOp, DirectNet, Effect, HashChainApp, Input, Inspection,
@@ -138,13 +138,13 @@ impl Bounds {
         }
     }
 
-    /// [`Bounds::tiny`] plus the state-request timer, so the
-    /// `recovering-replica` scenario can drive its rejoin (repeated
-    /// state requests, and past the genesis deadline the fallback that
-    /// clears the recovering flag) inside the explored schedule.
+    /// [`Bounds::tiny`] plus the reconciliation tick, which runs the
+    /// state-request schedule, so the `recovering-replica` scenario can
+    /// drive its rejoin (repeated state requests and chunk re-requests; it
+    /// rejoins only on a quorum of replies) inside the explored schedule.
     pub fn recovery() -> Bounds {
         let mut bounds = Bounds::tiny();
-        bounds.timer_budget.insert(TIMER_STATE_REQ, 3);
+        bounds.timer_budget.insert(TIMER_RECON, 3);
         bounds
     }
 }

@@ -63,26 +63,21 @@ pub(crate) const PING_INTERVAL: Span = Span::millis(500);
 /// leader before suspicion (Prime's K_lat).
 pub(crate) const TAT_ALLOWANCE: f64 = 2.5;
 
-/// Retry interval for fetching missing PO-Requests (reconciliation).
+/// The reconciliation tick: it retries fetching missing PO-Requests and
+/// runs the state-request schedule.
 pub(crate) const RECON_INTERVAL: Span = Span::millis(50);
-
-/// A recovering replica that finds no checkpoint anywhere for this long
-/// rejoins from genesis and catches up via reconciliation instead.
-pub(crate) const RECOVERY_GENESIS_TIMEOUT: Span = Span::secs(3);
 
 /// State transfer splits the execution snapshot into chunks of this
 /// many bytes; each chunk is erasure-encoded independently so a
 /// recovering replica reconstructs from any `f+1` per-chunk shares.
 pub(crate) const STATE_CHUNK_BYTES: usize = 1024;
 
-/// Initial per-chunk retry timeout: chunks still missing this long
-/// after the manifest is pinned are re-requested from alternate
-/// responders. Doubles on every retry round up to
-/// [`CHUNK_RETRY_MAX`].
-pub(crate) const CHUNK_RETRY_TIMEOUT: Span = Span::millis(200);
+/// A replica that is behind asks for state (or missing chunks) again this
+/// long after its first ask, doubling per ask up to [`ASK_BACKOFF_MAX`].
+pub(crate) const ASK_BACKOFF: Span = Span::millis(200);
 
-/// Ceiling for the exponential per-chunk retry backoff.
-pub(crate) const CHUNK_RETRY_MAX: Span = Span::secs(2);
+/// Ceiling of the state-request backoff.
+pub(crate) const ASK_BACKOFF_MAX: Span = Span::secs(2);
 
 /// Manifest/share accumulators for a checkpoint that made no progress
 /// for this long are evicted (bounds memory when responders go mute

@@ -44,8 +44,8 @@ pub struct ReplicaRecord {
     /// digest, and each replica's checkpoint seqs must advance.
     pub recent_checkpoints: Vec<(u64, Digest)>,
     /// Whether the replica is currently in state-transfer recovery. Set on
-    /// recovery start, cleared when the transfer (or recovery fallback)
-    /// completes; the health engine grades such replicas `degraded` and
+    /// recovery start, cleared when it rejoins on a quorum of replies to
+    /// its state requests; the health engine grades such replicas `degraded` and
     /// the invariant checker bounds how long the flag may stay up.
     pub recovering: bool,
     /// Highest contiguously committed matrix sequence (ordering progress;

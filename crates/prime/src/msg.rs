@@ -394,6 +394,9 @@ pub enum PrimeMsg {
         replica: ReplicaId,
         /// Highest sequence the requester has executed.
         have_seq: u64,
+        /// The requester's current recovery, named by its start time; every
+        /// [`PrimeMsg::StateMeta`] answering this request echoes it.
+        nonce: u64,
         /// Signature.
         sig: [u8; 64],
     },
@@ -478,19 +481,22 @@ pub enum PrimeMsg {
         /// Signature over all entries.
         sig: [u8; 64],
     },
-    /// State-transfer manifest: the chunk layout of the snapshot at a
-    /// stable checkpoint. The snapshot is split into 1 KiB chunks
-    /// (`STATE_CHUNK_BYTES`) and each chunk is erasure-encoded independently with `k = f + 1`, so a
-    /// recovering replica reconstructs chunk-by-chunk from any `f + 1`
-    /// per-chunk shares and re-requests only what is missing. Unsigned,
-    /// but the layout proves itself: a checkpoint attestation signs the
-    /// digest of `total_len` and `chunk_digests`, so the requester pins
-    /// the first manifest whose layout hashes to the digest its `f + 1`
-    /// signed attestations prove. The resume hints are the sender's word.
+    /// The answer to every [`PrimeMsg::StateReq`], signed and bound to its
+    /// nonce: the responder's commit point and resume hints, and, when its
+    /// stable checkpoint is above the requester's `have_seq`, that
+    /// checkpoint's chunk layout (else `checkpoint_seq` 0, no layout). Each
+    /// 1 KiB chunk (`STATE_CHUNK_BYTES`) is erasure-encoded with `k = f + 1`
+    /// and reconstructed from any `f + 1` shares. The layout proves itself:
+    /// the requester pins the first one whose digest of `total_len` and
+    /// `chunk_digests` its `f + 1` signed attestations prove.
     StateMeta {
         /// Responding replica.
         replica: ReplicaId,
-        /// Sequence of the described checkpoint.
+        /// The nonce of the request this answers.
+        nonce: u64,
+        /// The responder's contiguous commit point.
+        commit_aru: u64,
+        /// Sequence of the described checkpoint (0: none).
         checkpoint_seq: u64,
         /// Total snapshot length in bytes.
         total_len: u64,
@@ -508,6 +514,8 @@ pub enum PrimeMsg {
         /// requester: a recovered replica must resume above it or its new
         /// summaries are discarded as stale replays.
         requester_sseq_high: u64,
+        /// Signature.
+        sig: [u8; 64],
     },
     /// One erasure share of one snapshot chunk. Unsigned; validated
     /// against the pinned manifest's chunk digest after reconstruction.
@@ -523,8 +531,8 @@ pub enum PrimeMsg {
         /// The share bytes.
         share: Bytes,
     },
-    /// Re-request of specific missing chunks, sent to alternate
-    /// responders when the per-chunk retry timer fires.
+    /// Re-request of specific missing chunks, sent to two alternate
+    /// responders on each due ask of the state-request schedule.
     StateChunkReq {
         /// Requesting (recovering) replica.
         replica: ReplicaId,
@@ -552,6 +560,7 @@ macro_rules! own_sig {
             | PrimeMsg::NewView { sig, .. }
             | PrimeMsg::Notify { sig, .. }
             | PrimeMsg::StateReq { sig, .. }
+            | PrimeMsg::StateMeta { sig, .. }
             | PrimeMsg::Reply { sig, .. }
             | PrimeMsg::PoAckMulti { sig, .. }
             | PrimeMsg::CommitMulti { sig, .. } => Some(sig),
@@ -707,7 +716,7 @@ impl_wire!(enum PrimeMsg {
     11 => ViewState(state),
     12 => NewView { view, states, sig },
     13 => Checkpoint(attestation),
-    14 => StateReq { replica, have_seq, sig },
+    14 => StateReq { replica, have_seq, nonce, sig },
     // 15 was `StateResp`, the whole-snapshot transfer; it stays unassigned so
     // a frame from an old build is rejected, never read as something else.
     16 => ReconReq { replica, origin, po_seq },
@@ -718,8 +727,8 @@ impl_wire!(enum PrimeMsg {
     20 => PoAckMulti { replica, entries, sig },
     21 => CommitMulti { replica, view, entries, sig },
     22 => StateMeta {
-        replica, checkpoint_seq, total_len, chunk_digests, proof, requester_po_high,
-        requester_sseq_high,
+        replica, nonce, commit_aru, checkpoint_seq, total_len, chunk_digests, proof,
+        requester_po_high, requester_sseq_high, sig,
     },
     23 => StateChunk { replica, checkpoint_seq, chunk, share_index, share },
     24 => StateChunkReq { replica, checkpoint_seq, chunks },
@@ -1150,6 +1159,7 @@ mod tests {
         roundtrip(PrimeMsg::StateReq {
             replica: ReplicaId(5),
             have_seq: 0,
+            nonce: 4_000_000,
             sig: [4; 64],
         });
         roundtrip(PrimeMsg::CommitCert {
@@ -1196,6 +1206,8 @@ mod tests {
         });
         roundtrip(PrimeMsg::StateMeta {
             replica: ReplicaId(1),
+            nonce: 4_000_000,
+            commit_aru: 53,
             checkpoint_seq: 50,
             total_len: 2500,
             chunk_digests: vec![[1; 32], [2; 32], [3; 32]],
@@ -1207,15 +1219,21 @@ mod tests {
             }],
             requester_po_high: 17,
             requester_sseq_high: 5,
+            sig: [9; 64],
         });
+        // The answer of a responder without a stable checkpoint above the
+        // requester's: commit point and hints only.
         roundtrip(PrimeMsg::StateMeta {
             replica: ReplicaId(3),
-            checkpoint_seq: 75,
+            nonce: 0,
+            commit_aru: 12,
+            checkpoint_seq: 0,
             total_len: 0,
             chunk_digests: vec![],
             proof: vec![],
             requester_po_high: 0,
             requester_sseq_high: 0,
+            sig: [1; 64],
         });
         roundtrip(PrimeMsg::StateChunk {
             replica: ReplicaId(2),

@@ -59,11 +59,11 @@ metrics! {
     BadCkptSig => "bad_ckpt_sig",
     CheckpointsStable => "checkpoints_stable",
     BadStateReqSig => "bad_state_req_sig",
+    BadStateMetaSig => "bad_state_meta_sig",
     BadStateProof => "bad_state_proof",
     StateReconstructPending => "state_reconstruct_pending",
     BadStateSnapshot => "bad_state_snapshot",
     RecoveryCompleted => "recovery_completed",
-    RecoveryFromGenesis => "recovery_from_genesis",
     TatMs => "tat_ms",
     PrepreparesSent => "preprepares_sent",
     LeaderGapUs => "leader_gap_us",

@@ -1,13 +1,13 @@
-//! Chunked state transfer. A responder serves its stable checkpoint as a
-//! manifest plus per-chunk erasure shares; the requester (recovering or
-//! behind) pins the first manifest whose layout its embedded checkpoint
-//! proof attests, reconstructs chunk by chunk and retries the rest
-//! against alternate responders. One responder suffices: what it serves
-//! proves itself, and what does not prove itself is refused.
+//! State transfer. Every state request, asked on one backed-off schedule,
+//! is answered with a signed `StateMeta` bound to its nonce and, when the
+//! requester lacks the responder's stable checkpoint, that checkpoint's
+//! proven layout and erasure shares, which one responder suffices for. A
+//! recovering replica rejoins only on a quorum of replies to its nonce,
+//! once its commit point reaches what `f + 1` of them report.
 
 use super::checkpoints;
 use super::io::{Io, Metric};
-use super::{StateHasher, TIMER_CHUNK, TIMER_STATE_REQ};
+use super::StateHasher;
 use crate::behavior::ByzBehavior;
 use crate::config::{self, ReplicaId};
 use crate::msg::{CheckpointMsg, PrimeMsg};
@@ -18,50 +18,49 @@ use spire_sim::{Context, Span, Time, TraceKind};
 use std::collections::{BTreeMap, BTreeSet};
 use std::hash::{Hash, Hasher};
 
-/// Shares stashed before a manifest pins (links reorder the manifest and
-/// the share stream); hard bound on pre-pin memory.
-const EARLY_SHARE_CAP: usize = 4096;
-
 /// A stable checkpoint: `(seq, snapshot, proof)`.
 type Stable = (u64, Bytes, Vec<CheckpointMsg>);
 
 // ================= responder side =================
 
-pub(super) fn request_state(io: &mut Io, ctx: &mut Context<'_>, have_seq: u64) {
-    let mut req = PrimeMsg::StateReq {
-        replica: io.me,
-        have_seq,
-        sig: [0; 64],
-    };
-    io.sign(ctx, &mut req);
-    io.broadcast(req.encode());
-}
-
-/// Chunked transfer of the stable checkpoint to `to`: describe the layout
-/// (per-chunk digests pin what a correct reconstruction must hash to, and
-/// the proof attests the layout), then stream this replica's erasure
-/// share of every chunk. Each chunk is coded with k = f + 1, so any f+1
-/// correct responders let the requester
-/// reconstruct it at 1/(f+1) the bandwidth each; a lost or corrupt share
-/// costs one chunk retry, not the whole snapshot. `highs`: the highest PO
-/// and summary sequences seen from the requester.
-pub(super) fn serve_checkpoint(
+/// Answers a state request from `to` with a signed `StateMeta` that
+/// echoes its `nonce` and carries our `commit_aru` and the highest PO and
+/// summary sequences we have seen from `to`. With a `stable` checkpoint,
+/// it also describes the chunk layout (per-chunk digests pin what a
+/// correct reconstruction must hash to, and the proof attests the layout)
+/// and our erasure share of every chunk follows. Each chunk is coded with
+/// k = f + 1, so any f+1 correct responders let the requester reconstruct
+/// it at 1/(f+1) the bandwidth each; a lost or corrupt share costs one
+/// chunk retry, not the whole snapshot.
+pub(super) fn answer(
     io: &mut Io,
+    ctx: &mut Context<'_>,
     to: ReplicaId,
-    stable @ (seq, snapshot, proof): &Stable,
-    highs: (u64, u64),
+    (nonce, commit_aru, highs): (u64, u64, (u64, u64)),
+    stable: Option<&Stable>,
 ) {
-    let meta = PrimeMsg::StateMeta {
+    let layout = stable.map(|(seq, snapshot, proof)| {
+        let digests = checkpoints::chunk_digests(snapshot);
+        (*seq, snapshot.len() as u64, digests, proof.clone())
+    });
+    let (checkpoint_seq, total_len, chunk_digests, proof) = layout.unwrap_or_default();
+    let mut meta = PrimeMsg::StateMeta {
         replica: io.me,
-        checkpoint_seq: *seq,
-        total_len: snapshot.len() as u64,
-        chunk_digests: checkpoints::chunk_digests(snapshot),
-        proof: proof.clone(),
+        nonce,
+        commit_aru,
+        checkpoint_seq,
+        total_len,
+        chunk_digests,
+        proof,
         requester_po_high: highs.0,
         requester_sseq_high: highs.1,
+        sig: [0; 64],
     };
+    io.sign(ctx, &mut meta);
     io.send_to(to, &meta);
-    send_chunk_shares(io, to, stable, None);
+    if let Some(stable) = stable {
+        send_chunk_shares(io, to, stable, None);
+    }
 }
 
 /// Sends this replica's erasure share of each requested chunk of the
@@ -106,113 +105,171 @@ pub(super) fn send_chunk_shares(
 
 /// The pinned in-flight chunked state transfer: a proven manifest's layout
 /// and proof, and per-chunk shares that accumulate until any `f + 1` of
-/// them reconstruct to the pinned chunk digest; missing chunks are
-/// re-requested from rotating alternate responders with exponential
-/// backoff.
+/// them reconstruct to the pinned chunk digest.
 pub(super) struct ChunkTransfer {
     pub(super) checkpoint_seq: u64,
     chunk_digests: Vec<Digest>,
     pub(super) proof: Vec<CheckpointMsg>,
-    /// The highest resume hints any manifest for this checkpoint carried
-    /// before install; each is its sender's word.
-    pub(super) po_high: u64,
-    pub(super) sseq_high: u64,
     /// Reconstructed chunks by index.
     chunks: BTreeMap<u32, Vec<u8>>,
     /// Collected shares for not-yet-reconstructed chunks.
     shares: BTreeMap<u32, BTreeMap<u8, Vec<u8>>>,
-    /// Current retry delay (doubles per round, capped).
-    backoff: Span,
-    /// Retry rounds issued; rotates the alternate responders asked.
-    retry_rotor: u32,
 }
 
 #[derive(Default)]
 pub(super) struct StateTransfer {
-    /// In state-transfer recovery: nothing else is processed until a
-    /// checkpoint is installed.
+    /// In recovery: nothing but state transfer is processed until a quorum
+    /// of replies to `nonce` vouches for the commit point reached.
     pub(super) recovering: bool,
-    recovery_started: Time,
-    /// Chunk shares that arrived before a manifest pinned, keyed by
-    /// (checkpoint_seq, chunk, share index); bounded by [`EARLY_SHARE_CAP`].
-    early_shares: BTreeMap<(u64, u32, u8), Vec<u8>>,
+    /// The current recovery's start time in microseconds: every request
+    /// carries it and only replies that echo it count. Fresh per
+    /// incarnation, and drawn from no RNG.
+    nonce: u64,
+    /// Replies to `nonce` by responder, the latest from each: its commit
+    /// point and the resume hints (PO and summary sequence) it holds for us.
+    replies: BTreeMap<u32, (u64, u64, u64)>,
+    /// The commit point the request schedule is asking toward.
+    target: u64,
+    /// When the next ask is due; `None` while nothing is being asked for,
+    /// so that the next trigger asks at once.
+    next_ask: Option<Time>,
+    /// Asks since this replica last caught up: sets the backoff and
+    /// rotates the alternates asked for missing chunks.
+    asks: u32,
     /// The pinned in-flight chunked transfer, if any.
     transfer: Option<ChunkTransfer>,
-    /// Last time any state-transfer accumulator made progress; stale
-    /// accumulators are evicted after `STATE_ACCUM_DEADLINE`.
+    /// Last time the pinned transfer made progress; a stalled one is
+    /// evicted after `STATE_ACCUM_DEADLINE`.
     accum_touched: Time,
-    /// Whether a `TIMER_CHUNK` retry tick is already pending.
-    chunk_timer_armed: bool,
 }
 
 impl StateTransfer {
+    /// A rebuilt replica executes from genesis until a checkpoint installs,
+    /// and so does the record it publishes.
     pub(super) fn start_recovery(&mut self, io: &Io, ctx: &mut Context<'_>) {
-        self.recovery_started = ctx.now();
-        self.accum_touched = ctx.now();
-        io.inspect(|rec| rec.recovering = true);
+        (self.recovering, self.nonce) = (true, ctx.now().0);
+        io.inspect(|rec| {
+            rec.recovering = true;
+            rec.exec_chain.clear();
+            (rec.chain_offset, rec.ops_executed) = (0, 0);
+        });
         ctx.trace(TraceKind::RecoveryStart { replica: io.me.0 });
-        ctx.set_timer(Span::millis(10), TIMER_STATE_REQ);
     }
 
-    /// Leaves recovery mode, publishing the flag to the inspection
-    /// registry so the invariant checker and health engine can tell an
-    /// announced recovery from silence or attack.
-    pub(super) fn finish_recovery(&mut self, io: &Io, ctx: &mut Context<'_>, transferred: bool) {
-        self.recovering = false;
-        io.count(ctx, Metric::RecoveryCompleted, 1);
-        if transferred {
-            let took = ctx.now().since(self.recovery_started).0;
-            io.observe(ctx, Metric::RecoveryDurationUs, took);
-        }
-        ctx.trace(TraceKind::RecoveryDone { replica: io.me.0 });
-        io.inspect(|rec| rec.recovering = false);
-    }
-
-    /// Returns whether to (re-)solicit manifests with a fresh StateReq.
-    pub(super) fn on_state_req_timer(&mut self, io: &Io, ctx: &mut Context<'_>) -> bool {
-        // If nobody has a checkpoint yet (young system), rejoin
-        // from genesis; reconciliation certificates let us
-        // replay everything that was ordered meanwhile. An active
-        // chunked transfer defers the fallback: shares are
-        // arriving, completion is a matter of retries.
-        if ctx.now().since(self.recovery_started) >= config::RECOVERY_GENESIS_TIMEOUT
-            && self.transfer.is_none()
-        {
-            self.early_shares.clear();
-            io.count(ctx, Metric::RecoveryFromGenesis, 1);
-            self.finish_recovery(io, ctx, false);
-            return false;
-        }
-        // Early shares that stopped making progress are dropped; the
-        // fresh StateReq re-solicits manifests.
-        if ctx.now().since(self.accum_touched) >= config::STATE_ACCUM_DEADLINE
-            && !self.early_shares.is_empty()
-            && self.transfer.is_none()
-        {
-            self.early_shares.clear();
-            io.count(ctx, Metric::StateAccumsEvicted, 1);
-        }
-        true
-    }
-
-    /// A state-transfer manifest from one responder. Unsigned, but its
-    /// layout proves itself: the embedded proof must carry `f + 1` valid
-    /// attestations, at this sequence, of the digest that `total_len` and
-    /// `chunk_digests` hash to. The first manifest that passes pins; later
-    /// ones for the pinned checkpoint only raise the resume hints.
-    pub(super) fn on_state_meta(
+    /// Leaves recovery, returning the highest resume hints the replies hold,
+    /// once no transfer is pinned, `2f + k + 1` distinct peers have answered
+    /// the current nonce, and `commit_aru` has reached the `(f + 1)`-th
+    /// highest commit point they report: at least one correct replica
+    /// committed through it, and no single liar can raise it.
+    pub(super) fn rejoin(
         &mut self,
         io: &Io,
         ctx: &mut Context<'_>,
-        msg: PrimeMsg,
+        commit_aru: u64,
+    ) -> Option<(u64, u64)> {
+        let quorum = io.cfg.ordering_quorum();
+        if !self.recovering || self.transfer.is_some() || self.replies.len() < quorum {
+            return None;
+        }
+        let mut reported: Vec<u64> = self.replies.values().map(|r| r.0).collect();
+        reported.sort_unstable_by(|a, b| b.cmp(a));
+        if commit_aru < reported[io.cfg.f as usize] {
+            return None;
+        }
+        self.recovering = false;
+        io.count(ctx, Metric::RecoveryCompleted, 1);
+        let took = ctx.now().since(Time(self.nonce)).0;
+        io.observe(ctx, Metric::RecoveryDurationUs, took);
+        ctx.trace(TraceKind::RecoveryDone { replica: io.me.0 });
+        io.inspect(|rec| rec.recovering = false);
+        let hints = |(po, sseq), &(_, p, s): &(u64, u64, u64)| (p.max(po), s.max(sseq));
+        Some(
+            std::mem::take(&mut self.replies)
+                .values()
+                .fold((0, 0), hints),
+        )
+    }
+
+    /// The one request schedule, run on every reconciliation tick and on
+    /// every trigger (which raises `target`); it evicts a stalled transfer.
+    /// While recovering, short of `target`, or executing a checkpoint
+    /// interval behind, it asks when an ask is due: a pinned transfer's
+    /// missing chunks from two rotating alternates, else state from all.
+    /// Each ask doubles the delay to the next, 200 ms up to 2 s; once
+    /// caught up, it stops and starts over.
+    pub(super) fn tick(
+        &mut self,
+        io: &mut Io,
+        ctx: &mut Context<'_>,
+        target: u64,
+        (commit_aru, last_executed): (u64, u64),
+    ) {
+        let now = ctx.now();
+        self.target = self.target.max(target);
+        let stalled = now.since(self.accum_touched) >= config::STATE_ACCUM_DEADLINE;
+        if stalled && self.transfer.take().is_some() {
+            io.count(ctx, Metric::StateAccumsEvicted, 1);
+        }
+        let lagging = commit_aru > last_executed + io.cfg.checkpoint_interval;
+        if !(self.recovering || commit_aru < self.target || lagging) {
+            (self.asks, self.next_ask) = (0, None);
+            return;
+        }
+        if self.next_ask.is_some_and(|due| now < due) {
+            return;
+        }
+        let backoff = config::ASK_BACKOFF.0 << self.asks.min(16);
+        self.next_ask = Some(now + Span(backoff.min(config::ASK_BACKOFF_MAX.0)));
+        self.asks += 1;
+        let Some(t) = &self.transfer else {
+            let mut req = PrimeMsg::StateReq {
+                replica: io.me,
+                have_seq: last_executed,
+                nonce: self.nonce,
+                sig: [0; 64],
+            };
+            io.sign(ctx, &mut req);
+            return io.broadcast(req.encode());
+        };
+        let missing: Vec<u32> = (0..t.chunk_digests.len() as u32)
+            .filter(|c| !t.chunks.contains_key(c))
+            .take(256)
+            .collect();
+        io.count(ctx, Metric::RecoveryChunkRetries, 1);
+        let req = PrimeMsg::StateChunkReq {
+            replica: io.me,
+            checkpoint_seq: t.checkpoint_seq,
+            chunks: missing,
+        };
+        let n = io.cfg.n;
+        for offset in 0..2u32.min(n - 1) {
+            let slot = (self.asks + offset) % (n - 1);
+            io.send_to(ReplicaId((io.me.0 + 1 + slot) % n), &req);
+        }
+    }
+
+    /// A state-transfer answer from one responder, checked against its
+    /// signature only when it is of use: while recovering, one that echoes
+    /// the current nonce counts toward the rejoin quorum; one that
+    /// describes a checkpoint above `last_executed` may pin it. Its layout
+    /// proves itself: the embedded proof must carry `f + 1` valid
+    /// attestations, at this sequence, of the digest that `total_len` and
+    /// `chunk_digests` hash to. The first manifest that passes pins.
+    pub(super) fn on_state_meta(
+        &mut self,
+        io: &mut Io,
+        ctx: &mut Context<'_>,
+        (msg, env_auth): (PrimeMsg, Option<ReplicaId>),
         last_executed: u64,
     ) {
         let PrimeMsg::StateMeta {
             replica: from,
+            nonce,
+            commit_aru,
             checkpoint_seq,
             total_len,
-            chunk_digests,
-            proof,
+            ref chunk_digests,
+            ref proof,
             requester_po_high,
             requester_sseq_high,
             ..
@@ -220,23 +277,25 @@ impl StateTransfer {
         else {
             return;
         };
-        if from == io.me || (!self.recovering && checkpoint_seq <= last_executed) {
+        let counts = self.recovering && nonce == self.nonce;
+        let pinned = self.transfer.as_ref().map_or(0, |t| t.checkpoint_seq);
+        let pins = checkpoint_seq > last_executed.max(pinned);
+        if from == io.me || !(counts || pins) {
             return;
+        } else if !io.verify_replica_msg(ctx, &msg, from, env_auth) {
+            return io.count(ctx, Metric::BadStateMetaSig, 1);
+        } else if counts {
+            let reply = (commit_aru, requester_po_high, requester_sseq_high);
+            self.replies.insert(from.0, reply);
         }
-        if let Some(pinned) = &mut self.transfer {
-            if pinned.checkpoint_seq == checkpoint_seq {
-                pinned.po_high = pinned.po_high.max(requester_po_high);
-                pinned.sseq_high = pinned.sseq_high.max(requester_sseq_high);
-            }
-            if pinned.checkpoint_seq >= checkpoint_seq {
-                return; // already pinned this (or a newer) transfer
-            }
+        if !pins {
+            return;
         }
         // Only attestations of this very layout are verified, so a made-up
         // layout costs no signature check.
-        let layout = checkpoints::layout_digest(total_len, &chunk_digests);
+        let layout = checkpoints::layout_digest(total_len, chunk_digests);
         let mut provers = BTreeSet::new();
-        for attestation in &proof {
+        for attestation in proof {
             if attestation.seq == checkpoint_seq
                 && attestation.digest == layout
                 && attestation.replica.0 < io.cfg.n
@@ -250,36 +309,19 @@ impl StateTransfer {
             io.count(ctx, Metric::BadStateProof, 1);
             return;
         }
-        let mut t = ChunkTransfer {
+        self.transfer = Some(ChunkTransfer {
             checkpoint_seq,
-            chunk_digests,
-            proof,
-            po_high: requester_po_high,
-            sseq_high: requester_sseq_high,
+            chunk_digests: chunk_digests.clone(),
+            proof: proof.clone(),
             chunks: BTreeMap::new(),
             shares: BTreeMap::new(),
-            backoff: config::CHUNK_RETRY_TIMEOUT,
-            retry_rotor: 0,
-        };
-        // Pin: drain any early-stashed shares in and start the retry timer.
-        for ((seq, chunk, idx), data) in std::mem::take(&mut self.early_shares) {
-            if seq == t.checkpoint_seq && (chunk as usize) < t.chunk_digests.len() {
-                t.shares.entry(chunk).or_default().insert(idx, data);
-            }
-        }
-        let pending: Vec<u32> = t.shares.keys().copied().collect();
-        self.transfer = Some(t);
+        });
         self.accum_touched = ctx.now();
-        for chunk in pending {
-            self.try_reconstruct_chunk(io, ctx, chunk);
-        }
-        if !self.chunk_timer_armed {
-            self.chunk_timer_armed = true;
-            ctx.set_timer(config::CHUNK_RETRY_TIMEOUT, TIMER_CHUNK);
-        }
     }
 
-    /// One erasure share of one chunk from one responder.
+    /// One erasure share of one chunk from one responder, for the pinned
+    /// transfer. A responder's shares travel in the same link container as
+    /// the manifest before them, so none arrives ahead of a pin it needs.
     pub(super) fn on_state_chunk(
         &mut self,
         io: &Io,
@@ -301,32 +343,24 @@ impl StateTransfer {
         // erasure length frame).
         if share_index as u32 >= io.cfg.n
             || share.len() > config::STATE_CHUNK_BYTES + 64
-            || (!self.recovering && checkpoint_seq <= last_executed)
+            || checkpoint_seq <= last_executed
         {
             return;
         }
-        match &mut self.transfer {
-            Some(t) if t.checkpoint_seq == checkpoint_seq => {
-                if t.chunks.contains_key(&chunk) || chunk as usize >= t.chunk_digests.len() {
-                    return;
-                }
-                t.shares
-                    .entry(chunk)
-                    .or_default()
-                    .insert(share_index, share.to_vec());
-                self.accum_touched = ctx.now();
-                self.try_reconstruct_chunk(io, ctx, chunk);
-            }
-            _ => {
-                // Stash ahead of the manifest pin (bounded): responders
-                // stream manifest + shares back to back and links reorder.
-                if self.early_shares.len() < EARLY_SHARE_CAP {
-                    self.early_shares
-                        .insert((checkpoint_seq, chunk, share_index), share.to_vec());
-                    self.accum_touched = ctx.now();
-                }
-            }
+        let Some(t) = self
+            .transfer
+            .as_mut()
+            .filter(|t| t.checkpoint_seq == checkpoint_seq)
+        else {
+            return;
+        };
+        if t.chunks.contains_key(&chunk) || chunk as usize >= t.chunk_digests.len() {
+            return;
         }
+        let pool = t.shares.entry(chunk).or_default();
+        pool.insert(share_index, share.to_vec());
+        self.accum_touched = ctx.now();
+        self.try_reconstruct_chunk(io, ctx, chunk);
     }
 
     /// Attempts to reconstruct one chunk from the collected shares: tries
@@ -379,7 +413,6 @@ impl StateTransfer {
     pub(super) fn take_complete(&mut self, last_executed: u64) -> Option<(ChunkTransfer, Vec<u8>)> {
         let done = |t: &ChunkTransfer| t.chunks.len() == t.chunk_digests.len();
         let mut t = self.transfer.take_if(|t| done(t))?;
-        self.early_shares.clear();
         let snapshot = std::mem::take(&mut t.chunks)
             .into_values()
             .flatten()
@@ -387,74 +420,30 @@ impl StateTransfer {
         (t.checkpoint_seq > last_executed).then_some((t, snapshot))
     }
 
-    /// Per-chunk retry tick: evicts a stalled transfer, otherwise
-    /// re-requests the missing chunks from two rotating alternate
-    /// responders with exponential backoff.
-    pub(super) fn on_chunk_timer(&mut self, io: &mut Io, ctx: &mut Context<'_>) {
-        self.chunk_timer_armed = false;
-        let stalled = ctx.now().since(self.accum_touched) >= config::STATE_ACCUM_DEADLINE;
-        if self.transfer.is_some() && stalled {
-            // Stale or poisoned transfer: evict everything; TIMER_STATE_REQ
-            // (recovering) or TIMER_RECON (catch-up) solicits fresh
-            // manifests from scratch.
-            self.transfer = None;
-            self.early_shares.clear();
-            io.count(ctx, Metric::StateAccumsEvicted, 1);
-            return;
-        }
-        let Some(t) = &mut self.transfer else {
-            return;
-        };
-        let missing: Vec<u32> = (0..t.chunk_digests.len() as u32)
-            .filter(|c| !t.chunks.contains_key(c))
-            .take(256)
-            .collect();
-        if missing.is_empty() {
-            return; // finalize already ran (or is about to)
-        }
-        t.retry_rotor = t.retry_rotor.wrapping_add(1);
-        let delay = t.backoff;
-        t.backoff = Span((t.backoff.0 * 2).min(config::CHUNK_RETRY_MAX.0));
-        io.count(ctx, Metric::RecoveryChunkRetries, 1);
-        let req = PrimeMsg::StateChunkReq {
-            replica: io.me,
-            checkpoint_seq: t.checkpoint_seq,
-            chunks: missing,
-        };
-        // Two rotating alternates per round: one mute or corrupt responder
-        // cannot stall the transfer, and the request load spreads.
-        let n = io.cfg.n;
-        if n > 1 {
-            for offset in 0..2u32 {
-                let slot = (t.retry_rotor + offset) % (n - 1);
-                io.send_to(ReplicaId((io.me.0 + 1 + slot) % n), &req);
-            }
-        }
-        self.chunk_timer_armed = true;
-        ctx.set_timer(delay, TIMER_CHUNK);
-    }
-
     pub(super) fn digest(&self, h: &mut StateHasher) {
-        (self.recovery_started.0, self.accum_touched.0).hash(h);
-        self.chunk_timer_armed.hash(h);
+        (self.accum_touched.0, self.nonce).hash(h);
+        (self.target, self.next_ask.map(|at| at.0), self.asks).hash(h);
+        h.all(self.replies.iter());
         let pinned = self.transfer.as_ref();
         (
             self.recovering,
-            pinned.map(|t| (t.checkpoint_seq, t.chunks.len(), t.retry_rotor)),
+            pinned.map(|t| (t.checkpoint_seq, t.chunks.len())),
         )
             .hash(h);
         for (chunk, pool) in pinned.iter().flat_map(|t| &t.shares) {
             h.all(pool.keys()).write_u32(*chunk);
         }
-        h.all(self.early_shares.keys());
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{Effect, RecordingBackend};
+    use crate::model::RecordingBackend;
     use crate::replica::io::testkit::{backend, io, run, sent, signer};
+
+    /// The nonce of the recovery [`Requester::new`] starts.
+    const NONCE: u64 = 1_000_000;
 
     /// A stable checkpoint over a three-chunk snapshot, proven by replicas
     /// 1 and 2.
@@ -465,26 +454,51 @@ mod tests {
         (seq, Bytes::from(snapshot), vec![attest(1), attest(2)])
     }
 
-    /// What responder `r` sends replica 0 for `stable`: its manifest, then
+    /// What responder `r` sends replica 0 answering `nonce`, at commit point
+    /// `commit_aru`, with `stable` when given: its signed `StateMeta`, then
     /// its share of every chunk.
-    fn served(r: u32, behavior: ByzBehavior, stable: &Stable) -> Vec<PrimeMsg> {
-        let mut io = io(r, behavior);
-        serve_checkpoint(&mut io, ReplicaId(0), stable, (7, 9));
-        let frames = sent(&mut backend(), &mut io).into_iter();
+    fn answered(
+        r: u32,
+        behavior: ByzBehavior,
+        (nonce, commit_aru): (u64, u64),
+        stable: Option<&Stable>,
+    ) -> Vec<PrimeMsg> {
+        let (mut io, mut backend) = (io(r, behavior), backend());
+        let reply = (nonce, commit_aru, (7, 9));
+        run(&mut backend, r, |ctx| {
+            answer(&mut io, ctx, ReplicaId(0), reply, stable)
+        });
+        let frames = sent(&mut backend, &mut io).into_iter();
         frames
             .map(|(to, msg)| (to == 0).then_some(msg).expect("to replica 0"))
             .collect()
     }
 
+    /// Responder `r`'s answer to the current recovery, at commit point
+    /// `commit_aru`, without a checkpoint.
+    fn reply(r: u32, commit_aru: u64) -> PrimeMsg {
+        answered(r, ByzBehavior::Honest, (NONCE, commit_aru), None).remove(0)
+    }
+
     fn manifest(r: u32, stable: &Stable) -> PrimeMsg {
-        served(r, ByzBehavior::Honest, stable).remove(0)
+        answered(r, ByzBehavior::Honest, (NONCE, stable.0), Some(stable)).remove(0)
     }
 
     fn shares(r: u32, behavior: ByzBehavior, stable: &Stable) -> Vec<PrimeMsg> {
-        served(r, behavior, stable).split_off(1)
+        answered(r, behavior, (NONCE, stable.0), Some(stable)).split_off(1)
     }
 
-    /// The requester side alone: replica 0, recovering.
+    /// One ask of the schedule: when (ms since the recovery started), whom
+    /// and what.
+    #[derive(Debug)]
+    struct Ask {
+        at: u64,
+        to: Vec<u32>,
+        msg: PrimeMsg,
+    }
+
+    /// The requester side alone: replica 0 of four (`2f + k + 1 = 3`
+    /// replies rejoin), recovering since 1 s.
     struct Requester {
         io: Io,
         xfer: StateTransfer,
@@ -493,29 +507,52 @@ mod tests {
 
     impl Requester {
         fn new() -> Requester {
-            Requester {
+            let mut r = Requester {
                 io: io(0, ByzBehavior::Honest),
-                xfer: StateTransfer {
-                    recovering: true,
-                    ..StateTransfer::default()
-                },
+                xfer: StateTransfer::default(),
                 backend: backend(),
-            }
+            };
+            r.backend.now = Time(NONCE);
+            let Requester { io, xfer, backend } = &mut r;
+            run(backend, 0, |ctx| xfer.start_recovery(io, ctx));
+            r
         }
 
         fn deliver(&mut self, msgs: impl IntoIterator<Item = PrimeMsg>) {
             let Requester { io, xfer, backend } = self;
             for msg in msgs {
                 run(backend, 0, |ctx| match msg {
-                    PrimeMsg::StateMeta { .. } => xfer.on_state_meta(io, ctx, msg, 0),
+                    PrimeMsg::StateMeta { .. } => xfer.on_state_meta(io, ctx, (msg, None), 0),
                     _ => xfer.on_state_chunk(io, ctx, msg, 0),
                 });
             }
         }
 
-        fn chunk_timer(&mut self) {
-            let Requester { io, xfer, backend } = self;
-            run(backend, 0, |ctx| xfer.on_chunk_timer(io, ctx));
+        /// Runs the schedule every 50 ms from now through `until` (ms since
+        /// the recovery started), at commit point `commit_aru` with nothing
+        /// executed; returns each ask: its time in ms since the start, what
+        /// it asked for and whom.
+        fn ticks(&mut self, until: u64, target: u64, commit_aru: u64) -> Vec<Ask> {
+            let mut asks: Vec<Ask> = Vec::new();
+            while self.backend.now.0 <= NONCE + until * 1000 {
+                let Requester { io, xfer, backend } = self;
+                run(backend, 0, |ctx| {
+                    xfer.tick(io, ctx, target, (commit_aru, 0))
+                });
+                let at = (self.backend.now.0 - NONCE) / 1000;
+                for (to, msg) in sent(&mut self.backend, &mut self.io) {
+                    match asks.last_mut() {
+                        Some(ask) if ask.at == at && ask.msg == msg => ask.to.push(to),
+                        _ => asks.push(Ask {
+                            at,
+                            to: vec![to],
+                            msg,
+                        }),
+                    }
+                }
+                self.backend.now = self.backend.now + Span::millis(50);
+            }
+            asks
         }
 
         fn complete(&mut self) -> Option<Vec<u8>> {
@@ -523,21 +560,14 @@ mod tests {
             done.map(|(_, snapshot)| snapshot)
         }
 
+        fn rejoin_at(&mut self, commit_aru: u64) -> Option<(u64, u64)> {
+            let Requester { io, xfer, backend } = self;
+            run(backend, 0, |ctx| xfer.rejoin(io, ctx, commit_aru))
+        }
+
         fn count(&self, name: &str) -> u64 {
             let key = format!("prime.{name}");
             self.backend.counters.get(&key).copied().unwrap_or(0)
-        }
-
-        fn timer_delays(&mut self) -> Vec<Span> {
-            let armed = self
-                .backend
-                .effects
-                .iter()
-                .filter_map(|effect| match effect {
-                    Effect::SetTimer { delay, tag, .. } if *tag == TIMER_CHUNK => Some(*delay),
-                    _ => None,
-                });
-            armed.collect()
         }
     }
 
@@ -557,86 +587,66 @@ mod tests {
         }
         r.deliver([forged, truncated]);
         assert!(r.xfer.transfer.is_none());
-        assert_eq!(r.count("bad_state_proof"), 2);
+        // Both were altered after signing.
+        assert_eq!(r.count("bad_state_meta_sig"), 2);
+
+        let (mut io, mut backend) = (io(2, ByzBehavior::Honest), backend());
+        let mut resigned = manifest(2, &stable);
+        if let PrimeMsg::StateMeta { total_len, .. } = &mut resigned {
+            *total_len += 1024;
+        }
+        run(&mut backend, 2, |ctx| io.sign(ctx, &mut resigned));
+        r.deliver([resigned]);
+        assert!(r.xfer.transfer.is_none());
+        assert_eq!(r.count("bad_state_proof"), 1, "a signed lie is still a lie");
 
         r.deliver([manifest(3, &stable)]);
         let pinned = r.xfer.transfer.as_ref().expect("one proven layout pins");
         assert_eq!(pinned.checkpoint_seq, 50);
-        assert_eq!((pinned.po_high, pinned.sseq_high), (7, 9));
         r.deliver(shares(1, ByzBehavior::Honest, &stable));
         r.deliver(shares(3, ByzBehavior::Honest, &stable));
         assert_eq!(r.complete().as_deref(), Some(&stable.1[..]));
     }
 
-    /// The resume hints are the highest that any manifest for the pinned
-    /// checkpoint carried before install, not only the pinning one's.
-    #[test]
-    fn later_manifests_raise_the_resume_hints() {
-        let stable = stable(50);
-        let mut r = Requester::new();
-        let hints = |r: u32, po: u64, sseq: u64| {
-            let mut meta = manifest(r, &stable);
-            if let PrimeMsg::StateMeta {
-                requester_po_high,
-                requester_sseq_high,
-                ..
-            } = &mut meta
-            {
-                (*requester_po_high, *requester_sseq_high) = (po, sseq);
-            }
-            meta
-        };
-        r.deliver([hints(1, 7, 9), hints(2, 12, 3), hints(3, 5, 11)]);
-        let pinned = r.xfer.transfer.as_ref().expect("pinned");
-        assert_eq!((pinned.po_high, pinned.sseq_high), (12, 11));
-    }
-
-    #[test]
-    fn early_shares_drain_on_pin() {
-        let stable = stable(50);
-        let mut r = Requester::new();
-        // Links reorder: both responders' shares overtake their manifests.
-        r.deliver(shares(1, ByzBehavior::Honest, &stable));
-        r.deliver(shares(2, ByzBehavior::Honest, &stable));
-        assert_eq!(r.xfer.early_shares.len(), 6);
-        r.deliver([manifest(1, &stable), manifest(2, &stable)]);
-        assert!(r.xfer.early_shares.is_empty());
-        assert_eq!(r.count("recovery_chunks"), 3);
-        assert_eq!(r.complete().as_deref(), Some(&stable.1[..]));
-    }
-
+    /// The schedule asks for state at once; once a manifest pins, each due
+    /// ask is for the missing chunks instead, from two alternates, and the
+    /// delay between asks doubles from 200 ms up to 2 s.
     #[test]
     fn a_corrupt_share_is_caught_and_re_requested_with_doubling_backoff() {
         let stable = stable(50);
         let mut r = Requester::new();
+        let [first] = &r.ticks(0, 0, 0)[..] else {
+            panic!("one ask");
+        };
+        assert!(matches!(first.msg, PrimeMsg::StateReq { nonce: NONCE, .. }));
+        assert_eq!((first.at, &first.to[..]), (0, &[1, 2, 3][..]));
         r.deliver([manifest(1, &stable), manifest(2, &stable)]);
         r.deliver(shares(1, ByzBehavior::Honest, &stable));
         r.deliver(shares(2, ByzBehavior::CorruptShares, &stable));
         // k = 2 shares per chunk are in, but no pair decodes to the pinned
         // chunk digest.
-        assert_eq!(
-            (
-                r.count("recovery_chunks"),
-                r.count("state_reconstruct_pending")
-            ),
-            (0, 3)
-        );
-        r.backend.effects.clear();
-        for _ in 0..6 {
-            r.chunk_timer();
+        let counts = ["recovery_chunks", "state_reconstruct_pending"].map(|c| r.count(c));
+        assert_eq!(counts, [0, 3]);
+        let mut asks = Vec::new();
+        for until in [1500, 3000, 4500, 5000] {
+            asks.extend(r.ticks(until, 0, 0));
+            // Shares still arriving keep the transfer from stalling.
+            r.xfer.accum_touched = r.backend.now;
         }
-        // Doubling from `chunk_retry_timeout` up to `chunk_retry_max`.
-        let ms = |d: Span| d.0 / 1000;
-        let delays: Vec<u64> = r.timer_delays().into_iter().map(ms).collect();
-        assert_eq!(delays, [200, 400, 800, 1600, 2000, 2000]);
-        assert_eq!(r.count("recovery_chunk_retries"), 6);
-        // Each round asks two alternates for every missing chunk.
-        let asked = sent(&mut r.backend, &mut r.io);
-        assert_eq!(asked.len(), 12);
-        for (to, req) in asked {
-            assert_ne!(to, 0);
-            assert!(matches!(req, PrimeMsg::StateChunkReq { chunks, .. } if chunks == [0, 1, 2]));
+        let mut times = Vec::new();
+        for Ask { at, to, msg } in asks {
+            let PrimeMsg::StateChunkReq { chunks, .. } = msg else {
+                panic!("a chunk request, got {msg:?}");
+            };
+            assert_eq!(chunks, [0, 1, 2]);
+            // Two alternates per round, rotating.
+            assert!(to.len() == 2 && to[0] != to[1] && !to.contains(&0));
+            times.push((at, to));
         }
+        let at: Vec<u64> = times.iter().map(|(at, _)| *at).collect();
+        assert_eq!(at, [200, 600, 1400, 3000, 5000]);
+        assert_ne!(times[0].1, times[1].1);
+        assert_eq!(r.count("recovery_chunk_retries"), 5);
         // One more honest responder and every chunk has a good pair.
         r.deliver(shares(3, ByzBehavior::Honest, &stable));
         assert_eq!(r.complete().as_deref(), Some(&stable.1[..]));
@@ -648,14 +658,108 @@ mod tests {
         let mut r = Requester::new();
         r.deliver([manifest(1, &stable), manifest(2, &stable)]);
         assert!(r.xfer.transfer.is_some());
-        r.backend.effects.clear();
         r.backend.now = r.backend.now + config::STATE_ACCUM_DEADLINE;
-        r.chunk_timer();
+        let asks = r.ticks(2000, 0, 0);
         assert!(r.xfer.transfer.is_none());
         assert_eq!(r.count("state_accums_evicted"), 1);
         assert!(
-            r.timer_delays().is_empty(),
-            "an evicted transfer re-arms nothing"
+            matches!(
+                &asks[..],
+                [Ask {
+                    msg: PrimeMsg::StateReq { .. },
+                    ..
+                }]
+            ),
+            "an evicted transfer asks for state afresh: {asks:?}"
         );
+    }
+
+    /// Silence never ends a recovery: with no replies at all, the replica
+    /// is still recovering 5 s in, asking on the backoff.
+    #[test]
+    fn silence_leaves_the_replica_recovering() {
+        let mut r = Requester::new();
+        let asks = r.ticks(5000, 0, 0);
+        let times: Vec<u64> = asks.iter().map(|ask| ask.at).collect();
+        assert_eq!(times, [0, 200, 600, 1400, 3000, 5000]);
+        assert!(r.xfer.recovering);
+        assert_eq!(r.rejoin_at(u64::MAX), None);
+    }
+
+    /// Only replies that echo the current nonce count toward the quorum.
+    #[test]
+    fn replies_to_a_stale_nonce_do_not_count() {
+        let mut r = Requester::new();
+        let stale = |from| answered(from, ByzBehavior::Honest, (NONCE - 1, 10), None).remove(0);
+        r.deliver([stale(1), stale(2), stale(3)]);
+        assert_eq!(r.rejoin_at(10), None);
+        r.deliver([reply(1, 10), reply(2, 10)]);
+        assert_eq!(r.rejoin_at(10), None, "two of three");
+        r.deliver([reply(3, 10)]);
+        assert_eq!(r.rejoin_at(10), Some((7, 9)));
+    }
+
+    /// The rejoin point is the `(f + 1)`-th highest commit point reported:
+    /// one liar reporting a huge one does not raise it, and a replica short
+    /// of it waits, however many replies it holds.
+    #[test]
+    fn one_inflated_commit_point_does_not_raise_the_rejoin_point() {
+        let mut r = Requester::new();
+        r.deliver([reply(1, 1_000_000), reply(2, 40), reply(3, 38)]);
+        assert_eq!(r.rejoin_at(39), None);
+        assert_eq!(r.rejoin_at(40), Some((7, 9)));
+    }
+
+    /// A young group: no responder has a checkpoint, so the quorum's
+    /// replies carry none and the replica catches up by certificates alone
+    /// (each advancing its commit point) until it reaches the rejoin point.
+    #[test]
+    fn a_quorum_without_a_checkpoint_rejoins_at_its_commit_point() {
+        let mut r = Requester::new();
+        r.deliver([reply(1, 12), reply(2, 12), reply(3, 11)]);
+        assert!(r.xfer.transfer.is_none());
+        assert_eq!(r.rejoin_at(0), None);
+        assert_eq!(r.rejoin_at(11), None);
+        assert_eq!(r.rejoin_at(12), Some((7, 9)));
+        assert!(!r.xfer.recovering);
+        assert_eq!(r.count("recovery_completed"), 1);
+    }
+
+    /// The resume hints are the highest any reply of the quorum carried.
+    #[test]
+    fn the_resume_hints_are_the_highest_the_quorum_reports() {
+        let mut r = Requester::new();
+        let hints = |from: u32, po: u64, sseq: u64| {
+            let mut meta = reply(from, 5);
+            if let PrimeMsg::StateMeta {
+                requester_po_high,
+                requester_sseq_high,
+                ..
+            } = &mut meta
+            {
+                (*requester_po_high, *requester_sseq_high) = (po, sseq);
+            }
+            let (mut io, mut backend) = (io(from, ByzBehavior::Honest), backend());
+            run(&mut backend, from, |ctx| io.sign(ctx, &mut meta));
+            meta
+        };
+        r.deliver([hints(1, 7, 9), hints(2, 12, 3), hints(3, 5, 11)]);
+        assert_eq!(r.rejoin_at(5), Some((12, 11)));
+    }
+
+    /// A replica that is behind but not recovering, whose peers answer
+    /// without the state it lacks, asks on the backoff: six times in 5 s,
+    /// where a 50 ms cadence would ask a hundred times. Once caught up it
+    /// stops, and the next trigger asks at once.
+    #[test]
+    fn a_lagging_replica_asks_on_the_backoff() {
+        let mut r = Requester::new();
+        r.xfer.recovering = false;
+        let asks = r.ticks(5000, 40, 10);
+        let times: Vec<u64> = asks.iter().map(|ask| ask.at).collect();
+        assert_eq!(times, [0, 200, 600, 1400, 3000, 5000]);
+        assert!(r.ticks(5100, 40, 40).is_empty(), "caught up");
+        let again = r.ticks(5150, 80, 40);
+        assert_eq!(again.iter().map(|ask| ask.at).collect::<Vec<_>>(), [5150]);
     }
 }

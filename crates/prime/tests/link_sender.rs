@@ -10,7 +10,7 @@ use spire_crypto::batch::BatchSigner;
 use spire_crypto::keys::{KeyMaterial, Signer};
 use spire_crypto::{Digest, KeyStore, NodeId};
 use spire_prime::msg::{
-    decode_enclosed, decode_sealed, encode_batched, encode_multi, seal_frame, Matrix,
+    decode_enclosed, decode_multi, decode_sealed, encode_batched, encode_multi, seal_frame, Matrix,
 };
 use spire_prime::replica::TIMER_PROGRESS;
 use spire_prime::{
@@ -228,6 +228,7 @@ fn a_commit_counted_under_a_link_mac_alone_does_not_spoil_the_certificate() {
     let request = PrimeMsg::StateReq {
         replica: ReplicaId(1),
         have_seq: 0,
+        nonce: 0,
         sig: [0; 64],
     };
     let effects = zero.deliver(1, sealed(&zero, 1, signed(request, 1)));
@@ -235,7 +236,17 @@ fn a_commit_counted_under_a_link_mac_alone_does_not_spoil_the_certificate() {
         panic!("one reply, got {effects:?}");
     };
     let inner = decode_sealed(bytes).expect("sealed").expect("sealed");
-    let served = Bytes::copy_from_slice(inner.inner);
+    let container = Bytes::copy_from_slice(inner.inner);
+    let parts = decode_multi(&container).expect("container");
+    let [meta, served] = &parts.expect("an answer and a certificate")[..] else {
+        panic!("an answer and a certificate");
+    };
+    let meta = PrimeMsg::decode(meta);
+    assert!(matches!(
+        meta,
+        Ok(PrimeMsg::StateMeta { commit_aru: 1, .. })
+    ));
+    let served = served.clone();
     let Ok(PrimeMsg::CommitCert { frames, .. }) = PrimeMsg::decode(&served) else {
         panic!("a commit certificate");
     };

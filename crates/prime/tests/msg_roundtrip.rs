@@ -165,6 +165,7 @@ fn gen_msg(rng: &mut StdRng, variant: u64) -> PrimeMsg {
         13 => PrimeMsg::StateReq {
             replica: ReplicaId(rng.gen_range(0..32)),
             have_seq: rng.gen(),
+            nonce: rng.gen(),
             sig: sig64(rng),
         },
         14 => PrimeMsg::CommitCert {
@@ -216,6 +217,8 @@ fn gen_msg(rng: &mut StdRng, variant: u64) -> PrimeMsg {
         },
         20 => PrimeMsg::StateMeta {
             replica: ReplicaId(rng.gen_range(0..32)),
+            nonce: rng.gen(),
+            commit_aru: rng.gen(),
             checkpoint_seq: rng.gen(),
             total_len: rng.gen(),
             chunk_digests: {
@@ -228,6 +231,7 @@ fn gen_msg(rng: &mut StdRng, variant: u64) -> PrimeMsg {
             },
             requester_po_high: rng.gen(),
             requester_sseq_high: rng.gen(),
+            sig: sig64(rng),
         },
         21 => PrimeMsg::StateChunk {
             replica: ReplicaId(rng.gen_range(0..32)),

@@ -73,7 +73,7 @@ fn pinned_report_digest() {
 fn pinned_attack_report_digest() {
     let digest = fnv64(run_once(7, attack_idx()).as_bytes());
     assert_eq!(
-        digest, 0x76b2_8364_f368_76e5,
+        digest, 0xdae1_907d_7171_1ac4,
         "attack report digest moved: {digest:#018x}"
     );
 }
