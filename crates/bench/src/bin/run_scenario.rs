@@ -373,7 +373,7 @@ fn finish(
             );
             if report.recovery.started > 0 {
                 println!(
-                    "recovery: {}/{} completed, {} chunks reconstructed ({} retry rounds), \
+                    "recovery: {}/{} completed, {} chunks transferred ({} retry rounds), \
                      duration p50={:.0}ms p99={:.0}ms; compaction: {} runs, {} entries evicted",
                     report.recovery.completed,
                     report.recovery.started,

@@ -154,7 +154,7 @@ impl ChaosPlan {
                             1 => ByzBehavior::Equivocate,
                             2 => ByzBehavior::AckWithhold,
                             3 => ByzBehavior::Mute,
-                            4 => ByzBehavior::CorruptShares,
+                            4 => ByzBehavior::CorruptChunks,
                             _ => ByzBehavior::LeaderDelay(Span::millis(800)),
                         };
                         budget.windows.push((id, t, busy_until, true));
@@ -249,7 +249,7 @@ impl ChaosPlan {
     /// — e.g. the rolling proactive-recovery rotation of the endurance
     /// experiment — so the whole `f + k` fault budget stays free for it
     /// while the network still drops, corrupts and reorders the state
-    /// transfer's share traffic.
+    /// transfer's chunk traffic.
     pub fn network_only(mut self) -> ChaosPlan {
         self.attacks.retain(|a| {
             matches!(

@@ -101,7 +101,7 @@ pub struct RecoveryStats {
     pub started: u64,
     /// Recoveries that completed state transfer.
     pub completed: u64,
-    /// Snapshot chunks reconstructed from erasure shares.
+    /// Snapshot chunks received that matched their pinned digest.
     pub chunks: u64,
     /// Per-chunk retry rounds against alternate responders.
     pub chunk_retries: u64,

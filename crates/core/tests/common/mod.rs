@@ -113,6 +113,7 @@ pub fn prime_corpus() -> Vec<Bytes> {
         PrimeMsg::StateReq {
             replica: ReplicaId(5),
             have_seq: 25,
+            commit_aru: 27,
             nonce: 4_000_000,
             sig: [13u8; 64],
         },
@@ -226,11 +227,9 @@ pub fn prime_corpus() -> Vec<Bytes> {
             sig: [21u8; 64],
         },
         PrimeMsg::StateChunk {
-            replica: ReplicaId(2),
             checkpoint_seq: 50,
             chunk: 1,
-            share_index: 2,
-            share: Bytes::from_static(b"chunk share"),
+            data: Bytes::from_static(b"chunk bytes"),
         },
         PrimeMsg::StateChunkReq {
             replica: ReplicaId(5),
@@ -464,7 +463,8 @@ pub fn overcap_corpus() -> Vec<Bytes> {
 /// rejecting these, so a retired tag is never silently reused.
 ///
 /// `retired_00`: `PrimeMsg` tag 15, the whole-snapshot `StateResp` that
-/// chunked state transfer superseded (the bytes `prime_19.bin` held).
+/// chunked state transfer superseded (laid out as the bytes `prime_19.bin`
+/// held; only the snapshot bytes differ).
 /// `retired_01`: `PrimeMsg` tag 18, the suffix vote that commit
 /// certificates superseded (the bytes `prime_19.bin` held before the
 /// certificate took its slot).
@@ -476,11 +476,12 @@ pub fn retired_corpus() -> Vec<Bytes> {
         sig: [16u8; 64],
     };
     let mut w = WireWriter::new();
-    // tag | replica, checkpoint_seq | share_index, erasure_k, share | proof
-    // | view, requester_po_high, requester_sseq_high
+    // tag | replica, checkpoint_seq | the responder's piece of the
+    // snapshot (index, pieces needed, bytes) | proof | view,
+    // requester_po_high, requester_sseq_high
     15u8.write(&mut w);
     (ReplicaId(1), 50u64).write(&mut w);
-    (1u8, 2u8, Bytes::from_static(b"erasure share")).write(&mut w);
+    (1u8, 2u8, Bytes::from_static(b"snapshot piece")).write(&mut w);
     vec![checkpoint.clone(), checkpoint].write(&mut w);
     (2u64, 17u64, 5u64).write(&mut w);
     let state_resp = w.finish();

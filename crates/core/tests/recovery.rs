@@ -77,18 +77,18 @@ fn recovery_overlapping_a_view_change() {
 
 /// A recovery forced through a hostile transfer path: the recovering
 /// replica's site suffers ~30% frame corruption (dropped at the HMAC
-/// check, so shares and chunks are lost in flight) while one responder
-/// serves deliberately corrupted erasure shares. The chunked transfer
-/// must route around both — per-chunk digests reject the bad shares,
-/// and the retry/backoff loop re-fetches from alternate responders —
-/// and still complete.
+/// check, so chunks are lost in flight) while one responder serves
+/// deliberately corrupted chunks. The chunked transfer must route around
+/// both — the attested per-chunk digests reject the bad chunks, and the
+/// retry/backoff loop re-fetches from alternate responders — and still
+/// complete.
 #[test]
 fn recovery_completes_under_loss_and_corrupt_responder() {
     use spire_prime::ByzBehavior;
     let mut system = small_system(64);
-    // Replica 1 (site 0) serves corrupted shares for the whole run.
-    system.schedule_compromise(1, ByzBehavior::CorruptShares, Time(1_000_000));
-    // Replica 4 is the lone replica of site 2: every share it fetches
+    // Replica 1 (site 0) serves corrupted chunks for the whole run.
+    system.schedule_compromise(1, ByzBehavior::CorruptChunks, Time(1_000_000));
+    // Replica 4 is the lone replica of site 2: every chunk it fetches
     // crosses the noisy WAN links.
     system.schedule_site_wire_faults(
         2,

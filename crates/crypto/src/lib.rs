@@ -16,8 +16,6 @@
 //! * [`batch`] — amortized batch signing: one signature per Merkle root of
 //!   outgoing message digests, plus per-message inclusion attestations and
 //!   bounded verification caches.
-//! * [`erasure`] — GF(256) Reed-Solomon erasure codes, as Prime/Spire use
-//!   for bandwidth-efficient reconciliation and state transfer.
 //! * [`keys`] — deterministic key provisioning and the public-key directory.
 //!
 //! # Examples
@@ -36,7 +34,6 @@
 
 pub mod batch;
 pub mod ed25519;
-pub mod erasure;
 pub mod hmac;
 pub mod keys;
 pub mod merkle;

@@ -125,40 +125,3 @@ fn mock_signature_is_deterministic() {
     assert_eq!(mock_sign64(&pk, b"x"), mock_sign64(&pk, b"x"));
     assert_ne!(mock_sign64(&pk, b"x"), mock_sign64(&pk, b"y"));
 }
-
-mod erasure_props {
-    use proptest::prelude::*;
-    use spire_crypto::erasure::{decode, encode};
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
-
-        #[test]
-        fn any_k_subset_reconstructs(data in proptest::collection::vec(any::<u8>(), 0..512),
-                                     k in 1usize..5, extra in 0usize..4,
-                                     pick in any::<u64>()) {
-            let n = k + extra;
-            let shares = encode(&data, k, n).unwrap();
-            prop_assert_eq!(shares.len(), n);
-            // Pseudo-randomly pick k distinct shares.
-            let mut indices: Vec<usize> = (0..n).collect();
-            let mut seed = pick;
-            for i in (1..indices.len()).rev() {
-                seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
-                indices.swap(i, (seed % (i as u64 + 1)) as usize);
-            }
-            let subset: Vec<_> = indices[..k].iter().map(|i| shares[*i].clone()).collect();
-            prop_assert_eq!(decode(&subset, k).unwrap(), data);
-        }
-
-        #[test]
-        fn share_sizes_are_balanced(data in proptest::collection::vec(any::<u8>(), 0..512),
-                                    k in 1usize..6) {
-            let shares = encode(&data, k, k + 2).unwrap();
-            let len = shares[0].data.len();
-            prop_assert!(shares.iter().all(|s| s.data.len() == len));
-            // Overhead is the 8-byte length frame plus <= k-1 padding.
-            prop_assert!(len * k <= data.len() + 8 + k);
-        }
-    }
-}

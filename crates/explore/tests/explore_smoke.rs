@@ -153,7 +153,7 @@ fn seeded_xshard_bug_is_found_and_shrinks() {
 #[test]
 fn random_recovering_replica_rejoins_without_violations() {
     // k = 1: the last replica starts mid-state-transfer and its rejoin
-    // (state requests, share fetches, and the quorum of replies it waits
+    // (state requests, chunk fetches, and the quorum of replies it waits
     // for) is interleaved with ordering and view changes by the explorer. No
     // schedule may produce divergence, and the healthy quorum must still
     // order ops while the recovering replica is out.

@@ -28,10 +28,10 @@ pub enum ByzBehavior {
     /// Executes corrupted operations, silently diverging its own state
     /// (caught end-to-end by `f + 1` matching replies).
     DivergentExec,
-    /// Serves bit-flipped erasure shares during state transfer (an attack
-    /// on recovering replicas; defeated by per-chunk digest checks plus
-    /// retries against alternate responders).
-    CorruptShares,
+    /// Serves bit-flipped snapshot chunks during state transfer (an attack
+    /// on recovering replicas; defeated by per-chunk digest checks against
+    /// the attested layout plus retries against alternate responders).
+    CorruptChunks,
 }
 
 impl ByzBehavior {

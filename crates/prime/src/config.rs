@@ -68,8 +68,8 @@ pub(crate) const TAT_ALLOWANCE: f64 = 2.5;
 pub(crate) const RECON_INTERVAL: Span = Span::millis(50);
 
 /// State transfer splits the execution snapshot into chunks of this
-/// many bytes; each chunk is erasure-encoded independently so a
-/// recovering replica reconstructs from any `f+1` per-chunk shares.
+/// many bytes; each chunk's digest is in the attested layout, so a
+/// recovering replica checks every chunk on its own, from any responder.
 pub(crate) const STATE_CHUNK_BYTES: usize = 1024;
 
 /// A replica that is behind asks for state (or missing chunks) again this
@@ -79,9 +79,8 @@ pub(crate) const ASK_BACKOFF: Span = Span::millis(200);
 /// Ceiling of the state-request backoff.
 pub(crate) const ASK_BACKOFF_MAX: Span = Span::secs(2);
 
-/// Manifest/share accumulators for a checkpoint that made no progress
-/// for this long are evicted (bounds memory when responders go mute
-/// or serve garbage).
+/// A pinned transfer that made no progress for this long is evicted
+/// (bounds memory when responders go mute or serve garbage).
 pub(crate) const STATE_ACCUM_DEADLINE: Span = Span::secs(2);
 
 /// Capacity of each bounded verification cache (client ops, summary

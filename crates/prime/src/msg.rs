@@ -392,8 +392,13 @@ pub enum PrimeMsg {
     StateReq {
         /// Requesting replica.
         replica: ReplicaId,
-        /// Highest sequence the requester has executed.
+        /// Highest sequence the requester has executed: a responder sends
+        /// its stable checkpoint only when it is above this.
         have_seq: u64,
+        /// The requester's contiguous commit point: the certificates a
+        /// responder serves start above it (and above the checkpoint
+        /// served), since the requester holds every commit up to it.
+        commit_aru: u64,
         /// The requester's current recovery, named by its start time; every
         /// [`PrimeMsg::StateMeta`] answering this request echoes it.
         nonce: u64,
@@ -484,11 +489,11 @@ pub enum PrimeMsg {
     /// The answer to every [`PrimeMsg::StateReq`], signed and bound to its
     /// nonce: the responder's commit point and resume hints, and, when its
     /// stable checkpoint is above the requester's `have_seq`, that
-    /// checkpoint's chunk layout (else `checkpoint_seq` 0, no layout). Each
-    /// 1 KiB chunk (`STATE_CHUNK_BYTES`) is erasure-encoded with `k = f + 1`
-    /// and reconstructed from any `f + 1` shares. The layout proves itself:
-    /// the requester pins the first one whose digest of `total_len` and
-    /// `chunk_digests` its `f + 1` signed attestations prove.
+    /// checkpoint's chunk layout (else `checkpoint_seq` 0, no layout), with
+    /// every 1 KiB chunk (`STATE_CHUNK_BYTES`) following as a
+    /// [`PrimeMsg::StateChunk`]. The layout proves itself: the requester
+    /// pins the first one whose digest of `total_len` and `chunk_digests`
+    /// its `f + 1` signed attestations prove.
     StateMeta {
         /// Responding replica.
         replica: ReplicaId,
@@ -500,8 +505,8 @@ pub enum PrimeMsg {
         checkpoint_seq: u64,
         /// Total snapshot length in bytes.
         total_len: u64,
-        /// Digest of each plaintext chunk, in order; corrupt shares are
-        /// caught when a reconstructed chunk misses its pinned digest.
+        /// Digest of each chunk, in order; a corrupt chunk is caught when
+        /// it misses its pinned digest.
         chunk_digests: Vec<Digest>,
         /// `f + 1` matching signed checkpoint attestations proving the
         /// layout digest.
@@ -517,19 +522,16 @@ pub enum PrimeMsg {
         /// Signature.
         sig: [u8; 64],
     },
-    /// One erasure share of one snapshot chunk. Unsigned; validated
-    /// against the pinned manifest's chunk digest after reconstruction.
+    /// One snapshot chunk, as is. It names no sender and carries no
+    /// signature: it proves itself, and is kept from whoever relays it
+    /// once it hashes to its digest in the pinned, attested layout.
     StateChunk {
-        /// Responding replica.
-        replica: ReplicaId,
         /// Sequence of the checkpoint the chunk belongs to.
         checkpoint_seq: u64,
         /// Chunk index within the manifest layout.
         chunk: u32,
-        /// Erasure share index (the responder's replica id).
-        share_index: u8,
-        /// The share bytes.
-        share: Bytes,
+        /// The chunk's bytes.
+        data: Bytes,
     },
     /// Re-request of specific missing chunks, sent to two alternate
     /// responders on each due ask of the state-request schedule.
@@ -589,7 +591,6 @@ impl PrimeMsg {
             | PrimeMsg::Suspect { replica: r, .. }
             | PrimeMsg::StateReq { replica: r, .. }
             | PrimeMsg::StateMeta { replica: r, .. }
-            | PrimeMsg::StateChunk { replica: r, .. }
             | PrimeMsg::StateChunkReq { replica: r, .. }
             | PrimeMsg::ReconReq { replica: r, .. }
             | PrimeMsg::Notify { replica: r, .. }
@@ -600,6 +601,7 @@ impl PrimeMsg {
             PrimeMsg::Op(_)
             | PrimeMsg::PrePrepare { .. }
             | PrimeMsg::NewView { .. }
+            | PrimeMsg::StateChunk { .. }
             | PrimeMsg::CommitCert { .. } => None,
         }
     }
@@ -716,7 +718,7 @@ impl_wire!(enum PrimeMsg {
     11 => ViewState(state),
     12 => NewView { view, states, sig },
     13 => Checkpoint(attestation),
-    14 => StateReq { replica, have_seq, nonce, sig },
+    14 => StateReq { replica, have_seq, commit_aru, nonce, sig },
     // 15 was `StateResp`, the whole-snapshot transfer; it stays unassigned so
     // a frame from an old build is rejected, never read as something else.
     16 => ReconReq { replica, origin, po_seq },
@@ -730,7 +732,7 @@ impl_wire!(enum PrimeMsg {
         replica, nonce, commit_aru, checkpoint_seq, total_len, chunk_digests, proof,
         requester_po_high, requester_sseq_high, sig,
     },
-    23 => StateChunk { replica, checkpoint_seq, chunk, share_index, share },
+    23 => StateChunk { checkpoint_seq, chunk, data },
     24 => StateChunkReq { replica, checkpoint_seq, chunks },
     25 => CommitCert { seq, view, matrix, frames as Counted<u8> },
 });
@@ -1159,6 +1161,7 @@ mod tests {
         roundtrip(PrimeMsg::StateReq {
             replica: ReplicaId(5),
             have_seq: 0,
+            commit_aru: 3,
             nonce: 4_000_000,
             sig: [4; 64],
         });
@@ -1236,11 +1239,9 @@ mod tests {
             sig: [1; 64],
         });
         roundtrip(PrimeMsg::StateChunk {
-            replica: ReplicaId(2),
             checkpoint_seq: 50,
             chunk: 1,
-            share_index: 2,
-            share: Bytes::from_static(b"chunk-share"),
+            data: Bytes::from_static(b"chunk-bytes"),
         });
         roundtrip(PrimeMsg::StateChunkReq {
             replica: ReplicaId(5),

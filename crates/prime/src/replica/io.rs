@@ -61,7 +61,7 @@ metrics! {
     BadStateReqSig => "bad_state_req_sig",
     BadStateMetaSig => "bad_state_meta_sig",
     BadStateProof => "bad_state_proof",
-    StateReconstructPending => "state_reconstruct_pending",
+    BadStateChunk => "bad_state_chunk",
     BadStateSnapshot => "bad_state_snapshot",
     RecoveryCompleted => "recovery_completed",
     TatMs => "tat_ms",

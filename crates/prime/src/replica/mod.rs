@@ -363,6 +363,7 @@ impl Replica {
         let PrimeMsg::StateReq {
             replica: from,
             have_seq,
+            commit_aru,
             nonce,
             ..
         } = *msg
@@ -386,12 +387,14 @@ impl Replica {
             io, pre, ord, ckpt, ..
         } = self;
         // Answer, then send the committed suffix so the requester can
-        // catch up to the present, also when no checkpoint exists yet.
+        // catch up to the present, also when no checkpoint exists yet: it
+        // starts above both the checkpoint served and the requester's
+        // commit point, since the requester holds every commit below.
         let stable = ckpt.stable.as_ref().filter(|s| s.0 > have_seq);
         let highs = (pre.po_high[from.0 as usize], pre.sseq_high[from.0 as usize]);
         state_transfer::answer(io, ctx, from, (nonce, ord.commit_aru, highs), stable);
-        let suffix_from = stable.map_or(have_seq, |s| s.0) + 1;
-        ord.send_suffix(io, ctx, from, suffix_from);
+        let served = stable.map_or(have_seq, |s| s.0);
+        ord.send_suffix(io, ctx, from, served.max(commit_aru) + 1);
     }
 
     /// Runs the state-request schedule, raising the commit point it asks
@@ -644,11 +647,11 @@ impl Replica {
         }
         // An unsigned message that names a sender speaks only for whoever
         // sent it: with session keys it must arrive authenticated as that
-        // sender. (A `CommitCert` names none: its frames prove it.)
+        // sender. (A `CommitCert` and a `StateChunk` name none: their
+        // content proves them.)
         let unsigned = matches!(
             msg,
-            PrimeMsg::StateChunk { .. }
-                | PrimeMsg::StateChunkReq { .. }
+            PrimeMsg::StateChunkReq { .. }
                 | PrimeMsg::ReconReq { .. }
                 | PrimeMsg::Ping { .. }
                 | PrimeMsg::Pong { .. }
@@ -723,7 +726,7 @@ impl Replica {
                 self.finalize_transfer(ctx);
             }
             PrimeMsg::StateChunk { .. } => {
-                self.xfer.on_state_chunk(io, ctx, msg, last_executed);
+                self.xfer.on_state_chunk(io, ctx, msg);
                 self.finalize_transfer(ctx);
             }
             PrimeMsg::StateChunkReq {
@@ -736,7 +739,7 @@ impl Replica {
                 let wanted = replica != io.me && chunks.len() <= 512;
                 let stable = self.ckpt.stable.as_ref().filter(|_| wanted);
                 if let Some(stable) = stable.filter(|s| s.0 == checkpoint_seq) {
-                    state_transfer::send_chunk_shares(io, replica, stable, Some(&chunks));
+                    state_transfer::send_chunks(io, replica, stable, Some(&chunks));
                 }
             }
             PrimeMsg::CommitCert {

@@ -1,9 +1,10 @@
 //! State transfer. Every state request, asked on one backed-off schedule,
 //! is answered with a signed `StateMeta` bound to its nonce and, when the
 //! requester lacks the responder's stable checkpoint, that checkpoint's
-//! proven layout and erasure shares, which one responder suffices for. A
-//! recovering replica rejoins only on a quorum of replies to its nonce,
-//! once its commit point reaches what `f + 1` of them report.
+//! proven layout and its chunks, each of which proves itself against its
+//! attested digest, so one responder suffices. A recovering replica
+//! rejoins only on a quorum of replies to its nonce, once its commit point
+//! reaches what `f + 1` of them report.
 
 use super::checkpoints;
 use super::io::{Io, Metric};
@@ -12,11 +13,10 @@ use crate::behavior::ByzBehavior;
 use crate::config::{self, ReplicaId};
 use crate::msg::{CheckpointMsg, PrimeMsg};
 use bytes::Bytes;
-use spire_crypto::erasure::{self, Share};
 use spire_crypto::Digest;
 use spire_sim::{Context, Span, Time, TraceKind};
 use std::collections::{BTreeMap, BTreeSet};
-use std::hash::{Hash, Hasher};
+use std::hash::Hash;
 
 /// A stable checkpoint: `(seq, snapshot, proof)`.
 type Stable = (u64, Bytes, Vec<CheckpointMsg>);
@@ -26,12 +26,10 @@ type Stable = (u64, Bytes, Vec<CheckpointMsg>);
 /// Answers a state request from `to` with a signed `StateMeta` that
 /// echoes its `nonce` and carries our `commit_aru` and the highest PO and
 /// summary sequences we have seen from `to`. With a `stable` checkpoint,
-/// it also describes the chunk layout (per-chunk digests pin what a
-/// correct reconstruction must hash to, and the proof attests the layout)
-/// and our erasure share of every chunk follows. Each chunk is coded with
-/// k = f + 1, so any f+1 correct responders let the requester reconstruct
-/// it at 1/(f+1) the bandwidth each; a lost or corrupt share costs one
-/// chunk retry, not the whole snapshot.
+/// it also describes the chunk layout (per-chunk digests pin what each
+/// chunk must hash to, and the proof attests the layout) and every chunk
+/// follows; a lost or corrupt chunk costs one chunk retry, not the whole
+/// snapshot.
 pub(super) fn answer(
     io: &mut Io,
     ctx: &mut Context<'_>,
@@ -59,43 +57,33 @@ pub(super) fn answer(
     io.sign(ctx, &mut meta);
     io.send_to(to, &meta);
     if let Some(stable) = stable {
-        send_chunk_shares(io, to, stable, None);
+        send_chunks(io, to, stable, None);
     }
 }
 
-/// Sends this replica's erasure share of each requested chunk of the
-/// stable snapshot (all chunks when `wanted` is None). A responder
-/// with [`ByzBehavior::CorruptShares`] flips bits in every share it
-/// serves — the requester's per-chunk digest check weeds these out.
-pub(super) fn send_chunk_shares(
+/// Sends each requested chunk of the stable snapshot as is (all chunks
+/// when `wanted` is None). A responder with [`ByzBehavior::CorruptChunks`]
+/// flips bits in every chunk it serves: the requester's per-chunk digest
+/// check drops these.
+pub(super) fn send_chunks(
     io: &mut Io,
     to: ReplicaId,
     (seq, snapshot, _): &Stable,
     wanted: Option<&[u32]>,
 ) {
-    let k = (io.cfg.f + 1) as usize;
-    let n = (io.cfg.n as usize).max(k);
-    let corrupt = io.behavior == ByzBehavior::CorruptShares;
+    let corrupt = io.behavior == ByzBehavior::CorruptChunks;
     for (i, chunk) in snapshot.chunks(config::STATE_CHUNK_BYTES).enumerate() {
         if wanted.is_some_and(|w| !w.contains(&(i as u32))) {
             continue;
         }
-        let Ok(shares) = erasure::encode(chunk, k, n) else {
-            continue;
+        let data = match corrupt {
+            true => chunk.iter().map(|b| b ^ 0xA5).collect(),
+            false => Bytes::copy_from_slice(chunk),
         };
-        let share = &shares[io.me.0 as usize];
-        let mut data = share.data.clone();
-        if corrupt {
-            for b in &mut data {
-                *b ^= 0xA5;
-            }
-        }
         let msg = PrimeMsg::StateChunk {
-            replica: io.me,
             checkpoint_seq: *seq,
             chunk: i as u32,
-            share_index: share.index,
-            share: Bytes::from(data),
+            data,
         };
         io.send_to(to, &msg);
     }
@@ -104,16 +92,14 @@ pub(super) fn send_chunk_shares(
 // ================= requester side =================
 
 /// The pinned in-flight chunked state transfer: a proven manifest's layout
-/// and proof, and per-chunk shares that accumulate until any `f + 1` of
-/// them reconstruct to the pinned chunk digest.
+/// and proof, and the chunks held so far, each of which hashed to its
+/// pinned digest.
 pub(super) struct ChunkTransfer {
     pub(super) checkpoint_seq: u64,
     chunk_digests: Vec<Digest>,
     pub(super) proof: Vec<CheckpointMsg>,
-    /// Reconstructed chunks by index.
+    /// Chunks held, by index.
     chunks: BTreeMap<u32, Vec<u8>>,
-    /// Collected shares for not-yet-reconstructed chunks.
-    shares: BTreeMap<u32, BTreeMap<u8, Vec<u8>>>,
 }
 
 #[derive(Default)]
@@ -225,6 +211,7 @@ impl StateTransfer {
             let mut req = PrimeMsg::StateReq {
                 replica: io.me,
                 have_seq: last_executed,
+                commit_aru,
                 nonce: self.nonce,
                 sig: [0; 64],
             };
@@ -314,99 +301,44 @@ impl StateTransfer {
             chunk_digests: chunk_digests.clone(),
             proof: proof.clone(),
             chunks: BTreeMap::new(),
-            shares: BTreeMap::new(),
         });
         self.accum_touched = ctx.now();
     }
 
-    /// One erasure share of one chunk from one responder, for the pinned
-    /// transfer. A responder's shares travel in the same link container as
-    /// the manifest before them, so none arrives ahead of a pin it needs.
-    pub(super) fn on_state_chunk(
-        &mut self,
-        io: &Io,
-        ctx: &mut Context<'_>,
-        msg: PrimeMsg,
-        last_executed: u64,
-    ) {
+    /// One chunk of the pinned transfer, from whoever relays it: its content
+    /// is its proof. A chunk not yet held is kept when its index is in the
+    /// layout, it is at most `STATE_CHUNK_BYTES` long and it hashes to the
+    /// pinned digest, else dropped and counted. A chunk of another
+    /// checkpoint, or one already held (every responder sends them all), is
+    /// dropped uncounted. A responder's chunks travel in the same link
+    /// container as the manifest before them, so none arrives ahead of a
+    /// pin it needs.
+    pub(super) fn on_state_chunk(&mut self, io: &Io, ctx: &mut Context<'_>, msg: PrimeMsg) {
         let PrimeMsg::StateChunk {
             checkpoint_seq,
             chunk,
-            share_index,
-            share,
-            ..
+            data,
         } = msg
         else {
             return;
         };
-        // A share is never larger than the chunk it codes (plus the
-        // erasure length frame).
-        if share_index as u32 >= io.cfg.n
-            || share.len() > config::STATE_CHUNK_BYTES + 64
-            || checkpoint_seq <= last_executed
-        {
-            return;
-        }
         let Some(t) = self
             .transfer
             .as_mut()
-            .filter(|t| t.checkpoint_seq == checkpoint_seq)
+            .filter(|t| t.checkpoint_seq == checkpoint_seq && !t.chunks.contains_key(&chunk))
         else {
             return;
         };
-        if t.chunks.contains_key(&chunk) || chunk as usize >= t.chunk_digests.len() {
-            return;
+        let want = t.chunk_digests.get(chunk as usize);
+        if data.len() > config::STATE_CHUNK_BYTES || want != Some(&spire_crypto::digest(&data)) {
+            return io.count(ctx, Metric::BadStateChunk, 1);
         }
-        let pool = t.shares.entry(chunk).or_default();
-        pool.insert(share_index, share.to_vec());
+        t.chunks.insert(chunk, data.to_vec());
         self.accum_touched = ctx.now();
-        self.try_reconstruct_chunk(io, ctx, chunk);
+        io.count(ctx, Metric::RecoveryChunks, 1);
     }
 
-    /// Attempts to reconstruct one chunk from the collected shares: tries
-    /// combinations of `k` shares (bounded search) until one decodes to
-    /// the pinned per-chunk digest. Corrupt shares from Byzantine
-    /// responders fail the digest check and other subsets are tried.
-    fn try_reconstruct_chunk(&mut self, io: &Io, ctx: &mut Context<'_>, chunk: u32) {
-        let Some(t) = &mut self.transfer else {
-            return;
-        };
-        let k = (io.cfg.f + 1) as usize;
-        let Some(pool) = t.shares.get(&chunk).filter(|pool| pool.len() >= k) else {
-            return;
-        };
-        let want = t.chunk_digests[chunk as usize];
-        let shares: Vec<Share> = pool
-            .iter()
-            .map(|(idx, data)| Share {
-                index: *idx,
-                data: data.clone(),
-            })
-            .collect();
-        let m = shares.len().min(16); // responders are replicas: small
-        let found = (0u32..(1 << m))
-            .filter(|mask| mask.count_ones() as usize == k)
-            .take(256)
-            .find_map(|mask| {
-                let subset: Vec<Share> = (0..m)
-                    .filter(|i| mask & (1 << i) != 0)
-                    .map(|i| shares[i].clone())
-                    .collect();
-                erasure::decode(&subset, k)
-                    .ok()
-                    .filter(|candidate| spire_crypto::digest(candidate) == want)
-            });
-        match found {
-            Some(data) => {
-                t.chunks.insert(chunk, data);
-                t.shares.remove(&chunk);
-                io.count(ctx, Metric::RecoveryChunks, 1);
-            }
-            None => io.count(ctx, Metric::StateReconstructPending, 1),
-        }
-    }
-
-    /// Once every chunk reconstructed, reassembles the snapshot; returns it
+    /// Once every chunk is held, reassembles the snapshot; returns it
     /// for installation unless execution has meanwhile passed its
     /// checkpoint. Each chunk matched its digest and the digests are the
     /// attested layout, so the whole is the attested snapshot.
@@ -430,9 +362,6 @@ impl StateTransfer {
             pinned.map(|t| (t.checkpoint_seq, t.chunks.len())),
         )
             .hash(h);
-        for (chunk, pool) in pinned.iter().flat_map(|t| &t.shares) {
-            h.all(pool.keys()).write_u32(*chunk);
-        }
     }
 }
 
@@ -456,7 +385,7 @@ mod tests {
 
     /// What responder `r` sends replica 0 answering `nonce`, at commit point
     /// `commit_aru`, with `stable` when given: its signed `StateMeta`, then
-    /// its share of every chunk.
+    /// every chunk.
     fn answered(
         r: u32,
         behavior: ByzBehavior,
@@ -484,7 +413,7 @@ mod tests {
         answered(r, ByzBehavior::Honest, (NONCE, stable.0), Some(stable)).remove(0)
     }
 
-    fn shares(r: u32, behavior: ByzBehavior, stable: &Stable) -> Vec<PrimeMsg> {
+    fn chunks(r: u32, behavior: ByzBehavior, stable: &Stable) -> Vec<PrimeMsg> {
         answered(r, behavior, (NONCE, stable.0), Some(stable)).split_off(1)
     }
 
@@ -523,7 +452,7 @@ mod tests {
             for msg in msgs {
                 run(backend, 0, |ctx| match msg {
                     PrimeMsg::StateMeta { .. } => xfer.on_state_meta(io, ctx, (msg, None), 0),
-                    _ => xfer.on_state_chunk(io, ctx, msg, 0),
+                    _ => xfer.on_state_chunk(io, ctx, msg),
                 });
             }
         }
@@ -603,16 +532,56 @@ mod tests {
         r.deliver([manifest(3, &stable)]);
         let pinned = r.xfer.transfer.as_ref().expect("one proven layout pins");
         assert_eq!(pinned.checkpoint_seq, 50);
-        r.deliver(shares(1, ByzBehavior::Honest, &stable));
-        r.deliver(shares(3, ByzBehavior::Honest, &stable));
+        r.deliver(chunks(3, ByzBehavior::Honest, &stable));
         assert_eq!(r.complete().as_deref(), Some(&stable.1[..]));
+    }
+
+    /// One manifest pins and only that responder's chunks arrive: each
+    /// proves itself against the attested layout, so the transfer completes
+    /// with nothing asked again.
+    #[test]
+    fn a_transfer_completes_from_one_responder() {
+        let stable = stable(50);
+        let mut r = Requester::new();
+        r.deliver([manifest(2, &stable)]);
+        r.deliver(chunks(2, ByzBehavior::Honest, &stable));
+        let counts = ["recovery_chunks", "bad_state_chunk"].map(|c| r.count(c));
+        assert_eq!(counts, [3, 0]);
+        assert_eq!(r.complete().as_deref(), Some(&stable.1[..]));
+        assert_eq!(r.count("recovery_chunk_retries"), 0);
+    }
+
+    /// A chunk names no sender, so a relay is taken at its content alone:
+    /// one whose bytes miss the pinned digest, whose index is outside the
+    /// layout, or that is longer than a chunk is refused and counted; the
+    /// right bytes are kept, and a chunk already held is dropped uncounted.
+    #[test]
+    fn a_chunk_that_misses_its_pinned_digest_is_refused_whoever_relays_it() {
+        let stable = stable(50);
+        let mut r = Requester::new();
+        r.deliver([manifest(1, &stable)]);
+        let relayed = |chunk: u32, data: &[u8]| PrimeMsg::StateChunk {
+            checkpoint_seq: 50,
+            chunk,
+            data: Bytes::copy_from_slice(data),
+        };
+        let first = &stable.1[..config::STATE_CHUNK_BYTES];
+        let mut flipped = first.to_vec();
+        flipped[7] ^= 1;
+        let long = [first, &[0u8][..]].concat();
+        r.deliver([relayed(0, &flipped), relayed(3, first), relayed(0, &long)]);
+        let counts = ["recovery_chunks", "bad_state_chunk"].map(|c| r.count(c));
+        assert_eq!(counts, [0, 3]);
+        r.deliver([relayed(0, first), relayed(0, &flipped)]);
+        let counts = ["recovery_chunks", "bad_state_chunk"].map(|c| r.count(c));
+        assert_eq!(counts, [1, 3]);
     }
 
     /// The schedule asks for state at once; once a manifest pins, each due
     /// ask is for the missing chunks instead, from two alternates, and the
     /// delay between asks doubles from 200 ms up to 2 s.
     #[test]
-    fn a_corrupt_share_is_caught_and_re_requested_with_doubling_backoff() {
+    fn a_corrupt_chunk_is_caught_and_re_requested_with_doubling_backoff() {
         let stable = stable(50);
         let mut r = Requester::new();
         let [first] = &r.ticks(0, 0, 0)[..] else {
@@ -621,16 +590,14 @@ mod tests {
         assert!(matches!(first.msg, PrimeMsg::StateReq { nonce: NONCE, .. }));
         assert_eq!((first.at, &first.to[..]), (0, &[1, 2, 3][..]));
         r.deliver([manifest(1, &stable), manifest(2, &stable)]);
-        r.deliver(shares(1, ByzBehavior::Honest, &stable));
-        r.deliver(shares(2, ByzBehavior::CorruptShares, &stable));
-        // k = 2 shares per chunk are in, but no pair decodes to the pinned
-        // chunk digest.
-        let counts = ["recovery_chunks", "state_reconstruct_pending"].map(|c| r.count(c));
+        r.deliver(chunks(2, ByzBehavior::CorruptChunks, &stable));
+        // Every chunk arrived, and none hashes to its pinned digest.
+        let counts = ["recovery_chunks", "bad_state_chunk"].map(|c| r.count(c));
         assert_eq!(counts, [0, 3]);
         let mut asks = Vec::new();
         for until in [1500, 3000, 4500, 5000] {
             asks.extend(r.ticks(until, 0, 0));
-            // Shares still arriving keep the transfer from stalling.
+            // Chunks still arriving keep the transfer from stalling.
             r.xfer.accum_touched = r.backend.now;
         }
         let mut times = Vec::new();
@@ -647,8 +614,8 @@ mod tests {
         assert_eq!(at, [200, 600, 1400, 3000, 5000]);
         assert_ne!(times[0].1, times[1].1);
         assert_eq!(r.count("recovery_chunk_retries"), 5);
-        // One more honest responder and every chunk has a good pair.
-        r.deliver(shares(3, ByzBehavior::Honest, &stable));
+        // One honest responder's chunks complete it.
+        r.deliver(chunks(3, ByzBehavior::Honest, &stable));
         assert_eq!(r.complete().as_deref(), Some(&stable.1[..]));
     }
 

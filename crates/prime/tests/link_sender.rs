@@ -122,6 +122,20 @@ fn cert(frames: Vec<Bytes>) -> Bytes {
     .encode()
 }
 
+/// Sequence `seq`'s matrix of view 0, certified by the signed Commits of
+/// replicas 1, 2 and 3.
+fn certified(seq: u64) -> Bytes {
+    PrimeMsg::CommitCert {
+        seq,
+        view: 0,
+        matrix: Matrix::default(),
+        frames: (1..=3)
+            .map(|r| signed(vote(r, 0, seq, voted()), r))
+            .collect(),
+    }
+    .encode()
+}
+
 impl Zero {
     fn deliver(&mut self, from: u32, bytes: Bytes) -> Vec<Effect> {
         let from = ProcessId(from);
@@ -228,6 +242,7 @@ fn a_commit_counted_under_a_link_mac_alone_does_not_spoil_the_certificate() {
     let request = PrimeMsg::StateReq {
         replica: ReplicaId(1),
         have_seq: 0,
+        commit_aru: 0,
         nonce: 0,
         sig: [0; 64],
     };
@@ -263,6 +278,41 @@ fn a_commit_counted_under_a_link_mac_alone_does_not_spoil_the_certificate() {
     let mut fresh = replica_zero(true);
     fresh.deliver(3, sealed(&fresh, 3, served));
     assert_eq!(fresh.commit_aru(), 1);
+}
+
+/// A responder starts the certificates it serves above the requester's
+/// commit point, which the signed request carries: the requester holds
+/// every commit up to it already.
+#[test]
+fn a_responder_serves_no_certificate_at_or_below_the_requesters_commit_point() {
+    let mut zero = replica_zero(false);
+    for seq in 1..=3 {
+        zero.deliver(3, certified(seq));
+    }
+    assert_eq!(zero.commit_aru(), 3);
+    for (commit_aru, served) in [(0, &[1, 2, 3][..]), (2, &[3]), (3, &[])] {
+        let request = PrimeMsg::StateReq {
+            replica: ReplicaId(1),
+            have_seq: 0,
+            commit_aru,
+            nonce: 0,
+            sig: [0; 64],
+        };
+        let mut seqs = Vec::new();
+        for effect in zero.deliver(1, signed(request, 1)) {
+            let Effect::Send { to, bytes } = effect else {
+                continue;
+            };
+            assert_eq!(to, ProcessId(1));
+            let parts = decode_multi(&bytes).expect("frames");
+            for part in parts.unwrap_or_else(|| vec![bytes.clone()]) {
+                if let Ok(PrimeMsg::CommitCert { seq, .. }) = PrimeMsg::decode(&part) {
+                    seqs.push(seq);
+                }
+            }
+        }
+        assert_eq!(seqs, served, "requester at commit point {commit_aru}");
+    }
 }
 
 /// The stated limit of the `session_macs = false` ablation: without link

@@ -165,6 +165,7 @@ fn gen_msg(rng: &mut StdRng, variant: u64) -> PrimeMsg {
         13 => PrimeMsg::StateReq {
             replica: ReplicaId(rng.gen_range(0..32)),
             have_seq: rng.gen(),
+            commit_aru: rng.gen(),
             nonce: rng.gen(),
             sig: sig64(rng),
         },
@@ -234,11 +235,9 @@ fn gen_msg(rng: &mut StdRng, variant: u64) -> PrimeMsg {
             sig: sig64(rng),
         },
         21 => PrimeMsg::StateChunk {
-            replica: ReplicaId(rng.gen_range(0..32)),
             checkpoint_seq: rng.gen(),
             chunk: rng.gen(),
-            share_index: rng.gen(),
-            share: payload(rng, 96),
+            data: payload(rng, 96),
         },
         22 => PrimeMsg::StateChunkReq {
             replica: ReplicaId(rng.gen_range(0..32)),

@@ -73,7 +73,7 @@ fn pinned_report_digest() {
 fn pinned_attack_report_digest() {
     let digest = fnv64(run_once(7, attack_idx()).as_bytes());
     assert_eq!(
-        digest, 0xdae1_907d_7171_1ac4,
+        digest, 0xdf77_e24e_c418_453e,
         "attack report digest moved: {digest:#018x}"
     );
 }
