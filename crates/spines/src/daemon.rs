@@ -321,10 +321,12 @@ struct LsaEntry {
 
 struct PendingFrame {
     to_overlay: OverlayId,
-    msg: DataMsg,
+    mode: Dissemination,
+    dst: OverlayId,
     /// Encoded wire body, *without* the link HMAC: the first transmission
     /// rides a batch (one HMAC per batch), so retransmissions — the rare
-    /// path — re-seal individually from this.
+    /// path — re-seal individually from this, and a re-route decodes the
+    /// frame's `DataMsg` back out of it.
     body: Bytes,
     retries: u32,
     next_at: Time,
@@ -562,16 +564,14 @@ impl Daemon {
             if !self.neighbors.contains_key(&neighbor) {
                 return;
             }
-            let wire = OverlayMsg::Data {
-                frame_id,
-                msg: msg.clone(),
-            };
-            let body = wire.encode();
+            let (mode, dst) = (msg.mode, msg.dst);
+            let body = OverlayMsg::Data { frame_id, msg }.encode();
             self.pending.insert(
                 frame_id,
                 PendingFrame {
                     to_overlay: neighbor,
-                    msg,
+                    mode,
+                    dst,
                     body: body.clone(),
                     retries: 0,
                     next_at: ctx.now() + RETRANSMIT_TIMEOUT,
@@ -1105,7 +1105,7 @@ impl Process for Daemon {
                 for id in expired {
                     let (mode, dst, to_overlay, retries) = {
                         let f = &self.pending[&id];
-                        (f.msg.mode, f.msg.dst, f.to_overlay, f.retries)
+                        (f.mode, f.dst, f.to_overlay, f.retries)
                     };
                     // If routing has moved away from the pending next hop
                     // (e.g. the neighbor was declared dead), re-route the
@@ -1145,7 +1145,10 @@ impl Process for Daemon {
                 for id in to_reroute {
                     if let Some(frame) = self.pending.remove(&id) {
                         ctx.count("spines.rerouted", 1);
-                        self.route_data(ctx, frame.msg, None);
+                        match OverlayMsg::decode(&frame.body) {
+                            Ok(OverlayMsg::Data { msg, .. }) => self.route_data(ctx, msg, None),
+                            _ => unreachable!("a pending body encodes its Data frame"),
+                        }
                     }
                 }
                 for id in to_resend {
